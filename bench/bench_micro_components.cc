@@ -380,8 +380,9 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
     auto ep = net.BeginEpisode(true);
     std::vector<double> adv;
     while (!fsm.done()) {
-      const auto& probs = net.NextDistribution(&ep, fsm.ValidActions());
-      int a = net.SampleAction(probs, &rng);
+      const PolicyNetwork::CompactDistribution* dist = nullptr;
+      LSG_CHECK_OK(net.Step(&ep, fsm.ValidActions(), &dist));
+      int a = net.SampleAction(*dist, &rng);
       net.RecordAction(&ep, a);
       LSG_CHECK_OK(fsm.Step(a));
       adv.push_back(0.1);

@@ -5,8 +5,10 @@
 //     so scaling numbers are apples-to-apples (training dominates here).
 //  2. Pure generation throughput: one bucket is trained once, then a burst
 //     of same-bucket batch-mode requests is decoded at max_batch {1,8,32}
-//     on a single worker. This isolates the batched-GEMM decode path — the
-//     speedup over max_batch=1 is the cross-request batching win.
+//     on a single worker. This isolates the batched-GEMM decode path. The
+//     max_batch=1 baseline runs the same BatchDecoder one lane at a time
+//     (the MatVec forward), so the speedup over it is the cross-request
+//     batching win alone.
 //
 // Results are emitted as one JSON row per setting:
 //

@@ -14,8 +14,7 @@ RandomGenerator::RandomGenerator(SqlGenEnvironment* env, uint64_t seed)
 StatusOr<Trajectory> RandomGenerator::Rollout() {
   env_->Reset();
   Trajectory traj;
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const std::vector<uint8_t>& mask = env_->ValidActions();
     int chosen = -1;
     int seen = 0;

@@ -60,8 +60,7 @@ Status TemplateGenerator::MinePool() {
     env_->Reset();
     Trajectory traj;
     bool done = false;
-    const int kMaxSteps = 512;
-    for (int step = 0; step < kMaxSteps && !done; ++step) {
+    for (int step = 0; step < kMaxEpisodeSteps && !done; ++step) {
       const std::vector<uint8_t>& mask =
           const_cast<SqlGenEnvironment*>(env_)->ValidActions();
       int chosen = -1;

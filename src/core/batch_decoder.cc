@@ -9,21 +9,17 @@
 #include "sql/render.h"
 
 namespace lsg {
-namespace {
-constexpr int kMaxEpisodeSteps = 512;  // matches RolloutPolicy's hard cap
-}  // namespace
 
 struct BatchDecoder::Lane {
   BatchDecodeItem* item;
   std::unique_ptr<SqlGenEnvironment> env;
-  Rng rng;
   PolicyNetwork::Episode ep;
   Trajectory traj;
   int ep_steps = 0;
   Stopwatch watch;
 
   Lane(BatchDecodeItem* it, std::unique_ptr<SqlGenEnvironment> e)
-      : item(it), env(std::move(e)), rng(it->rng_seed) {}
+      : item(it), env(std::move(e)) {}
 };
 
 BatchDecoder::BatchDecoder(const ServingSnapshot* snapshot, int max_lanes)
@@ -102,8 +98,8 @@ BatchDecoder::Stats BatchDecoder::Run(
       eps[b] = &lanes[b]->ep;
       masks[b] = &lanes[b]->env->ValidActions();
     }
-    actor.NextDistributionBatch(eps.data(), masks.data(), batch, dists.data(),
-                                statuses.data());
+    actor.StepBatch(eps.data(), masks.data(), batch, dists.data(),
+                    statuses.data());
     stats.steps += 1;
     stats.lane_steps += static_cast<uint64_t>(batch);
     stats.peak_lanes = std::max(stats.peak_lanes, batch);
@@ -118,7 +114,7 @@ BatchDecoder::Stats BatchDecoder::Run(
         retire[b] = true;
         continue;
       }
-      const int a = actor.SampleAction(dists[b], &lane.rng);
+      const int a = actor.SampleAction(dists[b], &item.rng);
       actor.RecordAction(&lane.ep, a);
       auto sr = lane.env->Step(a);
       if (!sr.ok()) {

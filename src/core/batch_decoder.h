@@ -10,31 +10,32 @@ namespace lsg {
 
 /// One generation request inside a decode batch. Inputs mirror the service
 /// request (n, batch-vs-satisfied semantics, the request's RNG stream);
-/// outputs land in `status`/`report` when the item retires.
+/// outputs land in `status`/`report` when the item retires, and `rng` is
+/// left advanced past every draw the item made.
 struct BatchDecodeItem {
   int n = 0;
   /// true → GenerateBatch semantics (exactly n attempts, keep everything);
   /// false → GenerateSatisfied semantics (until n satisfied or the
   /// n·attempts_factor budget runs out, keep satisfied only).
   bool batch_mode = false;
-  /// Seed of this request's private sampling stream. Derived from
-  /// (seed, request) by the caller so batch-mates cannot perturb it.
-  uint64_t rng_seed = 0;
+  /// This request's private sampling stream. The service seeds it from
+  /// (seed, request) so batch-mates cannot perturb it; LearnedSqlGen hands
+  /// in (and takes back) its trainer's stream.
+  Rng rng;
 
   Status status;
   GenerationReport report;
 };
 
-/// Ragged cross-request decoder: drives a group of generation requests
-/// against one immutable ServingSnapshot, advancing every in-flight episode
-/// one token per step through a single batched LSTM forward
-/// (PolicyNetwork::NextDistributionBatch). Each item owns a private
-/// environment, RNG stream and episode, so its sampled queries are
-/// bitwise-identical to running LearnedSqlGen::GenerateBatch /
-/// GenerateSatisfied alone with the same seed — batching changes wall-clock
-/// only. Items join a lane as slots free up and leave when their budget
-/// completes (ragged batching); a degenerate softmax row or environment
-/// error fails only that item.
+/// The one decode loop: drives a group of generation requests against one
+/// immutable ServingSnapshot, advancing every in-flight episode one token
+/// per step through a single batched LSTM forward
+/// (PolicyNetwork::StepBatch). Each item owns a private environment, RNG
+/// stream and episode, so its sampled queries are bitwise-identical to
+/// decoding it alone (max_lanes = 1, which is what LearnedSqlGen's
+/// Generate* run) — batching changes wall-clock only. Items join a lane as
+/// slots free up and leave when their budget completes (ragged batching);
+/// a degenerate softmax row or environment error fails only that item.
 class BatchDecoder {
  public:
   struct Stats {

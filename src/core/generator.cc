@@ -6,10 +6,10 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "core/batch_decoder.h"
 #include "fsm/compiled_fsm.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
-#include "sql/render.h"
 
 namespace lsg {
 
@@ -21,6 +21,11 @@ StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
     const Database* db, const LearnedSqlGenOptions& options) {
   if (db == nullptr || db->num_tables() == 0) {
     return Status::InvalidArgument("LearnedSqlGen needs a non-empty database");
+  }
+  if (options.trainer.net.extra_input_dims != 0) {
+    return Status::InvalidArgument(
+        "LearnedSqlGen serves the standard one-hot model only "
+        "(trainer.net.extra_input_dims must be 0)");
   }
   std::unique_ptr<LearnedSqlGen> gen(new LearnedSqlGen(db, options));
   gen->stats_ = DatabaseStats::Collect(*db);
@@ -148,17 +153,21 @@ Status LearnedSqlGen::LoadModel(const Constraint& constraint,
   return LoadParams(reinforce_trainer_->actor().Params(), path);
 }
 
-StatusOr<Trajectory> LearnedSqlGen::GenerateOne() {
-  if (ac_trainer_ != nullptr) return ac_trainer_->Generate();
-  if (reinforce_trainer_ != nullptr) return reinforce_trainer_->Generate();
-  return Status::FailedPrecondition("call Train before generating");
-}
-
-StatusOr<Trajectory> LearnedSqlGen::GenerateOne(Rng* rng) {
-  if (rng == nullptr) return GenerateOne();
-  if (ac_trainer_ != nullptr) return ac_trainer_->Generate(rng);
-  if (reinforce_trainer_ != nullptr) return reinforce_trainer_->Generate(rng);
-  return Status::FailedPrecondition("call Train before generating");
+StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
+                                                 Rng* rng) {
+  LSG_ASSIGN_OR_RETURN(ServingSnapshot snap, MakeServingSnapshot());
+  if (rng == nullptr) {
+    rng = ac_trainer_ != nullptr ? ac_trainer_->sampling_rng()
+                                 : reinforce_trainer_->sampling_rng();
+  }
+  BatchDecodeItem item;
+  item.n = n;
+  item.batch_mode = batch_mode;
+  item.rng = *rng;
+  BatchDecoder(&snap, /*max_lanes=*/1).Run({&item});
+  *rng = item.rng;
+  if (!item.status.ok()) return item.status;
+  return std::move(item.report);
 }
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n) {
@@ -167,33 +176,7 @@ StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n) {
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n, Rng* rng) {
   LSG_OBS_SPAN("gen.generate_satisfied");
-  GenerationReport report;
-  report.train_seconds = train_seconds_;
-  report.trace = trace_;
-  Stopwatch watch;
-  const int64_t max_attempts =
-      static_cast<int64_t>(n) * options_.attempts_factor;
-  while (report.satisfied < n && report.attempts < max_attempts) {
-    auto traj = GenerateOne(rng);
-    if (!traj.ok()) return traj.status();
-    ++report.attempts;
-    if (!traj->satisfied) continue;
-    ++report.satisfied;
-    GeneratedQuery q;
-    q.sql = RenderSql(traj->ast, db_->catalog());
-    q.metric = traj->final_metric;
-    q.satisfied = true;
-    q.features =
-        FeaturesOf(traj->ast, static_cast<int>(traj->actions.size()));
-    q.ast = std::move(traj->ast);
-    report.queries.push_back(std::move(q));
-  }
-  report.generate_seconds = watch.ElapsedSeconds();
-  report.accuracy = report.attempts == 0
-                        ? 0.0
-                        : static_cast<double>(report.satisfied) /
-                              static_cast<double>(report.attempts);
-  return report;
+  return Decode(n, /*batch_mode=*/false, rng);
 }
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
@@ -202,30 +185,7 @@ StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n, Rng* rng) {
   LSG_OBS_SPAN("gen.generate_batch");
-  GenerationReport report;
-  report.train_seconds = train_seconds_;
-  report.trace = trace_;
-  Stopwatch watch;
-  for (int i = 0; i < n; ++i) {
-    auto traj = GenerateOne(rng);
-    if (!traj.ok()) return traj.status();
-    ++report.attempts;
-    GeneratedQuery q;
-    q.sql = RenderSql(traj->ast, db_->catalog());
-    q.metric = traj->final_metric;
-    q.satisfied = traj->satisfied;
-    q.features =
-        FeaturesOf(traj->ast, static_cast<int>(traj->actions.size()));
-    q.ast = std::move(traj->ast);
-    if (q.satisfied) ++report.satisfied;
-    report.queries.push_back(std::move(q));
-  }
-  report.generate_seconds = watch.ElapsedSeconds();
-  report.accuracy = report.attempts == 0
-                        ? 0.0
-                        : static_cast<double>(report.satisfied) /
-                              static_cast<double>(report.attempts);
-  return report;
+  return Decode(n, /*batch_mode=*/true, rng);
 }
 
 StatusOr<ServingSnapshot> LearnedSqlGen::MakeServingSnapshot() const {
@@ -236,10 +196,6 @@ StatusOr<ServingSnapshot> LearnedSqlGen::MakeServingSnapshot() const {
     actor = &std::as_const(*reinforce_trainer_).actor();
   } else {
     return Status::FailedPrecondition("call Train before snapshotting");
-  }
-  if (options_.trainer.net.extra_input_dims != 0) {
-    return Status::FailedPrecondition(
-        "batched serving supports the standard one-hot model only");
   }
   ServingSnapshot snap;
   snap.db = db_;

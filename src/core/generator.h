@@ -93,10 +93,12 @@ struct ServingSnapshot {
   const CostModel* cost_model = nullptr;
   const PolicyNetwork* actor = nullptr;
   /// Environment configuration the model was trained under (compiled FSM
-  /// resolved); fresh per-lane environments are built from this.
+  /// resolved, feedback source as configured — before any
+  /// true_feedback_tail switch); fresh per-lane environments are built
+  /// from this.
   EnvironmentOptions env_opts;
-  /// The constraint the entry's model was trained for — generation
-  /// validates against this, exactly like the unbatched path.
+  /// The constraint the entry's model was trained for; generation
+  /// validates against this.
   Constraint constraint;
   int attempts_factor = 50;
   double train_seconds = 0.0;
@@ -133,11 +135,13 @@ struct GenerationReport {
 /// Generate* mutate the trainer state and its RNG), but distinct instances
 /// over the same const Database may run concurrently — the library keeps no
 /// mutable global state beyond the thread-safe logger. The service layer
-/// (src/service/) builds on exactly this contract: one pipeline per cached
-/// constraint bucket, each guarded by its own lock.
+/// (src/service/) builds one pipeline per cached constraint bucket and,
+/// once trained, decodes only from its immutable ServingSnapshot.
 class LearnedSqlGen {
  public:
-  /// Builds the pipeline for `db` (must outlive the generator).
+  /// Builds the pipeline for `db` (must outlive the generator). Rejects
+  /// `trainer.net.extra_input_dims != 0`: the pipeline never feeds extra
+  /// features (AC-extend trains through ActorCriticTrainer directly).
   static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
       const Database* db, const LearnedSqlGenOptions& options);
 
@@ -158,13 +162,17 @@ class LearnedSqlGen {
   /// trainer's internal stream. The serving path derives one stream per
   /// request from (seed, request), making outputs independent of worker
   /// placement and batch composition.
+  ///
+  /// Every Generate* is a one-item BatchDecoder run over this pipeline's
+  /// own ServingSnapshot — the same decode loop the service runs. Queries
+  /// are therefore scored under the feedback source the snapshot records
+  /// (`feedback`), not under the execution feedback a `true_feedback_tail`
+  /// switched training to.
   StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng);
   StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng);
 
   /// Publishes an immutable view of the trained pipeline for lock-free
-  /// batched serving (see BatchDecoder). Fails before Train/LoadModel, or
-  /// when the model uses dense extra inputs (AC-extend) — the batched
-  /// decode path supports the standard one-hot model only.
+  /// batched serving (see BatchDecoder). Fails only before Train/LoadModel.
   StatusOr<ServingSnapshot> MakeServingSnapshot() const;
 
   /// Saves the trained actor's parameters to a binary file.
@@ -182,14 +190,14 @@ class LearnedSqlGen {
   const DatabaseStats& stats() const { return stats_; }
   const CardinalityEstimator& estimator() const { return *estimator_; }
   const CostModel& cost_model() const { return *cost_model_; }
-  SqlGenEnvironment* env() { return env_.get(); }
   const LearnedSqlGenOptions& options() const { return options_; }
 
  private:
   LearnedSqlGen(const Database* db, const LearnedSqlGenOptions& options);
 
-  StatusOr<Trajectory> GenerateOne();
-  StatusOr<Trajectory> GenerateOne(Rng* rng);
+  /// Decodes one request (BatchDecodeItem semantics) over a fresh
+  /// snapshot, drawing from `rng` (the trainer's stream when null).
+  StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
   /// Environment configuration derived from options_, with the compiled
   /// FSM resolved (and memoised in compiled_fsm_) when enabled.

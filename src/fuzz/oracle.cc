@@ -8,6 +8,7 @@
 #include "core/environment.h"
 #include "fsm/compiled_fsm.h"
 #include "rl/policy_network.h"
+#include "rl/reinforce_trainer.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 
@@ -385,6 +386,11 @@ bool SameEstimate(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
+// Private sampling stream of the batch-decode oracle's lane b.
+uint64_t LaneSeed(uint64_t seed, size_t b) {
+  return SplitMix64(seed + 0x1000 + b);
+}
+
 }  // namespace
 
 std::optional<OracleViolation> DifferentialOracle::CheckPrefixEstimates(
@@ -503,7 +509,6 @@ std::optional<OracleViolation> DifferentialOracle::CheckCompiledFsm(
 std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
     const Vocabulary* vocab, const QueryProfile& profile, uint64_t seed) {
   if (!options_.check_batch_decode) return std::nullopt;
-  constexpr int kMaxSteps = 512;  // both decoders share this hard cap
 
   // Small random-weight policy: the batched forward must reproduce the
   // scalar path for *any* parameters, so no training is needed.
@@ -518,9 +523,8 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Scalar reference: the exact loop the unbatched serving path runs —
-  // per-step TryNextDistribution (LSTM MatVec forward) + SampleAction on
-  // the item's private stream.
+  // Scalar reference: the single-lane training/eval step (LSTM MatVec
+  // forward) driven by RolloutPolicy, sampling the item's private stream.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;
@@ -533,28 +537,14 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
                           env_opts);
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
-      env.Reset();
       PolicyNetwork::Episode ep = actor.BeginEpisode(/*train=*/false);
-      for (int step = 0;; ++step) {
-        if (step >= kMaxSteps) {
-          return Status::Internal("scalar episode exceeded the step cap");
-        }
-        const std::vector<float>* probs = nullptr;
-        LSG_RETURN_IF_ERROR(
-            actor.TryNextDistribution(&ep, env.ValidActions(), &probs));
-        const int a = actor.SampleAction(*probs, &rng);
-        actor.RecordAction(&ep, a);
-        LSG_ASSIGN_OR_RETURN(EnvStepResult sr, env.Step(a));
-        if (sr.done) {
-          RefQuery q;
-          const QueryAst ast = env.TakeAst();
-          q.sql = RenderSql(ast, db_->catalog());
-          q.metric = sr.metric;
-          q.satisfied = sr.satisfied;
-          out.push_back(std::move(q));
-          break;
-        }
-      }
+      LSG_ASSIGN_OR_RETURN(Trajectory traj,
+                           RolloutPolicy(&env, &actor, &ep, &rng));
+      RefQuery q;
+      q.sql = RenderSql(traj.ast, db_->catalog());
+      q.metric = traj.final_metric;
+      q.satisfied = traj.satisfied;
+      out.push_back(std::move(q));
     }
     return out;
   };
@@ -575,7 +565,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   for (size_t b = 0; b < items.size(); ++b) {
     items[b].n = budgets[b];
     items[b].batch_mode = true;  // fixed attempts: every episode compared
-    items[b].rng_seed = SplitMix64(seed + 0x1000 + b);
+    items[b].rng = Rng(LaneSeed(seed, b));
   }
   std::vector<BatchDecodeItem*> ptrs;
   for (BatchDecodeItem& item : items) ptrs.push_back(&item);
@@ -589,7 +579,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
           "batch-decode",
           StrFormat("lane %zu failed: ", b) + item.status.ToString()};
     }
-    auto ref = run_scalar(item.rng_seed, item.n);
+    auto ref = run_scalar(LaneSeed(seed, b), item.n);
     if (!ref.ok()) {
       return OracleViolation{
           "batch-decode",

@@ -35,7 +35,8 @@ struct OracleOptions {
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
   /// Batched decode vs scalar decode: the cross-request BatchDecoder must
-  /// reproduce the sequential NextDistribution/MatVec path byte-for-byte.
+  /// reproduce the single-lane PolicyNetwork::Step / MatVec path
+  /// byte-for-byte.
   bool check_batch_decode = true;
 
   /// Work budget per reference evaluation; exceeding it skips the check
@@ -118,8 +119,8 @@ class DifferentialOracle {
   /// policy over the oracle's database (seeded from `seed`, so batching
   /// must hold for arbitrary weights, not just trained ones) and decodes a
   /// group of episodes twice — once through the ragged cross-request
-  /// BatchDecoder (batched GEMM forward) and once through the scalar
-  /// NextDistribution / MatVec loop with the same per-item RNG streams —
+  /// BatchDecoder (batched GEMM forward) and once through RolloutPolicy
+  /// over the single-lane Step (MatVec) with the same per-item RNG streams —
   /// asserting attempt counts, rendered SQL, metrics and satisfied flags
   /// are byte-identical. This is the serving path's standing guarantee:
   /// batching changes wall-clock only, never samples.

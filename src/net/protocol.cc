@@ -28,12 +28,20 @@ namespace {
 
 constexpr int kMaxCount = 1000;
 constexpr size_t kMaxTenantBytes = 64;
+constexpr double kMaxId = 9007199254740992.0;  // 2^53
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 Status BadRequest(NetError* kind, std::string msg) {
   *kind = NetError::kBadRequest;
   return Status::InvalidArgument(std::move(msg));
+}
+
+// Training time this request itself spent: a hit or a warm start reuses a
+// model whose train_seconds were paid by an earlier request.
+double RequestTrainSeconds(const GenerationResponse& response) {
+  return response.cache_hit || response.warm_start ? 0.0
+                                                   : response.train_seconds;
 }
 
 }  // namespace
@@ -57,7 +65,16 @@ StatusOr<NetRequest> ParseRequestFrame(std::string_view frame,
     }
     out.tenant = t->str;
   }
-  out.request.id = static_cast<uint64_t>(doc->NumberOr("id", 0));
+  if (const obs::JsonValue* id = doc->Find("id")) {
+    // Ids come straight off the socket: cast only integers a double holds
+    // exactly (the cast is undefined for negative, non-finite or > 2^64).
+    if (!id->is_number() || !(id->num >= 0) || id->num > kMaxId ||
+        id->num != std::floor(id->num)) {
+      return BadRequest(error_kind,
+                        "\"id\" must be an integer in [0, 2^53]");
+    }
+    out.request.id = static_cast<uint64_t>(id->num);
+  }
 
   std::string op = doc->StringOr("op", "generate");
   if (op == "ping") {
@@ -151,7 +168,7 @@ std::string EncodeResponse(const GenerationResponse& response,
       "\"cache_hit\": %s, \"worker\": %d, \"seconds\": %s",
       response.report.satisfied, response.report.attempts,
       response.cache_hit ? "true" : "false", response.worker,
-      FormatDouble(response.queue_seconds + response.train_seconds +
+      FormatDouble(response.queue_seconds + RequestTrainSeconds(response) +
                    response.generate_seconds)
           .c_str());
   if (include_sql) {

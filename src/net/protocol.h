@@ -38,7 +38,7 @@ const char* NetErrorCode(NetError e);
 ///                   "lo": 100, "hi": 900}}
 ///
 /// Point constraints use {"kind": "point", "value": 500}. "metric" is
-/// "card"|"cost". {"op": "ping"} short-circuits everything past framing:
+/// "card"|"cost". "id" (default 0) must be an integer in [0, 2^53]. {"op": "ping"} short-circuits everything past framing:
 /// the loop answers directly without touching admission or the service
 /// (liveness probes and protocol-overhead benchmarking).
 struct NetRequest {
@@ -55,7 +55,8 @@ StatusOr<NetRequest> ParseRequestFrame(std::string_view frame,
 
 /// Response encoders. Every response is one LF-terminated JSON object
 /// with an "ok" bool and the echoed request "id"; errors carry
-/// {"error": <code>, "message": ...}.
+/// {"error": <code>, "message": ...}. A response's "seconds" is queue +
+/// decode time, plus training time only when this request trained.
 std::string EncodeResponse(const GenerationResponse& response,
                            std::string_view tenant, bool include_sql);
 std::string EncodeError(uint64_t id, NetError error, std::string_view message);

@@ -12,17 +12,6 @@ void Linear::Forward(const float* x, float* y) const {
   for (int i = 0; i < w_.value.rows(); ++i) y[i] += b[i];
 }
 
-void Linear::ForwardBatch(const float* x_panel, int batch,
-                          float* y_panel) const {
-  MatMat(w_.value, x_panel, batch, y_panel);
-  const float* b = b_.value.data();
-  const int rows = w_.value.rows();
-  for (int i = 0; i < rows; ++i) {
-    float* ys = y_panel + static_cast<size_t>(i) * batch;
-    for (int bb = 0; bb < batch; ++bb) ys[bb] += b[i];
-  }
-}
-
 void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
                          int nrows, float* y) const {
   const int cols = w_.value.cols();
@@ -44,6 +33,25 @@ void Linear::Backward(const float* x, const float* dy, float* dx_or_null) {
   float* db = b_.grad.data();
   for (int i = 0; i < w_.value.rows(); ++i) db[i] += dy[i];
   if (dx_or_null != nullptr) MatTVecAccum(w_.value, dy, dx_or_null);
+}
+
+void Linear::BackwardRows(const float* x, const int* rows, int nrows,
+                          const float* dy, float* dx_or_null) {
+  const int cols = w_.value.cols();
+  const float* wd = w_.value.data();
+  float* gd = w_.grad.data();
+  float* db = b_.grad.data();
+  for (int k = 0; k < nrows; ++k) {
+    const int i = rows[k];
+    const float g = dy[k];
+    db[i] += g;
+    if (g == 0.f) continue;
+    float* grow = gd + static_cast<size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) grow[j] += g * x[j];
+    if (dx_or_null == nullptr) continue;
+    const float* row = wd + static_cast<size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) dx_or_null[j] += row[j] * g;
+  }
 }
 
 }  // namespace lsg

@@ -18,11 +18,6 @@ class Linear {
   /// y must have room for output_dim floats.
   void Forward(const float* x, float* y) const;
 
-  /// Batched forward over a feature-major activation panel
-  /// (x_panel[j * batch + b], y_panel[i * batch + b]). Every lane is
-  /// bitwise-identical to Forward over its own vector.
-  void ForwardBatch(const float* x_panel, int batch, float* y_panel) const;
-
   /// Sparse-row forward: y[k] = Forward(x)[rows[k]] for each of the nrows
   /// requested output rows, reading x at the given stride (a feature-major
   /// panel column when x_stride > 1, a plain vector at stride 1). Each row
@@ -36,6 +31,15 @@ class Linear {
   /// Accumulates parameter gradients and (optionally) input gradients.
   /// `x` must be the forward input that produced `dy`.
   void Backward(const float* x, const float* dy, float* dx_or_null);
+
+  /// Sparse-row backward mirroring ForwardRows: dy[k] is the output
+  /// gradient of row rows[k] (ascending), every other row's is zero. Rows
+  /// with a zero gradient contribute nothing to Backward either (its outer
+  /// product and W^T dy skip them, and a bias gradient never holds -0 that
+  /// adding +0 could flip), so the accumulated gradients are
+  /// bitwise-identical to Backward over the dense dy.
+  void BackwardRows(const float* x, const int* rows, int nrows,
+                    const float* dy, float* dx_or_null);
 
   std::vector<ParamTensor*> Params() { return {&w_, &b_}; }
   std::vector<const ParamTensor*> Params() const { return {&w_, &b_}; }

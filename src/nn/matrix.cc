@@ -175,47 +175,6 @@ void SoftmaxInPlace(std::vector<float>* v) {
   for (float& x : *v) x = static_cast<float>(x / sum);
 }
 
-void MaskedSoftmaxInPlace(std::vector<float>* v,
-                          const std::vector<uint8_t>& mask) {
-  Status st = TryMaskedSoftmaxInPlace(v, mask);
-  LSG_CHECK(st.ok()) << st.ToString();
-}
-
-Status TryMaskedSoftmaxInPlace(std::vector<float>* v,
-                               const std::vector<uint8_t>& mask) {
-  LSG_CHECK(v->size() == mask.size());
-  float mx = -1e30f;
-  bool any = false;
-  for (size_t i = 0; i < v->size(); ++i) {
-    if (mask[i]) {
-      mx = std::max(mx, (*v)[i]);
-      any = true;
-    }
-  }
-  if (!any) return Status::Internal("masked softmax with empty mask");
-  double sum = 0.0;
-  for (size_t i = 0; i < v->size(); ++i) {
-    if (mask[i]) {
-      (*v)[i] = std::exp((*v)[i] - mx);
-      sum += (*v)[i];
-    } else {
-      (*v)[i] = 0.f;
-    }
-  }
-  // An all--inf masked row makes mx = -inf, every exp(x - mx) NaN and the
-  // partition sum NaN; a single -inf with mx finite can still underflow the
-  // sum to zero. Either way dividing would poison the distribution, so the
-  // serving path gets a structured error instead of a crash.
-  if (!(sum > 0.0) || !std::isfinite(sum)) {
-    return Status::Internal("masked softmax with degenerate logits (sum=" +
-                            std::to_string(sum) + ")");
-  }
-  for (size_t i = 0; i < v->size(); ++i) {
-    (*v)[i] = static_cast<float>((*v)[i] / sum);
-  }
-  return Status::Ok();
-}
-
 Status TryCompactSoftmaxInPlace(float* v, size_t n) {
   if (n == 0) return Status::Internal("masked softmax with empty mask");
   float mx = -1e30f;
@@ -225,7 +184,9 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n) {
     v[i] = std::exp(v[i] - mx);
     sum += v[i];
   }
-  // Same degenerate-row contract as TryMaskedSoftmaxInPlace (see there).
+  // An all--inf row (or one whose exps all underflow) leaves a zero
+  // partition sum, and a NaN or +inf logit a non-finite one; dividing would
+  // poison the distribution either way.
   if (!(sum > 0.0) || !std::isfinite(sum)) {
     return Status::Internal("masked softmax with degenerate logits (sum=" +
                             std::to_string(sum) + ")");

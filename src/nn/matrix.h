@@ -87,25 +87,14 @@ void OuterAccum(Matrix* dw, const float* dy, const float* x);
 /// Numerically stable in-place softmax.
 void SoftmaxInPlace(std::vector<float>* v);
 
-/// Masked softmax: entries with mask==0 get probability 0. Requires at
-/// least one unmasked entry and a non-degenerate row; aborts otherwise.
-void MaskedSoftmaxInPlace(std::vector<float>* v,
-                          const std::vector<uint8_t>& mask);
-
-/// Non-aborting masked softmax for the serving path: an empty mask or a
-/// degenerate logit row (all masked entries -inf / overflowed, so the
-/// partition sum is zero or non-finite) comes back as kInternal instead of
-/// taking the whole process down. On success the result is bitwise
-/// identical to MaskedSoftmaxInPlace; on error `v` is left unspecified.
-Status TryMaskedSoftmaxInPlace(std::vector<float>* v,
-                               const std::vector<uint8_t>& mask);
-
-/// TryMaskedSoftmaxInPlace over an already-compacted logit span: `v` holds
-/// only the masked entries, in ascending index order. The max / exp /
-/// partition-sum / divide sequence touches the same values in the same
-/// order as the masked form (unmasked entries there are exact zeros that
-/// never enter the sums), so the resulting probabilities and the Status on
-/// degenerate rows are bitwise-identical. n == 0 is the empty-mask error.
+/// Softmax over an FSM mask's compacted logits: `v` holds only the masked
+/// entries, in ascending vocabulary order. In a full-vocabulary masked
+/// softmax every unmasked entry is an exact +0.0 that enters neither the max
+/// nor the partition sum, so these values are bitwise the masked entries of
+/// that distribution. An empty span (n == 0) or a degenerate row (every
+/// logit -inf or overflowed, so the partition sum is zero or non-finite)
+/// comes back as kInternal instead of taking the process down; `v` is then
+/// unspecified.
 Status TryCompactSoftmaxInPlace(float* v, size_t n);
 
 /// Rescales all gradients so their global L2 norm is at most max_norm.

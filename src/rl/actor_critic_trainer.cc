@@ -19,57 +19,23 @@ ActorCriticTrainer::ActorCriticTrainer(Environment* env,
   critic_opt_ = std::make_unique<Adam>(critic_->Params(), options.critic_lr);
 }
 
-StatusOr<Trajectory> ActorCriticTrainer::RolloutWithCritic(
-    PolicyNetwork::Episode* actor_ep, ValueNetwork::Episode* critic_ep,
-    bool train, Rng* rng) {
-  env_->Reset();
-  *actor_ep = actor_->BeginEpisode(train);
-  *critic_ep = critic_->BeginEpisode(train);
-  actor_ep->extra = extra_;
-  critic_ep->extra = extra_;
-  Trajectory traj;
-  const int kMaxSteps = 512;
-  int prev = actor_->bos_index();
-  for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = env_->ValidActions();
-    const std::vector<float>* probs_ptr = nullptr;
-    LSG_RETURN_IF_ERROR(
-        actor_->TryNextDistribution(actor_ep, mask, &probs_ptr));
-    const std::vector<float>& probs = *probs_ptr;
-    if (train) critic_->StepValue(critic_ep, prev);  // V(s_t)
-    int a = actor_->SampleAction(probs, rng);
-    actor_->RecordAction(actor_ep, a);
-    auto sr = env_->Step(a);
-    if (!sr.ok()) return sr.status();
-    traj.actions.push_back(a);
-    traj.rewards.push_back(sr->reward);
-    prev = a;
-    if (sr->done) {
-      traj.completed = true;
-      traj.satisfied = sr->satisfied;
-      traj.final_metric = sr->metric;
-      traj.ast = env_->TakeAst();
-      break;
-    }
-  }
-  if (!traj.completed) {
-    return Status::Internal("episode exceeded the hard step cap");
-  }
-  return traj;
-}
-
 StatusOr<EpochStats> ActorCriticTrainer::TrainEpoch() {
   LSG_OBS_SPAN("rl.ac_epoch");
   EpochStats stats;
   std::vector<PolicyNetwork::Episode> actor_eps(options_.batch_size);
-  std::vector<ValueNetwork::Episode> critic_eps(options_.batch_size);
   std::vector<std::vector<double>> advantages(options_.batch_size);
   for (int b = 0; b < options_.batch_size; ++b) {
-    auto traj =
-        RolloutWithCritic(&actor_eps[b], &critic_eps[b], /*train=*/true, &rng_);
+    actor_eps[b] = actor_->BeginEpisode(/*train=*/true);
+    actor_eps[b].extra = extra_;
+    ValueNetwork::Episode critic_ep = critic_->BeginEpisode(/*train=*/true);
+    critic_ep.extra = extra_;
+    RolloutHooks hooks;
+    hooks.after_actor_step = [&](int input) {
+      critic_->StepValue(&critic_ep, input);  // V(s_t)
+    };
+    auto traj = RolloutPolicy(env_, actor_.get(), &actor_eps[b], &rng_, hooks);
     if (!traj.ok()) return traj.status();
     const size_t T = traj->rewards.size();
-    ValueNetwork::Episode& critic_ep = critic_eps[b];
     LSG_CHECK(critic_ep.values.size() == T);
     // TD(0): td_t = r_t + V(s_{t+1}) − V(s_t), terminal V = 0.
     std::vector<double> advantage(T);
@@ -131,15 +97,9 @@ bool ActorCriticTrainer::RestoreBestActor() {
 }
 
 StatusOr<Trajectory> ActorCriticTrainer::Generate() {
-  PolicyNetwork::Episode actor_ep;
-  ValueNetwork::Episode critic_ep;
-  return RolloutWithCritic(&actor_ep, &critic_ep, /*train=*/false, &rng_);
-}
-
-StatusOr<Trajectory> ActorCriticTrainer::Generate(Rng* rng) {
-  PolicyNetwork::Episode actor_ep;
-  ValueNetwork::Episode critic_ep;
-  return RolloutWithCritic(&actor_ep, &critic_ep, /*train=*/false, rng);
+  PolicyNetwork::Episode ep = actor_->BeginEpisode(/*train=*/false);
+  ep.extra = extra_;
+  return RolloutPolicy(env_, actor_.get(), &ep, &rng_);
 }
 
 }  // namespace lsg

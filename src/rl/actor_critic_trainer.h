@@ -19,14 +19,13 @@ class ActorCriticTrainer {
   /// Runs one batch of episodes and applies one update to both networks.
   StatusOr<EpochStats> TrainEpoch();
 
-  /// Inference: generates one query with the current policy.
+  /// Inference: generates one query with the current policy. The critic is
+  /// skipped at inference and consumes no random numbers.
   StatusOr<Trajectory> Generate();
 
-  /// Inference with a caller-owned RNG stream (serving path: each request
-  /// samples from its own (seed, request)-derived stream). For the standard
-  /// model this is op-for-op RNG-equivalent to Generate() — the critic is
-  /// skipped at inference and consumes no random numbers.
-  StatusOr<Trajectory> Generate(Rng* rng);
+  /// The trainer's sampling stream; inference that should continue it
+  /// (LearnedSqlGen's default Generate*) draws from here.
+  Rng* sampling_rng() { return &rng_; }
 
   /// Rolls the actor back to its best checkpoint (keep_best_actor).
   bool RestoreBestActor();
@@ -48,12 +47,6 @@ class ActorCriticTrainer {
   void set_environment(Environment* env) { env_ = env; }
 
  private:
-  /// One training episode: rolls out actor and critic in lockstep. `rng`
-  /// drives action sampling (TrainEpoch passes the trainer's own stream).
-  StatusOr<Trajectory> RolloutWithCritic(PolicyNetwork::Episode* actor_ep,
-                                         ValueNetwork::Episode* critic_ep,
-                                         bool train, Rng* rng);
-
   Environment* env_;
   TrainerOptions options_;
   Rng rng_;

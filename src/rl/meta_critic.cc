@@ -162,35 +162,17 @@ StatusOr<EpochStats> MetaCriticTrainer::TrainBatch(Environment* env,
   std::vector<PolicyNetwork::Episode> actor_eps(options_.batch_size);
   std::vector<std::vector<double>> advantages(options_.batch_size);
   for (int b = 0; b < options_.batch_size; ++b) {
-    env->Reset();
-    PolicyNetwork::Episode& actor_ep = actor_eps[b];
-    actor_ep = actor->BeginEpisode(true);
-    MetaCritic::Episode critic_ep = meta_->BeginEpisode(true);
-    Trajectory traj;
-    const int kMaxSteps = 512;
-    int prev = actor->bos_index();
-    for (int step = 0; step < kMaxSteps; ++step) {
-      const std::vector<uint8_t>& mask = env->ValidActions();
-      const std::vector<float>& probs = actor->NextDistribution(&actor_ep, mask);
-      meta_->StepValue(&critic_ep, prev);
-      int a = actor->SampleAction(probs, &rng_);
-      actor->RecordAction(&actor_ep, a);
-      auto sr = env->Step(a);
-      if (!sr.ok()) return sr.status();
-      meta_->ObserveTriple(&critic_ep, a, sr->reward);
-      traj.actions.push_back(a);
-      traj.rewards.push_back(sr->reward);
-      prev = a;
-      if (sr->done) {
-        traj.completed = true;
-        traj.satisfied = sr->satisfied;
-        traj.final_metric = sr->metric;
-        break;
-      }
-    }
-    if (!traj.completed) {
-      return Status::Internal("meta-critic episode exceeded step cap");
-    }
+    actor_eps[b] = actor->BeginEpisode(/*train=*/true);
+    MetaCritic::Episode critic_ep = meta_->BeginEpisode(/*train=*/true);
+    RolloutHooks hooks;
+    hooks.after_actor_step = [&](int input) {
+      meta_->StepValue(&critic_ep, input);
+    };
+    hooks.after_env_step = [&](int action, double reward) {
+      meta_->ObserveTriple(&critic_ep, action, reward);
+    };
+    LSG_ASSIGN_OR_RETURN(Trajectory traj,
+                         RolloutPolicy(env, actor, &actor_eps[b], &rng_, hooks));
     const size_t T = traj.rewards.size();
     std::vector<double> advantage(T), dvalue(T);
     for (size_t t = 0; t < T; ++t) {
@@ -204,7 +186,7 @@ StatusOr<EpochStats> MetaCriticTrainer::TrainBatch(Environment* env,
     stats.episodes += 1;
     stats.mean_total_reward += traj.TotalReward();
     stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(actor_ep);
+    stats.mean_entropy += PolicyNetwork::MeanEntropy(actor_eps[b]);
     stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
   }
   if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
@@ -264,8 +246,8 @@ StatusOr<std::vector<EpochStats>> MetaCriticTrainer::Adapt(
 
 StatusOr<Trajectory> MetaCriticTrainer::GenerateWithAdapted(Environment* env) {
   LSG_CHECK(adapted_actor_ != nullptr);
-  return RolloutPolicy(env, adapted_actor_.get(), &rng_, /*train=*/false,
-                       nullptr);
+  PolicyNetwork::Episode ep = adapted_actor_->BeginEpisode(/*train=*/false);
+  return RolloutPolicy(env, adapted_actor_.get(), &ep, &rng_);
 }
 
 }  // namespace lsg

@@ -21,17 +21,27 @@ PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
   return ep;
 }
 
-const std::vector<float>& PolicyNetwork::NextDistribution(
-    Episode* ep, const std::vector<uint8_t>& mask) {
-  const std::vector<float>* out = nullptr;
-  Status st = TryNextDistribution(ep, mask, &out);
-  LSG_CHECK(st.ok()) << st.ToString();
-  return *out;
+Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
+                                 const std::vector<uint8_t>& mask,
+                                 CompactDistribution* d) const {
+  LSG_CHECK(static_cast<int>(mask.size()) == vocab_size_);
+  // The FSM admits only a handful of tokens per step (mean mask width ~9
+  // of ~2800 on the paper workloads), so the head projects just the masked
+  // rows — the same per-row dot products a full forward computes — and the
+  // softmax runs on the compacted support.
+  d->idx.clear();
+  for (int i = 0; i < vocab_size_; ++i) {
+    if (mask[i]) d->idx.push_back(i);
+  }
+  if (d->idx.empty()) return Status::Internal("masked softmax with empty mask");
+  d->probs.resize(d->idx.size());
+  head_.ForwardRows(top, top_stride, d->idx.data(),
+                    static_cast<int>(d->idx.size()), d->probs.data());
+  return TryCompactSoftmaxInPlace(d->probs.data(), d->probs.size());
 }
 
-Status PolicyNetwork::TryNextDistribution(Episode* ep,
-                                          const std::vector<uint8_t>& mask,
-                                          const std::vector<float>** out) {
+Status PolicyNetwork::Step(Episode* ep, const std::vector<uint8_t>& mask,
+                           const CompactDistribution** dist) {
   const int prev =
       ep->actions.empty() ? bos_index() : ep->actions.back();
   LstmStack::StepCache* cache = nullptr;
@@ -52,18 +62,16 @@ Status PolicyNetwork::TryNextDistribution(Episode* ep,
   } else {
     top = &lstm_.Step(prev, &ep->state, cache, ep->train, &rng_);
   }
-  std::vector<float> logits(vocab_size_);
-  head_.Forward(top->data(), logits.data());
-  LSG_RETURN_IF_ERROR(TryMaskedSoftmaxInPlace(&logits, mask));
-  ep->probs.push_back(std::move(logits));
-  ep->masks.push_back(mask);
-  *out = &ep->probs.back();
+  ep->dists.emplace_back();
+  LSG_RETURN_IF_ERROR(MaskedHead(top->data(), 1, mask, &ep->dists.back()));
+  *dist = &ep->dists.back();
   return Status::Ok();
 }
 
-void PolicyNetwork::NextDistributionBatch(
-    Episode* const* lanes, const std::vector<uint8_t>* const* masks, int batch,
-    CompactDistribution* dists, Status* statuses) const {
+void PolicyNetwork::StepBatch(Episode* const* lanes,
+                              const std::vector<uint8_t>* const* masks,
+                              int batch, CompactDistribution* dists,
+                              Status* statuses) const {
   LSG_CHECK(options_.extra_input_dims == 0)
       << "batched decode supports the standard one-hot model only";
   std::vector<int> tokens(batch);
@@ -76,48 +84,18 @@ void PolicyNetwork::NextDistributionBatch(
   }
   std::vector<float> top_panel;
   lstm_.StepBatch(tokens.data(), states.data(), batch, &top_panel);
-  // The FSM admits only a handful of tokens per step (mean mask width ~9
-  // of ~2800 on the paper workloads), so the head projects just each
-  // lane's masked rows — identical per-row dot products against the
-  // lane's panel column — and the softmax runs on the compacted support.
-  // Eval episodes never materialize the full distribution: nothing replays
-  // their history the way AccumulateGradients replays train episodes, and
-  // sampling only needs the masked entries.
+  // Lane b's top hidden state is column b of the feature-major panel.
   for (int b = 0; b < batch; ++b) {
-    CompactDistribution& d = dists[b];
-    const std::vector<uint8_t>& mask = *masks[b];
-    LSG_CHECK(static_cast<int>(mask.size()) == vocab_size_);
-    d.idx.clear();
-    for (int i = 0; i < vocab_size_; ++i) {
-      if (mask[i]) d.idx.push_back(i);
-    }
-    if (d.idx.empty()) {
-      statuses[b] = Status::Internal("masked softmax with empty mask");
-      continue;
-    }
-    d.probs.resize(d.idx.size());
-    head_.ForwardRows(top_panel.data() + b, batch, d.idx.data(),
-                      static_cast<int>(d.idx.size()), d.probs.data());
-    statuses[b] = TryCompactSoftmaxInPlace(d.probs.data(), d.probs.size());
+    statuses[b] = MaskedHead(top_panel.data() + b, batch, *masks[b], &dists[b]);
   }
-}
-
-int PolicyNetwork::SampleAction(const std::vector<float>& probs,
-                                Rng* rng) const {
-  size_t idx = rng->Categorical(probs.data(), probs.size());
-  if (idx >= probs.size()) {
-    // All-zero guard (cannot happen with a valid mask): fall back to argmax.
-    return GreedyAction(probs);
-  }
-  return static_cast<int>(idx);
 }
 
 int PolicyNetwork::SampleAction(const CompactDistribution& d,
                                 Rng* rng) const {
   size_t k = rng->Categorical(d.probs.data(), d.probs.size());
   if (k >= d.probs.size()) {
-    // All-zero guard, mirroring the full-vocabulary fallback (unreachable
-    // after a successful softmax): greedy over the compact support.
+    // All-zero guard (unreachable after a successful softmax): greedy over
+    // the compact support.
     size_t best = 0;
     for (size_t i = 1; i < d.probs.size(); ++i) {
       if (d.probs[i] > d.probs[best]) best = i;
@@ -127,67 +105,58 @@ int PolicyNetwork::SampleAction(const CompactDistribution& d,
   return d.idx[k];
 }
 
-int PolicyNetwork::GreedyAction(const std::vector<float>& probs) const {
-  int best = 0;
-  for (size_t i = 1; i < probs.size(); ++i) {
-    if (probs[i] > probs[best]) best = static_cast<int>(i);
-  }
-  return best;
-}
-
 void PolicyNetwork::AccumulateGradients(const Episode& ep,
                                         const std::vector<double>& advantages,
                                         double entropy_coef) {
   LSG_CHECK(ep.train);
   const size_t T = ep.actions.size();
   LSG_CHECK(advantages.size() == T);
-  LSG_CHECK(ep.caches.size() == T && ep.probs.size() == T);
+  LSG_CHECK(ep.caches.size() == T && ep.dists.size() == T);
 
   std::vector<std::vector<float>> dtop(
       T, std::vector<float>(options_.hidden_dim, 0.f));
-  std::vector<float> dlogits(vocab_size_);
+  std::vector<float> dlogits;
   for (size_t t = 0; t < T; ++t) {
-    const std::vector<float>& p = ep.probs[t];
-    const std::vector<uint8_t>& mask = ep.masks[t];
+    const CompactDistribution& d = ep.dists[t];
+    const std::vector<float>& p = d.probs;
     const int a = ep.actions[t];
     const float adv = static_cast<float>(advantages[t]);
 
     // Entropy of the masked distribution.
     float entropy = 0.f;
-    for (size_t i = 0; i < p.size(); ++i) {
-      if (mask[i] && p[i] > 0.f) entropy -= p[i] * std::log(p[i]);
+    for (float pk : p) {
+      if (pk > 0.f) entropy -= pk * std::log(pk);
     }
 
-    // dL/dz_i for L = -(A log π(a) + λ H).
-    for (int i = 0; i < vocab_size_; ++i) {
-      if (!mask[i]) {
-        dlogits[i] = 0.f;
-        continue;
+    // dL/dz_i for L = -(A log π(a) + λ H), on the masked support.
+    dlogits.resize(p.size());
+    for (size_t k = 0; k < p.size(); ++k) {
+      float g = adv * (p[k] - (d.idx[k] == a ? 1.f : 0.f));
+      if (entropy_coef > 0.0 && p[k] > 0.f) {
+        g += static_cast<float>(entropy_coef) * p[k] *
+             (std::log(p[k]) + entropy);
       }
-      float g = adv * (p[i] - (i == a ? 1.f : 0.f));
-      if (entropy_coef > 0.0 && p[i] > 0.f) {
-        g += static_cast<float>(entropy_coef) * p[i] *
-             (std::log(p[i]) + entropy);
-      }
-      dlogits[i] = g;
+      dlogits[k] = g;
     }
     const std::vector<float>& top_h = ep.caches[t].layers.back().h;
-    head_.Backward(top_h.data(), dlogits.data(), dtop[t].data());
+    head_.BackwardRows(top_h.data(), d.idx.data(),
+                       static_cast<int>(d.idx.size()), dlogits.data(),
+                       dtop[t].data());
   }
   lstm_.Backward(ep.caches, dtop);
 }
 
 double PolicyNetwork::MeanEntropy(const Episode& ep) {
-  if (ep.probs.empty()) return 0.0;
+  if (ep.dists.empty()) return 0.0;
   double total = 0.0;
-  for (const std::vector<float>& p : ep.probs) {
+  for (const CompactDistribution& d : ep.dists) {
     double h = 0.0;
-    for (float x : p) {
+    for (float x : d.probs) {
       if (x > 0.f) h -= x * std::log(x);
     }
     total += h;
   }
-  return total / static_cast<double>(ep.probs.size());
+  return total / static_cast<double>(ep.dists.size());
 }
 
 std::vector<ParamTensor*> PolicyNetwork::Params() {

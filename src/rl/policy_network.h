@@ -32,76 +32,62 @@ class PolicyNetwork {
   /// Input index used for the beginning-of-sequence step.
   int bos_index() const { return vocab_size_; }
 
-  /// Per-episode rollout state; holds everything needed for BPTT.
-  struct Episode {
-    LstmStack::State state;
-    std::vector<LstmStack::StepCache> caches;
-    std::vector<std::vector<float>> probs;       ///< masked π per step
-    std::vector<std::vector<uint8_t>> masks;
-    std::vector<int> actions;
-    std::vector<float> extra;                    ///< dense constraint dims
-    bool train = false;
-  };
-
-  Episode BeginEpisode(bool train) const;
-
-  /// Advances the LSTM over the previous action (BOS on the first call) and
-  /// returns the masked action distribution for the next step. The returned
-  /// reference lives in `ep` until the next call. Aborts on a degenerate
-  /// masked logit row; serving paths use TryNextDistribution instead.
-  const std::vector<float>& NextDistribution(Episode* ep,
-                                             const std::vector<uint8_t>& mask);
-
-  /// Non-aborting NextDistribution: a degenerate masked softmax row comes
-  /// back as kInternal (the episode is then unusable) instead of taking the
-  /// process down. On success `*out` points at the distribution inside `ep`
-  /// and the episode state matches NextDistribution bitwise.
-  Status TryNextDistribution(Episode* ep, const std::vector<uint8_t>& mask,
-                             const std::vector<float>** out);
-
-  /// Compact masked action distribution for one decode step: probs[k] is
-  /// the probability of vocabulary index idx[k], for the (typically few)
-  /// FSM-valid tokens only. In the full-vocabulary distribution every
-  /// unmasked entry is an exact +0.0 that can influence neither the softmax
-  /// sums nor a cumulative sample walk, so the compact values — and any
-  /// token sampled from them — are bitwise-identical to the
-  /// TryNextDistribution path while skipping the dead ~99% of the output
-  /// layer. Reuse one instance per lane slot across steps to keep the
-  /// heap quiet.
+  /// Masked action distribution of one step, stored on the FSM-valid
+  /// support only: probs[k] is the probability of vocabulary index idx[k].
+  /// Tokens outside the mask have probability exactly +0.0 and contribute
+  /// nothing to the softmax sums, a sampling walk, the entropy or the
+  /// policy gradient, so this is the whole distribution — the network
+  /// never scores a token the grammar forbids.
   struct CompactDistribution {
     std::vector<int> idx;      ///< masked vocabulary indices, ascending
     std::vector<float> probs;  ///< probabilities over idx
   };
 
+  /// Per-episode rollout state; holds everything needed for BPTT.
+  struct Episode {
+    LstmStack::State state;
+    std::vector<LstmStack::StepCache> caches;
+    std::vector<CompactDistribution> dists;  ///< masked π per step
+    std::vector<int> actions;
+    std::vector<float> extra;                ///< dense constraint dims
+    bool train = false;
+  };
+
+  Episode BeginEpisode(bool train) const;
+
+  /// Advances the LSTM over the previous action (BOS on the first call),
+  /// appends the masked action distribution for the next step to ep->dists
+  /// and points `*dist` at it (valid until the next Step). Training
+  /// episodes also keep the BPTT cache and apply dropout. An empty mask or a
+  /// degenerate masked logit row comes back as kInternal (the episode is
+  /// then unusable). Handles dense extra inputs (AC-extend).
+  Status Step(Episode* ep, const std::vector<uint8_t>& mask,
+              const CompactDistribution** dist);
+
   /// Inference-only batched step: advances `batch` independent episodes one
-  /// token each through a single batched LSTM forward, then projects only
-  /// each lane's masked head rows into dists[b] (see CompactDistribution
-  /// for the bitwise contract with TryNextDistribution). Requires
+  /// token each through a single batched LSTM forward and projects each
+  /// lane's masked head rows into dists[b]. Per lane this is
+  /// bitwise-identical to Step on a non-training episode. Requires
   /// extra_input_dims == 0 and !train on every lane (the serving model).
   /// statuses[b] receives the lane's masked-softmax status (a kInternal
   /// lane's dists entry is unspecified and the lane must be dropped).
-  void NextDistributionBatch(Episode* const* lanes,
-                             const std::vector<uint8_t>* const* masks,
-                             int batch, CompactDistribution* dists,
-                             Status* statuses) const;
+  void StepBatch(Episode* const* lanes,
+                 const std::vector<uint8_t>* const* masks, int batch,
+                 CompactDistribution* dists, Status* statuses) const;
 
-  /// Records the sampled action (must follow NextDistribution).
+  /// Records the sampled action (must follow Step).
   void RecordAction(Episode* ep, int action) const { ep->actions.push_back(action); }
 
-  /// Samples from a distribution.
-  int SampleAction(const std::vector<float>& probs, Rng* rng) const;
-
   /// Samples a vocabulary index from a compact masked distribution; the
-  /// consumed RNG stream and the returned token match SampleAction over
-  /// the equivalent full-vocabulary distribution bitwise.
+  /// consumed RNG stream and the returned token are those of a cumulative
+  /// walk over the equivalent full-vocabulary distribution.
   int SampleAction(const CompactDistribution& d, Rng* rng) const;
-
-  /// Arg-max action (greedy decoding).
-  int GreedyAction(const std::vector<float>& probs) const;
 
   /// Accumulates policy-gradient + entropy-regularization gradients for a
   /// finished episode: maximizes Σ_t [A_t log π(a_t|s_t) + λ H(π(·|s_t))]
-  /// (Eq. 4). Call optimizer Step() afterwards.
+  /// (Eq. 4). Call optimizer Step() afterwards. Off-mask logits have an
+  /// exactly zero gradient, so only the stored support is backpropagated
+  /// (Linear::BackwardRows) — bitwise the full-vocabulary backward.
   void AccumulateGradients(const Episode& ep,
                            const std::vector<double>& advantages,
                            double entropy_coef);
@@ -113,6 +99,13 @@ class PolicyNetwork {
   std::vector<const ParamTensor*> Params() const;
 
  private:
+  /// Projects the masked head rows of the top hidden state (read at
+  /// `top_stride`: 1 for a vector, the batch width for a panel column) and
+  /// runs the compact softmax over them into `*d`.
+  Status MaskedHead(const float* top, int top_stride,
+                    const std::vector<uint8_t>& mask,
+                    CompactDistribution* d) const;
+
   int vocab_size_;
   NetworkOptions options_;
   Rng rng_;

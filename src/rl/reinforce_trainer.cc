@@ -31,37 +31,32 @@ void NormalizeAdvantages(std::vector<std::vector<double>>* adv) {
 }
 
 StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
-                                   Rng* rng, bool train,
-                                   PolicyNetwork::Episode* ep_out) {
+                                   PolicyNetwork::Episode* ep, Rng* rng,
+                                   const RolloutHooks& hooks) {
   env->Reset();
-  PolicyNetwork::Episode ep = actor->BeginEpisode(train);
   Trajectory traj;
-  // Hard step cap: the FSM guarantees termination well before this.
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = env->ValidActions();
-    const std::vector<float>* probs_ptr = nullptr;
-    LSG_RETURN_IF_ERROR(actor->TryNextDistribution(&ep, mask, &probs_ptr));
-    const std::vector<float>& probs = *probs_ptr;
-    int a = actor->SampleAction(probs, rng);
-    actor->RecordAction(&ep, a);
+  int input = actor->bos_index();
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
+    const PolicyNetwork::CompactDistribution* dist = nullptr;
+    LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions(), &dist));
+    if (hooks.after_actor_step) hooks.after_actor_step(input);
+    const int a = actor->SampleAction(*dist, rng);
+    actor->RecordAction(ep, a);
     auto sr = env->Step(a);
     if (!sr.ok()) return sr.status();
+    if (hooks.after_env_step) hooks.after_env_step(a, sr->reward);
     traj.actions.push_back(a);
     traj.rewards.push_back(sr->reward);
+    input = a;
     if (sr->done) {
       traj.completed = true;
       traj.satisfied = sr->satisfied;
       traj.final_metric = sr->metric;
       traj.ast = env->TakeAst();
-      break;
+      return traj;
     }
   }
-  if (!traj.completed) {
-    return Status::Internal("episode exceeded the hard step cap");
-  }
-  if (ep_out != nullptr) *ep_out = std::move(ep);
-  return traj;
+  return Status::Internal("episode exceeded the hard step cap");
 }
 
 ReinforceTrainer::ReinforceTrainer(Environment* env,
@@ -80,8 +75,8 @@ StatusOr<EpochStats> ReinforceTrainer::TrainEpoch() {
   std::vector<PolicyNetwork::Episode> episodes(options_.batch_size);
   std::vector<std::vector<double>> advantages(options_.batch_size);
   for (int b = 0; b < options_.batch_size; ++b) {
-    auto traj =
-        RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/true, &episodes[b]);
+    episodes[b] = actor_->BeginEpisode(/*train=*/true);
+    auto traj = RolloutPolicy(env_, actor_.get(), &episodes[b], &rng_);
     if (!traj.ok()) return traj.status();
     advantages[b] = traj->RewardToGo();
     stats.episodes += 1;
@@ -131,11 +126,8 @@ bool ReinforceTrainer::RestoreBestActor() {
 }
 
 StatusOr<Trajectory> ReinforceTrainer::Generate() {
-  return RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/false, nullptr);
-}
-
-StatusOr<Trajectory> ReinforceTrainer::Generate(Rng* rng) {
-  return RolloutPolicy(env_, actor_.get(), rng, /*train=*/false, nullptr);
+  PolicyNetwork::Episode ep = actor_->BeginEpisode(/*train=*/false);
+  return RolloutPolicy(env_, actor_.get(), &ep, &rng_);
 }
 
 }  // namespace lsg

@@ -1,6 +1,7 @@
 #ifndef LEARNEDSQLGEN_RL_REINFORCE_TRAINER_H_
 #define LEARNEDSQLGEN_RL_REINFORCE_TRAINER_H_
 
+#include <functional>
 #include <memory>
 
 #include "nn/adam.h"
@@ -44,11 +45,22 @@ struct EpochStats {
   bool true_execution_feedback = false;
 };
 
-/// Samples one episode with the policy against the environment. When
-/// `train` is true the actor episode (with caches) is stored into `ep_out`.
+/// Per-step callbacks through which a critic follows the actor inside
+/// RolloutPolicy. Either may be empty.
+struct RolloutHooks {
+  /// Runs after the actor's step and before sampling, with the token the
+  /// actor just consumed (its BOS index first, then each sampled action).
+  std::function<void(int input)> after_actor_step;
+  /// Runs once the environment has applied `action`.
+  std::function<void(int action, double reward)> after_env_step;
+};
+
+/// Samples one episode with the policy against the environment into `ep`,
+/// a fresh actor->BeginEpisode (a training episode keeps what
+/// AccumulateGradients needs). `rng` drives action sampling only.
 StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
-                                   Rng* rng, bool train,
-                                   PolicyNetwork::Episode* ep_out);
+                                   PolicyNetwork::Episode* ep, Rng* rng,
+                                   const RolloutHooks& hooks = {});
 
 /// Plain REINFORCE (Williams 1992) with reward-to-go coefficients and no
 /// baseline — the comparison algorithm of §7.3 / Figure 8. Entropy
@@ -64,10 +76,9 @@ class ReinforceTrainer {
   /// Inference: generates one query with the current policy (no learning).
   StatusOr<Trajectory> Generate();
 
-  /// Inference with a caller-owned RNG stream (the serving path draws each
-  /// request's stream from (seed, request), so batch-mates and worker
-  /// placement cannot perturb each other's samples).
-  StatusOr<Trajectory> Generate(Rng* rng);
+  /// The trainer's sampling stream; inference that should continue it
+  /// (LearnedSqlGen's default Generate*) draws from here.
+  Rng* sampling_rng() { return &rng_; }
 
   /// Rolls the actor back to its best checkpoint (keep_best_actor).
   /// Returns false if no checkpoint exists yet.

@@ -9,6 +9,11 @@
 
 namespace lsg {
 
+/// Hard cap on episode length shared by every decode loop (RolloutPolicy,
+/// BatchDecoder, the random baseline); the FSM terminates episodes well
+/// before it.
+inline constexpr int kMaxEpisodeSteps = 512;
+
 /// Result of applying one action in the environment.
 struct EnvStepResult {
   double reward = 0.0;

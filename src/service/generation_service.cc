@@ -236,6 +236,7 @@ void GenerationService::RunGroup(const ConstraintKey& key,
   // accounting) and stage a decode item for every runnable request.
   struct Pending {
     size_t index = 0;  ///< position in group / responses
+    /// Keeps the model the snapshot points into alive across an eviction.
     std::shared_ptr<ModelEntry> entry;
     std::shared_ptr<const ServingSnapshot> snapshot;
     BatchDecodeItem item;
@@ -261,16 +262,13 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     p.entry = std::move(acquired->entry);
     {
       MutexLock entry_lock(&p.entry->mu);
-      if (p.entry->gen == nullptr) {
-        response.status = Status::Internal("registry returned an empty model");
-        continue;
-      }
-      response.train_seconds = p.entry->gen->last_train_seconds();
       p.snapshot = p.entry->snapshot;
     }
+    LSG_CHECK(p.snapshot != nullptr) << "ready model without a snapshot";
+    response.train_seconds = p.snapshot->train_seconds;
     p.item.n = request.n;
     p.item.batch_mode = request.batch;
-    p.item.rng_seed = RequestSeed(options_.gen.seed, request);
+    p.item.rng = Rng(RequestSeed(options_.gen.seed, request));
     pending.push_back(std::move(p));
   }
 
@@ -287,18 +285,17 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     response.report = std::move(report);
   };
 
-  // Batched path: all items sharing a snapshot decode as one ragged batch,
-  // lock-free (the snapshot is immutable and the entry shared_ptr keeps it
-  // alive even across an eviction). Distinct snapshots inside one bucket
-  // group can only arise from an evict/rebuild race; each cohort simply
-  // decodes separately. max_batch <= 1 disables the decoder entirely and
-  // pins the legacy single-stream generate path below — the compatibility
-  // escape hatch, and the reference baseline the batched path is measured
-  // against in bench_service_throughput.
-  const bool batching = options_.max_batch > 1;
+  // All items sharing a snapshot decode as one ragged batch, lock-free
+  // (the snapshot is immutable, and the entry shared_ptr keeps the model
+  // alive even across an eviction). Distinct snapshots inside one bucket group
+  // can only arise from an evict/rebuild race; each cohort simply decodes
+  // separately. max_batch <= 1 decodes each cohort one lane at a time —
+  // the reference baseline batching is measured against in
+  // bench_service_throughput.
+  const int max_lanes = std::max(1, options_.max_batch);
   std::vector<char> done(pending.size(), 0);
-  for (size_t i = 0; batching && i < pending.size(); ++i) {
-    if (done[i] || pending[i].snapshot == nullptr) continue;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    if (done[i]) continue;
     std::vector<BatchDecodeItem*> items;
     std::vector<size_t> members;
     for (size_t j = i; j < pending.size(); ++j) {
@@ -308,10 +305,8 @@ void GenerationService::RunGroup(const ConstraintKey& key,
         done[j] = 1;
       }
     }
-    BatchDecoder decoder(
-        pending[i].snapshot.get(),
-        std::min(std::max(1, options_.max_batch),
-                 static_cast<int>(items.size())));
+    BatchDecoder decoder(pending[i].snapshot.get(),
+                         std::min(max_lanes, static_cast<int>(items.size())));
     const BatchDecoder::Stats stats = decoder.Run(items);
     // service.batch_size tracks the decode width actually achieved: the
     // mean number of lanes per batched forward step, rounded to nearest.
@@ -320,33 +315,6 @@ void GenerationService::RunGroup(const ConstraintKey& key,
                                  stats.steps);
     }
     for (size_t j : members) finish(pending[j]);
-  }
-
-  // Fallback for snapshot-less models (e.g. dense extra inputs) and for
-  // batching-off deployments: generate one request at a time under the
-  // model mutex, exactly the pre-batching serving path but on the
-  // request's private stream.
-  for (Pending& p : pending) {
-    if (batching && p.snapshot != nullptr) continue;
-    const GenerationRequest& request = (*group)[p.index].request;
-    MutexLock model_lock(&p.entry->mu);
-    LearnedSqlGen* gen = p.entry->gen.get();
-    if (gen == nullptr) {
-      (*responses)[p.index].status =
-          Status::Internal("registry returned an empty model");
-      continue;
-    }
-    metrics_.batch_size.Record(1);  // snapshot-less requests decode alone
-    Rng rng(p.item.rng_seed);
-    auto report = request.batch ? gen->GenerateBatch(request.n, &rng)
-                                : gen->GenerateSatisfied(request.n, &rng);
-    if (!report.ok()) {
-      p.item.status = report.status();
-    } else {
-      p.item.status = Status::Ok();
-      p.item.report = std::move(*report);
-    }
-    finish(p);
   }
 }
 

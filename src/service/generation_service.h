@@ -36,6 +36,7 @@ struct GenerationResponse {
   int worker = -1;           ///< which worker ran it
   double queue_seconds = 0.0;
   double train_seconds = 0.0;     ///< training time of the serving model
+                                  ///< (also on cache hits)
   double generate_seconds = 0.0;
 };
 
@@ -46,9 +47,10 @@ struct GenerationServiceOptions {
   /// `max_batch` queued requests that resolve to the same constraint
   /// bucket and advances them one token per step through a single batched
   /// forward (see BatchDecoder), so batch mates share every matrix load.
-  /// <= 1 disables coalescing. Outputs are identical either way: each
-  /// request samples from its own (seed, request)-derived stream, so batch
-  /// composition, worker placement and queue order cannot perturb results.
+  /// <= 1 decodes one request at a time: a width-1 BatchDecoder, the same
+  /// code path. Outputs are identical either way: each request samples
+  /// from its own (seed, request)-derived stream, so batch composition,
+  /// worker placement and queue order cannot perturb results.
   int max_batch = 8;
   ModelRegistry::Options registry;
   /// Base pipeline configuration. `gen.seed` is the service's base seed:
@@ -81,8 +83,7 @@ struct GenerationServiceOptions {
 /// queued requests whose constraints share a registry bucket and decodes
 /// them together against that bucket's immutable model snapshot — one
 /// batched LSTM forward per step for the whole group (see BatchDecoder).
-/// Buckets are trained at most once via the shared ModelRegistry; models
-/// without a snapshot are served one request at a time under their lock.
+/// Buckets are trained at most once via the shared ModelRegistry.
 /// Submit blocks when the queue is full (backpressure); TrySubmit fails
 /// fast instead. Shutdown() drains every accepted request — including ones
 /// a worker is still holding in its local group — before joining.
@@ -135,9 +136,9 @@ class GenerationService {
   /// generates (RunGroup), completes every promise.
   void HandleGroup(int worker_index, const ConstraintKey& key,
                    std::vector<Job>* group);
-  /// Resolves the group's model and decodes all requests — batched over
-  /// the entry's published snapshot when available, else per request under
-  /// the model mutex. Fills one response per job; never throws a job away.
+  /// Resolves the group's model and decodes all requests as one ragged
+  /// batch over the entry's published snapshot. Fills one response per
+  /// job; never throws a job away.
   void RunGroup(const ConstraintKey& key, std::vector<Job>* group,
                 std::vector<GenerationResponse>* responses);
   static std::future<GenerationResponse> RejectedFuture(uint64_t id,

@@ -99,13 +99,24 @@ StatusOr<ModelRegistry::Acquired> ModelRegistry::Acquire(
 
 void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
                                uint64_t train_seed, bool* warm_start) {
-  MutexLock el(&entry->mu);
+  // Build into a local pipeline without holding entry->mu, so same-bucket
+  // requesters reach the ready_cv wait (and count as dedup waits) instead
+  // of blocking on the mutex for the whole training. Only this thread
+  // touches the entry's model until `ready` is published below; eviction
+  // skips entries that are not ready.
+  Constraint constraint;
+  {
+    MutexLock el(&entry->mu);
+    constraint = entry->constraint;
+  }
   LearnedSqlGenOptions opts = base_;
   opts.trainer.seed = train_seed;
+  std::unique_ptr<LearnedSqlGen> gen;
+  std::shared_ptr<const ServingSnapshot> snapshot;
   auto built = LearnedSqlGen::Create(db_, opts);
   Status status = built.status();
   if (status.ok()) {
-    entry->gen = std::move(built).value();
+    gen = std::move(built).value();
     // A spill file from a past eviction (or process) beats retraining.
     std::string spill;
     if (!options_.spill_dir.empty()) {
@@ -113,7 +124,7 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
       if (!std::filesystem::exists(spill)) spill.clear();
     }
     if (!spill.empty()) {
-      status = entry->gen->LoadModel(entry->constraint, spill);
+      status = gen->LoadModel(constraint, spill);
       if (status.ok()) {
         *warm_start = true;
         metrics_->disk_warm_starts.Inc();
@@ -123,24 +134,26 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
       }
     }
     if (!*warm_start) {
-      status = entry->gen->Train(entry->constraint);
+      status = gen->Train(constraint);
       if (status.ok()) {
         metrics_->trainings.Inc();
-        metrics_->AddTrainSeconds(entry->gen->last_train_seconds());
+        metrics_->AddTrainSeconds(gen->last_train_seconds());
       }
     }
   }
   if (status.ok()) {
-    // Publish the copy-free serving view. Failure is not fatal: models the
-    // batched path cannot drive (dense extra inputs) keep snapshot == null
-    // and are served on the per-request fallback under entry->mu.
-    auto snap = entry->gen->MakeServingSnapshot();
-    if (snap.ok()) {
-      entry->snapshot =
-          std::make_shared<const ServingSnapshot>(std::move(*snap));
+    // Publish the copy-free serving view; a trained pipeline always has one.
+    auto snap = gen->MakeServingSnapshot();
+    status = snap.status();
+    if (status.ok()) {
+      snapshot = std::make_shared<const ServingSnapshot>(std::move(*snap));
     }
   }
-  if (!status.ok()) entry->gen.reset();
+  MutexLock el(&entry->mu);
+  if (status.ok()) {
+    entry->gen = std::move(gen);
+    entry->snapshot = std::move(snapshot);
+  }
   entry->status = status;
   entry->ready = true;
 }
@@ -171,7 +184,7 @@ void ModelRegistry::EvictIfNeeded() {
       if (it == models_.end()) continue;
       std::shared_ptr<ModelEntry> entry = it->second.entry;
       ModelEntry* e = entry.get();
-      if (!e->mu.TryLock()) continue;  // busy or in training: skip
+      if (!e->mu.TryLock()) continue;  // held right now: skip
       const bool idle = e->ready && e->status.ok();
       if (idle && !options_.spill_dir.empty() && e->gen != nullptr) {
         std::string path = options_.spill_dir + "/" + key.ToString() +

@@ -13,24 +13,24 @@
 
 namespace lsg {
 
-/// A cached, trained pipeline for one constraint bucket. `mu` serializes
-/// all use of `gen` (LearnedSqlGen instances are single-threaded); `ready`
-/// and `status` are also guarded by `mu` so concurrent requesters of the
-/// same bucket can wait on `ready_cv` while the first one trains.
+/// A cached, trained pipeline for one constraint bucket. The builder
+/// trains without holding `mu`, then publishes `gen`, `snapshot`, `status`
+/// and `ready` under it, so concurrent requesters of the same bucket wait
+/// on `ready_cv` while the first one trains.
 struct ModelEntry {
   Mutex mu;
   CondVar ready_cv;
   bool ready LSG_GUARDED_BY(mu) = false;
   Status status LSG_GUARDED_BY(mu);  ///< train/load outcome
+  /// Owns everything `snapshot` points into; const once `ready`, and only
+  /// read afterwards (spill on eviction).
   std::unique_ptr<LearnedSqlGen> gen LSG_GUARDED_BY(mu);
   /// The first requester's exact constraint.
   Constraint constraint LSG_GUARDED_BY(mu);
-  /// Immutable serving view of `gen`, published once after a successful
-  /// build (null when the model cannot be snapshotted, e.g. dense
-  /// extra-input nets — those requests fall back to generating under `mu`).
-  /// Readers copy the shared_ptr under `mu`, then decode lock-free: every
-  /// component the snapshot points to is const after `ready`, so batch
-  /// mates never serialize on this entry's mutex.
+  /// Immutable serving view of `gen`, published with it; every ready entry
+  /// has one. Readers copy the shared_ptr under `mu`, then decode
+  /// lock-free: every component the snapshot points to is const after
+  /// `ready`, so batch mates never serialize on this entry's mutex.
   std::shared_ptr<const ServingSnapshot> snapshot LSG_GUARDED_BY(mu);
 };
 
@@ -45,10 +45,11 @@ struct ModelEntry {
 ///   of retraining.
 ///
 /// Thread-safe. Lock order is registry mutex -> entry mutex; callers that
-/// hold an entry's mutex (i.e. are generating) must not call back into the
-/// registry. While holding registry_mu_ an entry's mutex is only ever
-/// *try*-locked (eviction), never blocked on, so a slow generation can
-/// never convoy the registry.
+/// hold an entry's mutex must not call back into the registry. While
+/// holding registry_mu_ an entry's mutex is only ever *try*-locked
+/// (eviction), never blocked on. Decoding holds no entry lock at all: it
+/// runs on the entry's snapshot, and its shared_ptr to the entry keeps an
+/// evicted model alive until the decode ends.
 class ModelRegistry {
  public:
   struct Options {
@@ -102,8 +103,8 @@ class ModelRegistry {
   /// victim if its mutex can be try-locked AND it is ready, and the spill
   /// happens under that same try-lock — probing and spilling are one
   /// critical section, so an entry observed idle cannot become busy before
-  /// it is written out (and eviction never blocks behind a generating
-  /// worker while the whole registry is held).
+  /// it is written out (and eviction never blocks on an entry while the
+  /// whole registry is held).
   void EvictIfNeeded() LSG_REQUIRES(registry_mu_);
 
   const Database* db_;

@@ -296,6 +296,17 @@ TEST(GeneratorTest, CreateRejectsEmptyDb) {
   EXPECT_FALSE(LearnedSqlGen::Create(nullptr, LearnedSqlGenOptions()).ok());
 }
 
+// The pipeline never feeds extra constraint features, so a net that
+// expects them (AC-extend) is refused up front rather than served with a
+// silently zero feature tail.
+TEST(GeneratorTest, CreateRejectsExtraInputDims) {
+  Database db = BuildScoreStudentDb();
+  LearnedSqlGenOptions opts;
+  opts.trainer.net.extra_input_dims = 2;
+  auto gen = LearnedSqlGen::Create(&db, opts);
+  EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(GeneratorTest, GenerateBeforeTrainFails) {
   Database db = BuildScoreStudentDb();
   auto gen = LearnedSqlGen::Create(&db, LearnedSqlGenOptions());
@@ -354,8 +365,9 @@ TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
 // through BatchDecoder (one batched forward per step, ragged lanes that
 // join and retire at different times) yields byte-for-byte the queries
 // GenerateBatch / GenerateSatisfied produce when run one request at a time
-// with the same per-request seeds. A second decode at max_lanes = 1 pins
-// the batch-size-1 path (MatVec fallback) to the same output.
+// with the same per-request seeds (a width-1 decode, whose forward is the
+// MatVec path). A second decode at max_lanes = 1 over the whole group
+// pins ragged admission at width 1 to the same output.
 TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
@@ -383,7 +395,7 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
     for (size_t i = 0; i < specs.size(); ++i) {
       items[i].n = specs[i].n;
       items[i].batch_mode = specs[i].batch_mode;
-      items[i].rng_seed = SplitMix64(0x5eedULL + i);
+      items[i].rng = Rng(SplitMix64(0x5eedULL + i));
     }
     return items;
   };
@@ -400,7 +412,7 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
 
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
-    Rng rng(batched[i].rng_seed);
+    Rng rng(SplitMix64(0x5eedULL + i));
     auto ref = specs[i].batch_mode
                    ? (*gen)->GenerateBatch(specs[i].n, &rng)
                    : (*gen)->GenerateSatisfied(specs[i].n, &rng);

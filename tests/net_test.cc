@@ -293,6 +293,40 @@ TEST(ProtocolTest, DistinguishesBadFrameFromBadRequest) {
   EXPECT_EQ(kind, NetError::kBadRequest);  // inverted range
 }
 
+// Ids come off the socket; anything a uint64 cast cannot hold exactly is
+// a structured bad request, never undefined behaviour.
+TEST(ProtocolTest, RejectsOutOfRangeIds) {
+  for (const char* id : {"-1", "1e300", "1.5", "\"7\"", "9007199254740994"}) {
+    NetError kind = NetError::kNone;
+    auto req = ParseRequestFrame(
+        std::string(R"({"op": "ping", "id": )") + id + "}", &kind);
+    EXPECT_FALSE(req.ok()) << "id " << id;
+    EXPECT_EQ(kind, NetError::kBadRequest) << "id " << id;
+  }
+  NetError kind = NetError::kNone;
+  auto max = ParseRequestFrame(R"({"op": "ping", "id": 9007199254740992})",
+                               &kind);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->request.id, 9007199254740992ull);
+}
+
+// "seconds" counts training time only for the request that trained: a
+// cache hit reports queue + decode, even though the serving model's
+// train_seconds ride along in the response.
+TEST(ProtocolTest, ResponseSecondsCountTrainingOnlyOnAMiss) {
+  GenerationResponse r;
+  r.queue_seconds = 0.25;
+  r.train_seconds = 4.0;
+  r.generate_seconds = 0.5;
+  auto miss = obs::JsonParse(EncodeResponse(r, "t", false));
+  ASSERT_TRUE(miss.ok());
+  EXPECT_DOUBLE_EQ(miss->NumberOr("seconds", -1), 4.75);
+  r.cache_hit = true;
+  auto hit = obs::JsonParse(EncodeResponse(r, "t", false));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_DOUBLE_EQ(hit->NumberOr("seconds", -1), 0.75);
+}
+
 TEST(ProtocolTest, ResponseEncodingRoundTripsThroughParser) {
   GenerationResponse r;
   r.id = 42;

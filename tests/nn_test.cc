@@ -11,6 +11,7 @@
 #include "nn/lstm.h"
 #include "nn/matrix.h"
 #include "nn/serialize.h"
+#include "tests/dense_softmax_reference.h"
 
 namespace lsg {
 namespace {
@@ -89,52 +90,58 @@ TEST(SoftmaxTest, StableWithLargeLogits) {
   EXPECT_FALSE(std::isnan(v[0]));
 }
 
-TEST(MaskedSoftmaxTest, MaskedEntriesZero) {
-  std::vector<float> v = {5.f, 1.f, 2.f, 3.f};
-  std::vector<uint8_t> mask = {0, 1, 1, 0};
-  MaskedSoftmaxInPlace(&v, mask);
-  EXPECT_FLOAT_EQ(v[0], 0.f);
-  EXPECT_FLOAT_EQ(v[3], 0.f);
-  EXPECT_NEAR(v[1] + v[2], 1.f, 1e-6);
-  EXPECT_GT(v[2], v[1]);
+TEST(CompactSoftmaxTest, NormalizesTheMaskedSupport) {
+  std::vector<float> v = {1.f, 2.f};  // the masked entries of {5, 1, 2, 3}
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(v.data(), v.size()).ok());
+  EXPECT_NEAR(v[0] + v[1], 1.f, 1e-6);
+  EXPECT_GT(v[1], v[0]);
 }
 
-TEST(MaskedSoftmaxTest, AllNegInfMaskedRowIsStructuredError) {
+TEST(CompactSoftmaxTest, AllNegInfRowIsStructuredError) {
   const float inf = std::numeric_limits<float>::infinity();
-  std::vector<float> v = {-inf, -inf, -inf};
-  std::vector<uint8_t> mask = {1, 1, 0};
-  Status st = TryMaskedSoftmaxInPlace(&v, mask);
+  std::vector<float> v = {-inf, -inf};
+  Status st = TryCompactSoftmaxInPlace(v.data(), v.size());
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
-TEST(MaskedSoftmaxTest, EmptyMaskIsStructuredError) {
-  std::vector<float> v = {1.f, 2.f};
-  std::vector<uint8_t> mask = {0, 0};
-  Status st = TryMaskedSoftmaxInPlace(&v, mask);
+TEST(CompactSoftmaxTest, EmptySupportIsStructuredError) {
+  float unused = 0.f;
+  Status st = TryCompactSoftmaxInPlace(&unused, 0);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
-TEST(MaskedSoftmaxTest, TryPathMatchesCheckedPathBitwise) {
+// The compact softmax is the dense masked softmax restricted to the mask:
+// same values bitwise, and the dense form is exactly +0 everywhere else.
+TEST(CompactSoftmaxTest, MatchesDenseMaskedReferenceBitwise) {
   Rng rng(101);
   for (int iter = 0; iter < 200; ++iter) {
     const int n = 1 + static_cast<int>(rng.Next() % 9);
-    std::vector<float> logits(n);
+    std::vector<float> dense(n);
     std::vector<uint8_t> mask(n, 0);
     bool any = false;
     for (int i = 0; i < n; ++i) {
-      logits[i] = static_cast<float>(rng.Normal(0.0, 3.0));
+      dense[i] = static_cast<float>(rng.Normal(0.0, 3.0));
       mask[i] = static_cast<uint8_t>(rng.Next() % 2);
       any = any || mask[i];
     }
     if (!any) mask[0] = 1;
-    std::vector<float> checked = logits;
-    std::vector<float> tried = logits;
-    MaskedSoftmaxInPlace(&checked, mask);
-    ASSERT_TRUE(TryMaskedSoftmaxInPlace(&tried, mask).ok());
+    std::vector<float> compact;
     for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(checked[i], tried[i]) << "iter " << iter << " entry " << i;
+      if (mask[i]) compact.push_back(dense[i]);
+    }
+    ASSERT_TRUE(testing_ref::DenseMaskedSoftmax(&dense, mask).ok());
+    ASSERT_TRUE(TryCompactSoftmaxInPlace(compact.data(), compact.size()).ok());
+    size_t k = 0;
+    for (int i = 0; i < n; ++i) {
+      if (!mask[i]) {
+        EXPECT_EQ(std::signbit(dense[i]), false);
+        EXPECT_EQ(dense[i], 0.f);
+        continue;
+      }
+      EXPECT_EQ(dense[i], compact[k]) << "iter " << iter << " entry " << i;
+      ++k;
     }
   }
 }
@@ -205,21 +212,50 @@ TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
   }
 }
 
-TEST(LinearBatchTest, ForwardBatchMatchesForwardBitwise) {
+TEST(LinearRowsTest, ForwardRowsMatchesForwardBitwise) {
   Rng rng(55);
   Linear lin(13, 9, &rng);
-  const int batch = 5;
-  std::vector<float> x_panel(13 * batch);
-  for (float& v : x_panel) v = static_cast<float>(rng.Normal(0.0, 1.0));
-  std::vector<float> y_panel(9 * batch);
-  lin.ForwardBatch(x_panel.data(), batch, y_panel.data());
   std::vector<float> x(13);
+  for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
   std::vector<float> y(9);
-  for (int b = 0; b < batch; ++b) {
-    for (int j = 0; j < 13; ++j) x[j] = x_panel[j * batch + b];
-    lin.Forward(x.data(), y.data());
-    for (int i = 0; i < 9; ++i) {
-      ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b]);
+  lin.Forward(x.data(), y.data());
+  const std::vector<int> rows = {0, 3, 4, 8};
+  std::vector<float> y_rows(rows.size());
+  lin.ForwardRows(x.data(), 1, rows.data(), static_cast<int>(rows.size()),
+                  y_rows.data());
+  for (size_t k = 0; k < rows.size(); ++k) ASSERT_EQ(y_rows[k], y[rows[k]]);
+}
+
+// The row-sparse backward must reproduce a dense Backward over a dy that
+// is zero off `rows` — including a selected row whose gradient is exactly
+// zero (and -0) — for the weight, bias and input gradients, bitwise.
+TEST(LinearRowsTest, BackwardRowsMatchesDenseBackwardBitwise) {
+  Rng rng(56);
+  Linear dense(13, 9, &rng);
+  Linear sparse = dense;
+  const std::vector<int> rows = {1, 2, 5, 7, 8};
+  for (int step = 0; step < 4; ++step) {
+    std::vector<float> x(13);
+    for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    std::vector<float> dy_rows(rows.size());
+    for (float& v : dy_rows) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    dy_rows[1] = 0.f;
+    dy_rows[3] = -0.f;
+    std::vector<float> dy(9, 0.f);
+    for (size_t k = 0; k < rows.size(); ++k) dy[rows[k]] = dy_rows[k];
+    std::vector<float> dx_dense(13, 0.25f), dx_sparse(13, 0.25f);
+    dense.Backward(x.data(), dy.data(), dx_dense.data());
+    sparse.BackwardRows(x.data(), rows.data(), static_cast<int>(rows.size()),
+                        dy_rows.data(), dx_sparse.data());
+    for (int j = 0; j < 13; ++j) ASSERT_EQ(dx_dense[j], dx_sparse[j]);
+  }
+  auto pd = dense.Params();
+  auto ps = sparse.Params();
+  for (size_t t = 0; t < pd.size(); ++t) {
+    for (size_t i = 0; i < pd[t]->grad.size(); ++i) {
+      const float a = pd[t]->grad.data()[i], b = ps[t]->grad.data()[i];
+      ASSERT_EQ(a, b) << pd[t]->name << "[" << i << "]";
+      ASSERT_EQ(std::signbit(a), std::signbit(b));
     }
   }
 }

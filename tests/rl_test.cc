@@ -2,12 +2,16 @@
 
 #include <cmath>
 
+#include "fsm/generation_fsm.h"
+#include "nn/matrix.h"
 #include "rl/actor_critic_trainer.h"
 #include "rl/policy_network.h"
 #include "rl/reinforce_trainer.h"
 #include "rl/reward.h"
 #include "rl/trajectory.h"
 #include "rl/value_network.h"
+#include "tests/dense_softmax_reference.h"
+#include "tests/test_db.h"
 
 namespace lsg {
 namespace {
@@ -227,6 +231,18 @@ TEST(TrainerComparisonTest, ActorCriticConvergesAtLeastAsWell) {
 
 // -------------------------------------------------------------- networks
 
+// One Step, with its compact distribution expanded to the full vocabulary.
+std::vector<float> StepDense(PolicyNetwork* net, PolicyNetwork::Episode* ep,
+                             const std::vector<uint8_t>& mask) {
+  const PolicyNetwork::CompactDistribution* d = nullptr;
+  Status st = net->Step(ep, mask, &d);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::vector<float> out(net->vocab_size(), 0.f);
+  if (!st.ok()) return out;
+  for (size_t k = 0; k < d->idx.size(); ++k) out[d->idx[k]] = d->probs[k];
+  return out;
+}
+
 TEST(PolicyNetworkTest, DistributionRespectsMask) {
   NetworkOptions o;
   o.hidden_dim = 8;
@@ -234,11 +250,12 @@ TEST(PolicyNetworkTest, DistributionRespectsMask) {
   PolicyNetwork net(5, o);
   auto ep = net.BeginEpisode(false);
   std::vector<uint8_t> mask = {1, 0, 1, 0, 0};
-  const auto& p = net.NextDistribution(&ep, mask);
-  EXPECT_FLOAT_EQ(p[1], 0.f);
-  EXPECT_FLOAT_EQ(p[3], 0.f);
-  EXPECT_FLOAT_EQ(p[4], 0.f);
-  EXPECT_NEAR(p[0] + p[2], 1.f, 1e-5);
+  const PolicyNetwork::CompactDistribution* d = nullptr;
+  ASSERT_TRUE(net.Step(&ep, mask, &d).ok());
+  EXPECT_EQ(d->idx, (std::vector<int>{0, 2}));
+  ASSERT_EQ(d->probs.size(), 2u);
+  EXPECT_NEAR(d->probs[0] + d->probs[1], 1.f, 1e-5);
+  ASSERT_EQ(ep.dists.size(), 1u);
 }
 
 TEST(PolicyNetworkTest, SamplingHonorsMask) {
@@ -249,20 +266,23 @@ TEST(PolicyNetworkTest, SamplingHonorsMask) {
   Rng rng(3);
   auto ep = net.BeginEpisode(false);
   std::vector<uint8_t> mask = {0, 0, 1, 0, 1, 0};
-  const auto& p = net.NextDistribution(&ep, mask);
+  const PolicyNetwork::CompactDistribution* d = nullptr;
+  ASSERT_TRUE(net.Step(&ep, mask, &d).ok());
   for (int i = 0; i < 200; ++i) {
-    int a = net.SampleAction(p, &rng);
+    int a = net.SampleAction(*d, &rng);
     EXPECT_TRUE(a == 2 || a == 4);
   }
 }
 
-TEST(PolicyNetworkTest, GreedyPicksArgmax) {
+TEST(PolicyNetworkTest, EmptyMaskIsStructuredError) {
   NetworkOptions o;
   o.hidden_dim = 8;
   o.num_layers = 1;
-  PolicyNetwork net(4, o);
-  std::vector<float> probs = {0.1f, 0.6f, 0.2f, 0.1f};
-  EXPECT_EQ(net.GreedyAction(probs), 1);
+  PolicyNetwork net(3, o);
+  auto ep = net.BeginEpisode(true);
+  const PolicyNetwork::CompactDistribution* d = nullptr;
+  Status st = net.Step(&ep, {0, 0, 0}, &d);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
 TEST(PolicyNetworkTest, EntropyDiagnostic) {
@@ -272,7 +292,7 @@ TEST(PolicyNetworkTest, EntropyDiagnostic) {
   PolicyNetwork net(4, o);
   auto ep = net.BeginEpisode(false);
   std::vector<uint8_t> mask = {1, 1, 1, 1};
-  net.NextDistribution(&ep, mask);
+  StepDense(&net, &ep, mask);
   double h = PolicyNetwork::MeanEntropy(ep);
   EXPECT_GT(h, 0.0);
   EXPECT_LE(h, std::log(4.0) + 1e-6);
@@ -291,18 +311,107 @@ TEST(PolicyNetworkTest, GradientPushesTowardRewardedAction) {
   float before;
   {
     auto ep = net.BeginEpisode(false);
-    before = net.NextDistribution(&ep, mask)[2];
+    before = StepDense(&net, &ep, mask)[2];
   }
   for (int iter = 0; iter < 5; ++iter) {
     auto ep = net.BeginEpisode(true);
-    net.NextDistribution(&ep, mask);
+    StepDense(&net, &ep, mask);
     net.RecordAction(&ep, 2);
     net.AccumulateGradients(ep, {1.0}, 0.0);
     opt.Step();
   }
   auto ep = net.BeginEpisode(false);
-  float after = net.NextDistribution(&ep, mask)[2];
+  float after = StepDense(&net, &ep, mask)[2];
   EXPECT_GT(after, before);
+}
+
+// The compact training path against a test-local dense reference over a
+// real FSM episode on the paper's Score/Student schema: full MatVec head
+// logits, the full-vocabulary masked softmax, and dense dlogits through
+// OuterAccum. The per-step compact distribution must be the masked entries
+// of the dense one, and the head's weight and bias gradients after
+// AccumulateGradients must match the dense backward, all bitwise.
+TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
+  Database db = BuildScoreStudentDb();
+  VocabularyOptions vo;
+  vo.values_per_column = 8;
+  auto vocab = Vocabulary::Build(db, vo);
+  ASSERT_TRUE(vocab.ok());
+  const int V = vocab->size();
+  NetworkOptions o;
+  o.hidden_dim = 12;
+  PolicyNetwork net(V, o);
+  Rng rng(17);
+  const double kEntropyCoef = 0.01;
+
+  // Gradients accumulate across episodes, as within a training batch.
+  for (int episode = 0; episode < 3; ++episode) {
+    GenerationFsm fsm(&db, &*vocab, QueryProfile());
+    auto ep = net.BeginEpisode(/*train=*/true);
+    std::vector<std::vector<uint8_t>> masks;
+    while (!fsm.done()) {
+      masks.push_back(fsm.ValidActions());
+      const PolicyNetwork::CompactDistribution* d = nullptr;
+      ASSERT_TRUE(net.Step(&ep, masks.back(), &d).ok());
+      const int a = net.SampleAction(*d, &rng);
+      net.RecordAction(&ep, a);
+      ASSERT_TRUE(fsm.Step(a).ok());
+    }
+    const size_t T = ep.actions.size();
+    ASSERT_GT(T, 2u);
+    std::vector<double> adv(T);
+    for (double& x : adv) x = rng.Normal(0.0, 1.0);
+
+    std::vector<ParamTensor*> params = net.Params();
+    const ParamTensor& w = *params[params.size() - 2];
+    const ParamTensor& b = *params[params.size() - 1];
+    ASSERT_EQ(w.value.rows(), V);
+    Matrix ref_dw = w.grad;
+    std::vector<float> ref_db(b.grad.data(), b.grad.data() + V);
+    for (size_t t = 0; t < T; ++t) {
+      const std::vector<float>& h = ep.caches[t].layers.back().h;
+      std::vector<float> p(V);
+      MatVec(w.value, h.data(), p.data());
+      for (int i = 0; i < V; ++i) p[i] += b.value.data()[i];
+      ASSERT_TRUE(testing_ref::DenseMaskedSoftmax(&p, masks[t]).ok());
+      const PolicyNetwork::CompactDistribution& d = ep.dists[t];
+      size_t k = 0;
+      for (int i = 0; i < V; ++i) {
+        if (!masks[t][i]) continue;
+        ASSERT_LT(k, d.idx.size());
+        ASSERT_EQ(d.idx[k], i);
+        ASSERT_EQ(d.probs[k], p[i]) << "step " << t << " token " << i;
+        ++k;
+      }
+      ASSERT_EQ(k, d.idx.size());
+
+      float entropy = 0.f;
+      for (int i = 0; i < V; ++i) {
+        if (masks[t][i] && p[i] > 0.f) entropy -= p[i] * std::log(p[i]);
+      }
+      std::vector<float> dlogits(V, 0.f);
+      const float a = static_cast<float>(adv[t]);
+      for (int i = 0; i < V; ++i) {
+        if (!masks[t][i]) continue;
+        float g = a * (p[i] - (i == ep.actions[t] ? 1.f : 0.f));
+        if (p[i] > 0.f) {
+          g += static_cast<float>(kEntropyCoef) * p[i] *
+               (std::log(p[i]) + entropy);
+        }
+        dlogits[i] = g;
+      }
+      OuterAccum(&ref_dw, dlogits.data(), h.data());
+      for (int i = 0; i < V; ++i) ref_db[i] += dlogits[i];
+    }
+
+    net.AccumulateGradients(ep, adv, kEntropyCoef);
+    for (size_t i = 0; i < ref_dw.size(); ++i) {
+      ASSERT_EQ(w.grad.data()[i], ref_dw.data()[i]) << "w.grad[" << i << "]";
+    }
+    for (int i = 0; i < V; ++i) {
+      ASSERT_EQ(b.grad.data()[i], ref_db[i]) << "b.grad[" << i << "]";
+    }
+  }
 }
 
 TEST(ValueNetworkTest, FitsConstantTarget) {
@@ -346,10 +455,10 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   std::vector<uint8_t> mask = {1, 1, 1, 1};
   auto ep1 = net.BeginEpisode(false);
   ep1.extra = {0.0f, 0.0f};
-  auto p1 = net.NextDistribution(&ep1, mask);
+  auto p1 = StepDense(&net, &ep1, mask);
   auto ep2 = net.BeginEpisode(false);
   ep2.extra = {5.0f, -5.0f};
-  auto p2 = net.NextDistribution(&ep2, mask);
+  auto p2 = StepDense(&net, &ep2, mask);
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);

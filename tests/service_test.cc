@@ -245,13 +245,13 @@ TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
   auto first = registry.Acquire(a, 1);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
-  // Simulate a generation in flight exactly as GenerationService does: a
-  // *worker thread* holds A's entry mutex around GenerateBatch while other
-  // threads run Acquire. The busy lock must live on its own thread — the
-  // registry orders registry_mu_ before ModelEntry::mu, so a thread that
-  // calls Acquire may never already hold an entry mutex (doing it here on
-  // the main thread would itself be the lock-order inversion this PR's
-  // hierarchy forbids, and TSan's deadlock detector flags it).
+  // Simulate a holder of A's entry mutex (a snapshot read or a publish in
+  // flight) on a *worker thread* while other threads run Acquire. The busy
+  // lock must live on its own thread — the registry orders registry_mu_
+  // before ModelEntry::mu, so a thread that calls Acquire may never
+  // already hold an entry mutex (doing it here on the main thread would
+  // itself be the lock-order inversion this PR's hierarchy forbids, and
+  // TSan's deadlock detector flags it).
   Mutex step_mu;
   CondVar step_cv;
   bool busy = false;
@@ -528,6 +528,38 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
   EXPECT_EQ(baseline, run_config(1, 8));   // batching on
   EXPECT_EQ(baseline, run_config(4, 1));   // worker placement varies
   EXPECT_EQ(baseline, run_config(4, 8));   // both at once
+}
+
+// A same-bucket request that arrives while the bucket trains must wait on
+// the entry's ready_cv (and count as a dedup wait), then be served from the
+// freshly built model. This needs the builder to train without holding
+// the entry mutex; otherwise the requester blocks on the mutex and is
+// never counted.
+TEST_F(ServiceTest, SameBucketRequestDuringTrainingCountsAsDedupWait) {
+  auto opts = ServiceOptions(2);
+  opts.gen.train_epochs = 60;  // long enough for B to arrive mid-training
+  auto service = GenerationService::Create(&db_, opts);
+  ASSERT_TRUE(service.ok());
+  GenerationRequest a;
+  a.constraint = CardRange(5, 50);
+  a.n = 1;
+  a.batch = true;
+  a.id = 1;
+  auto fa = (*service)->Submit(a);
+  while ((*service)->Metrics().cache_misses < 1) std::this_thread::yield();
+  GenerationRequest b = a;
+  b.constraint = CardRange(5, 51);  // same bucket
+  b.id = 2;
+  auto fb = (*service)->Submit(b);
+  GenerationResponse ra = fa.get();
+  GenerationResponse rb = fb.get();
+  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  EXPECT_FALSE(ra.cache_hit);
+  EXPECT_TRUE(rb.cache_hit);
+  const ServiceMetricsSnapshot m = (*service)->Metrics();
+  EXPECT_EQ(m.dedup_waits, 1u);
+  EXPECT_EQ(m.trainings, 1u);
 }
 
 // Workers record the mean decode width of every ragged batch they run in

@@ -74,7 +74,8 @@ void Usage() {
       "  --requests PATH  request file (default: read stdin)\n"
       "  --workers W      worker threads (default 4)\n"
       "  --max-batch B    in-flight requests a worker may decode together\n"
-      "                   (default 8; 1 disables cross-request batching)\n"
+      "                   (default 8; 1 decodes one request at a time on\n"
+      "                   the same path, no cross-request batching)\n"
       "  --queue Q        request queue capacity (default 64)\n"
       "  --cache C        resident model cap before LRU spill (default 8)\n"
       "  --model-dir DIR  spill/warm-start directory (default: no spill)\n"
