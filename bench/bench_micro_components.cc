@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the core components: FSM masking,
 // random-walk episodes, executor operators, estimator, cost model, LSTM
-// forward/backward, and vocabulary construction.
+// forward/backward, actor-critic training epochs, and vocabulary
+// construction.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -15,6 +16,7 @@
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/feedback_cache.h"
+#include "rl/actor_critic_trainer.h"
 #include "rl/policy_network.h"
 
 namespace lsg {
@@ -393,6 +395,24 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyEpisodeWithBackward);
+
+// One actor-critic training epoch (Algorithm 3: a batch of episodes, then
+// one update of both networks) on a TPC-H cardinality-range bucket with
+// default TrainerOptions — the unit a cold request repeats per epoch.
+void BM_ActorCriticEpoch(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  SqlGenEnvironment env(
+      &f.db, &*f.vocab, f.est.get(), f.cost.get(),
+      Constraint::Range(ConstraintMetric::kCardinality, 100, 1000),
+      EnvironmentOptions());
+  ActorCriticTrainer trainer(&env, TrainerOptions());
+  for (auto _ : state) {
+    auto st = trainer.TrainEpoch();
+    LSG_CHECK(st.ok());
+    benchmark::DoNotOptimize(st->mean_total_reward);
+  }
+}
+BENCHMARK(BM_ActorCriticEpoch);
 
 void BM_VocabularyBuild(benchmark::State& state) {
   MicroFixture& f = Fixture();

@@ -8,7 +8,9 @@
 namespace lsg {
 
 /// Adam optimizer over a fixed set of parameter tensors. Step() consumes
-/// (and zeroes) the accumulated gradients.
+/// (and zeroes) the accumulated gradients. Both visit live gradient columns
+/// only (ParamTensor::ForEachLiveSpan); the moments of a column that never
+/// received a gradient stay exactly +0.
 class Adam {
  public:
   Adam(std::vector<ParamTensor*> params, float lr, float beta1 = 0.9f,
@@ -23,6 +25,11 @@ class Adam {
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
   int64_t steps() const { return t_; }
+
+  /// First and second moment estimates, one per parameter tensor in
+  /// construction order.
+  const std::vector<Matrix>& first_moments() const { return m_; }
+  const std::vector<Matrix>& second_moments() const { return v_; }
 
  private:
   std::vector<ParamTensor*> params_;

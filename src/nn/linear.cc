@@ -29,8 +29,8 @@ void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
 }
 
 void Linear::Backward(const float* x, const float* dy, float* dx_or_null) {
-  OuterAccum(&w_.grad, dy, x);
-  float* db = b_.grad.data();
+  OuterAccum(w_.mutable_grad(), dy, x);
+  float* db = b_.mutable_grad()->data();
   for (int i = 0; i < w_.value.rows(); ++i) db[i] += dy[i];
   if (dx_or_null != nullptr) MatTVecAccum(w_.value, dy, dx_or_null);
 }
@@ -39,18 +39,16 @@ void Linear::BackwardRows(const float* x, const int* rows, int nrows,
                           const float* dy, float* dx_or_null) {
   const int cols = w_.value.cols();
   const float* wd = w_.value.data();
-  float* gd = w_.grad.data();
-  float* db = b_.grad.data();
+  float* gd = w_.mutable_grad()->data();
+  float* db = b_.mutable_grad()->data();
   for (int k = 0; k < nrows; ++k) {
     const int i = rows[k];
     const float g = dy[k];
     db[i] += g;
     if (g == 0.f) continue;
-    float* grow = gd + static_cast<size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) grow[j] += g * x[j];
+    AxpyAccum(g, x, cols, gd + static_cast<size_t>(i) * cols);
     if (dx_or_null == nullptr) continue;
-    const float* row = wd + static_cast<size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) dx_or_null[j] += row[j] * g;
+    AxpyAccum(g, wd + static_cast<size_t>(i) * cols, cols, dx_or_null);
   }
 }
 

@@ -15,7 +15,8 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, Rng* rng)
       hidden_dim_(hidden_dim),
       wx_("lstm.wx", Matrix::Xavier(4 * hidden_dim, input_dim, rng)),
       wh_("lstm.wh", Matrix::Xavier(4 * hidden_dim, hidden_dim, rng)),
-      b_("lstm.b", Matrix::Zeros(4 * hidden_dim, 1)) {
+      b_("lstm.b", Matrix::Zeros(4 * hidden_dim, 1)),
+      dpre_(4 * hidden_dim) {
   // Forget-gate bias init to 1: standard trick for stable early training.
   for (int i = hidden_dim; i < 2 * hidden_dim; ++i) b_.value.data()[i] = 1.f;
 }
@@ -123,7 +124,7 @@ void LstmCell::ForwardBatch(const float* x_panel, const float* h_prev,
 void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
                         float* dh_prev, float* dc_prev, float* dx_or_null) {
   const int h = hidden_dim_;
-  std::vector<float> dpre(4 * h);
+  float* dpre = dpre_.data();
   for (int k = 0; k < h; ++k) {
     const float tc = std::tanh(cache.c[k]);
     const float do_ = dh[k] * tc;
@@ -139,21 +140,17 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
   }
   // Parameter gradients.
   if (cache.onehot >= 0) {
-    for (int k = 0; k < 4 * h; ++k) {
-      wx_.grad.at(k, cache.onehot) += dpre[k];
-    }
+    wx_.AccumulateColumn(cache.onehot, dpre);
   } else {
-    OuterAccum(&wx_.grad, dpre.data(), cache.x.data());
-    if (dx_or_null != nullptr) {
-      MatTVecAccum(wx_.value, dpre.data(), dx_or_null);
-    }
+    OuterAccum(wx_.mutable_grad(), dpre, cache.x.data());
+    if (dx_or_null != nullptr) MatTVecAccum(wx_.value, dpre, dx_or_null);
   }
-  OuterAccum(&wh_.grad, dpre.data(), cache.h_prev.data());
-  float* db = b_.grad.data();
+  OuterAccum(wh_.mutable_grad(), dpre, cache.h_prev.data());
+  float* db = b_.mutable_grad()->data();
   for (int k = 0; k < 4 * h; ++k) db[k] += dpre[k];
   // Recurrent gradient.
   for (int k = 0; k < h; ++k) dh_prev[k] = 0.f;
-  MatTVecAccum(wh_.value, dpre.data(), dh_prev);
+  MatTVecAccum(wh_.value, dpre, dh_prev);
 }
 
 LstmStack::LstmStack(int input_dim, int hidden_dim, int num_layers,
@@ -189,14 +186,18 @@ const std::vector<float>& LstmStack::StepDense(const float* x, State* state,
 const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
                                               State* state, StepCache* cache,
                                               bool train, Rng* rng) {
-  StepCache local;
-  StepCache* sc = cache != nullptr ? cache : &local;
-  sc->layers.resize(cells_.size());
-  sc->dropout_mask.assign(cells_.size(), {});
+  // Without a caller cache the layers share one scratch cache: each layer's
+  // h and c are copied into `state` before the next layer overwrites it.
+  LstmCell::Cache scratch;
+  const bool drop = train && dropout_ > 0.f;
+  if (cache != nullptr) {
+    cache->layers.resize(cells_.size());
+    cache->dropout_mask.resize(drop ? cells_.size() : 0);
+  }
 
   std::vector<float> input;
   for (size_t l = 0; l < cells_.size(); ++l) {
-    LstmCell::Cache& cc = sc->layers[l];
+    LstmCell::Cache& cc = cache != nullptr ? cache->layers[l] : scratch;
     if (l == 0) {
       if (x0 != nullptr) {
         cells_[0].Forward(x0, state->h[0].data(), state->c[0].data(), &cc);
@@ -205,14 +206,19 @@ const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
                                 state->c[0].data(), &cc);
       }
     } else {
-      input = sc->layers[l - 1].h;
-      if (train && dropout_ > 0.f) {
-        std::vector<float>& mask = sc->dropout_mask[l];
-        mask.resize(hidden_dim_);
+      input = state->h[l - 1];
+      if (drop) {
+        // The mask is kept only when there is a cache to backpropagate.
+        float* mask = nullptr;
+        if (cache != nullptr) {
+          cache->dropout_mask[l].resize(hidden_dim_);
+          mask = cache->dropout_mask[l].data();
+        }
         const float keep = 1.f - dropout_;
         for (int k = 0; k < hidden_dim_; ++k) {
-          mask[k] = rng->Bernoulli(keep) ? 1.f / keep : 0.f;
-          input[k] *= mask[k];
+          const float m = rng->Bernoulli(keep) ? 1.f / keep : 0.f;
+          if (mask != nullptr) mask[k] = m;
+          input[k] *= m;
         }
       }
       cells_[l].Forward(input.data(), state->h[l].data(), state->c[l].data(),
@@ -275,18 +281,19 @@ void LstmStack::Backward(const std::vector<StepCache>& caches,
   std::vector<float> dx(hidden_dim_);
 
   for (int t = T - 1; t >= 0; --t) {
-    std::vector<float> from_above;  // dx of the layer above at this step
+    // Empty when the step ran without dropout.
+    const std::vector<std::vector<float>>& masks = caches[t].dropout_mask;
     for (int l = L - 1; l >= 0; --l) {
       // Gradient into this layer's h at step t.
       for (int k = 0; k < hidden_dim_; ++k) dh[k] = dh_time[l][k];
       if (l == L - 1) {
         for (int k = 0; k < hidden_dim_; ++k) dh[k] += dtop[t][k];
       } else {
-        // Input gradient of layer l+1 passes through its dropout mask.
-        const std::vector<float>& mask = caches[t].dropout_mask[l + 1];
+        // dx still holds the input gradient of layer l+1, which passes
+        // through that layer's dropout mask.
         for (int k = 0; k < hidden_dim_; ++k) {
-          float g = from_above[k];
-          if (!mask.empty()) g *= mask[k];
+          float g = dx[k];
+          if (!masks.empty()) g *= masks[l + 1][k];
           dh[k] += g;
         }
       }
@@ -294,9 +301,10 @@ void LstmStack::Backward(const std::vector<StepCache>& caches,
       cells_[l].Backward(caches[t].layers[l], dh.data(), dc_time[l].data(),
                          dh_prev.data(), dc_prev.data(),
                          l > 0 ? dx.data() : nullptr);
-      dh_time[l] = dh_prev;
-      dc_time[l] = dc_prev;
-      from_above = dx;
+      // Backward overwrites every entry of dh_prev/dc_prev, so the buffers
+      // can trade places instead of being copied.
+      dh_time[l].swap(dh_prev);
+      dc_time[l].swap(dc_prev);
     }
   }
 }

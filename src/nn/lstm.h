@@ -9,7 +9,8 @@ namespace lsg {
 
 /// One LSTM cell with standard gates (input, forget, cell, output). Inputs
 /// may be dense vectors or one-hot indices (the token encoding of §4.1);
-/// the one-hot path touches only a single column of Wx in both passes.
+/// the one-hot path touches only a single column of Wx in both passes, so
+/// only the columns of tokens actually fed go live for the optimizer.
 class LstmCell {
  public:
   LstmCell(int input_dim, int hidden_dim, Rng* rng);
@@ -68,6 +69,7 @@ class LstmCell {
   ParamTensor wx_;  ///< (4H x In)
   ParamTensor wh_;  ///< (4H x H)
   ParamTensor b_;   ///< (4H x 1)
+  std::vector<float> dpre_;  ///< Backward's gate-gradient scratch (4H)
 };
 
 /// A stack of LSTM cells with inverted dropout between layers (the paper:
@@ -88,7 +90,8 @@ class LstmStack {
   /// All caches for one timestep.
   struct StepCache {
     std::vector<LstmCell::Cache> layers;
-    std::vector<std::vector<float>> dropout_mask;  ///< per inter-layer link
+    /// Per inter-layer link; empty when the step ran without dropout.
+    std::vector<std::vector<float>> dropout_mask;
   };
 
   State InitialState() const;

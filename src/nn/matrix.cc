@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/tiles.h"
 
 namespace lsg {
 
@@ -46,10 +47,6 @@ void MatVecAccum(const Matrix& w, const float* x, float* y) {
 
 namespace {
 
-// Lanes per register tile. 16 floats span two AVX-512 / four SSE vectors;
-// small enough that the accumulators stay in registers at -O2.
-constexpr int kLaneBlock = 16;
-
 // One row-major sweep over a lane tile [b0, b0+kWidth). For each output
 // row the tile keeps kWidth independent accumulators and walks features in
 // ascending-j order, so lane b's sum reassociates nothing relative to
@@ -87,35 +84,19 @@ void MatMatTile(const float* wd, int rows, int cols, const float* x_panel,
   }
 }
 
-// Greedy power-of-two tiling: every lane lands in exactly one fixed-width
-// tile, so its accumulation order is identical no matter how the batch
-// splits (16+8+4+… vs one 16-tile vs MatVec).
+// Every lane lands in exactly one fixed-width tile (ForEachTile), so its
+// accumulation order is identical no matter how the batch splits
+// (16+8+4+… vs one 16-tile vs MatVec).
 template <bool kAccum>
 void MatMatImpl(const Matrix& w, const float* x_panel, int batch,
                 float* y_panel) {
   const float* wd = w.data();
   const int rows = w.rows();
   const int cols = w.cols();
-  int b0 = 0;
-  for (; b0 + kLaneBlock <= batch; b0 += kLaneBlock) {
-    MatMatTile<kAccum, kLaneBlock>(wd, rows, cols, x_panel, batch, b0,
-                                   y_panel);
-  }
-  if (b0 + 8 <= batch) {
-    MatMatTile<kAccum, 8>(wd, rows, cols, x_panel, batch, b0, y_panel);
-    b0 += 8;
-  }
-  if (b0 + 4 <= batch) {
-    MatMatTile<kAccum, 4>(wd, rows, cols, x_panel, batch, b0, y_panel);
-    b0 += 4;
-  }
-  if (b0 + 2 <= batch) {
-    MatMatTile<kAccum, 2>(wd, rows, cols, x_panel, batch, b0, y_panel);
-    b0 += 2;
-  }
-  if (b0 < batch) {
-    MatMatTile<kAccum, 1>(wd, rows, cols, x_panel, batch, b0, y_panel);
-  }
+  ForEachTile(static_cast<size_t>(batch), [&]<int kWidth>(size_t b0) {
+    MatMatTile<kAccum, kWidth>(wd, rows, cols, x_panel, batch,
+                               static_cast<int>(b0), y_panel);
+  });
 }
 
 }  // namespace
@@ -139,15 +120,53 @@ void MatMatAccum(const Matrix& w, const float* x_panel, int batch,
   MatMatImpl<true>(w, x_panel, batch, y_panel);
 }
 
+namespace {
+
+// y[0..kWidth) += a * x[0..kWidth). Every load lands in the tile before the
+// first store, so GCC's SLP vectorizer packs the tile without having to
+// prove that x and y do not overlap.
+template <int kWidth>
+inline void AxpyTile(float a, const float* x, float* y) {
+  float t[kWidth];
+#pragma GCC unroll 16
+  for (int j = 0; j < kWidth; ++j) t[j] = y[j] + a * x[j];
+#pragma GCC unroll 16
+  for (int j = 0; j < kWidth; ++j) y[j] = t[j];
+}
+
+// Columns [j0, j0+kWidth) of dW += dy x^T, swept down the rows like a
+// MatMatTile: the x tile is copied once into registers (a local that the
+// row stores cannot clobber) and each row adds g * x to its slice.
+template <int kWidth>
+void OuterTile(float* wd, int rows, int cols, const float* dy, const float* x,
+               size_t j0) {
+  float xs[kWidth];
+#pragma GCC unroll 16
+  for (int j = 0; j < kWidth; ++j) xs[j] = x[j0 + j];
+  for (int i = 0; i < rows; ++i) {
+    const float g = dy[i];
+    if (g == 0.f) continue;
+    AxpyTile<kWidth>(g, xs, wd + static_cast<size_t>(i) * cols + j0);
+  }
+}
+
+}  // namespace
+
+void AxpyAccum(float a, const float* x, int n, float* y) {
+  ForEachTile(static_cast<size_t>(n), [&]<int kWidth>(size_t j) {
+    AxpyTile<kWidth>(a, x + j, y + j);
+  });
+}
+
 void MatTVecAccum(const Matrix& w, const float* dy, float* dx) {
   const int r = w.rows();
   const int c = w.cols();
   const float* wd = w.data();
+  // Row by row, so every dx[j] keeps its ascending-row sum order.
   for (int i = 0; i < r; ++i) {
     const float g = dy[i];
     if (g == 0.f) continue;
-    const float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) dx[j] += row[j] * g;
+    AxpyAccum(g, wd + static_cast<size_t>(i) * c, c, dx);
   }
 }
 
@@ -155,12 +174,9 @@ void OuterAccum(Matrix* dw, const float* dy, const float* x) {
   const int r = dw->rows();
   const int c = dw->cols();
   float* wd = dw->data();
-  for (int i = 0; i < r; ++i) {
-    const float g = dy[i];
-    if (g == 0.f) continue;
-    float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) row[j] += g * x[j];
-  }
+  ForEachTile(static_cast<size_t>(c), [&]<int kWidth>(size_t j0) {
+    OuterTile<kWidth>(wd, r, c, dy, x, j0);
+  });
 }
 
 void SoftmaxInPlace(std::vector<float>* v) {
@@ -197,10 +213,51 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n) {
   return Status::Ok();
 }
 
+Matrix* ParamTensor::mutable_grad() {
+  const int cols = grad_.cols();
+  if (live_runs_.size() != 1 || live_runs_[0].end - live_runs_[0].begin != cols) {
+    live_runs_.assign(1, ColumnRun{0, cols});
+  }
+  return &grad_;
+}
+
+void ParamTensor::AccumulateColumn(int c, const float* d) {
+  LSG_DCHECK(c >= 0 && c < grad_.cols());
+  // The first run starting after c; the one before it is the only run that
+  // can contain c or end right at it.
+  auto next = std::upper_bound(
+      live_runs_.begin(), live_runs_.end(), c,
+      [](int col, const ColumnRun& r) { return col < r.begin; });
+  auto prev = next == live_runs_.begin() ? live_runs_.end() : next - 1;
+  if (prev == live_runs_.end() || c >= prev->end) {
+    const bool joins_prev = prev != live_runs_.end() && prev->end == c;
+    const bool joins_next = next != live_runs_.end() && next->begin == c + 1;
+    if (joins_prev && joins_next) {
+      prev->end = next->end;
+      live_runs_.erase(next);
+    } else if (joins_prev) {
+      prev->end = c + 1;
+    } else if (joins_next) {
+      next->begin = c;
+    } else {
+      live_runs_.insert(next, ColumnRun{c, c + 1});
+    }
+  }
+  for (int r = 0; r < grad_.rows(); ++r) grad_.at(r, c) += d[r];
+}
+
+bool ParamTensor::IsLive(int c) const {
+  for (const ColumnRun& r : live_runs_) {
+    if (c < r.begin) return false;
+    if (c < r.end) return true;
+  }
+  return false;
+}
+
 void ParamSnapshot::Save(const std::vector<ParamTensor*>& params) {
-  values_.clear();
-  values_.reserve(params.size());
-  for (const ParamTensor* p : params) values_.push_back(p->value);
+  // Copy-assignment reuses each saved buffer once the first Save sized it.
+  values_.resize(params.size());
+  for (size_t i = 0; i < params.size(); ++i) values_[i] = params[i]->value;
 }
 
 bool ParamSnapshot::Restore(const std::vector<ParamTensor*>& params) const {
@@ -215,18 +272,20 @@ bool ParamSnapshot::Restore(const std::vector<ParamTensor*>& params) const {
 
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm) {
   double sq = 0.0;
-  for (const ParamTensor* p : params) {
-    const float* g = p->grad.data();
-    for (size_t i = 0; i < p->grad.size(); ++i) {
-      sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
-    }
+  for (ParamTensor* p : params) {
+    p->ForEachLiveSpan([&sq](size_t, size_t n, const float* g) {
+      for (size_t i = 0; i < n; ++i) {
+        sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
+      }
+    });
   }
   double norm = std::sqrt(sq);
   if (norm > max_norm && norm > 0.0) {
     float scale = static_cast<float>(max_norm / norm);
     for (ParamTensor* p : params) {
-      float* g = p->grad.data();
-      for (size_t i = 0; i < p->grad.size(); ++i) g[i] *= scale;
+      p->ForEachLiveSpan([scale](size_t, size_t n, float* g) {
+        for (size_t i = 0; i < n; ++i) g[i] *= scale;
+      });
     }
   }
   return norm;

@@ -46,15 +46,72 @@ class Matrix {
 };
 
 /// A learnable tensor: value plus accumulated gradient.
-struct ParamTensor {
-  std::string name;
-  Matrix value;
-  Matrix grad;
-
+///
+/// Gradient columns go "live" on their first write and stay live. A tensor
+/// fed by one-hot inputs (an LSTM's token-input Wx) only ever receives
+/// gradients one column at a time, so after an epoch most of its columns
+/// have never been touched; the optimizer tail (ClipGradNorm, Adam, zeroing)
+/// visits only live entries, through ForEachLiveSpan. That is exact: a
+/// never-touched column has g = m = v = +0, so Adam's update there is a
+/// no-op and its terms add nothing to the clipping norm. A dense writer
+/// marks every column live, so a dense tensor is simply the all-live case.
+/// The two writers below are the only ways to modify the gradient, and both
+/// mark what they write.
+class ParamTensor {
+ public:
   ParamTensor() = default;
   ParamTensor(std::string n, Matrix v)
       : name(std::move(n)), value(std::move(v)),
-        grad(Matrix::Zeros(value.rows(), value.cols())) {}
+        grad_(Matrix::Zeros(value.rows(), value.cols())) {}
+
+  std::string name;
+  Matrix value;
+
+  const Matrix& grad() const { return grad_; }
+
+  /// Whole-gradient write access; marks every column live.
+  Matrix* mutable_grad();
+
+  /// grad(:, c) += d (d has rows() entries); marks column c live.
+  void AccumulateColumn(int c, const float* d);
+
+  /// Whether column c has ever received a gradient.
+  bool IsLive(int c) const;
+
+  /// Calls fn(k, n, g) for each maximal run of live gradient entries in
+  /// row-major order: flat indices [k, k+n) into value/grad, with g pointing
+  /// at grad[k]. An all-live tensor is one run; entries outside the runs are
+  /// exactly +0 and are not visited.
+  template <typename Fn>
+  void ForEachLiveSpan(Fn&& fn) {
+    const size_t cols = static_cast<size_t>(grad_.cols());
+    size_t start = 0;
+    size_t len = 0;
+    for (size_t base = 0; base < grad_.size(); base += cols) {
+      for (const ColumnRun& r : live_runs_) {
+        const size_t k = base + r.begin;
+        const size_t n = static_cast<size_t>(r.end - r.begin);
+        if (k == start + len) {
+          len += n;  // continues the pending run (across rows when dense)
+          continue;
+        }
+        if (len > 0) fn(start, len, grad_.data() + start);
+        start = k;
+        len = n;
+      }
+    }
+    if (len > 0) fn(start, len, grad_.data() + start);
+  }
+
+ private:
+  /// Live columns [begin, end): sorted, disjoint and non-adjacent.
+  struct ColumnRun {
+    int begin;
+    int end;
+  };
+
+  Matrix grad_;
+  std::vector<ColumnRun> live_runs_;
 };
 
 /// y = W x  (y: rows, x: cols).
@@ -84,6 +141,12 @@ void MatTVecAccum(const Matrix& w, const float* dy, float* dx);
 /// dW += dy x^T (outer product accumulate).
 void OuterAccum(Matrix* dw, const float* dy, const float* x);
 
+/// y[j] += a * x[j] for j < n. The backward kernels (OuterAccum,
+/// MatTVecAccum, Linear::BackwardRows) are row loops of this. Each element
+/// is one multiply then one add, as in the scalar loop, so the fixed-width
+/// vector tiles it runs in are bitwise-identical to it.
+void AxpyAccum(float a, const float* x, int n, float* y);
+
 /// Numerically stable in-place softmax.
 void SoftmaxInPlace(std::vector<float>* v);
 
@@ -98,7 +161,9 @@ void SoftmaxInPlace(std::vector<float>* v);
 Status TryCompactSoftmaxInPlace(float* v, size_t n);
 
 /// Rescales all gradients so their global L2 norm is at most max_norm.
-/// Returns the pre-clip norm.
+/// Returns the pre-clip norm. Visits live gradient entries only (see
+/// ParamTensor): the skipped entries are +0 and change neither the sum nor
+/// their own scaled value.
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm);
 
 /// In-memory checkpoint of a parameter set (keep-best-policy snapshots).

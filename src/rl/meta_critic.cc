@@ -121,9 +121,9 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
                       dc_prev.data(), dx.data());
     dh = dh_prev;
     dc = dc_prev;
-    // Action-embedding gradient: dx[0:E] lands on the embedded column.
-    const int a = ep.enc_actions[k];
-    for (int i = 0; i < E; ++i) action_embed_.grad.at(i, a) += dx[i];
+    // Action-embedding gradient: dx[0:E] lands on the embedded column,
+    // which goes live for the optimizer (see ParamTensor).
+    action_embed_.AccumulateColumn(ep.enc_actions[k], dx.data());
   }
 }
 

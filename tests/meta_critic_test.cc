@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "nn/adam.h"
 #include "rl/actor_critic_trainer.h"
@@ -138,6 +139,28 @@ TEST(MetaCriticTest, GradientsFitTargetValue) {
   EXPECT_NEAR(v, 0.9f, 0.1f);
 }
 
+TEST(MetaCriticTest, ActionEmbeddingGoesLiveOnlyForObservedActions) {
+  MetaCritic mc(4, SmallMeta());
+  auto ep = mc.BeginEpisode(true);
+  mc.StepValue(&ep, mc.bos_index());
+  mc.ObserveTriple(&ep, 2, 0.5);
+  mc.StepValue(&ep, 2);
+  mc.ObserveTriple(&ep, 0, 1.0);
+  mc.StepValue(&ep, 0);
+  mc.AccumulateGradients(ep, {0.1, -0.2, 0.3});
+  const ParamTensor* embed = nullptr;
+  for (const ParamTensor* p : mc.Params()) {
+    if (p->name == "meta.embed") embed = p;
+  }
+  ASSERT_NE(embed, nullptr);
+  // Columns of the observed actions went live (the last triple's with a
+  // zero gradient: no value step consumed it); the optimizer never visits
+  // the others.
+  for (int c = 0; c < embed->value.cols(); ++c) {
+    EXPECT_EQ(embed->IsLive(c), c == 0 || c == 2) << "column " << c;
+  }
+}
+
 TEST(MetaCriticTrainerTest, PretrainImprovesReward) {
   ToyTaskEnv t1({0, 0, 0}), t2({2, 2, 2});
   MetaCriticTrainer trainer({&t1, &t2}, SmallTrainer(21), SmallMeta());
@@ -201,6 +224,38 @@ TEST(MetaCriticTrainerTest, AdaptationFasterThanScratchOnAverage) {
   });
 
   EXPECT_LE(meta_epochs, scratch_epochs + 60);
+}
+
+// Fixed-seed trace of the whole meta-critic loop: matched symbols per epoch
+// (mean_final_reward scaled back to a count), 30 pre-training epochs over
+// two tasks then 30 adaptation epochs. Recorded before the optimizer tail
+// went live-column (ParamTensor): the action embedding's gradient arrives
+// one column per observed action, and skipping its untouched columns must
+// leave every update — so every sampled episode — unchanged.
+TEST(MetaCriticTrainerTest, FixedSeedTraceUnchanged) {
+  ToyTaskEnv t1({0, 1, 0}), t2({2, 1, 2});
+  MetaCriticTrainer trainer({&t1, &t2}, SmallTrainer(24), SmallMeta());
+  std::vector<long> trace;
+  for (int e = 0; e < 30; ++e) {
+    auto st = trainer.PretrainEpoch();
+    ASSERT_TRUE(st.ok());
+    trace.push_back(std::lround(st->mean_final_reward * 48));  // 2 tasks x 8 x 3
+  }
+  ToyTaskEnv fresh({1, 1, 2});
+  auto adapt = trainer.Adapt(&fresh, 30);
+  ASSERT_TRUE(adapt.ok());
+  for (const EpochStats& st : *adapt) {
+    trace.push_back(std::lround(st.mean_final_reward * 24));  // 8 x 3
+  }
+  const std::vector<long> expected = {
+      18, 21, 16, 13, 16, 20, 13, 19, 10, 16, 15, 16, 21, 11, 20,
+      24, 17, 16, 14, 17, 24, 20, 18, 24, 16, 23, 17, 24, 13, 17,  // pretrain
+      7,  10, 12, 7,  7,  16, 4,  9,  6,  5,  7,  7,  8,  12, 8,
+      9,  12, 12, 11, 10, 10, 11, 8,  12, 9,  11, 10, 11, 17, 12};  // adapt
+  ASSERT_EQ(trace.size(), expected.size());
+  for (size_t e = 0; e < trace.size(); ++e) {
+    EXPECT_EQ(trace[e], expected[e]) << "epoch " << e;
+  }
 }
 
 }  // namespace

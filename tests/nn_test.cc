@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/dropout.h"
@@ -11,6 +15,7 @@
 #include "nn/lstm.h"
 #include "nn/matrix.h"
 #include "nn/serialize.h"
+#include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
 
 namespace lsg {
@@ -252,8 +257,8 @@ TEST(LinearRowsTest, BackwardRowsMatchesDenseBackwardBitwise) {
   auto pd = dense.Params();
   auto ps = sparse.Params();
   for (size_t t = 0; t < pd.size(); ++t) {
-    for (size_t i = 0; i < pd[t]->grad.size(); ++i) {
-      const float a = pd[t]->grad.data()[i], b = ps[t]->grad.data()[i];
+    for (size_t i = 0; i < pd[t]->grad().size(); ++i) {
+      const float a = pd[t]->grad().data()[i], b = ps[t]->grad().data()[i];
       ASSERT_EQ(a, b) << pd[t]->name << "[" << i << "]";
       ASSERT_EQ(std::signbit(a), std::signbit(b));
     }
@@ -305,19 +310,247 @@ TEST(LstmStackBatchTest, StepBatchMatchesSequentialStepsBitwise) {
 
 TEST(ClipGradNormTest, RescalesAboveThreshold) {
   ParamTensor p("p", Matrix::Zeros(1, 4));
-  for (int i = 0; i < 4; ++i) p.grad.data()[i] = 3.f;  // norm 6
+  for (int i = 0; i < 4; ++i) p.mutable_grad()->data()[i] = 3.f;  // norm 6
   double norm = ClipGradNorm({&p}, 3.0);
   EXPECT_NEAR(norm, 6.0, 1e-5);
   double after = 0;
-  for (int i = 0; i < 4; ++i) after += p.grad.data()[i] * p.grad.data()[i];
+  for (int i = 0; i < 4; ++i) after += p.grad().data()[i] * p.grad().data()[i];
   EXPECT_NEAR(std::sqrt(after), 3.0, 1e-5);
 }
 
 TEST(ClipGradNormTest, NoRescaleBelowThreshold) {
   ParamTensor p("p", Matrix::Zeros(1, 2));
-  p.grad.data()[0] = 1.f;
+  p.mutable_grad()->data()[0] = 1.f;
   ClipGradNorm({&p}, 10.0);
-  EXPECT_FLOAT_EQ(p.grad.data()[0], 1.f);
+  EXPECT_FLOAT_EQ(p.grad().data()[0], 1.f);
+}
+
+// ------------------------------------------------- live-column optimizer
+
+// Bitwise equality (signed zeros included) of two equally sized matrices.
+void ExpectSameBits(const Matrix& a, const Matrix& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
+
+TEST(ParamTensorTest, ColumnWritesGoLiveAndSpansCoverExactlyThem) {
+  Rng rng(71);
+  const int kRows = 3, kCols = 20;
+  ParamTensor p("p", Matrix::Zeros(kRows, kCols));
+  std::vector<int> writes(kCols, 0);
+  const float d[kRows] = {1.f, 2.f, 3.f};
+  for (int step = 0; step < 40; ++step) {
+    const int c = static_cast<int>(rng.Uniform(kCols));
+    p.AccumulateColumn(c, d);
+    ++writes[c];
+    std::vector<size_t> visited;
+    size_t prev_end = p.grad().size() + 1;
+    p.ForEachLiveSpan([&](size_t k, size_t n, float* g) {
+      EXPECT_EQ(g, p.grad().data() + k);
+      EXPECT_NE(k, prev_end) << "adjacent spans were not merged";
+      for (size_t i = 0; i < n; ++i) visited.push_back(k + i);
+      prev_end = k + n;
+    });
+    std::vector<size_t> expected;
+    for (int r = 0; r < kRows; ++r) {
+      for (int j = 0; j < kCols; ++j) {
+        ASSERT_EQ(p.IsLive(j), writes[j] > 0) << "column " << j;
+        if (writes[j] > 0) expected.push_back(static_cast<size_t>(r) * kCols + j);
+        ASSERT_EQ(p.grad().at(r, j), writes[j] * d[r]);
+      }
+    }
+    ASSERT_EQ(visited, expected) << "step " << step;
+  }
+  // A dense writer makes every column live: one span over the tensor.
+  p.mutable_grad();
+  int spans = 0;
+  p.ForEachLiveSpan([&](size_t k, size_t n, float*) {
+    ++spans;
+    EXPECT_EQ(k, 0u);
+    EXPECT_EQ(n, p.grad().size());
+  });
+  EXPECT_EQ(spans, 1);
+}
+
+// Random column-sparse gradient streams through ClipGradNorm + Adam::Step
+// must reproduce the every-entry reference bit for bit: values, moments and
+// the pre-clip norm, with clipping both active and inactive, columns going
+// live late, +-0 gradients, a tensor that turns dense midway and one that is
+// never written. Non-live columns must keep g = m = v = +0 throughout.
+TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
+  Rng init(72);
+  struct Shape {
+    const char* name;
+    int rows, cols;
+  };
+  const std::vector<Shape> shapes = {
+      {"onehot", 6, 40}, {"turns_dense", 4, 9}, {"bias", 5, 1}, {"never", 3, 5}};
+  std::vector<ParamTensor> live, ref;
+  for (const Shape& s : shapes) {
+    Matrix v = Matrix::Randn(s.rows, s.cols, 0.5f, &init);
+    live.emplace_back(s.name, v);
+    ref.emplace_back(s.name, v);
+  }
+  std::vector<ParamTensor*> lp, rp;
+  for (size_t i = 0; i < live.size(); ++i) {
+    lp.push_back(&live[i]);
+    rp.push_back(&ref[i]);
+  }
+  Adam opt(lp, 0.01f);
+  testing_ref::DenseAdam ref_opt(rp, 0.01f);
+
+  Rng rng(73);
+  auto grad_value = [&rng]() {
+    const uint64_t kind = rng.Uniform(8);
+    if (kind == 0) return 0.f;
+    if (kind == 1) return -0.f;
+    return static_cast<float>(rng.Normal(0.0, 1.0));
+  };
+  // One column's gradient: written through the live tensor's column writer
+  // and densely into the reference.
+  auto write_column = [&](size_t t, int c) {
+    std::vector<float> d(live[t].value.rows());
+    for (float& x : d) x = grad_value();
+    live[t].AccumulateColumn(c, d.data());
+    for (int r = 0; r < ref[t].value.rows(); ++r) {
+      ref[t].mutable_grad()->at(r, c) += d[r];
+    }
+  };
+  auto write_dense = [&](size_t t) {
+    Matrix* lg = live[t].mutable_grad();
+    Matrix* rg = ref[t].mutable_grad();
+    for (size_t k = 0; k < lg->size(); ++k) {
+      const float x = grad_value();
+      lg->data()[k] += x;
+      rg->data()[k] += x;
+    }
+  };
+
+  int clipped = 0, unclipped = 0;
+  for (int step = 0; step < 30; ++step) {
+    // "onehot": a few columns per step from a pool that widens over time,
+    // so some columns first go live late; repeats accumulate.
+    const int pool = std::min(40, 3 + step);
+    for (int w = 0; w < 3; ++w) {
+      write_column(0, static_cast<int>(rng.Uniform(pool)));
+    }
+    // "turns_dense": column writes until step 12, dense writes after.
+    if (step < 12) {
+      write_column(1, static_cast<int>(rng.Uniform(5)));
+    } else {
+      write_dense(1);
+    }
+    write_dense(2);  // "bias"; "never" gets no gradient at all
+
+    // Alternate a tight bound (clipping active) with a loose one.
+    const double max_norm = step % 3 == 0 ? 1e-3 : 1e6;
+    const double norm = ClipGradNorm(lp, max_norm);
+    const double ref_norm = testing_ref::DenseClipGradNorm(rp, max_norm);
+    ASSERT_EQ(std::memcmp(&norm, &ref_norm, sizeof(norm)), 0)
+        << "step " << step << ": " << norm << " vs " << ref_norm;
+    (norm > max_norm ? clipped : unclipped) += 1;
+    for (size_t t = 0; t < live.size(); ++t) {
+      ExpectSameBits(live[t].grad(), ref[t].grad(), live[t].name + " clipped grad");
+    }
+
+    opt.Step();
+    ref_opt.Step();
+    for (size_t t = 0; t < live.size(); ++t) {
+      const std::string at = live[t].name + " step " + std::to_string(step);
+      ExpectSameBits(live[t].value, ref[t].value, at + " value");
+      ExpectSameBits(opt.first_moments()[t], ref_opt.first_moments()[t],
+                     at + " m");
+      ExpectSameBits(opt.second_moments()[t], ref_opt.second_moments()[t],
+                     at + " v");
+      const std::string bad = testing_ref::NonLiveViolation(
+          live[t], opt.first_moments()[t], opt.second_moments()[t]);
+      ASSERT_TRUE(bad.empty()) << at << ": " << bad;
+    }
+  }
+  EXPECT_GT(clipped, 0);
+  EXPECT_GT(unclipped, 0);
+  // Late columns did go live, and some never did.
+  int onehot_live = 0;
+  for (int c = 0; c < 40; ++c) onehot_live += live[0].IsLive(c) ? 1 : 0;
+  EXPECT_GT(onehot_live, 10);
+  EXPECT_LT(onehot_live, 40);
+  for (int c = 0; c < 9; ++c) EXPECT_TRUE(live[1].IsLive(c));
+  for (int c = 0; c < 5; ++c) EXPECT_FALSE(live[3].IsLive(c));
+}
+
+// Scalar forms of the tiled backward kernels.
+void ScalarOuterAccum(Matrix* dw, const float* dy, const float* x) {
+  for (int i = 0; i < dw->rows(); ++i) {
+    if (dy[i] == 0.f) continue;
+    for (int j = 0; j < dw->cols(); ++j) dw->at(i, j) += dy[i] * x[j];
+  }
+}
+
+void ScalarMatTVecAccum(const Matrix& w, const float* dy, float* dx) {
+  for (int i = 0; i < w.rows(); ++i) {
+    if (dy[i] == 0.f) continue;
+    for (int j = 0; j < w.cols(); ++j) dx[j] += w.at(i, j) * dy[i];
+  }
+}
+
+// Output gradients with exact zeros of both signs among normal values.
+std::vector<float> MixedGradients(int n, Rng* rng) {
+  std::vector<float> dy(n);
+  for (int i = 0; i < n; ++i) {
+    dy[i] = i % 5 == 1 ? 0.f
+            : i % 5 == 3 ? -0.f
+                         : static_cast<float>(rng->Normal(0.0, 1.0));
+  }
+  return dy;
+}
+
+TEST(TiledKernelsTest, MatchScalarReferencesAcrossWidths) {
+  Rng rng(74);
+  for (const int width : {1, 7, 30, 33}) {
+    const int rows = 13;
+    Matrix w = Matrix::Randn(rows, width, 1.f, &rng);
+    Matrix dw = Matrix::Randn(rows, width, 1.f, &rng);
+    Matrix dw_ref = dw;
+    std::vector<float> x(width);
+    for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    std::vector<float> dx(width, 0.5f), dx_ref(width, 0.5f);
+    for (int rep = 0; rep < 3; ++rep) {
+      const std::vector<float> dy = MixedGradients(rows, &rng);
+      OuterAccum(&dw, dy.data(), x.data());
+      ScalarOuterAccum(&dw_ref, dy.data(), x.data());
+      MatTVecAccum(w, dy.data(), dx.data());
+      ScalarMatTVecAccum(w, dy.data(), dx_ref.data());
+    }
+    ExpectSameBits(dw, dw_ref, "OuterAccum width " + std::to_string(width));
+    ASSERT_EQ(std::memcmp(dx.data(), dx_ref.data(), width * sizeof(float)), 0)
+        << "MatTVecAccum width " << width;
+
+    // Linear::BackwardRows against its scalar row loop.
+    Linear lin(width, 11, &rng);
+    const std::vector<int> sel = {0, 2, 3, 7, 10};
+    const ParamTensor& lw = *lin.Params()[0];
+    const ParamTensor& lb = *lin.Params()[1];
+    Matrix gw_ref = Matrix::Zeros(11, width);
+    std::vector<float> gb_ref(11, 0.f);
+    std::vector<float> ldx(width, 0.25f), ldx_ref(width, 0.25f);
+    for (int rep = 0; rep < 3; ++rep) {
+      const std::vector<float> dy = MixedGradients(static_cast<int>(sel.size()), &rng);
+      lin.BackwardRows(x.data(), sel.data(), static_cast<int>(sel.size()),
+                       dy.data(), ldx.data());
+      for (size_t k = 0; k < sel.size(); ++k) {
+        const int i = sel[k];
+        gb_ref[i] += dy[k];
+        if (dy[k] == 0.f) continue;
+        for (int j = 0; j < width; ++j) gw_ref.at(i, j) += dy[k] * x[j];
+        for (int j = 0; j < width; ++j) ldx_ref[j] += lw.value.at(i, j) * dy[k];
+      }
+    }
+    ExpectSameBits(lw.grad(), gw_ref, "BackwardRows dW width " + std::to_string(width));
+    ASSERT_EQ(std::memcmp(lb.grad().data(), gb_ref.data(), 11 * sizeof(float)), 0);
+    ASSERT_EQ(std::memcmp(ldx.data(), ldx_ref.data(), width * sizeof(float)), 0)
+        << "BackwardRows dx width " << width;
+  }
 }
 
 // ------------------------------------------------- numerical gradients
@@ -353,7 +586,7 @@ TEST(LinearGradientTest, MatchesNumerical) {
   for (ParamTensor* p : params) {
     for (size_t i = 0; i < p->value.size(); ++i) {
       double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
-      EXPECT_NEAR(p->grad.data()[i], num, 5e-3)
+      EXPECT_NEAR(p->grad().data()[i], num, 5e-3)
           << p->name << "[" << i << "]";
     }
   }
@@ -394,7 +627,7 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
     // Sample entries to keep the test fast while covering all tensors.
     for (size_t i = 0; i < p->value.size(); i += 3) {
       double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
-      EXPECT_NEAR(p->grad.data()[i], num, 2e-2) << p->name << "[" << i << "]";
+      EXPECT_NEAR(p->grad().data()[i], num, 2e-2) << p->name << "[" << i << "]";
     }
   }
   for (int i = 0; i < in; ++i) {
@@ -461,11 +694,62 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
   for (ParamTensor* p : stack.Params()) {
     for (size_t i = 0; i < p->value.size(); i += 7) {
       double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
-      EXPECT_NEAR(p->grad.data()[i], num, 3e-2) << p->name << "[" << i << "]";
+      EXPECT_NEAR(p->grad().data()[i], num, 3e-2) << p->name << "[" << i << "]";
       ++checked;
     }
   }
   EXPECT_GE(checked, 40);
+}
+
+// BPTT through inverted dropout: each loss evaluation replays the same
+// masks from a fresh RNG, once without a cache (masks applied, not kept)
+// and once with caches for Backward (masks kept and routed back).
+TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
+  Rng rng(23);
+  const int vocab = 6, hid = 4, layers = 3;
+  LstmStack stack(vocab, hid, layers, /*dropout=*/0.5f, &rng);
+  std::vector<int> tokens = {1, 4, 2, 5};
+  std::vector<std::vector<float>> coef = {
+      {1.f, 0.f, -1.f, 0.5f},
+      {0.f, 2.f, 0.f, -0.5f},
+      {1.f, 1.f, 1.f, 1.f},
+      {-1.f, 0.5f, 0.f, 2.f},
+  };
+  auto loss = [&]() {
+    Rng masks(5);
+    LstmStack::State st = stack.InitialState();
+    double l = 0;
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      const std::vector<float>& h =
+          stack.Step(tokens[t], &st, nullptr, /*train=*/true, &masks);
+      for (int k = 0; k < hid; ++k) l += h[k] * coef[t][k];
+    }
+    return l;
+  };
+
+  Rng masks(5);
+  LstmStack::State st = stack.InitialState();
+  std::vector<LstmStack::StepCache> caches(tokens.size());
+  int dropped = 0;
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    stack.Step(tokens[t], &st, &caches[t], /*train=*/true, &masks);
+    ASSERT_EQ(caches[t].dropout_mask.size(), static_cast<size_t>(layers));
+    for (int l = 1; l < layers; ++l) {
+      for (float m : caches[t].dropout_mask[l]) dropped += m == 0.f ? 1 : 0;
+    }
+  }
+  ASSERT_GT(dropped, 0);
+  stack.Backward(caches, coef);
+
+  int checked = 0;
+  for (ParamTensor* p : stack.Params()) {
+    for (size_t i = 0; i < p->value.size(); i += 5) {
+      double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
+      EXPECT_NEAR(p->grad().data()[i], num, 3e-2) << p->name << "[" << i << "]";
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 60);
 }
 
 // ---------------------------------------------------------------- dropout
@@ -514,7 +798,7 @@ TEST(AdamTest, MinimizesQuadratic) {
   Adam opt({&w}, 0.1f);
   for (int i = 0; i < 500; ++i) {
     // d/dw 0.5 (w - 3)^2 = w - 3
-    w.grad.data()[0] = w.value.data()[0] - 3.f;
+    w.mutable_grad()->data()[0] = w.value.data()[0] - 3.f;
     opt.Step();
   }
   EXPECT_NEAR(w.value.data()[0], 3.f, 0.05);
@@ -524,18 +808,18 @@ TEST(AdamTest, MinimizesQuadratic) {
 TEST(AdamTest, StepZeroesGradients) {
   ParamTensor w("w", Matrix::Zeros(1, 1));
   Adam opt({&w}, 0.01f);
-  w.grad.data()[0] = 1.f;
+  w.mutable_grad()->data()[0] = 1.f;
   opt.Step();
-  EXPECT_FLOAT_EQ(w.grad.data()[0], 0.f);
+  EXPECT_FLOAT_EQ(w.grad().data()[0], 0.f);
 }
 
 TEST(AdamTest, ZeroGradDiscards) {
   ParamTensor w("w", Matrix::Zeros(1, 1));
   Adam opt({&w}, 0.01f);
-  w.grad.data()[0] = 1.f;
+  w.mutable_grad()->data()[0] = 1.f;
   float before = w.value.data()[0];
   opt.ZeroGrad();
-  EXPECT_FLOAT_EQ(w.grad.data()[0], 0.f);
+  EXPECT_FLOAT_EQ(w.grad().data()[0], 0.f);
   EXPECT_FLOAT_EQ(w.value.data()[0], before);
 }
 

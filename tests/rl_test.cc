@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <vector>
 
+#include "core/environment.h"
 #include "fsm/generation_fsm.h"
 #include "nn/matrix.h"
 #include "rl/actor_critic_trainer.h"
@@ -10,6 +18,7 @@
 #include "rl/reward.h"
 #include "rl/trajectory.h"
 #include "rl/value_network.h"
+#include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
 #include "tests/test_db.h"
 
@@ -366,8 +375,8 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
     const ParamTensor& w = *params[params.size() - 2];
     const ParamTensor& b = *params[params.size() - 1];
     ASSERT_EQ(w.value.rows(), V);
-    Matrix ref_dw = w.grad;
-    std::vector<float> ref_db(b.grad.data(), b.grad.data() + V);
+    Matrix ref_dw = w.grad();
+    std::vector<float> ref_db(b.grad().data(), b.grad().data() + V);
     for (size_t t = 0; t < T; ++t) {
       const std::vector<float>& h = ep.caches[t].layers.back().h;
       std::vector<float> p(V);
@@ -406,10 +415,10 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
 
     net.AccumulateGradients(ep, adv, kEntropyCoef);
     for (size_t i = 0; i < ref_dw.size(); ++i) {
-      ASSERT_EQ(w.grad.data()[i], ref_dw.data()[i]) << "w.grad[" << i << "]";
+      ASSERT_EQ(w.grad().data()[i], ref_dw.data()[i]) << "w.grad[" << i << "]";
     }
     for (int i = 0; i < V; ++i) {
-      ASSERT_EQ(b.grad.data()[i], ref_db[i]) << "b.grad[" << i << "]";
+      ASSERT_EQ(b.grad().data()[i], ref_db[i]) << "b.grad[" << i << "]";
     }
   }
 }
@@ -462,6 +471,212 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
+}
+
+// ------------------------------------------- live-column optimizer tail
+
+// The global-norm clip that goes with each optimizer.
+template <typename Opt>
+void ClipFor(const std::vector<ParamTensor*>& params, double max_norm) {
+  if constexpr (std::is_same_v<Opt, Adam>) {
+    ClipGradNorm(params, max_norm);
+  } else {
+    testing_ref::DenseClipGradNorm(params, max_norm);
+  }
+}
+
+// Replays ActorCriticTrainer::TrainEpoch (or, without a critic,
+// ReinforceTrainer::TrainEpoch) from the public pieces with a pluggable
+// optimizer tail: the production live-column Adam + ClipGradNorm, or the
+// every-entry reference. The trainers, the live replay and the dense replay
+// must then agree bit for bit.
+template <typename Opt>
+class TrainerReplay {
+ public:
+  TrainerReplay(Environment* env, const TrainerOptions& o, bool with_critic)
+      : env_(env), o_(o), rng_(o.seed) {
+    NetworkOptions net = o.net;
+    net.seed = o.seed;
+    actor_ = std::make_unique<PolicyNetwork>(env->vocab_size(), net);
+    actor_opt_ = std::make_unique<Opt>(actor_->Params(), o.actor_lr);
+    if (with_critic) {
+      net.seed = o.seed + 1;
+      critic_ = std::make_unique<ValueNetwork>(env->vocab_size(), net);
+      critic_opt_ = std::make_unique<Opt>(critic_->Params(), o.critic_lr);
+    }
+  }
+
+  // One batch of episodes and one update; `audit` runs once the gradients
+  // are accumulated and again after the optimizer step.
+  void Epoch(const std::function<void()>& audit) {
+    std::vector<PolicyNetwork::Episode> eps(o_.batch_size);
+    std::vector<std::vector<double>> adv(o_.batch_size);
+    for (int b = 0; b < o_.batch_size; ++b) {
+      eps[b] = actor_->BeginEpisode(/*train=*/true);
+      if (critic_ == nullptr) {
+        auto traj = RolloutPolicy(env_, actor_.get(), &eps[b], &rng_);
+        ASSERT_TRUE(traj.ok());
+        adv[b] = traj->RewardToGo();
+        continue;
+      }
+      ValueNetwork::Episode cep = critic_->BeginEpisode(/*train=*/true);
+      RolloutHooks hooks;
+      hooks.after_actor_step = [&](int input) {
+        critic_->StepValue(&cep, input);
+      };
+      auto traj = RolloutPolicy(env_, actor_.get(), &eps[b], &rng_, hooks);
+      ASSERT_TRUE(traj.ok());
+      const size_t T = traj->rewards.size();
+      std::vector<double> dvalue(T);
+      adv[b].resize(T);
+      for (size_t t = 0; t < T; ++t) {
+        const double v_next = t + 1 < T ? cep.values[t + 1] : 0.0;
+        const double td = traj->rewards[t] + v_next - cep.values[t];
+        adv[b][t] = td;
+        dvalue[t] = -td;
+      }
+      critic_->AccumulateGradients(cep, dvalue);
+    }
+    if (o_.normalize_advantages) NormalizeAdvantages(&adv);
+    for (int b = 0; b < o_.batch_size; ++b) {
+      actor_->AccumulateGradients(eps[b], adv[b], o_.entropy_coef);
+    }
+    audit();
+    ClipFor<Opt>(actor_->Params(), o_.grad_clip);
+    if (critic_ != nullptr) ClipFor<Opt>(critic_->Params(), o_.grad_clip);
+    actor_opt_->Step();
+    if (critic_ != nullptr) critic_opt_->Step();
+    audit();
+  }
+
+  // First parameter entry outside its tensor's live columns whose gradient
+  // or Adam moment is not exactly +0 (live-column Adam only).
+  std::string NonLiveViolation() const {
+    std::string bad;
+    auto check = [&bad](const std::vector<ParamTensor*>& params,
+                        const Adam& opt) {
+      for (size_t i = 0; i < params.size() && bad.empty(); ++i) {
+        bad = testing_ref::NonLiveViolation(*params[i],
+                                            opt.first_moments()[i],
+                                            opt.second_moments()[i]);
+      }
+    };
+    check(actor_->Params(), *actor_opt_);
+    if (critic_ != nullptr) check(critic_->Params(), *critic_opt_);
+    return bad;
+  }
+
+  PolicyNetwork& actor() { return *actor_; }
+  ValueNetwork& critic() { return *critic_; }
+
+ private:
+  Environment* env_;
+  TrainerOptions o_;
+  Rng rng_;
+  std::unique_ptr<PolicyNetwork> actor_;
+  std::unique_ptr<ValueNetwork> critic_;
+  std::unique_ptr<Opt> actor_opt_;
+  std::unique_ptr<Opt> critic_opt_;
+};
+
+// Bitwise equality of corresponding parameter values.
+void ExpectSameParams(const std::vector<ParamTensor*>& a,
+                      const std::vector<ParamTensor*>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i]->value.size(), b[i]->value.size());
+    ASSERT_EQ(std::memcmp(a[i]->value.data(), b[i]->value.data(),
+                          a[i]->value.size() * sizeof(float)),
+              0)
+        << what << ": " << a[i]->name << " (#" << i << ") differs";
+  }
+}
+
+// Real SQL environments on the Score/Student database: a vocabulary of
+// ~100 tokens of which an episode feeds only a few to the LSTM, so the
+// token-input Wx of both networks keeps many never-live columns.
+class LiveColumnTrainingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = BuildScoreStudentDb();
+    stats_ = DatabaseStats::Collect(db_);
+    est_ = std::make_unique<CardinalityEstimator>(&db_, &stats_);
+    cost_ = std::make_unique<CostModel>(est_.get());
+    VocabularyOptions vo;
+    vo.values_per_column = 8;
+    auto v = Vocabulary::Build(db_, vo);
+    ASSERT_TRUE(v.ok());
+    vocab_ = std::move(v).value();
+  }
+
+  std::unique_ptr<SqlGenEnvironment> MakeEnv() {
+    return std::make_unique<SqlGenEnvironment>(
+        &db_, &*vocab_, est_.get(), cost_.get(),
+        Constraint::Range(ConstraintMetric::kCardinality, 2, 20),
+        EnvironmentOptions());
+  }
+
+  static TrainerOptions Options() {
+    TrainerOptions o;
+    o.seed = 31;
+    o.net.hidden_dim = 16;  // 2 layers with dropout, as in the paper setup
+    return o;
+  }
+
+  Database db_;
+  DatabaseStats stats_;
+  std::unique_ptr<CardinalityEstimator> est_;
+  std::unique_ptr<CostModel> cost_;
+  std::optional<Vocabulary> vocab_;
+};
+
+TEST_F(LiveColumnTrainingTest, ActorCriticMatchesDenseOptimizerBitwise) {
+  auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
+  ActorCriticTrainer trainer(env_t.get(), Options());
+  TrainerReplay<Adam> live(env_l.get(), Options(), /*with_critic=*/true);
+  TrainerReplay<testing_ref::DenseAdam> dense(env_d.get(), Options(),
+                                              /*with_critic=*/true);
+  auto audit = [&live]() {
+    const std::string bad = live.NonLiveViolation();
+    ASSERT_TRUE(bad.empty()) << bad;
+  };
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    ASSERT_TRUE(trainer.TrainEpoch().ok());
+    live.Epoch(audit);
+    dense.Epoch([] {});
+    const std::string at = "epoch " + std::to_string(epoch);
+    ExpectSameParams(trainer.actor().Params(), live.actor().Params(), at);
+    ExpectSameParams(trainer.critic().Params(), live.critic().Params(), at);
+    ExpectSameParams(live.actor().Params(), dense.actor().Params(), at);
+    ExpectSameParams(live.critic().Params(), dense.critic().Params(), at);
+  }
+  // The one-hot Wx kept never-touched columns, so the skip was exercised.
+  const ParamTensor& wx = *live.actor().Params()[0];
+  int live_cols = 0;
+  for (int c = 0; c < wx.value.cols(); ++c) live_cols += wx.IsLive(c) ? 1 : 0;
+  EXPECT_GT(live_cols, 0);
+  EXPECT_LT(live_cols, wx.value.cols());
+}
+
+TEST_F(LiveColumnTrainingTest, ReinforceMatchesDenseOptimizerBitwise) {
+  auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
+  ReinforceTrainer trainer(env_t.get(), Options());
+  TrainerReplay<Adam> live(env_l.get(), Options(), /*with_critic=*/false);
+  TrainerReplay<testing_ref::DenseAdam> dense(env_d.get(), Options(),
+                                              /*with_critic=*/false);
+  auto audit = [&live]() {
+    const std::string bad = live.NonLiveViolation();
+    ASSERT_TRUE(bad.empty()) << bad;
+  };
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    ASSERT_TRUE(trainer.TrainEpoch().ok());
+    live.Epoch(audit);
+    dense.Epoch([] {});
+    const std::string at = "epoch " + std::to_string(epoch);
+    ExpectSameParams(trainer.actor().Params(), live.actor().Params(), at);
+    ExpectSameParams(live.actor().Params(), dense.actor().Params(), at);
+  }
 }
 
 }  // namespace
