@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the core components: FSM masking,
-// random-walk episodes, executor operators, estimator, cost model, LSTM
-// forward/backward, actor-critic training epochs, and vocabulary
-// construction.
+// random-walk episodes, executor operators, estimator, cost model, the
+// single-lane dense forward kernels, LSTM forward/backward, actor-critic
+// training epochs, and vocabulary construction.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "exec/executor.h"
 #include "fsm/compiled_fsm.h"
 #include "fuzz/trace.h"
+#include "nn/linear.h"
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/feedback_cache.h"
@@ -370,6 +371,42 @@ void BM_LstmStepOneHot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmStepOneHot);
+
+// The single-lane gate product of the paper's 30-unit LSTM: 4H x H =
+// 120 x 30, the Wh * h_prev term every training and width-1 decode step
+// runs per layer.
+void BM_MatVecAccumGate(benchmark::State& state) {
+  Rng rng(7);
+  Matrix w = Matrix::Xavier(120, 30, &rng);
+  Matrix x = Matrix::Randn(30, 1, 1.f, &rng);
+  std::vector<float> y(120, 0.f);
+  for (auto _ : state) {
+    MatVecAccum(w, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MatVecAccumGate);
+
+// The masked policy head: 9 gathered rows (about the mean FSM mask width)
+// of the TPC-H vocabulary-sized output layer.
+void BM_HeadForwardRows(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  Rng rng(9);
+  const int vocab = f.vocab->size();
+  Linear head(30, vocab, &rng);
+  Matrix x = Matrix::Randn(30, 1, 1.f, &rng);
+  std::vector<int> rows;
+  for (int k = 0; k < 9; ++k) rows.push_back(k * (vocab - 1) / 8);
+  std::vector<float> y(rows.size());
+  for (auto _ : state) {
+    head.ForwardRows(x.data(), 1, rows.data(), static_cast<int>(rows.size()),
+                     y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HeadForwardRows);
 
 void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   MicroFixture& f = Fixture();

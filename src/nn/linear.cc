@@ -14,18 +14,9 @@ void Linear::Forward(const float* x, float* y) const {
 
 void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
                          int nrows, float* y) const {
-  const int cols = w_.value.cols();
-  const float* wd = w_.value.data();
+  MatVecRows(w_.value, x, x_stride, rows, nrows, y);
   const float* bias = b_.value.data();
-  for (int k = 0; k < nrows; ++k) {
-    const int i = rows[k];
-    const float* row = wd + static_cast<size_t>(i) * cols;
-    float acc = 0.f;
-    for (int j = 0; j < cols; ++j) {
-      acc += row[j] * x[static_cast<size_t>(j) * x_stride];
-    }
-    y[k] = acc + bias[i];
-  }
+  for (int k = 0; k < nrows; ++k) y[k] += bias[rows[k]];
 }
 
 void Linear::Backward(const float* x, const float* dy, float* dx_or_null) {

@@ -21,21 +21,23 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, Rng* rng)
   for (int i = hidden_dim; i < 2 * hidden_dim; ++i) b_.value.data()[i] = 1.f;
 }
 
-void LstmCell::Gates(const float* pre, Cache* cache) const {
+void LstmCell::Gates(Cache* cache) const {
   const int h = hidden_dim_;
-  cache->i.resize(h);
-  cache->f.resize(h);
-  cache->g.resize(h);
-  cache->o.resize(h);
+  float* i = cache->gates.data();
+  float* f = i + h;
+  float* g = i + 2 * h;
+  float* o = i + 3 * h;
   cache->c.resize(h);
   cache->h.resize(h);
+  cache->tanh_c.resize(h);
   for (int k = 0; k < h; ++k) {
-    cache->i[k] = Sigmoid(pre[k]);
-    cache->f[k] = Sigmoid(pre[h + k]);
-    cache->g[k] = std::tanh(pre[2 * h + k]);
-    cache->o[k] = Sigmoid(pre[3 * h + k]);
-    cache->c[k] = cache->f[k] * cache->c_prev[k] + cache->i[k] * cache->g[k];
-    cache->h[k] = cache->o[k] * std::tanh(cache->c[k]);
+    i[k] = Sigmoid(i[k]);
+    f[k] = Sigmoid(f[k]);
+    g[k] = std::tanh(g[k]);
+    o[k] = Sigmoid(o[k]);
+    cache->c[k] = f[k] * cache->c_prev[k] + i[k] * g[k];
+    cache->tanh_c[k] = std::tanh(cache->c[k]);
+    cache->h[k] = o[k] * cache->tanh_c[k];
   }
 }
 
@@ -45,12 +47,13 @@ void LstmCell::Forward(const float* x, const float* h_prev,
   cache->x.assign(x, x + input_dim_);
   cache->h_prev.assign(h_prev, h_prev + hidden_dim_);
   cache->c_prev.assign(c_prev, c_prev + hidden_dim_);
-  std::vector<float> pre(4 * hidden_dim_);
-  MatVec(wx_.value, x, pre.data());
-  MatVecAccum(wh_.value, h_prev, pre.data());
+  cache->gates.resize(4 * hidden_dim_);
+  float* pre = cache->gates.data();
+  MatVec(wx_.value, x, pre);
+  MatVecAccum(wh_.value, h_prev, pre);
   const float* b = b_.value.data();
   for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] += b[k];
-  Gates(pre.data(), cache);
+  Gates(cache);
 }
 
 void LstmCell::ForwardOneHot(int idx, const float* h_prev, const float* c_prev,
@@ -60,13 +63,14 @@ void LstmCell::ForwardOneHot(int idx, const float* h_prev, const float* c_prev,
   cache->x.clear();
   cache->h_prev.assign(h_prev, h_prev + hidden_dim_);
   cache->c_prev.assign(c_prev, c_prev + hidden_dim_);
-  std::vector<float> pre(4 * hidden_dim_);
+  cache->gates.resize(4 * hidden_dim_);
+  float* pre = cache->gates.data();
   // Wx * e_idx = column idx of Wx.
   for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] = wx_.value.at(k, idx);
-  MatVecAccum(wh_.value, h_prev, pre.data());
+  MatVecAccum(wh_.value, h_prev, pre);
   const float* b = b_.value.data();
   for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] += b[k];
-  Gates(pre.data(), cache);
+  Gates(cache);
 }
 
 void LstmCell::GatesBatch(const float* pre, const float* c_prev, int batch,
@@ -124,19 +128,23 @@ void LstmCell::ForwardBatch(const float* x_panel, const float* h_prev,
 void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
                         float* dh_prev, float* dc_prev, float* dx_or_null) {
   const int h = hidden_dim_;
+  const float* i = cache.gates.data();
+  const float* f = i + h;
+  const float* g = i + 2 * h;
+  const float* o = i + 3 * h;
   float* dpre = dpre_.data();
   for (int k = 0; k < h; ++k) {
-    const float tc = std::tanh(cache.c[k]);
+    const float tc = cache.tanh_c[k];
     const float do_ = dh[k] * tc;
-    const float dck = dc[k] + dh[k] * cache.o[k] * (1.f - tc * tc);
-    const float di = dck * cache.g[k];
+    const float dck = dc[k] + dh[k] * o[k] * (1.f - tc * tc);
+    const float di = dck * g[k];
     const float df = dck * cache.c_prev[k];
-    const float dg = dck * cache.i[k];
-    dc_prev[k] = dck * cache.f[k];
-    dpre[k] = di * cache.i[k] * (1.f - cache.i[k]);
-    dpre[h + k] = df * cache.f[k] * (1.f - cache.f[k]);
-    dpre[2 * h + k] = dg * (1.f - cache.g[k] * cache.g[k]);
-    dpre[3 * h + k] = do_ * cache.o[k] * (1.f - cache.o[k]);
+    const float dg = dck * i[k];
+    dc_prev[k] = dck * f[k];
+    dpre[k] = di * i[k] * (1.f - i[k]);
+    dpre[h + k] = df * f[k] * (1.f - f[k]);
+    dpre[2 * h + k] = dg * (1.f - g[k] * g[k]);
+    dpre[3 * h + k] = do_ * o[k] * (1.f - o[k]);
   }
   // Parameter gradients.
   if (cache.onehot >= 0) {
@@ -186,18 +194,16 @@ const std::vector<float>& LstmStack::StepDense(const float* x, State* state,
 const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
                                               State* state, StepCache* cache,
                                               bool train, Rng* rng) {
-  // Without a caller cache the layers share one scratch cache: each layer's
+  // Without a caller cache the layers share the scratch cache: each layer's
   // h and c are copied into `state` before the next layer overwrites it.
-  LstmCell::Cache scratch;
   const bool drop = train && dropout_ > 0.f;
   if (cache != nullptr) {
     cache->layers.resize(cells_.size());
     cache->dropout_mask.resize(drop ? cells_.size() : 0);
   }
 
-  std::vector<float> input;
   for (size_t l = 0; l < cells_.size(); ++l) {
-    LstmCell::Cache& cc = cache != nullptr ? cache->layers[l] : scratch;
+    LstmCell::Cache& cc = cache != nullptr ? cache->layers[l] : scratch_;
     if (l == 0) {
       if (x0 != nullptr) {
         cells_[0].Forward(x0, state->h[0].data(), state->c[0].data(), &cc);
@@ -206,7 +212,7 @@ const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
                                 state->c[0].data(), &cc);
       }
     } else {
-      input = state->h[l - 1];
+      const float* input = state->h[l - 1].data();
       if (drop) {
         // The mask is kept only when there is a cache to backpropagate.
         float* mask = nullptr;
@@ -214,15 +220,16 @@ const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
           cache->dropout_mask[l].resize(hidden_dim_);
           mask = cache->dropout_mask[l].data();
         }
+        dropped_input_ = state->h[l - 1];
         const float keep = 1.f - dropout_;
         for (int k = 0; k < hidden_dim_; ++k) {
           const float m = rng->Bernoulli(keep) ? 1.f / keep : 0.f;
           if (mask != nullptr) mask[k] = m;
-          input[k] *= m;
+          dropped_input_[k] *= m;
         }
+        input = dropped_input_.data();
       }
-      cells_[l].Forward(input.data(), state->h[l].data(), state->c[l].data(),
-                        &cc);
+      cells_[l].Forward(input, state->h[l].data(), state->c[l].data(), &cc);
     }
     state->h[l] = cc.h;
     state->c[l] = cc.c;

@@ -18,13 +18,17 @@ class LstmCell {
   int input_dim() const { return input_dim_; }
   int hidden_dim() const { return hidden_dim_; }
 
-  /// Per-step activations retained for BPTT.
+  /// Per-step activations retained for BPTT. A reused cache keeps its
+  /// buffers, so a step into it allocates nothing.
   struct Cache {
     int onehot = -1;               ///< one-hot index, or -1 for dense input
     std::vector<float> x;          ///< dense input (empty when one-hot)
     std::vector<float> h_prev, c_prev;
-    std::vector<float> i, f, g, o; ///< post-activation gates
+    /// The 4H gate pre-activations, overwritten in place by the
+    /// post-activation gates i | f | g | o.
+    std::vector<float> gates;
     std::vector<float> c, h;
+    std::vector<float> tanh_c;     ///< tanh(c), the factor of h = o * tanh(c)
   };
 
   /// Dense-input step.
@@ -60,7 +64,7 @@ class LstmCell {
   std::vector<const ParamTensor*> Params() const { return {&wx_, &wh_, &b_}; }
 
  private:
-  void Gates(const float* pre, Cache* cache) const;
+  void Gates(Cache* cache) const;
   void GatesBatch(const float* pre, const float* c_prev, int batch,
                   float* h_out, float* c_out) const;
 
@@ -134,6 +138,10 @@ class LstmStack {
   int hidden_dim_;
   float dropout_;
   std::vector<LstmCell> cells_;
+  /// StepImpl's buffers when the caller keeps no cache: the layers share
+  /// one cell cache, and a dropout-masked copy of the layer input.
+  LstmCell::Cache scratch_;
+  std::vector<float> dropped_input_;
 };
 
 }  // namespace lsg

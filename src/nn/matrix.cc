@@ -21,28 +21,80 @@ Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
   return Randn(rows, cols, stddev, rng);
 }
 
-void MatVec(const Matrix& w, const float* x, float* y) {
-  const int r = w.rows();
-  const int c = w.cols();
-  const float* wd = w.data();
-  for (int i = 0; i < r; ++i) {
-    float acc = 0.f;
-    const float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) acc += row[j] * x[j];
-    y[i] = acc;
+namespace {
+
+// Rows per single-lane forward tile. Eight independent add chains cover
+// the float-add latency on both add ports; sixteen measured no faster on
+// the 120 x 30 gate product and slower on the ~9-row head.
+constexpr int kRowTile = 8;
+
+// acc[r] = row_at(r) . x for the kRows rows of one tile. The j loop runs
+// outside and the row loop inside, so the tile keeps kRows independent add
+// chains in flight instead of waiting on float-add latency for every
+// element of one row. Each row still sums ((0 + w_0 x_0) + w_1 x_1) + ...
+// in ascending j, so acc[r] is bitwise the scalar one-chain dot product.
+// kRows is a template constant so the accumulators live in registers.
+template <int kRows, typename RowAt>
+inline void RowDotTile(RowAt row_at, int cols, const float* x,
+                       size_t x_stride, float* acc) {
+  const float* row[kRows];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+    row[r] = row_at(r);
+    acc[r] = 0.f;
+  }
+  for (int j = 0; j < cols; ++j) {
+    const float xj = x[static_cast<size_t>(j) * x_stride];
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) acc[r] += row[r][j] * xj;
   }
 }
 
-void MatVecAccum(const Matrix& w, const float* x, float* y) {
-  const int r = w.rows();
-  const int c = w.cols();
+// The row sum is computed first and then stored or added once, so
+// MatVecAccum keeps its compute-then-add order.
+template <bool kAccum>
+void MatVecImpl(const Matrix& w, const float* x, float* y) {
+  const size_t rows = static_cast<size_t>(w.rows());
+  const int cols = w.cols();
   const float* wd = w.data();
-  for (int i = 0; i < r; ++i) {
-    float acc = 0.f;
-    const float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) acc += row[j] * x[j];
-    y[i] += acc;
-  }
+  ForEachTile<kRowTile>(rows, [&]<int kRows>(size_t i0) {
+    float acc[kRows];
+    RowDotTile<kRows>(
+        [&](int r) { return wd + (i0 + r) * static_cast<size_t>(cols); },
+        cols, x, 1, acc);
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) {
+      if (kAccum) {
+        y[i0 + r] += acc[r];
+      } else {
+        y[i0 + r] = acc[r];
+      }
+    }
+  });
+}
+
+}  // namespace
+
+void MatVec(const Matrix& w, const float* x, float* y) {
+  MatVecImpl<false>(w, x, y);
+}
+
+void MatVecAccum(const Matrix& w, const float* x, float* y) {
+  MatVecImpl<true>(w, x, y);
+}
+
+void MatVecRows(const Matrix& w, const float* x, int x_stride,
+                const int* rows, int nrows, float* y) {
+  const int cols = w.cols();
+  const float* wd = w.data();
+  ForEachTile<kRowTile>(static_cast<size_t>(nrows), [&]<int kRows>(size_t k0) {
+    float acc[kRows];
+    RowDotTile<kRows>(
+        [&](int r) { return wd + static_cast<size_t>(rows[k0 + r]) * cols; },
+        cols, x, static_cast<size_t>(x_stride), acc);
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) y[k0 + r] = acc[r];
+  });
 }
 
 namespace {
@@ -177,18 +229,6 @@ void OuterAccum(Matrix* dw, const float* dy, const float* x) {
   ForEachTile(static_cast<size_t>(c), [&]<int kWidth>(size_t j0) {
     OuterTile<kWidth>(wd, r, c, dy, x, j0);
   });
-}
-
-void SoftmaxInPlace(std::vector<float>* v) {
-  float mx = -1e30f;
-  for (float x : *v) mx = std::max(mx, x);
-  double sum = 0.0;
-  for (float& x : *v) {
-    x = std::exp(x - mx);
-    sum += x;
-  }
-  LSG_CHECK(sum > 0.0);
-  for (float& x : *v) x = static_cast<float>(x / sum);
 }
 
 Status TryCompactSoftmaxInPlace(float* v, size_t n) {

@@ -114,11 +114,22 @@ class ParamTensor {
   std::vector<ColumnRun> live_runs_;
 };
 
-/// y = W x  (y: rows, x: cols).
+/// y = W x  (y: rows, x: cols). The single-lane forward kernels (MatVec,
+/// MatVecAccum, MatVecRows) run fixed-width tiles of rows with one
+/// independent accumulator per row; each row still sums its products in
+/// ascending-j order from +0, so every output is bitwise the one-chain
+/// scalar dot product.
 void MatVec(const Matrix& w, const float* x, float* y);
 
-/// y += W x.
+/// y += W x. Each row's sum is computed first and added to y once.
 void MatVecAccum(const Matrix& w, const float* x, float* y);
+
+/// Gathered-row product: y[k] = (row rows[k] of W) . x for k < nrows, x
+/// read at the given stride (a feature-major panel column when
+/// x_stride > 1). Rows may repeat and come in any order; each y[k] is
+/// bitwise MatVec's entry for that row.
+void MatVecRows(const Matrix& w, const float* x, int x_stride,
+                const int* rows, int nrows, float* y);
 
 /// Batched matrix-matrix product over a feature-major activation panel:
 /// Y = W X, where X packs `batch` activation vectors lane-interleaved
@@ -127,7 +138,7 @@ void MatVecAccum(const Matrix& w, const float* x, float* y);
 /// makes the inner loop a stride-1 autovectorizable accumulate, while each
 /// lane's per-row sum still runs in ascending-j order — so every lane is
 /// bitwise-identical to a MatVec over its own vector. batch == 1 delegates
-/// to MatVec, which stays the differential oracle for the blocked path.
+/// to MatVec.
 void MatMat(const Matrix& w, const float* x_panel, int batch, float* y_panel);
 
 /// Y += W X, same panel layout as MatMat. The per-row tile sum is computed
@@ -146,9 +157,6 @@ void OuterAccum(Matrix* dw, const float* dy, const float* x);
 /// is one multiply then one add, as in the scalar loop, so the fixed-width
 /// vector tiles it runs in are bitwise-identical to it.
 void AxpyAccum(float a, const float* x, int n, float* y);
-
-/// Numerically stable in-place softmax.
-void SoftmaxInPlace(std::vector<float>* v);
 
 /// Softmax over an FSM mask's compacted logits: `v` holds only the masked
 /// entries, in ascending vocabulary order. In a full-vocabulary masked

@@ -17,6 +17,7 @@
 #include "nn/serialize.h"
 #include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
+#include "tests/scalar_forward_reference.h"
 
 namespace lsg {
 namespace {
@@ -81,7 +82,7 @@ TEST(MatrixTest, OuterAccum) {
 
 TEST(SoftmaxTest, SumsToOne) {
   std::vector<float> v = {1.f, 2.f, 3.f};
-  SoftmaxInPlace(&v);
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(v.data(), v.size()).ok());
   float sum = v[0] + v[1] + v[2];
   EXPECT_NEAR(sum, 1.f, 1e-6);
   EXPECT_GT(v[2], v[1]);
@@ -90,7 +91,7 @@ TEST(SoftmaxTest, SumsToOne) {
 
 TEST(SoftmaxTest, StableWithLargeLogits) {
   std::vector<float> v = {1000.f, 1001.f};
-  SoftmaxInPlace(&v);
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(v.data(), v.size()).ok());
   EXPECT_NEAR(v[0] + v[1], 1.f, 1e-6);
   EXPECT_FALSE(std::isnan(v[0]));
 }
@@ -154,8 +155,8 @@ TEST(CompactSoftmaxTest, MatchesDenseMaskedReferenceBitwise) {
 // ------------------------------------------------------- batched GEMM
 
 // Differential oracle for the blocked MatMat path: random ragged shapes,
-// every lane compared bitwise against a row-by-row MatVec over the same
-// vector. Any reassociation or contraction in the batched kernel fails
+// every lane compared bitwise against the scalar one-chain-per-row loop
+// over the same vector. Any reassociation or contraction in the batched kernel fails
 // this with exact-equality diffs.
 TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
   Rng rng(4242);
@@ -176,7 +177,7 @@ TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
         std::vector<float> y(rows);
         for (int b = 0; b < batch; ++b) {
           for (int j = 0; j < cols; ++j) x[j] = x_panel[j * batch + b];
-          MatVec(w, x.data(), y.data());
+          testing_ref::ScalarMatVec(w, x.data(), y.data());
           for (int i = 0; i < rows; ++i) {
             ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b])
                 << "B=" << batch << " r=" << rows << " c=" << cols
@@ -208,10 +209,81 @@ TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
       for (int i = 0; i < rows; ++i) {
         y[i] = y_ref_panel[static_cast<size_t>(i) * batch + b];
       }
-      MatVecAccum(w, x.data(), y.data());
+      testing_ref::ScalarMatVecAccum(w, x.data(), y.data());
       for (int i = 0; i < rows; ++i) {
         ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b])
             << "B=" << batch << " lane=" << b << " row=" << i;
+      }
+    }
+  }
+}
+
+// The single-lane forward kernels run tiles of rows (8, then 4, 2, 1) with
+// one accumulator per row. Every row-count split of the tile ladder, odd
+// column counts, strided and gathered inputs, and signed zeros and
+// subnormals in both operands are compared byte for byte against the
+// one-chain scalar loop: a reassociated row sum or a dropped tail tile
+// fails here.
+
+// Normal values with about one entry in six replaced by a signed zero or
+// a subnormal.
+void FillWithSpecials(Rng* rng, float* v, size_t n) {
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.f, -0.f, 1e-40f, -1e-40f, 3e-39f, -3e-39f, tiny};
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<float>(rng->Normal(0.0, 1.5));
+    if (rng->Next() % 6 == 0) v[i] = specials[rng->Next() % 7];
+  }
+}
+
+bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
+  Rng rng(2024);
+  std::vector<int> rows_set;
+  for (int r = 1; r <= 17; ++r) rows_set.push_back(r);
+  rows_set.push_back(120);
+  rows_set.push_back(121);
+  const int cols_set[] = {1, 7, 30, 33};
+  for (int rows : rows_set) {
+    for (int cols : cols_set) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " cols=" + std::to_string(cols));
+      Linear lin(cols, rows, &rng);
+      Matrix& w = lin.Params()[0]->value;
+      Matrix& b = lin.Params()[1]->value;
+      FillWithSpecials(&rng, w.data(), w.size());
+      FillWithSpecials(&rng, b.data(), b.size());
+      // x_stride 3 reads every third entry, like a panel column.
+      std::vector<float> x(static_cast<size_t>(cols) * 3);
+      FillWithSpecials(&rng, x.data(), x.size());
+
+      std::vector<float> y(rows, -7.f), y_ref(rows, -7.f);
+      MatVec(w, x.data(), y.data());
+      testing_ref::ScalarMatVec(w, x.data(), y_ref.data());
+      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatVec";
+
+      FillWithSpecials(&rng, y.data(), y.size());
+      y_ref = y;
+      MatVecAccum(w, x.data(), y.data());
+      testing_ref::ScalarMatVecAccum(w, x.data(), y_ref.data());
+      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatVecAccum";
+
+      // Unsorted gathered rows with repeats, up to 17 more than the layer
+      // has, so the gathered list splits at every tile edge too.
+      const int nrows = 1 + static_cast<int>(rng.Next() % (rows + 17));
+      std::vector<int> picked(nrows);
+      for (int& i : picked) i = static_cast<int>(rng.Next() % rows);
+      for (int stride : {1, 3}) {
+        std::vector<float> yr(nrows, -7.f), yr_ref(nrows, -7.f);
+        lin.ForwardRows(x.data(), stride, picked.data(), nrows, yr.data());
+        testing_ref::ScalarForwardRows(w, b.data(), x.data(), stride,
+                                       picked.data(), nrows, yr_ref.data());
+        ASSERT_TRUE(SameBytes(yr, yr_ref))
+            << "ForwardRows stride=" << stride << " nrows=" << nrows;
       }
     }
   }

@@ -659,6 +659,51 @@ TEST_F(LiveColumnTrainingTest, ActorCriticMatchesDenseOptimizerBitwise) {
   EXPECT_LT(live_cols, wx.value.cols());
 }
 
+// FNV-1a over the value bytes of every tensor, in Params() order.
+uint64_t HashParams(const std::vector<ParamTensor*>& params) {
+  uint64_t h = 1469598103934665603ull;
+  for (const ParamTensor* p : params) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p->value.data());
+    for (size_t i = 0; i < p->value.size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Pins the actor and critic parameters after each of six epochs of the
+// production trainer at the paper's 30 units. The replays above share
+// the production forward kernels with the trainer, so a reassociated dot
+// product would pass them; it changes these hashes. Recorded on
+// x86-64/glibc (the gate transcendentals come from libm).
+TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
+  auto env = MakeEnv();
+  TrainerOptions o = Options();
+  o.net.hidden_dim = 30;
+  ActorCriticTrainer trainer(env.get(), o);
+  std::vector<uint64_t> trace;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    ASSERT_TRUE(trainer.TrainEpoch().ok());
+    trace.push_back(HashParams(trainer.actor().Params()));
+    trace.push_back(HashParams(trainer.critic().Params()));
+  }
+  // Recorded at the commit before the row-tiled forward kernels.
+  const std::vector<uint64_t> expected = {
+      0x3546c7e7e1972b20ull, 0xbee91ad70c00925full,  // epoch 0: actor, critic
+      0xbc1318ca8d7e67d2ull, 0xbb5e5bacffccafa7ull,
+      0xeb2f15458d47c3f7ull, 0x06d94787bc1bb539ull,
+      0x4804f90ac602dbc9ull, 0xf8544bb23c863e0dull,
+      0xec5e0a28a461c2f2ull, 0xde741071bcacfe0bull,
+      0x5fa539251e06a69dull, 0x4b4a00caadd13545ull,
+  };
+  ASSERT_EQ(trace.size(), expected.size());
+  for (size_t k = 0; k < trace.size(); ++k) {
+    EXPECT_EQ(trace[k], expected[k])
+        << "epoch " << k / 2 << (k % 2 == 0 ? " actor" : " critic")
+        << " hash 0x" << std::hex << trace[k];
+  }
+}
+
 TEST_F(LiveColumnTrainingTest, ReinforceMatchesDenseOptimizerBitwise) {
   auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
   ReinforceTrainer trainer(env_t.get(), Options());
