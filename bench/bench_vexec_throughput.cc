@@ -2,7 +2,8 @@
 // Executor vs the columnar batch engine (src/vexec/) on the bundled
 // datasets at 1x / 100x / 1000x row scale and 1–8 morsel workers. Each
 // setting runs a fixed representative query mix — filtered scans, an FK
-// hash join, and a join + GROUP BY — built generically from the dataset's
+// hash join, and a join + GROUP BY on a string column, a DOUBLE column and
+// two columns — built generically from the dataset's
 // catalog so all three benchmarks exercise the same shapes. Cardinalities
 // are cross-checked between engines on every measurement.
 //
@@ -102,8 +103,19 @@ int GroupColumn(const Table& t) {
   return 0;
 }
 
+/// First DOUBLE column of `t`, or -1 when it has none.
+int DoubleColumn(const Table& t) {
+  for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+    if (t.schema().column(c).type == DataType::kDouble) {
+      return static_cast<int>(c);
+    }
+  }
+  return -1;
+}
+
 /// The representative mix, built from the catalog: two filtered scans over
-/// the largest table, the biggest FK hash join, and that join grouped.
+/// the largest table, the biggest FK hash join, and that join grouped on a
+/// string column, on a DOUBLE column, and on two columns.
 std::vector<BenchQuery> BuildQueries(const Database& db) {
   std::vector<BenchQuery> out;
   const int big = LargestTableIdx(db);
@@ -145,13 +157,18 @@ std::vector<BenchQuery> BuildQueries(const Database& db) {
       b.q.items = {SelectItem{AggFunc::kNone, ColumnRef{from, 0}}};
       out.push_back(std::move(b));
     }
-    {
+    const ColumnRef str_col{to, GroupColumn(db.tables()[to])};
+    const ColumnRef int_col{from, FilterColumn(db.tables()[from])};
+    const int dc = DoubleColumn(db.tables()[to]);
+    std::vector<std::pair<std::string, std::vector<ColumnRef>>> groupings = {
+        {"join_group", {str_col}}, {"join_group2", {str_col, int_col}}};
+    if (dc >= 0) groupings.push_back({"join_group_double", {{to, dc}}});
+    for (auto& [name, group_by] : groupings) {
       BenchQuery b;
-      b.name = "join_group";
+      b.name = name;
       b.q.tables = {from, to};
       b.q.items = {SelectItem{AggFunc::kCount, ColumnRef{from, 0}}};
-      const int gc = GroupColumn(db.tables()[to]);
-      b.q.group_by = {ColumnRef{to, gc}};
+      b.q.group_by = std::move(group_by);
       out.push_back(std::move(b));
     }
   }

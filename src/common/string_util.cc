@@ -91,7 +91,8 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 std::string FormatDouble(double v) {
-  if (v == static_cast<int64_t>(v) && std::abs(v) < 1e15) {
+  // Range check first: casting NaN, ±inf or |v| >= 2^63 is undefined.
+  if (std::abs(v) < 1e15 && v == static_cast<int64_t>(v)) {
     return StrFormat("%lld", static_cast<long long>(v));
   }
   // Shortest representation that parses back to the identical double, so

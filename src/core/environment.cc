@@ -27,8 +27,7 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       reward_(constraint),
       options_(options),
       fsm_(db, vocab, options.profile),
-      backend_(vexec::MakeBackend(options.execution_backend, db,
-                                  {.workers = options.vexec_workers})),
+      backend_(vexec::MakeBackend(options.execution_backend, db)),
       prefix_est_(estimator, cost_model),
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);

@@ -45,16 +45,13 @@ struct EnvironmentOptions {
   bool incremental_prefix_estimates = true;
 
   /// Which engine serves true-execution feedback (and MetricOf true-cost
-  /// runs): the reference Executor or the vectorized batch engine
-  /// (src/vexec/). Results are bitwise identical — the vectorized engine
-  /// is differentially tested against the reference on every fuzz episode
-  /// — so this is purely a throughput choice; vectorized is what makes
-  /// execution-grounded feedback affordable at 10⁵–10⁶-row scale.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kReference;
-
-  /// Morsel parallelism for the vectorized backend (including the calling
-  /// thread). Ignored by the reference backend.
-  int vexec_workers = 1;
+  /// runs): the vectorized batch engine (src/vexec/, the default, serial)
+  /// or the reference Executor. Cardinalities and ExecStats are bitwise
+  /// identical — the vectorized engine is differentially tested against
+  /// the reference on every fuzz episode — so this is purely a throughput
+  /// choice; vectorized is what makes execution-grounded feedback
+  /// affordable at 10⁵–10⁶-row scale.
+  ExecutionBackendKind execution_backend = ExecutionBackendKind::kVectorized;
 
   /// Optional compiled mask/transition table (fsm/compiled_fsm.h): mask
   /// lookups become indexed loads instead of grammar + semantic-rule

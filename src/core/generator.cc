@@ -51,7 +51,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() {
   env_opts.incremental_prefix_estimates =
       options_.incremental_prefix_estimates;
   env_opts.execution_backend = options_.execution_backend;
-  env_opts.vexec_workers = options_.vexec_workers;
   env_opts.compiled_fsm = options_.compiled_fsm;
   if (env_opts.compiled_fsm == nullptr && options_.use_compiled_fsm) {
     if (compiled_fsm_ == nullptr) {

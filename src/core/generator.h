@@ -31,12 +31,9 @@ struct LearnedSqlGenOptions {
   double true_feedback_tail = 0.0;
 
   /// Engine answering execution-grounded feedback — see
-  /// EnvironmentOptions::execution_backend. The vectorized engine makes
+  /// EnvironmentOptions::execution_backend. The vectorized default makes
   /// the true-feedback tail affordable on 10⁵–10⁶-row databases.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kReference;
-
-  /// Morsel parallelism for the vectorized backend.
-  int vexec_workers = 1;
+  ExecutionBackendKind execution_backend = ExecutionBackendKind::kVectorized;
 
   /// Training epochs (batched updates) per constraint.
   int train_epochs = 80;

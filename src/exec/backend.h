@@ -15,12 +15,14 @@ struct SelectResult;
 /// Which execution engine answers true-cardinality / true-cost queries.
 enum class ExecutionBackendKind {
   /// The tuple-at-a-time Executor (src/exec/executor.*). Permanent
-  /// correctness oracle — simple, scalar, always available.
+  /// correctness oracle — simple, scalar, always available; opt-in as a
+  /// production backend.
   kReference = 0,
-  /// The columnar batch engine (src/vexec/): morsel-parallel scans,
-  /// typed hash joins, vectorized predicates. Bitwise-equivalent results
-  /// (cardinality, first column, ExecStats) at 10–100× the throughput;
-  /// differentially tested against kReference on every fuzz episode.
+  /// The columnar batch engine (src/vexec/), the default: morsel-parallel
+  /// scans, typed hash joins, vectorized predicates, typed GROUP BY keys.
+  /// Bitwise-equivalent results (cardinality, first column, ExecStats) at
+  /// 10–100× the throughput; differentially tested against kReference on
+  /// every fuzz episode.
   kVectorized = 1,
 };
 

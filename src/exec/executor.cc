@@ -233,19 +233,23 @@ StatusOr<SelectResult> Executor::ExecuteSelect(
     return result;
   }
 
-  // GROUP BY: bucket tuples by the group key.
-  std::unordered_map<std::string, std::vector<uint32_t>> groups;
+  // GROUP BY: bucket tuples by the group key; groups are emitted in
+  // first-appearance (tuple) order.
+  std::unordered_map<std::string, size_t> group_index;
+  std::vector<std::vector<uint32_t>> groups;
   std::vector<Value> key_vals(q.group_by.size());
   for (size_t t = 0; t < ts.count; ++t) {
     for (size_t k = 0; k < q.group_by.size(); ++k) {
       key_vals[k] = TupleValue(ts, t, q.group_by[k]);
     }
-    groups[GroupKeyOf(key_vals)].push_back(static_cast<uint32_t>(t));
+    auto [it, inserted] =
+        group_index.try_emplace(GroupKeyOf(key_vals), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(static_cast<uint32_t>(t));
   }
 
   uint64_t passing = 0;
-  for (const auto& [key, rows] : groups) {
-    (void)key;
+  for (const std::vector<uint32_t>& rows : groups) {
     bool pass = true;
     if (q.having.has_value()) {
       std::vector<Value> col;

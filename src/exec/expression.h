@@ -36,10 +36,11 @@ bool LikeMatch(const std::string& text, const std::string& pattern);
 /// independent copy so exec-vs-ref still cross-checks aggregation.
 Value AggregateValues(AggFunc agg, const std::vector<Value>& values);
 
-/// Serialized GROUP BY key: rendered literals joined by 0x1f. Both
-/// execution backends must bucket by exactly this string so they induce
-/// the same partition (grouping by Value::Compare instead would merge
-/// values whose literals differ, e.g. across numeric type ranks).
+/// Serialized GROUP BY key: rendered literals joined by 0x1f. The
+/// reference Executor buckets by exactly this string; the vectorized
+/// engine's typed keys reproduce its partition (grouping by
+/// Value::Compare instead would merge values whose literals differ, e.g.
+/// across numeric type ranks). See DESIGN.md §6j for the classes.
 std::string GroupKeyOf(const std::vector<Value>& vals);
 
 }  // namespace lsg

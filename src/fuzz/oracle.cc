@@ -172,9 +172,10 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
   // vector. OutOfRange means both engines hit their (shared) join cap.
   if (options_.check_vexec) {
     if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-      // SELECTs compare the fully materialized first column, not just the
-      // cardinality — a corrupted join that matches the *wrong* rows with
-      // the right multiplicity is invisible to counts alone.
+      // SELECTs compare the fully materialized first column position by
+      // position, not just the cardinality — a corrupted join that matches
+      // the *wrong* rows with the right multiplicity is invisible to counts
+      // alone — and the ExecStats work meters.
       auto rv = vexec_.ExecuteSelect(*ast.select, true);
       auto rr = exec_.ExecuteSelect(*ast.select, true);
       if (!rv.ok() || !rr.ok()) {
@@ -192,6 +193,28 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
             StrFormat("vectorized=%llu reference=%llu sql=",
                       static_cast<unsigned long long>(rv->cardinality),
                       static_cast<unsigned long long>(rr->cardinality)) +
+                sql};
+      } else if (rv->first_column.size() != rr->first_column.size()) {
+        return OracleViolation{
+            "vexec",
+            StrFormat("first column has %zu rows vectorized, %zu reference "
+                      "sql=",
+                      rv->first_column.size(), rr->first_column.size()) +
+                sql};
+      } else if (rv->stats.rows_scanned != rr->stats.rows_scanned ||
+                 rv->stats.rows_joined != rr->stats.rows_joined ||
+                 rv->stats.rows_probed != rr->stats.rows_probed ||
+                 rv->stats.rows_output != rr->stats.rows_output) {
+        // CostModel::TrueCost prices cost-constraint feedback from these.
+        return OracleViolation{
+            "vexec",
+            StrFormat("exec stats diverged (scanned/joined/probed/output): "
+                      "vectorized=%.17g/%.17g/%.17g/%.17g "
+                      "reference=%.17g/%.17g/%.17g/%.17g sql=",
+                      rv->stats.rows_scanned, rv->stats.rows_joined,
+                      rv->stats.rows_probed, rv->stats.rows_output,
+                      rr->stats.rows_scanned, rr->stats.rows_joined,
+                      rr->stats.rows_probed, rr->stats.rows_output) +
                 sql};
       } else {
         for (size_t i = 0; i < rr->first_column.size(); ++i) {

@@ -1,6 +1,9 @@
 #include "vexec/vectorized_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -45,6 +48,188 @@ struct JoinChunk {
   size_t count = 0;
   bool exceeded = false;
 };
+
+/// Canonical 64-bit image of a DOUBLE group-key cell. The reference
+/// engine's string key (GroupKeyOf -> FormatDouble) is injective up to
+/// `==`, except that a NaN prints only its sign ("nan" / "-nan"): so -0.0
+/// joins +0.0, and all NaNs of one sign are one group.
+uint64_t CanonicalDoubleBits(double d) {
+  if (d == 0.0) {
+    d = 0.0;
+  } else if (std::isnan(d)) {
+    d = std::copysign(std::numeric_limits<double>::quiet_NaN(), d);
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Tuples bucketed by GROUP BY key: group g's tuples are
+/// members[start[g] .. start[g + 1]), ascending; groups are numbered in
+/// first-appearance (tuple) order.
+struct Grouping {
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> members;
+
+  size_t num_groups() const { return start.size() - 1; }
+};
+
+/// SplitMix64 finalizer.
+inline uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// One GROUP BY column resolved against the chain: its backing arrays
+/// and the chain's row ids for its table.
+struct KeyColumn {
+  const Column* col;
+  const uint32_t* rows;
+
+  bool Valid(uint32_t r) const { return col->all_valid() || !col->IsNull(r); }
+
+  /// Hints the cache that tuple t's cell is about to be read.
+  void Prefetch(size_t t) const {
+    const uint32_t r = rows[t];
+    switch (col->type()) {
+      case DataType::kInt64:
+        __builtin_prefetch(col->ints().data() + r);
+        break;
+      case DataType::kDouble:
+        __builtin_prefetch(col->doubles().data() + r);
+        break;
+      case DataType::kString:
+      case DataType::kCategorical:
+        __builtin_prefetch(col->strings().data() + r);
+        break;
+    }
+  }
+
+  /// 64-bit image of tuple t's cell, equal for cells of one GroupKeyOf
+  /// class (Same).
+  uint64_t CellHash(size_t t) const {
+    const uint32_t r = rows[t];
+    if (!Valid(r)) return 0x6a09e667f3bcc909ull;
+    switch (col->type()) {
+      case DataType::kInt64:
+        return static_cast<uint64_t>(col->ints()[r]);
+      case DataType::kDouble:
+        return CanonicalDoubleBits(col->doubles()[r]);
+      case DataType::kString:
+      case DataType::kCategorical:
+        return std::hash<std::string>{}(col->strings()[r]);
+    }
+    return 0;
+  }
+
+  /// True when tuples t and u fall in the same GroupKeyOf class on this
+  /// column: both NULL, or equal INT64s / canonical DOUBLEs / strings.
+  bool Same(size_t t, size_t u) const {
+    const uint32_t a = rows[t], b = rows[u];
+    const bool va = Valid(a), vb = Valid(b);
+    if (va != vb) return false;
+    if (!va) return true;
+    switch (col->type()) {
+      case DataType::kInt64:
+        return col->ints()[a] == col->ints()[b];
+      case DataType::kDouble:
+        return CanonicalDoubleBits(col->doubles()[a]) ==
+               CanonicalDoubleBits(col->doubles()[b]);
+      case DataType::kString:
+      case DataType::kCategorical:
+        return col->strings()[a] == col->strings()[b];
+    }
+    return false;
+  }
+};
+
+/// Typed GROUP BY over the Column backing arrays, in two passes. Pass one
+/// hashes every tuple's key column by column (tight loops over the row id
+/// arrays). Pass two finds each tuple's group in an open-addressing table
+/// of (hash, group) slots, prefetching a few tuples ahead, and rechecks a
+/// hash match cell by cell against the group's first tuple with
+/// KeyColumn::Same — the GroupKeyOf classes, so both engines induce the
+/// same partition. A key column whose table is not in the chain is
+/// NULL for every tuple, so it never splits a group and is left out.
+Grouping GroupTuples(const Database& db, const TupleSetV& ts,
+                     const std::vector<ColumnRef>& group_by) {
+  std::vector<KeyColumn> keys;
+  for (const ColumnRef& c : group_by) {
+    const size_t pos = ts.ChainPos(c.table_idx);
+    if (pos == ts.tables.size()) continue;
+    keys.push_back({&db.tables()[c.table_idx].column(c.column_idx),
+                    ts.cols[pos].data()});
+  }
+
+  // Prefetch distance for the random cell and slot reads, as in the join
+  // probe: far enough ahead to hide a miss, near enough to stay cached.
+  constexpr size_t kPrefetchDist = 16;
+  std::vector<uint64_t> hash(ts.count, 0x9e3779b97f4a7c15ull);
+  for (const KeyColumn& k : keys) {
+    for (size_t t = 0; t < ts.count; ++t) {
+      if (t + kPrefetchDist < ts.count) k.Prefetch(t + kPrefetchDist);
+      hash[t] = Mix64(hash[t] ^ k.CellHash(t));
+    }
+  }
+
+  struct Slot {
+    uint64_t hash;
+    int64_t group;  // -1 = empty
+  };
+  std::vector<Slot> slots(1024, Slot{0, -1});
+  size_t mask = slots.size() - 1;
+  std::vector<uint32_t> first;  // per group: its first tuple
+  std::vector<uint32_t> group_of(ts.count);
+  for (size_t t = 0; t < ts.count; ++t) {
+    if (t + kPrefetchDist < ts.count) {
+      __builtin_prefetch(slots.data() + (hash[t + kPrefetchDist] & mask));
+      for (const KeyColumn& k : keys) k.Prefetch(t + kPrefetchDist);
+    }
+    const uint64_t h = hash[t];
+    size_t s = h & mask;
+    int64_t g;
+    while ((g = slots[s].group) >= 0 &&
+           (slots[s].hash != h ||
+            !std::all_of(keys.begin(), keys.end(), [&](const KeyColumn& k) {
+              return k.Same(t, first[g]);
+            }))) {
+      s = (s + 1) & mask;
+    }
+    if (g < 0) {  // first appearance: open a new group
+      g = static_cast<int64_t>(first.size());
+      first.push_back(static_cast<uint32_t>(t));
+      slots[s] = Slot{h, g};
+      if (first.size() * 2 > slots.size()) {  // keep load below 1/2
+        std::vector<Slot> old(slots.size() * 2, Slot{0, -1});
+        old.swap(slots);
+        mask = slots.size() - 1;
+        for (const Slot& o : old) {
+          if (o.group < 0) continue;
+          size_t j = o.hash & mask;
+          while (slots[j].group >= 0) j = (j + 1) & mask;
+          slots[j] = o;
+        }
+      }
+    }
+    group_of[t] = static_cast<uint32_t>(g);
+  }
+
+  // Counting sort by group id: stable, so each group keeps tuple order.
+  const size_t num_groups = first.size();
+  Grouping out;
+  out.start.assign(num_groups + 1, 0);
+  for (size_t t = 0; t < ts.count; ++t) ++out.start[group_of[t] + 1];
+  for (size_t g = 0; g < num_groups; ++g) {
+    out.start[g + 1] += out.start[g];
+  }
+  out.members.resize(ts.count);
+  std::vector<uint32_t> fill(out.start.begin(), out.start.end() - 1);
+  for (size_t t = 0; t < ts.count; ++t) {
+    out.members[fill[group_of[t]]++] = static_cast<uint32_t>(t);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -537,24 +722,17 @@ StatusOr<SelectResult> VectorizedEngine::ExecuteSelect(
     return result;
   }
 
-  std::unordered_map<std::string, std::vector<uint32_t>> groups;
-  std::vector<Value> key_vals(q.group_by.size());
-  for (size_t t = 0; t < ts.count; ++t) {
-    for (size_t k = 0; k < q.group_by.size(); ++k) {
-      key_vals[k] = TupleValue(ts, t, q.group_by[k]);
-    }
-    groups[GroupKeyOf(key_vals)].push_back(static_cast<uint32_t>(t));
-  }
-
+  const Grouping groups = GroupTuples(*db_, ts, q.group_by);
   uint64_t passing = 0;
-  for (const auto& [key, rows] : groups) {
-    (void)key;
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    const uint32_t* rows = groups.members.data() + groups.start[g];
+    const size_t n = groups.start[g + 1] - groups.start[g];
     bool pass = true;
     if (q.having.has_value()) {
       std::vector<Value> col;
-      col.reserve(rows.size());
-      for (uint32_t t : rows) {
-        col.push_back(TupleValue(ts, t, q.having->column));
+      col.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        col.push_back(TupleValue(ts, rows[i], q.having->column));
       }
       Value agg = AggregateValues(q.having->agg, col);
       pass = CompareValues(agg, q.having->op, q.having->value);
@@ -567,8 +745,10 @@ StatusOr<SelectResult> VectorizedEngine::ExecuteSelect(
         result.first_column.push_back(TupleValue(ts, rows[0], item.column));
       } else {
         std::vector<Value> col;
-        col.reserve(rows.size());
-        for (uint32_t t : rows) col.push_back(TupleValue(ts, t, item.column));
+        col.reserve(n);
+        for (size_t i = 0; i < n; ++i) {
+          col.push_back(TupleValue(ts, rows[i], item.column));
+        }
         result.first_column.push_back(AggregateValues(item.agg, col));
       }
     }

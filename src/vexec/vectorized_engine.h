@@ -54,12 +54,14 @@ struct VexecOptions {
 ///     tuple order (and therefore every order-sensitive double
 ///     accumulation downstream) matches the reference engine exactly.
 ///
-/// The sequential tail (GROUP BY / HAVING / aggregate collapse) reuses the
-/// shared AggregateValues/GroupKeyOf helpers, running over the small
-/// post-filter tuple set. The Executor stays the permanent correctness
-/// oracle: tests/vexec_test.cc sweeps both engines differentially over
-/// every bundled dataset and `lsgfuzz --oracle vexec` cross-checks every
-/// fuzz episode.
+/// The sequential tail groups on typed keys read straight from the
+/// Column arrays, with the same equivalence classes as the reference
+/// engine's printed GroupKeyOf keys and the same first-appearance group
+/// order; HAVING and aggregates reuse the shared AggregateValues over each
+/// group's tuples in tuple order. The Executor stays the permanent
+/// correctness oracle: tests/vexec_test.cc sweeps both engines
+/// differentially over every bundled dataset and `lsgfuzz --oracle vexec`
+/// cross-checks every fuzz episode.
 ///
 /// One instance answers one query at a time (the ExecutionBackend
 /// contract); distinct instances are independent.

@@ -1,15 +1,19 @@
 // Vectorized execution engine suite: batch/selection-vector boundary
-// cases, NULL and duplicate join keys, aggregation edges, the MorselPool
-// dispatcher, mutation testing of the vexec lockstep oracle, the
+// cases, NULL and duplicate join keys, aggregation edges, GROUP BY key
+// equivalence classes and group order, the MorselPool dispatcher,
+// mutation testing of the vexec lockstep oracle, the
 // work-meter regressions of the reference evaluator, and a randomized
 // differential sweep (vectorized vs. reference executor, bitwise) over
 // every bundled dataset.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,6 +259,191 @@ TEST(VexecBoundaryTest, MatchRowsAgreesOnEmptyAndNonEmptyWhere) {
   b = vec.MatchRows(fact, w);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+// ------------------------------------------------------ GROUP BY keys
+
+/// The cells whose GROUP BY equivalence classes are easy to get wrong.
+/// Keys(id, d DOUBLE, i INT64, s STRING, a STRING, b STRING, v DOUBLE)
+/// cycles each list over 60 rows, so every cell repeats; `a`/`b` cycle
+/// together as fixed pairs. Other(id, w STRING) is never joined: a GROUP
+/// BY on Other.w names a table outside the chain. Bundled datasets hold
+/// no -0.0 or NaN, so only these tables reach those classes.
+Database BuildGroupKeyDb() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> doubles = {
+      Value(-0.0),
+      Value(0.0),
+      Value(nan),
+      Value(-nan),
+      Value(std::bit_cast<double>(uint64_t{0x7ff8000000000123})),  // payload
+      Value(std::bit_cast<double>(uint64_t{0xfff8000000000456})),
+      Value(inf),
+      Value(-inf),
+      Value(1e15 - 1),
+      Value(1e15),
+      Value(1e15 + 1),
+      Value(3.0),
+      Value(2.5),
+      Value(0.1),
+      Value::Null()};
+  const std::vector<Value> ints = {
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(int64_t{0}),
+      Value(int64_t{-1}),
+      Value(int64_t{1}),
+      Value::Null()};
+  const std::vector<Value> strings = {
+      Value("'"),    Value("''"),   Value("a'b"),  Value("\x1f"),
+      Value("a\x1f"), Value(""),     Value("NULL"), Value::Null(),
+      Value("x"),    Value("\x01"),
+      Value(std::string("n\0x", 3)),  // differ after an embedded NUL
+      Value(std::string("n\0y", 3))};
+  const std::vector<std::pair<Value, Value>> pairs = {
+      {Value("ab"), Value("c")},         {Value("a"), Value("bc")},
+      {Value("a\x01"), Value("b")},      {Value("a"), Value("\x01" "b")},
+      {Value(""), Value::Null()},        {Value::Null(), Value("")},
+      {Value("'"), Value("'")},          {Value("''"), Value("")},
+      {Value("a\x1f"), Value("b")},      {Value("a"), Value("\x1f" "b")}};
+
+  Database db;
+  {
+    TableSchema s("Keys");
+    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, false}));
+    LSG_CHECK_OK(s.AddColumn({"d", DataType::kDouble, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"i", DataType::kInt64, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"s", DataType::kString, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"a", DataType::kString, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"b", DataType::kString, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"v", DataType::kDouble, false, false}));
+    Table t(std::move(s));
+    for (size_t r = 0; r < 60; ++r) {
+      LSG_CHECK_OK(t.AppendRow(
+          {Value(static_cast<int64_t>(r)), doubles[r % doubles.size()],
+           ints[r % ints.size()], strings[r % strings.size()],
+           pairs[r % pairs.size()].first, pairs[r % pairs.size()].second,
+           Value(static_cast<double>(r) * 0.25)}));
+    }
+    LSG_CHECK_OK(db.AddTable(std::move(t)));
+  }
+  {
+    TableSchema s("Other");
+    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, false}));
+    LSG_CHECK_OK(s.AddColumn({"w", DataType::kString, false, false}));
+    Table t(std::move(s));
+    LSG_CHECK_OK(t.AppendRow({Value(int64_t{0}), Value("w0")}));
+    LSG_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value("w1")}));
+    LSG_CHECK_OK(db.AddTable(std::move(t)));
+  }
+  return db;
+}
+
+TEST(VexecGroupKeyTest, EquivalenceClassesMatchReference) {
+  Database db = BuildGroupKeyDb();
+  const int keys = db.catalog().FindTable("Keys");
+  const int other = db.catalog().FindTable("Other");
+  const ColumnRef id{keys, 0}, d{keys, 1}, i{keys, 2}, s{keys, 3};
+  const ColumnRef a{keys, 4}, b{keys, 5}, v{keys, 6}, w{other, 1};
+  // GROUP BY lists and their group counts, derived from how GroupKeyOf
+  // prints each cell: -0.0 = +0.0 and NaNs split by sign only (12 DOUBLE
+  // classes out of 15 cells); every INT64 and STRING cell is its own
+  // class (NULL apart from 0, the string 'NULL' and the empty string, and
+  // strings that differ after an embedded NUL apart); quoting keeps the
+  // two-column pairs apart; a column outside the chain is NULL throughout.
+  const std::vector<std::pair<std::vector<ColumnRef>, uint64_t>> cases = {
+      {{d}, 12},    {{i}, 6},       {{s}, 12},       {{a, b}, 10},
+      {{b, a}, 10}, {{w}, 1},       {{w, i}, 6},     {{i, w}, 6},
+      {{a}, 8},     {{d, i}, 30},   {{d, i, s}, 60}, {{s, d}, 60}};
+  // HAVING variants: none; MIN(id) >= 1, which drops exactly the group of
+  // row 0; SUM(v) > 20, a DOUBLE accumulation over each group.
+  const std::vector<std::optional<HavingClause>> havings = {
+      std::nullopt,
+      HavingClause{AggFunc::kMin, id, CompareOp::kGe, Value(int64_t{1})},
+      HavingClause{AggFunc::kSum, v, CompareOp::kGt, Value(20.0)}};
+  ReferenceEvaluator oracle(&db);
+  for (const auto& [group_by, groups] : cases) {
+    for (AggFunc agg : {AggFunc::kNone, AggFunc::kSum, AggFunc::kCount}) {
+      for (size_t h = 0; h < havings.size(); ++h) {
+        SelectQuery q;
+        q.tables = {keys};
+        SelectItem item;
+        item.agg = agg;
+        item.column = agg == AggFunc::kNone ? group_by[0] : v;
+        q.items.push_back(item);
+        q.group_by = group_by;
+        q.having = havings[h];
+        SCOPED_TRACE(RenderSelect(q, db.catalog()));
+        ExpectSelectAgrees(db, q);
+        ExpectSelectAgrees(db, q, /*workers=*/3);
+        Executor ref(&db);
+        VectorizedEngine vec(&db, VexecOptions{.workers = 3});
+        auto rr = ref.ExecuteSelect(q, false);
+        auto rv = vec.ExecuteSelect(q, false);
+        auto ro = oracle.EvalSelect(q);
+        ASSERT_TRUE(rr.ok() && rv.ok() && ro.ok());
+        EXPECT_EQ(rv->cardinality, ro->cardinality);
+        EXPECT_EQ(rr->cardinality, ro->cardinality);
+        if (h == 0) {
+          EXPECT_EQ(rv->cardinality, groups);
+        } else if (h == 1) {
+          EXPECT_EQ(rv->cardinality, groups - 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(VexecGroupKeyTest, GroupsEmitInFirstAppearanceOrder) {
+  // Keys 5, 3, 5, 1, 3, 9, 1, 5: groups 5, 3, 1, 9 in that order, each
+  // aggregating its tuples in tuple order.
+  Database db = BuildJoinDb(/*fact_keys=*/{5, 3, 5, 1, 3, 9, 1, 5},
+                            /*dim_ids=*/{1, 3, 5, 9});
+  const int fact = db.catalog().FindTable("Fact");
+  SelectQuery q = SelectAll(fact, /*item_col=*/1);
+  q.group_by.push_back({fact, 1});
+  SelectQuery count = SelectAll(fact, /*item_col=*/0);
+  count.items[0].agg = AggFunc::kCount;
+  count.group_by.push_back({fact, 1});
+  const std::vector<int64_t> want_keys = {5, 3, 1, 9};
+  const std::vector<int64_t> want_counts = {3, 2, 2, 1};
+  Executor ref(&db);
+  VectorizedEngine vec(&db);
+  for (const ExecutionBackend* engine :
+       {static_cast<const ExecutionBackend*>(&ref),
+        static_cast<const ExecutionBackend*>(&vec)}) {
+    SCOPED_TRACE(engine->name());
+    auto keys = engine->ExecuteSelect(q, true);
+    auto counts = engine->ExecuteSelect(count, true);
+    ASSERT_TRUE(keys.ok() && counts.ok());
+    ASSERT_EQ(keys->first_column.size(), want_keys.size());
+    ASSERT_EQ(counts->first_column.size(), want_counts.size());
+    for (size_t g = 0; g < want_keys.size(); ++g) {
+      EXPECT_EQ(keys->first_column[g].as_int(), want_keys[g]) << g;
+      EXPECT_EQ(counts->first_column[g].as_int(), want_counts[g]) << g;
+    }
+  }
+}
+
+TEST(VexecGroupKeyTest, ManyGroupsAcrossBatches) {
+  // 3 batches of tuples over 1500 distinct keys: the group table grows
+  // several times and every group spans batches.
+  std::vector<int64_t> keys(3 * kBatchSize);
+  for (size_t t = 0; t < keys.size(); ++t) {
+    keys[t] = static_cast<int64_t>((t * 7919) % 1500);
+  }
+  Database db = BuildJoinDb(keys, /*dim_ids=*/{0});
+  const int fact = db.catalog().FindTable("Fact");
+  SelectQuery q = SelectAll(fact, /*item_col=*/2);
+  q.items[0].agg = AggFunc::kSum;
+  q.group_by.push_back({fact, 1});
+  ExpectSelectAgrees(db, q);
+  ExpectSelectAgrees(db, q, /*workers=*/3);
+  VectorizedEngine vec(&db);
+  auto r = vec.ExecuteSelect(q, false);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->cardinality, 1500u);
 }
 
 // ------------------------------------------------------------ hash table
