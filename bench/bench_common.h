@@ -132,14 +132,11 @@ inline std::vector<Constraint> PaperRangeGrid(ConstraintMetric metric,
 }
 
 /// A fresh environment for baselines or rollouts under constraint `c`.
-/// Pass a FeedbackCache to share memoized estimates across environments
-/// (e.g. the meta-critic's per-task rollout envs over one database).
-inline std::unique_ptr<SqlGenEnvironment> MakeEnv(
-    DatasetContext* ctx, const Constraint& c, QueryProfile profile,
-    FeedbackCache* feedback_cache = nullptr) {
+inline std::unique_ptr<SqlGenEnvironment> MakeEnv(DatasetContext* ctx,
+                                                  const Constraint& c,
+                                                  QueryProfile profile) {
   EnvironmentOptions eo;
   eo.profile = profile;
-  eo.feedback_cache = feedback_cache;
   return std::make_unique<SqlGenEnvironment>(
       &ctx->db, &ctx->gen->vocab(), &ctx->gen->estimator(),
       &ctx->gen->cost_model(), c, eo);

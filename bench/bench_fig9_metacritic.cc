@@ -55,15 +55,10 @@ void Run() {
                                          dom.lo + (i + 1.5) * w));
   }
 
-  // One feedback cache shared across every rollout environment: the 10
-  // pre-training tasks and the held-out adaptation envs all estimate over
-  // the same immutable XueTang stats, so memoized estimates carry over.
-  FeedbackCache feedback_cache;
-
   std::vector<std::unique_ptr<SqlGenEnvironment>> task_envs;
   std::vector<Environment*> task_env_ptrs;
   for (const Constraint& c : tasks) {
-    task_envs.push_back(MakeEnv(&ctx, c, opts.profile, &feedback_cache));
+    task_envs.push_back(MakeEnv(&ctx, c, opts.profile));
     task_env_ptrs.push_back(task_envs.back().get());
   }
 
@@ -112,7 +107,7 @@ void Run() {
   double sc_time = 0, ax_time = 0, mc_time = 0;
   for (size_t hi = 0; hi < held_out.size(); ++hi) {
     const Constraint& c = held_out[hi];
-    auto env = MakeEnv(&ctx, c, opts.profile, &feedback_cache);
+    auto env = MakeEnv(&ctx, c, opts.profile);
 
     // Scratch.
     Stopwatch sw;

@@ -4,6 +4,7 @@
 // training epochs, and vocabulary construction.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
-#include "optimizer/feedback_cache.h"
 #include "rl/actor_critic_trainer.h"
 #include "rl/policy_network.h"
 
@@ -211,15 +211,12 @@ void BM_CostEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_CostEstimate);
 
-// --- feedback plumbing: cache + incremental prefix estimates ------------
+// --- feedback plumbing: incremental prefix estimates ---------------------
 //
-// The three BM_EnvEpisode* variants replay the same recorded episodes
-// (a repeated-constraint workload: identical queries recur across
-// iterations) through a SqlGenEnvironment, isolating how the per-step
-// feedback is computed:
-//   FullEstimates        every step re-walks the whole AST
-//   CachedEstimates      AST-fingerprint cache in front of the full walk
-//   IncrementalEstimates O(1) running prefix state (the default)
+// BM_EnvEpisodeIncrementalEstimates replays recorded episodes through a
+// SqlGenEnvironment, whose per-step estimator feedback on a SELECT prefix
+// is the O(1) PrefixEstimator update. BM_FeedbackRepeatedFull prices the
+// full AST walk it replaces on the same queries.
 
 const std::vector<std::vector<int>>& RecordedEpisodes() {
   static const std::vector<std::vector<int>>* kEpisodes = [] {
@@ -240,14 +237,11 @@ const std::vector<std::vector<int>>& RecordedEpisodes() {
   return *kEpisodes;
 }
 
-void EnvEpisodeBench(benchmark::State& state, bool incremental, bool cached) {
+void BM_EnvEpisodeIncrementalEstimates(benchmark::State& state) {
   MicroFixture& f = Fixture();
   const auto& episodes = RecordedEpisodes();
-  FeedbackCache cache;
   EnvironmentOptions eo;
   eo.profile = QueryProfile::Full();  // matches RecordedEpisodes()
-  eo.incremental_prefix_estimates = incremental;
-  eo.feedback_cache = cached ? &cache : nullptr;
   SqlGenEnvironment env(&f.db, &*f.vocab, f.est.get(), f.cost.get(),
                         Constraint::Range(ConstraintMetric::kCardinality, 5,
                                           1000000),
@@ -266,24 +260,10 @@ void EnvEpisodeBench(benchmark::State& state, bool incremental, bool cached) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
-
-void BM_EnvEpisodeFullEstimates(benchmark::State& state) {
-  EnvEpisodeBench(state, /*incremental=*/false, /*cached=*/false);
-}
-BENCHMARK(BM_EnvEpisodeFullEstimates);
-
-void BM_EnvEpisodeCachedEstimates(benchmark::State& state) {
-  EnvEpisodeBench(state, /*incremental=*/false, /*cached=*/true);
-}
-BENCHMARK(BM_EnvEpisodeCachedEstimates);
-
-void BM_EnvEpisodeIncrementalEstimates(benchmark::State& state) {
-  EnvEpisodeBench(state, /*incremental=*/true, /*cached=*/false);
-}
 BENCHMARK(BM_EnvEpisodeIncrementalEstimates);
 
-// The feedback computation alone (no FSM / policy overhead) on the same
-// repeated workload: what MetricOf costs without and with the cache.
+// The full-walk feedback computation alone (no FSM / policy overhead) on
+// the completed queries of the same episodes.
 
 const std::vector<QueryAst>& RecordedAsts() {
   static const std::vector<QueryAst>* kAsts = [] {
@@ -311,52 +291,6 @@ void BM_FeedbackRepeatedFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeedbackRepeatedFull);
-
-void BM_FeedbackRepeatedCached(benchmark::State& state) {
-  MicroFixture& f = Fixture();
-  const auto& asts = RecordedAsts();
-  FeedbackCache cache;
-  size_t i = 0;
-  for (auto _ : state) {
-    const QueryAst& ast = asts[i++ % asts.size()];
-    uint64_t key = cache.Key(ast, FeedbackKind::kCardinality);
-    std::optional<double> hit = cache.Lookup(key);
-    if (!hit.has_value()) {
-      hit = f.est->EstimateCardinality(ast);
-      cache.Insert(key, *hit);
-    }
-    benchmark::DoNotOptimize(*hit);
-  }
-}
-BENCHMARK(BM_FeedbackRepeatedCached);
-
-// Raw cache path: fingerprint + lookup of a warm entry. Compare against
-// BM_CardinalityEstimate (the full walk a hit avoids).
-void BM_FeedbackCacheHit(benchmark::State& state) {
-  MicroFixture& f = Fixture();
-  QueryAst ast;
-  ast.type = QueryType::kSelect;
-  ast.select = std::make_unique<SelectQuery>();
-  int li = f.db.catalog().FindTable("lineitem");
-  ast.select->tables = {li, f.db.catalog().FindTable("orders")};
-  ast.select->items.push_back({AggFunc::kNone, {li, 0}});
-  Predicate p;
-  p.column = {li, 4};
-  p.op = CompareOp::kLt;
-  p.value = Value(int64_t{25});
-  ast.select->where.predicates.push_back(std::move(p));
-
-  FeedbackCache cache;
-  cache.Insert(cache.Key(ast, FeedbackKind::kCardinality),
-               f.est->EstimateCardinality(ast));
-  for (auto _ : state) {
-    uint64_t key = cache.Key(ast, FeedbackKind::kCardinality);
-    auto hit = cache.Lookup(key);
-    LSG_CHECK(hit.has_value());
-    benchmark::DoNotOptimize(*hit);
-  }
-}
-BENCHMARK(BM_FeedbackCacheHit);
 
 void BM_LstmStepOneHot(benchmark::State& state) {
   MicroFixture& f = Fixture();

@@ -51,7 +51,7 @@ std::unique_ptr<BatchDecoder::Lane> BatchDecoder::StartItem(
   if (snap_->trace != nullptr) item->report.trace = *snap_->trace;
   auto env = std::make_unique<SqlGenEnvironment>(
       snap_->db, snap_->vocab, snap_->estimator, snap_->cost_model,
-      snap_->constraint, snap_->env_opts);
+      item->constraint, snap_->env_opts);
   auto lane = std::make_unique<Lane>(item, std::move(env));
   // Zero-work items (n <= 0) finish before their first episode, exactly
   // like the sequential loops whose conditions never admit an attempt.

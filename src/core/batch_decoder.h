@@ -9,10 +9,16 @@
 namespace lsg {
 
 /// One generation request inside a decode batch. Inputs mirror the service
-/// request (n, batch-vs-satisfied semantics, the request's RNG stream);
-/// outputs land in `status`/`report` when the item retires, and `rng` is
-/// left advanced past every draw the item made.
+/// request (constraint, n, batch-vs-satisfied semantics, the request's RNG
+/// stream); outputs land in `status`/`report` when the item retires, and
+/// `rng` is left advanced past every draw the item made.
 struct BatchDecodeItem {
+  /// The constraint this request's queries are judged against (satisfied
+  /// flags, the report's count, the satisfied-mode stopping point). The
+  /// snapshot's model may have been trained for another constraint of the
+  /// same registry bucket; the policy never reads it, so only the judging
+  /// follows the request.
+  Constraint constraint;
   int n = 0;
   /// true → GenerateBatch semantics (exactly n attempts, keep everything);
   /// false → GenerateSatisfied semantics (until n satisfied or the

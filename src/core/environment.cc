@@ -93,18 +93,9 @@ double SqlGenEnvironment::MetricOf(const QueryAst& ast) const {
     // priced by measurement).
     return cost_model_->EstimateCost(ast);
   }
-  const bool card =
-      reward_.constraint().metric == ConstraintMetric::kCardinality;
-  if (FeedbackCache* cache = options_.feedback_cache) {
-    const uint64_t key = cache->Key(
-        ast, card ? FeedbackKind::kCardinality : FeedbackKind::kCost);
-    if (std::optional<double> hit = cache->Lookup(key)) return *hit;
-    double m = card ? estimator_->EstimateCardinality(ast)
-                    : cost_model_->EstimateCost(ast);
-    cache->Insert(key, m);
-    return m;
+  if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
+    return estimator_->EstimateCardinality(ast);
   }
-  if (card) return estimator_->EstimateCardinality(ast);
   return cost_model_->EstimateCost(ast);
 }
 
@@ -130,12 +121,9 @@ void SqlGenEnvironment::RecordFeedbackGap(const QueryAst& ast,
 double SqlGenEnvironment::StepMetric() {
   const QueryAst& ast = fsm_.builder().ast();
   if (options_.feedback != FeedbackSource::kEstimator ||
-      !options_.incremental_prefix_estimates ||
       ast.type != QueryType::kSelect || ast.select == nullptr) {
     return MetricOf(ast);
   }
-  // Incremental path: the running per-episode state makes this O(1) in the
-  // query size, so it skips the cache (a hit would not be cheaper).
   ++feedback_calls_;
   obs::ScopedHistogramTimer timer(
       obs::Enabled()

@@ -9,7 +9,7 @@
 #include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "optimizer/cost_model.h"
-#include "optimizer/feedback_cache.h"
+#include "optimizer/prefix_estimator.h"
 #include "rl/reward.h"
 #include "rl/trajectory.h"
 
@@ -31,18 +31,6 @@ struct EnvironmentOptions {
   /// When false, only the completed query earns a reward (the sparse
   /// signal the paper's §4.2 Remark argues against) — ablation knob.
   bool dense_partial_rewards = true;
-
-  /// Optional shared memo of estimator feedback keyed by AST fingerprint
-  /// (see FeedbackCache): share one across episodes, trainers and service
-  /// workers. Must outlive the environment and serve a single database.
-  /// Ignored in true-execution mode (measured, not estimated, feedback).
-  FeedbackCache* feedback_cache = nullptr;
-
-  /// O(1) incremental estimates for the per-step feedback of the growing
-  /// SELECT — bitwise identical to the full AST walk (cross-checked by the
-  /// fuzz oracle, and on every step when LSG_CHECK_INCREMENTAL=1 is set).
-  /// Disable to force full re-walks on every step.
-  bool incremental_prefix_estimates = true;
 
   /// Which engine serves true-execution feedback (and MetricOf true-cost
   /// runs): the vectorized batch engine (src/vexec/, the default, serial)
@@ -108,8 +96,10 @@ class SqlGenEnvironment : public Environment {
   /// sink (no-op unless obs::Enabled() and a sink is installed).
   void RecordEpisodeRow(const EnvStepResult& final_step);
 
-  /// Per-step feedback: the incremental prefix path when it applies,
-  /// otherwise MetricOf (which consults the cache).
+  /// Per-step feedback: estimator feedback on a SELECT prefix takes the
+  /// O(1) PrefixEstimator path — bitwise identical to the full AST walk
+  /// (cross-checked by the fuzz oracle, and on every step when
+  /// LSG_CHECK_INCREMENTAL=1 is set); everything else goes to MetricOf.
   double StepMetric();
 
   /// Records the estimate-vs-true feedback gap for a measured metric

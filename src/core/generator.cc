@@ -47,9 +47,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() {
   env_opts.profile = options_.profile;
   env_opts.feedback = options_.feedback;
   env_opts.dense_partial_rewards = options_.dense_partial_rewards;
-  env_opts.feedback_cache = options_.feedback_cache;
-  env_opts.incremental_prefix_estimates =
-      options_.incremental_prefix_estimates;
   env_opts.execution_backend = options_.execution_backend;
   env_opts.compiled_fsm = options_.compiled_fsm;
   if (env_opts.compiled_fsm == nullptr && options_.use_compiled_fsm) {
@@ -78,7 +75,7 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
 
   // Mixed-feedback curriculum: the final ceil(epochs · true_feedback_tail)
   // epochs flip the environment to execution-grounded feedback. Epochs
-  // before the switch keep the estimator (+ cache) signal.
+  // before the switch keep the estimator signal.
   int switch_epoch = epochs;
   if (options_.feedback != FeedbackSource::kTrueExecution &&
       options_.true_feedback_tail > 0.0) {
@@ -160,6 +157,7 @@ StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
                                  : reinforce_trainer_->sampling_rng();
   }
   BatchDecodeItem item;
+  item.constraint = snap.constraint;
   item.n = n;
   item.batch_mode = batch_mode;
   item.rng = *rng;

@@ -23,9 +23,9 @@ struct LearnedSqlGenOptions {
   /// Mixed-feedback curriculum: fraction of the training epochs (from the
   /// tail) that switch the environment to execution-grounded feedback
   /// (FeedbackSource::kTrueExecution). Early epochs keep the cheap
-  /// estimator (+ cache) signal for exploration; the final
-  /// ceil(train_epochs · true_feedback_tail) epochs ground the policy in
-  /// measured cardinalities/costs from the configured execution backend.
+  /// estimator signal for exploration; the final ceil(train_epochs ·
+  /// true_feedback_tail) epochs ground the policy in measured
+  /// cardinalities/costs from the configured execution backend.
   /// 0 disables the switch (paper default); 1 trains fully on execution.
   /// Ignored when `feedback` is already kTrueExecution.
   double true_feedback_tail = 0.0;
@@ -47,14 +47,6 @@ struct LearnedSqlGenOptions {
   /// Reward-shaping ablation: when false only complete queries earn
   /// rewards (§4.2 Remark).
   bool dense_partial_rewards = true;
-
-  /// Optional shared feedback-estimation cache (must outlive the pipeline
-  /// and serve this database only). The cache itself is thread-safe, so
-  /// concurrent pipelines over the same database may share one.
-  FeedbackCache* feedback_cache = nullptr;
-
-  /// See EnvironmentOptions::incremental_prefix_estimates.
-  bool incremental_prefix_estimates = true;
 
   /// Compile (or load from `compiled_fsm_cache_dir`) a mask/transition
   /// table for this (database, vocabulary, profile) and serve masks from
@@ -94,8 +86,9 @@ struct ServingSnapshot {
   /// true_feedback_tail switch); fresh per-lane environments are built
   /// from this.
   EnvironmentOptions env_opts;
-  /// The constraint the entry's model was trained for; generation
-  /// validates against this.
+  /// The constraint the entry's model was trained for. A served request
+  /// is judged against its own constraint (BatchDecodeItem::constraint);
+  /// LearnedSqlGen's Generate* judge against this one.
   Constraint constraint;
   int attempts_factor = 50;
   double train_seconds = 0.0;

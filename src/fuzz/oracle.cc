@@ -586,6 +586,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   const std::vector<int> budgets = {2, 1, 3};
   std::vector<BatchDecodeItem> items(budgets.size());
   for (size_t b = 0; b < items.size(); ++b) {
+    items[b].constraint = constraint;
     items[b].n = budgets[b];
     items[b].batch_mode = true;  // fixed attempts: every episode compared
     items[b].rng = Rng(LaneSeed(seed, b));

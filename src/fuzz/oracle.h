@@ -15,7 +15,7 @@
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/column_stats.h"
 #include "optimizer/cost_model.h"
-#include "optimizer/feedback_cache.h"
+#include "optimizer/prefix_estimator.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 #include "vexec/vectorized_engine.h"

@@ -13,15 +13,11 @@
 namespace lsg {
 namespace {
 
-// Folds the service-level feedback cache into the per-pipeline options the
-// registry builds every model from, and defaults the compiled-FSM artifact
-// cache to a sibling of the model spill directory so both kinds of
-// build-once state live together.
+// The per-pipeline options the registry builds every model from, with the
+// compiled-FSM artifact cache defaulted to a sibling of the model spill
+// directory so both kinds of build-once state live together.
 LearnedSqlGenOptions MergedGenOptions(const GenerationServiceOptions& options) {
   LearnedSqlGenOptions gen = options.gen;
-  if (options.feedback_cache != nullptr) {
-    gen.feedback_cache = options.feedback_cache;
-  }
   if (gen.compiled_fsm_cache_dir.empty() &&
       !options.registry.spill_dir.empty()) {
     gen.compiled_fsm_cache_dir = options.registry.spill_dir + "/compiled_fsm";
@@ -266,6 +262,7 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     }
     LSG_CHECK(p.snapshot != nullptr) << "ready model without a snapshot";
     response.train_seconds = p.snapshot->train_seconds;
+    p.item.constraint = request.constraint;
     p.item.n = request.n;
     p.item.batch_mode = request.batch;
     p.item.rng = Rng(RequestSeed(options_.gen.seed, request));
@@ -289,9 +286,7 @@ void GenerationService::RunGroup(const ConstraintKey& key,
   // (the snapshot is immutable, and the entry shared_ptr keeps the model
   // alive even across an eviction). Distinct snapshots inside one bucket group
   // can only arise from an evict/rebuild race; each cohort simply decodes
-  // separately. max_batch <= 1 decodes each cohort one lane at a time —
-  // the reference baseline batching is measured against in
-  // bench_service_throughput.
+  // separately. max_batch <= 1 decodes each cohort one lane at a time.
   const int max_lanes = std::max(1, options_.max_batch);
   std::vector<char> done(pending.size(), 0);
   for (size_t i = 0; i < pending.size(); ++i) {

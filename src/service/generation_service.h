@@ -64,13 +64,6 @@ struct GenerationServiceOptions {
   /// publish the `service.` namespace alongside the training metrics
   /// (lsgtrace does this). Must outlive the service when non-null.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  /// Shared feedback-estimation cache, analogous to `metrics_registry`:
-  /// one FeedbackCache is handed to every worker's pipeline, so constraint
-  /// buckets re-estimating near-identical queries hit each other's
-  /// entries. Must outlive the service when non-null. Equivalent to
-  /// setting `gen.feedback_cache`; this field wins when both are set.
-  FeedbackCache* feedback_cache = nullptr;
-
   // Compiled FSM tables are configured through `gen` (use_compiled_fsm /
   // compiled_fsm / compiled_fsm_cache_dir); when `gen.compiled_fsm_cache_dir`
   // is empty and `registry.spill_dir` is set, artifacts are cached under

@@ -390,9 +390,10 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   };
   const std::vector<Spec> specs = {
       {4, true}, {2, true}, {3, false}, {1, true}, {2, false}};
-  auto make_items = [&specs] {
+  auto make_items = [&specs, &c] {
     std::vector<BatchDecodeItem> items(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
+      items[i].constraint = c;
       items[i].n = specs[i].n;
       items[i].batch_mode = specs[i].batch_mode;
       items[i].rng = Rng(SplitMix64(0x5eedULL + i));

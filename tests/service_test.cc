@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/sync.h"
 #include "obs/metrics_registry.h"
 #include "service/bounded_queue.h"
@@ -298,6 +304,146 @@ TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
   std::filesystem::remove_all(ro.spill_dir);
 }
 
+// Byte layout of a SaveParams file (nn/serialize.cc): u32 magic, u32
+// tensor count, then per tensor u32 name_len, name, u32 rows, u32 cols and
+// rows·cols floats. Offsets of the last tensor's rows field and data.
+struct LastTensor {
+  size_t rows_at = 0;
+  size_t data_at = 0;
+  size_t data_bytes = 0;
+};
+
+uint32_t ReadU32(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+LastTensor FindLastTensor(const std::string& bytes) {
+  const uint32_t count = ReadU32(bytes, 4);
+  LastTensor t;
+  size_t at = 8;
+  for (uint32_t i = 0; i < count; ++i) {
+    at += 4 + ReadU32(bytes, at);
+    t.rows_at = at;
+    t.data_at = at + 8;
+    t.data_bytes = sizeof(float) * static_cast<size_t>(ReadU32(bytes, at)) *
+                   ReadU32(bytes, at + 4);
+    at = t.data_at + t.data_bytes;
+  }
+  return t;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// A spill file that fails to load must cost a retrain and nothing else:
+// no warm start is reported, and the served model is exactly the one a
+// registry without a spill dir trains — the tensors LoadParams copied
+// before it hit the damage never reach training or serving.
+TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
+  const Constraint c = CardRange(5, 50);
+  constexpr uint64_t kTrainSeed = 7;
+  struct Served {
+    bool warm_start = false;
+    std::vector<float> actor;  // every served actor parameter, in order
+    std::vector<std::string> sql;
+  };
+  auto serve = [&](ModelRegistry* registry) {
+    Served out;
+    auto acquired = registry->Acquire(c, kTrainSeed);
+    EXPECT_TRUE(acquired.ok()) << acquired.status().ToString();
+    if (!acquired.ok()) return out;
+    out.warm_start = acquired->warm_start;
+    MutexLock lock(&acquired->entry->mu);
+    for (const ParamTensor* t : acquired->entry->snapshot->actor->Params()) {
+      out.actor.insert(out.actor.end(), t->value.data(),
+                       t->value.data() + t->value.size());
+    }
+    Rng rng(99);
+    auto report = acquired->entry->gen->GenerateBatch(6, &rng);
+    EXPECT_TRUE(report.ok());
+    if (!report.ok()) return out;
+    for (const GeneratedQuery& q : report->queries) out.sql.push_back(q.sql);
+    return out;
+  };
+
+  Served want;
+  {
+    ServiceMetrics metrics;
+    ModelRegistry plain(&db_, FastOptions(), ModelRegistry::Options(),
+                        &metrics);
+    want = serve(&plain);
+  }
+  ASSERT_FALSE(want.sql.empty());
+
+  // A valid spill of a differently seeded model: loading any tensor of it
+  // changes the served actor.
+  const std::string dir = TempDir("corrupt_spill");
+  std::filesystem::create_directories(dir);
+  std::string good;
+  {
+    LearnedSqlGenOptions opts = FastOptions();
+    opts.trainer.seed = 12345;
+    auto gen = LearnedSqlGen::Create(&db_, opts);
+    ASSERT_TRUE(gen.ok());
+    ASSERT_TRUE((*gen)->Train(c).ok());
+    ASSERT_TRUE((*gen)->SaveModel(dir + "/good.model").ok());
+    good = ReadBytes(dir + "/good.model");
+  }
+  const LastTensor last = FindLastTensor(good);
+  ASSERT_EQ(last.data_at + last.data_bytes, good.size());
+  ASSERT_GT(last.data_bytes, sizeof(float));
+
+  std::string bad_magic = good;
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xff);
+  std::string wrong_shape = good;
+  const uint32_t rows = ReadU32(good, last.rows_at) + 1;
+  std::memcpy(wrong_shape.data() + last.rows_at, &rows, sizeof(rows));
+
+  auto serve_from_spill = [&](const std::string& bytes,
+                              ServiceMetrics* metrics) {
+    ModelRegistry::Options ro;
+    ro.spill_dir = dir + "/spill";
+    std::filesystem::remove_all(ro.spill_dir);
+    ModelRegistry registry(&db_, FastOptions(), ro, metrics);
+    WriteBytes(registry.SpillPathFor(c), bytes);
+    return serve(&registry);
+  };
+
+  {
+    // The intact file warm-starts a different actor, so the equalities
+    // below are not vacuous.
+    ServiceMetrics metrics;
+    Served s = serve_from_spill(good, &metrics);
+    EXPECT_TRUE(s.warm_start);
+    EXPECT_EQ(metrics.trainings.Value(), 0u);
+    EXPECT_NE(s.actor, want.actor);
+  }
+  const std::pair<const char*, std::string> cases[] = {
+      {"truncated mid-tensor",
+       good.substr(0, last.data_at + last.data_bytes / 2)},
+      {"bad magic", bad_magic},
+      {"wrong-shape tensor", wrong_shape}};
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    ServiceMetrics metrics;
+    Served s = serve_from_spill(bytes, &metrics);
+    EXPECT_FALSE(s.warm_start);
+    EXPECT_EQ(metrics.trainings.Value(), 1u);
+    EXPECT_EQ(metrics.disk_warm_starts.Value(), 0u);
+    EXPECT_EQ(s.actor, want.actor);
+    EXPECT_EQ(s.sql, want.sql);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ----------------------------------------------------- GenerationService
 
 class ServiceTest : public ::testing::Test {
@@ -528,6 +674,40 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
   EXPECT_EQ(baseline, run_config(1, 8));   // batching on
   EXPECT_EQ(baseline, run_config(4, 1));   // worker placement varies
   EXPECT_EQ(baseline, run_config(4, 8));   // both at once
+}
+
+// Requests that share a bucket share its model, but each is judged against
+// its own constraint. Tolerance is not part of the bucket key, so a wide
+// request lands on the narrow request's model; its satisfied flags and
+// count must follow the wide target, not the one the bucket trained for.
+TEST_F(ServiceTest, RequestIsJudgedAgainstItsOwnConstraint) {
+  auto service = GenerationService::Create(&db_, ServiceOptions(1));
+  ASSERT_TRUE(service.ok());
+  GenerationRequest narrow;
+  narrow.constraint = CardPoint(100);  // point_tolerance 0.1
+  narrow.n = 2;
+  narrow.batch = true;
+  ASSERT_TRUE((*service)->SubmitAndWait(narrow).status.ok());
+
+  GenerationRequest wide = narrow;
+  wide.constraint.point_tolerance = 1.0;
+  wide.n = 24;
+  ASSERT_EQ(BucketOf(wide.constraint), BucketOf(narrow.constraint));
+  GenerationResponse r = (*service)->SubmitAndWait(wide);
+  (*service)->Shutdown();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.cache_hit);
+  ASSERT_EQ(r.report.queries.size(), 24u);
+
+  int satisfied = 0;
+  int only_wide = 0;  // queries on which the two targets disagree
+  for (const GeneratedQuery& q : r.report.queries) {
+    EXPECT_EQ(q.satisfied, wide.constraint.Satisfied(q.metric)) << q.sql;
+    if (q.satisfied) ++satisfied;
+    if (q.satisfied && !narrow.constraint.Satisfied(q.metric)) ++only_wide;
+  }
+  EXPECT_EQ(r.report.satisfied, satisfied);
+  EXPECT_GT(only_wide, 0) << "sample never separates the two targets";
 }
 
 // A same-bucket request that arrives while the bucket trains must wait on

@@ -13,6 +13,7 @@
 //
 // Examples:
 //   lsgserved --dataset score --port 7433 --epochs 40
+//   lsgserved --dataset tpch --model-dir /var/lib/lsg-models --cache 4
 //   lsgserved --dataset score --epochs 2 --bench --ping-only
 //       --bench-connections 64 --bench-requests 200   (one line)
 //   lsgserved --dataset score --epochs 2 --fuzz --fuzz-rounds 64
@@ -60,6 +61,8 @@ void Usage() {
       "  --workers W           service worker threads (default 4)\n"
       "  --queue Q             service queue capacity (default 64)\n"
       "  --cache C             resident model cap (default 8)\n"
+      "  --model-dir DIR       spill evicted models here and warm-start\n"
+      "                        from them (default: no spill)\n"
       "  --epochs E            training epochs per new model (default 150)\n"
       "  --seed S              base RNG seed (default 2024)\n"
       "network:\n"
@@ -129,7 +132,7 @@ bool CheckConservation(const lsg::obs::MetricsSnapshot& snap) {
 int main(int argc, char** argv) {
   using namespace lsg;
 
-  std::string dataset = "score", host = "127.0.0.1";
+  std::string dataset = "score", host = "127.0.0.1", model_dir;
   double scale = 1.0;
   int workers = 4, epochs = 150, port = 7433;
   size_t queue_capacity = 64, cache_capacity = 8;
@@ -161,6 +164,8 @@ int main(int argc, char** argv) {
       queue_capacity = static_cast<size_t>(std::atoi(need_value(i++)));
     } else if (a == "--cache") {
       cache_capacity = static_cast<size_t>(std::atoi(need_value(i++)));
+    } else if (a == "--model-dir") {
+      model_dir = need_value(i++);
     } else if (a == "--epochs") {
       epochs = std::atoi(need_value(i++));
     } else if (a == "--seed") {
@@ -226,6 +231,7 @@ int main(int argc, char** argv) {
   svc_opts.num_workers = workers;
   svc_opts.queue_capacity = queue_capacity;
   svc_opts.registry.capacity = cache_capacity;
+  svc_opts.registry.spill_dir = model_dir;
   svc_opts.gen.train_epochs = epochs;
   svc_opts.gen.seed = seed;
   svc_opts.metrics_registry = &registry;

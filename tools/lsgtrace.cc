@@ -31,7 +31,6 @@
 
 #include "fuzz/test_databases.h"
 #include "obs/episode_telemetry.h"
-#include "optimizer/feedback_cache.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
@@ -117,19 +116,6 @@ StatusOr<double> MeanRewardFromJsonl(const std::string& path,
   return sum / rows;
 }
 
-void PrintFeedbackCacheStats(const FeedbackCache& cache) {
-  FeedbackCache::Stats s = cache.GetStats();
-  const double total = static_cast<double>(s.hits + s.misses);
-  std::printf(
-      "feedback cache: %llu hits / %llu misses (%.1f%% hit rate), "
-      "%llu evictions, %llu entries\n",
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses),
-      total > 0 ? 100.0 * static_cast<double>(s.hits) / total : 0.0,
-      static_cast<unsigned long long>(s.evictions),
-      static_cast<unsigned long long>(s.entries));
-}
-
 // Writes the shared artifact bundle and prints the terminal summary.
 bool DumpArtifacts(const std::string& out_dir) {
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
@@ -154,10 +140,6 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
   opts.seed = seed;
   const int batch = opts.trainer.batch_size;
   opts.train_epochs = std::max(1, episodes / batch);
-  // Memoized estimator feedback shared across the whole run; its
-  // opt.cache.* counters land in summary.json alongside env.feedback_ns.
-  FeedbackCache feedback_cache;
-  opts.feedback_cache = &feedback_cache;
 
   const std::string ep_path =
       out_dir + (csv ? "/episodes.csv" : "/episodes.jsonl");
@@ -188,7 +170,6 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
   }
   std::printf("generated %d/%d satisfying queries in %d attempts\n",
               report->satisfied, n, static_cast<int>(report->attempts));
-  PrintFeedbackCacheStats(feedback_cache);
 
   obs::SetEpisodeSink(nullptr);
   sink.Flush();
@@ -249,10 +230,6 @@ int RunServe(const std::string& dataset, const Constraint& constraint,
   // Publish the service counters into the same namespace as the training
   // instrumentation so one summary.json covers both.
   opts.metrics_registry = &obs::MetricsRegistry::Global();
-  // One feedback cache across every worker: constraint buckets
-  // re-estimating near-identical queries hit each other's entries.
-  FeedbackCache feedback_cache;
-  opts.feedback_cache = &feedback_cache;
   auto service = GenerationService::Create(&*db, opts);
   if (!service.ok()) {
     std::fprintf(stderr, "lsgtrace: %s\n",
@@ -290,7 +267,6 @@ int RunServe(const std::string& dataset, const Constraint& constraint,
   ok = WriteFile(out_dir + "/service.json", m.ToJson() + "\n") && ok;
   std::printf("\n%zu requests (%d failed), model cache hit rate %.2f\n",
               workload.size(), failed, m.cache_hit_rate());
-  PrintFeedbackCacheStats(feedback_cache);
   std::printf("artifacts in %s (%llu episode rows)\n", out_dir.c_str(),
               static_cast<unsigned long long>(sink.rows_written()));
   return ok && failed == 0 ? 0 : 3;
@@ -360,41 +336,6 @@ int RunDiff(const std::string& path_a, const std::string& path_b) {
     }
   }
 
-  // Derived cache-stats row: feedback-cache hit rate from the opt.cache.*
-  // counters, when either snapshot carries them (suffix match keeps this
-  // independent of where the snapshot nests its counters).
-  auto find_suffix = [](const std::map<std::string, double>& f,
-                        const std::string& suffix) -> const double* {
-    for (const auto& [k, v] : f) {
-      if (k.size() >= suffix.size() &&
-          k.compare(k.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        return &v;
-      }
-    }
-    return nullptr;
-  };
-  auto hit_rate = [&](const std::map<std::string, double>& f,
-                      bool* present) -> double {
-    const double* h = find_suffix(f, "opt.cache.hits");
-    const double* m = find_suffix(f, "opt.cache.misses");
-    *present = h != nullptr && m != nullptr;
-    if (!*present || *h + *m <= 0.0) return 0.0;
-    return 100.0 * *h / (*h + *m);
-  };
-  bool in_a = false, in_b = false;
-  double ra = hit_rate(fa, &in_a);
-  double rb = hit_rate(fb, &in_b);
-  if (in_a || in_b) {
-    std::printf("\n-- feedback cache --\n");
-    if (in_a && in_b) {
-      std::printf("%-48s %13.2f%% %13.2f%% %8.2f%%\n", "opt.cache.hit_rate",
-                  ra, rb, rb - ra);
-    } else {
-      std::printf("%-48s %14s %14s %9s\n", "opt.cache.hit_rate",
-                  in_a ? (std::to_string(ra) + "%").c_str() : "-",
-                  in_b ? (std::to_string(rb) + "%").c_str() : "-", "-");
-    }
-  }
   return 0;
 }
 
