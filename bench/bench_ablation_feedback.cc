@@ -13,6 +13,9 @@ void Run() {
   PrintHeader(StrFormat("Ablation: estimator vs true-execution feedback "
                         "(TPC-H, N=%d, epochs=%d)", cfg.n, cfg.epochs));
   Database db = BuildDataset("TPC-H", cfg.scale);
+  // Every pipeline below differs only in training knobs: one context.
+  auto context = LearnedSqlGen::CreateContext(&db, DefaultOptions(cfg));
+  LSG_CHECK(context.ok()) << context.status().ToString();
 
   std::printf("%-14s %12s %14s %14s\n", "feedback", "accuracy%",
               "train time(s)", "gen time(s)");
@@ -20,15 +23,13 @@ void Run() {
        {FeedbackSource::kEstimator, FeedbackSource::kTrueExecution}) {
     LearnedSqlGenOptions opts = DefaultOptions(cfg, 13001);
     opts.feedback = fb;
-    auto gen = LearnedSqlGen::Create(&db, opts);
+    auto gen = LearnedSqlGen::Create(*context, opts);
     LSG_CHECK(gen.ok());
 
     EnvironmentOptions eo;
     eo.profile = opts.profile;
-    SqlGenEnvironment probe(&db, &(*gen)->vocab(), &(*gen)->estimator(),
-                            &(*gen)->cost_model(),
-                            Constraint::Point(ConstraintMetric::kCardinality, 1),
-                            eo);
+    SqlGenEnvironment probe(
+        **context, Constraint::Point(ConstraintMetric::kCardinality, 1), eo);
     Rng rng(7);
     MetricDomain dom = ProbeMetricDomain(&probe, 200, &rng, 0.2, 0.95);
     Constraint c = PaperRangeGrid(ConstraintMetric::kCardinality, dom)[1];
@@ -55,14 +56,12 @@ void Run() {
   for (bool dense : {true, false}) {
     LearnedSqlGenOptions opts = DefaultOptions(cfg, 13002);
     opts.dense_partial_rewards = dense;
-    auto gen = LearnedSqlGen::Create(&db, opts);
+    auto gen = LearnedSqlGen::Create(*context, opts);
     LSG_CHECK(gen.ok());
     EnvironmentOptions eo;
     eo.profile = opts.profile;
-    SqlGenEnvironment probe(&db, &(*gen)->vocab(), &(*gen)->estimator(),
-                            &(*gen)->cost_model(),
-                            Constraint::Point(ConstraintMetric::kCardinality, 1),
-                            eo);
+    SqlGenEnvironment probe(
+        **context, Constraint::Point(ConstraintMetric::kCardinality, 1), eo);
     Rng rng(9);
     MetricDomain dom = ProbeMetricDomain(&probe, 200, &rng, 0.2, 0.95);
     Constraint c = PaperRangeGrid(ConstraintMetric::kCardinality, dom)[1];

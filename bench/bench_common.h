@@ -59,10 +59,13 @@ inline Database BuildDataset(const std::string& name, double scale) {
   return std::move(db).value();
 }
 
-/// One ready-to-use experiment context: database + pipeline facade.
+/// One ready-to-use experiment context: database, its shared
+/// DatabaseContext (further pipelines with the same vocabulary and profile
+/// build over it in O(1)) and a pipeline facade.
 struct DatasetContext {
   std::string name;
   Database db;
+  std::shared_ptr<const DatabaseContext> context;
   std::unique_ptr<LearnedSqlGen> gen;
   MetricDomain card_domain;
   MetricDomain cost_domain;
@@ -85,7 +88,10 @@ inline DatasetContext MakeContext(const std::string& name,
   DatasetContext ctx;
   ctx.name = name;
   ctx.db = BuildDataset(name, cfg.scale);
-  auto gen = LearnedSqlGen::Create(&ctx.db, opts);
+  auto context = LearnedSqlGen::CreateContext(&ctx.db, opts);
+  LSG_CHECK(context.ok()) << context.status().ToString();
+  ctx.context = std::move(context).value();
+  auto gen = LearnedSqlGen::Create(ctx.context, opts);
   LSG_CHECK(gen.ok()) << gen.status().ToString();
   ctx.gen = std::move(gen).value();
 
@@ -93,16 +99,13 @@ inline DatasetContext MakeContext(const std::string& name,
   eo.profile = opts.profile;
   Rng rng(7);
   {
-    SqlGenEnvironment probe(&ctx.db, &ctx.gen->vocab(), &ctx.gen->estimator(),
-                            &ctx.gen->cost_model(),
-                            Constraint::Point(ConstraintMetric::kCardinality, 1),
-                            eo);
+    SqlGenEnvironment probe(
+        *ctx.context, Constraint::Point(ConstraintMetric::kCardinality, 1), eo);
     ctx.card_domain = ProbeMetricDomain(&probe, 400, &rng, 0.2, 0.95);
   }
   {
-    SqlGenEnvironment probe(&ctx.db, &ctx.gen->vocab(), &ctx.gen->estimator(),
-                            &ctx.gen->cost_model(),
-                            Constraint::Point(ConstraintMetric::kCost, 1), eo);
+    SqlGenEnvironment probe(
+        *ctx.context, Constraint::Point(ConstraintMetric::kCost, 1), eo);
     ctx.cost_domain = ProbeMetricDomain(&probe, 400, &rng, 0.2, 0.95);
   }
   return ctx;

@@ -74,7 +74,7 @@ void Run() {
   for (double lambda : {0.0, 0.01}) {
     LearnedSqlGenOptions aopts = DefaultOptions(cfg, 10002);
     aopts.trainer.entropy_coef = lambda;
-    auto gen = LearnedSqlGen::Create(&ctx.db, aopts);
+    auto gen = LearnedSqlGen::Create(ctx.context, aopts);
     LSG_CHECK(gen.ok());
     LSG_CHECK_OK((*gen)->Train(card_range));
     auto rep = (*gen)->GenerateBatch(cfg.n);

@@ -16,8 +16,7 @@ void Run() {
   rf_opts.use_reinforce = true;
 
   DatasetContext ctx = MakeContext("TPC-H", cfg, ac_opts);
-  Database rf_db = BuildDataset("TPC-H", cfg.scale);
-  auto rf_gen = LearnedSqlGen::Create(&rf_db, rf_opts);
+  auto rf_gen = LearnedSqlGen::Create(ctx.context, rf_opts);
   LSG_CHECK(rf_gen.ok());
 
   std::vector<Constraint> ranges =

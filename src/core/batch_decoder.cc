@@ -24,7 +24,8 @@ struct BatchDecoder::Lane {
 
 BatchDecoder::BatchDecoder(const ServingSnapshot* snapshot, int max_lanes)
     : snap_(snapshot), max_lanes_(std::max(1, max_lanes)) {
-  LSG_CHECK(snapshot != nullptr && snapshot->actor != nullptr);
+  LSG_CHECK(snapshot != nullptr && snapshot->context != nullptr &&
+            snapshot->actor != nullptr);
 }
 
 void BatchDecoder::BeginAttempt(const PolicyNetwork& actor, Lane* lane) {
@@ -50,8 +51,7 @@ std::unique_ptr<BatchDecoder::Lane> BatchDecoder::StartItem(
   item->report.train_seconds = snap_->train_seconds;
   if (snap_->trace != nullptr) item->report.trace = *snap_->trace;
   auto env = std::make_unique<SqlGenEnvironment>(
-      snap_->db, snap_->vocab, snap_->estimator, snap_->cost_model,
-      item->constraint, snap_->env_opts);
+      *snap_->context, item->constraint, snap_->env_opts);
   auto lane = std::make_unique<Lane>(item, std::move(env));
   // Zero-work items (n <= 0) finish before their first episode, exactly
   // like the sequential loops whose conditions never admit an attempt.
@@ -135,7 +135,7 @@ BatchDecoder::Stats BatchDecoder::Run(
         if (lane.traj.satisfied) ++item.report.satisfied;
         if (keep) {
           GeneratedQuery q;
-          q.sql = RenderSql(lane.traj.ast, snap_->db->catalog());
+          q.sql = RenderSql(lane.traj.ast, snap_->context->db()->catalog());
           q.metric = lane.traj.final_metric;
           q.satisfied = lane.traj.satisfied;
           q.features = FeaturesOf(

@@ -1,11 +1,14 @@
 #include "core/environment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/stopwatch.h"
+#include "core/database_context.h"
 #include "fsm/compiled_fsm.h"
 #include "vexec/backend_factory.h"
 #include "obs/episode_telemetry.h"
@@ -20,6 +23,30 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
                                      const CostModel* cost_model,
                                      Constraint constraint,
                                      EnvironmentOptions options)
+    : SqlGenEnvironment(db, vocab, estimator, cost_model,
+                        std::move(constraint), options,
+                        /*table_verified=*/false) {}
+
+SqlGenEnvironment::SqlGenEnvironment(const DatabaseContext& context,
+                                     Constraint constraint,
+                                     EnvironmentOptions options)
+    : SqlGenEnvironment(context.db(), &context.vocab(), &context.estimator(),
+                        &context.cost_model(), std::move(constraint), options,
+                        /*table_verified=*/true) {
+  LSG_CHECK(options.profile == context.profile())
+      << "environment profile differs from its context's";
+  LSG_CHECK(options.compiled_fsm == nullptr ||
+            options.compiled_fsm == context.compiled_fsm())
+      << "compiled FSM table does not belong to the environment's context";
+}
+
+SqlGenEnvironment::SqlGenEnvironment(const Database* db,
+                                     const Vocabulary* vocab,
+                                     const CardinalityEstimator* estimator,
+                                     const CostModel* cost_model,
+                                     Constraint constraint,
+                                     EnvironmentOptions options,
+                                     bool table_verified)
     : db_(db),
       vocab_(vocab),
       estimator_(estimator),
@@ -32,8 +59,9 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);
   if (options.compiled_fsm != nullptr) {
-    LSG_CHECK(options.compiled_fsm->fingerprint() ==
-              CompiledFsmFingerprint(*db, *vocab, options.profile))
+    LSG_CHECK(table_verified ||
+              options.compiled_fsm->fingerprint() ==
+                  CompiledFsmFingerprint(*db, *vocab, options.profile))
         << "compiled FSM table was built for a different "
         << "(database, vocabulary, profile)";
     fsm_.AttachCompiledTable(options.compiled_fsm);
@@ -46,6 +74,7 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
 void SqlGenEnvironment::Reset() {
   fsm_.Reset();
   prefix_est_.Reset();
+  actions_.clear();
   // Telemetry accumulators reset unconditionally: they are cheap, and
   // gating on obs::Enabled() here meant that enabling LSG_OBS mid-run left
   // the first recorded row with a stale feedback baseline and start time.
@@ -66,37 +95,88 @@ const std::vector<uint8_t>& SqlGenEnvironment::ValidActions() {
   return mask;
 }
 
+size_t SqlGenEnvironment::ActionsHash::operator()(
+    const std::vector<int>& actions) const {
+  uint64_t h = actions.size();
+  for (int a : actions) h = SplitMix64(h ^ static_cast<uint32_t>(a));
+  return static_cast<size_t>(h);
+}
+
+SqlGenEnvironment::Execution SqlGenEnvironment::Execute(
+    const QueryAst& ast) const {
+  if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
+    auto card = backend_->Cardinality(ast);
+    if (!card.ok()) return {};
+    return {static_cast<double>(*card), true};
+  }
+  // True cost: run the query and price the measured operator work.
+  if (ast.type == QueryType::kSelect && ast.select != nullptr) {
+    auto r = backend_->ExecuteSelect(*ast.select, /*materialize=*/false);
+    if (!r.ok()) return {};
+    return {cost_model_->TrueCost(r->stats,
+                                  static_cast<double>(r->cardinality)),
+            true};
+  }
+  // DML true cost falls back to the estimate (dry-run writes are not
+  // priced by measurement).
+  return {cost_model_->EstimateCost(ast), false};
+}
+
 double SqlGenEnvironment::MetricOf(const QueryAst& ast) const {
   ++feedback_calls_;
   obs::ScopedHistogramTimer timer(
       obs::Enabled()
           ? &obs::MetricsRegistry::Global().GetHistogram("env.feedback_ns")
           : nullptr);
+  const bool card =
+      reward_.constraint().metric == ConstraintMetric::kCardinality;
   if (options_.feedback == FeedbackSource::kTrueExecution) {
-    if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
-      auto card = backend_->Cardinality(ast);
-      if (!card.ok()) return 0.0;
-      const double m = static_cast<double>(*card);
-      RecordFeedbackGap(ast, m, /*cardinality_metric=*/true);
-      return m;
-    }
-    // True cost: run the query and price the measured operator work.
-    if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-      auto r = backend_->ExecuteSelect(*ast.select, /*materialize=*/false);
-      if (!r.ok()) return 0.0;
-      const double m = cost_model_->TrueCost(
-          r->stats, static_cast<double>(r->cardinality));
-      RecordFeedbackGap(ast, m, /*cardinality_metric=*/false);
-      return m;
-    }
-    // DML true cost falls back to the estimate (dry-run writes are not
-    // priced by measurement).
-    return cost_model_->EstimateCost(ast);
+    const Execution e = Execute(ast);
+    if (e.measured) RecordFeedbackGap(ast, e.metric, card);
+    return e.metric;
   }
-  if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
-    return estimator_->EstimateCardinality(ast);
+  return card ? estimator_->EstimateCardinality(ast)
+              : cost_model_->EstimateCost(ast);
+}
+
+double SqlGenEnvironment::ExecuteMemoized(const QueryAst& ast) {
+  ++feedback_calls_;
+  obs::ScopedHistogramTimer timer(
+      obs::Enabled()
+          ? &obs::MetricsRegistry::Global().GetHistogram("env.feedback_ns")
+          : nullptr);
+  Execution e;
+  auto it = exec_memo_.find(actions_);
+  if (it != exec_memo_.end()) {
+    e = it->second;
+    if (obs::Enabled()) {
+      static obs::Counter& hits =
+          obs::MetricsRegistry::Global().GetCounter("opt.cache.hits");
+      hits.Inc();
+    }
+    if (check_incremental_) {
+      const Execution fresh = Execute(ast);
+      LSG_CHECK(std::bit_cast<uint64_t>(fresh.metric) ==
+                    std::bit_cast<uint64_t>(e.metric) &&
+                fresh.measured == e.measured)
+          << "memoized execution diverged from a fresh run: " << e.metric
+          << " vs " << fresh.metric;
+    }
+  } else {
+    if (obs::Enabled()) {
+      static obs::Counter& misses =
+          obs::MetricsRegistry::Global().GetCounter("opt.cache.misses");
+      misses.Inc();
+    }
+    e = Execute(ast);
+    if (exec_memo_.size() >= kExecMemoCapacity) exec_memo_.clear();
+    exec_memo_.emplace(actions_, e);
   }
-  return cost_model_->EstimateCost(ast);
+  if (e.measured) {
+    RecordFeedbackGap(ast, e.metric, reward_.constraint().metric ==
+                                         ConstraintMetric::kCardinality);
+  }
+  return e.metric;
 }
 
 void SqlGenEnvironment::RecordFeedbackGap(const QueryAst& ast,
@@ -120,8 +200,10 @@ void SqlGenEnvironment::RecordFeedbackGap(const QueryAst& ast,
 
 double SqlGenEnvironment::StepMetric() {
   const QueryAst& ast = fsm_.builder().ast();
-  if (options_.feedback != FeedbackSource::kEstimator ||
-      ast.type != QueryType::kSelect || ast.select == nullptr) {
+  if (options_.feedback == FeedbackSource::kTrueExecution) {
+    return ExecuteMemoized(ast);
+  }
+  if (ast.type != QueryType::kSelect || ast.select == nullptr) {
     return MetricOf(ast);
   }
   ++feedback_calls_;
@@ -171,6 +253,10 @@ void SqlGenEnvironment::RecordEpisodeRow(const EnvStepResult& final_step) {
 StatusOr<EnvStepResult> SqlGenEnvironment::Step(int action) {
   LSG_OBS_SPAN("env.step");
   LSG_RETURN_IF_ERROR(fsm_.Step(action));
+  // EOF only marks the query done — the AST is the one the previous step
+  // built — so the memo key leaves it out and a finished query shares its
+  // last executable prefix's entry.
+  if (action != vocab_->eof_id()) actions_.push_back(action);
   EnvStepResult out;
   out.done = fsm_.done();
   out.executable = out.done || fsm_.IsExecutablePrefix();

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "exec/backend.h"
 #include "exec/executor.h"
@@ -14,6 +16,8 @@
 #include "rl/trajectory.h"
 
 namespace lsg {
+
+class DatabaseContext;
 
 /// How the environment computes the metric feedback.
 enum class FeedbackSource {
@@ -45,9 +49,10 @@ struct EnvironmentOptions {
   /// lookups become indexed loads instead of grammar + semantic-rule
   /// re-derivation. Must have been compiled for exactly this environment's
   /// (database, vocabulary, profile) — verified by fingerprint at
-  /// construction — and must outlive the environment. nullptr = interpreted
-  /// masks (always correct; the compiled path is differentially tested
-  /// against it).
+  /// construction, or by identity with the context's table when the
+  /// environment is built from a DatabaseContext — and must outlive the
+  /// environment. nullptr = interpreted masks (always correct; the
+  /// compiled path is differentially tested against it).
   const CompiledFsmTable* compiled_fsm = nullptr;
 };
 
@@ -55,12 +60,26 @@ struct EnvironmentOptions {
 /// database's cost estimator (metric feedback) and the reward function.
 /// Partial executable prefixes receive shaped rewards (§4.2 Remark: "simply
 /// awarding the end reward ... results in a sparse training signal").
+///
+/// True-execution feedback on the step path is memoized per environment,
+/// keyed by the action ids since Reset() (EOF aside, which leaves the query
+/// unchanged): the FSM makes the query a pure function of them, and the
+/// metric type and backend are fixed for the environment's life, so a
+/// repeated query replays its first answer instead of running again.
 class SqlGenEnvironment : public Environment {
  public:
   /// All pointers must outlive the environment.
   SqlGenEnvironment(const Database* db, const Vocabulary* vocab,
                     const CardinalityEstimator* estimator,
                     const CostModel* cost_model, Constraint constraint,
+                    EnvironmentOptions options);
+
+  /// Environment over a shared context (which must outlive it).
+  /// `options.profile` must be the context's profile and
+  /// `options.compiled_fsm` nullptr or the context's own table, which
+  /// needs no fingerprint check: the context compiled it from exactly this
+  /// vocabulary and profile.
+  SqlGenEnvironment(const DatabaseContext& context, Constraint constraint,
                     EnvironmentOptions options);
 
   void Reset() override;
@@ -91,7 +110,40 @@ class SqlGenEnvironment : public Environment {
   /// The engine answering true-execution queries for this environment.
   const ExecutionBackend& backend() const { return *backend_; }
 
+  /// Drops every memoized execution (LearnedSqlGen calls it when training
+  /// ends, so an idle cached pipeline holds no memo).
+  void ClearExecutionMemo() { exec_memo_.clear(); }
+
  private:
+  /// One executed query: its metric, and whether it was measured (false
+  /// when execution failed or DML cost fell back to the estimate — the
+  /// feedback-gap metric records measured values only).
+  struct Execution {
+    double metric = 0.0;
+    bool measured = false;
+  };
+
+  struct ActionsHash {
+    size_t operator()(const std::vector<int>& actions) const;
+  };
+
+  /// Bound on memoized executions per environment; a full memo starts
+  /// over. Training runs touch a few hundred distinct prefixes at most.
+  static constexpr size_t kExecMemoCapacity = 4096;
+
+  SqlGenEnvironment(const Database* db, const Vocabulary* vocab,
+                    const CardinalityEstimator* estimator,
+                    const CostModel* cost_model, Constraint constraint,
+                    EnvironmentOptions options, bool table_verified);
+
+  /// Runs `ast` on the backend under the constraint's metric. No counters.
+  Execution Execute(const QueryAst& ast) const;
+
+  /// StepMetric's true-execution path: the memoized Execute of the current
+  /// prefix. Under LSG_CHECK_INCREMENTAL=1 every hit re-executes and must
+  /// match bitwise.
+  double ExecuteMemoized(const QueryAst& ast);
+
   /// Emits the completed episode's telemetry row to the global episode
   /// sink (no-op unless obs::Enabled() and a sink is installed).
   void RecordEpisodeRow(const EnvStepResult& final_step);
@@ -119,6 +171,8 @@ class SqlGenEnvironment : public Environment {
   PrefixEstimator prefix_est_;
   bool check_incremental_;  ///< LSG_CHECK_INCREMENTAL=1 debug cross-check
   mutable int64_t feedback_calls_ = 0;
+  std::vector<int> actions_;  ///< non-EOF action ids since Reset(): memo key
+  std::unordered_map<std::vector<int>, Execution, ActionsHash> exec_memo_;
 
   // Per-episode telemetry accumulators (active only while obs::Enabled();
   // see src/obs/). The environment is the one place that sees every step

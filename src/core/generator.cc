@@ -7,55 +7,69 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/batch_decoder.h"
-#include "fsm/compiled_fsm.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
 
 namespace lsg {
+namespace {
 
-LearnedSqlGen::LearnedSqlGen(const Database* db,
-                             const LearnedSqlGenOptions& options)
-    : db_(db), options_(options) {}
-
-StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
-    const Database* db, const LearnedSqlGenOptions& options) {
-  if (db == nullptr || db->num_tables() == 0) {
-    return Status::InvalidArgument("LearnedSqlGen needs a non-empty database");
-  }
+Status CheckServable(const LearnedSqlGenOptions& options) {
   if (options.trainer.net.extra_input_dims != 0) {
     return Status::InvalidArgument(
         "LearnedSqlGen serves the standard one-hot model only "
         "(trainer.net.extra_input_dims must be 0)");
   }
-  std::unique_ptr<LearnedSqlGen> gen(new LearnedSqlGen(db, options));
-  gen->stats_ = DatabaseStats::Collect(*db);
-  auto vocab = Vocabulary::Build(*db, options.vocab);
-  if (!vocab.ok()) return vocab.status();
-  gen->vocab_ = std::move(vocab).value();
-  gen->estimator_ =
-      std::make_unique<CardinalityEstimator>(db, &gen->stats_);
-  gen->cost_model_ = std::make_unique<CostModel>(gen->estimator_.get());
-  return gen;
+  return Status::Ok();
+}
+
+}  // namespace
+
+LearnedSqlGen::LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
+                             const LearnedSqlGenOptions& options)
+    : context_(std::move(context)), options_(options) {}
+
+StatusOr<std::shared_ptr<const DatabaseContext>> LearnedSqlGen::CreateContext(
+    const Database* db, const LearnedSqlGenOptions& options) {
+  LSG_RETURN_IF_ERROR(CheckServable(options));
+  return DatabaseContext::Create(db, options.vocab, options.profile,
+                                 options.compiled_fsm_cache_dir);
+}
+
+StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
+    std::shared_ptr<const DatabaseContext> context,
+    const LearnedSqlGenOptions& options) {
+  if (context == nullptr) {
+    return Status::InvalidArgument("LearnedSqlGen needs a database context");
+  }
+  LSG_RETURN_IF_ERROR(CheckServable(options));
+  if (options.vocab != context->vocab_options() ||
+      options.profile != context->profile()) {
+    return Status::InvalidArgument(
+        "pipeline vocabulary/profile options differ from its context's");
+  }
+  return std::unique_ptr<LearnedSqlGen>(
+      new LearnedSqlGen(std::move(context), options));
+}
+
+StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
+    const Database* db, const LearnedSqlGenOptions& options) {
+  LSG_ASSIGN_OR_RETURN(std::shared_ptr<const DatabaseContext> context,
+                       CreateContext(db, options));
+  return Create(std::move(context), options);
 }
 
 Status LearnedSqlGen::Train(const Constraint& constraint) {
   return TrainFor(constraint, options_.train_epochs);
 }
 
-EnvironmentOptions LearnedSqlGen::BuildEnvOptions() {
+EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   EnvironmentOptions env_opts;
   env_opts.profile = options_.profile;
   env_opts.feedback = options_.feedback;
   env_opts.dense_partial_rewards = options_.dense_partial_rewards;
   env_opts.execution_backend = options_.execution_backend;
-  env_opts.compiled_fsm = options_.compiled_fsm;
-  if (env_opts.compiled_fsm == nullptr && options_.use_compiled_fsm) {
-    if (compiled_fsm_ == nullptr) {
-      compiled_fsm_ = CompiledFsmCache::Global().GetOrCompile(
-          *db_, *vocab_, options_.profile, CompileFsmOptions(),
-          options_.compiled_fsm_cache_dir);
-    }
-    env_opts.compiled_fsm = compiled_fsm_.get();
+  if (options_.use_compiled_fsm) {
+    env_opts.compiled_fsm = context_->compiled_fsm();
   }
   return env_opts;
 }
@@ -65,9 +79,7 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
   EnvironmentOptions env_opts = BuildEnvOptions();
   env_opts_ = env_opts;
   constraint_ = constraint;
-  env_ = std::make_unique<SqlGenEnvironment>(db_, &*vocab_, estimator_.get(),
-                                             cost_model_.get(), constraint,
-                                             env_opts);
+  env_ = std::make_unique<SqlGenEnvironment>(*context_, constraint, env_opts);
   ac_trainer_.reset();
   reinforce_trainer_.reset();
   trace_.clear();
@@ -124,6 +136,7 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
     if (ac_trainer_ != nullptr) ac_trainer_->RestoreBestActor();
     if (reinforce_trainer_ != nullptr) reinforce_trainer_->RestoreBestActor();
   }
+  env_->ClearExecutionMemo();
   train_seconds_ = watch.ElapsedSeconds();
   return Status::Ok();
 }
@@ -195,10 +208,7 @@ StatusOr<ServingSnapshot> LearnedSqlGen::MakeServingSnapshot() const {
     return Status::FailedPrecondition("call Train before snapshotting");
   }
   ServingSnapshot snap;
-  snap.db = db_;
-  snap.vocab = &*vocab_;
-  snap.estimator = estimator_.get();
-  snap.cost_model = cost_model_.get();
+  snap.context = context_.get();
   snap.actor = actor;
   snap.env_opts = env_opts_;
   snap.constraint = constraint_;

@@ -2,10 +2,10 @@
 #define LEARNEDSQLGEN_CORE_GENERATOR_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/database_context.h"
 #include "core/environment.h"
 #include "core/workload.h"
 #include "rl/actor_critic_trainer.h"
@@ -48,38 +48,32 @@ struct LearnedSqlGenOptions {
   /// rewards (§4.2 Remark).
   bool dense_partial_rewards = true;
 
-  /// Compile (or load from `compiled_fsm_cache_dir`) a mask/transition
-  /// table for this (database, vocabulary, profile) and serve masks from
-  /// it. Compilation is memoised process-wide and capped (see
+  /// Serve masks from the DatabaseContext's mask/transition table for this
+  /// (database, vocabulary, profile), compiled once per context (or loaded
+  /// from `compiled_fsm_cache_dir`). Compilation is capped (see
   /// CompileFsmOptions): a pair whose structural state graph is too large —
   /// wide schemas under permissive profiles — falls back to the
   /// interpreted FSM automatically, so this is always safe to leave on.
   bool use_compiled_fsm = true;
 
-  /// Pre-compiled table to attach instead of compiling (must match this
-  /// pipeline's database/vocabulary/profile and outlive it). Wins over
-  /// `use_compiled_fsm` resolution when set.
-  const CompiledFsmTable* compiled_fsm = nullptr;
-
   /// Disk cache directory for compiled FSM artifacts (empty = in-memory
-  /// only). The service layer defaults this to a sibling of the model
-  /// registry's spill directory.
+  /// only). Read when the DatabaseContext is built. The service layer
+  /// defaults this to a sibling of the model registry's spill directory.
   std::string compiled_fsm_cache_dir;
 
   uint64_t seed = 2024;
 };
 
 /// Immutable, copy-free view of a trained pipeline for the serving path.
-/// Every pointer aliases state owned by the LearnedSqlGen that produced the
-/// snapshot (kept alive by the caller — the service holds the registry
-/// entry), and every referenced component is const or internally
-/// thread-safe at inference, so one snapshot may drive any number of
-/// concurrent decode lanes without touching the pipeline's mutex.
+/// Every pointer aliases state owned by (or shared with) the LearnedSqlGen
+/// that produced the snapshot (kept alive by the caller — the service
+/// holds the registry entry), and every referenced component is const or
+/// internally thread-safe at inference, so one snapshot may drive any
+/// number of concurrent decode lanes without touching the pipeline's
+/// mutex.
 struct ServingSnapshot {
-  const Database* db = nullptr;
-  const Vocabulary* vocab = nullptr;
-  const CardinalityEstimator* estimator = nullptr;
-  const CostModel* cost_model = nullptr;
+  /// Database, vocabulary, estimator, cost model and compiled FSM.
+  const DatabaseContext* context = nullptr;
   const PolicyNetwork* actor = nullptr;
   /// Environment configuration the model was trained under (compiled FSM
   /// resolved, feedback source as configured — before any
@@ -117,21 +111,37 @@ struct GenerationReport {
   double total_seconds() const { return train_seconds + generate_seconds; }
 };
 
-/// The LearnedSQLGen system facade: builds the action space, statistics,
-/// estimator and cost model for a database; trains the RL model for a
-/// constraint (Algorithm 1/3); generates satisfying queries (Algorithm 2).
+/// The LearnedSQLGen system facade: over a DatabaseContext (the action
+/// space, statistics, estimator and cost model of a database) it trains
+/// the RL model for a constraint (Algorithm 1/3) and generates satisfying
+/// queries (Algorithm 2).
 ///
 /// Thread-safety contract: one instance is single-threaded (Train and
 /// Generate* mutate the trainer state and its RNG), but distinct instances
-/// over the same const Database may run concurrently — the library keeps no
-/// mutable global state beyond the thread-safe logger. The service layer
-/// (src/service/) builds one pipeline per cached constraint bucket and,
-/// once trained, decodes only from its immutable ServingSnapshot.
+/// over the same const Database — and the same shared DatabaseContext —
+/// may run concurrently; the library keeps no mutable global state beyond
+/// the thread-safe logger. The service layer (src/service/) builds one
+/// pipeline per cached constraint bucket over one context and, once
+/// trained, decodes only from its immutable ServingSnapshot.
 class LearnedSqlGen {
  public:
-  /// Builds the pipeline for `db` (must outlive the generator). Rejects
-  /// `trainer.net.extra_input_dims != 0`: the pipeline never feeds extra
-  /// features (AC-extend trains through ActorCriticTrainer directly).
+  /// Builds the context `options` describe for `db` (which must outlive
+  /// it): its vocabulary, profile and compiled-FSM cache directory. Fails
+  /// on options no pipeline can serve — `trainer.net.extra_input_dims !=
+  /// 0`: the pipeline never feeds extra features (AC-extend trains through
+  /// ActorCriticTrainer directly) — and when the vocabulary cannot be
+  /// built.
+  static StatusOr<std::shared_ptr<const DatabaseContext>> CreateContext(
+      const Database* db, const LearnedSqlGenOptions& options);
+
+  /// Builds a pipeline over a shared context in O(1). `options.vocab` and
+  /// `options.profile` must be the context's.
+  static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
+      std::shared_ptr<const DatabaseContext> context,
+      const LearnedSqlGenOptions& options);
+
+  /// Builds a pipeline over a private context for `db` (which must outlive
+  /// the generator): CreateContext, then Create.
   static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
       const Database* db, const LearnedSqlGenOptions& options);
 
@@ -176,32 +186,28 @@ class LearnedSqlGen {
   const std::vector<EpochStats>& trace() const { return trace_; }
   double last_train_seconds() const { return train_seconds_; }
 
-  const Vocabulary& vocab() const { return *vocab_; }
-  const DatabaseStats& stats() const { return stats_; }
-  const CardinalityEstimator& estimator() const { return *estimator_; }
-  const CostModel& cost_model() const { return *cost_model_; }
+  const Vocabulary& vocab() const { return context_->vocab(); }
+  const DatabaseStats& stats() const { return context_->stats(); }
+  const CardinalityEstimator& estimator() const {
+    return context_->estimator();
+  }
+  const CostModel& cost_model() const { return context_->cost_model(); }
   const LearnedSqlGenOptions& options() const { return options_; }
 
  private:
-  LearnedSqlGen(const Database* db, const LearnedSqlGenOptions& options);
+  LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
+                const LearnedSqlGenOptions& options);
 
   /// Decodes one request (BatchDecodeItem semantics) over a fresh
   /// snapshot, drawing from `rng` (the trainer's stream when null).
   StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
-  /// Environment configuration derived from options_, with the compiled
-  /// FSM resolved (and memoised in compiled_fsm_) when enabled.
-  EnvironmentOptions BuildEnvOptions();
+  /// Environment configuration derived from options_, with the context's
+  /// compiled FSM resolved when enabled.
+  EnvironmentOptions BuildEnvOptions() const;
 
-  const Database* db_;
+  std::shared_ptr<const DatabaseContext> context_;
   LearnedSqlGenOptions options_;
-  DatabaseStats stats_;
-  std::optional<Vocabulary> vocab_;
-  std::unique_ptr<CardinalityEstimator> estimator_;
-  std::unique_ptr<CostModel> cost_model_;
-  /// Resolved via CompiledFsmCache when options_.use_compiled_fsm; nullptr
-  /// when compilation is infeasible (interpreted fallback).
-  std::shared_ptr<const CompiledFsmTable> compiled_fsm_;
   std::unique_ptr<SqlGenEnvironment> env_;
   std::unique_ptr<ActorCriticTrainer> ac_trainer_;
   std::unique_ptr<ReinforceTrainer> reinforce_trainer_;

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/sync.h"
 
 namespace lsg {
 
@@ -546,95 +545,6 @@ StatusOr<CompiledFsmTable> BuildOrLoadCompiledFsm(
     LSG_LOG(Warning) << "cannot cache compiled FSM at " << path << ": "
                      << saved.ToString();
   }
-  return table;
-}
-
-// --- process-wide cache ----------------------------------------------
-
-struct CompiledFsmCache::Impl {
-  // One slot per memo key. `done` flips exactly once, under `mu`; a slot
-  // with done == false marks a compile in flight (its creator is running
-  // CompileFsm with `mu` released) and waiters sleep on `cv`.
-  struct MemoSlot {
-    bool done = false;
-    // nullptr + done is a negative entry: compilation was attempted and
-    // is infeasible under the caps — don't probe again this process.
-    std::shared_ptr<const CompiledFsmTable> table;
-  };
-
-  mutable Mutex mu;
-  CondVar cv;
-  std::unordered_map<uint64_t, std::shared_ptr<MemoSlot>> map
-      LSG_GUARDED_BY(mu);
-  Stats stats LSG_GUARDED_BY(mu);
-};
-
-CompiledFsmCache::CompiledFsmCache() : impl_(new Impl) {}
-
-CompiledFsmCache::~CompiledFsmCache() { delete impl_; }
-
-CompiledFsmCache& CompiledFsmCache::Global() {
-  static CompiledFsmCache cache;
-  return cache;
-}
-
-CompiledFsmCache::Stats CompiledFsmCache::GetStats() const {
-  MutexLock lock(&impl_->mu);
-  return impl_->stats;
-}
-
-std::shared_ptr<const CompiledFsmTable> CompiledFsmCache::GetOrCompile(
-    const Database& db, const Vocabulary& vocab, const QueryProfile& profile,
-    const CompileFsmOptions& options, const std::string& cache_dir) {
-  uint64_t fp = CompiledFsmFingerprint(db, vocab, profile);
-  // The caps are part of the memo key: a pair that is infeasible under
-  // small caps may compile fine under larger ones, and a negative entry
-  // must not shadow that.
-  fp = HashU64(fp, static_cast<uint64_t>(options.max_states));
-  fp = HashU64(fp, static_cast<uint64_t>(options.max_millis));
-
-  std::shared_ptr<Impl::MemoSlot> slot;
-  {
-    MutexLock lock(&impl_->mu);
-    auto it = impl_->map.find(fp);
-    if (it != impl_->map.end()) {
-      slot = it->second;
-      if (slot->done) {
-        ++impl_->stats.hits;
-        return slot->table;
-      }
-      // Another thread is compiling this key right now: wait for its
-      // result instead of compiling it twice.
-      ++impl_->stats.dedup_waits;
-      while (!slot->done) impl_->cv.Wait(impl_->mu);
-      return slot->table;
-    }
-    ++impl_->stats.misses;
-    ++impl_->stats.compiles;
-    slot = std::make_shared<Impl::MemoSlot>();
-    impl_->map.emplace(fp, slot);
-  }
-
-  // Compile with the cache mutex released: CompileFsm can run for seconds
-  // (and takes the logging mutex on its way), so holding the process-wide
-  // memo lock across it would convoy every worker behind one compile.
-  StatusOr<CompiledFsmTable> result =
-      cache_dir.empty() ? CompileFsm(db, vocab, profile, options)
-                        : BuildOrLoadCompiledFsm(db, vocab, profile, options,
-                                                 cache_dir);
-  std::shared_ptr<const CompiledFsmTable> table;
-  if (result.ok()) {
-    table = std::make_shared<const CompiledFsmTable>(std::move(*result));
-  } else {
-    LSG_LOG(Info) << "compiled FSM unavailable (interpreted fallback): "
-                  << result.status().ToString();
-  }
-  {
-    MutexLock lock(&impl_->mu);
-    slot->table = table;
-    slot->done = true;
-  }
-  impl_->cv.NotifyAll();
   return table;
 }
 

@@ -2,7 +2,6 @@
 #define LEARNEDSQLGEN_FSM_COMPILED_FSM_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -176,53 +175,6 @@ StatusOr<CompiledFsmTable> CompileFsm(const Database& db,
 StatusOr<CompiledFsmTable> BuildOrLoadCompiledFsm(
     const Database& db, const Vocabulary& vocab, const QueryProfile& profile,
     const CompileFsmOptions& options, const std::string& cache_dir);
-
-/// Process-wide memoisation of compiles keyed by fingerprint, including
-/// negative results — a dataset/profile pair past the caps is probed once
-/// per process, not once per pipeline. Thread-safe.
-///
-/// Concurrent first requests for one key are deduplicated (one thread
-/// compiles, the rest wait on the slot), and the compile itself runs with
-/// the cache mutex *released*: the mutex only guards the memo map, so a
-/// multi-second compile of one dataset never serializes lookups — or
-/// compiles — of any other. (The original implementation held the global
-/// lock across CompileFsm, convoying every worker in the process behind
-/// whichever compile happened to be in flight.)
-class CompiledFsmCache {
- public:
-  /// Exact counters, maintained under the cache mutex. `compiles` counts
-  /// compile attempts actually started (deduplication means concurrent
-  /// requests for one key add exactly 1); `dedup_waits` counts requests
-  /// that slept waiting for another thread's compile.
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t compiles = 0;
-    uint64_t dedup_waits = 0;
-  };
-
-  static CompiledFsmCache& Global();
-
-  /// Standalone instance — tests use one to observe hit/dedup counters in
-  /// isolation; production code shares Global().
-  CompiledFsmCache();
-  ~CompiledFsmCache();
-  CompiledFsmCache(const CompiledFsmCache&) = delete;
-  CompiledFsmCache& operator=(const CompiledFsmCache&) = delete;
-
-  /// Returns the cached/compiled table, or nullptr when compilation is not
-  /// feasible under `options` (the caller then runs interpreted). When
-  /// `cache_dir` is non-empty, misses go through BuildOrLoadCompiledFsm.
-  std::shared_ptr<const CompiledFsmTable> GetOrCompile(
-      const Database& db, const Vocabulary& vocab, const QueryProfile& profile,
-      const CompileFsmOptions& options, const std::string& cache_dir);
-
-  Stats GetStats() const;
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
 
 /// A GenerationFsm born with a compiled table attached: the drop-in
 /// "indexed lookups only" implementation of the stepping API.

@@ -77,6 +77,8 @@ struct QueryProfile {
   static QueryProfile InsertOnly();
   static QueryProfile UpdateOnly();
   static QueryProfile DeleteOnly();
+
+  bool operator==(const QueryProfile&) const = default;
 };
 
 /// The paper's finite-state machine in the environment (§5): given the

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/database_context.h"
 #include "fsm/compiled_fsm.h"
 #include "fuzz/shrinker.h"
 #include "fuzz/test_databases.h"
@@ -73,7 +74,58 @@ std::string ArtifactPath(const std::string& dir, const EpisodeTrace& t) {
 
 }  // namespace
 
+struct FuzzFixtures::Dataset {
+  std::string name;
+  double scale = 0.0;
+  VocabularyOptions vocab;
+  CompileFsmOptions compile;
+  Database db;
+  /// One per FuzzProfiles() entry, built on first use.
+  std::vector<std::shared_ptr<const DatabaseContext>> contexts;
+
+  StatusOr<const DatabaseContext*> Context(int profile) {
+    if (contexts[profile] == nullptr) {
+      LSG_ASSIGN_OR_RETURN(
+          contexts[profile],
+          DatabaseContext::Create(&db, vocab, FuzzProfiles()[profile].profile,
+                                  "", compile));
+    }
+    return contexts[profile].get();
+  }
+};
+
+FuzzFixtures::FuzzFixtures() = default;
+FuzzFixtures::~FuzzFixtures() = default;
+
+StatusOr<FuzzFixtures::Dataset*> FuzzFixtures::Get(
+    const std::string& dataset, const FuzzOptions& options) {
+  for (const auto& d : datasets_) {
+    if (d->name == dataset && d->scale == options.scale &&
+        d->vocab.values_per_column == options.values_per_column &&
+        d->compile.max_states == options.compiled_max_states &&
+        d->compile.max_millis == options.compiled_max_millis) {
+      return d.get();
+    }
+  }
+  auto d = std::make_unique<Dataset>();
+  d->name = dataset;
+  d->scale = options.scale;
+  d->vocab.values_per_column = options.values_per_column;
+  d->compile.max_states = options.compiled_max_states;
+  d->compile.max_millis = options.compiled_max_millis;
+  LSG_ASSIGN_OR_RETURN(d->db, BuildNamedDatabase(dataset, options.scale));
+  d->contexts.resize(FuzzProfiles().size());
+  datasets_.push_back(std::move(d));
+  return datasets_.back().get();
+}
+
 StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
+  FuzzFixtures fixtures;
+  return RunFuzz(options, &fixtures);
+}
+
+StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
+                               FuzzFixtures* fixtures) {
   const std::vector<FuzzProfile>& profiles = FuzzProfiles();
   if (!options.inject_fsm_bug.empty() &&
       options.inject_fsm_bug != "mask-bit" &&
@@ -96,21 +148,19 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
   FuzzRunStats stats;
   for (size_t di = 0; di < datasets.size(); ++di) {
     const std::string& dataset = datasets[di];
-    LSG_ASSIGN_OR_RETURN(Database db,
-                         BuildNamedDatabase(dataset, options.scale));
-    VocabularyOptions vo;
-    vo.values_per_column = options.values_per_column;
-    auto vocab = Vocabulary::Build(db, vo);
-    if (!vocab.ok()) return vocab.status();
+    LSG_ASSIGN_OR_RETURN(FuzzFixtures::Dataset * fixture,
+                         fixtures->Get(dataset, options));
+    Database& db = fixture->db;
     DifferentialOracle oracle(&db, options.oracle);
 
-    // Lazily fetch one compiled FSM table per profile for the compiled-fsm
-    // oracle, via the process-wide cache: a pair past the compile caps is
-    // probed once per process (negative entry), not once per RunFuzz call,
-    // and its episodes simply skip the seventh oracle. Fault injection
-    // corrupts a private copy — the shared cached table stays pristine.
-    std::vector<std::shared_ptr<const CompiledFsmTable>> shared_tables(
-        profiles.size());
+    // One context per profile, built on first use and kept in the
+    // fixture: it carries the vocabulary every oracle replays through and,
+    // for the compiled-fsm oracle, the profile's table — compiled at most
+    // once, so a pair past the compile caps is probed once per fixture and
+    // its episodes simply skip the seventh oracle. Fault injection
+    // corrupts a private copy — the context's table stays pristine.
+    std::vector<std::shared_ptr<const DatabaseContext>>& contexts =
+        fixture->contexts;
     std::vector<std::unique_ptr<CompiledFsmTable>> corrupt_tables(
         profiles.size());
     std::vector<bool> table_probed(profiles.size(), false);
@@ -118,19 +168,14 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
       if (!options.oracle.check_compiled_fsm) return nullptr;
       if (!table_probed[pi]) {
         table_probed[pi] = true;
-        CompileFsmOptions co;
-        co.max_states = options.compiled_max_states;
-        co.max_millis = options.compiled_max_millis;
-        shared_tables[pi] = CompiledFsmCache::Global().GetOrCompile(
-            db, *vocab, profiles[pi].profile, co, /*cache_dir=*/"");
-        if (shared_tables[pi] == nullptr) {
+        const CompiledFsmTable* table = contexts[pi]->compiled_fsm();
+        if (table == nullptr) {
           ++stats.compiled_skipped;
         } else {
           ++stats.compiled_tables;
           if (options.inject_fsm_bug == "mask-bit" ||
               options.inject_fsm_bug == "transition-swap") {
-            corrupt_tables[pi] =
-                std::make_unique<CompiledFsmTable>(*shared_tables[pi]);
+            corrupt_tables[pi] = std::make_unique<CompiledFsmTable>(*table);
             if (options.inject_fsm_bug == "mask-bit") {
               corrupt_tables[pi]->CorruptMaskBit(options.seed);
             } else {
@@ -140,14 +185,16 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
         }
       }
       return corrupt_tables[pi] != nullptr ? corrupt_tables[pi].get()
-                                           : shared_tables[pi].get();
+                                           : contexts[pi]->compiled_fsm();
     };
 
     int dataset_failures = 0;
     for (int ep = 0; ep < options.episodes; ++ep) {
       if (dataset_failures >= options.max_failures) break;
       const int pi = ep % static_cast<int>(profiles.size());
-      GenerationFsm fsm(&db, &*vocab, profiles[pi].profile);
+      LSG_ASSIGN_OR_RETURN(const DatabaseContext* ctx, fixture->Context(pi));
+      const Vocabulary* vocab = &ctx->vocab();
+      GenerationFsm fsm(&db, vocab, profiles[pi].profile);
       const uint64_t ep_seed = EpisodeSeed(options.seed, di, ep);
       Rng rng(ep_seed);
       std::vector<int> actions;
@@ -176,21 +223,20 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
           // Sixth oracle: incremental prefix estimates must reproduce the
           // full walk at every executable prefix of the episode.
           violation = oracle.CheckPrefixEstimates(
-              &*vocab, profiles[pi].profile, actions);
+              vocab, profiles[pi].profile, actions);
         }
         if (!violation.has_value()) {
           // Seventh oracle: the compiled mask/transition table must agree
           // with the interpreted FSM token-by-token over this episode.
           violation = oracle.CheckCompiledFsm(
-              &*vocab, profiles[pi].profile, compiled_table_for(pi), actions);
+              vocab, profiles[pi].profile, compiled_table_for(pi), actions);
         }
         if (!violation.has_value() && ep % 8 == 0) {
           // Eighth oracle (sampled — it decodes whole episode groups, not
           // this episode's actions): the batched cross-request decoder must
           // reproduce the scalar decode path byte-for-byte under a random
           // policy seeded from this episode.
-          violation = oracle.CheckBatchDecode(&*vocab, profiles[pi].profile,
-                                              ep_seed);
+          violation = oracle.CheckBatchDecode(*ctx, ep_seed);
         }
         if (!violation.has_value()) continue;
         trace.oracle = violation->oracle;
@@ -199,16 +245,16 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
         if (options.shrink) {
           const std::string want = violation->oracle;
           auto still_fails = [&](const std::vector<int>& candidate) {
-            GenerationFsm replay_fsm(&db, &*vocab, profiles[pi].profile);
+            GenerationFsm replay_fsm(&db, vocab, profiles[pi].profile);
             auto replayed = ReplayActions(&replay_fsm, candidate, nullptr);
             if (!replayed.ok()) return false;
             auto v = oracle.Check(*replayed);
             if (!v.has_value()) {
-              v = oracle.CheckPrefixEstimates(&*vocab, profiles[pi].profile,
+              v = oracle.CheckPrefixEstimates(vocab, profiles[pi].profile,
                                               candidate);
             }
             if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(&*vocab, profiles[pi].profile,
+              v = oracle.CheckCompiledFsm(vocab, profiles[pi].profile,
                                           compiled_table_for(pi), candidate);
             }
             return v.has_value() && v->oracle == want;
@@ -217,16 +263,16 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
           stats.shrink_probes += shrunk.probes;
           // Re-derive sql/detail from the minimized trace so the artifact
           // describes exactly what --replay will reproduce.
-          GenerationFsm final_fsm(&db, &*vocab, profiles[pi].profile);
+          GenerationFsm final_fsm(&db, vocab, profiles[pi].profile);
           auto minimized = ReplayActions(&final_fsm, shrunk.actions, nullptr);
           if (minimized.ok()) {
             auto v = oracle.Check(*minimized);
             if (!v.has_value()) {
-              v = oracle.CheckPrefixEstimates(&*vocab, profiles[pi].profile,
+              v = oracle.CheckPrefixEstimates(vocab, profiles[pi].profile,
                                               shrunk.actions);
             }
             if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(&*vocab, profiles[pi].profile,
+              v = oracle.CheckCompiledFsm(vocab, profiles[pi].profile,
                                           compiled_table_for(pi),
                                           shrunk.actions);
             }
@@ -256,20 +302,31 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
 
 StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
                                           const OracleOptions& oracle_opts) {
+  FuzzFixtures fixtures;
+  return ReplayTraceEpisode(trace, oracle_opts, &fixtures);
+}
+
+StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
+                                          const OracleOptions& oracle_opts,
+                                          FuzzFixtures* fixtures) {
   const std::vector<FuzzProfile>& profiles = FuzzProfiles();
   if (trace.profile < 0 ||
       trace.profile >= static_cast<int>(profiles.size())) {
     return Status::InvalidArgument(
         StrFormat("trace profile %d out of range", trace.profile));
   }
-  LSG_ASSIGN_OR_RETURN(Database db,
-                       BuildNamedDatabase(trace.dataset, trace.scale));
-  VocabularyOptions vo;
-  vo.values_per_column = trace.values_per_column;
-  auto vocab = Vocabulary::Build(db, vo);
-  if (!vocab.ok()) return vocab.status();
+  FuzzOptions fixture_opts;  // the trace's database, default compile caps
+  fixture_opts.scale = trace.scale;
+  fixture_opts.values_per_column = trace.values_per_column;
+  LSG_ASSIGN_OR_RETURN(FuzzFixtures::Dataset * fixture,
+                       fixtures->Get(trace.dataset, fixture_opts));
+  Database& db = fixture->db;
+  LSG_ASSIGN_OR_RETURN(const DatabaseContext* ctx,
+                       fixture->Context(trace.profile));
+  const QueryProfile& profile = profiles[trace.profile].profile;
+  const Vocabulary* vocab = &ctx->vocab();
 
-  GenerationFsm fsm(&db, &*vocab, profiles[trace.profile].profile);
+  GenerationFsm fsm(&db, vocab, profile);
   LSG_ASSIGN_OR_RETURN(QueryAst ast,
                        ReplayActions(&fsm, trace.actions, nullptr));
 
@@ -278,31 +335,20 @@ StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
   result.sql = RenderSql(ast, db.catalog());
   auto violation = oracle.Check(ast);
   if (!violation.has_value()) {
-    violation = oracle.CheckPrefixEstimates(
-        &*vocab, profiles[trace.profile].profile, trace.actions);
+    violation = oracle.CheckPrefixEstimates(vocab, profile, trace.actions);
   }
   if (!violation.has_value() && oracle_opts.check_compiled_fsm) {
-    // Re-derive the table for the replay (cached process-wide) so
-    // compiled-fsm failures caught live reproduce deterministically from
-    // the artifact alone.
-    CompileFsmOptions co;
-    co.max_states = FuzzOptions().compiled_max_states;
-    co.max_millis = FuzzOptions().compiled_max_millis;
-    std::shared_ptr<const CompiledFsmTable> table =
-        CompiledFsmCache::Global().GetOrCompile(
-            db, *vocab, profiles[trace.profile].profile, co,
-            /*cache_dir=*/"");
-    if (table != nullptr) {
-      violation = oracle.CheckCompiledFsm(&*vocab,
-                                          profiles[trace.profile].profile,
-                                          table.get(), trace.actions);
+    // Re-derive the table for the replay so compiled-fsm failures caught
+    // live reproduce deterministically from the artifact alone.
+    if (const CompiledFsmTable* table = ctx->compiled_fsm()) {
+      violation =
+          oracle.CheckCompiledFsm(vocab, profile, table, trace.actions);
     }
   }
   if (!violation.has_value()) {
     // Batch-decode failures replay from the trace's seed (the oracle
     // decodes its own episode group, not the recorded actions).
-    violation = oracle.CheckBatchDecode(
-        &*vocab, profiles[trace.profile].profile, trace.seed);
+    violation = oracle.CheckBatchDecode(*ctx, trace.seed);
   }
   if (violation.has_value()) {
     result.oracle = violation->oracle;

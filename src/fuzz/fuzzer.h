@@ -2,6 +2,7 @@
 #define LEARNEDSQLGEN_FUZZ_FUZZER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,10 +68,39 @@ struct FuzzRunStats {
   std::string ToString() const;
 };
 
+/// The databases and per-profile DatabaseContexts fuzz runs build. A
+/// caller that fuzzes several times in one process hands every run the
+/// same fixtures, so each database is built, and each profile's FSM table
+/// compiled — or found past the compile caps — once per process instead
+/// of once per run. The oracle mutates a fixture database only inside a
+/// check and restores it before returning, so runs cannot leak state into
+/// each other. Not thread-safe.
+class FuzzFixtures {
+ public:
+  struct Dataset;
+
+  FuzzFixtures();
+  ~FuzzFixtures();
+  FuzzFixtures(const FuzzFixtures&) = delete;
+  FuzzFixtures& operator=(const FuzzFixtures&) = delete;
+
+  /// The fixture for `dataset` at `options`' scale, vocabulary width and
+  /// compile caps, built on first request.
+  StatusOr<Dataset*> Get(const std::string& dataset,
+                         const FuzzOptions& options);
+
+ private:
+  std::vector<std::unique_ptr<Dataset>> datasets_;
+};
+
 /// Runs the fuzzing loop: for every dataset, drives `episodes` randomized
 /// FSM walks through the full oracle stack, capturing, shrinking, and
 /// serializing every failure as a replayable corpus artifact.
 StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options);
+
+/// RunFuzz over `fixtures` (which must outlive the call).
+StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
+                               FuzzFixtures* fixtures);
 
 /// Replays one corpus artifact deterministically: rebuilds the database,
 /// vocabulary, and FSM from the trace header, replays the action trace,
@@ -78,6 +108,11 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options);
 /// detail/sql fields overwritten by the re-run (oracle empty = clean).
 StatusOr<EpisodeTrace> ReplayTraceEpisode(
     const EpisodeTrace& trace, const OracleOptions& oracle = OracleOptions());
+
+/// ReplayTraceEpisode over `fixtures` (which must outlive the call).
+StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
+                                          const OracleOptions& oracle,
+                                          FuzzFixtures* fixtures);
 
 }  // namespace lsg
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/batch_decoder.h"
@@ -530,18 +531,19 @@ std::optional<OracleViolation> DifferentialOracle::CheckCompiledFsm(
 }
 
 std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
-    const Vocabulary* vocab, const QueryProfile& profile, uint64_t seed) {
+    const DatabaseContext& context, uint64_t seed) {
   if (!options_.check_batch_decode) return std::nullopt;
+  LSG_CHECK(context.db() == db_) << "context over another database";
 
   // Small random-weight policy: the batched forward must reproduce the
   // scalar path for *any* parameters, so no training is needed.
   NetworkOptions net;
   net.hidden_dim = 12;
   net.seed = SplitMix64(seed ^ 0xba7c4dec0deULL);
-  PolicyNetwork actor(vocab->size(), net);
+  PolicyNetwork actor(context.vocab().size(), net);
 
   EnvironmentOptions env_opts;
-  env_opts.profile = profile;
+  env_opts.profile = context.profile();
   // A wide range keeps the comparison about decoding, not learnability.
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
@@ -556,8 +558,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   auto run_scalar = [&](uint64_t rng_seed,
                         int n) -> StatusOr<std::vector<RefQuery>> {
     Rng rng(rng_seed);
-    SqlGenEnvironment env(db_, vocab, &estimator_, &cost_model_, constraint,
-                          env_opts);
+    SqlGenEnvironment env(context, constraint, env_opts);
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
       PolicyNetwork::Episode ep = actor.BeginEpisode(/*train=*/false);
@@ -573,10 +574,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   };
 
   ServingSnapshot snap;
-  snap.db = db_;
-  snap.vocab = vocab;
-  snap.estimator = &estimator_;
-  snap.cost_model = &cost_model_;
+  snap.context = &context;
   snap.actor = &actor;
   snap.env_opts = env_opts;
   snap.constraint = constraint;

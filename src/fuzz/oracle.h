@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/sql_linter.h"
+#include "core/database_context.h"
 #include "exec/dml_executor.h"
 #include "exec/executor.h"
 #include "fsm/generation_fsm.h"
@@ -116,7 +117,8 @@ class DifferentialOracle {
       const CompiledFsmTable* table, const std::vector<int>& actions);
 
   /// Eighth oracle (batch-decode): builds a small randomly-initialized
-  /// policy over the oracle's database (seeded from `seed`, so batching
+  /// policy over `context`, which must be over the oracle's database
+  /// (seeded from `seed`, so batching
   /// must hold for arbitrary weights, not just trained ones) and decodes a
   /// group of episodes twice — once through the ragged cross-request
   /// BatchDecoder (batched GEMM forward) and once through RolloutPolicy
@@ -124,9 +126,8 @@ class DifferentialOracle {
   /// asserting attempt counts, rendered SQL, metrics and satisfied flags
   /// are byte-identical. This is the serving path's standing guarantee:
   /// batching changes wall-clock only, never samples.
-  std::optional<OracleViolation> CheckBatchDecode(const Vocabulary* vocab,
-                                                 const QueryProfile& profile,
-                                                 uint64_t seed);
+  std::optional<OracleViolation> CheckBatchDecode(
+      const DatabaseContext& context, uint64_t seed);
 
   uint64_t checked() const { return checked_; }
   /// Episodes where some check was skipped (join blowup / work budget).

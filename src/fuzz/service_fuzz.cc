@@ -32,6 +32,11 @@ Constraint RandomConstraint(Rng* rng) {
 Status FuzzGenerationService(const ServiceFuzzOptions& options) {
   LSG_ASSIGN_OR_RETURN(Database db,
                        BuildNamedDatabase(options.dataset, options.scale));
+  // The rounds' services differ only in serving and training knobs, so
+  // they share one context.
+  LSG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const DatabaseContext> context,
+      LearnedSqlGen::CreateContext(&db, LearnedSqlGenOptions()));
 
   for (int round = 0; round < options.rounds; ++round) {
     Rng rng(SplitMix64(options.seed + static_cast<uint64_t>(round)));
@@ -45,7 +50,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
     opts.gen.seed = SplitMix64(options.seed ^ (round + 1));
     const bool midrun_shutdown = (round % 2) == 1;
 
-    auto service = GenerationService::Create(&db, opts);
+    auto service = GenerationService::Create(context, opts);
     if (!service.ok()) return service.status();
     if (options.verbose) {
       LSG_LOG(Info) << "service fuzz round " << round << ": workers="

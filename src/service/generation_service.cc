@@ -56,11 +56,13 @@ uint64_t BucketTrainSeed(uint64_t base, const ConstraintKey& key) {
 
 }  // namespace
 
-GenerationService::GenerationService(const Database* db,
-                                     const GenerationServiceOptions& options)
+GenerationService::GenerationService(
+    std::shared_ptr<const DatabaseContext> context,
+    const GenerationServiceOptions& options)
     : options_(options),
       metrics_(options.metrics_registry),
-      registry_(db, MergedGenOptions(options), options.registry, &metrics_),
+      registry_(std::move(context), MergedGenOptions(options),
+                options.registry, &metrics_),
       queue_(options.queue_capacity) {
   options_.gen = MergedGenOptions(options_);
 }
@@ -73,8 +75,24 @@ StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
   if (options.num_workers <= 0) {
     return Status::InvalidArgument("num_workers must be positive");
   }
+  LSG_ASSIGN_OR_RETURN(
+      std::shared_ptr<const DatabaseContext> context,
+      LearnedSqlGen::CreateContext(db, MergedGenOptions(options)));
+  return Create(std::move(context), options);
+}
+
+StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
+    std::shared_ptr<const DatabaseContext> context,
+    const GenerationServiceOptions& options) {
+  if (options.num_workers <= 0) {
+    return Status::InvalidArgument("num_workers must be positive");
+  }
+  // Options no pipeline over `context` could serve fail here, not in
+  // every request (building a pipeline over a context is O(1)).
+  LSG_RETURN_IF_ERROR(
+      LearnedSqlGen::Create(context, MergedGenOptions(options)).status());
   std::unique_ptr<GenerationService> service(
-      new GenerationService(db, options));
+      new GenerationService(std::move(context), options));
   MutexLock lock(&service->shutdown_mu_);
   service->workers_.reserve(options.num_workers);
   for (int w = 0; w < options.num_workers; ++w) {

@@ -65,10 +65,10 @@ struct GenerationServiceOptions {
   /// (lsgtrace does this). Must outlive the service when non-null.
   obs::MetricsRegistry* metrics_registry = nullptr;
   // Compiled FSM tables are configured through `gen` (use_compiled_fsm /
-  // compiled_fsm / compiled_fsm_cache_dir); when `gen.compiled_fsm_cache_dir`
-  // is empty and `registry.spill_dir` is set, artifacts are cached under
-  // `<spill_dir>/compiled_fsm` beside the spilled models. Workers share one
-  // immutable table per (db, vocab, profile) via the process-wide cache.
+  // compiled_fsm_cache_dir); when `gen.compiled_fsm_cache_dir` is empty and
+  // `registry.spill_dir` is set, artifacts are cached under
+  // `<spill_dir>/compiled_fsm` beside the spilled models. Workers share the
+  // service's one DatabaseContext, hence one immutable table.
 };
 
 /// Multi-tenant front end over LearnedSqlGen: a fixed worker pool drains a
@@ -82,9 +82,20 @@ struct GenerationServiceOptions {
 /// a worker is still holding in its local group — before joining.
 class GenerationService {
  public:
-  /// `db` must outlive the service. Workers start immediately.
+  /// `db` must outlive the service. Builds the service's one
+  /// DatabaseContext (statistics, vocabulary, estimator, cost model) here,
+  /// so misconfigured options — `gen.trainer.net.extra_input_dims != 0`,
+  /// a vocabulary that cannot be built — fail Create rather than every
+  /// request. Workers start immediately.
   static StatusOr<std::unique_ptr<GenerationService>> Create(
       const Database* db, const GenerationServiceOptions& options);
+
+  /// A service over an existing context (shared with whoever else holds
+  /// it). `options.gen` must match the context's vocabulary and profile;
+  /// the context's own compiled-FSM cache directory applies.
+  static StatusOr<std::unique_ptr<GenerationService>> Create(
+      std::shared_ptr<const DatabaseContext> context,
+      const GenerationServiceOptions& options);
 
   ~GenerationService();
 
@@ -121,7 +132,7 @@ class GenerationService {
     Stopwatch queued;  ///< started at submit; read at pop = queue latency
   };
 
-  GenerationService(const Database* db,
+  GenerationService(std::shared_ptr<const DatabaseContext> context,
                     const GenerationServiceOptions& options);
 
   void WorkerLoop(int worker_index);

@@ -9,10 +9,13 @@
 
 namespace lsg {
 
-ModelRegistry::ModelRegistry(const Database* db,
+ModelRegistry::ModelRegistry(std::shared_ptr<const DatabaseContext> context,
                              const LearnedSqlGenOptions& base,
                              const Options& options, ServiceMetrics* metrics)
-    : db_(db), base_(base), options_(options), metrics_(metrics) {
+    : context_(std::move(context)),
+      base_(base),
+      options_(options),
+      metrics_(metrics) {
   if (options_.capacity == 0) options_.capacity = 1;
   if (!options_.spill_dir.empty()) {
     std::error_code ec;
@@ -113,7 +116,7 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
   opts.trainer.seed = train_seed;
   std::unique_ptr<LearnedSqlGen> gen;
   std::shared_ptr<const ServingSnapshot> snapshot;
-  auto built = LearnedSqlGen::Create(db_, opts);
+  auto built = LearnedSqlGen::Create(context_, opts);
   Status status = built.status();
   if (status.ok()) {
     gen = std::move(built).value();

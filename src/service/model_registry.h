@@ -59,10 +59,13 @@ class ModelRegistry {
     std::string spill_dir;
   };
 
-  /// `db` must outlive the registry. `base` configures every pipeline the
-  /// registry builds; the trainer seed is overridden per Acquire call.
-  ModelRegistry(const Database* db, const LearnedSqlGenOptions& base,
-                const Options& options, ServiceMetrics* metrics);
+  /// Every pipeline the registry builds shares `context` (which must
+  /// match `base`'s vocabulary and profile), so building one costs O(1).
+  /// `base` configures every pipeline; the trainer seed is overridden per
+  /// Acquire call.
+  ModelRegistry(std::shared_ptr<const DatabaseContext> context,
+                const LearnedSqlGenOptions& base, const Options& options,
+                ServiceMetrics* metrics);
 
   /// What Acquire hands back: a shared entry (kept alive even if evicted
   /// while in use) plus how it was obtained.
@@ -107,7 +110,7 @@ class ModelRegistry {
   /// whole registry is held).
   void EvictIfNeeded() LSG_REQUIRES(registry_mu_);
 
-  const Database* db_;
+  std::shared_ptr<const DatabaseContext> context_;
   LearnedSqlGenOptions base_;
   Options options_;
   ServiceMetrics* metrics_;

@@ -31,6 +31,8 @@ struct VocabularyOptions {
 
   /// Seed for value sampling; fixed for reproducibility.
   uint64_t seed = 42;
+
+  bool operator==(const VocabularyOptions&) const = default;
 };
 
 /// The fixed action space A for one database (paper §4.1): every keyword,

@@ -31,6 +31,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/database_context.h"
+#include "core/environment.h"
 #include "core/workload.h"
 #include "fsm/compiled_fsm.h"
 #include "fsm/generation_fsm.h"
@@ -424,69 +426,76 @@ TEST(CompiledFsmTest, InjectedCorruptionsAreCaughtByTheOracle) {
   }
 }
 
-TEST(CompiledFsmTest, CompileCapsAreEnforcedAndCacheIsKeyedByCaps) {
+TEST(CompiledFsmTest, ContextUnderTinyCapsFallsBackOnceToInterpreted) {
   Database db = BuildScoreStudentDb();
-  auto vocab = Vocabulary::Build(db, VocabularyOptions());
-  ASSERT_TRUE(vocab.ok());
   const QueryProfile profile = QueryProfile::SpjOnly();
 
   CompileFsmOptions tiny;
   tiny.max_states = 8;
+  auto vocab = Vocabulary::Build(db, VocabularyOptions());
+  ASSERT_TRUE(vocab.ok());
   auto refused = CompileFsm(db, *vocab, profile, tiny);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
 
-  // A negative probe under tiny caps must not shadow a feasible compile
-  // under the default caps (the memo is keyed by caps, not just inputs).
-  auto& cache = CompiledFsmCache::Global();
-  EXPECT_EQ(cache.GetOrCompile(db, *vocab, profile, tiny, ""), nullptr);
-  auto table =
-      cache.GetOrCompile(db, *vocab, profile, CompileFsmOptions(), "");
-  ASSERT_NE(table, nullptr);
-  // Memoised: the same caps hand back the same shared artifact.
-  EXPECT_EQ(table.get(),
-            cache.GetOrCompile(db, *vocab, profile, CompileFsmOptions(), "")
-                .get());
+  // The context turns the refusal into the interpreted fallback (nullptr)
+  // and remembers it: later calls do not probe the compiler again.
+  auto ctx = DatabaseContext::Create(&db, VocabularyOptions(), profile, "",
+                                     tiny);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  EXPECT_EQ((*ctx)->compile_attempts(), 0);
+  EXPECT_EQ((*ctx)->compiled_fsm(), nullptr);
+  EXPECT_EQ((*ctx)->compiled_fsm(), nullptr);
+  EXPECT_EQ((*ctx)->compile_attempts(), 1);
+
+  // An environment over it runs interpreted masks.
+  EnvironmentOptions eo;
+  eo.profile = profile;
+  SqlGenEnvironment env(**ctx, Constraint::Range(
+                                   ConstraintMetric::kCardinality, 1, 100),
+                        eo);
+  env.Reset();
+  EXPECT_FALSE(env.fsm().compiled_active());
+  const std::vector<uint8_t>& mask = env.ValidActions();
+  EXPECT_GT(std::count(mask.begin(), mask.end(), uint8_t{1}), 0);
+
+  // Default caps on the same inputs compile fine.
+  auto ok_ctx = DatabaseContext::Create(&db, VocabularyOptions(), profile);
+  ASSERT_TRUE(ok_ctx.ok());
+  EXPECT_NE((*ok_ctx)->compiled_fsm(), nullptr);
 }
 
-TEST(CompiledFsmTest, CacheDeduplicatesConcurrentCompiles) {
-  // Regression test for the memo-lock convoy: GetOrCompile used to hold
-  // the process-wide cache mutex across the whole CompileFsm call, so
-  // concurrent first requests serialized behind one compile (and, with a
-  // lock-hierarchy violation waiting to happen, took the logging mutex
-  // underneath it). The refactored cache compiles with the mutex released
-  // and deduplicates same-key requests through an in-progress slot: many
-  // threads asking for one key must trigger exactly one compile attempt
-  // and all receive the same shared artifact.
+TEST(CompiledFsmTest, ContextCompilesOnceForConcurrentCallers) {
+  // Many threads resolving one context's table at the same moment: one
+  // compile runs, the rest wait for it, and every thread gets the same
+  // table.
   Database db = BuildScoreStudentDb();
-  auto vocab = Vocabulary::Build(db, VocabularyOptions());
-  ASSERT_TRUE(vocab.ok());
-  const QueryProfile profile = QueryProfile::SpjOnly();
+  auto ctx = DatabaseContext::Create(&db, VocabularyOptions(),
+                                     QueryProfile::SpjOnly());
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  const DatabaseContext& context = **ctx;
 
-  CompiledFsmCache cache;  // standalone: counters start at zero
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const CompiledFsmTable>> results(kThreads);
+  std::vector<const CompiledFsmTable*> results(kThreads, nullptr);
+  std::atomic<int> arrived{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      results[t] =
-          cache.GetOrCompile(db, *vocab, profile, CompileFsmOptions(), "");
+      // Start barrier: maximize the overlap of the first calls.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      results[t] = context.compiled_fsm();
     });
   }
   for (std::thread& t : threads) t.join();
 
   ASSERT_NE(results[0], nullptr);
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(results[t].get(), results[0].get()) << "thread " << t;
+    EXPECT_EQ(results[t], results[0]) << "thread " << t;
   }
-  const CompiledFsmCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.compiles, 1u);  // dedup: one attempt, not kThreads
-  EXPECT_EQ(stats.misses, 1u);
-  // Late arrivals count as hits, racers as dedup waits; together they
-  // account for every other request exactly once.
-  EXPECT_EQ(stats.hits + stats.dedup_waits,
-            static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(context.compile_attempts(), 1);
+  EXPECT_EQ(context.compiled_fsm(), results[0]);
 }
 
 TEST(CompiledFsmTest, SharedTableIsSafeAcrossWalkingThreads) {

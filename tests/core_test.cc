@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/random.h"
 #include "core/batch_decoder.h"
@@ -12,6 +13,7 @@
 #include "core/workload.h"
 #include "obs/episode_telemetry.h"
 #include "obs/json.h"
+#include "obs/metrics_registry.h"
 #include "obs/obs.h"
 #include "tests/test_db.h"
 
@@ -165,6 +167,67 @@ TEST_F(EnvTest, TrueExecutionFeedbackMatchesExecutor) {
   EXPECT_DOUBLE_EQ(r->metric, 30.0);  // exact, not estimated
 }
 
+// True execution is memoized per environment, keyed by the actions since
+// Reset(). Queries that differ only in their last token — here the literal
+// of a WHERE predicate — must not share an entry: a key that dropped the
+// last action would replay the first literal's answer for all the others.
+TEST_F(EnvTest, ExecutionMemoKeysOnEveryAction) {
+  EnvironmentOptions eo;
+  eo.feedback = FeedbackSource::kTrueExecution;
+  SqlGenEnvironment env(
+      &db_, &*vocab_, est_.get(), cost_.get(),
+      Constraint::Range(ConstraintMetric::kCardinality, 1, 100), eo);
+  // FROM Score SELECT Score.SID WHERE, then the first legal column, then
+  // the first legal operator, until the mask offers predicate literals.
+  std::vector<int> prefix = {vocab_->keyword_id(Keyword::kFrom),
+                             vocab_->table_token_id(score()),
+                             vocab_->keyword_id(Keyword::kSelect),
+                             vocab_->column_token_id(score(), 0),
+                             vocab_->keyword_id(Keyword::kWhere)};
+  env.Reset();
+  for (int a : prefix) ASSERT_TRUE(env.Step(a).ok());
+  std::vector<int> literals;
+  for (int guard = 0; guard < 8 && literals.empty(); ++guard) {
+    const std::vector<uint8_t>& mask = env.ValidActions();
+    int next = -1;
+    std::vector<int> values;
+    for (int id = 0; id < vocab_->size(); ++id) {
+      if (mask[id] == 0) continue;
+      const TokenKind kind = vocab_->token(id).kind;
+      if (kind == TokenKind::kValue) values.push_back(id);
+      if (next < 0 &&
+          (kind == TokenKind::kColumn || kind == TokenKind::kOperator)) {
+        next = id;
+      }
+    }
+    if (values.size() >= 2) {
+      literals = values;
+      break;
+    }
+    ASSERT_GE(next, 0);
+    ASSERT_TRUE(env.Step(next).ok());
+    prefix.push_back(next);
+  }
+  ASSERT_GE(literals.size(), 2u);
+
+  // Each query's step metric must be its own execution, on the first run
+  // (a miss) and on the second (a hit) alike.
+  std::set<double> distinct;
+  for (int round = 0; round < 2; ++round) {
+    for (int literal : literals) {
+      env.Reset();
+      for (int a : prefix) ASSERT_TRUE(env.Step(a).ok());
+      auto r = env.Step(literal);
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(r->executable);
+      const double truth = env.MetricOf(env.fsm().builder().ast());
+      EXPECT_EQ(r->metric, truth) << vocab_->token(literal).text;
+      distinct.insert(truth);
+    }
+  }
+  EXPECT_GE(distinct.size(), 2u);  // the literals really change the answer
+}
+
 TEST_F(EnvTest, TelemetryBaselinesResetWhileObsDisabled) {
   // Regression: Reset() used to skip the per-episode telemetry baselines
   // unless obs::Enabled(), so turning observability on mid-run attributed
@@ -316,12 +379,11 @@ TEST(GeneratorTest, GenerateBeforeTrainFails) {
 }
 
 TEST(GeneratorTest, TrainThenGenerateBatch) {
-  Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
   opts.train_epochs = 10;
   opts.trainer.batch_size = 4;
   opts.vocab.values_per_column = 8;
-  auto gen = LearnedSqlGen::Create(&db, opts);
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
   ASSERT_TRUE((*gen)->Train(c).ok());
@@ -338,13 +400,12 @@ TEST(GeneratorTest, TrainThenGenerateBatch) {
 }
 
 TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
-  Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
   opts.train_epochs = 25;
   opts.trainer.batch_size = 4;
   opts.vocab.values_per_column = 8;
   opts.attempts_factor = 100;
-  auto gen = LearnedSqlGen::Create(&db, opts);
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
   // Easy constraint: almost everything under 100 rows.
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 1, 100);
@@ -361,6 +422,41 @@ TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
   EXPECT_GT(rep->train_seconds, 0.0);
 }
 
+// Execution-grounded training memoizes true execution per environment: a
+// prefix the environment has already executed replays its first answer
+// instead of running again. Under LSG_CHECK_INCREMENTAL=1 (the
+// core_test_check_incremental ctest) every hit also re-executes and aborts
+// unless the two values are bit-equal.
+TEST(GeneratorTest, TrueFeedbackTailHitsTheExecutionMemo) {
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 10;
+  opts.trainer.batch_size = 4;
+  opts.vocab.values_per_column = 8;
+  opts.true_feedback_tail = 0.5;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  for (ConstraintMetric metric :
+       {ConstraintMetric::kCardinality, ConstraintMetric::kCost}) {
+    auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
+    ASSERT_TRUE(gen.ok());
+    const uint64_t hits = reg.GetCounter("opt.cache.hits").Value();
+    const uint64_t misses = reg.GetCounter("opt.cache.misses").Value();
+    const uint64_t calls = reg.GetCounter("env.true_feedback_calls").Value();
+    obs::SetEnabled(true);
+    const Status trained = (*gen)->Train(Constraint::Range(metric, 5, 50));
+    obs::SetEnabled(false);
+    ASSERT_TRUE(trained.ok()) << trained.ToString();
+    const uint64_t new_hits = reg.GetCounter("opt.cache.hits").Value() - hits;
+    const uint64_t new_misses =
+        reg.GetCounter("opt.cache.misses").Value() - misses;
+    EXPECT_GT(new_hits, 0u);
+    EXPECT_GT(new_misses, 0u);
+    // env.true_feedback_calls counts requests, hits included (score has
+    // no DML under the default profile, so every request is measured).
+    EXPECT_EQ(reg.GetCounter("env.true_feedback_calls").Value() - calls,
+              new_hits + new_misses);
+  }
+}
+
 // The serving tentpole's core contract: decoding a group of requests
 // through BatchDecoder (one batched forward per step, ragged lanes that
 // join and retire at different times) yields byte-for-byte the queries
@@ -369,13 +465,12 @@ TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
 // MatVec path). A second decode at max_lanes = 1 over the whole group
 // pins ragged admission at width 1 to the same output.
 TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
-  Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
   opts.train_epochs = 8;
   opts.trainer.batch_size = 4;
   opts.vocab.values_per_column = 8;
   opts.attempts_factor = 40;
-  auto gen = LearnedSqlGen::Create(&db, opts);
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
   ASSERT_TRUE((*gen)->Train(c).ok());
@@ -442,13 +537,12 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
 }
 
 TEST(GeneratorTest, ReinforceVariantTrains) {
-  Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
   opts.train_epochs = 5;
   opts.trainer.batch_size = 4;
   opts.use_reinforce = true;
   opts.vocab.values_per_column = 8;
-  auto gen = LearnedSqlGen::Create(&db, opts);
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 1, 50))

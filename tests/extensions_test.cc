@@ -281,12 +281,11 @@ TEST(OrderByCostTest, SortAddsCost) {
 // ------------------------------------------------------- model persist
 
 TEST(ModelPersistenceTest, SaveLoadReproducesPolicy) {
-  Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
   opts.train_epochs = 20;
   opts.trainer.batch_size = 4;
   opts.vocab.values_per_column = 8;
-  auto gen = LearnedSqlGen::Create(&db, opts);
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 60);
   ASSERT_TRUE((*gen)->Train(c).ok());
@@ -295,7 +294,7 @@ TEST(ModelPersistenceTest, SaveLoadReproducesPolicy) {
   ASSERT_TRUE((*gen)->SaveModel(path).ok());
 
   // A fresh pipeline loads the model and generates without retraining.
-  auto gen2 = LearnedSqlGen::Create(&db, opts);
+  auto gen2 = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen2.ok());
   ASSERT_TRUE((*gen2)->LoadModel(c, path).ok());
   auto rep = (*gen2)->GenerateBatch(10);

@@ -302,6 +302,14 @@ TEST(OracleTest, DmlApplyAlwaysRollsBack) {
 
 // ----------------------------------------- end-to-end: injected bug hunt
 
+// Every run below shares one set of fixtures, so each dataset's contexts —
+// and the compile probes of the profiles past the caps — are built once
+// for the whole binary rather than once per run.
+FuzzFixtures& SharedFixtures() {
+  static FuzzFixtures* fixtures = new FuzzFixtures;
+  return *fixtures;
+}
+
 TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
   FuzzOptions opts;
   opts.datasets = {"score"};
@@ -310,7 +318,7 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
   opts.max_failures = 3;
   opts.oracle.inject_card_offset = 1;
 
-  auto stats = RunFuzz(opts);
+  auto stats = RunFuzz(opts, &SharedFixtures());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_FALSE(stats->failures.empty())
       << "harness failed to catch an injected off-by-one executor bug";
@@ -323,14 +331,16 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
     // after a serialization round trip, as `lsgfuzz --replay` would.
     auto reparsed = ParseTrace(TraceToString(f));
     ASSERT_TRUE(reparsed.ok());
-    auto rerun = ReplayTraceEpisode(*reparsed, opts.oracle);
+    auto rerun =
+        ReplayTraceEpisode(*reparsed, opts.oracle, &SharedFixtures());
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(rerun->oracle, "exec-vs-ref");
     EXPECT_EQ(rerun->sql, f.sql);
 
     // Without the injected bug the same trace is clean — the failure is
     // the injection's, not the engine's.
-    auto clean = ReplayTraceEpisode(*reparsed, OracleOptions());
+    auto clean = ReplayTraceEpisode(*reparsed, OracleOptions(),
+                                    &SharedFixtures());
     ASSERT_TRUE(clean.ok());
     EXPECT_TRUE(clean->oracle.empty()) << clean->detail;
   }
@@ -345,7 +355,7 @@ TEST(FuzzerTest, InjectedRendererBugTripsTheFixpointOracle) {
   opts.shrink = false;
   opts.oracle.inject_render_space = true;
 
-  auto stats = RunFuzz(opts);
+  auto stats = RunFuzz(opts, &SharedFixtures());
   ASSERT_TRUE(stats.ok());
   ASSERT_FALSE(stats->failures.empty());
   EXPECT_EQ(stats->failures[0].oracle, "render-fixpoint");
@@ -364,7 +374,7 @@ TEST(FuzzerTest, InjectedFsmTableCorruptionIsCaught) {
     opts.shrink = false;
     opts.inject_fsm_bug = bug;
 
-    auto stats = RunFuzz(opts);
+    auto stats = RunFuzz(opts, &SharedFixtures());
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_GT(stats->compiled_tables, 0) << bug;
     ASSERT_FALSE(stats->failures.empty())
@@ -376,14 +386,14 @@ TEST(FuzzerTest, InjectedFsmTableCorruptionIsCaught) {
   // Unknown injection names are rejected, not silently ignored.
   FuzzOptions bad;
   bad.inject_fsm_bug = "typo";
-  EXPECT_FALSE(RunFuzz(bad).ok());
+  EXPECT_FALSE(RunFuzz(bad, &SharedFixtures()).ok());
 }
 
 TEST(FuzzerTest, CleanRunOverEveryDatasetFindsNothing) {
   FuzzOptions opts;
   opts.episodes = 25;  // 25 x 4 datasets; keep the suite fast
   opts.seed = 11;
-  auto stats = RunFuzz(opts);
+  auto stats = RunFuzz(opts, &SharedFixtures());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->episodes, 100u);
   // SPJ compiles on every bundled dataset and DML on score, so the clean

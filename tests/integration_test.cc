@@ -5,6 +5,7 @@
 #include "datasets/tpch_like.h"
 #include "exec/executor.h"
 #include "sql/render.h"
+#include "tests/test_db.h"
 
 namespace lsg {
 namespace {
@@ -14,15 +15,27 @@ class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     db_ = new Database(BuildTpchLike(DatasetScale{0.5, 20220612}));
+    contexts_ = new SharedContexts(db_);
   }
   static void TearDownTestSuite() {
+    delete contexts_;
+    contexts_ = nullptr;
     delete db_;
     db_ = nullptr;
   }
+
+  /// A pipeline over the suite's shared context for `opts`.
+  static StatusOr<std::unique_ptr<LearnedSqlGen>> Pipeline(
+      const LearnedSqlGenOptions& opts) {
+    return LearnedSqlGen::Create(contexts_->For(opts), opts);
+  }
+
   static Database* db_;
+  static SharedContexts* contexts_;
 };
 
 Database* IntegrationTest::db_ = nullptr;
+SharedContexts* IntegrationTest::contexts_ = nullptr;
 
 TEST_F(IntegrationTest, LearnedBeatsRandomOnMidRangeConstraint) {
   // The headline claim of the paper (Figures 4-7), in miniature: after
@@ -32,7 +45,7 @@ TEST_F(IntegrationTest, LearnedBeatsRandomOnMidRangeConstraint) {
   opts.train_epochs = 120;
   opts.trainer.batch_size = 8;
   opts.seed = 99;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 50, 100);
   ASSERT_TRUE((*gen)->Train(c).ok());
@@ -55,7 +68,7 @@ TEST_F(IntegrationTest, TrainingRewardTrendsUp) {
   opts.train_epochs = 100;
   opts.trainer.batch_size = 8;
   opts.seed = 5;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 20, 60))
@@ -76,7 +89,7 @@ TEST_F(IntegrationTest, GeneratedQueriesExecuteAndMatchEstimatesRoughly) {
   opts.train_epochs = 40;
   opts.trainer.batch_size = 8;
   opts.seed = 17;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 10, 200))
@@ -110,7 +123,7 @@ TEST_F(IntegrationTest, TrueExecutionFeedbackTrains) {
   opts.trainer.batch_size = 4;
   opts.feedback = FeedbackSource::kTrueExecution;
   opts.seed = 29;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 10, 100))
@@ -125,7 +138,7 @@ TEST_F(IntegrationTest, CostConstraintPipeline) {
   opts.train_epochs = 30;
   opts.trainer.batch_size = 8;
   opts.seed = 31;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCost, 10, 1000)).ok());
@@ -142,7 +155,7 @@ TEST_F(IntegrationTest, DmlProfilePipeline) {
   opts.trainer.batch_size = 4;
   opts.profile = QueryProfile::DeleteOnly();
   opts.seed = 37;
-  auto gen = LearnedSqlGen::Create(db_, opts);
+  auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
       (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 1, 500))

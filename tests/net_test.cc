@@ -763,7 +763,6 @@ TEST(NetServerTest, ConnectionCapRefusesExcessClients) {
 // ------------------------------------------------ Loopback: real service
 
 TEST(NetServiceE2eTest, GeneratesOverLoopbackWithRealService) {
-  Database db = BuildScoreStudentDb();
   GenerationServiceOptions svc_opts;
   svc_opts.num_workers = 2;
   svc_opts.queue_capacity = 16;
@@ -771,7 +770,8 @@ TEST(NetServiceE2eTest, GeneratesOverLoopbackWithRealService) {
   svc_opts.gen.trainer.batch_size = 4;
   svc_opts.gen.attempts_factor = 40;
   svc_opts.gen.seed = 2024;
-  auto service = GenerationService::Create(&db, svc_opts);
+  auto service =
+      GenerationService::Create(ScoreContext(svc_opts.gen), svc_opts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   ServiceDispatcher dispatcher(service->get());
@@ -817,7 +817,6 @@ TEST(NetServiceE2eTest, GeneratesOverLoopbackWithRealService) {
 // of the burst is still queued when BeginDrain lands; with max_batch > 1
 // the backlog is then handled as one post-drain group.
 TEST(NetServiceE2eTest, DrainUnderLoadCompletesBatchedBacklog) {
-  Database db = BuildScoreStudentDb();
   GenerationServiceOptions svc_opts;
   svc_opts.num_workers = 1;
   svc_opts.max_batch = 8;
@@ -825,7 +824,8 @@ TEST(NetServiceE2eTest, DrainUnderLoadCompletesBatchedBacklog) {
   svc_opts.gen.train_epochs = 8;
   svc_opts.gen.trainer.batch_size = 4;
   svc_opts.gen.attempts_factor = 40;
-  auto service = GenerationService::Create(&db, svc_opts);
+  auto service =
+      GenerationService::Create(ScoreContext(svc_opts.gen), svc_opts);
   ASSERT_TRUE(service.ok());
 
   ServiceDispatcher dispatcher(service->get());
@@ -874,13 +874,13 @@ TEST(NetServiceE2eTest, DrainUnderLoadCompletesBatchedBacklog) {
 }
 
 TEST(NetServiceE2eTest, ServiceShutdownUnderServerMapsToDraining) {
-  Database db = BuildScoreStudentDb();
   GenerationServiceOptions svc_opts;
   svc_opts.num_workers = 1;
   svc_opts.gen.train_epochs = 8;
   svc_opts.gen.trainer.batch_size = 4;
   svc_opts.gen.attempts_factor = 40;
-  auto service = GenerationService::Create(&db, svc_opts);
+  auto service =
+      GenerationService::Create(ScoreContext(svc_opts.gen), svc_opts);
   ASSERT_TRUE(service.ok());
   (*service)->Shutdown();  // dispatches now fail with FailedPrecondition
 

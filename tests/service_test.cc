@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/batch_decoder.h"
 #include "common/sync.h"
 #include "obs/metrics_registry.h"
 #include "service/bounded_queue.h"
@@ -131,15 +133,15 @@ TEST(ConstraintKeyTest, ToStringIsFilesystemSafe) {
 
 class RegistryTest : public ::testing::Test {
  protected:
-  RegistryTest() : db_(BuildScoreStudentDb()) {}
-  Database db_;
+  RegistryTest() : context_(ScoreContext(FastOptions())) {}
+  std::shared_ptr<const DatabaseContext> context_;
   ServiceMetrics metrics_;
 };
 
 TEST_F(RegistryTest, SecondRequestForSameBucketIsAHitWithoutRetraining) {
   ModelRegistry::Options ro;
   ro.capacity = 4;
-  ModelRegistry registry(&db_, FastOptions(), ro, &metrics_);
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
 
   auto first = registry.Acquire(CardRange(5, 50), /*train_seed=*/1);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -160,7 +162,7 @@ TEST_F(RegistryTest, SecondRequestForSameBucketIsAHitWithoutRetraining) {
 TEST_F(RegistryTest, ConcurrentRequestsForOneBucketTrainOnce) {
   ModelRegistry::Options ro;
   ro.capacity = 4;
-  ModelRegistry registry(&db_, FastOptions(), ro, &metrics_);
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
 
   constexpr int kThreads = 4;
   std::atomic<int> ok_count{0};
@@ -188,7 +190,7 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   ModelRegistry::Options ro;
   ro.capacity = 1;
   ro.spill_dir = TempDir("spill");
-  ModelRegistry registry(&db_, FastOptions(), ro, &metrics_);
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
 
   const Constraint a = CardRange(5, 50);
   const Constraint b = CardPoint(10);
@@ -222,7 +224,7 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
 TEST_F(RegistryTest, EvictionWithoutSpillDirDiscards) {
   ModelRegistry::Options ro;
   ro.capacity = 1;  // no spill_dir
-  ModelRegistry registry(&db_, FastOptions(), ro, &metrics_);
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
   ASSERT_TRUE(registry.Acquire(CardRange(5, 50), 1).ok());
   ASSERT_TRUE(registry.Acquire(CardPoint(10), 2).ok());
   EXPECT_EQ(metrics_.evictions.Value(), 1u);
@@ -244,7 +246,7 @@ TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
   ModelRegistry::Options ro;
   ro.capacity = 1;
   ro.spill_dir = TempDir("busy_spill");
-  ModelRegistry registry(&db_, FastOptions(), ro, &metrics_);
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
 
   const Constraint a = CardRange(5, 50);
   const Constraint b = CardPoint(10);
@@ -377,7 +379,7 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
   Served want;
   {
     ServiceMetrics metrics;
-    ModelRegistry plain(&db_, FastOptions(), ModelRegistry::Options(),
+    ModelRegistry plain(context_, FastOptions(), ModelRegistry::Options(),
                         &metrics);
     want = serve(&plain);
   }
@@ -391,7 +393,7 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
   {
     LearnedSqlGenOptions opts = FastOptions();
     opts.trainer.seed = 12345;
-    auto gen = LearnedSqlGen::Create(&db_, opts);
+    auto gen = LearnedSqlGen::Create(context_, opts);
     ASSERT_TRUE(gen.ok());
     ASSERT_TRUE((*gen)->Train(c).ok());
     ASSERT_TRUE((*gen)->SaveModel(dir + "/good.model").ok());
@@ -412,7 +414,7 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
     ModelRegistry::Options ro;
     ro.spill_dir = dir + "/spill";
     std::filesystem::remove_all(ro.spill_dir);
-    ModelRegistry registry(&db_, FastOptions(), ro, metrics);
+    ModelRegistry registry(context_, FastOptions(), ro, metrics);
     WriteBytes(registry.SpillPathFor(c), bytes);
     return serve(&registry);
   };
@@ -444,12 +446,79 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
+  // Two threads (the service's workers, by hand) build four buckets at
+  // once over one fresh context. Every snapshot must point into that one
+  // context — one vocabulary, one estimator, one compiled table, compiled
+  // once — and each bucket must decode bitwise what a standalone pipeline
+  // with a private context produces from the same seeds.
+  LearnedSqlGenOptions opts = FastOptions();
+  opts.profile = QueryProfile::SpjOnly();  // compiles: the table is shared
+  auto context = LearnedSqlGen::CreateContext(&SharedScoreDb(), opts);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  ModelRegistry registry(*context, opts, ModelRegistry::Options(), &metrics_);
+
+  const std::vector<Constraint> buckets = {CardRange(5, 50), CardPoint(10),
+                                           CardRange(1, 5), CardPoint(100)};
+  std::vector<std::shared_ptr<ModelEntry>> entries(buckets.size());
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      for (size_t b = static_cast<size_t>(w); b < buckets.size(); b += 2) {
+        auto acquired = registry.Acquire(buckets[b], 700 + b);
+        if (acquired.ok()) entries[b] = std::move(acquired->entry);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(metrics_.trainings.Value(), buckets.size());
+  EXPECT_EQ((*context)->compile_attempts(), 1);
+  ASSERT_NE((*context)->compiled_fsm(), nullptr);
+
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    SCOPED_TRACE(buckets[b].ToString());
+    ASSERT_NE(entries[b], nullptr);
+    std::shared_ptr<const ServingSnapshot> snap;
+    {
+      MutexLock lock(&entries[b]->mu);
+      snap = entries[b]->snapshot;
+    }
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(snap->context, context->get());
+    EXPECT_EQ(&snap->context->vocab(), &(*context)->vocab());
+    EXPECT_EQ(&snap->context->estimator(), &(*context)->estimator());
+    EXPECT_EQ(snap->env_opts.compiled_fsm, (*context)->compiled_fsm());
+
+    BatchDecodeItem item;
+    item.constraint = buckets[b];
+    item.n = 6;
+    item.batch_mode = true;
+    item.rng = Rng(42 + b);
+    BatchDecoder(snap.get(), 1).Run({&item});
+    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+
+    LearnedSqlGenOptions solo_opts = opts;
+    solo_opts.trainer.seed = 700 + b;
+    auto solo = LearnedSqlGen::Create(&SharedScoreDb(), solo_opts);
+    ASSERT_TRUE(solo.ok());
+    EXPECT_NE(&(*solo)->vocab(), &(*context)->vocab());  // private context
+    ASSERT_TRUE((*solo)->Train(buckets[b]).ok());
+    Rng rng(42 + b);
+    auto want = (*solo)->GenerateBatch(6, &rng);
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(item.report.queries.size(), want->queries.size());
+    for (size_t q = 0; q < want->queries.size(); ++q) {
+      EXPECT_EQ(item.report.queries[q].sql, want->queries[q].sql);
+      EXPECT_EQ(std::bit_cast<uint64_t>(item.report.queries[q].metric),
+                std::bit_cast<uint64_t>(want->queries[q].metric));
+    }
+  }
+}
+
 // ----------------------------------------------------- GenerationService
 
 class ServiceTest : public ::testing::Test {
  protected:
-  ServiceTest() : db_(BuildScoreStudentDb()) {}
-
   GenerationServiceOptions ServiceOptions(int workers) {
     GenerationServiceOptions opts;
     opts.num_workers = workers;
@@ -459,11 +528,15 @@ class ServiceTest : public ::testing::Test {
     return opts;
   }
 
-  Database db_;
+  /// A service over the binary's shared score/student context.
+  static StatusOr<std::unique_ptr<GenerationService>> Start(
+      const GenerationServiceOptions& opts) {
+    return GenerationService::Create(ScoreContext(opts.gen), opts);
+  }
 };
 
 TEST_F(ServiceTest, FourWorkersMixedConstraintsAllSucceed) {
-  auto service = GenerationService::Create(&db_, ServiceOptions(4));
+  auto service = Start(ServiceOptions(4));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   // >= 8 mixed constraints: card/cost, point/range, distinct magnitudes.
@@ -502,7 +575,7 @@ TEST_F(ServiceTest, FourWorkersMixedConstraintsAllSucceed) {
 }
 
 TEST_F(ServiceTest, RepeatedConstraintIsServedFromCache) {
-  auto service = GenerationService::Create(&db_, ServiceOptions(2));
+  auto service = Start(ServiceOptions(2));
   ASSERT_TRUE(service.ok());
   GenerationRequest req;
   req.constraint = CardRange(5, 50);
@@ -521,7 +594,7 @@ TEST_F(ServiceTest, RepeatedConstraintIsServedFromCache) {
 
 TEST_F(ServiceTest, ShutdownDrainsPendingRequests) {
   auto opts = ServiceOptions(1);  // one slow worker => requests pile up
-  auto service = GenerationService::Create(&db_, opts);
+  auto service = Start(opts);
   ASSERT_TRUE(service.ok());
 
   std::vector<std::future<GenerationResponse>> futures;
@@ -552,7 +625,7 @@ TEST_F(ServiceTest, ShutdownDrainsPendingRequests) {
 TEST_F(ServiceTest, TrySubmitSplitsRejectionCountersByReason) {
   auto opts = ServiceOptions(1);
   opts.queue_capacity = 1;  // one slot + one busy worker => quick overflow
-  auto service = GenerationService::Create(&db_, opts);
+  auto service = Start(opts);
   ASSERT_TRUE(service.ok());
 
   auto make_request = [this](uint64_t id) {
@@ -599,7 +672,7 @@ TEST_F(ServiceTest, TrySubmitSplitsRejectionCountersByReason) {
 }
 
 TEST_F(ServiceTest, InvalidRequestFailsWithoutPoisoningTheService) {
-  auto service = GenerationService::Create(&db_, ServiceOptions(2));
+  auto service = Start(ServiceOptions(2));
   ASSERT_TRUE(service.ok());
   GenerationRequest bad;
   bad.constraint = CardPoint(10);
@@ -619,7 +692,7 @@ TEST_F(ServiceTest, InvalidRequestFailsWithoutPoisoningTheService) {
 
 TEST_F(ServiceTest, ConcurrencyOneRunsAreReproducible) {
   auto run_once = [&] {
-    auto service = GenerationService::Create(&db_, ServiceOptions(1));
+    auto service = Start(ServiceOptions(1));
     EXPECT_TRUE(service.ok());
     std::vector<std::string> sqls;
     for (int i = 0; i < 2; ++i) {
@@ -649,7 +722,7 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
   auto run_config = [&](int workers, int max_batch) {
     auto opts = ServiceOptions(workers);
     opts.max_batch = max_batch;
-    auto service = GenerationService::Create(&db_, opts);
+    auto service = Start(opts);
     EXPECT_TRUE(service.ok());
     std::vector<std::future<GenerationResponse>> futures;
     for (uint64_t id = 1; id <= 6; ++id) {
@@ -681,7 +754,7 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
 // request lands on the narrow request's model; its satisfied flags and
 // count must follow the wide target, not the one the bucket trained for.
 TEST_F(ServiceTest, RequestIsJudgedAgainstItsOwnConstraint) {
-  auto service = GenerationService::Create(&db_, ServiceOptions(1));
+  auto service = Start(ServiceOptions(1));
   ASSERT_TRUE(service.ok());
   GenerationRequest narrow;
   narrow.constraint = CardPoint(100);  // point_tolerance 0.1
@@ -718,7 +791,7 @@ TEST_F(ServiceTest, RequestIsJudgedAgainstItsOwnConstraint) {
 TEST_F(ServiceTest, SameBucketRequestDuringTrainingCountsAsDedupWait) {
   auto opts = ServiceOptions(2);
   opts.gen.train_epochs = 60;  // long enough for B to arrive mid-training
-  auto service = GenerationService::Create(&db_, opts);
+  auto service = Start(opts);
   ASSERT_TRUE(service.ok());
   GenerationRequest a;
   a.constraint = CardRange(5, 50);
@@ -744,12 +817,29 @@ TEST_F(ServiceTest, SameBucketRequestDuringTrainingCountsAsDedupWait) {
 
 // Workers record the mean decode width of every ragged batch they run in
 // the service.batch_size histogram (next to queue_wait_ns for the p99).
+TEST_F(ServiceTest, MisconfiguredOptionsFailCreateNotEveryRequest) {
+  // A model the pipeline cannot serve is refused when the service builds
+  // its context, so a daemon with bad options never starts.
+  GenerationServiceOptions opts = ServiceOptions(1);
+  opts.gen.trainer.net.extra_input_dims = 2;
+  Database db = BuildScoreStudentDb();
+  auto service = GenerationService::Create(&db, opts);
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+
+  // A shared context must match the options' vocabulary and profile.
+  GenerationServiceOptions other = ServiceOptions(1);
+  other.gen.profile = QueryProfile::SpjOnly();
+  auto mismatched = GenerationService::Create(ScoreContext(FastOptions()),
+                                              other);
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServiceTest, BatchSizeHistogramRecordsGroups) {
   obs::MetricsRegistry registry;
   auto opts = ServiceOptions(1);
   opts.max_batch = 8;
   opts.metrics_registry = &registry;
-  auto service = GenerationService::Create(&db_, opts);
+  auto service = Start(opts);
   ASSERT_TRUE(service.ok());
   GenerationRequest req;
   req.constraint = CardRange(5, 50);
