@@ -35,18 +35,6 @@ namespace lsg {
 std::string AbstractStateKey(const AstBuilder& builder,
                              const QueryProfile& profile);
 
-/// Budget-free variant of AbstractStateKey, the graph-export surface used
-/// by the FSM compiler (fsm/compiled_fsm.cc): every field except the token
-/// slack. The masks read the token count only through the two budget
-/// booleans (BudgetTight / subquery-tight), and stepping a token never
-/// reads the count at all, so the structural graph keyed this way is
-/// budget-invariant: one transition table serves every token count, with a
-/// per-state mask *triple* (one mask per budget regime) supplying the only
-/// budget-dependent observable. Equal structural keys therefore imply equal
-/// masks under every regime and equal successor keys for every token.
-std::string StructuralStateKey(const AstBuilder& builder,
-                               const QueryProfile& profile);
-
 }  // namespace lsg
 
 #endif  // LEARNEDSQLGEN_ANALYSIS_STATE_KEY_H_

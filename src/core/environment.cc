@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/database_context.h"
-#include "fsm/compiled_fsm.h"
 #include "vexec/backend_factory.h"
 #include "obs/episode_telemetry.h"
 #include "obs/metrics_registry.h"
@@ -23,30 +22,6 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
                                      const CostModel* cost_model,
                                      Constraint constraint,
                                      EnvironmentOptions options)
-    : SqlGenEnvironment(db, vocab, estimator, cost_model,
-                        std::move(constraint), options,
-                        /*table_verified=*/false) {}
-
-SqlGenEnvironment::SqlGenEnvironment(const DatabaseContext& context,
-                                     Constraint constraint,
-                                     EnvironmentOptions options)
-    : SqlGenEnvironment(context.db(), &context.vocab(), &context.estimator(),
-                        &context.cost_model(), std::move(constraint), options,
-                        /*table_verified=*/true) {
-  LSG_CHECK(options.profile == context.profile())
-      << "environment profile differs from its context's";
-  LSG_CHECK(options.compiled_fsm == nullptr ||
-            options.compiled_fsm == context.compiled_fsm())
-      << "compiled FSM table does not belong to the environment's context";
-}
-
-SqlGenEnvironment::SqlGenEnvironment(const Database* db,
-                                     const Vocabulary* vocab,
-                                     const CardinalityEstimator* estimator,
-                                     const CostModel* cost_model,
-                                     Constraint constraint,
-                                     EnvironmentOptions options,
-                                     bool table_verified)
     : db_(db),
       vocab_(vocab),
       estimator_(estimator),
@@ -58,18 +33,17 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       prefix_est_(estimator, cost_model),
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);
-  if (options.compiled_fsm != nullptr) {
-    LSG_CHECK(table_verified ||
-              options.compiled_fsm->fingerprint() ==
-                  CompiledFsmFingerprint(*db, *vocab, options.profile))
-        << "compiled FSM table was built for a different "
-        << "(database, vocabulary, profile)";
-    fsm_.AttachCompiledTable(options.compiled_fsm);
-  }
   // NOLINTNEXTLINE(concurrency-mt-unsafe): startup latch, no setenv
   const char* check = std::getenv("LSG_CHECK_INCREMENTAL");
   check_incremental_ = check != nullptr && check[0] == '1';
 }
+
+SqlGenEnvironment::SqlGenEnvironment(const DatabaseContext& context,
+                                     Constraint constraint,
+                                     EnvironmentOptions options)
+    : SqlGenEnvironment(context.db(), &context.vocab(), &context.estimator(),
+                        &context.cost_model(), std::move(constraint),
+                        options) {}
 
 void SqlGenEnvironment::Reset() {
   fsm_.Reset();

@@ -45,15 +45,6 @@ struct EnvironmentOptions {
   /// affordable at 10⁵–10⁶-row scale.
   ExecutionBackendKind execution_backend = ExecutionBackendKind::kVectorized;
 
-  /// Optional compiled mask/transition table (fsm/compiled_fsm.h): mask
-  /// lookups become indexed loads instead of grammar + semantic-rule
-  /// re-derivation. Must have been compiled for exactly this environment's
-  /// (database, vocabulary, profile) — verified by fingerprint at
-  /// construction, or by identity with the context's table when the
-  /// environment is built from a DatabaseContext — and must outlive the
-  /// environment. nullptr = interpreted masks (always correct; the
-  /// compiled path is differentially tested against it).
-  const CompiledFsmTable* compiled_fsm = nullptr;
 };
 
 /// The paper's environment (Figure 1): wraps the FSM (action masking), the
@@ -75,10 +66,6 @@ class SqlGenEnvironment : public Environment {
                     EnvironmentOptions options);
 
   /// Environment over a shared context (which must outlive it).
-  /// `options.profile` must be the context's profile and
-  /// `options.compiled_fsm` nullptr or the context's own table, which
-  /// needs no fingerprint check: the context compiled it from exactly this
-  /// vocabulary and profile.
   SqlGenEnvironment(const DatabaseContext& context, Constraint constraint,
                     EnvironmentOptions options);
 
@@ -130,11 +117,6 @@ class SqlGenEnvironment : public Environment {
   /// Bound on memoized executions per environment; a full memo starts
   /// over. Training runs touch a few hundred distinct prefixes at most.
   static constexpr size_t kExecMemoCapacity = 4096;
-
-  SqlGenEnvironment(const Database* db, const Vocabulary* vocab,
-                    const CardinalityEstimator* estimator,
-                    const CostModel* cost_model, Constraint constraint,
-                    EnvironmentOptions options, bool table_verified);
 
   /// Runs `ast` on the backend under the constraint's metric. No counters.
   Execution Execute(const QueryAst& ast) const;

@@ -31,8 +31,7 @@ LearnedSqlGen::LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
 StatusOr<std::shared_ptr<const DatabaseContext>> LearnedSqlGen::CreateContext(
     const Database* db, const LearnedSqlGenOptions& options) {
   LSG_RETURN_IF_ERROR(CheckServable(options));
-  return DatabaseContext::Create(db, options.vocab, options.profile,
-                                 options.compiled_fsm_cache_dir);
+  return DatabaseContext::Create(db, options.vocab);
 }
 
 StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
@@ -42,10 +41,9 @@ StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
     return Status::InvalidArgument("LearnedSqlGen needs a database context");
   }
   LSG_RETURN_IF_ERROR(CheckServable(options));
-  if (options.vocab != context->vocab_options() ||
-      options.profile != context->profile()) {
+  if (options.vocab != context->vocab_options()) {
     return Status::InvalidArgument(
-        "pipeline vocabulary/profile options differ from its context's");
+        "pipeline vocabulary options differ from its context's");
   }
   return std::unique_ptr<LearnedSqlGen>(
       new LearnedSqlGen(std::move(context), options));
@@ -68,9 +66,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   env_opts.feedback = options_.feedback;
   env_opts.dense_partial_rewards = options_.dense_partial_rewards;
   env_opts.execution_backend = options_.execution_backend;
-  if (options_.use_compiled_fsm) {
-    env_opts.compiled_fsm = context_->compiled_fsm();
-  }
   return env_opts;
 }
 

@@ -48,18 +48,9 @@ struct LearnedSqlGenOptions {
   /// rewards (§4.2 Remark).
   bool dense_partial_rewards = true;
 
-  /// Serve masks from the DatabaseContext's mask/transition table for this
-  /// (database, vocabulary, profile), compiled once per context (or loaded
-  /// from `compiled_fsm_cache_dir`). Compilation is capped (see
-  /// CompileFsmOptions): a pair whose structural state graph is too large —
-  /// wide schemas under permissive profiles — falls back to the
-  /// interpreted FSM automatically, so this is always safe to leave on.
-  bool use_compiled_fsm = true;
-
-  /// Disk cache directory for compiled FSM artifacts (empty = in-memory
-  /// only). Read when the DatabaseContext is built. The service layer
-  /// defaults this to a sibling of the model registry's spill directory.
-  std::string compiled_fsm_cache_dir;
+  /// Always false: the FSM is interpreted. Kept, not settable, only so
+  /// the end-to-end benchmark's run metadata still compiles.
+  static constexpr bool use_compiled_fsm = false;
 
   uint64_t seed = 2024;
 };
@@ -72,13 +63,12 @@ struct LearnedSqlGenOptions {
 /// number of concurrent decode lanes without touching the pipeline's
 /// mutex.
 struct ServingSnapshot {
-  /// Database, vocabulary, estimator, cost model and compiled FSM.
+  /// Database, vocabulary, estimator and cost model.
   const DatabaseContext* context = nullptr;
   const PolicyNetwork* actor = nullptr;
-  /// Environment configuration the model was trained under (compiled FSM
-  /// resolved, feedback source as configured — before any
-  /// true_feedback_tail switch); fresh per-lane environments are built
-  /// from this.
+  /// Environment configuration the model was trained under (feedback
+  /// source as configured — before any true_feedback_tail switch); fresh
+  /// per-lane environments are built from this.
   EnvironmentOptions env_opts;
   /// The constraint the entry's model was trained for. A served request
   /// is judged against its own constraint (BatchDecodeItem::constraint);
@@ -125,17 +115,16 @@ struct GenerationReport {
 /// trained, decodes only from its immutable ServingSnapshot.
 class LearnedSqlGen {
  public:
-  /// Builds the context `options` describe for `db` (which must outlive
-  /// it): its vocabulary, profile and compiled-FSM cache directory. Fails
-  /// on options no pipeline can serve — `trainer.net.extra_input_dims !=
-  /// 0`: the pipeline never feeds extra features (AC-extend trains through
-  /// ActorCriticTrainer directly) — and when the vocabulary cannot be
-  /// built.
+  /// Builds the context `options.vocab` describes for `db` (which must
+  /// outlive it). Fails on options no pipeline can serve —
+  /// `trainer.net.extra_input_dims != 0`: the pipeline never feeds extra
+  /// features (AC-extend trains through ActorCriticTrainer directly) — and
+  /// when the vocabulary cannot be built.
   static StatusOr<std::shared_ptr<const DatabaseContext>> CreateContext(
       const Database* db, const LearnedSqlGenOptions& options);
 
-  /// Builds a pipeline over a shared context in O(1). `options.vocab` and
-  /// `options.profile` must be the context's.
+  /// Builds a pipeline over a shared context in O(1). `options.vocab` must
+  /// be the context's; any profile may share it.
   static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
       std::shared_ptr<const DatabaseContext> context,
       const LearnedSqlGenOptions& options);
@@ -202,8 +191,7 @@ class LearnedSqlGen {
   /// snapshot, drawing from `rng` (the trainer's stream when null).
   StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
-  /// Environment configuration derived from options_, with the context's
-  /// compiled FSM resolved when enabled.
+  /// Environment configuration derived from options_.
   EnvironmentOptions BuildEnvOptions() const;
 
   std::shared_ptr<const DatabaseContext> context_;

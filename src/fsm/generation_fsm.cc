@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "fsm/compiled_fsm.h"
 #include "fsm/semantic_rules.h"
 #include "obs/metrics_registry.h"
 
@@ -66,21 +65,6 @@ void GenerationFsm::Reset() {
   // Telemetry must not leak the previous episode's width into an episode
   // that terminates before its first ValidActions() call.
   last_mask_width_ = 0;
-  if (compiled_ != nullptr) compiled_state_ = compiled_->start_state();
-}
-
-void GenerationFsm::AttachCompiledTable(const CompiledFsmTable* table) {
-  if (table != nullptr) {
-    LSG_CHECK(builder_.tokens().empty() && !builder_.done());
-    LSG_CHECK(table->vocab_size() == vocab_->size());
-    compiled_state_ = table->start_state();
-  }
-  compiled_ = table;
-}
-
-bool GenerationFsm::compiled_active() const {
-  return compiled_ != nullptr &&
-         compiled_state_ != CompiledFsmTable::kNoState;
 }
 
 bool GenerationFsm::ColumnHasValues(const ColumnRef& col) const {
@@ -88,28 +72,11 @@ bool GenerationFsm::ColumnHasValues(const ColumnRef& col) const {
 }
 
 bool GenerationFsm::BudgetTight() const {
-  if (budget_override_ != BudgetRegime::kAuto) {
-    return budget_override_ == BudgetRegime::kTight;
-  }
   return static_cast<int>(builder_.tokens().size()) >= profile_.max_tokens;
 }
 
 bool GenerationFsm::SubqueryTight() const {
-  if (budget_override_ != BudgetRegime::kAuto) {
-    return budget_override_ != BudgetRegime::kLoose;
-  }
   return static_cast<int>(builder_.tokens().size()) + 9 > profile_.max_tokens;
-}
-
-int GenerationFsm::CurrentRegimeIndex() const {
-  const int n = static_cast<int>(builder_.tokens().size());
-  if (n >= profile_.max_tokens) {
-    return static_cast<int>(BudgetRegime::kTight);
-  }
-  if (n + 9 > profile_.max_tokens) {
-    return static_cast<int>(BudgetRegime::kSubqueryTight);
-  }
-  return static_cast<int>(BudgetRegime::kLoose);
 }
 
 int GenerationFsm::ItemMix(const SelectQuery& q) const {
@@ -137,23 +104,6 @@ struct RhsOptions {
 }  // namespace
 
 const std::vector<uint8_t>& GenerationFsm::ValidActions() {
-  // Compiled fast path: one regime pick + two indexed loads replace the
-  // whole grammar/semantic-rule derivation below. The pooled mask vector
-  // is returned by reference, exactly like the interpreted `mask_`.
-  if (compiled_ != nullptr && compiled_state_ != CompiledFsmTable::kNoState &&
-      budget_override_ == BudgetRegime::kAuto && !builder_.done()) {
-    const int regime = CurrentRegimeIndex();
-    if (obs::Enabled()) {
-      last_mask_width_ = compiled_->MaskWidth(compiled_state_, regime);
-      static obs::Counter& evals =
-          obs::MetricsRegistry::Global().GetCounter("fsm.mask_evals");
-      static obs::Counter& width_sum =
-          obs::MetricsRegistry::Global().GetCounter("fsm.mask_width_sum");
-      evals.Inc();
-      width_sum.Add(static_cast<uint64_t>(last_mask_width_));
-    }
-    return compiled_->Mask(compiled_state_, regime);
-  }
   std::fill(mask_.begin(), mask_.end(), 0);
   if (builder_.done()) return mask_;
   const BuildFrame& f = builder_.frame();
@@ -870,12 +820,7 @@ Status GenerationFsm::Step(int action_id) {
     };
     by_kind[static_cast<int>(token.kind)]->Inc();
   }
-  Status st = builder_.Feed(token);
-  if (st.ok() && compiled_ != nullptr &&
-      compiled_state_ != CompiledFsmTable::kNoState) {
-    compiled_state_ = compiled_->Next(compiled_state_, action_id);
-  }
-  return st;
+  return builder_.Feed(token);
 }
 
 

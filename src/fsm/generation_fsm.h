@@ -11,24 +11,6 @@
 
 namespace lsg {
 
-class CompiledFsmTable;
-
-/// The masks read the token count only through two booleans — BudgetTight
-/// (count >= max_tokens) and subquery-tight (count + 9 > max_tokens), with
-/// tight implying subquery-tight — so every state sees exactly one of three
-/// budget regimes. The FSM compiler keys its table on the budget-free
-/// structural state and stores one mask per regime; the enum's numeric
-/// values are the table row indices. kAuto (the normal runtime mode)
-/// derives the regime from the actual token count; the compiler forces the
-/// other three to read all regime masks out of a single replayed prefix.
-enum class BudgetRegime : int {
-  kAuto = -1,
-  kLoose = 0,
-  kSubqueryTight = 1,
-  kTight = 2,
-};
-inline constexpr int kNumBudgetRegimes = 3;
-
 /// Generation policy knobs: which grammar branches of Table 1 the FSM opens
 /// and structural limits. Limits keep episodes bounded; the paper's FSM is
 /// "built on the fly" with branches pruned as the agent commits — ours does
@@ -122,36 +104,6 @@ class GenerationFsm {
   /// per-episode mask-pressure telemetry.
   int last_mask_width() const { return last_mask_width_; }
 
-  /// Routes ValidActions()/Step() through the compiled mask/transition
-  /// table instead of re-deriving masks from grammar + semantic rules.
-  /// Must be called on a freshly constructed/Reset() FSM; the table must
-  /// have been compiled for this FSM's database, vocabulary and profile
-  /// (checked via the table's fingerprint) and must outlive the FSM.
-  /// Passing nullptr detaches. If an episode ever steps a token outside
-  /// the compiled graph (impossible for mask-legal walks; possible when a
-  /// caller feeds arbitrary tokens straight into Step), the FSM falls off
-  /// the table and silently reverts to interpreted masks until Reset().
-  void AttachCompiledTable(const CompiledFsmTable* table);
-
-  const CompiledFsmTable* compiled_table() const { return compiled_; }
-
-  /// True while the compiled fast path is serving lookups (a table is
-  /// attached and the current state is still on it).
-  bool compiled_active() const;
-
-  /// Current compiled state index (diagnostics/differential oracle; only
-  /// meaningful while a table is attached).
-  uint32_t compiled_state() const { return compiled_state_; }
-
-  /// Forces both budget booleans to the given regime instead of deriving
-  /// them from the token count. Compiler/test hook: lets one replayed
-  /// prefix yield the masks of every regime. kAuto restores normal
-  /// behaviour. While forced, ValidActions() always takes the interpreted
-  /// path (the override exists to *build* tables, not to query them).
-  void OverrideBudgetRegime(BudgetRegime regime) { budget_override_ = regime; }
-
-  BudgetRegime budget_regime_override() const { return budget_override_; }
-
  private:
   void MaskStart(bool sub);
   void MaskSelectFrame();
@@ -168,9 +120,6 @@ class GenerationFsm {
   bool BudgetTight() const;
   /// True once the budget no longer fits a forced subquery completion.
   bool SubqueryTight() const;
-  /// Budget regime of the current token count (ignores the override):
-  /// the mask-row index for compiled lookups.
-  int CurrentRegimeIndex() const;
   /// Select-item mixing state: 0 none, 1 all plain, 2 all agg, 3 mixed.
   int ItemMix(const SelectQuery& q) const;
 
@@ -180,9 +129,6 @@ class GenerationFsm {
   AstBuilder builder_;
   std::vector<uint8_t> mask_;
   int last_mask_width_ = 0;
-  BudgetRegime budget_override_ = BudgetRegime::kAuto;
-  const CompiledFsmTable* compiled_ = nullptr;
-  uint32_t compiled_state_ = 0;
 };
 
 }  // namespace lsg

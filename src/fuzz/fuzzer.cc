@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/database_context.h"
-#include "fsm/compiled_fsm.h"
 #include "fuzz/shrinker.h"
 #include "fuzz/test_databases.h"
 #include "sql/render.h"
@@ -38,8 +37,7 @@ const std::vector<FuzzProfile>& FuzzProfiles() {
       profiles->push_back({"dml", p});
     }
     // Appended (trace files index this list): the select-project-join
-    // restriction — the one SELECT shape whose state graph stays small
-    // enough for the compiled-FSM oracle on every dataset.
+    // restriction.
     profiles->push_back({"spj", QueryProfile::SpjOnly()});
     return profiles;
   }();
@@ -48,11 +46,10 @@ const std::vector<FuzzProfile>& FuzzProfiles() {
 
 std::string FuzzRunStats::ToString() const {
   return StrFormat(
-      "episodes=%llu skipped=%llu failures=%zu shrink_probes=%d "
-      "compiled_tables=%d compiled_skipped=%d",
+      "episodes=%llu skipped=%llu failures=%zu shrink_probes=%d",
       static_cast<unsigned long long>(episodes),
       static_cast<unsigned long long>(skipped), failures.size(),
-      shrink_probes, compiled_tables, compiled_skipped);
+      shrink_probes);
 }
 
 namespace {
@@ -72,68 +69,28 @@ std::string ArtifactPath(const std::string& dir, const EpisodeTrace& t) {
       .string();
 }
 
-}  // namespace
-
-struct FuzzFixtures::Dataset {
-  std::string name;
-  double scale = 0.0;
-  VocabularyOptions vocab;
-  CompileFsmOptions compile;
+/// One dataset's database and the context over it. Heap-allocated: the
+/// context points at the database, which therefore must not move.
+struct Fixture {
   Database db;
-  /// One per FuzzProfiles() entry, built on first use.
-  std::vector<std::shared_ptr<const DatabaseContext>> contexts;
-
-  StatusOr<const DatabaseContext*> Context(int profile) {
-    if (contexts[profile] == nullptr) {
-      LSG_ASSIGN_OR_RETURN(
-          contexts[profile],
-          DatabaseContext::Create(&db, vocab, FuzzProfiles()[profile].profile,
-                                  "", compile));
-    }
-    return contexts[profile].get();
-  }
+  std::shared_ptr<const DatabaseContext> context;
 };
 
-FuzzFixtures::FuzzFixtures() = default;
-FuzzFixtures::~FuzzFixtures() = default;
-
-StatusOr<FuzzFixtures::Dataset*> FuzzFixtures::Get(
-    const std::string& dataset, const FuzzOptions& options) {
-  for (const auto& d : datasets_) {
-    if (d->name == dataset && d->scale == options.scale &&
-        d->vocab.values_per_column == options.values_per_column &&
-        d->compile.max_states == options.compiled_max_states &&
-        d->compile.max_millis == options.compiled_max_millis) {
-      return d.get();
-    }
-  }
-  auto d = std::make_unique<Dataset>();
-  d->name = dataset;
-  d->scale = options.scale;
-  d->vocab.values_per_column = options.values_per_column;
-  d->compile.max_states = options.compiled_max_states;
-  d->compile.max_millis = options.compiled_max_millis;
-  LSG_ASSIGN_OR_RETURN(d->db, BuildNamedDatabase(dataset, options.scale));
-  d->contexts.resize(FuzzProfiles().size());
-  datasets_.push_back(std::move(d));
-  return datasets_.back().get();
+StatusOr<std::unique_ptr<Fixture>> BuildFixture(const std::string& dataset,
+                                                double scale,
+                                                int values_per_column) {
+  auto f = std::make_unique<Fixture>();
+  LSG_ASSIGN_OR_RETURN(f->db, BuildNamedDatabase(dataset, scale));
+  VocabularyOptions vocab;
+  vocab.values_per_column = values_per_column;
+  LSG_ASSIGN_OR_RETURN(f->context, DatabaseContext::Create(&f->db, vocab));
+  return f;
 }
+
+}  // namespace
 
 StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
-  FuzzFixtures fixtures;
-  return RunFuzz(options, &fixtures);
-}
-
-StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
-                               FuzzFixtures* fixtures) {
   const std::vector<FuzzProfile>& profiles = FuzzProfiles();
-  if (!options.inject_fsm_bug.empty() &&
-      options.inject_fsm_bug != "mask-bit" &&
-      options.inject_fsm_bug != "transition-swap") {
-    return Status::InvalidArgument("unknown inject_fsm_bug \"" +
-                                   options.inject_fsm_bug +
-                                   "\" (want mask-bit|transition-swap)");
-  }
   std::vector<std::string> datasets = options.datasets;
   if (datasets.empty()) datasets = FuzzDatasetNames();
   if (!options.corpus_dir.empty()) {
@@ -148,52 +105,20 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
   FuzzRunStats stats;
   for (size_t di = 0; di < datasets.size(); ++di) {
     const std::string& dataset = datasets[di];
-    LSG_ASSIGN_OR_RETURN(FuzzFixtures::Dataset * fixture,
-                         fixtures->Get(dataset, options));
+    LSG_ASSIGN_OR_RETURN(
+        std::unique_ptr<Fixture> fixture,
+        BuildFixture(dataset, options.scale, options.values_per_column));
     Database& db = fixture->db;
     DifferentialOracle oracle(&db, options.oracle);
 
-    // One context per profile, built on first use and kept in the
-    // fixture: it carries the vocabulary every oracle replays through and,
-    // for the compiled-fsm oracle, the profile's table — compiled at most
-    // once, so a pair past the compile caps is probed once per fixture and
-    // its episodes simply skip the seventh oracle. Fault injection
-    // corrupts a private copy — the context's table stays pristine.
-    std::vector<std::shared_ptr<const DatabaseContext>>& contexts =
-        fixture->contexts;
-    std::vector<std::unique_ptr<CompiledFsmTable>> corrupt_tables(
-        profiles.size());
-    std::vector<bool> table_probed(profiles.size(), false);
-    auto compiled_table_for = [&](int pi) -> const CompiledFsmTable* {
-      if (!options.oracle.check_compiled_fsm) return nullptr;
-      if (!table_probed[pi]) {
-        table_probed[pi] = true;
-        const CompiledFsmTable* table = contexts[pi]->compiled_fsm();
-        if (table == nullptr) {
-          ++stats.compiled_skipped;
-        } else {
-          ++stats.compiled_tables;
-          if (options.inject_fsm_bug == "mask-bit" ||
-              options.inject_fsm_bug == "transition-swap") {
-            corrupt_tables[pi] = std::make_unique<CompiledFsmTable>(*table);
-            if (options.inject_fsm_bug == "mask-bit") {
-              corrupt_tables[pi]->CorruptMaskBit(options.seed);
-            } else {
-              corrupt_tables[pi]->CorruptTransitionSwap(options.seed);
-            }
-          }
-        }
-      }
-      return corrupt_tables[pi] != nullptr ? corrupt_tables[pi].get()
-                                           : contexts[pi]->compiled_fsm();
-    };
+    // The context carries the vocabulary every oracle replays through.
+    const DatabaseContext& ctx = *fixture->context;
+    const Vocabulary* vocab = &ctx.vocab();
 
     int dataset_failures = 0;
     for (int ep = 0; ep < options.episodes; ++ep) {
       if (dataset_failures >= options.max_failures) break;
       const int pi = ep % static_cast<int>(profiles.size());
-      LSG_ASSIGN_OR_RETURN(const DatabaseContext* ctx, fixture->Context(pi));
-      const Vocabulary* vocab = &ctx->vocab();
       GenerationFsm fsm(&db, vocab, profiles[pi].profile);
       const uint64_t ep_seed = EpisodeSeed(options.seed, di, ep);
       Rng rng(ep_seed);
@@ -225,18 +150,13 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
           violation = oracle.CheckPrefixEstimates(
               vocab, profiles[pi].profile, actions);
         }
-        if (!violation.has_value()) {
-          // Seventh oracle: the compiled mask/transition table must agree
-          // with the interpreted FSM token-by-token over this episode.
-          violation = oracle.CheckCompiledFsm(
-              vocab, profiles[pi].profile, compiled_table_for(pi), actions);
-        }
         if (!violation.has_value() && ep % 8 == 0) {
-          // Eighth oracle (sampled — it decodes whole episode groups, not
+          // Seventh oracle (sampled — it decodes whole episode groups, not
           // this episode's actions): the batched cross-request decoder must
           // reproduce the scalar decode path byte-for-byte under a random
           // policy seeded from this episode.
-          violation = oracle.CheckBatchDecode(*ctx, ep_seed);
+          violation =
+              oracle.CheckBatchDecode(ctx, profiles[pi].profile, ep_seed);
         }
         if (!violation.has_value()) continue;
         trace.oracle = violation->oracle;
@@ -253,10 +173,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
               v = oracle.CheckPrefixEstimates(vocab, profiles[pi].profile,
                                               candidate);
             }
-            if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(vocab, profiles[pi].profile,
-                                          compiled_table_for(pi), candidate);
-            }
             return v.has_value() && v->oracle == want;
           };
           ShrinkResult shrunk = ShrinkTrace(actions, still_fails);
@@ -270,11 +186,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
             if (!v.has_value()) {
               v = oracle.CheckPrefixEstimates(vocab, profiles[pi].profile,
                                               shrunk.actions);
-            }
-            if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(vocab, profiles[pi].profile,
-                                          compiled_table_for(pi),
-                                          shrunk.actions);
             }
             if (v.has_value() && v->oracle == want) {
               trace.actions = shrunk.actions;
@@ -302,29 +213,19 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
 
 StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
                                           const OracleOptions& oracle_opts) {
-  FuzzFixtures fixtures;
-  return ReplayTraceEpisode(trace, oracle_opts, &fixtures);
-}
-
-StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
-                                          const OracleOptions& oracle_opts,
-                                          FuzzFixtures* fixtures) {
   const std::vector<FuzzProfile>& profiles = FuzzProfiles();
   if (trace.profile < 0 ||
       trace.profile >= static_cast<int>(profiles.size())) {
     return Status::InvalidArgument(
         StrFormat("trace profile %d out of range", trace.profile));
   }
-  FuzzOptions fixture_opts;  // the trace's database, default compile caps
-  fixture_opts.scale = trace.scale;
-  fixture_opts.values_per_column = trace.values_per_column;
-  LSG_ASSIGN_OR_RETURN(FuzzFixtures::Dataset * fixture,
-                       fixtures->Get(trace.dataset, fixture_opts));
+  LSG_ASSIGN_OR_RETURN(
+      std::unique_ptr<Fixture> fixture,
+      BuildFixture(trace.dataset, trace.scale, trace.values_per_column));
   Database& db = fixture->db;
-  LSG_ASSIGN_OR_RETURN(const DatabaseContext* ctx,
-                       fixture->Context(trace.profile));
+  const DatabaseContext& ctx = *fixture->context;
   const QueryProfile& profile = profiles[trace.profile].profile;
-  const Vocabulary* vocab = &ctx->vocab();
+  const Vocabulary* vocab = &ctx.vocab();
 
   GenerationFsm fsm(&db, vocab, profile);
   LSG_ASSIGN_OR_RETURN(QueryAst ast,
@@ -337,18 +238,10 @@ StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
   if (!violation.has_value()) {
     violation = oracle.CheckPrefixEstimates(vocab, profile, trace.actions);
   }
-  if (!violation.has_value() && oracle_opts.check_compiled_fsm) {
-    // Re-derive the table for the replay so compiled-fsm failures caught
-    // live reproduce deterministically from the artifact alone.
-    if (const CompiledFsmTable* table = ctx->compiled_fsm()) {
-      violation =
-          oracle.CheckCompiledFsm(vocab, profile, table, trace.actions);
-    }
-  }
   if (!violation.has_value()) {
     // Batch-decode failures replay from the trace's seed (the oracle
     // decodes its own episode group, not the recorded actions).
-    violation = oracle.CheckBatchDecode(*ctx, trace.seed);
+    violation = oracle.CheckBatchDecode(ctx, profile, trace.seed);
   }
   if (violation.has_value()) {
     result.oracle = violation->oracle;

@@ -2,7 +2,6 @@
 #define LEARNEDSQLGEN_FUZZ_FUZZER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,26 +40,12 @@ struct FuzzOptions {
   int max_failures = 16;      ///< stop a dataset after this many failures
   bool verbose = false;       ///< progress + failure logging via LSG_LOG
   OracleOptions oracle;
-
-  /// Fault injection for the compiled-FSM oracle: "mask-bit" flips a legal
-  /// token off in a compiled mask, "transition-swap" crosses two compiled
-  /// edges. The run must then report compiled-fsm violations — proof the
-  /// differential harness actually detects table corruption.
-  std::string inject_fsm_bug;
-
-  /// Compile caps for the per-(dataset, profile) oracle tables. Pairs past
-  /// the caps are skipped (the compiled oracle has nothing to check there);
-  /// the small bundled datasets all fit.
-  int compiled_max_states = 120000;
-  int compiled_max_millis = 5000;
 };
 
 struct FuzzRunStats {
   uint64_t episodes = 0;  ///< episodes generated and checked
   uint64_t skipped = 0;   ///< episodes with a skipped check (work bounds)
   int shrink_probes = 0;  ///< candidate traces evaluated while shrinking
-  int compiled_tables = 0;   ///< (dataset, profile) pairs compiled
-  int compiled_skipped = 0;  ///< pairs past the compile caps (not checked)
   /// Every failure, already shrunk when shrinking is on (and saved under
   /// corpus_dir when set).
   std::vector<EpisodeTrace> failures;
@@ -68,39 +53,10 @@ struct FuzzRunStats {
   std::string ToString() const;
 };
 
-/// The databases and per-profile DatabaseContexts fuzz runs build. A
-/// caller that fuzzes several times in one process hands every run the
-/// same fixtures, so each database is built, and each profile's FSM table
-/// compiled — or found past the compile caps — once per process instead
-/// of once per run. The oracle mutates a fixture database only inside a
-/// check and restores it before returning, so runs cannot leak state into
-/// each other. Not thread-safe.
-class FuzzFixtures {
- public:
-  struct Dataset;
-
-  FuzzFixtures();
-  ~FuzzFixtures();
-  FuzzFixtures(const FuzzFixtures&) = delete;
-  FuzzFixtures& operator=(const FuzzFixtures&) = delete;
-
-  /// The fixture for `dataset` at `options`' scale, vocabulary width and
-  /// compile caps, built on first request.
-  StatusOr<Dataset*> Get(const std::string& dataset,
-                         const FuzzOptions& options);
-
- private:
-  std::vector<std::unique_ptr<Dataset>> datasets_;
-};
-
 /// Runs the fuzzing loop: for every dataset, drives `episodes` randomized
 /// FSM walks through the full oracle stack, capturing, shrinking, and
 /// serializing every failure as a replayable corpus artifact.
 StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options);
-
-/// RunFuzz over `fixtures` (which must outlive the call).
-StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
-                               FuzzFixtures* fixtures);
 
 /// Replays one corpus artifact deterministically: rebuilds the database,
 /// vocabulary, and FSM from the trace header, replays the action trace,
@@ -108,11 +64,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options,
 /// detail/sql fields overwritten by the re-run (oracle empty = clean).
 StatusOr<EpisodeTrace> ReplayTraceEpisode(
     const EpisodeTrace& trace, const OracleOptions& oracle = OracleOptions());
-
-/// ReplayTraceEpisode over `fixtures` (which must outlive the call).
-StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
-                                          const OracleOptions& oracle,
-                                          FuzzFixtures* fixtures);
 
 }  // namespace lsg
 

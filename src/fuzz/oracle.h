@@ -31,7 +31,6 @@ struct OracleOptions {
   bool check_estimator = true;  ///< estimator finite / non-negative / bounded
   bool check_dml_apply = true;  ///< DML apply-for-real under snapshot/rollback
   bool check_prefix_estimates = true;  ///< incremental == full, token-by-token
-  bool check_compiled_fsm = true;      ///< compiled FSM == interpreted FSM
   /// Lockstep vectorized engine: vexec cardinality must equal the reference
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
@@ -104,30 +103,19 @@ class DifferentialOracle {
       const Vocabulary* vocab, const QueryProfile& profile,
       const std::vector<int>& actions);
 
-  /// Seventh oracle (compiled-fsm): replays `actions` through an
-  /// interpreted and a compiled FSM in lockstep and asserts before every
-  /// step — and once more at the end — byte-identical masks, identical
-  /// mask widths / last_mask_width(), identical done() flags, that the
-  /// compiled walk never leaves its table, and that a finished episode
-  /// lands exactly on the table's accept state. This is the permanent
-  /// guard that keeps the interpreted FSM authoritative over the
-  /// table-driven fast path.
-  std::optional<OracleViolation> CheckCompiledFsm(
-      const Vocabulary* vocab, const QueryProfile& profile,
-      const CompiledFsmTable* table, const std::vector<int>& actions);
-
-  /// Eighth oracle (batch-decode): builds a small randomly-initialized
+  /// Seventh oracle (batch-decode): builds a small randomly-initialized
   /// policy over `context`, which must be over the oracle's database
-  /// (seeded from `seed`, so batching
-  /// must hold for arbitrary weights, not just trained ones) and decodes a
-  /// group of episodes twice — once through the ragged cross-request
-  /// BatchDecoder (batched GEMM forward) and once through RolloutPolicy
-  /// over the single-lane Step (MatVec) with the same per-item RNG streams —
-  /// asserting attempt counts, rendered SQL, metrics and satisfied flags
-  /// are byte-identical. This is the serving path's standing guarantee:
-  /// batching changes wall-clock only, never samples.
+  /// (seeded from `seed`, so batching must hold for arbitrary weights, not
+  /// just trained ones) and decodes a group of episodes under `profile`
+  /// twice — once through the ragged cross-request BatchDecoder (batched
+  /// GEMM forward) and once through RolloutPolicy over the single-lane
+  /// Step (MatVec) with the same per-item RNG streams — asserting attempt
+  /// counts, rendered SQL, metrics and satisfied flags are byte-identical.
+  /// This is the serving path's standing guarantee: batching changes
+  /// wall-clock only, never samples.
   std::optional<OracleViolation> CheckBatchDecode(
-      const DatabaseContext& context, uint64_t seed);
+      const DatabaseContext& context, const QueryProfile& profile,
+      uint64_t seed);
 
   uint64_t checked() const { return checked_; }
   /// Episodes where some check was skipped (join blowup / work budget).

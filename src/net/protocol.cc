@@ -121,8 +121,14 @@ StatusOr<NetRequest> ParseRequestFrame(std::string_view frame,
                         "point constraint needs a non-negative \"value\"");
     }
     out.request.constraint = Constraint::Point(metric, value);
-    double tol = c->NumberOr("tolerance", -1.0);
-    if (tol >= 0.0) out.request.constraint.point_tolerance = tol;
+    if (const obs::JsonValue* tol = c->Find("tolerance")) {
+      if (!tol->is_number() || !FiniteNonNegative(tol->num)) {
+        return BadRequest(error_kind,
+                          "point \"tolerance\" must be a finite "
+                          "non-negative number");
+      }
+      out.request.constraint.point_tolerance = tol->num;
+    }
   } else if (kind == "range") {
     double lo = c->NumberOr("lo", -1.0);
     double hi = c->NumberOr("hi", -1.0);

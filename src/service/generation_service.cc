@@ -13,18 +13,6 @@
 namespace lsg {
 namespace {
 
-// The per-pipeline options the registry builds every model from, with the
-// compiled-FSM artifact cache defaulted to a sibling of the model spill
-// directory so both kinds of build-once state live together.
-LearnedSqlGenOptions MergedGenOptions(const GenerationServiceOptions& options) {
-  LearnedSqlGenOptions gen = options.gen;
-  if (gen.compiled_fsm_cache_dir.empty() &&
-      !options.registry.spill_dir.empty()) {
-    gen.compiled_fsm_cache_dir = options.registry.spill_dir + "/compiled_fsm";
-  }
-  return gen;
-}
-
 // A request's private sampling stream: a SplitMix64 chain over the base
 // seed and every request field. The stream is a pure function of
 // (seed, request), so a request's output cannot depend on worker
@@ -61,11 +49,9 @@ GenerationService::GenerationService(
     const GenerationServiceOptions& options)
     : options_(options),
       metrics_(options.metrics_registry),
-      registry_(std::move(context), MergedGenOptions(options),
-                options.registry, &metrics_),
-      queue_(options.queue_capacity) {
-  options_.gen = MergedGenOptions(options_);
-}
+      registry_(std::move(context), options.gen, options.registry,
+                &metrics_),
+      queue_(options.queue_capacity) {}
 
 StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
     const Database* db, const GenerationServiceOptions& options) {
@@ -77,7 +63,7 @@ StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
   }
   LSG_ASSIGN_OR_RETURN(
       std::shared_ptr<const DatabaseContext> context,
-      LearnedSqlGen::CreateContext(db, MergedGenOptions(options)));
+      LearnedSqlGen::CreateContext(db, options.gen));
   return Create(std::move(context), options);
 }
 
@@ -89,8 +75,7 @@ StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
   }
   // Options no pipeline over `context` could serve fail here, not in
   // every request (building a pipeline over a context is O(1)).
-  LSG_RETURN_IF_ERROR(
-      LearnedSqlGen::Create(context, MergedGenOptions(options)).status());
+  LSG_RETURN_IF_ERROR(LearnedSqlGen::Create(context, options.gen).status());
   std::unique_ptr<GenerationService> service(
       new GenerationService(std::move(context), options));
   MutexLock lock(&service->shutdown_mu_);

@@ -64,11 +64,6 @@ struct GenerationServiceOptions {
   /// publish the `service.` namespace alongside the training metrics
   /// (lsgtrace does this). Must outlive the service when non-null.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  // Compiled FSM tables are configured through `gen` (use_compiled_fsm /
-  // compiled_fsm_cache_dir); when `gen.compiled_fsm_cache_dir` is empty and
-  // `registry.spill_dir` is set, artifacts are cached under
-  // `<spill_dir>/compiled_fsm` beside the spilled models. Workers share the
-  // service's one DatabaseContext, hence one immutable table.
 };
 
 /// Multi-tenant front end over LearnedSqlGen: a fixed worker pool drains a
@@ -91,8 +86,7 @@ class GenerationService {
       const Database* db, const GenerationServiceOptions& options);
 
   /// A service over an existing context (shared with whoever else holds
-  /// it). `options.gen` must match the context's vocabulary and profile;
-  /// the context's own compiled-FSM cache directory applies.
+  /// it). `options.gen` must match the context's vocabulary.
   static StatusOr<std::unique_ptr<GenerationService>> Create(
       std::shared_ptr<const DatabaseContext> context,
       const GenerationServiceOptions& options);

@@ -60,7 +60,7 @@ class ModelRegistry {
   };
 
   /// Every pipeline the registry builds shares `context` (which must
-  /// match `base`'s vocabulary and profile), so building one costs O(1).
+  /// match `base`'s vocabulary), so building one costs O(1).
   /// `base` configures every pipeline; the trainer seed is overridden per
   /// Acquire call.
   ModelRegistry(std::shared_ptr<const DatabaseContext> context,

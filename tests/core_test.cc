@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -420,6 +421,49 @@ TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
     EXPECT_LE(q.metric, 100.0);
   }
   EXPECT_GT(rep->train_seconds, 0.0);
+}
+
+// A context holds nothing profile-specific, so one context serves
+// pipelines under any profile, and each trains and decodes bitwise what
+// the same pipeline over a private context does.
+TEST(GeneratorTest, OneContextServesEveryProfile) {
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 8;
+  opts.trainer.batch_size = 4;
+  opts.vocab.values_per_column = 8;
+  opts.trainer.seed = 31;
+  auto context = LearnedSqlGen::CreateContext(&SharedScoreDb(), opts);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
+  for (const QueryProfile& profile :
+       {QueryProfile(), QueryProfile::SpjOnly()}) {
+    opts.profile = profile;
+    auto shared = LearnedSqlGen::Create(*context, opts);
+    auto solo = LearnedSqlGen::Create(&SharedScoreDb(), opts);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    EXPECT_EQ(&(*shared)->vocab(), &(*context)->vocab());
+    EXPECT_NE(&(*solo)->vocab(), &(*context)->vocab());
+    ASSERT_TRUE((*shared)->Train(c).ok());
+    ASSERT_TRUE((*solo)->Train(c).ok());
+    ASSERT_EQ((*shared)->trace().size(), (*solo)->trace().size());
+    for (size_t e = 0; e < (*solo)->trace().size(); ++e) {
+      EXPECT_EQ(
+          std::bit_cast<uint64_t>((*shared)->trace()[e].mean_total_reward),
+          std::bit_cast<uint64_t>((*solo)->trace()[e].mean_total_reward));
+    }
+    Rng shared_rng(42), solo_rng(42);
+    auto got = (*shared)->GenerateBatch(6, &shared_rng);
+    auto want = (*solo)->GenerateBatch(6, &solo_rng);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(got->queries.size(), want->queries.size());
+    for (size_t q = 0; q < want->queries.size(); ++q) {
+      EXPECT_EQ(got->queries[q].sql, want->queries[q].sql);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->queries[q].metric),
+                std::bit_cast<uint64_t>(want->queries[q].metric));
+    }
+  }
 }
 
 // Execution-grounded training memoizes true execution per environment: a

@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "core/workload.h"
 #include "datasets/tpch_like.h"
 #include "exec/executor.h"
-#include "fsm/compiled_fsm.h"
 #include "fsm/generation_fsm.h"
 #include "optimizer/cardinality_estimator.h"
 #include "sql/render.h"
@@ -23,11 +21,8 @@
 namespace lsg {
 namespace {
 
-// Params 0-2 run the interpreted FSM under the original profile set;
-// params 3-4 re-run the identical soundness suite with a compiled
-// mask/transition table attached (profiles whose structural state graph
-// fits the compile caps), so every property here doubles as a
-// compiled-path test.
+// One param per profile: default, full, nested depth 2, SPJ, and
+// DML only.
 class MaskSoundness : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
@@ -37,7 +32,6 @@ TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
   auto vocab = Vocabulary::Build(db, vo);
   ASSERT_TRUE(vocab.ok());
   QueryProfile profile;
-  bool use_compiled = false;
   switch (GetParam()) {
     case 0:
       break;
@@ -49,39 +43,21 @@ TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
       break;
     case 3:
       profile = QueryProfile::SpjOnly();
-      use_compiled = true;
       break;
     default:
       profile.allow_select = false;
       profile.allow_insert = true;
       profile.allow_update = true;
       profile.allow_delete = true;
-      use_compiled = true;
       break;
   }
-  std::optional<CompiledFsmTable> table;
-  if (use_compiled) {
-    auto compiled = CompileFsm(db, *vocab, profile, CompileFsmOptions());
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    table.emplace(std::move(*compiled));
-  }
-  auto make_fsm = [&] {
-    GenerationFsm fsm(&db, &*vocab, profile);
-    if (table.has_value()) fsm.AttachCompiledTable(&*table);
-    return fsm;
-  };
 
   Rng rng(4000 + GetParam());
   for (int walk = 0; walk < 25; ++walk) {
-    GenerationFsm fsm = make_fsm();
+    GenerationFsm fsm(&db, &*vocab, profile);
     std::vector<int> prefix;
     while (!fsm.done()) {
       const auto& mask = fsm.ValidActions();
-      if (table.has_value()) {
-        EXPECT_TRUE(fsm.compiled_active())
-            << "mask-legal walk fell off the compiled table after "
-            << prefix.size() << " tokens";
-      }
       std::vector<int> allowed;
       for (size_t i = 0; i < mask.size(); ++i) {
         if (mask[i]) allowed.push_back(static_cast<int>(i));
@@ -92,7 +68,7 @@ TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
       rng.Shuffle(&allowed);
       size_t check = std::min<size_t>(6, allowed.size());
       for (size_t k = 0; k < check; ++k) {
-        GenerationFsm replay = make_fsm();
+        GenerationFsm replay(&db, &*vocab, profile);
         for (int a : prefix) {
           ASSERT_TRUE(replay.Step(a).ok());
         }

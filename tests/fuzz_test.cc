@@ -6,12 +6,8 @@
 // reproduce it from the trace alone.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <utility>
-
 #include "core/workload.h"
 #include "exec/executor.h"
-#include "fsm/compiled_fsm.h"
 #include "fsm/generation_fsm.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/oracle.h"
@@ -182,19 +178,15 @@ TEST(OracleTest, CleanEngineSurvivesRandomEpisodes) {
   }
 }
 
-// Clean random episodes stay violation-free whichever FSM implementation
-// drives them: param 0 walks the interpreted FSM under the Full profile,
-// params 1 (SPJ) and 2 (DML) walk with a compiled table attached and
-// additionally run the compiled-vs-interpreted lockstep oracle over every
-// recorded action sequence.
-class FsmImplEpisodes : public ::testing::TestWithParam<int> {};
+// Clean random episodes stay violation-free under every statement class:
+// param 0 walks the Full profile, 1 SPJ only and 2 DML only.
+class ProfileEpisodes : public ::testing::TestWithParam<int> {};
 
-TEST_P(FsmImplEpisodes, CleanEpisodesSurviveEveryOracle) {
+TEST_P(ProfileEpisodes, CleanEpisodesSurviveEveryOracle) {
   Database db = BuildScoreStudentDb();
   auto vocab = Vocabulary::Build(db, VocabularyOptions());
   ASSERT_TRUE(vocab.ok());
   QueryProfile profile = QueryProfile::Full();
-  std::optional<CompiledFsmTable> table;
   if (GetParam() == 1) {
     profile = QueryProfile::SpjOnly();
   } else if (GetParam() == 2) {
@@ -204,15 +196,9 @@ TEST_P(FsmImplEpisodes, CleanEpisodesSurviveEveryOracle) {
     profile.allow_update = true;
     profile.allow_delete = true;
   }
-  if (GetParam() != 0) {
-    auto compiled = CompileFsm(db, *vocab, profile, CompileFsmOptions());
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    table.emplace(std::move(*compiled));
-  }
 
   DifferentialOracle oracle(&db);
   GenerationFsm fsm(&db, &*vocab, profile);
-  if (table.has_value()) fsm.AttachCompiledTable(&*table);
   Rng rng(2025 + GetParam());
   for (int i = 0; i < 40; ++i) {
     fsm.Reset();
@@ -221,15 +207,10 @@ TEST_P(FsmImplEpisodes, CleanEpisodesSurviveEveryOracle) {
     ASSERT_TRUE(ast.ok());
     auto v = oracle.Check(*ast);
     EXPECT_FALSE(v.has_value()) << "[" << v->oracle << "] " << v->detail;
-    if (table.has_value()) {
-      auto cv = oracle.CheckCompiledFsm(&*vocab, profile, &*table, actions);
-      EXPECT_FALSE(cv.has_value())
-          << "[" << cv->oracle << "] " << cv->detail;
-    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(FsmImpls, FsmImplEpisodes, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(Profiles, ProfileEpisodes, ::testing::Range(0, 3));
 
 // Render → Parse → Render must be a byte-for-byte fixpoint for every
 // generated statement class (the property behind the roundtrip oracle).
@@ -302,14 +283,6 @@ TEST(OracleTest, DmlApplyAlwaysRollsBack) {
 
 // ----------------------------------------- end-to-end: injected bug hunt
 
-// Every run below shares one set of fixtures, so each dataset's contexts —
-// and the compile probes of the profiles past the caps — are built once
-// for the whole binary rather than once per run.
-FuzzFixtures& SharedFixtures() {
-  static FuzzFixtures* fixtures = new FuzzFixtures;
-  return *fixtures;
-}
-
 TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
   FuzzOptions opts;
   opts.datasets = {"score"};
@@ -318,7 +291,7 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
   opts.max_failures = 3;
   opts.oracle.inject_card_offset = 1;
 
-  auto stats = RunFuzz(opts, &SharedFixtures());
+  auto stats = RunFuzz(opts);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_FALSE(stats->failures.empty())
       << "harness failed to catch an injected off-by-one executor bug";
@@ -331,16 +304,14 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
     // after a serialization round trip, as `lsgfuzz --replay` would.
     auto reparsed = ParseTrace(TraceToString(f));
     ASSERT_TRUE(reparsed.ok());
-    auto rerun =
-        ReplayTraceEpisode(*reparsed, opts.oracle, &SharedFixtures());
+    auto rerun = ReplayTraceEpisode(*reparsed, opts.oracle);
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(rerun->oracle, "exec-vs-ref");
     EXPECT_EQ(rerun->sql, f.sql);
 
     // Without the injected bug the same trace is clean — the failure is
     // the injection's, not the engine's.
-    auto clean = ReplayTraceEpisode(*reparsed, OracleOptions(),
-                                    &SharedFixtures());
+    auto clean = ReplayTraceEpisode(*reparsed, OracleOptions());
     ASSERT_TRUE(clean.ok());
     EXPECT_TRUE(clean->oracle.empty()) << clean->detail;
   }
@@ -355,50 +326,19 @@ TEST(FuzzerTest, InjectedRendererBugTripsTheFixpointOracle) {
   opts.shrink = false;
   opts.oracle.inject_render_space = true;
 
-  auto stats = RunFuzz(opts, &SharedFixtures());
+  auto stats = RunFuzz(opts);
   ASSERT_TRUE(stats.ok());
   ASSERT_FALSE(stats->failures.empty());
   EXPECT_EQ(stats->failures[0].oracle, "render-fixpoint");
-}
-
-TEST(FuzzerTest, InjectedFsmTableCorruptionIsCaught) {
-  // Both table mutations (a flipped mask byte, a swapped transition pair)
-  // must be detected by the compiled-vs-interpreted lockstep oracle — the
-  // differential harness proving the soundness test actually has teeth.
-  for (const std::string bug : {"mask-bit", "transition-swap"}) {
-    FuzzOptions opts;
-    opts.datasets = {"score"};
-    opts.episodes = 40;
-    opts.seed = 7;
-    opts.max_failures = 2;
-    opts.shrink = false;
-    opts.inject_fsm_bug = bug;
-
-    auto stats = RunFuzz(opts, &SharedFixtures());
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_GT(stats->compiled_tables, 0) << bug;
-    ASSERT_FALSE(stats->failures.empty())
-        << "harness failed to catch injected FSM-table bug: " << bug;
-    for (const EpisodeTrace& f : stats->failures) {
-      EXPECT_EQ(f.oracle, "compiled-fsm") << bug << ": " << f.detail;
-    }
-  }
-  // Unknown injection names are rejected, not silently ignored.
-  FuzzOptions bad;
-  bad.inject_fsm_bug = "typo";
-  EXPECT_FALSE(RunFuzz(bad, &SharedFixtures()).ok());
 }
 
 TEST(FuzzerTest, CleanRunOverEveryDatasetFindsNothing) {
   FuzzOptions opts;
   opts.episodes = 25;  // 25 x 4 datasets; keep the suite fast
   opts.seed = 11;
-  auto stats = RunFuzz(opts, &SharedFixtures());
+  auto stats = RunFuzz(opts);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->episodes, 100u);
-  // SPJ compiles on every bundled dataset and DML on score, so the clean
-  // sweep also exercises the compiled-vs-interpreted oracle for real.
-  EXPECT_GE(stats->compiled_tables, 4);
   for (const EpisodeTrace& f : stats->failures) {
     ADD_FAILURE() << "[" << f.oracle << "] " << f.detail << "\n" << f.sql;
   }

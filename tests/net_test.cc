@@ -293,6 +293,30 @@ TEST(ProtocolTest, DistinguishesBadFrameFromBadRequest) {
   EXPECT_EQ(kind, NetError::kBadRequest);  // inverted range
 }
 
+// A point "tolerance" that is present must be a finite non-negative
+// number: an infinite one would count every query as satisfied, and a bad
+// one must not silently become the default.
+TEST(ProtocolTest, ValidatesPointTolerance) {
+  auto frame = [](const std::string& tol) {
+    return R"({"constraint": {"metric": "card", "kind": "point",
+               "value": 10, "tolerance": )" +
+           tol + "}}";
+  };
+  for (const char* tol : {"1e999", "-1", "\"x\""}) {
+    NetError kind = NetError::kNone;
+    auto req = ParseRequestFrame(frame(tol), &kind);
+    EXPECT_FALSE(req.ok()) << "tolerance " << tol;
+    EXPECT_EQ(kind, NetError::kBadRequest) << "tolerance " << tol;
+  }
+  for (double tol : {0.0, 0.5}) {
+    NetError kind = NetError::kBadRequest;
+    auto req = ParseRequestFrame(frame(tol == 0.0 ? "0" : "0.5"), &kind);
+    ASSERT_TRUE(req.ok()) << req.status().ToString();
+    EXPECT_EQ(kind, NetError::kNone);
+    EXPECT_EQ(req->request.constraint.point_tolerance, tol);
+  }
+}
+
 // Ids come off the socket; anything a uint64 cast cannot hold exactly is
 // a structured bad request, never undefined behaviour.
 TEST(ProtocolTest, RejectsOutOfRangeIds) {

@@ -14,12 +14,11 @@
 
 namespace lsg {
 
-/// One DatabaseContext per (vocabulary, profile) over one database, built
-/// on first request and then shared by every pipeline and service a test
-/// binary builds over that database: the compiled FSM — or, for profiles
-/// past the compile caps, the probe that finds it infeasible — is paid
-/// once per binary instead of once per test. Single-threaded: call it from
-/// test bodies, not from worker threads.
+/// One DatabaseContext per vocabulary over one database, built on first
+/// request and then shared by every pipeline and service a test binary
+/// builds over that database, whatever its profile: the statistics and
+/// vocabulary are paid once per binary instead of once per test.
+/// Single-threaded: call it from test bodies, not from worker threads.
 class SharedContexts {
  public:
   explicit SharedContexts(const Database* db) : db_(db) {}
@@ -27,10 +26,7 @@ class SharedContexts {
   std::shared_ptr<const DatabaseContext> For(
       const LearnedSqlGenOptions& options) {
     for (const auto& c : contexts_) {
-      if (c->vocab_options() == options.vocab &&
-          c->profile() == options.profile) {
-        return c;
-      }
+      if (c->vocab_options() == options.vocab) return c;
     }
     auto c = LearnedSqlGen::CreateContext(db_, options);
     LSG_CHECK(c.ok()) << c.status().ToString();

@@ -50,8 +50,7 @@ void Usage() {
       "                   only the vectorized-vs-reference lockstep check;\n"
       "                   batch-decode only the batched-vs-scalar decode\n"
       "                   equivalence check\n"
-      "  --inject-bug K   card-off-by-one|render-space|mask-bit|\n"
-      "                   transition-swap|hash-collision|\n"
+      "  --inject-bug K   card-off-by-one|render-space|hash-collision|\n"
       "                   sel-vector-off-by-one (mutation-tests the\n"
       "                   harness: the run MUST report violations)\n"
       "service options:\n"
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
-    oracle.check_compiled_fsm = false;
     oracle.check_vexec = true;
     oracle.check_batch_decode = false;
   } else if (oracle_mode == "batch-decode") {
@@ -146,19 +144,15 @@ int main(int argc, char** argv) {
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
-    oracle.check_compiled_fsm = false;
     oracle.check_vexec = false;
     oracle.check_batch_decode = true;
   } else if (oracle_mode != "all") {
     return FailUsage("unknown --oracle name");
   }
-  std::string inject_fsm_bug;
   if (inject == "card-off-by-one") {
     oracle.inject_card_offset = 1;
   } else if (inject == "render-space") {
     oracle.inject_render_space = true;
-  } else if (inject == "mask-bit" || inject == "transition-swap") {
-    inject_fsm_bug = inject;  // corrupts the compiled FSM tables
   } else if (inject == "hash-collision" || inject == "sel-vector-off-by-one") {
     oracle.inject_vexec_bug = vexec::ParseInjectBug(inject);
   } else if (!inject.empty()) {
@@ -223,7 +217,6 @@ int main(int argc, char** argv) {
   opts.max_failures = max_failures;
   opts.verbose = verbose;
   opts.oracle = oracle;
-  opts.inject_fsm_bug = inject_fsm_bug;
 
   auto stats = RunFuzz(opts);
   if (!stats.ok()) {

@@ -29,7 +29,6 @@
 #include "analysis/fsm_analyzer.h"
 #include "analysis/sql_linter.h"
 #include "common/random.h"
-#include "fsm/compiled_fsm.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/test_databases.h"
 #include "fuzz/trace.h"
@@ -46,9 +45,6 @@ void Usage() {
       "                   (score|tpch|job|xuetang|all)\n"
       "  --lint FILE      lint SQL statements (one per line, # comments)\n"
       "  --trace FILE     lint the query from an lsgfuzz-trace artifact\n"
-      "  --compile D      compile FSM mask/transition tables for a dataset\n"
-      "                   (score|tpch|job|xuetang|all), print table stats,\n"
-      "                   and differentially spot-check each table\n"
       "  --check-all      CI gate: every dataset x every profile\n"
       "  --inject-bug K   agg-type|join-edge: seed a masking gap; the run\n"
       "                   succeeds iff BOTH analyzer and linter detect it\n"
@@ -59,8 +55,6 @@ void Usage() {
       "  --values K       sampled values per column (default 6)\n"
       "  --scale F        synthetic dataset scale factor (default 0.05)\n"
       "  --max-states N   abstract-state budget (default 400000)\n"
-      "  --max-millis N   compile time budget for --compile (default 10000)\n"
-      "  --save DIR       cache --compile artifacts under DIR (build-or-load)\n"
       "  --verbose        print full per-profile summaries\n");
 }
 
@@ -90,9 +84,9 @@ int main(int argc, char** argv) {
   using namespace lsg;
 
   std::string fsm_dataset, lint_path, trace_path, profile_name, json_path;
-  std::string dataset = "tpch", inject, compile_dataset, save_dir;
+  std::string dataset = "tpch", inject;
   bool check_all = false, verbose = false;
-  int values = 6, max_states = 400000, max_millis = 10000;
+  int values = 6, max_states = 400000;
   double scale = 0.05;
 
   auto need_value = [&](int i) {
@@ -129,12 +123,6 @@ int main(int argc, char** argv) {
       scale = std::atof(need_value(i++));
     } else if (a == "--max-states") {
       max_states = std::atoi(need_value(i++));
-    } else if (a == "--max-millis") {
-      max_millis = std::atoi(need_value(i++));
-    } else if (a == "--compile") {
-      compile_dataset = need_value(i++);
-    } else if (a == "--save") {
-      save_dir = need_value(i++);
     } else if (a == "--verbose" || a == "-v") {
       verbose = true;
     } else {
@@ -221,82 +209,6 @@ int main(int argc, char** argv) {
                  inject.c_str(),
                  analyzer_hit ? "linter blind" : "analyzer blind");
     return 1;
-  }
-
-  // --- compile FSM mask/transition tables -------------------------------
-  if (!compile_dataset.empty()) {
-    std::vector<std::string> ds;
-    if (compile_dataset == "all") {
-      ds = FuzzDatasetNames();
-    } else {
-      ds.push_back(compile_dataset);
-    }
-    int compiled = 0, cap_skips = 0, mismatches = 0;
-    for (const std::string& name : ds) {
-      auto db_or = build_db(name);
-      if (!db_or.ok()) return FailUsage(db_or.status().ToString().c_str());
-      Database db = std::move(db_or).value();
-      auto vocab_or = build_vocab(db);
-      if (!vocab_or.ok()) {
-        return FailUsage(vocab_or.status().ToString().c_str());
-      }
-      const Vocabulary vocab = std::move(vocab_or).value();
-      for (const FuzzProfile& fp : FuzzProfiles()) {
-        if (!profile_name.empty() && fp.name != profile_name) continue;
-        CompileFsmOptions co;
-        co.max_states = max_states;
-        co.max_millis = max_millis;
-        auto table_or =
-            save_dir.empty()
-                ? CompileFsm(db, vocab, fp.profile, co)
-                : BuildOrLoadCompiledFsm(db, vocab, fp.profile, co, save_dir);
-        if (!table_or.ok()) {
-          // Big datasets under permissive profiles can legitimately exceed
-          // the caps; report and move on (the runtime falls back to the
-          // interpreted FSM for exactly these configurations).
-          ++cap_skips;
-          std::printf("%s/%s: not compiled: %s\n", name.c_str(),
-                      fp.name.c_str(),
-                      table_or.status().ToString().c_str());
-          continue;
-        }
-        const CompiledFsmTable table = std::move(table_or).value();
-        ++compiled;
-        std::printf("%s/%s: %s\n", name.c_str(), fp.name.c_str(),
-                    table.stats().ToString().c_str());
-
-        // Differential spot check: a handful of random episodes through
-        // the full compiled-vs-interpreted lockstep oracle.
-        DifferentialOracle oracle(&db);
-        Rng rng(20260808);
-        int clean = 0;
-        bool bad = false;
-        for (int ep = 0; ep < 25 && !bad; ++ep) {
-          GenerationFsm fsm(&db, &vocab, fp.profile);
-          std::vector<int> actions;
-          auto ast = RecordedRandomWalk(&fsm, &rng, &actions);
-          if (!ast.ok()) continue;
-          auto v = oracle.CheckCompiledFsm(&vocab, fp.profile, &table,
-                                           actions);
-          if (v.has_value()) {
-            ++mismatches;
-            bad = true;
-            std::printf("  DIFFERENTIAL MISMATCH [%s] %s\n",
-                        v->oracle.c_str(), v->detail.c_str());
-            break;
-          }
-          ++clean;
-        }
-        if (!bad) {
-          std::printf("  differential spot-check: %d episode(s) clean\n",
-                      clean);
-        }
-      }
-    }
-    std::printf("compiled %d table(s), %d over caps, %d mismatch(es)\n",
-                compiled, cap_skips, mismatches);
-    if (mismatches > 0 || compiled == 0) return 1;
-    return 0;
   }
 
   // --- lint a SQL file ---------------------------------------------------
