@@ -1,20 +1,17 @@
 // Vectorized-execution throughput bench: the reference tuple-at-a-time
-// Executor vs the columnar batch engine (src/vexec/) on the bundled
-// datasets at 1x / 100x / 1000x row scale and 1–8 morsel workers. Each
-// setting runs a fixed representative query mix — filtered scans, an FK
+// Executor vs the serial columnar batch engine (src/vexec/) on the bundled
+// datasets at 1x / 100x / 1000x row scale. Each setting runs a fixed representative query mix — filtered scans, an FK
 // hash join, and a join + GROUP BY on a string column, a DOUBLE column and
 // two columns — built generically from the dataset's
 // catalog so all three benchmarks exercise the same shapes. Cardinalities
 // are cross-checked between engines on every measurement.
 //
-// Emitted as one JSON row per (dataset, scale, query, engine, workers):
+// Emitted as one JSON row per (dataset, scale, query, engine):
 //
 //   {"bench": "vexec_throughput", "dataset": "TPC-H", "row_scale": 100, ...}
 //
 // Wall-clock guard: only TPC-H runs the 1000x point (the reference engine
-// is the bottleneck there); the skip is logged, not silent. On a 1-CPU
-// host the worker sweep is expected flat — the speedup comes from the
-// typed batch kernels, not parallelism.
+// is the bottleneck there); the skip is logged, not silent.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -180,7 +177,8 @@ struct Timing {
   uint64_t cardinality = 0;
 };
 
-Timing TimeEngine(const ExecutionBackend& eng, const SelectQuery& q,
+template <typename Engine>
+Timing TimeEngine(const Engine& eng, const char* name, const SelectQuery& q,
                   int reps) {
   Timing t;
   Stopwatch sw;
@@ -190,7 +188,7 @@ Timing TimeEngine(const ExecutionBackend& eng, const SelectQuery& q,
     // differential tests and the fuzz oracle cover the materializing
     // path.)
     auto r = eng.ExecuteSelect(q, /*materialize_first_column=*/false);
-    LSG_CHECK(r.ok()) << eng.name() << ": " << r.status().ToString();
+    LSG_CHECK(r.ok()) << name << ": " << r.status().ToString();
     t.cardinality = r->cardinality;
   }
   t.ns_per_query = sw.ElapsedSeconds() * 1e9 / reps;
@@ -199,16 +197,15 @@ Timing TimeEngine(const ExecutionBackend& eng, const SelectQuery& q,
 
 void EmitRow(JsonRowWriter* json, const std::string& dataset,
              double row_scale, size_t total_rows, const std::string& query,
-             const char* engine, int workers, int reps, const Timing& t,
-             double speedup) {
+             const char* engine, int reps, const Timing& t, double speedup) {
   std::string row = StrFormat(
       "{\"bench\": \"vexec_throughput\", \"dataset\": \"%s\", "
       "\"row_scale\": %.0f, \"total_rows\": %zu, \"query\": \"%s\", "
-      "\"engine\": \"%s\", \"workers\": %d, \"reps\": %d, "
+      "\"engine\": \"%s\", \"reps\": %d, "
       "\"ns_per_query\": %.0f, \"cardinality\": %llu, "
       "\"speedup_vs_reference\": %.2f}",
-      dataset.c_str(), row_scale, total_rows, query.c_str(), engine, workers,
-      reps, t.ns_per_query, static_cast<unsigned long long>(t.cardinality),
+      dataset.c_str(), row_scale, total_rows, query.c_str(), engine, reps,
+      t.ns_per_query, static_cast<unsigned long long>(t.cardinality),
       speedup);
   std::printf("%s\n", row.c_str());
   std::fflush(stdout);
@@ -221,21 +218,17 @@ void RunDatasetAtScale(const std::string& dataset, double row_scale,
   std::printf("-- %s @ %.0fx: %zu total rows, %d reps/query\n",
               dataset.c_str(), row_scale, db.TotalRows(), reps);
   Executor ref(&db);
+  vexec::VectorizedEngine vec(&db);
   for (const BenchQuery& b : BuildQueries(db)) {
-    Timing rt = TimeEngine(ref, b.q, reps);
-    EmitRow(json, dataset, row_scale, db.TotalRows(), b.name, "reference", 1,
+    Timing rt = TimeEngine(ref, "reference", b.q, reps);
+    EmitRow(json, dataset, row_scale, db.TotalRows(), b.name, "reference",
             reps, rt, 1.0);
-    for (int workers : {1, 2, 4, 8}) {
-      vexec::VexecOptions vo;
-      vo.workers = workers;
-      vexec::VectorizedEngine vec(&db, vo);
-      Timing vt = TimeEngine(vec, b.q, reps);
-      LSG_CHECK(vt.cardinality == rt.cardinality)
-          << dataset << "/" << b.name << ": vectorized=" << vt.cardinality
-          << " reference=" << rt.cardinality;
-      EmitRow(json, dataset, row_scale, db.TotalRows(), b.name, "vectorized",
-              workers, reps, vt, rt.ns_per_query / vt.ns_per_query);
-    }
+    Timing vt = TimeEngine(vec, "vectorized", b.q, reps);
+    LSG_CHECK(vt.cardinality == rt.cardinality)
+        << dataset << "/" << b.name << ": vectorized=" << vt.cardinality
+        << " reference=" << rt.cardinality;
+    EmitRow(json, dataset, row_scale, db.TotalRows(), b.name, "vectorized",
+            reps, vt, rt.ns_per_query / vt.ns_per_query);
   }
 }
 
@@ -252,8 +245,7 @@ int main(int argc, char** argv) {
   const bool quick = std::getenv("LSG_QUICK") != nullptr;
 
   PrintHeader("Vectorized execution throughput (vexec vs reference)");
-  std::printf("queries verified cross-engine on every measurement; "
-              "worker sweep is morsel parallelism (flat on 1-CPU hosts)\n");
+  std::printf("queries verified cross-engine on every measurement\n");
 
   for (const std::string& dataset : DatasetNames()) {
     for (double row_scale : {1.0, 100.0, 1000.0}) {

@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/database_context.h"
-#include "vexec/backend_factory.h"
 #include "obs/episode_telemetry.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
@@ -29,7 +28,7 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       reward_(constraint),
       options_(options),
       fsm_(db, vocab, options.profile),
-      backend_(vexec::MakeBackend(options.execution_backend, db)),
+      engine_(db),
       prefix_est_(estimator, cost_model),
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);
@@ -79,13 +78,13 @@ size_t SqlGenEnvironment::ActionsHash::operator()(
 SqlGenEnvironment::Execution SqlGenEnvironment::Execute(
     const QueryAst& ast) const {
   if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
-    auto card = backend_->Cardinality(ast);
+    auto card = engine_.Cardinality(ast);
     if (!card.ok()) return {};
     return {static_cast<double>(*card), true};
   }
   // True cost: run the query and price the measured operator work.
   if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-    auto r = backend_->ExecuteSelect(*ast.select, /*materialize=*/false);
+    auto r = engine_.ExecuteSelect(*ast.select, /*materialize=*/false);
     if (!r.ok()) return {};
     return {cost_model_->TrueCost(r->stats,
                                   static_cast<double>(r->cardinality)),

@@ -7,13 +7,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/backend.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/prefix_estimator.h"
 #include "rl/reward.h"
 #include "rl/trajectory.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 
@@ -35,16 +34,6 @@ struct EnvironmentOptions {
   /// When false, only the completed query earns a reward (the sparse
   /// signal the paper's §4.2 Remark argues against) — ablation knob.
   bool dense_partial_rewards = true;
-
-  /// Which engine serves true-execution feedback (and MetricOf true-cost
-  /// runs): the vectorized batch engine (src/vexec/, the default, serial)
-  /// or the reference Executor. Cardinalities and ExecStats are bitwise
-  /// identical — the vectorized engine is differentially tested against
-  /// the reference on every fuzz episode — so this is purely a throughput
-  /// choice; vectorized is what makes execution-grounded feedback
-  /// affordable at 10⁵–10⁶-row scale.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kVectorized;
-
 };
 
 /// The paper's environment (Figure 1): wraps the FSM (action masking), the
@@ -52,10 +41,15 @@ struct EnvironmentOptions {
 /// Partial executable prefixes receive shaped rewards (§4.2 Remark: "simply
 /// awarding the end reward ... results in a sparse training signal").
 ///
+/// True-execution feedback (and MetricOf true-cost runs) is answered by the
+/// serial vectorized engine (src/vexec/), whose cardinalities and ExecStats
+/// are bitwise identical to the reference Executor's — it is
+/// differentially tested against it on every fuzz episode.
+///
 /// True-execution feedback on the step path is memoized per environment,
 /// keyed by the action ids since Reset() (EOF aside, which leaves the query
 /// unchanged): the FSM makes the query a pure function of them, and the
-/// metric type and backend are fixed for the environment's life, so a
+/// metric type and engine are fixed for the environment's life, so a
 /// repeated query replays its first answer instead of running again.
 class SqlGenEnvironment : public Environment {
  public:
@@ -94,9 +88,6 @@ class SqlGenEnvironment : public Environment {
   }
   FeedbackSource feedback_source() const { return options_.feedback; }
 
-  /// The engine answering true-execution queries for this environment.
-  const ExecutionBackend& backend() const { return *backend_; }
-
   /// Drops every memoized execution (LearnedSqlGen calls it when training
   /// ends, so an idle cached pipeline holds no memo).
   void ClearExecutionMemo() { exec_memo_.clear(); }
@@ -118,7 +109,7 @@ class SqlGenEnvironment : public Environment {
   /// over. Training runs touch a few hundred distinct prefixes at most.
   static constexpr size_t kExecMemoCapacity = 4096;
 
-  /// Runs `ast` on the backend under the constraint's metric. No counters.
+  /// Runs `ast` on the engine under the constraint's metric. No counters.
   Execution Execute(const QueryAst& ast) const;
 
   /// StepMetric's true-execution path: the memoized Execute of the current
@@ -149,7 +140,7 @@ class SqlGenEnvironment : public Environment {
   RewardFunction reward_;
   EnvironmentOptions options_;
   GenerationFsm fsm_;
-  std::unique_ptr<ExecutionBackend> backend_;
+  vexec::VectorizedEngine engine_;
   PrefixEstimator prefix_est_;
   bool check_incremental_;  ///< LSG_CHECK_INCREMENTAL=1 debug cross-check
   mutable int64_t feedback_calls_ = 0;

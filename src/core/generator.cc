@@ -65,7 +65,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   env_opts.profile = options_.profile;
   env_opts.feedback = options_.feedback;
   env_opts.dense_partial_rewards = options_.dense_partial_rewards;
-  env_opts.execution_backend = options_.execution_backend;
   return env_opts;
 }
 
@@ -96,8 +95,7 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
         env_->feedback_source() != FeedbackSource::kTrueExecution) {
       env_->SetFeedbackSource(FeedbackSource::kTrueExecution);
       LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
-                    << "feedback (" << env_->backend().name()
-                    << " backend)";
+                    << "feedback (vectorized engine)";
     }
   };
   auto record = [&](EpochStats st) {

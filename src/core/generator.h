@@ -13,6 +13,11 @@
 
 namespace lsg {
 
+/// The engine answering execution-grounded feedback. One value: the serial
+/// vectorized engine (src/vexec/); the reference Executor is its oracle,
+/// not a production choice.
+enum class ExecutionBackendKind { kVectorized };
+
 /// End-to-end configuration of the LearnedSQLGen pipeline.
 struct LearnedSqlGenOptions {
   TrainerOptions trainer;
@@ -25,15 +30,16 @@ struct LearnedSqlGenOptions {
   /// (FeedbackSource::kTrueExecution). Early epochs keep the cheap
   /// estimator signal for exploration; the final ceil(train_epochs ·
   /// true_feedback_tail) epochs ground the policy in measured
-  /// cardinalities/costs from the configured execution backend.
+  /// cardinalities/costs from the vectorized engine.
   /// 0 disables the switch (paper default); 1 trains fully on execution.
   /// Ignored when `feedback` is already kTrueExecution.
   double true_feedback_tail = 0.0;
 
-  /// Engine answering execution-grounded feedback — see
-  /// EnvironmentOptions::execution_backend. The vectorized default makes
-  /// the true-feedback tail affordable on 10⁵–10⁶-row databases.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kVectorized;
+  /// Always kVectorized: the vectorized engine makes the true-feedback tail
+  /// affordable on 10⁵–10⁶-row databases. Kept, not settable, only so the
+  /// end-to-end benchmark's run metadata still compiles.
+  static constexpr ExecutionBackendKind execution_backend =
+      ExecutionBackendKind::kVectorized;
 
   /// Training epochs (batched updates) per constraint.
   int train_epochs = 80;

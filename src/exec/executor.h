@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/backend.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 
@@ -46,10 +45,10 @@ struct SelectResult {
 /// Executes SELECT queries against an in-memory Database and returns true
 /// result cardinalities. Pipeline: FK hash joins in chain order, then WHERE
 /// (uncorrelated subqueries evaluated once), then GROUP BY / HAVING /
-/// aggregate collapse. This is the tuple-at-a-time *reference* backend; the
+/// aggregate collapse. This is the tuple-at-a-time *reference* engine; the
 /// vectorized engine in src/vexec/ must match it bitwise (cardinality,
 /// first_column, ExecStats) and is differentially tested against it.
-class Executor : public ExecutionBackend {
+class Executor {
  public:
   /// `db` must outlive the executor. `max_intermediate_tuples` bounds join
   /// blowup; exceeding it returns OutOfRange.
@@ -58,20 +57,17 @@ class Executor : public ExecutionBackend {
 
   /// True result cardinality of any query type. For DML the cardinality is
   /// the number of affected rows (dry run — the database is not mutated).
-  StatusOr<uint64_t> Cardinality(const QueryAst& ast) const override;
+  StatusOr<uint64_t> Cardinality(const QueryAst& ast) const;
 
   /// Executes a SELECT; optionally materializes the first projection column.
   StatusOr<SelectResult> ExecuteSelect(
-      const SelectQuery& q, bool materialize_first_column) const override;
+      const SelectQuery& q, bool materialize_first_column) const;
 
   /// Evaluates a single-table WHERE against every row of `table_idx`,
   /// returning one bool per row (true = row matches). Used to apply
   /// UPDATE/DELETE for real and by the fuzzing oracle.
   StatusOr<std::vector<bool>> MatchRows(
-      int table_idx, const WhereClause& where) const override;
-
-  const Database* database() const override { return db_; }
-  const char* name() const override { return "reference"; }
+      int table_idx, const WhereClause& where) const;
 
   const Database* db() const { return db_; }
 

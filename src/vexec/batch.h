@@ -8,20 +8,15 @@
 namespace lsg {
 namespace vexec {
 
-/// Tuples processed per vectorized primitive invocation. 2048 × 4-byte row
-/// ids fits comfortably in L1 alongside one predicate mask, the classic
-/// vector-at-a-time sweet spot; it is also the morsel *granule* — parallel
-/// work is handed out in whole batches.
+/// Batch granule of the filter: WHERE survivors are selected batch by
+/// batch in tuple order. 2048 × 4-byte row ids fits comfortably in L1
+/// alongside one predicate mask, the classic vector-at-a-time sweet spot.
+/// The planted sel-vector-off-by-one defect drops the last tuple of every
+/// batch, so the boundary tests straddle multiples of it.
 inline constexpr size_t kBatchSize = 2048;
 
 /// Predicate result mask: one byte per tuple (0 = filtered, 1 = kept).
-/// Byte-per-tuple rather than a bitset so disjoint batch ranges can be
-/// written from different morsel workers without sharing bytes.
 using Mask = std::vector<uint8_t>;
-
-/// Indices of surviving tuples within a batch / tuple set, in ascending
-/// order. Built by the filter primitive from one or more combined Masks.
-using SelectionVector = std::vector<uint32_t>;
 
 /// Joined working set, columnar by chain position: cols[pos][t] is the row
 /// id of tuple t in the table at chain position pos. Same information as
@@ -41,11 +36,6 @@ struct TupleSetV {
     return tables.size();  // not in scope; callers treat as NULL column
   }
 };
-
-/// Number of kBatchSize batches covering `count` tuples (last may be short).
-inline size_t NumBatches(size_t count) {
-  return (count + kBatchSize - 1) / kBatchSize;
-}
 
 }  // namespace vexec
 }  // namespace lsg

@@ -41,14 +41,6 @@ inline bool OpHolds(CompareOp op, int c) {
 inline int Sign3(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
 inline int Sign3(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 
-/// One worker's join output: row ids per chain position (the new table's
-/// rows in the last slot), concatenated in morsel order afterwards.
-struct JoinChunk {
-  std::vector<std::vector<uint32_t>> cols;
-  size_t count = 0;
-  bool exceeded = false;
-};
-
 /// Canonical 64-bit image of a DOUBLE group-key cell. The reference
 /// engine's string key (GroupKeyOf -> FormatDouble) is injective up to
 /// `==`, except that a NaN prints only its sign ("nan" / "-nan"): so -0.0
@@ -240,7 +232,7 @@ InjectBug ParseInjectBug(const std::string& name) {
 }
 
 VectorizedEngine::VectorizedEngine(const Database* db, VexecOptions opts)
-    : db_(db), opts_(opts), pool_(opts.workers) {
+    : db_(db), opts_(opts) {
   LSG_CHECK(db != nullptr);
 }
 
@@ -305,10 +297,14 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     const std::vector<uint32_t>& probe_rows = ts.cols[probe_pos];
 
     stats->rows_probed += static_cast<double>(ts.count);
-    const size_t num_morsels = NumBatches(ts.count);
-    std::vector<JoinChunk> chunks(num_morsels);
     const uint64_t cap = opts_.max_intermediate_tuples;
     const bool skip_recheck = opts_.inject == InjectBug::kHashCollision;
+    // Matches append straight into the output columns (the new table's rows
+    // in the last slot), in tuple order; the cap is checked on the running
+    // total, so a rejected join stops at cap + 1 like the reference.
+    std::vector<std::vector<uint32_t>> out(stride + 1);
+    for (auto& c : out) c.reserve(std::min<uint64_t>(ts.count, cap));
+    uint64_t total = 0;
 
     if (build_column.type() == DataType::kInt64 &&
         probe_column.type() == DataType::kInt64) {
@@ -357,36 +353,24 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
       const std::vector<int64_t>& probe_keys = probe_column.ints();
       const std::vector<bool>& probe_valid = probe_column.validity();
       const bool probe_all_valid = probe_column.all_valid();
-      auto probe_fn = [&](size_t m) {
-        JoinChunk& chunk = chunks[m];
-        chunk.cols.assign(stride + 1, {});
-        for (auto& c : chunk.cols) c.reserve(kBatchSize);
-        const size_t begin = m * kBatchSize;
-        const size_t end = std::min(begin + kBatchSize, ts.count);
-        for (size_t t = begin; t < end && !chunk.exceeded; ++t) {
-          if (t + kPrefetchDist < end) {
-            const uint32_t ahead = probe_rows[t + kPrefetchDist];
-            if (probe_all_valid || probe_valid[ahead]) {
-              ht.Prefetch(probe_keys[ahead]);
-            }
-          }
-          const uint32_t prow = probe_rows[t];
-          if (!probe_all_valid && !probe_valid[prow]) continue;
-          for (int32_t e = ht.Find(probe_keys[prow], skip_recheck); e >= 0;
-               e = ht.Next(e)) {
-            if (chunk.count + 1 > cap) {
-              chunk.exceeded = true;
-              break;
-            }
-            for (size_t j = 0; j < stride; ++j) {
-              chunk.cols[j].push_back(ts.cols[j][t]);
-            }
-            chunk.cols[stride].push_back(ht.Row(e));
-            ++chunk.count;
+      for (size_t t = 0; t < ts.count; ++t) {
+        if (t + kPrefetchDist < ts.count) {
+          const uint32_t ahead = probe_rows[t + kPrefetchDist];
+          if (probe_all_valid || probe_valid[ahead]) {
+            ht.Prefetch(probe_keys[ahead]);
           }
         }
-      };
-      pool_.Run(num_morsels, probe_fn);
+        const uint32_t prow = probe_rows[t];
+        if (!probe_all_valid && !probe_valid[prow]) continue;
+        for (int32_t e = ht.Find(probe_keys[prow], skip_recheck); e >= 0;
+             e = ht.Next(e)) {
+          if (++total > cap) {
+            return Status::OutOfRange("join intermediate exceeds limit");
+          }
+          for (size_t j = 0; j < stride; ++j) out[j].push_back(ts.cols[j][t]);
+          out[stride].push_back(ht.Row(e));
+        }
+      }
     } else {
       // Generic path: exactly the reference engine's Value-keyed build.
       std::unordered_map<Value, std::vector<uint32_t>, ValueHash> hash;
@@ -396,50 +380,21 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
         if (v.is_null()) continue;
         hash[v].push_back(static_cast<uint32_t>(r));
       }
-      auto probe_fn = [&](size_t m) {
-        JoinChunk& chunk = chunks[m];
-        chunk.cols.assign(stride + 1, {});
-        const size_t begin = m * kBatchSize;
-        const size_t end = std::min(begin + kBatchSize, ts.count);
-        for (size_t t = begin; t < end && !chunk.exceeded; ++t) {
-          Value v = probe_column.GetValue(probe_rows[t]);
-          if (v.is_null()) continue;
-          auto it = hash.find(v);
-          if (it == hash.end()) continue;
-          for (uint32_t r : it->second) {
-            if (chunk.count + 1 > cap) {
-              chunk.exceeded = true;
-              break;
-            }
-            for (size_t j = 0; j < stride; ++j) {
-              chunk.cols[j].push_back(ts.cols[j][t]);
-            }
-            chunk.cols[stride].push_back(r);
-            ++chunk.count;
+      for (size_t t = 0; t < ts.count; ++t) {
+        Value v = probe_column.GetValue(probe_rows[t]);
+        if (v.is_null()) continue;
+        auto it = hash.find(v);
+        if (it == hash.end()) continue;
+        for (uint32_t r : it->second) {
+          if (++total > cap) {
+            return Status::OutOfRange("join intermediate exceeds limit");
           }
+          for (size_t j = 0; j < stride; ++j) out[j].push_back(ts.cols[j][t]);
+          out[stride].push_back(r);
         }
-      };
-      pool_.Run(num_morsels, probe_fn);
-    }
-
-    // Stitch chunks back in morsel (= base tuple) order so the joined
-    // tuple sequence is identical to the reference engine's serial probe.
-    uint64_t total = 0;
-    bool exceeded = false;
-    for (const JoinChunk& c : chunks) {
-      total += c.count;
-      exceeded = exceeded || c.exceeded;
-    }
-    if (exceeded || total > cap) {
-      return Status::OutOfRange("join intermediate exceeds limit");
-    }
-    std::vector<std::vector<uint32_t>> out(stride + 1);
-    for (size_t j = 0; j <= stride; ++j) {
-      out[j].reserve(total);
-      for (const JoinChunk& c : chunks) {
-        out[j].insert(out[j].end(), c.cols[j].begin(), c.cols[j].end());
       }
     }
+
     ts.tables.push_back(new_ti);
     ts.cols = std::move(out);
     ts.count = static_cast<size_t>(total);
@@ -455,8 +410,8 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
 
 void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
                                      int column_idx, CompareOp op,
-                                     const Value& constant, size_t begin,
-                                     size_t end, Mask* out) const {
+                                     const Value& constant,
+                                     Mask* out) const {
   if (constant.is_null()) return;  // NULL comparand: everything false
   const Column& col = db_->tables()[ts.tables[pos]].column(column_idx);
   const std::vector<uint32_t>& rows = ts.cols[pos];
@@ -471,7 +426,7 @@ void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
   if (col_is_string != constant.is_string()) {
     const bool hit = OpHolds(op, col_is_string ? 1 : -1);
     if (!hit) return;
-    for (size_t t = begin; t < end; ++t) {
+    for (size_t t = 0; t < ts.count; ++t) {
       (*out)[t] = (all_valid || valid[rows[t]]) ? 1 : 0;
     }
     return;
@@ -482,7 +437,7 @@ void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
       const std::vector<int64_t>& data = col.ints();
       if (constant.is_int()) {
         const int64_t k = constant.as_int();
-        for (size_t t = begin; t < end; ++t) {
+        for (size_t t = 0; t < ts.count; ++t) {
           const uint32_t r = rows[t];
           (*out)[t] =
               ((all_valid || valid[r]) && OpHolds(op, Sign3(data[r], k)))
@@ -491,7 +446,7 @@ void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
         }
       } else {
         const double k = constant.as_double();
-        for (size_t t = begin; t < end; ++t) {
+        for (size_t t = 0; t < ts.count; ++t) {
           const uint32_t r = rows[t];
           (*out)[t] = ((all_valid || valid[r]) &&
                        OpHolds(op, Sign3(static_cast<double>(data[r]), k)))
@@ -504,7 +459,7 @@ void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
     case DataType::kDouble: {
       const std::vector<double>& data = col.doubles();
       const double k = constant.AsNumber();
-      for (size_t t = begin; t < end; ++t) {
+      for (size_t t = 0; t < ts.count; ++t) {
         const uint32_t r = rows[t];
         (*out)[t] =
             ((all_valid || valid[r]) && OpHolds(op, Sign3(data[r], k)))
@@ -517,7 +472,7 @@ void VectorizedEngine::CompareKernel(const TupleSetV& ts, size_t pos,
     case DataType::kCategorical: {
       const std::vector<std::string>& data = col.strings();
       const std::string& k = constant.as_string();
-      for (size_t t = begin; t < end; ++t) {
+      for (size_t t = 0; t < ts.count; ++t) {
         const uint32_t r = rows[t];
         (*out)[t] =
             ((all_valid || valid[r]) && OpHolds(op, data[r].compare(k)))
@@ -533,16 +488,11 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
                                        const TupleSetV& ts, Mask* out,
                                        ExecStats* stats) const {
   out->assign(ts.count, 0);
-  const size_t num_morsels = NumBatches(ts.count);
   switch (p.kind) {
     case PredicateKind::kValue: {
       const size_t pos = ts.ChainPos(p.column.table_idx);
       if (pos == ts.tables.size()) return Status::Ok();  // out of scope
-      pool_.Run(num_morsels, [&](size_t m) {
-        const size_t begin = m * kBatchSize;
-        CompareKernel(ts, pos, p.column.column_idx, p.op, p.value, begin,
-                      std::min(begin + kBatchSize, ts.count), out);
-      });
+      CompareKernel(ts, pos, p.column.column_idx, p.op, p.value, out);
       return Status::Ok();
     }
     case PredicateKind::kScalarSub: {
@@ -555,11 +505,7 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       const Value& scalar = sub->first_column[0];
       const size_t pos = ts.ChainPos(p.column.table_idx);
       if (pos == ts.tables.size()) return Status::Ok();
-      pool_.Run(num_morsels, [&](size_t m) {
-        const size_t begin = m * kBatchSize;
-        CompareKernel(ts, pos, p.column.column_idx, p.op, scalar, begin,
-                      std::min(begin + kBatchSize, ts.count), out);
-      });
+      CompareKernel(ts, pos, p.column.column_idx, p.op, scalar, out);
       return Status::Ok();
     }
     case PredicateKind::kInSub: {
@@ -570,15 +516,11 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       // (int, double) equality/hash quirks are shared, not reinvented.
       std::unordered_set<Value, ValueHash> members(sub->first_column.begin(),
                                                    sub->first_column.end());
-      pool_.Run(num_morsels, [&](size_t m) {
-        const size_t begin = m * kBatchSize;
-        const size_t end = std::min(begin + kBatchSize, ts.count);
-        for (size_t t = begin; t < end; ++t) {
-          Value v = TupleValue(ts, t, p.column);
-          if (v.is_null()) continue;
-          (*out)[t] = members.count(v) > 0 ? 1 : 0;
-        }
-      });
+      for (size_t t = 0; t < ts.count; ++t) {
+        Value v = TupleValue(ts, t, p.column);
+        if (v.is_null()) continue;
+        (*out)[t] = members.count(v) > 0 ? 1 : 0;
+      }
       return Status::Ok();
     }
     case PredicateKind::kExistsSub: {
@@ -605,15 +547,11 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       const std::vector<bool>& valid = col.validity();
       const bool all_valid = col.all_valid();
       const std::vector<uint32_t>& rows = ts.cols[pos];
-      pool_.Run(num_morsels, [&](size_t m) {
-        const size_t begin = m * kBatchSize;
-        const size_t end = std::min(begin + kBatchSize, ts.count);
-        for (size_t t = begin; t < end; ++t) {
-          const uint32_t r = rows[t];
-          if (!all_valid && !valid[r]) continue;
-          (*out)[t] = LikeMatch(data[r], pattern) ? 1 : 0;
-        }
-      });
+      for (size_t t = 0; t < ts.count; ++t) {
+        const uint32_t r = rows[t];
+        if (!all_valid && !valid[r]) continue;
+        (*out)[t] = LikeMatch(data[r], pattern) ? 1 : 0;
+      }
       return Status::Ok();
     }
   }
@@ -629,54 +567,28 @@ Status VectorizedEngine::ApplyWhere(const WhereClause& where, TupleSetV* ts,
         EvalPredicate(where.predicates[i], *ts, &results[i], stats));
   }
 
-  // Combine masks and count survivors per batch (parallel), then build the
-  // per-batch selection vectors via an exclusive prefix over the counts and
-  // scatter (parallel again). Order within and across batches follows
-  // tuple order, matching the reference filter loop.
-  const size_t num_morsels = NumBatches(ts->count);
-  Mask keep(ts->count, 0);
-  std::vector<size_t> batch_count(num_morsels, 0);
-  const bool drop_last =
-      opts_.inject == InjectBug::kSelVectorOffByOne;
-  pool_.Run(num_morsels, [&](size_t m) {
-    const size_t begin = m * kBatchSize;
+  // One pass, batch by batch in tuple order: combine the masks and compact
+  // the survivors in place (the write index never passes the read index),
+  // matching the reference filter loop's order.
+  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
+  const size_t stride = ts->tables.size();
+  std::vector<bool> local(results.size());
+  size_t w = 0;
+  for (size_t begin = 0; begin < ts->count; begin += kBatchSize) {
     const size_t end = std::min(begin + kBatchSize, ts->count);
-    std::vector<bool> local(results.size());
-    size_t n = 0;
     // Injected bug: the batch loop bound excludes the final tuple.
-    const size_t bug_end = drop_last && end > begin ? end - 1 : end;
+    const size_t bug_end = drop_last ? end - 1 : end;
     for (size_t t = begin; t < bug_end; ++t) {
       for (size_t i = 0; i < results.size(); ++i) {
         local[i] = results[i][t] != 0;
       }
-      if (CombinePredicates(local, where.connectors)) {
-        keep[t] = 1;
-        ++n;
-      }
-    }
-    batch_count[m] = n;
-  });
-
-  std::vector<size_t> offset(num_morsels + 1, 0);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    offset[m + 1] = offset[m] + batch_count[m];
-  }
-  const size_t out_count = offset[num_morsels];
-  const size_t stride = ts->tables.size();
-  std::vector<std::vector<uint32_t>> out(stride);
-  for (size_t j = 0; j < stride; ++j) out[j].resize(out_count);
-  pool_.Run(num_morsels, [&](size_t m) {
-    const size_t begin = m * kBatchSize;
-    const size_t end = std::min(begin + kBatchSize, ts->count);
-    size_t w = offset[m];
-    for (size_t t = begin; t < end; ++t) {
-      if (!keep[t]) continue;
-      for (size_t j = 0; j < stride; ++j) out[j][w] = ts->cols[j][t];
+      if (!CombinePredicates(local, where.connectors)) continue;
+      for (size_t j = 0; j < stride; ++j) ts->cols[j][w] = ts->cols[j][t];
       ++w;
     }
-  });
-  ts->cols = std::move(out);
-  ts->count = out_count;
+  }
+  for (std::vector<uint32_t>& c : ts->cols) c.resize(w);
+  ts->count = w;
   return Status::Ok();
 }
 
