@@ -4,6 +4,7 @@
 // (a) accuracy on held-out constraints, (b) adaptation+generation time,
 // (c) average-reward adaptation trace.
 #include "bench/bench_common.h"
+#include "rl/actor_critic_trainer.h"
 #include "rl/meta_critic.h"
 
 namespace lsg {

@@ -6,12 +6,15 @@
 // catalog so all three benchmarks exercise the same shapes. Cardinalities
 // are cross-checked between engines on every measurement.
 //
-// Emitted as one JSON row per (dataset, scale, query, engine):
+// Each row is the median of `reps` timed runs after one untimed warm-up
+// (LSG_QUICK=1: 3 runs). Emitted as one JSON row per (dataset, scale,
+// query, engine):
 //
 //   {"bench": "vexec_throughput", "dataset": "TPC-H", "row_scale": 100, ...}
 //
 // Wall-clock guard: only TPC-H runs the 1000x point (the reference engine
 // is the bottleneck there); the skip is logged, not silent.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -177,12 +180,15 @@ struct Timing {
   uint64_t cardinality = 0;
 };
 
+/// One untimed warm-up run, then `reps` individually timed runs; reports
+/// the median, so one cold or preempted run cannot move a row.
 template <typename Engine>
 Timing TimeEngine(const Engine& eng, const char* name, const SelectQuery& q,
                   int reps) {
   Timing t;
-  Stopwatch sw;
-  for (int i = 0; i < reps; ++i) {
+  std::vector<double> ns;
+  for (int i = 0; i <= reps; ++i) {
+    Stopwatch sw;
     // materialize=false is the execution-grounded feedback configuration:
     // training consumes the true cardinality, not the value column. (The
     // differential tests and the fuzz oracle cover the materializing
@@ -190,8 +196,12 @@ Timing TimeEngine(const Engine& eng, const char* name, const SelectQuery& q,
     auto r = eng.ExecuteSelect(q, /*materialize_first_column=*/false);
     LSG_CHECK(r.ok()) << name << ": " << r.status().ToString();
     t.cardinality = r->cardinality;
+    if (i > 0) ns.push_back(sw.ElapsedSeconds() * 1e9);
   }
-  t.ns_per_query = sw.ElapsedSeconds() * 1e9 / reps;
+  std::sort(ns.begin(), ns.end());
+  const size_t mid = ns.size() / 2;
+  t.ns_per_query =
+      ns.size() % 2 == 1 ? ns[mid] : 0.5 * (ns[mid - 1] + ns[mid]);
   return t;
 }
 
@@ -215,7 +225,7 @@ void EmitRow(JsonRowWriter* json, const std::string& dataset,
 void RunDatasetAtScale(const std::string& dataset, double row_scale,
                        int reps, JsonRowWriter* json) {
   Database db = BuildDataset(dataset, row_scale);
-  std::printf("-- %s @ %.0fx: %zu total rows, %d reps/query\n",
+  std::printf("-- %s @ %.0fx: %zu total rows, median of %d reps/query\n",
               dataset.c_str(), row_scale, db.TotalRows(), reps);
   Executor ref(&db);
   vexec::VectorizedEngine vec(&db);
@@ -257,7 +267,7 @@ int main(int argc, char** argv) {
       }
       int reps = row_scale >= 1000.0 ? 2 : (row_scale >= 100.0 ? 5 : 20);
       if (quick) {
-        reps = 1;
+        reps = 3;
         if (row_scale >= 1000.0) {
           std::printf("-- %s @ 1000x skipped (LSG_QUICK)\n", dataset.c_str());
           continue;

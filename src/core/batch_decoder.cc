@@ -49,7 +49,6 @@ std::unique_ptr<BatchDecoder::Lane> BatchDecoder::StartItem(
   item->status = Status::Ok();
   item->report = GenerationReport();
   item->report.train_seconds = snap_->train_seconds;
-  if (snap_->trace != nullptr) item->report.trace = *snap_->trace;
   auto env = std::make_unique<SqlGenEnvironment>(
       *snap_->context, item->constraint, snap_->env_opts);
   auto lane = std::make_unique<Lane>(item, std::move(env));

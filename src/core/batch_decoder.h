@@ -26,7 +26,7 @@ struct BatchDecodeItem {
   bool batch_mode = false;
   /// This request's private sampling stream. The service seeds it from
   /// (seed, request) so batch-mates cannot perturb it; LearnedSqlGen hands
-  /// in (and takes back) its trainer's stream.
+  /// in (and takes back) its internal stream.
   Rng rng;
 
   Status status;

@@ -88,10 +88,6 @@ class SqlGenEnvironment : public Environment {
   }
   FeedbackSource feedback_source() const { return options_.feedback; }
 
-  /// Drops every memoized execution (LearnedSqlGen calls it when training
-  /// ends, so an idle cached pipeline holds no memo).
-  void ClearExecutionMemo() { exec_memo_.clear(); }
-
  private:
   /// One executed query: its metric, and whether it was measured (false
   /// when execution failed or DML cost fell back to the estimate — the

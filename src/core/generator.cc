@@ -9,6 +9,7 @@
 #include "core/batch_decoder.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
+#include "rl/actor_critic_trainer.h"
 
 namespace lsg {
 namespace {
@@ -56,10 +57,6 @@ StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
   return Create(std::move(context), options);
 }
 
-Status LearnedSqlGen::Train(const Constraint& constraint) {
-  return TrainFor(constraint, options_.train_epochs);
-}
-
 EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   EnvironmentOptions env_opts;
   env_opts.profile = options_.profile;
@@ -68,15 +65,25 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   return env_opts;
 }
 
-Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
+void LearnedSqlGen::Publish(std::unique_ptr<PolicyNetwork> actor,
+                            const Constraint& constraint,
+                            double train_seconds) {
+  auto snap = std::make_shared<ServingSnapshot>();
+  snap->context = context_;
+  snap->actor = std::move(actor);
+  snap->env_opts = BuildEnvOptions();
+  snap->constraint = constraint;
+  snap->attempts_factor = options_.attempts_factor;
+  snap->train_seconds = train_seconds;
+  snapshot_ = std::move(snap);
+}
+
+Status LearnedSqlGen::Train(const Constraint& constraint) {
   LSG_OBS_SPAN("gen.train");
-  EnvironmentOptions env_opts = BuildEnvOptions();
-  env_opts_ = env_opts;
-  constraint_ = constraint;
-  env_ = std::make_unique<SqlGenEnvironment>(*context_, constraint, env_opts);
-  ac_trainer_.reset();
-  reinforce_trainer_.reset();
+  snapshot_.reset();
   trace_.clear();
+  const int epochs = options_.train_epochs;
+  SqlGenEnvironment env(*context_, constraint, BuildEnvOptions());
   Stopwatch watch;
 
   // Mixed-feedback curriculum: the final ceil(epochs · true_feedback_tail)
@@ -90,84 +97,71 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
         epochs, static_cast<int>(std::ceil(epochs * frac)));
     switch_epoch = epochs - tail;
   }
-  auto epoch_begin = [&](int e) {
-    if (e == switch_epoch &&
-        env_->feedback_source() != FeedbackSource::kTrueExecution) {
-      env_->SetFeedbackSource(FeedbackSource::kTrueExecution);
-      LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
-                    << "feedback (vectorized engine)";
+  // Both trainers expose the same epoch loop; `trainer` dies with this
+  // call, leaving only its actor (and its sampling stream) behind.
+  std::unique_ptr<PolicyNetwork> actor;
+  auto run = [&](auto& trainer) -> Status {
+    for (int e = 0; e < epochs; ++e) {
+      if (e == switch_epoch &&
+          env.feedback_source() != FeedbackSource::kTrueExecution) {
+        env.SetFeedbackSource(FeedbackSource::kTrueExecution);
+        LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
+                      << "feedback (vectorized engine)";
+      }
+      LSG_ASSIGN_OR_RETURN(EpochStats st, trainer.TrainEpoch());
+      st.true_execution_feedback =
+          env.feedback_source() == FeedbackSource::kTrueExecution;
+      trace_.push_back(st);
     }
+    // Inference uses the best checkpoint seen during training (guards
+    // against late-training policy collapse).
+    if (options_.trainer.keep_best_actor) trainer.RestoreBestActor();
+    rng_ = *trainer.sampling_rng();
+    actor = trainer.ReleaseActor();
+    return Status::Ok();
   };
-  auto record = [&](EpochStats st) {
-    st.true_execution_feedback =
-        env_->feedback_source() == FeedbackSource::kTrueExecution;
-    trace_.push_back(st);
-  };
-
   if (options_.use_reinforce) {
-    reinforce_trainer_ =
-        std::make_unique<ReinforceTrainer>(env_.get(), options_.trainer);
-    for (int e = 0; e < epochs; ++e) {
-      epoch_begin(e);
-      auto st = reinforce_trainer_->TrainEpoch();
-      if (!st.ok()) return st.status();
-      record(*st);
-    }
+    ReinforceTrainer trainer(&env, options_.trainer);
+    LSG_RETURN_IF_ERROR(run(trainer));
   } else {
-    ac_trainer_ =
-        std::make_unique<ActorCriticTrainer>(env_.get(), options_.trainer);
-    for (int e = 0; e < epochs; ++e) {
-      epoch_begin(e);
-      auto st = ac_trainer_->TrainEpoch();
-      if (!st.ok()) return st.status();
-      record(*st);
-    }
+    ActorCriticTrainer trainer(&env, options_.trainer);
+    LSG_RETURN_IF_ERROR(run(trainer));
   }
-  // Inference uses the best checkpoint seen during training (guards
-  // against late-training policy collapse).
-  if (options_.trainer.keep_best_actor) {
-    if (ac_trainer_ != nullptr) ac_trainer_->RestoreBestActor();
-    if (reinforce_trainer_ != nullptr) reinforce_trainer_->RestoreBestActor();
-  }
-  env_->ClearExecutionMemo();
-  train_seconds_ = watch.ElapsedSeconds();
+  Publish(std::move(actor), constraint, watch.ElapsedSeconds());
   return Status::Ok();
 }
 
 Status LearnedSqlGen::SaveModel(const std::string& path) const {
-  if (ac_trainer_ != nullptr) {
-    return SaveParams(std::as_const(*ac_trainer_).actor().Params(), path);
+  if (snapshot_ == nullptr) {
+    return Status::FailedPrecondition("no trained model to save");
   }
-  if (reinforce_trainer_ != nullptr) {
-    return SaveParams(std::as_const(*reinforce_trainer_).actor().Params(),
-                      path);
-  }
-  return Status::FailedPrecondition("no trained model to save");
+  return SaveParams(snapshot_->actor->Params(), path);
 }
 
 Status LearnedSqlGen::LoadModel(const Constraint& constraint,
                                 const std::string& path) {
-  // Build the trainer (0 epochs = no training) and overwrite its actor.
-  LSG_RETURN_IF_ERROR(TrainFor(constraint, 0));
-  if (ac_trainer_ != nullptr) {
-    return LoadParams(ac_trainer_->actor().Params(), path);
-  }
-  return LoadParams(reinforce_trainer_->actor().Params(), path);
+  snapshot_.reset();
+  trace_.clear();
+  auto actor = std::make_unique<PolicyNetwork>(context_->vocab().size(),
+                                               options_.trainer.net);
+  LSG_RETURN_IF_ERROR(LoadParams(actor->Params(), path));
+  rng_ = Rng(options_.trainer.seed);
+  Publish(std::move(actor), constraint, /*train_seconds=*/0.0);
+  return Status::Ok();
 }
 
 StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
                                                  Rng* rng) {
-  LSG_ASSIGN_OR_RETURN(ServingSnapshot snap, MakeServingSnapshot());
-  if (rng == nullptr) {
-    rng = ac_trainer_ != nullptr ? ac_trainer_->sampling_rng()
-                                 : reinforce_trainer_->sampling_rng();
+  if (snapshot_ == nullptr) {
+    return Status::FailedPrecondition("call Train or LoadModel first");
   }
+  if (rng == nullptr) rng = &rng_;
   BatchDecodeItem item;
-  item.constraint = snap.constraint;
+  item.constraint = snapshot_->constraint;
   item.n = n;
   item.batch_mode = batch_mode;
   item.rng = *rng;
-  BatchDecoder(&snap, /*max_lanes=*/1).Run({&item});
+  BatchDecoder(snapshot_.get(), /*max_lanes=*/1).Run({&item});
   *rng = item.rng;
   if (!item.status.ok()) return item.status;
   return std::move(item.report);
@@ -189,26 +183,6 @@ StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
 StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n, Rng* rng) {
   LSG_OBS_SPAN("gen.generate_batch");
   return Decode(n, /*batch_mode=*/true, rng);
-}
-
-StatusOr<ServingSnapshot> LearnedSqlGen::MakeServingSnapshot() const {
-  const PolicyNetwork* actor = nullptr;
-  if (ac_trainer_ != nullptr) {
-    actor = &std::as_const(*ac_trainer_).actor();
-  } else if (reinforce_trainer_ != nullptr) {
-    actor = &std::as_const(*reinforce_trainer_).actor();
-  } else {
-    return Status::FailedPrecondition("call Train before snapshotting");
-  }
-  ServingSnapshot snap;
-  snap.context = context_.get();
-  snap.actor = actor;
-  snap.env_opts = env_opts_;
-  snap.constraint = constraint_;
-  snap.attempts_factor = options_.attempts_factor;
-  snap.train_seconds = train_seconds_;
-  snap.trace = &trace_;
-  return snap;
 }
 
 }  // namespace lsg

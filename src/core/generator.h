@@ -8,7 +8,6 @@
 #include "core/database_context.h"
 #include "core/environment.h"
 #include "core/workload.h"
-#include "rl/actor_critic_trainer.h"
 #include "rl/reinforce_trainer.h"
 
 namespace lsg {
@@ -61,28 +60,28 @@ struct LearnedSqlGenOptions {
   uint64_t seed = 2024;
 };
 
-/// Immutable, copy-free view of a trained pipeline for the serving path.
-/// Every pointer aliases state owned by (or shared with) the LearnedSqlGen
-/// that produced the snapshot (kept alive by the caller — the service
-/// holds the registry entry), and every referenced component is const or
-/// internally thread-safe at inference, so one snapshot may drive any
-/// number of concurrent decode lanes without touching the pipeline's
-/// mutex.
+/// A trained model, ready to serve: the actor's weights plus what decoding
+/// needs around them. It owns what it refers to — the actor outright and
+/// the database context shared with every other model over the same
+/// database (the Database itself must outlive it, as it must outlive the
+/// context) — so it outlives the pipeline that trained it, and nothing
+/// keeps the trainer, critic, optimizers or training environment alive.
+/// Immutable once published: one snapshot may drive any number of
+/// concurrent decode lanes (see BatchDecoder) without a lock.
 struct ServingSnapshot {
   /// Database, vocabulary, estimator and cost model.
-  const DatabaseContext* context = nullptr;
-  const PolicyNetwork* actor = nullptr;
+  std::shared_ptr<const DatabaseContext> context;
+  std::shared_ptr<const PolicyNetwork> actor;
   /// Environment configuration the model was trained under (feedback
   /// source as configured — before any true_feedback_tail switch); fresh
   /// per-lane environments are built from this.
   EnvironmentOptions env_opts;
-  /// The constraint the entry's model was trained for. A served request
-  /// is judged against its own constraint (BatchDecodeItem::constraint);
+  /// The constraint the model was trained for. A served request is judged
+  /// against its own constraint (BatchDecodeItem::constraint);
   /// LearnedSqlGen's Generate* judge against this one.
   Constraint constraint;
   int attempts_factor = 50;
   double train_seconds = 0.0;
-  const std::vector<EpochStats>* trace = nullptr;
 };
 
 /// One generated query with its metadata. Move-only (owns the AST).
@@ -102,7 +101,6 @@ struct GenerationReport {
   double accuracy = 0.0;        ///< satisfied / attempts
   double train_seconds = 0.0;
   double generate_seconds = 0.0;
-  std::vector<EpochStats> trace;  ///< per-epoch training stats
 
   double total_seconds() const { return train_seconds + generate_seconds; }
 };
@@ -112,13 +110,17 @@ struct GenerationReport {
 /// the RL model for a constraint (Algorithm 1/3) and generates satisfying
 /// queries (Algorithm 2).
 ///
-/// Thread-safety contract: one instance is single-threaded (Train and
-/// Generate* mutate the trainer state and its RNG), but distinct instances
-/// over the same const Database — and the same shared DatabaseContext —
-/// may run concurrently; the library keeps no mutable global state beyond
-/// the thread-safe logger. The service layer (src/service/) builds one
-/// pipeline per cached constraint bucket over one context and, once
-/// trained, decodes only from its immutable ServingSnapshot.
+/// Training runs entirely inside Train: the environment, trainer, critic and
+/// optimizers are its locals, and what it leaves behind is one immutable
+/// ServingSnapshot (the actor's weights) plus the per-epoch trace.
+///
+/// Thread-safety contract: one instance is single-threaded (Train,
+/// LoadModel and the parameterless Generate* mutate it), but distinct
+/// instances over the same const Database — and the same shared
+/// DatabaseContext — may run concurrently; the library keeps no mutable
+/// global state beyond the thread-safe logger. The service layer
+/// (src/service/) trains one pipeline per cached constraint bucket over one
+/// context, keeps only its snapshot and drops the pipeline.
 class LearnedSqlGen {
  public:
   /// Builds the context `options.vocab` describes for `db` (which must
@@ -140,9 +142,10 @@ class LearnedSqlGen {
   static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
       const Database* db, const LearnedSqlGenOptions& options);
 
-  /// Trains a fresh model for the given constraint.
+  /// Trains a fresh model for the given constraint and publishes it as
+  /// snapshot(). The trainer is freed before Train returns; the sampling
+  /// stream of the parameterless Generate* continues the trainer's.
   Status Train(const Constraint& constraint);
-  Status TrainFor(const Constraint& constraint, int epochs);
 
   /// Keeps generating until `n` satisfying queries are found or the attempt
   /// budget (n · attempts_factor) runs out. Report contains only the
@@ -154,32 +157,36 @@ class LearnedSqlGen {
   StatusOr<GenerationReport> GenerateBatch(int n);
 
   /// Caller-RNG variants: sampling draws from `rng` instead of the
-  /// trainer's internal stream. The serving path derives one stream per
+  /// pipeline's internal stream. The serving path derives one stream per
   /// request from (seed, request), making outputs independent of worker
   /// placement and batch composition.
   ///
-  /// Every Generate* is a one-item BatchDecoder run over this pipeline's
-  /// own ServingSnapshot — the same decode loop the service runs. Queries
-  /// are therefore scored under the feedback source the snapshot records
-  /// (`feedback`), not under the execution feedback a `true_feedback_tail`
-  /// switched training to.
+  /// Every Generate* is a one-item BatchDecoder run over snapshot() — the
+  /// same decode loop the service runs. Queries are therefore scored under
+  /// the feedback source the snapshot records (`feedback`), not under the
+  /// execution feedback a `true_feedback_tail` switched training to.
   StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng);
   StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng);
 
-  /// Publishes an immutable view of the trained pipeline for lock-free
-  /// batched serving (see BatchDecoder). Fails only before Train/LoadModel.
-  StatusOr<ServingSnapshot> MakeServingSnapshot() const;
+  /// The trained model, for lock-free batched serving (see BatchDecoder);
+  /// null before Train/LoadModel succeeds.
+  const std::shared_ptr<const ServingSnapshot>& snapshot() const {
+    return snapshot_;
+  }
 
   /// Saves the trained actor's parameters to a binary file.
   Status SaveModel(const std::string& path) const;
 
-  /// Rebuilds the pipeline for `constraint` (without training) and loads a
-  /// previously saved actor, so generation can resume across processes.
+  /// Publishes a previously saved actor as the model for `constraint`,
+  /// without training, so generation can resume across processes. The
+  /// internal sampling stream restarts at Rng(trainer.seed).
   Status LoadModel(const Constraint& constraint, const std::string& path);
 
   /// Per-epoch training trace of the last Train call (Figure 8c / 9c).
   const std::vector<EpochStats>& trace() const { return trace_; }
-  double last_train_seconds() const { return train_seconds_; }
+  double last_train_seconds() const {
+    return snapshot_ != nullptr ? snapshot_->train_seconds : 0.0;
+  }
 
   const Vocabulary& vocab() const { return context_->vocab(); }
   const DatabaseStats& stats() const { return context_->stats(); }
@@ -193,24 +200,23 @@ class LearnedSqlGen {
   LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
                 const LearnedSqlGenOptions& options);
 
-  /// Decodes one request (BatchDecodeItem semantics) over a fresh
-  /// snapshot, drawing from `rng` (the trainer's stream when null).
+  /// Decodes one request (BatchDecodeItem semantics) over snapshot_,
+  /// drawing from `rng` (rng_ when null).
   StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
   /// Environment configuration derived from options_.
   EnvironmentOptions BuildEnvOptions() const;
 
+  /// Makes `actor` the served model for `constraint`.
+  void Publish(std::unique_ptr<PolicyNetwork> actor,
+               const Constraint& constraint, double train_seconds);
+
   std::shared_ptr<const DatabaseContext> context_;
   LearnedSqlGenOptions options_;
-  std::unique_ptr<SqlGenEnvironment> env_;
-  std::unique_ptr<ActorCriticTrainer> ac_trainer_;
-  std::unique_ptr<ReinforceTrainer> reinforce_trainer_;
+  std::shared_ptr<const ServingSnapshot> snapshot_;
   std::vector<EpochStats> trace_;
-  double train_seconds_ = 0.0;
-  /// Environment options and constraint of the last TrainFor (what a
-  /// ServingSnapshot republishes).
-  EnvironmentOptions env_opts_;
-  Constraint constraint_;
+  /// Sampling stream of the parameterless Generate*.
+  Rng rng_;
 };
 
 }  // namespace lsg

@@ -155,8 +155,8 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
           // this episode's actions): the batched cross-request decoder must
           // reproduce the scalar decode path byte-for-byte under a random
           // policy seeded from this episode.
-          violation =
-              oracle.CheckBatchDecode(ctx, profiles[pi].profile, ep_seed);
+          violation = oracle.CheckBatchDecode(
+              fixture->context, profiles[pi].profile, ep_seed);
         }
         if (!violation.has_value()) continue;
         trace.oracle = violation->oracle;
@@ -241,7 +241,7 @@ StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
   if (!violation.has_value()) {
     // Batch-decode failures replay from the trace's seed (the oracle
     // decodes its own episode group, not the recorded actions).
-    violation = oracle.CheckBatchDecode(ctx, profile, trace.seed);
+    violation = oracle.CheckBatchDecode(fixture->context, profile, trace.seed);
   }
   if (violation.has_value()) {
     result.oracle = violation->oracle;

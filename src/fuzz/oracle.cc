@@ -455,17 +455,17 @@ std::optional<OracleViolation> DifferentialOracle::CheckPrefixEstimates(
 }
 
 std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
-    const DatabaseContext& context, const QueryProfile& profile,
-    uint64_t seed) {
+    std::shared_ptr<const DatabaseContext> context,
+    const QueryProfile& profile, uint64_t seed) {
   if (!options_.check_batch_decode) return std::nullopt;
-  LSG_CHECK(context.db() == db_) << "context over another database";
+  LSG_CHECK(context->db() == db_) << "context over another database";
 
   // Small random-weight policy: the batched forward must reproduce the
   // scalar path for *any* parameters, so no training is needed.
   NetworkOptions net;
   net.hidden_dim = 12;
   net.seed = SplitMix64(seed ^ 0xba7c4dec0deULL);
-  PolicyNetwork actor(context.vocab().size(), net);
+  auto actor = std::make_shared<PolicyNetwork>(context->vocab().size(), net);
 
   EnvironmentOptions env_opts;
   env_opts.profile = profile;
@@ -483,12 +483,12 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   auto run_scalar = [&](uint64_t rng_seed,
                         int n) -> StatusOr<std::vector<RefQuery>> {
     Rng rng(rng_seed);
-    SqlGenEnvironment env(context, constraint, env_opts);
+    SqlGenEnvironment env(*context, constraint, env_opts);
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
-      PolicyNetwork::Episode ep = actor.BeginEpisode(/*train=*/false);
+      PolicyNetwork::Episode ep = actor->BeginEpisode(/*train=*/false);
       LSG_ASSIGN_OR_RETURN(Trajectory traj,
-                           RolloutPolicy(&env, &actor, &ep, &rng));
+                           RolloutPolicy(&env, actor.get(), &ep, &rng));
       RefQuery q;
       q.sql = RenderSql(traj.ast, db_->catalog());
       q.metric = traj.final_metric;
@@ -499,8 +499,8 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   };
 
   ServingSnapshot snap;
-  snap.context = &context;
-  snap.actor = &actor;
+  snap.context = context;
+  snap.actor = actor;
   snap.env_opts = env_opts;
   snap.constraint = constraint;
 

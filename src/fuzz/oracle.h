@@ -2,6 +2,7 @@
 #define LEARNEDSQLGEN_FUZZ_ORACLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -114,8 +115,8 @@ class DifferentialOracle {
   /// This is the serving path's standing guarantee: batching changes
   /// wall-clock only, never samples.
   std::optional<OracleViolation> CheckBatchDecode(
-      const DatabaseContext& context, const QueryProfile& profile,
-      uint64_t seed);
+      std::shared_ptr<const DatabaseContext> context,
+      const QueryProfile& profile, uint64_t seed);
 
   uint64_t checked() const { return checked_; }
   /// Episodes where some check was skipped (join blowup / work budget).

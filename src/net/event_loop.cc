@@ -1,15 +1,9 @@
 #include "net/event_loop.h"
 
 #include <cerrno>
-#include <cstring>
-#include <map>
 
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include "common/string_util.h"
 
@@ -17,147 +11,65 @@ namespace lsg {
 namespace net {
 namespace {
 
-#if defined(__linux__)
-
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  Status Init() const {
-    if (epfd_ < 0) {
-      return Status::Internal(
-          StrFormat("epoll_create1: %s", ErrnoString(errno).c_str()));
-    }
-    return Status::Ok();
-  }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
-  }
-  Status Mod(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void Del(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  StatusOr<int> Wait(int timeout_ms, std::vector<PollEvent>* out) override {
-    out->clear();
-    epoll_event events[kMaxEvents];
-    int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return Status::Internal(
-          StrFormat("epoll_wait: %s", ErrnoString(errno).c_str()));
-    }
-    out->reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent e;
-      e.fd = events[i].data.fd;
-      e.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      e.writable = (events[i].events & EPOLLOUT) != 0;
-      e.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out->push_back(e);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  static constexpr int kMaxEvents = 128;
-
-  Status Ctl(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.data.fd = fd;
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
-      return Status::Internal(
-          StrFormat("epoll_ctl(fd=%d): %s", fd, ErrnoString(errno).c_str()));
-    }
-    return Status::Ok();
-  }
-
-  int epfd_;
-};
-
-#endif  // defined(__linux__)
-
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    if (interest_.count(fd) != 0) {
-      return Status::AlreadyExists(StrFormat("fd %d already polled", fd));
-    }
-    interest_[fd] = Mask(want_read, want_write);
-    return Status::Ok();
-  }
-
-  Status Mod(int fd, bool want_read, bool want_write) override {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
-      return Status::NotFound(StrFormat("fd %d not polled", fd));
-    }
-    it->second = Mask(want_read, want_write);
-    return Status::Ok();
-  }
-
-  void Del(int fd) override { interest_.erase(fd); }
-
-  StatusOr<int> Wait(int timeout_ms, std::vector<PollEvent>* out) override {
-    out->clear();
-    fds_.clear();
-    fds_.reserve(interest_.size());
-    for (const auto& [fd, mask] : interest_) {
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return Status::Internal(StrFormat("poll: %s", ErrnoString(errno).c_str()));
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out->push_back(e);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Mask(bool want_read, bool want_write) {
-    short m = 0;
-    if (want_read) m |= POLLIN;
-    if (want_write) m |= POLLOUT;
-    return m;
-  }
-
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
+constexpr int kMaxEvents = 128;
 
 }  // namespace
 
-std::unique_ptr<Poller> Poller::Create(bool force_poll) {
-#if defined(__linux__)
-  if (!force_poll) {
-    auto poller = std::make_unique<EpollPoller>();
-    if (poller->Init().ok()) return poller;
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
+
+Poller::~Poller() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
+Status Poller::Init() const {
+  if (epfd_ < 0) {
+    return Status::Internal(
+        StrFormat("epoll_create1: %s", ErrnoString(errno).c_str()));
   }
-#else
-  (void)force_poll;
-#endif
-  return std::make_unique<PollPoller>();
+  return Status::Ok();
+}
+
+Status Poller::Add(int fd, bool want_read, bool want_write) {
+  return Ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
+}
+
+Status Poller::Mod(int fd, bool want_read, bool want_write) {
+  return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+void Poller::Del(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
+
+StatusOr<int> Poller::Wait(int timeout_ms, std::vector<PollEvent>* out) {
+  out->clear();
+  epoll_event events[kMaxEvents];
+  int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    return Status::Internal(
+        StrFormat("epoll_wait: %s", ErrnoString(errno).c_str()));
+  }
+  out->reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    PollEvent e;
+    e.fd = events[i].data.fd;
+    e.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    e.writable = (events[i].events & EPOLLOUT) != 0;
+    e.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    out->push_back(e);
+  }
+  return n;
+}
+
+Status Poller::Ctl(int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.data.fd = fd;
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
+    return Status::Internal(
+        StrFormat("epoll_ctl(fd=%d): %s", fd, ErrnoString(errno).c_str()));
+  }
+  return Status::Ok();
 }
 
 }  // namespace net

@@ -1,7 +1,6 @@
 #ifndef LEARNEDSQLGEN_NET_EVENT_LOOP_H_
 #define LEARNEDSQLGEN_NET_EVENT_LOOP_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -17,28 +16,33 @@ struct PollEvent {
   bool error = false;  ///< EPOLLERR/EPOLLHUP-class condition
 };
 
-/// Readiness-notification backend for the single-threaded event loop:
-/// level-triggered epoll on Linux, poll(2) everywhere (and on Linux with
-/// force_poll, which the tests use to cover both backends). The interface
-/// is the intersection the server needs — add/re-arm/remove one fd and
-/// wait — not a general reactor.
+/// Readiness notification for the single-threaded event loop: a
+/// level-triggered epoll instance. The interface is what the server needs
+/// — add/re-arm/remove one fd and wait — not a general reactor.
 class Poller {
  public:
-  virtual ~Poller() = default;
+  Poller();
+  ~Poller();
 
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
-  virtual Status Mod(int fd, bool want_read, bool want_write) = 0;
-  virtual void Del(int fd) = 0;
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  /// Whether the epoll instance was created; every other call fails
+  /// when it was not.
+  Status Init() const;
+
+  Status Add(int fd, bool want_read, bool want_write);
+  Status Mod(int fd, bool want_read, bool want_write);
+  void Del(int fd);
 
   /// Blocks up to timeout_ms (-1 = indefinitely) and appends ready fds to
   /// `out` (cleared first). Returns the number of events, 0 on timeout.
-  virtual StatusOr<int> Wait(int timeout_ms, std::vector<PollEvent>* out) = 0;
+  StatusOr<int> Wait(int timeout_ms, std::vector<PollEvent>* out);
 
-  virtual const char* name() const = 0;
+ private:
+  Status Ctl(int op, int fd, bool want_read, bool want_write);
 
-  /// Best available backend (epoll when compiled on Linux, else poll);
-  /// `force_poll` selects the portable backend unconditionally.
-  static std::unique_ptr<Poller> Create(bool force_poll);
+  int epfd_;
 };
 
 }  // namespace net

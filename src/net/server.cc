@@ -162,7 +162,6 @@ NetServer::NetServer(RequestDispatcher* dispatcher,
       registry_(options.metrics_registry != nullptr
                     ? options.metrics_registry
                     : owned_registry_.get()),
-      poller_(Poller::Create(options.force_poll)),
       admission_(options.admission),
       m_(std::make_unique<Metrics>(registry_)) {}
 
@@ -189,6 +188,7 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
     return Status::InvalidArgument("completion_waiters must be positive");
   }
   std::unique_ptr<NetServer> server(new NetServer(dispatcher, options));
+  LSG_RETURN_IF_ERROR(server->poller_.Init());
   LSG_RETURN_IF_ERROR(server->Listen());
 
   int pipe_fds[2];
@@ -198,9 +198,8 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
   LSG_RETURN_IF_ERROR(SetNonBlocking(server->wake_read_fd_));
   LSG_RETURN_IF_ERROR(SetNonBlocking(server->wake_write_fd_));
 
-  LSG_RETURN_IF_ERROR(server->poller_->Add(server->listen_fd_, true, false));
-  LSG_RETURN_IF_ERROR(server->poller_->Add(server->wake_read_fd_, true,
-                                           false));
+  LSG_RETURN_IF_ERROR(server->poller_.Add(server->listen_fd_, true, false));
+  LSG_RETURN_IF_ERROR(server->poller_.Add(server->wake_read_fd_, true, false));
 
   server->waiters_.reserve(options.completion_waiters);
   for (int i = 0; i < options.completion_waiters; ++i) {
@@ -243,8 +242,8 @@ Status NetServer::Listen() {
 }
 
 Status NetServer::Run() {
-  LSG_LOG(Info) << "lsgserved listening on " << options_.host << ":" << port_
-                << " (" << poller_->name() << " backend)";
+  LSG_LOG(Info) << "lsgserved listening on " << options_.host << ":"
+                << port_;
   while (!done_) {
     Status st = LoopOnce();
     if (!st.ok()) {
@@ -302,7 +301,7 @@ Status NetServer::LoopOnce() {
   if (drain_requested_.load(std::memory_order_relaxed) && !draining_) {
     EnterDrain(now);
   }
-  auto n = poller_->Wait(ComputePollTimeoutMs(now), &events_);
+  auto n = poller_.Wait(ComputePollTimeoutMs(now), &events_);
   if (!n.ok()) return n.status();
   m_->loop_polls.Inc();
 
@@ -382,7 +381,7 @@ void NetServer::AcceptReady() {
       conn = std::make_unique<Conn>(options_.max_frame_bytes);
     }
     conn->Recycle(fd, next_conn_id_++, Stopwatch::NowNanos());
-    if (!poller_->Add(fd, true, false).ok()) {
+    if (!poller_.Add(fd, true, false).ok()) {
       ::close(fd);
       conn_pool_.push_back(std::move(conn));
       continue;
@@ -550,13 +549,13 @@ void NetServer::UpdateWriteInterest(Conn* conn) {
   if (conn->fd < 0) return;
   bool want = conn->out_off < conn->outbuf.size();
   if (want == conn->want_write) return;
-  if (poller_->Mod(conn->fd, true, want).ok()) conn->want_write = want;
+  if (poller_.Mod(conn->fd, true, want).ok()) conn->want_write = want;
 }
 
 void NetServer::CloseConn(Conn* conn, obs::Counter* reason) {
   if (conn->fd < 0) return;
   int fd = conn->fd;
-  poller_->Del(fd);
+  poller_.Del(fd);
   ::close(fd);
   conn->fd = -1;
   if (reason != nullptr) reason->Inc();
@@ -671,7 +670,7 @@ void NetServer::EnterDrain(uint64_t now_ns) {
       static_cast<uint64_t>(std::max(options_.drain_timeout_ms, 1)) *
           1000000ull;
   if (listen_fd_ >= 0) {
-    poller_->Del(listen_fd_);
+    poller_.Del(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }

@@ -64,7 +64,6 @@ struct NetServerOptions {
   int request_timeout_ms = 0;      ///< per-request deadline (<=0: none)
   int drain_timeout_ms = 10000;    ///< max graceful-drain wait
   bool include_sql = true;         ///< put generated SQL in responses
-  bool force_poll = false;         ///< use poll(2) even where epoll exists
   int completion_waiters = 4;      ///< threads bridging futures -> loop
   AdmissionOptions admission;
   /// Registry for the net.* metrics; defaults to a private one. Point it
@@ -72,7 +71,7 @@ struct NetServerOptions {
   obs::MetricsRegistry* metrics_registry = nullptr;
 };
 
-/// Single-threaded epoll/poll event-loop front end for the generation
+/// Single-threaded epoll event-loop front end for the generation
 /// service, speaking the line-delimited JSON protocol of net/protocol.h.
 ///
 /// Loop-thread discipline: all sockets, connection state, the frame FSMs
@@ -114,7 +113,6 @@ class NetServer {
   void BeginDrain();
 
   int port() const { return port_; }
-  const char* poller_name() const { return poller_->name(); }
   const NetServerOptions& options() const { return options_; }
   obs::MetricsRegistry& registry() { return *registry_; }
 
@@ -184,7 +182,7 @@ class NetServer {
   NetServerOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -2,6 +2,7 @@
 #define LEARNEDSQLGEN_RL_ACTOR_CRITIC_TRAINER_H_
 
 #include <memory>
+#include <utility>
 
 #include "nn/adam.h"
 #include "rl/reinforce_trainer.h"
@@ -23,8 +24,8 @@ class ActorCriticTrainer {
   /// skipped at inference and consumes no random numbers.
   StatusOr<Trajectory> Generate();
 
-  /// The trainer's sampling stream; inference that should continue it
-  /// (LearnedSqlGen's default Generate*) draws from here.
+  /// The trainer's sampling stream; LearnedSqlGen copies it when training
+  /// ends, so its default Generate* continue it.
   Rng* sampling_rng() { return &rng_; }
 
   /// Rolls the actor back to its best checkpoint (keep_best_actor).
@@ -32,6 +33,9 @@ class ActorCriticTrainer {
 
   PolicyNetwork& actor() { return *actor_; }
   const PolicyNetwork& actor() const { return *actor_; }
+  /// Hands the actor over to the caller once training is done; the
+  /// trainer must not be used afterwards.
+  std::unique_ptr<PolicyNetwork> ReleaseActor() { return std::move(actor_); }
   ValueNetwork& critic() { return *critic_; }
   const TrainerOptions& options() const { return options_; }
 

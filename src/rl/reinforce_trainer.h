@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "nn/adam.h"
 #include "rl/policy_network.h"
@@ -76,8 +77,8 @@ class ReinforceTrainer {
   /// Inference: generates one query with the current policy (no learning).
   StatusOr<Trajectory> Generate();
 
-  /// The trainer's sampling stream; inference that should continue it
-  /// (LearnedSqlGen's default Generate*) draws from here.
+  /// The trainer's sampling stream; LearnedSqlGen copies it when training
+  /// ends, so its default Generate* continue it.
   Rng* sampling_rng() { return &rng_; }
 
   /// Rolls the actor back to its best checkpoint (keep_best_actor).
@@ -86,6 +87,9 @@ class ReinforceTrainer {
 
   PolicyNetwork& actor() { return *actor_; }
   const PolicyNetwork& actor() const { return *actor_; }
+  /// Hands the actor over to the caller once training is done; the
+  /// trainer must not be used afterwards.
+  std::unique_ptr<PolicyNetwork> ReleaseActor() { return std::move(actor_); }
   const TrainerOptions& options() const { return options_; }
 
  private:

@@ -235,8 +235,6 @@ void GenerationService::RunGroup(const ConstraintKey& key,
   // accounting) and stage a decode item for every runnable request.
   struct Pending {
     size_t index = 0;  ///< position in group / responses
-    /// Keeps the model the snapshot points into alive across an eviction.
-    std::shared_ptr<ModelEntry> entry;
     std::shared_ptr<const ServingSnapshot> snapshot;
     BatchDecodeItem item;
   };
@@ -258,12 +256,7 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     response.warm_start = acquired->warm_start;
     Pending p;
     p.index = i;
-    p.entry = std::move(acquired->entry);
-    {
-      MutexLock entry_lock(&p.entry->mu);
-      p.snapshot = p.entry->snapshot;
-    }
-    LSG_CHECK(p.snapshot != nullptr) << "ready model without a snapshot";
+    p.snapshot = std::move(acquired->snapshot);
     response.train_seconds = p.snapshot->train_seconds;
     p.item.constraint = request.constraint;
     p.item.n = request.n;
@@ -286,8 +279,8 @@ void GenerationService::RunGroup(const ConstraintKey& key,
   };
 
   // All items sharing a snapshot decode as one ragged batch, lock-free
-  // (the snapshot is immutable, and the entry shared_ptr keeps the model
-  // alive even across an eviction). Distinct snapshots inside one bucket group
+  // (the snapshot is immutable and owns the model, so an eviction cannot
+  // pull it away mid-decode). Distinct snapshots inside one bucket group
   // can only arise from an evict/rebuild race; each cohort simply decodes
   // separately. max_batch <= 1 decodes each cohort one lane at a time.
   const int max_lanes = std::max(1, options_.max_batch);

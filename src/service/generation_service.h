@@ -135,8 +135,8 @@ class GenerationService {
   void HandleGroup(int worker_index, const ConstraintKey& key,
                    std::vector<Job>* group);
   /// Resolves the group's model and decodes all requests as one ragged
-  /// batch over the entry's published snapshot. Fills one response per
-  /// job; never throws a job away.
+  /// batch over the bucket's snapshot. Fills one response per job; never
+  /// throws a job away.
   void RunGroup(const ConstraintKey& key, std::vector<Job>* group,
                 std::vector<GenerationResponse>* responses);
   static std::future<GenerationResponse> RejectedFuture(uint64_t id,

@@ -6,8 +6,28 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "nn/serialize.h"
 
 namespace lsg {
+
+/// A cached model for one constraint bucket. Its creator trains without
+/// holding `mu`, then publishes `snapshot`, `status` and `ready` under it,
+/// so concurrent requesters of the same bucket wait on `ready_cv` while the
+/// first one trains.
+///
+/// Lock order is registry_mu_ -> ModelEntry::mu, and registry_mu_ only
+/// ever *try*-locks an entry (eviction). An entry's mutex guards a few
+/// field reads and writes, never training or decoding.
+struct ModelRegistry::ModelEntry {
+  Mutex mu;
+  CondVar ready_cv;
+  bool ready LSG_GUARDED_BY(mu) = false;
+  Status status LSG_GUARDED_BY(mu);  ///< train/load outcome
+  /// The first requester's exact constraint.
+  Constraint constraint LSG_GUARDED_BY(mu);
+  /// The bucket's model; every ready entry with an ok status has one.
+  std::shared_ptr<const ServingSnapshot> snapshot LSG_GUARDED_BY(mu);
+};
 
 ModelRegistry::ModelRegistry(std::shared_ptr<const DatabaseContext> context,
                              const LearnedSqlGenOptions& base,
@@ -34,8 +54,12 @@ size_t ModelRegistry::size() const {
 }
 
 std::string ModelRegistry::SpillPathFor(const Constraint& c) const {
+  return SpillPath(BucketOf(c));
+}
+
+std::string ModelRegistry::SpillPath(const ConstraintKey& key) const {
   if (options_.spill_dir.empty()) return "";
-  return options_.spill_dir + "/" + BucketOf(c).ToString() + ".model";
+  return options_.spill_dir + "/" + key.ToString() + ".model";
 }
 
 StatusOr<ModelRegistry::Acquired> ModelRegistry::Acquire(
@@ -72,7 +96,7 @@ StatusOr<ModelRegistry::Acquired> ModelRegistry::Acquire(
     if (!e->status.ok()) return e->status;
     metrics_->cache_hits.Inc();
     Acquired out;
-    out.entry = std::move(entry);
+    out.snapshot = e->snapshot;
     out.cache_hit = true;
     return out;
   }
@@ -81,9 +105,11 @@ StatusOr<ModelRegistry::Acquired> ModelRegistry::Acquire(
   BuildEntry(key, e, train_seed, &warm_start);
 
   Status status;
+  Acquired out;
   {
     MutexLock el(&e->mu);
     status = e->status;
+    out.snapshot = e->snapshot;
   }
   e->ready_cv.NotifyAll();
   if (!status.ok()) {
@@ -94,19 +120,16 @@ StatusOr<ModelRegistry::Acquired> ModelRegistry::Acquire(
     if (it != models_.end() && it->second.entry == entry) models_.erase(it);
     return status;
   }
-  Acquired out;
-  out.entry = std::move(entry);
   out.warm_start = warm_start;
   return out;
 }
 
 void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
                                uint64_t train_seed, bool* warm_start) {
-  // Build into a local pipeline without holding entry->mu, so same-bucket
-  // requesters reach the ready_cv wait (and count as dedup waits) instead
-  // of blocking on the mutex for the whole training. Only this thread
-  // touches the entry's model until `ready` is published below; eviction
-  // skips entries that are not ready.
+  // Build without holding entry->mu, so same-bucket requesters reach the
+  // ready_cv wait (and count as dedup waits) instead of blocking on the
+  // mutex for the whole training. Eviction skips entries that are not
+  // ready, so nothing reads this one until `ready` is published below.
   Constraint constraint;
   {
     MutexLock el(&entry->mu);
@@ -114,19 +137,15 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
   }
   LearnedSqlGenOptions opts = base_;
   opts.trainer.seed = train_seed;
-  std::unique_ptr<LearnedSqlGen> gen;
   std::shared_ptr<const ServingSnapshot> snapshot;
   auto built = LearnedSqlGen::Create(context_, opts);
   Status status = built.status();
   if (status.ok()) {
-    gen = std::move(built).value();
+    // The pipeline lives only until its snapshot is taken.
+    std::unique_ptr<LearnedSqlGen> gen = std::move(built).value();
     // A spill file from a past eviction (or process) beats retraining.
-    std::string spill;
-    if (!options_.spill_dir.empty()) {
-      spill = options_.spill_dir + "/" + key.ToString() + ".model";
-      if (!std::filesystem::exists(spill)) spill.clear();
-    }
-    if (!spill.empty()) {
+    const std::string spill = SpillPath(key);
+    if (!spill.empty() && std::filesystem::exists(spill)) {
       status = gen->LoadModel(constraint, spill);
       if (status.ok()) {
         *warm_start = true;
@@ -143,20 +162,10 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
         metrics_->AddTrainSeconds(gen->last_train_seconds());
       }
     }
-  }
-  if (status.ok()) {
-    // Publish the copy-free serving view; a trained pipeline always has one.
-    auto snap = gen->MakeServingSnapshot();
-    status = snap.status();
-    if (status.ok()) {
-      snapshot = std::make_shared<const ServingSnapshot>(std::move(*snap));
-    }
+    if (status.ok()) snapshot = gen->snapshot();
   }
   MutexLock el(&entry->mu);
-  if (status.ok()) {
-    entry->gen = std::move(gen);
-    entry->snapshot = std::move(snapshot);
-  }
+  entry->snapshot = std::move(snapshot);
   entry->status = status;
   entry->ready = true;
 }
@@ -164,13 +173,7 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
 void ModelRegistry::EvictIfNeeded() {
   while (models_.size() > options_.capacity) {
     // Visit candidates in LRU order; the first one whose mutex try-locks
-    // AND that is ready is the least-recently-used idle model. Probing and
-    // spilling happen under one and the same try-lock: the old two-phase
-    // form (probe, unlock, re-lock to spill) had a window where a worker
-    // holding the entry's shared_ptr could start generating between the
-    // probe and the spill, so the "evict only idle models" invariant was
-    // violated and — worse — the blocking re-lock could park the whole
-    // registry behind a multi-second generation.
+    // AND that is built is the victim.
     std::vector<std::pair<uint64_t, ConstraintKey>> order;
     order.reserve(models_.size());
     for (const auto& [key, slot] : models_) {
@@ -188,24 +191,24 @@ void ModelRegistry::EvictIfNeeded() {
       std::shared_ptr<ModelEntry> entry = it->second.entry;
       ModelEntry* e = entry.get();
       if (!e->mu.TryLock()) continue;  // held right now: skip
-      const bool idle = e->ready && e->status.ok();
-      if (idle && !options_.spill_dir.empty() && e->gen != nullptr) {
-        std::string path = options_.spill_dir + "/" + key.ToString() +
-                           ".model";
-        if (Status s = e->gen->SaveModel(path); !s.ok()) {
+      const bool built = e->ready && e->status.ok();
+      if (built && !options_.spill_dir.empty()) {
+        const Status s =
+            SaveParams(e->snapshot->actor->Params(), SpillPath(key));
+        if (!s.ok()) {
           LSG_LOG(Warning) << "spill of " << key.ToString() << " failed: "
                            << s.ToString();
         }
       }
       e->mu.Unlock();
-      if (!idle) continue;
+      if (!built) continue;
       models_.erase(it);
       metrics_->evictions.Inc();
       evicted = true;
       break;
     }
-    // Every resident model is busy or in training; the map transiently
-    // exceeds capacity until one of them quiesces.
+    // Every resident model is still training (or momentarily locked); the
+    // map exceeds capacity until one of them is built.
     if (!evicted) return;
   }
 }

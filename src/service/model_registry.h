@@ -13,43 +13,21 @@
 
 namespace lsg {
 
-/// A cached, trained pipeline for one constraint bucket. The builder
-/// trains without holding `mu`, then publishes `gen`, `snapshot`, `status`
-/// and `ready` under it, so concurrent requesters of the same bucket wait
-/// on `ready_cv` while the first one trains.
-struct ModelEntry {
-  Mutex mu;
-  CondVar ready_cv;
-  bool ready LSG_GUARDED_BY(mu) = false;
-  Status status LSG_GUARDED_BY(mu);  ///< train/load outcome
-  /// Owns everything `snapshot` points into; const once `ready`, and only
-  /// read afterwards (spill on eviction).
-  std::unique_ptr<LearnedSqlGen> gen LSG_GUARDED_BY(mu);
-  /// The first requester's exact constraint.
-  Constraint constraint LSG_GUARDED_BY(mu);
-  /// Immutable serving view of `gen`, published with it; every ready entry
-  /// has one. Readers copy the shared_ptr under `mu`, then decode
-  /// lock-free: every component the snapshot points to is const after
-  /// `ready`, so batch mates never serialize on this entry's mutex.
-  std::shared_ptr<const ServingSnapshot> snapshot LSG_GUARDED_BY(mu);
-};
-
-/// Constraint-keyed cache of trained pipelines with an LRU capacity bound.
+/// Constraint-keyed cache of trained models with an LRU capacity bound. A
+/// bucket keeps only its ServingSnapshot: the pipeline that trained it (or
+/// loaded it from a spill file) is dropped as soon as the snapshot exists.
 ///
 /// - A second request for the same bucket reuses the cached model (hit).
 /// - Concurrent first requests for one bucket are deduplicated: the first
 ///   caller trains, the rest block on the entry until it is ready.
-/// - When the map exceeds `capacity`, the least-recently-used idle model is
-///   spilled to `spill_dir` (via LearnedSqlGen::SaveModel) and dropped; a
-///   later request for that bucket warm-starts from the spill file instead
-///   of retraining.
+/// - When the map exceeds `capacity`, the least-recently-used built model is
+///   spilled to `spill_dir` (the snapshot's actor parameters) and dropped;
+///   a later request for that bucket warm-starts from the spill file
+///   instead of retraining.
 ///
-/// Thread-safe. Lock order is registry mutex -> entry mutex; callers that
-/// hold an entry's mutex must not call back into the registry. While
-/// holding registry_mu_ an entry's mutex is only ever *try*-locked
-/// (eviction), never blocked on. Decoding holds no entry lock at all: it
-/// runs on the entry's snapshot, and its shared_ptr to the entry keeps an
-/// evicted model alive until the decode ends.
+/// Thread-safe; every lock is internal. Decoding holds none: it runs on the
+/// acquired snapshot, which owns what it reads, so an evicted model lives
+/// on until its last decode ends.
 class ModelRegistry {
  public:
   struct Options {
@@ -67,10 +45,9 @@ class ModelRegistry {
                 const LearnedSqlGenOptions& base, const Options& options,
                 ServiceMetrics* metrics);
 
-  /// What Acquire hands back: a shared entry (kept alive even if evicted
-  /// while in use) plus how it was obtained.
+  /// What Acquire hands back: the bucket's model plus how it was obtained.
   struct Acquired {
-    std::shared_ptr<ModelEntry> entry;
+    std::shared_ptr<const ServingSnapshot> snapshot;
     bool cache_hit = false;
     bool warm_start = false;
   };
@@ -91,23 +68,29 @@ class ModelRegistry {
   std::string SpillPathFor(const Constraint& c) const;
 
  private:
+  /// One bucket's slot in the cache; defined in model_registry.cc.
+  struct ModelEntry;
+
   struct Slot {
     std::shared_ptr<ModelEntry> entry;
     uint64_t last_used = 0;
   };
 
-  /// Builds + trains (or disk-loads) the pipeline for `entry`. Called by
-  /// the entry's creator without registry_mu_ held.
+  /// SpillPathFor over a bucket key.
+  std::string SpillPath(const ConstraintKey& key) const;
+
+  /// Trains (or disk-loads) the model for `entry`. Called by the entry's
+  /// creator without registry_mu_ held.
   void BuildEntry(const ConstraintKey& key, ModelEntry* entry,
                   uint64_t train_seed, bool* warm_start)
       LSG_EXCLUDES(registry_mu_);
 
-  /// Evicts LRU idle entries until size() <= capacity. An entry is only a
-  /// victim if its mutex can be try-locked AND it is ready, and the spill
-  /// happens under that same try-lock — probing and spilling are one
-  /// critical section, so an entry observed idle cannot become busy before
-  /// it is written out (and eviction never blocks on an entry while the
-  /// whole registry is held).
+  /// Evicts least-recently-used built entries until size() <= capacity.
+  /// Entries still training are skipped (the map then stays over capacity
+  /// until one is built). A victim is probed and spilled under one
+  /// try-lock of its mutex, so eviction never blocks on an entry while the
+  /// whole registry is held. Evicting a model that is decoding is safe:
+  /// its decoders hold the snapshot.
   void EvictIfNeeded() LSG_REQUIRES(registry_mu_);
 
   std::shared_ptr<const DatabaseContext> context_;

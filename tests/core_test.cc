@@ -518,8 +518,8 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
   ASSERT_TRUE((*gen)->Train(c).ok());
-  auto snap = (*gen)->MakeServingSnapshot();
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const std::shared_ptr<const ServingSnapshot> snap = (*gen)->snapshot();
+  ASSERT_NE(snap, nullptr);
 
   // Mixed item shapes: distinct n, batch vs satisfied semantics, so lanes
   // retire raggedly and the batch width varies mid-run.
@@ -542,7 +542,7 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   auto run = [&snap](std::vector<BatchDecodeItem>* items, int max_lanes) {
     std::vector<BatchDecodeItem*> ptrs;
     for (BatchDecodeItem& item : *items) ptrs.push_back(&item);
-    return BatchDecoder(&*snap, max_lanes).Run(ptrs);
+    return BatchDecoder(snap.get(), max_lanes).Run(ptrs);
   };
 
   std::vector<BatchDecodeItem> batched = make_items();

@@ -2,8 +2,11 @@
 // LIKE patterns (§5), ORDER BY, and model persistence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "core/generator.h"
 #include "core/workload.h"
@@ -297,10 +300,44 @@ TEST(ModelPersistenceTest, SaveLoadReproducesPolicy) {
   auto gen2 = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen2.ok());
   ASSERT_TRUE((*gen2)->LoadModel(c, path).ok());
-  auto rep = (*gen2)->GenerateBatch(10);
-  ASSERT_TRUE(rep.ok());
-  EXPECT_EQ(rep->attempts, 10);
   std::remove(path.c_str());
+  auto params = [](const LearnedSqlGen& g) {
+    std::vector<uint32_t> bits;
+    for (const ParamTensor* t : g.snapshot()->actor->Params()) {
+      for (size_t i = 0; i < t->value.size(); ++i) {
+        bits.push_back(std::bit_cast<uint32_t>(t->value.data()[i]));
+      }
+    }
+    return bits;
+  };
+  EXPECT_EQ(params(**gen2), params(**gen));
+  auto expect_same = [](const GenerationReport& got,
+                        const GenerationReport& want) {
+    EXPECT_EQ(got.attempts, want.attempts);
+    EXPECT_EQ(got.satisfied, want.satisfied);
+    ASSERT_EQ(got.queries.size(), want.queries.size());
+    for (size_t q = 0; q < want.queries.size(); ++q) {
+      EXPECT_EQ(got.queries[q].sql, want.queries[q].sql);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.queries[q].metric),
+                std::bit_cast<uint64_t>(want.queries[q].metric));
+    }
+  };
+
+  // Equal caller streams sample bitwise the trained pipeline's queries.
+  Rng trained_rng(77);
+  Rng loaded_rng(77);
+  auto want = (*gen)->GenerateBatch(10, &trained_rng);
+  auto got = (*gen2)->GenerateBatch(10, &loaded_rng);
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(got->attempts, 10);
+  expect_same(*got, *want);
+
+  // The loaded pipeline's internal stream starts at Rng(trainer.seed).
+  auto internal = (*gen2)->GenerateBatch(10);
+  Rng seed_rng(opts.trainer.seed);
+  auto seeded = (*gen2)->GenerateBatch(10, &seed_rng);
+  ASSERT_TRUE(internal.ok() && seeded.ok());
+  expect_same(*internal, *seeded);
 }
 
 TEST(ModelPersistenceTest, SaveBeforeTrainFails) {

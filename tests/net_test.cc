@@ -492,20 +492,14 @@ StatusOr<obs::JsonValue> Roundtrip(BlockingClient* client,
   return client->Call(line);
 }
 
-// ------------------------------------------------- Loopback: both pollers
+// ------------------------------------------------------ Loopback: basics
 
-class PollerParamTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PollerParamTest, PingAndErrorPathsOverLoopback) {
+TEST(NetServerTest, PingAndErrorPathsOverLoopback) {
   ManualDispatcher dispatcher(ManualDispatcher::Mode::kImmediate);
   NetServerOptions opts = QuickOptions();
-  opts.force_poll = GetParam();
   opts.max_frame_bytes = 256;
   auto server = NetServer::Create(&dispatcher, opts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  if (GetParam()) {
-    EXPECT_STREQ((*server)->poller_name(), "poll");
-  }
   ASSERT_TRUE((*server)->Start().ok());
 
   auto client = BlockingClient::Connect("127.0.0.1", (*server)->port());
@@ -539,11 +533,6 @@ TEST_P(PollerParamTest, PingAndErrorPathsOverLoopback) {
   ExpectExactAccounting(server->get());
   EXPECT_EQ(NetCounter(server->get(), "net.req.ok"), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Pollers, PollerParamTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Poll" : "Epoll";
-                         });
 
 // ------------------------------------------- Loopback: scripted dispatch
 

@@ -3,15 +3,19 @@
 // behavior, worker-pool end-to-end runs, drain-on-shutdown, and
 // concurrency-1 reproducibility.
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,7 +23,6 @@
 
 #include "common/random.h"
 #include "core/batch_decoder.h"
-#include "common/sync.h"
 #include "obs/metrics_registry.h"
 #include "service/bounded_queue.h"
 #include "service/constraint_key.h"
@@ -52,6 +55,21 @@ std::string TempDir(const std::string& tag) {
   auto dir = std::filesystem::temp_directory_path() / ("lsg_service_" + tag);
   std::filesystem::remove_all(dir);
   return dir.string();
+}
+
+// Decodes `n` queries from `snap` with GenerateBatch semantics (exactly n
+// attempts, judged against the snapshot's own constraint), sampling
+// Rng(seed).
+GenerationReport DecodeBatch(const ServingSnapshot& snap, int n,
+                             uint64_t seed) {
+  BatchDecodeItem item;
+  item.constraint = snap.constraint;
+  item.n = n;
+  item.batch_mode = true;
+  item.rng = Rng(seed);
+  BatchDecoder(&snap, /*max_lanes=*/1).Run({&item});
+  EXPECT_TRUE(item.status.ok()) << item.status.ToString();
+  return std::move(item.report);
 }
 
 // ------------------------------------------------------------ BoundedQueue
@@ -153,7 +171,7 @@ TEST_F(RegistryTest, SecondRequestForSameBucketIsAHitWithoutRetraining) {
   auto second = registry.Acquire(CardRange(5, 51), /*train_seed=*/2);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(second->entry.get(), first->entry.get());
+  EXPECT_EQ(second->snapshot, first->snapshot);
   EXPECT_EQ(metrics_.trainings.Value(), 1u);
   EXPECT_EQ(metrics_.cache_hits.Value(), 1u);
   EXPECT_EQ(metrics_.cache_misses.Value(), 1u);
@@ -165,20 +183,24 @@ TEST_F(RegistryTest, ConcurrentRequestsForOneBucketTrainOnce) {
   ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
 
   constexpr int kThreads = 4;
-  std::atomic<int> ok_count{0};
+  std::vector<std::shared_ptr<const ServingSnapshot>> snaps(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       auto acquired = registry.Acquire(CardRange(5, 50), 100 + t);
-      if (acquired.ok() && acquired->entry->gen != nullptr) ++ok_count;
+      if (acquired.ok()) snaps[t] = std::move(acquired->snapshot);
     });
   }
   for (auto& t : threads) t.join();
 
-  // Two threads, one bucket, one training run — dedup'ed via the shared
-  // entry; everyone still gets a usable model.
-  EXPECT_EQ(ok_count.load(), kThreads);
+  // Four threads, one bucket, one training run — dedup'ed via the shared
+  // entry; everyone gets the same usable model.
+  for (const auto& snap : snaps) {
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(snap, snaps[0]);
+  }
+  EXPECT_EQ(DecodeBatch(*snaps[0], 2, /*seed=*/1).attempts, 2);
   EXPECT_EQ(metrics_.trainings.Value(), 1u);
   EXPECT_EQ(metrics_.cache_misses.Value(), 1u);
   EXPECT_EQ(metrics_.cache_hits.Value(),
@@ -212,12 +234,8 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   EXPECT_TRUE(again->warm_start);
   EXPECT_EQ(metrics_.trainings.Value(), 2u);  // no third training
   EXPECT_EQ(metrics_.disk_warm_starts.Value(), 1u);
-  {
-    MutexLock lock(&again->entry->mu);
-    auto report = again->entry->gen->GenerateBatch(3);
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report->attempts, 3);
-  }
+  ASSERT_NE(again->snapshot, nullptr);
+  EXPECT_EQ(DecodeBatch(*again->snapshot, 3, /*seed=*/3).attempts, 3);
   std::filesystem::remove_all(ro.spill_dir);
 }
 
@@ -234,15 +252,49 @@ TEST_F(RegistryTest, EvictionWithoutSpillDirDiscards) {
   EXPECT_EQ(metrics_.disk_warm_starts.Value(), 0u);
 }
 
-TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
-  // Regression test for the eviction TOCTOU fix: the old EvictIfNeeded
-  // probed a candidate with a try-lock, released it, then took a
-  // *blocking* lock to spill — a worker could start generating inside
-  // that window (so an in-use model got spilled and evicted), and the
-  // blocking re-lock could park the whole registry, registry_mu_ held,
-  // behind a multi-second generation. The one-pass form probes and
-  // spills under a single try-lock: a busy entry is skipped outright and
-  // the map transiently exceeds capacity instead.
+// A cached bucket costs its actor and nothing else: the registry keeps the
+// model's snapshot, not the pipeline that trained it (environment, critic,
+// both optimizers' state, the best-actor checkpoint). Every Acquire runs
+// on this thread, so what the models keep is allocated in the main malloc
+// arena that mallinfo2 reports. The bound allows the actor's values plus
+// its gradient buffers, and some slack.
+TEST_F(RegistryTest, HeapPerCachedModelIsBoundedByItsActor) {
+  ModelRegistry::Options ro;
+  ro.capacity = 8;
+  ModelRegistry registry(context_, FastOptions(), ro, &metrics_);
+  auto heap_bytes = [] {
+    const struct mallinfo2 mi = ::mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  // One bucket first, so one-time lazy state (metric handles, caches
+  // sized on first use) is not charged to the measured models.
+  ASSERT_TRUE(registry.Acquire(CardRange(5, 50), 1).ok());
+
+  constexpr int kModels = 4;
+  double actor_bytes = 0.0;
+  const double before = heap_bytes();
+  for (int k = 0; k < kModels; ++k) {
+    auto acquired = registry.Acquire(CardPoint(std::pow(10.0, k + 1)), 10 + k);
+    ASSERT_TRUE(acquired.ok()) << acquired.status().ToString();
+    EXPECT_FALSE(acquired->cache_hit);
+    actor_bytes = 0.0;
+    for (const ParamTensor* t : acquired->snapshot->actor->Params()) {
+      actor_bytes += sizeof(float) * static_cast<double>(t->value.size());
+    }
+  }
+  const double per_model = (heap_bytes() - before) / kModels;
+  EXPECT_EQ(registry.size(), static_cast<size_t>(kModels + 1));
+  EXPECT_GT(actor_bytes, 0.0);
+  EXPECT_LE(per_model, 2.5 * actor_bytes)
+      << "per model " << per_model << " B, actor " << actor_bytes << " B";
+}
+
+TEST_F(RegistryTest, EvictionSkipsEntriesStillBuildingAndNeverBlocks) {
+  // Eviction must skip an entry whose model is still being built, never
+  // wait for it with the whole registry held, and evict it in LRU order
+  // once it is built. A FIFO in place of A's spill file holds A's warm
+  // start open — deterministically, with no test hook — until this thread
+  // opens the FIFO's write end.
   ModelRegistry::Options ro;
   ro.capacity = 1;
   ro.spill_dir = TempDir("busy_spill");
@@ -250,58 +302,41 @@ TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
 
   const Constraint a = CardRange(5, 50);
   const Constraint b = CardPoint(10);
-  auto first = registry.Acquire(a, 1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::string a_spill = registry.SpillPathFor(a);
+  ASSERT_EQ(::mkfifo(a_spill.c_str(), 0600), 0);
 
-  // Simulate a holder of A's entry mutex (a snapshot read or a publish in
-  // flight) on a *worker thread* while other threads run Acquire. The busy
-  // lock must live on its own thread — the registry orders registry_mu_
-  // before ModelEntry::mu, so a thread that calls Acquire may never
-  // already hold an entry mutex (doing it here on the main thread would
-  // itself be the lock-order inversion this PR's hierarchy forbids, and
-  // TSan's deadlock detector flags it).
-  Mutex step_mu;
-  CondVar step_cv;
-  bool busy = false;
-  bool release = false;
-  std::thread holder([&] {
-    first->entry->mu.Lock();
-    {
-      MutexLock lock(&step_mu);
-      busy = true;
+  std::thread loader([&] {
+    // Blocks opening the FIFO until the write end opens; the empty "file"
+    // then fails to load, so A is trained instead.
+    auto first = registry.Acquire(a, 1);
+    EXPECT_TRUE(first.ok()) << first.status().ToString();
+    if (first.ok()) {
+      EXPECT_FALSE(first->warm_start);
     }
-    step_cv.NotifyAll();
-    {
-      MutexLock lock(&step_mu);
-      while (!release) step_cv.Wait(step_mu);
-    }
-    first->entry->mu.Unlock();
   });
-  {
-    MutexLock lock(&step_mu);
-    while (!busy) step_cv.Wait(step_mu);
-  }
-  // B overflows the single-slot cache while the only eviction candidate
-  // is busy. Under the old blocking re-lock this Acquire could stall
-  // until A quiesced; now it must complete, skipping A.
-  auto second = registry.Acquire(b, 2);
-  {
-    MutexLock lock(&step_mu);
-    release = true;
-  }
-  step_cv.NotifyAll();
-  holder.join();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(metrics_.evictions.Value(), 0u);  // busy A was skipped...
-  EXPECT_EQ(registry.size(), 2u);             // ...over capacity for now
-  EXPECT_FALSE(std::filesystem::exists(registry.SpillPathFor(a)));
+  while (metrics_.cache_misses.Value() < 1) std::this_thread::yield();
 
-  // Once A quiesces, the next insertion evicts in LRU order — spilling
-  // under the very try-lock that proved each candidate idle.
+  // B overflows the single-slot cache while the only other entry is still
+  // being built: B's Acquire completes without waiting for A, and nothing
+  // can be evicted yet.
+  auto second = registry.Acquire(b, 2);
+  EXPECT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(metrics_.trainings.Value(), 1u);  // B only: A is still blocked
+  EXPECT_EQ(metrics_.evictions.Value(), 0u);
+  EXPECT_EQ(registry.size(), 2u);  // over capacity for now
+  EXPECT_FALSE(std::filesystem::exists(registry.SpillPathFor(b)));
+
+  { std::ofstream release(a_spill); }  // opens and closes the write end
+  loader.join();
+  std::filesystem::remove(a_spill);
+  EXPECT_EQ(metrics_.trainings.Value(), 2u);
+  EXPECT_EQ(metrics_.disk_warm_starts.Value(), 0u);
+
+  // With A built, the next insertion evicts in LRU order, spilling both.
   ASSERT_TRUE(registry.Acquire(CardPoint(100000), 3).ok());
-  EXPECT_EQ(metrics_.evictions.Value(), 2u);  // A and B, both idle now
+  EXPECT_EQ(metrics_.evictions.Value(), 2u);
   EXPECT_EQ(registry.size(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(registry.SpillPathFor(a)));
+  EXPECT_TRUE(std::filesystem::is_regular_file(a_spill));
   EXPECT_TRUE(std::filesystem::exists(registry.SpillPathFor(b)));
   std::filesystem::remove_all(ro.spill_dir);
 }
@@ -363,16 +398,13 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
     EXPECT_TRUE(acquired.ok()) << acquired.status().ToString();
     if (!acquired.ok()) return out;
     out.warm_start = acquired->warm_start;
-    MutexLock lock(&acquired->entry->mu);
-    for (const ParamTensor* t : acquired->entry->snapshot->actor->Params()) {
+    for (const ParamTensor* t : acquired->snapshot->actor->Params()) {
       out.actor.insert(out.actor.end(), t->value.data(),
                        t->value.data() + t->value.size());
     }
-    Rng rng(99);
-    auto report = acquired->entry->gen->GenerateBatch(6, &rng);
-    EXPECT_TRUE(report.ok());
-    if (!report.ok()) return out;
-    for (const GeneratedQuery& q : report->queries) out.sql.push_back(q.sql);
+    const GenerationReport report =
+        DecodeBatch(*acquired->snapshot, 6, /*seed=*/99);
+    for (const GeneratedQuery& q : report.queries) out.sql.push_back(q.sql);
     return out;
   };
 
@@ -460,13 +492,13 @@ TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
 
   const std::vector<Constraint> buckets = {CardRange(5, 50), CardPoint(10),
                                            CardRange(1, 5), CardPoint(100)};
-  std::vector<std::shared_ptr<ModelEntry>> entries(buckets.size());
+  std::vector<std::shared_ptr<const ServingSnapshot>> snaps(buckets.size());
   std::vector<std::thread> workers;
   for (int w = 0; w < 2; ++w) {
     workers.emplace_back([&, w] {
       for (size_t b = static_cast<size_t>(w); b < buckets.size(); b += 2) {
         auto acquired = registry.Acquire(buckets[b], 700 + b);
-        if (acquired.ok()) entries[b] = std::move(acquired->entry);
+        if (acquired.ok()) snaps[b] = std::move(acquired->snapshot);
       }
     });
   }
@@ -475,14 +507,9 @@ TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
 
   for (size_t b = 0; b < buckets.size(); ++b) {
     SCOPED_TRACE(buckets[b].ToString());
-    ASSERT_NE(entries[b], nullptr);
-    std::shared_ptr<const ServingSnapshot> snap;
-    {
-      MutexLock lock(&entries[b]->mu);
-      snap = entries[b]->snapshot;
-    }
+    const std::shared_ptr<const ServingSnapshot>& snap = snaps[b];
     ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(snap->context, context->get());
+    EXPECT_EQ(snap->context, *context);
     EXPECT_EQ(&snap->context->vocab(), &(*context)->vocab());
     EXPECT_EQ(&snap->context->estimator(), &(*context)->estimator());
 

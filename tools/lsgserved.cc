@@ -1,5 +1,5 @@
 // lsgserved — network serving daemon for the LearnedSQLGen generation
-// service: a single-threaded epoll (poll fallback) event loop speaking a
+// service: a single-threaded epoll event loop speaking a
 // line-delimited JSON protocol, with per-tenant token-bucket admission
 // control in front of the shared worker pool. See README "Network
 // serving" for the protocol spec.
@@ -73,7 +73,6 @@ void Usage() {
       "  --request-timeout-ms T  per-request deadline (default 0 = none)\n"
       "  --drain-timeout-ms T  max graceful-drain wait (default 10000)\n"
       "  --no-sql              omit generated SQL from responses\n"
-      "  --force-poll          use poll(2) even where epoll exists\n"
       "admission (per tenant unless noted):\n"
       "  --tenant-rate R       token-bucket refill/s (default 500; 0 = off)\n"
       "  --tenant-burst B      bucket capacity (default 1000)\n"
@@ -184,8 +183,6 @@ int main(int argc, char** argv) {
       net_opts.drain_timeout_ms = std::atoi(need_value(i++));
     } else if (a == "--no-sql") {
       net_opts.include_sql = false;
-    } else if (a == "--force-poll") {
-      net_opts.force_poll = true;
     } else if (a == "--tenant-rate") {
       net_opts.admission.tenant_rate = std::atof(need_value(i++));
     } else if (a == "--tenant-burst") {
@@ -309,10 +306,10 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr,
                  "lsgserved: %s (%zu tables, %zu rows), %d workers, "
-                 "listening on %s:%d (%s), pid %d\n",
+                 "listening on %s:%d, pid %d\n",
                  dataset.c_str(), (*db).num_tables(), (*db).TotalRows(),
                  workers, host.c_str(), (*server)->port(),
-                 (*server)->poller_name(), static_cast<int>(getpid()));
+                 static_cast<int>(getpid()));
     Status ran = (*server)->Run();
     if (!ran.ok()) {
       std::fprintf(stderr, "serve: %s\n", ran.ToString().c_str());
