@@ -4,7 +4,7 @@
 // (a) accuracy on held-out constraints, (b) adaptation+generation time,
 // (c) average-reward adaptation trace.
 #include "bench/bench_common.h"
-#include "rl/actor_critic_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "rl/meta_critic.h"
 
 namespace lsg {
@@ -79,7 +79,7 @@ void Run() {
   Stopwatch acx_watch;
   TrainerOptions acx_opts = trainer_opts;
   acx_opts.net.extra_input_dims = 2;
-  ActorCriticTrainer acx(task_env_ptrs[0], acx_opts);
+  PolicyGradientTrainer acx(task_env_ptrs[0], acx_opts);
   for (int e = 0; e < pretrain_epochs; ++e) {
     for (size_t t = 0; t < tasks.size(); ++t) {
       acx.set_environment(task_env_ptrs[t]);
@@ -112,7 +112,7 @@ void Run() {
 
     // Scratch.
     Stopwatch sw;
-    ActorCriticTrainer scratch(env.get(), trainer_opts);
+    PolicyGradientTrainer scratch(env.get(), trainer_opts);
     MethodResult sc;
     for (int e = 0; e < adapt_epochs; ++e) {
       auto st = scratch.TrainEpoch();

@@ -16,7 +16,7 @@
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
-#include "rl/actor_critic_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "rl/policy_network.h"
 
 namespace lsg {
@@ -325,23 +325,24 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyEpisodeWithBackward);
 
-// One actor-critic training epoch (Algorithm 3: a batch of episodes, then
-// one update of both networks) on a TPC-H cardinality-range bucket with
-// default TrainerOptions — the unit a cold request repeats per epoch.
-void BM_ActorCriticEpoch(benchmark::State& state) {
+// One policy-gradient training epoch with the critic (Algorithm 3: a batch
+// of episodes, then one update of both networks) on a TPC-H
+// cardinality-range bucket with default TrainerOptions — the unit a cold
+// request repeats per epoch.
+void BM_PolicyGradientEpoch(benchmark::State& state) {
   MicroFixture& f = Fixture();
   SqlGenEnvironment env(
       &f.db, &*f.vocab, f.est.get(), f.cost.get(),
       Constraint::Range(ConstraintMetric::kCardinality, 100, 1000),
       EnvironmentOptions());
-  ActorCriticTrainer trainer(&env, TrainerOptions());
+  PolicyGradientTrainer trainer(&env, TrainerOptions());
   for (auto _ : state) {
     auto st = trainer.TrainEpoch();
     LSG_CHECK(st.ok());
     benchmark::DoNotOptimize(st->mean_total_reward);
   }
 }
-BENCHMARK(BM_ActorCriticEpoch);
+BENCHMARK(BM_PolicyGradientEpoch);
 
 void BM_VocabularyBuild(benchmark::State& state) {
   MicroFixture& f = Fixture();

@@ -9,12 +9,15 @@
 #include "core/batch_decoder.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
-#include "rl/actor_critic_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 
 namespace lsg {
 namespace {
 
 Status CheckServable(const LearnedSqlGenOptions& options) {
+  if (options.trainer.batch_size < 1) {
+    return Status::InvalidArgument("trainer.batch_size must be at least 1");
+  }
   if (options.trainer.net.extra_input_dims != 0) {
     return Status::InvalidArgument(
         "LearnedSqlGen serves the standard one-hot model only "
@@ -68,6 +71,8 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
 void LearnedSqlGen::Publish(std::unique_ptr<PolicyNetwork> actor,
                             const Constraint& constraint,
                             double train_seconds) {
+  // Served weights are only read: drop what training wrote into.
+  for (ParamTensor* p : actor->Params()) p->ReleaseGradient();
   auto snap = std::make_shared<ServingSnapshot>();
   snap->context = context_;
   snap->actor = std::move(actor);
@@ -97,37 +102,28 @@ Status LearnedSqlGen::Train(const Constraint& constraint) {
         epochs, static_cast<int>(std::ceil(epochs * frac)));
     switch_epoch = epochs - tail;
   }
-  // Both trainers expose the same epoch loop; `trainer` dies with this
-  // call, leaving only its actor (and its sampling stream) behind.
-  std::unique_ptr<PolicyNetwork> actor;
-  auto run = [&](auto& trainer) -> Status {
-    for (int e = 0; e < epochs; ++e) {
-      if (e == switch_epoch &&
-          env.feedback_source() != FeedbackSource::kTrueExecution) {
-        env.SetFeedbackSource(FeedbackSource::kTrueExecution);
-        LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
-                      << "feedback (vectorized engine)";
-      }
-      LSG_ASSIGN_OR_RETURN(EpochStats st, trainer.TrainEpoch());
-      st.true_execution_feedback =
-          env.feedback_source() == FeedbackSource::kTrueExecution;
-      trace_.push_back(st);
+  // use_reinforce trains without a critic (the §7.3 comparison). The
+  // trainer dies with this call, leaving only its actor (and its sampling
+  // stream) behind.
+  PolicyGradientTrainer trainer(&env, options_.trainer,
+                                /*with_critic=*/!options_.use_reinforce);
+  for (int e = 0; e < epochs; ++e) {
+    if (e == switch_epoch &&
+        env.feedback_source() != FeedbackSource::kTrueExecution) {
+      env.SetFeedbackSource(FeedbackSource::kTrueExecution);
+      LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
+                    << "feedback (vectorized engine)";
     }
-    // Inference uses the best checkpoint seen during training (guards
-    // against late-training policy collapse).
-    if (options_.trainer.keep_best_actor) trainer.RestoreBestActor();
-    rng_ = *trainer.sampling_rng();
-    actor = trainer.ReleaseActor();
-    return Status::Ok();
-  };
-  if (options_.use_reinforce) {
-    ReinforceTrainer trainer(&env, options_.trainer);
-    LSG_RETURN_IF_ERROR(run(trainer));
-  } else {
-    ActorCriticTrainer trainer(&env, options_.trainer);
-    LSG_RETURN_IF_ERROR(run(trainer));
+    LSG_ASSIGN_OR_RETURN(EpochStats st, trainer.TrainEpoch());
+    st.true_execution_feedback =
+        env.feedback_source() == FeedbackSource::kTrueExecution;
+    trace_.push_back(st);
   }
-  Publish(std::move(actor), constraint, watch.ElapsedSeconds());
+  // Inference uses the best checkpoint seen during training (guards
+  // against late-training policy collapse).
+  if (options_.trainer.keep_best_actor) trainer.RestoreBestActor();
+  rng_ = *trainer.sampling_rng();
+  Publish(trainer.ReleaseActor(), constraint, watch.ElapsedSeconds());
   return Status::Ok();
 }
 

@@ -8,7 +8,7 @@
 #include "core/database_context.h"
 #include "core/environment.h"
 #include "core/workload.h"
-#include "rl/reinforce_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 
 namespace lsg {
 
@@ -46,7 +46,8 @@ struct LearnedSqlGenOptions {
   /// Inference attempt budget per requested satisfied query.
   int attempts_factor = 50;
 
-  /// Use plain REINFORCE instead of actor-critic (the §7.3 comparison).
+  /// Train without a critic: plain REINFORCE instead of actor-critic (the
+  /// §7.3 comparison).
   bool use_reinforce = false;
 
   /// Reward-shaping ablation: when false only complete queries earn
@@ -125,8 +126,9 @@ class LearnedSqlGen {
  public:
   /// Builds the context `options.vocab` describes for `db` (which must
   /// outlive it). Fails on options no pipeline can serve —
-  /// `trainer.net.extra_input_dims != 0`: the pipeline never feeds extra
-  /// features (AC-extend trains through ActorCriticTrainer directly) — and
+  /// `trainer.batch_size < 1` (an epoch would train on no episode) or
+  /// `trainer.net.extra_input_dims != 0` (the pipeline never feeds extra
+  /// features; AC-extend drives a PolicyGradientTrainer directly) — and
   /// when the vocabulary cannot be built.
   static StatusOr<std::shared_ptr<const DatabaseContext>> CreateContext(
       const Database* db, const LearnedSqlGenOptions& options);

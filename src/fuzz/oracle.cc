@@ -8,7 +8,7 @@
 #include "core/batch_decoder.h"
 #include "core/environment.h"
 #include "rl/policy_network.h"
-#include "rl/reinforce_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 

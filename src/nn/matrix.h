@@ -78,6 +78,13 @@ class ParamTensor {
   /// Whether column c has ever received a gradient.
   bool IsLive(int c) const;
 
+  /// Frees the gradient and its live columns, for a tensor that is only
+  /// read from now on (a served model). No gradient may be written after.
+  void ReleaseGradient() {
+    grad_ = Matrix();
+    live_runs_ = std::vector<ColumnRun>();
+  }
+
   /// Calls fn(k, n, g) for each maximal run of live gradient entries in
   /// row-major order: flat indices [k, k+n) into value/grad, with g pointing
   /// at grad[k]. An all-live tensor is one run; entries outside the runs are

@@ -127,6 +127,22 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
   }
 }
 
+RolloutHooks MetaCritic::FollowEpisode(const std::vector<float>& /*extra*/) {
+  followed_ = BeginEpisode(/*train=*/true);
+  RolloutHooks hooks;
+  hooks.after_actor_step = [this](int input) { StepValue(&followed_, input); };
+  hooks.after_env_step = [this](int action, double reward) {
+    ObserveTriple(&followed_, action, reward);
+  };
+  return hooks;
+}
+
+void MetaCritic::AccumulateEpisodeGradients(
+    const std::vector<double>& dvalue) {
+  AccumulateGradients(followed_, dvalue);
+  followed_ = Episode();
+}
+
 std::vector<ParamTensor*> MetaCritic::Params() {
   std::vector<ParamTensor*> out = state_lstm_.Params();
   for (ParamTensor* p : encoder_.Params()) out.push_back(p);
@@ -155,62 +171,12 @@ MetaCriticTrainer::MetaCriticTrainer(std::vector<Environment*> task_envs,
   }
 }
 
-StatusOr<EpochStats> MetaCriticTrainer::TrainBatch(Environment* env,
-                                                   PolicyNetwork* actor,
-                                                   Adam* actor_opt) {
-  EpochStats stats;
-  std::vector<PolicyNetwork::Episode> actor_eps(options_.batch_size);
-  std::vector<std::vector<double>> advantages(options_.batch_size);
-  for (int b = 0; b < options_.batch_size; ++b) {
-    actor_eps[b] = actor->BeginEpisode(/*train=*/true);
-    MetaCritic::Episode critic_ep = meta_->BeginEpisode(/*train=*/true);
-    RolloutHooks hooks;
-    hooks.after_actor_step = [&](int input) {
-      meta_->StepValue(&critic_ep, input);
-    };
-    hooks.after_env_step = [&](int action, double reward) {
-      meta_->ObserveTriple(&critic_ep, action, reward);
-    };
-    LSG_ASSIGN_OR_RETURN(Trajectory traj,
-                         RolloutPolicy(env, actor, &actor_eps[b], &rng_, hooks));
-    const size_t T = traj.rewards.size();
-    std::vector<double> advantage(T), dvalue(T);
-    for (size_t t = 0; t < T; ++t) {
-      double v_next = (t + 1 < T) ? critic_ep.values[t + 1] : 0.0;
-      double td = traj.rewards[t] + v_next - critic_ep.values[t];
-      advantage[t] = td;
-      dvalue[t] = -td;
-    }
-    advantages[b] = std::move(advantage);
-    meta_->AccumulateGradients(critic_ep, dvalue);
-    stats.episodes += 1;
-    stats.mean_total_reward += traj.TotalReward();
-    stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(actor_eps[b]);
-    stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
-  }
-  if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
-  for (int b = 0; b < options_.batch_size; ++b) {
-    actor->AccumulateGradients(actor_eps[b], advantages[b],
-                               options_.entropy_coef);
-  }
-  ClipGradNorm(actor->Params(), options_.grad_clip);
-  ClipGradNorm(meta_->Params(), options_.grad_clip);
-  actor_opt->Step();
-  meta_opt_->Step();
-  const double n = static_cast<double>(stats.episodes);
-  stats.mean_total_reward /= n;
-  stats.mean_final_reward /= n;
-  stats.mean_entropy /= n;
-  stats.satisfied_frac /= n;
-  return stats;
-}
-
 StatusOr<EpochStats> MetaCriticTrainer::PretrainEpoch() {
   EpochStats agg;
   for (size_t i = 0; i < task_envs_.size(); ++i) {
-    auto st = TrainBatch(task_envs_[i], actors_[i].get(),
-                         actor_opts_[i].get());
+    auto st = TrainPolicyBatch(task_envs_[i], actors_[i].get(),
+                               actor_opts_[i].get(), meta_.get(),
+                               meta_opt_.get(), &rng_, options_);
     if (!st.ok()) return st.status();
     agg.episodes += st->episodes;
     agg.mean_total_reward += st->mean_total_reward;
@@ -237,7 +203,9 @@ StatusOr<std::vector<EpochStats>> MetaCriticTrainer::Adapt(
   std::vector<EpochStats> trace;
   trace.reserve(epochs);
   for (int e = 0; e < epochs; ++e) {
-    auto st = TrainBatch(new_env, adapted_actor_.get(), adapted_opt_.get());
+    auto st = TrainPolicyBatch(new_env, adapted_actor_.get(),
+                               adapted_opt_.get(), meta_.get(),
+                               meta_opt_.get(), &rng_, options_);
     if (!st.ok()) return st.status();
     trace.push_back(*st);
   }

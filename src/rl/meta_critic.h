@@ -7,8 +7,7 @@
 #include "nn/adam.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
-#include "rl/reinforce_trainer.h"
-#include "rl/value_network.h"
+#include "rl/policy_gradient_trainer.h"
 
 namespace lsg {
 
@@ -26,7 +25,7 @@ namespace lsg {
 /// than the full (s_t, a_t, r_t) triple; the state component reaches the
 /// value head through the state path, so no information is lost — only the
 /// factorization differs (documented in DESIGN.md).
-class MetaCritic {
+class MetaCritic : public Critic {
  public:
   struct Options {
     int hidden_dim = 30;
@@ -71,7 +70,16 @@ class MetaCritic {
   void AccumulateGradients(const Episode& ep,
                            const std::vector<double>& dvalue);
 
-  std::vector<ParamTensor*> Params();
+  /// Critic: follows one training episode at a time through StepValue
+  /// and ObserveTriple, over a member episode. It takes no constraint
+  /// features: the encoder infers the task, so `extra` is ignored.
+  RolloutHooks FollowEpisode(const std::vector<float>& extra) override;
+  const std::vector<float>& episode_values() const override {
+    return followed_.values;
+  }
+  void AccumulateEpisodeGradients(const std::vector<double>& dvalue) override;
+
+  std::vector<ParamTensor*> Params() override;
 
  private:
   int vocab_size_;
@@ -82,6 +90,7 @@ class MetaCritic {
   ParamTensor action_embed_;  ///< (E x |A|+1)
   Linear fuse1_;
   Linear fuse2_;
+  Episode followed_;
 };
 
 /// Multi-task pre-training (§6) and fast adaptation driver used by the
@@ -105,13 +114,7 @@ class MetaCriticTrainer {
   /// Generates one query with the most recently adapted actor.
   StatusOr<Trajectory> GenerateWithAdapted(Environment* env);
 
-  MetaCritic& meta_critic() { return *meta_; }
-
  private:
-  /// One batch of episodes for (env, actor) with the shared critic.
-  StatusOr<EpochStats> TrainBatch(Environment* env, PolicyNetwork* actor,
-                                  Adam* actor_opt);
-
   std::vector<Environment*> task_envs_;
   TrainerOptions options_;
   Rng rng_;

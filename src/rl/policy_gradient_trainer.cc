@@ -1,0 +1,178 @@
+#include "rl/policy_gradient_trainer.h"
+
+#include <cmath>
+
+#include "common/logging.h"
+#include "obs/metrics_registry.h"
+#include "obs/span_tracer.h"
+#include "rl/value_network.h"
+
+namespace lsg {
+
+void NormalizeAdvantages(std::vector<std::vector<double>>* adv) {
+  size_t n = 0;
+  double sum = 0.0;
+  for (const auto& a : *adv) {
+    for (double v : a) {
+      sum += v;
+      ++n;
+    }
+  }
+  if (n < 2) return;
+  double mean = sum / static_cast<double>(n);
+  double sq = 0.0;
+  for (const auto& a : *adv) {
+    for (double v : a) sq += (v - mean) * (v - mean);
+  }
+  double stddev = std::sqrt(sq / static_cast<double>(n));
+  if (stddev < 1e-8) return;
+  for (auto& a : *adv) {
+    for (double& v : a) v = (v - mean) / stddev;
+  }
+}
+
+StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
+                                   PolicyNetwork::Episode* ep, Rng* rng,
+                                   const RolloutHooks& hooks) {
+  env->Reset();
+  Trajectory traj;
+  int input = actor->bos_index();
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
+    const PolicyNetwork::CompactDistribution* dist = nullptr;
+    LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions(), &dist));
+    if (hooks.after_actor_step) hooks.after_actor_step(input);
+    const int a = actor->SampleAction(*dist, rng);
+    actor->RecordAction(ep, a);
+    auto sr = env->Step(a);
+    if (!sr.ok()) return sr.status();
+    if (hooks.after_env_step) hooks.after_env_step(a, sr->reward);
+    traj.actions.push_back(a);
+    traj.rewards.push_back(sr->reward);
+    input = a;
+    if (sr->done) {
+      traj.completed = true;
+      traj.satisfied = sr->satisfied;
+      traj.final_metric = sr->metric;
+      traj.ast = env->TakeAst();
+      return traj;
+    }
+  }
+  return Status::Internal("episode exceeded the hard step cap");
+}
+
+StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
+                                      Adam* actor_opt, Critic* critic,
+                                      Adam* critic_opt, Rng* rng,
+                                      const TrainerOptions& options,
+                                      const std::vector<float>& extra) {
+  LSG_CHECK((critic == nullptr) == (critic_opt == nullptr));
+  if (options.batch_size < 1) {
+    return Status::InvalidArgument("trainer.batch_size must be at least 1");
+  }
+  LSG_OBS_SPAN(critic != nullptr ? "rl.ac_epoch" : "rl.reinforce_epoch");
+  EpochStats stats;
+  std::vector<PolicyNetwork::Episode> episodes(options.batch_size);
+  std::vector<std::vector<double>> advantages(options.batch_size);
+  for (int b = 0; b < options.batch_size; ++b) {
+    episodes[b] = actor->BeginEpisode(/*train=*/true);
+    episodes[b].extra = extra;
+    const RolloutHooks hooks =
+        critic != nullptr ? critic->FollowEpisode(extra) : RolloutHooks();
+    LSG_ASSIGN_OR_RETURN(Trajectory traj,
+                         RolloutPolicy(env, actor, &episodes[b], rng, hooks));
+    if (critic == nullptr) {
+      advantages[b] = traj.RewardToGo();
+    } else {
+      const std::vector<float>& values = critic->episode_values();
+      const size_t T = traj.rewards.size();
+      LSG_CHECK(values.size() == T);
+      // TD(0): td_t = r_t + V(s_{t+1}) − V(s_t), terminal V = 0.
+      std::vector<double> advantage(T);
+      std::vector<double> dvalue(T);
+      for (size_t t = 0; t < T; ++t) {
+        double v_next = (t + 1 < T) ? values[t + 1] : 0.0;
+        double td = traj.rewards[t] + v_next - values[t];
+        advantage[t] = td;
+        dvalue[t] = -td;  // ∂ 0.5·td² / ∂V(s_t), target fixed
+      }
+      advantages[b] = std::move(advantage);
+      critic->AccumulateEpisodeGradients(dvalue);
+    }
+    stats.episodes += 1;
+    stats.mean_total_reward += traj.TotalReward();
+    stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
+    stats.mean_entropy += PolicyNetwork::MeanEntropy(episodes[b]);
+    stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
+  }
+  if (options.normalize_advantages) NormalizeAdvantages(&advantages);
+  {
+    LSG_OBS_SPAN(critic != nullptr ? "rl.ac_update" : "rl.reinforce_update");
+    for (int b = 0; b < options.batch_size; ++b) {
+      actor->AccumulateGradients(episodes[b], advantages[b],
+                                 options.entropy_coef);
+    }
+    ClipGradNorm(actor->Params(), options.grad_clip);
+    if (critic != nullptr) ClipGradNorm(critic->Params(), options.grad_clip);
+    actor_opt->Step();
+    if (critic_opt != nullptr) critic_opt->Step();
+  }
+  const double n = static_cast<double>(stats.episodes);
+  stats.mean_total_reward /= n;
+  stats.mean_final_reward /= n;
+  stats.mean_entropy /= n;
+  stats.satisfied_frac /= n;
+  if (obs::Enabled()) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    static obs::Counter& epochs = reg.GetCounter("rl.epochs");
+    static obs::Counter& episodes_total = reg.GetCounter("rl.episodes");
+    epochs.Inc();
+    episodes_total.Add(static_cast<uint64_t>(stats.episodes));
+    reg.GetGauge("rl.mean_total_reward").Set(stats.mean_total_reward);
+    reg.GetGauge("rl.satisfied_frac").Set(stats.satisfied_frac);
+    reg.GetGauge("rl.mean_entropy").Set(stats.mean_entropy);
+  }
+  return stats;
+}
+
+PolicyGradientTrainer::PolicyGradientTrainer(Environment* env,
+                                             const TrainerOptions& options,
+                                             bool with_critic)
+    : env_(env), options_(options), rng_(options.seed) {
+  LSG_CHECK(env != nullptr);
+  NetworkOptions net = options.net;
+  net.seed = options.seed;
+  actor_ = std::make_unique<PolicyNetwork>(env->vocab_size(), net);
+  actor_opt_ = std::make_unique<Adam>(actor_->Params(), options.actor_lr);
+  if (with_critic) {
+    net.seed = options.seed + 1;
+    critic_ = std::make_unique<ValueNetwork>(env->vocab_size(), net);
+    critic_opt_ = std::make_unique<Adam>(critic_->Params(), options.critic_lr);
+  }
+}
+
+StatusOr<EpochStats> PolicyGradientTrainer::TrainEpoch() {
+  LSG_ASSIGN_OR_RETURN(
+      EpochStats stats,
+      TrainPolicyBatch(env_, actor_.get(), actor_opt_.get(), critic_.get(),
+                       critic_opt_.get(), &rng_, options_, extra_));
+  if (options_.keep_best_actor) {
+    double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
+    if (score > best_score_) {
+      best_score_ = score;
+      best_actor_.Save(actor_->Params());
+    }
+  }
+  return stats;
+}
+
+bool PolicyGradientTrainer::RestoreBestActor() {
+  return best_actor_.Restore(actor_->Params());
+}
+
+StatusOr<Trajectory> PolicyGradientTrainer::Generate() {
+  PolicyNetwork::Episode ep = actor_->BeginEpisode(/*train=*/false);
+  ep.extra = extra_;
+  return RolloutPolicy(env_, actor_.get(), &ep, &rng_);
+}
+
+}  // namespace lsg

@@ -59,6 +59,20 @@ void ValueNetwork::AccumulateGradients(const Episode& ep,
   lstm_.Backward(ep.caches, dtop);
 }
 
+RolloutHooks ValueNetwork::FollowEpisode(const std::vector<float>& extra) {
+  followed_ = BeginEpisode(/*train=*/true);
+  followed_.extra = extra;
+  RolloutHooks hooks;
+  hooks.after_actor_step = [this](int input) { StepValue(&followed_, input); };
+  return hooks;
+}
+
+void ValueNetwork::AccumulateEpisodeGradients(
+    const std::vector<double>& dvalue) {
+  AccumulateGradients(followed_, dvalue);
+  followed_ = Episode();
+}
+
 std::vector<ParamTensor*> ValueNetwork::Params() {
   std::vector<ParamTensor*> out = lstm_.Params();
   for (ParamTensor* p : head_.Params()) out.push_back(p);

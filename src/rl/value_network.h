@@ -6,6 +6,7 @@
 
 #include "nn/linear.h"
 #include "nn/lstm.h"
+#include "rl/policy_gradient_trainer.h"
 #include "rl/policy_network.h"
 
 namespace lsg {
@@ -13,7 +14,7 @@ namespace lsg {
 /// The critic: mirrors the actor's LSTM but outputs a single state value
 /// V_φ(s_t) (paper §4.3: "the structure of the critic network is similar to
 /// the actor, but the output layer dimension is 1").
-class ValueNetwork {
+class ValueNetwork : public Critic {
  public:
   ValueNetwork(int vocab_size, const NetworkOptions& options);
 
@@ -40,7 +41,15 @@ class ValueNetwork {
   void AccumulateGradients(const Episode& ep,
                            const std::vector<double>& dvalue);
 
-  std::vector<ParamTensor*> Params();
+  /// Critic: follows one training episode at a time (this network's
+  /// Episode API above, over a member episode).
+  RolloutHooks FollowEpisode(const std::vector<float>& extra) override;
+  const std::vector<float>& episode_values() const override {
+    return followed_.values;
+  }
+  void AccumulateEpisodeGradients(const std::vector<double>& dvalue) override;
+
+  std::vector<ParamTensor*> Params() override;
 
  private:
   int vocab_size_;
@@ -48,6 +57,7 @@ class ValueNetwork {
   Rng rng_;
   LstmStack lstm_;
   Linear head_;
+  Episode followed_;
 };
 
 }  // namespace lsg

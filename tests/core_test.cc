@@ -371,6 +371,19 @@ TEST(GeneratorTest, CreateRejectsExtraInputDims) {
   EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(GeneratorTest, CreateRejectsBatchSizeBelowOne) {
+  // An epoch over zero episodes would average to NaN stats.
+  Database db = BuildScoreStudentDb();
+  for (int batch : {0, -1}) {
+    LearnedSqlGenOptions opts;
+    opts.trainer.batch_size = batch;
+    EXPECT_EQ(LearnedSqlGen::Create(&db, opts).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(LearnedSqlGen::CreateContext(&db, opts).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(GeneratorTest, GenerateBeforeTrainFails) {
   Database db = BuildScoreStudentDb();
   auto gen = LearnedSqlGen::Create(&db, LearnedSqlGenOptions());

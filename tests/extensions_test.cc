@@ -301,9 +301,11 @@ TEST(ModelPersistenceTest, SaveLoadReproducesPolicy) {
   ASSERT_TRUE(gen2.ok());
   ASSERT_TRUE((*gen2)->LoadModel(c, path).ok());
   std::remove(path.c_str());
+  // Both the trained and the loaded model are served without gradients.
   auto params = [](const LearnedSqlGen& g) {
     std::vector<uint32_t> bits;
     for (const ParamTensor* t : g.snapshot()->actor->Params()) {
+      EXPECT_EQ(t->grad().size(), 0u) << t->name;
       for (size_t i = 0; i < t->value.size(); ++i) {
         bits.push_back(std::bit_cast<uint32_t>(t->value.data()[i]));
       }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "nn/adam.h"
-#include "rl/actor_critic_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "rl/meta_critic.h"
 
 namespace lsg {
@@ -217,7 +217,7 @@ TEST(MetaCriticTrainerTest, AdaptationFasterThanScratchOnAverage) {
   }
 
   ToyTaskEnv scratch_env({1, 1, 2});
-  ActorCriticTrainer scratch(&scratch_env, SmallTrainer(23));
+  PolicyGradientTrainer scratch(&scratch_env, SmallTrainer(23));
   int scratch_epochs = epochs_to_reach(0.8, [&]() {
     auto st = scratch.TrainEpoch();
     return st.ok() ? st->mean_final_reward : 0.0;

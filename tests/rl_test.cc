@@ -12,9 +12,8 @@
 #include "core/environment.h"
 #include "fsm/generation_fsm.h"
 #include "nn/matrix.h"
-#include "rl/actor_critic_trainer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "rl/policy_network.h"
-#include "rl/reinforce_trainer.h"
 #include "rl/reward.h"
 #include "rl/trajectory.h"
 #include "rl/value_network.h"
@@ -176,7 +175,7 @@ TrainerOptions FastOptions(uint64_t seed) {
 
 TEST(ActorCriticTrainerTest, LearnsToySequence) {
   ToyEnv env({2, 0, 1});
-  ActorCriticTrainer trainer(&env, FastOptions(5));
+  PolicyGradientTrainer trainer(&env, FastOptions(5));
   double first = 0, last = 0;
   for (int e = 0; e < 150; ++e) {
     auto st = trainer.TrainEpoch();
@@ -190,7 +189,7 @@ TEST(ActorCriticTrainerTest, LearnsToySequence) {
 
 TEST(ActorCriticTrainerTest, GenerateUsesLearnedPolicy) {
   ToyEnv env({1, 1, 1});
-  ActorCriticTrainer trainer(&env, FastOptions(6));
+  PolicyGradientTrainer trainer(&env, FastOptions(6));
   for (int e = 0; e < 150; ++e) ASSERT_TRUE(trainer.TrainEpoch().ok());
   int satisfied = 0;
   for (int i = 0; i < 50; ++i) {
@@ -205,7 +204,7 @@ TEST(ActorCriticTrainerTest, GenerateUsesLearnedPolicy) {
 
 TEST(ReinforceTrainerTest, LearnsToySequence) {
   ToyEnv env({0, 2, 1});
-  ReinforceTrainer trainer(&env, FastOptions(7));
+  PolicyGradientTrainer trainer(&env, FastOptions(7), /*with_critic=*/false);
   double last = 0;
   for (int e = 0; e < 200; ++e) {
     auto st = trainer.TrainEpoch();
@@ -215,6 +214,18 @@ TEST(ReinforceTrainerTest, LearnsToySequence) {
   EXPECT_GT(last, 0.6);
 }
 
+TEST(PolicyGradientTrainerTest, EmptyBatchIsInvalidArgument) {
+  // An epoch over zero episodes has no statistics to average.
+  for (bool with_critic : {true, false}) {
+    ToyEnv env({0, 1, 2});
+    TrainerOptions o = FastOptions(8);
+    o.batch_size = 0;
+    PolicyGradientTrainer trainer(&env, o, with_critic);
+    EXPECT_EQ(trainer.TrainEpoch().status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TrainerComparisonTest, ActorCriticConvergesAtLeastAsWell) {
   // The paper's §7.3 claim in miniature: with the same budget the
   // actor-critic reaches a final reward no worse than REINFORCE (allowing
@@ -222,8 +233,8 @@ TEST(TrainerComparisonTest, ActorCriticConvergesAtLeastAsWell) {
   double ac_sum = 0, rf_sum = 0;
   for (uint64_t seed : {11u, 12u, 13u}) {
     ToyEnv env1({2, 1, 0}), env2({2, 1, 0});
-    ActorCriticTrainer ac(&env1, FastOptions(seed));
-    ReinforceTrainer rf(&env2, FastOptions(seed));
+    PolicyGradientTrainer ac(&env1, FastOptions(seed));
+    PolicyGradientTrainer rf(&env2, FastOptions(seed), /*with_critic=*/false);
     double ac_last = 0, rf_last = 0;
     for (int e = 0; e < 120; ++e) {
       auto s1 = ac.TrainEpoch();
@@ -485,11 +496,11 @@ void ClipFor(const std::vector<ParamTensor*>& params, double max_norm) {
   }
 }
 
-// Replays ActorCriticTrainer::TrainEpoch (or, without a critic,
-// ReinforceTrainer::TrainEpoch) from the public pieces with a pluggable
-// optimizer tail: the production live-column Adam + ClipGradNorm, or the
-// every-entry reference. The trainers, the live replay and the dense replay
-// must then agree bit for bit.
+// Replays PolicyGradientTrainer::TrainEpoch, with or without its critic,
+// from the public pieces with a pluggable optimizer tail: the production
+// live-column Adam + ClipGradNorm, or the every-entry reference. It does not
+// call TrainPolicyBatch: it is that loop's independent oracle. The trainer,
+// the live replay and the dense replay must then agree bit for bit.
 template <typename Opt>
 class TrainerReplay {
  public:
@@ -631,12 +642,17 @@ class LiveColumnTrainingTest : public ::testing::Test {
   std::optional<Vocabulary> vocab_;
 };
 
-TEST_F(LiveColumnTrainingTest, ActorCriticMatchesDenseOptimizerBitwise) {
+// With and without the critic (actor-critic and REINFORCE).
+class LiveColumnReplayTest : public LiveColumnTrainingTest,
+                             public ::testing::WithParamInterface<bool> {};
+
+TEST_P(LiveColumnReplayTest, MatchesDenseOptimizerBitwise) {
+  const bool with_critic = GetParam();
   auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
-  ActorCriticTrainer trainer(env_t.get(), Options());
-  TrainerReplay<Adam> live(env_l.get(), Options(), /*with_critic=*/true);
+  PolicyGradientTrainer trainer(env_t.get(), Options(), with_critic);
+  TrainerReplay<Adam> live(env_l.get(), Options(), with_critic);
   TrainerReplay<testing_ref::DenseAdam> dense(env_d.get(), Options(),
-                                              /*with_critic=*/true);
+                                              with_critic);
   auto audit = [&live]() {
     const std::string bad = live.NonLiveViolation();
     ASSERT_TRUE(bad.empty()) << bad;
@@ -647,9 +663,11 @@ TEST_F(LiveColumnTrainingTest, ActorCriticMatchesDenseOptimizerBitwise) {
     dense.Epoch([] {});
     const std::string at = "epoch " + std::to_string(epoch);
     ExpectSameParams(trainer.actor().Params(), live.actor().Params(), at);
-    ExpectSameParams(trainer.critic().Params(), live.critic().Params(), at);
     ExpectSameParams(live.actor().Params(), dense.actor().Params(), at);
-    ExpectSameParams(live.critic().Params(), dense.critic().Params(), at);
+    if (with_critic) {
+      ExpectSameParams(trainer.critic()->Params(), live.critic().Params(), at);
+      ExpectSameParams(live.critic().Params(), dense.critic().Params(), at);
+    }
   }
   // The one-hot Wx kept never-touched columns, so the skip was exercised.
   const ParamTensor& wx = *live.actor().Params()[0];
@@ -658,6 +676,11 @@ TEST_F(LiveColumnTrainingTest, ActorCriticMatchesDenseOptimizerBitwise) {
   EXPECT_GT(live_cols, 0);
   EXPECT_LT(live_cols, wx.value.cols());
 }
+
+INSTANTIATE_TEST_SUITE_P(Baseline, LiveColumnReplayTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Critic" : "NoCritic";
+                         });
 
 // FNV-1a over the value bytes of every tensor, in Params() order.
 uint64_t HashParams(const std::vector<ParamTensor*>& params) {
@@ -680,12 +703,12 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
   o.net.hidden_dim = 30;
-  ActorCriticTrainer trainer(env.get(), o);
+  PolicyGradientTrainer trainer(env.get(), o);
   std::vector<uint64_t> trace;
   for (int epoch = 0; epoch < 6; ++epoch) {
     ASSERT_TRUE(trainer.TrainEpoch().ok());
     trace.push_back(HashParams(trainer.actor().Params()));
-    trace.push_back(HashParams(trainer.critic().Params()));
+    trace.push_back(HashParams(trainer.critic()->Params()));
   }
   // Recorded at the commit before the row-tiled forward kernels.
   const std::vector<uint64_t> expected = {
@@ -704,23 +727,27 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
   }
 }
 
-TEST_F(LiveColumnTrainingTest, ReinforceMatchesDenseOptimizerBitwise) {
-  auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
-  ReinforceTrainer trainer(env_t.get(), Options());
-  TrainerReplay<Adam> live(env_l.get(), Options(), /*with_critic=*/false);
-  TrainerReplay<testing_ref::DenseAdam> dense(env_d.get(), Options(),
-                                              /*with_critic=*/false);
-  auto audit = [&live]() {
-    const std::string bad = live.NonLiveViolation();
-    ASSERT_TRUE(bad.empty()) << bad;
-  };
-  for (int epoch = 0; epoch < 20; ++epoch) {
+// The REINFORCE counterpart of the pin above: actor hashes after each of
+// six epochs without the critic. Recorded at the commit before the
+// actor-critic, REINFORCE and meta-critic epochs became one loop.
+TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
+  auto env = MakeEnv();
+  TrainerOptions o = Options();
+  o.net.hidden_dim = 30;
+  PolicyGradientTrainer trainer(env.get(), o, /*with_critic=*/false);
+  std::vector<uint64_t> trace;
+  for (int epoch = 0; epoch < 6; ++epoch) {
     ASSERT_TRUE(trainer.TrainEpoch().ok());
-    live.Epoch(audit);
-    dense.Epoch([] {});
-    const std::string at = "epoch " + std::to_string(epoch);
-    ExpectSameParams(trainer.actor().Params(), live.actor().Params(), at);
-    ExpectSameParams(live.actor().Params(), dense.actor().Params(), at);
+    trace.push_back(HashParams(trainer.actor().Params()));
+  }
+  const std::vector<uint64_t> expected = {
+      0x68e3a2a8e03f4573ull, 0xebc2d3b89e5badfaull, 0x427b5ac5bed32b24ull,
+      0xd5ba82c3af50f05bull, 0x0f16d2fd49bf465full, 0x4ea415089bcadafdull,
+  };
+  ASSERT_EQ(trace.size(), expected.size());
+  for (size_t k = 0; k < trace.size(); ++k) {
+    EXPECT_EQ(trace[k], expected[k])
+        << "epoch " << k << " actor hash 0x" << std::hex << trace[k];
   }
 }
 
