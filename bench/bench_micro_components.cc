@@ -250,19 +250,34 @@ void BM_FeedbackRepeatedFull(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedbackRepeatedFull);
 
-void BM_LstmStepOneHot(benchmark::State& state) {
+// One cache-less width-1 lane step of the paper's 2-layer, 30-unit LSTM
+// over the TPC-H vocabulary, with `tail_dim` constraint features after the
+// one-hot token (AC-extend's input with 2).
+void LstmStepOneHot(benchmark::State& state, int tail_dim) {
   MicroFixture& f = Fixture();
   Rng rng(3);
-  LstmStack lstm(f.vocab->size() + 1, 30, 2, 0.f, &rng);
+  LstmStack lstm(f.vocab->size() + 1 + tail_dim, 30, 2, 0.f, &rng, tail_dim);
   LstmStack::State st = lstm.InitialState();
+  LstmStack::Workspace ws;
+  const std::vector<float> tail(tail_dim, 0.5f);
+  LstmStack::Lane lane;
+  lane.tail = tail.data();
+  lane.state = &st;
   int token = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lstm.Step(token % f.vocab->size(), &st, nullptr, false, &rng));
+    lane.token = token % f.vocab->size();
+    benchmark::DoNotOptimize(lstm.Step(&lane, 1, &ws));
     ++token;
   }
 }
+
+void BM_LstmStepOneHot(benchmark::State& state) { LstmStepOneHot(state, 0); }
 BENCHMARK(BM_LstmStepOneHot);
+
+void BM_LstmStepOneHotTail(benchmark::State& state) {
+  LstmStepOneHot(state, 2);
+}
+BENCHMARK(BM_LstmStepOneHotTail);
 
 // The single-lane gate product of the paper's 30-unit LSTM: 4H x H =
 // 120 x 30, the Wh * h_prev term every training and width-1 decode step

@@ -87,6 +87,7 @@ BatchDecoder::Stats BatchDecoder::Run(
   // capacity survives lane churn (slots are overwritten every step).
   std::vector<PolicyNetwork::CompactDistribution> dists;
   std::vector<Status> statuses;
+  PolicyNetwork::Workspace ws;
   while (!lanes.empty()) {
     const int batch = static_cast<int>(lanes.size());
     eps.resize(batch);
@@ -98,7 +99,7 @@ BatchDecoder::Stats BatchDecoder::Run(
       masks[b] = &lanes[b]->env->ValidActions();
     }
     actor.StepBatch(eps.data(), masks.data(), batch, dists.data(),
-                    statuses.data());
+                    statuses.data(), &ws);
     stats.steps += 1;
     stats.lane_steps += static_cast<uint64_t>(batch);
     stats.peak_lanes = std::max(stats.peak_lanes, batch);

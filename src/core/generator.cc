@@ -20,7 +20,7 @@ Status CheckServable(const LearnedSqlGenOptions& options) {
   }
   if (options.trainer.net.extra_input_dims != 0) {
     return Status::InvalidArgument(
-        "LearnedSqlGen serves the standard one-hot model only "
+        "LearnedSqlGen never feeds constraint features to its model "
         "(trainer.net.extra_input_dims must be 0)");
   }
   return Status::Ok();

@@ -35,9 +35,9 @@ struct OracleOptions {
   /// Lockstep vectorized engine: vexec cardinality must equal the reference
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
-  /// Batched decode vs scalar decode: the cross-request BatchDecoder must
-  /// reproduce the single-lane PolicyNetwork::Step / MatVec path
-  /// byte-for-byte.
+  /// Batched decode vs one-lane decode: the cross-request BatchDecoder
+  /// must reproduce PolicyNetwork::Step (the lane step at width 1, MatVec
+  /// products) byte-for-byte.
   bool check_batch_decode = true;
 
   /// Work budget per reference evaluation; exceeding it skips the check
@@ -108,9 +108,10 @@ class DifferentialOracle {
   /// policy over `context`, which must be over the oracle's database
   /// (seeded from `seed`, so batching must hold for arbitrary weights, not
   /// just trained ones) and decodes a group of episodes under `profile`
-  /// twice — once through the ragged cross-request BatchDecoder (batched
-  /// GEMM forward) and once through RolloutPolicy over the single-lane
-  /// Step (MatVec) with the same per-item RNG streams — asserting attempt
+  /// twice — once through the ragged cross-request BatchDecoder (the lane
+  /// step at width K, batched GEMM) and once through RolloutPolicy (the
+  /// lane step at width 1, MatVec) with the same per-item RNG streams —
+  /// asserting attempt
   /// counts, rendered SQL, metrics and satisfied flags are byte-identical.
   /// This is the serving path's standing guarantee: batching changes
   /// wall-clock only, never samples.

@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -21,108 +22,71 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, Rng* rng)
   for (int i = hidden_dim; i < 2 * hidden_dim; ++i) b_.value.data()[i] = 1.f;
 }
 
-void LstmCell::Gates(Cache* cache) const {
+void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
+                       const float* h_prev, const float* c_prev, int lanes,
+                       Cache* p) const {
   const int h = hidden_dim_;
-  float* i = cache->gates.data();
-  float* f = i + h;
-  float* g = i + 2 * h;
-  float* o = i + 3 * h;
-  cache->c.resize(h);
-  cache->h.resize(h);
-  cache->tanh_c.resize(h);
-  for (int k = 0; k < h; ++k) {
-    i[k] = Sigmoid(i[k]);
-    f[k] = Sigmoid(f[k]);
-    g[k] = std::tanh(g[k]);
-    o[k] = Sigmoid(o[k]);
-    cache->c[k] = f[k] * cache->c_prev[k] + i[k] * g[k];
-    cache->tanh_c[k] = std::tanh(cache->c[k]);
-    cache->h[k] = o[k] * cache->tanh_c[k];
-  }
-}
-
-void LstmCell::Forward(const float* x, const float* h_prev,
-                       const float* c_prev, Cache* cache) const {
-  cache->onehot = -1;
-  cache->x.assign(x, x + input_dim_);
-  cache->h_prev.assign(h_prev, h_prev + hidden_dim_);
-  cache->c_prev.assign(c_prev, c_prev + hidden_dim_);
-  cache->gates.resize(4 * hidden_dim_);
-  float* pre = cache->gates.data();
-  MatVec(wx_.value, x, pre);
-  MatVecAccum(wh_.value, h_prev, pre);
-  const float* b = b_.value.data();
-  for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] += b[k];
-  Gates(cache);
-}
-
-void LstmCell::ForwardOneHot(int idx, const float* h_prev, const float* c_prev,
-                             Cache* cache) const {
-  LSG_DCHECK(idx >= 0 && idx < input_dim_);
-  cache->onehot = idx;
-  cache->x.clear();
-  cache->h_prev.assign(h_prev, h_prev + hidden_dim_);
-  cache->c_prev.assign(c_prev, c_prev + hidden_dim_);
-  cache->gates.resize(4 * hidden_dim_);
-  float* pre = cache->gates.data();
-  // Wx * e_idx = column idx of Wx.
-  for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] = wx_.value.at(k, idx);
-  MatVecAccum(wh_.value, h_prev, pre);
-  const float* b = b_.value.data();
-  for (int k = 0; k < 4 * hidden_dim_; ++k) pre[k] += b[k];
-  Gates(cache);
-}
-
-void LstmCell::GatesBatch(const float* pre, const float* c_prev, int batch,
-                          float* h_out, float* c_out) const {
-  const int h = hidden_dim_;
-  for (int k = 0; k < h; ++k) {
-    for (int b = 0; b < batch; ++b) {
-      const float ig = Sigmoid(pre[static_cast<size_t>(k) * batch + b]);
-      const float fg = Sigmoid(pre[static_cast<size_t>(h + k) * batch + b]);
-      const float gg = std::tanh(pre[static_cast<size_t>(2 * h + k) * batch + b]);
-      const float og = Sigmoid(pre[static_cast<size_t>(3 * h + k) * batch + b]);
-      const float ck =
-          fg * c_prev[static_cast<size_t>(k) * batch + b] + ig * gg;
-      c_out[static_cast<size_t>(k) * batch + b] = ck;
-      h_out[static_cast<size_t>(k) * batch + b] = og * std::tanh(ck);
+  const size_t n = static_cast<size_t>(lanes);
+  LSG_DCHECK(onehot != nullptr ? dense_dim < input_dim_
+                               : dense_dim == input_dim_);
+  p->gates.resize(4 * h * n);
+  p->c.resize(h * n);
+  p->tanh_c.resize(h * n);
+  p->h.resize(h * n);
+  float* pre = p->gates.data();
+  if (onehot == nullptr) {
+    MatMat(wx_.value, x, lanes, pre);
+  } else {
+    const int first = input_dim_ - dense_dim;
+    for (size_t b = 0; b < n; ++b) {
+      LSG_DCHECK(onehot[b] >= 0 && onehot[b] < first);
+    }
+    // Wx (e_token ++ x): the token's column, then the dense products in
+    // ascending column order.
+    const float* w = wx_.value.data();
+    for (size_t b = 0; b < n; ++b) {
+      const float* col = w + onehot[b];
+      for (int k = 0; k < 4 * h; ++k) {
+        pre[k * n + b] = col[static_cast<size_t>(k) * input_dim_];
+      }
+    }
+    for (int j = 0; j < dense_dim; ++j) {
+      const float* col = w + first + j;
+      for (int k = 0; k < 4 * h; ++k) {
+        const float wkj = col[static_cast<size_t>(k) * input_dim_];
+        for (size_t b = 0; b < n; ++b) pre[k * n + b] += wkj * x[j * n + b];
+      }
     }
   }
-}
-
-void LstmCell::ForwardOneHotBatch(const int* idx, const float* h_prev,
-                                  const float* c_prev, int batch, float* h_out,
-                                  float* c_out) const {
-  std::vector<float> pre(static_cast<size_t>(4 * hidden_dim_) * batch);
-  // Column gathers of Wx, one per lane: Wx * e_idx[b].
-  for (int k = 0; k < 4 * hidden_dim_; ++k) {
-    float* ps = pre.data() + static_cast<size_t>(k) * batch;
-    for (int b = 0; b < batch; ++b) {
-      LSG_DCHECK(idx[b] >= 0 && idx[b] < input_dim_);
-      ps[b] = wx_.value.at(k, idx[b]);
+  MatMatAccum(wh_.value, h_prev, lanes, pre);
+  // pre += bias, each entry over its row's lanes (one lane: a plain,
+  // vectorizable vector add).
+  const float* bias = b_.value.data();
+  if (n == 1) {
+    for (int k = 0; k < 4 * h; ++k) pre[k] += bias[k];
+  } else {
+    for (int k = 0; k < 4 * h; ++k) {
+      for (size_t b = 0; b < n; ++b) pre[k * n + b] += bias[k];
     }
   }
-  MatMatAccum(wh_.value, h_prev, batch, pre.data());
-  const float* bias = b_.value.data();
-  for (int k = 0; k < 4 * hidden_dim_; ++k) {
-    float* ps = pre.data() + static_cast<size_t>(k) * batch;
-    for (int b = 0; b < batch; ++b) ps[b] += bias[k];
+  // The gates: i | f | g | o, each an h x n panel.
+  const size_t hn = h * n;
+  float* i = pre;
+  float* f = pre + hn;
+  float* g = pre + 2 * hn;
+  float* o = pre + 3 * hn;
+  float* c = p->c.data();
+  float* tanh_c = p->tanh_c.data();
+  float* h_out = p->h.data();
+  for (size_t j = 0; j < hn; ++j) {
+    i[j] = Sigmoid(i[j]);
+    f[j] = Sigmoid(f[j]);
+    g[j] = std::tanh(g[j]);
+    o[j] = Sigmoid(o[j]);
+    c[j] = f[j] * c_prev[j] + i[j] * g[j];
+    tanh_c[j] = std::tanh(c[j]);
+    h_out[j] = o[j] * tanh_c[j];
   }
-  GatesBatch(pre.data(), c_prev, batch, h_out, c_out);
-}
-
-void LstmCell::ForwardBatch(const float* x_panel, const float* h_prev,
-                            const float* c_prev, int batch, float* h_out,
-                            float* c_out) const {
-  std::vector<float> pre(static_cast<size_t>(4 * hidden_dim_) * batch);
-  MatMat(wx_.value, x_panel, batch, pre.data());
-  MatMatAccum(wh_.value, h_prev, batch, pre.data());
-  const float* bias = b_.value.data();
-  for (int k = 0; k < 4 * hidden_dim_; ++k) {
-    float* ps = pre.data() + static_cast<size_t>(k) * batch;
-    for (int b = 0; b < batch; ++b) ps[b] += bias[k];
-  }
-  GatesBatch(pre.data(), c_prev, batch, h_out, c_out);
 }
 
 void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
@@ -148,7 +112,13 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
   }
   // Parameter gradients.
   if (cache.onehot >= 0) {
+    // The token's column, then each dense column scaled by its input: the
+    // only columns whose dense OuterAccum terms are not ±0.
     wx_.AccumulateColumn(cache.onehot, dpre);
+    const int first = input_dim_ - static_cast<int>(cache.x.size());
+    for (size_t j = 0; j < cache.x.size(); ++j) {
+      wx_.AccumulateColumn(first + static_cast<int>(j), dpre, cache.x[j]);
+    }
   } else {
     OuterAccum(wx_.mutable_grad(), dpre, cache.x.data());
     if (dx_or_null != nullptr) MatTVecAccum(wx_.value, dpre, dx_or_null);
@@ -162,9 +132,10 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
 }
 
 LstmStack::LstmStack(int input_dim, int hidden_dim, int num_layers,
-                     float dropout, Rng* rng)
-    : input_dim_(input_dim), hidden_dim_(hidden_dim), dropout_(dropout) {
+                     float dropout, Rng* rng, int tail_dim)
+    : tail_dim_(tail_dim), hidden_dim_(hidden_dim), dropout_(dropout) {
   LSG_CHECK(num_layers >= 1);
+  LSG_CHECK(tail_dim >= 0 && tail_dim < input_dim);
   cells_.reserve(num_layers);
   cells_.emplace_back(input_dim, hidden_dim, rng);
   for (int l = 1; l < num_layers; ++l) {
@@ -179,99 +150,128 @@ LstmStack::State LstmStack::InitialState() const {
   return s;
 }
 
-const std::vector<float>& LstmStack::Step(int onehot_idx, State* state,
-                                          StepCache* cache, bool train,
-                                          Rng* rng) {
-  return StepImpl(onehot_idx, nullptr, state, cache, train, rng);
+namespace {
+
+// dst[r * dst_stride] = src[r * src_stride] for r < rows: one lane's
+// column of a feature-major panel (stride = its width) to or from a
+// vector. At width 1 both strides are 1 and this is a plain copy.
+void CopyStrided(const float* src, size_t src_stride, float* dst,
+                 size_t dst_stride, size_t rows) {
+  if (src_stride == 1 && dst_stride == 1) {
+    std::copy(src, src + rows, dst);
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) dst[r * dst_stride] = src[r * src_stride];
 }
 
-const std::vector<float>& LstmStack::StepDense(const float* x, State* state,
-                                               StepCache* cache, bool train,
-                                               Rng* rng) {
-  return StepImpl(-1, x, state, cache, train, rng);
+// out = column b of a w-lane panel with `rows` rows.
+void CopyLane(const float* panel, size_t rows, size_t w, size_t b,
+              std::vector<float>* out) {
+  if (w == 1) {
+    out->assign(panel, panel + rows);
+    return;
+  }
+  out->resize(rows);
+  CopyStrided(panel + b, w, out->data(), 1, rows);
 }
 
-const std::vector<float>& LstmStack::StepImpl(int onehot_idx, const float* x0,
-                                              State* state, StepCache* cache,
-                                              bool train, Rng* rng) {
-  // Without a caller cache the layers share the scratch cache: each layer's
-  // h and c are copied into `state` before the next layer overwrites it.
-  const bool drop = train && dropout_ > 0.f;
-  if (cache != nullptr) {
-    cache->layers.resize(cells_.size());
-    cache->dropout_mask.resize(drop ? cells_.size() : 0);
+// Gathers one vector per lane into a w-lane panel (rows x w); at width 1
+// the vector itself is the panel.
+template <typename LaneVector>
+const float* Gather(const LstmStack::Lane* lanes, size_t w, size_t rows,
+                    LaneVector lane_vector, std::vector<float>* panel) {
+  if (w == 1) return lane_vector(lanes[0]);
+  panel->resize(rows * w);
+  for (size_t b = 0; b < w; ++b) {
+    CopyStrided(lane_vector(lanes[b]), 1, panel->data() + b, w, rows);
+  }
+  return panel->data();
+}
+
+}  // namespace
+
+const float* LstmStack::Step(const Lane* lanes, int n, Workspace* ws) const {
+  LSG_CHECK(n > 0);
+  const size_t H = static_cast<size_t>(hidden_dim_);
+  const size_t L = cells_.size();
+  const size_t w = static_cast<size_t>(n);
+  // A single lane with a cache steps inside that cache; otherwise the
+  // layers share the workspace panel, and cached lanes copy their columns.
+  const bool direct = n == 1 && lanes[0].cache != nullptr;
+  ws->tokens.resize(w);
+  for (size_t b = 0; b < w; ++b) {
+    ws->tokens[b] = lanes[b].token;
+    if (lanes[b].cache == nullptr) continue;
+    const bool drop = lanes[b].dropout != nullptr && dropout_ > 0.f;
+    lanes[b].cache->layers.resize(L);
+    lanes[b].cache->dropout_mask.resize(drop ? L : 0);
   }
 
-  for (size_t l = 0; l < cells_.size(); ++l) {
-    LstmCell::Cache& cc = cache != nullptr ? cache->layers[l] : scratch_;
+  const float* below = nullptr;  // the layer below's h panel
+  for (size_t l = 0; l < L; ++l) {
+    // Layer 0 reads the tails, the others the layer below's h through each
+    // lane's dropout mask.
+    const float* x = below;
+    size_t dense_dim = H;
     if (l == 0) {
-      if (x0 != nullptr) {
-        cells_[0].Forward(x0, state->h[0].data(), state->c[0].data(), &cc);
-      } else {
-        cells_[0].ForwardOneHot(onehot_idx, state->h[0].data(),
-                                state->c[0].data(), &cc);
-      }
+      dense_dim = static_cast<size_t>(tail_dim_);
+      x = Gather(lanes, w, dense_dim,
+                 [](const Lane& lane) { return lane.tail; }, &ws->x);
     } else {
-      const float* input = state->h[l - 1].data();
-      if (drop) {
-        // The mask is kept only when there is a cache to backpropagate.
+      bool dropped = false;
+      for (size_t b = 0; b < w; ++b) {
+        if (lanes[b].dropout == nullptr || dropout_ <= 0.f) continue;
+        if (!dropped) ws->x.assign(below, below + H * w);
+        dropped = true;
         float* mask = nullptr;
-        if (cache != nullptr) {
-          cache->dropout_mask[l].resize(hidden_dim_);
-          mask = cache->dropout_mask[l].data();
+        if (lanes[b].cache != nullptr) {
+          lanes[b].cache->dropout_mask[l].resize(H);
+          mask = lanes[b].cache->dropout_mask[l].data();
         }
-        dropped_input_ = state->h[l - 1];
         const float keep = 1.f - dropout_;
-        for (int k = 0; k < hidden_dim_; ++k) {
-          const float m = rng->Bernoulli(keep) ? 1.f / keep : 0.f;
+        for (size_t k = 0; k < H; ++k) {
+          const float m = lanes[b].dropout->Bernoulli(keep) ? 1.f / keep : 0.f;
           if (mask != nullptr) mask[k] = m;
-          dropped_input_[k] *= m;
+          ws->x[k * w + b] *= m;
         }
-        input = dropped_input_.data();
       }
-      cells_[l].Forward(input, state->h[l].data(), state->c[l].data(), &cc);
+      if (dropped) x = ws->x.data();
     }
-    state->h[l] = cc.h;
-    state->c[l] = cc.c;
+    const float* h_prev = Gather(
+        lanes, w, H,
+        [l](const Lane& lane) { return lane.state->h[l].data(); },
+        &ws->h_prev);
+    const float* c_prev = Gather(
+        lanes, w, H,
+        [l](const Lane& lane) { return lane.state->c[l].data(); },
+        &ws->c_prev);
+    // Cached lanes keep their inputs before the forward: without a cache
+    // or dropout, x is the shared panel's h, which the forward overwrites.
+    for (size_t b = 0; b < w; ++b) {
+      if (lanes[b].cache == nullptr) continue;
+      LstmCell::Cache* cc = &lanes[b].cache->layers[l];
+      cc->onehot = l == 0 ? lanes[b].token : -1;
+      CopyLane(x, dense_dim, w, b, &cc->x);
+      CopyLane(h_prev, H, w, b, &cc->h_prev);
+      CopyLane(c_prev, H, w, b, &cc->c_prev);
+    }
+    LstmCell::Cache& out = direct ? lanes[0].cache->layers[l] : ws->panel;
+    cells_[l].Forward(l == 0 ? ws->tokens.data() : nullptr, x,
+                      static_cast<int>(dense_dim), h_prev, c_prev, n, &out);
+    for (size_t b = 0; b < w; ++b) {
+      if (lanes[b].cache != nullptr && !direct) {
+        LstmCell::Cache* cc = &lanes[b].cache->layers[l];
+        CopyLane(out.gates.data(), 4 * H, w, b, &cc->gates);
+        CopyLane(out.c.data(), H, w, b, &cc->c);
+        CopyLane(out.tanh_c.data(), H, w, b, &cc->tanh_c);
+        CopyLane(out.h.data(), H, w, b, &cc->h);
+      }
+      CopyStrided(out.h.data() + b, w, lanes[b].state->h[l].data(), 1, H);
+      CopyStrided(out.c.data() + b, w, lanes[b].state->c[l].data(), 1, H);
+    }
+    below = out.h.data();
   }
-  return state->h.back();
-}
-
-void LstmStack::StepBatch(const int* tokens, State* const* states, int batch,
-                          std::vector<float>* top_h_panel) const {
-  LSG_CHECK(batch > 0);
-  const int H = hidden_dim_;
-  const size_t panel = static_cast<size_t>(H) * batch;
-  std::vector<float> h_prev(panel);
-  std::vector<float> c_prev(panel);
-  std::vector<float> h_out(panel);
-  std::vector<float> c_out(panel);
-  std::vector<float> input;  // previous layer's h panel (no dropout: serving)
-  for (size_t l = 0; l < cells_.size(); ++l) {
-    for (int k = 0; k < H; ++k) {
-      const size_t base = static_cast<size_t>(k) * batch;
-      for (int b = 0; b < batch; ++b) {
-        h_prev[base + b] = states[b]->h[l][k];
-        c_prev[base + b] = states[b]->c[l][k];
-      }
-    }
-    if (l == 0) {
-      cells_[0].ForwardOneHotBatch(tokens, h_prev.data(), c_prev.data(), batch,
-                                   h_out.data(), c_out.data());
-    } else {
-      cells_[l].ForwardBatch(input.data(), h_prev.data(), c_prev.data(), batch,
-                             h_out.data(), c_out.data());
-    }
-    for (int k = 0; k < H; ++k) {
-      const size_t base = static_cast<size_t>(k) * batch;
-      for (int b = 0; b < batch; ++b) {
-        states[b]->h[l][k] = h_out[base + b];
-        states[b]->c[l][k] = c_out[base + b];
-      }
-    }
-    input = h_out;
-  }
-  *top_h_panel = std::move(input);
+  return below;
 }
 
 void LstmStack::Backward(const std::vector<StepCache>& caches,

@@ -7,23 +7,22 @@
 
 namespace lsg {
 
-/// One LSTM cell with standard gates (input, forget, cell, output). Inputs
-/// may be dense vectors or one-hot indices (the token encoding of §4.1);
-/// the one-hot path touches only a single column of Wx in both passes, so
-/// only the columns of tokens actually fed go live for the optimizer.
+/// One LSTM cell with standard gates (input, forget, cell, output). An
+/// input is an optional one-hot column (the token encoding of §4.1) followed
+/// by a dense block; the one-hot part touches only its own column of Wx in
+/// both passes, so only the columns actually fed go live for the optimizer.
 class LstmCell {
  public:
   LstmCell(int input_dim, int hidden_dim, Rng* rng);
 
-  int input_dim() const { return input_dim_; }
-  int hidden_dim() const { return hidden_dim_; }
-
-  /// Per-step activations retained for BPTT. A reused cache keeps its
-  /// buffers, so a step into it allocates nothing.
+  /// The activations of one step over `lanes` lanes, every field a
+  /// feature-major panel ([feature][lane], lane index contiguous). At one
+  /// lane, with its inputs filled in, it is the per-step BPTT cache. A
+  /// reused cache keeps its buffers, so a step into it allocates nothing.
   struct Cache {
-    int onehot = -1;               ///< one-hot index, or -1 for dense input
-    std::vector<float> x;          ///< dense input (empty when one-hot)
-    std::vector<float> h_prev, c_prev;
+    int onehot = -1;               ///< one-hot index, or -1 (BPTT cache)
+    std::vector<float> x;          ///< dense input block (BPTT cache)
+    std::vector<float> h_prev, c_prev;  ///< (BPTT cache)
     /// The 4H gate pre-activations, overwritten in place by the
     /// post-activation gates i | f | g | o.
     std::vector<float> gates;
@@ -31,32 +30,24 @@ class LstmCell {
     std::vector<float> tanh_c;     ///< tanh(c), the factor of h = o * tanh(c)
   };
 
-  /// Dense-input step.
-  void Forward(const float* x, const float* h_prev, const float* c_prev,
-               Cache* cache) const;
+  /// The one forward, over `lanes` lanes: writes p->gates, p->c, p->tanh_c
+  /// and p->h. Lane b's input is e_{onehot[b]} (no one-hot part when onehot
+  /// is null) followed by column b of x, a (dense_dim x lanes) panel over
+  /// the last dense_dim input columns (all of them without a one-hot part);
+  /// h_prev and c_prev are (H x lanes) panels. x may alias p->h: it is read
+  /// before the gates are written. Each Wx row sum starts at the token's
+  /// column and adds the dense products in ascending column order: the
+  /// chain a dense MatVec over the whole input runs, less its ±0 terms.
+  void Forward(const int* onehot, const float* x, int dense_dim,
+               const float* h_prev, const float* c_prev, int lanes,
+               Cache* p) const;
 
-  /// One-hot-input step (x = e_idx).
-  void ForwardOneHot(int idx, const float* h_prev, const float* c_prev,
-                     Cache* cache) const;
-
-  /// Inference-only batched one-hot step over `batch` independent lanes.
-  /// All panels are feature-major ([feature][lane], lane index contiguous):
-  /// h_prev/c_prev/h_out/c_out are (H x batch), idx[b] is lane b's token.
-  /// Each lane's arithmetic runs in the same per-element order as
-  /// ForwardOneHot, so results are bitwise-identical to the scalar step.
-  void ForwardOneHotBatch(const int* idx, const float* h_prev,
-                          const float* c_prev, int batch, float* h_out,
-                          float* c_out) const;
-
-  /// Dense-input batched step (x_panel is input_dim x batch, feature-major).
-  void ForwardBatch(const float* x_panel, const float* h_prev,
-                    const float* c_prev, int batch, float* h_out,
-                    float* c_out) const;
-
-  /// Backward through one step. `dh`/`dc` are gradients flowing into this
-  /// step's outputs; `dh_prev`/`dc_prev` receive (overwrite) gradients for
-  /// the previous step; `dx_or_null` accumulates input gradients (skipped
-  /// for one-hot inputs — tokens are not learnable).
+  /// Backward through one step of a one-lane cache. `dh`/`dc` are
+  /// gradients flowing into this step's outputs; `dh_prev`/`dc_prev`
+  /// receive (overwrite) gradients for the previous step; `dx_or_null`
+  /// accumulates input gradients (skipped for a one-hot input — tokens and
+  /// their feature tail are not learnable). A one-hot input writes Wx's
+  /// gradient in the token's and the dense columns only.
   void Backward(const Cache& cache, const float* dh, const float* dc,
                 float* dh_prev, float* dc_prev, float* dx_or_null);
 
@@ -64,10 +55,6 @@ class LstmCell {
   std::vector<const ParamTensor*> Params() const { return {&wx_, &wh_, &b_}; }
 
  private:
-  void Gates(Cache* cache) const;
-  void GatesBatch(const float* pre, const float* c_prev, int batch,
-                  float* h_out, float* c_out) const;
-
   int input_dim_;
   int hidden_dim_;
   ParamTensor wx_;  ///< (4H x In)
@@ -77,14 +64,13 @@ class LstmCell {
 };
 
 /// A stack of LSTM cells with inverted dropout between layers (the paper:
-/// 2-layer LSTM, 30 cell units, dropout 0.3).
+/// 2-layer LSTM, 30 cell units, dropout 0.3). Layer 0 reads a one-hot
+/// token followed by `tail_dim` dense features (the AC-extend constraint
+/// encoding of §7.4; none for the standard model).
 class LstmStack {
  public:
   LstmStack(int input_dim, int hidden_dim, int num_layers, float dropout,
-            Rng* rng);
-
-  int hidden_dim() const { return hidden_dim_; }
-  int num_layers() const { return static_cast<int>(cells_.size()); }
+            Rng* rng, int tail_dim = 0);
 
   /// Recurrent state: h and c per layer.
   struct State {
@@ -98,28 +84,33 @@ class LstmStack {
     std::vector<std::vector<float>> dropout_mask;
   };
 
+  /// One lane of a step.
+  struct Lane {
+    int token = 0;                 ///< one-hot input (< input_dim - tail_dim)
+    const float* tail = nullptr;   ///< tail_dim features
+    State* state = nullptr;        ///< advanced in place
+    StepCache* cache = nullptr;    ///< BPTT cache to fill, or null
+    Rng* dropout = nullptr;        ///< dropout stream, or null for none
+  };
+
+  /// The output panel the layers share when no lane cache holds it, and
+  /// the gathered input panels. A reused workspace allocates nothing once
+  /// it has seen the widest step.
+  struct Workspace {
+    LstmCell::Cache panel;
+    std::vector<float> x, h_prev, c_prev;
+    std::vector<int> tokens;
+  };
+
   State InitialState() const;
 
-  /// Advances one token. Updates `state` in place; fills `cache` when
-  /// non-null (training); applies dropout only when `train` is true.
-  /// Returns a pointer to the top layer's hidden vector inside `state`.
-  const std::vector<float>& Step(int onehot_idx, State* state,
-                                 StepCache* cache, bool train, Rng* rng);
-
-  /// Dense-input variant (x has input_dim entries). Used when extra
-  /// feature dimensions are appended to the one-hot token encoding
-  /// (the AC-extend baseline of §7.4).
-  const std::vector<float>& StepDense(const float* x, State* state,
-                                      StepCache* cache, bool train, Rng* rng);
-
-  /// Inference-only batched step: advances `batch` independent decode lanes
-  /// one token each through a single matrix-matrix forward per layer.
-  /// tokens[b] is lane b's one-hot input; states[b] is updated in place.
-  /// No caches, no dropout (serving path). `top_h_panel` receives the top
-  /// layer's hidden panel (H x batch, feature-major) for the output head.
-  /// Per lane this is bitwise-identical to Step(..., train=false).
-  void StepBatch(const int* tokens, State* const* states, int batch,
-                 std::vector<float>* top_h_panel) const;
+  /// The one step: advances `n` lanes one input each, through one
+  /// matrix-matrix product per layer. A lane draws its dropout masks from
+  /// its own stream, layer by layer, so lane b at any width is bitwise
+  /// lane b stepped alone. Returns the top layer's hidden panel (H x n,
+  /// feature-major), valid until the next step into the same workspace or
+  /// cache.
+  const float* Step(const Lane* lanes, int n, Workspace* ws) const;
 
   /// Backpropagation through time over a full episode. `dtop[t]` is the
   /// loss gradient w.r.t. the top-layer hidden state after step t.
@@ -130,18 +121,10 @@ class LstmStack {
   std::vector<const ParamTensor*> Params() const;
 
  private:
-  const std::vector<float>& StepImpl(int onehot_idx, const float* x0,
-                                     State* state, StepCache* cache,
-                                     bool train, Rng* rng);
-
-  int input_dim_;
+  int tail_dim_;
   int hidden_dim_;
   float dropout_;
   std::vector<LstmCell> cells_;
-  /// StepImpl's buffers when the caller keeps no cache: the layers share
-  /// one cell cache, and a dropout-masked copy of the layer input.
-  LstmCell::Cache scratch_;
-  std::vector<float> dropped_input_;
 };
 
 }  // namespace lsg

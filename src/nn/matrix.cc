@@ -261,7 +261,7 @@ Matrix* ParamTensor::mutable_grad() {
   return &grad_;
 }
 
-void ParamTensor::AccumulateColumn(int c, const float* d) {
+void ParamTensor::AccumulateColumn(int c, const float* d, float scale) {
   LSG_DCHECK(c >= 0 && c < grad_.cols());
   // The first run starting after c; the one before it is the only run that
   // can contain c or end right at it.
@@ -283,7 +283,7 @@ void ParamTensor::AccumulateColumn(int c, const float* d) {
       live_runs_.insert(next, ColumnRun{c, c + 1});
     }
   }
-  for (int r = 0; r < grad_.rows(); ++r) grad_.at(r, c) += d[r];
+  for (int r = 0; r < grad_.rows(); ++r) grad_.at(r, c) += d[r] * scale;
 }
 
 bool ParamTensor::IsLive(int c) const {

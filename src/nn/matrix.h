@@ -72,8 +72,8 @@ class ParamTensor {
   /// Whole-gradient write access; marks every column live.
   Matrix* mutable_grad();
 
-  /// grad(:, c) += d (d has rows() entries); marks column c live.
-  void AccumulateColumn(int c, const float* d);
+  /// grad(:, c) += d * scale (d has rows() entries); marks column c live.
+  void AccumulateColumn(int c, const float* d, float scale = 1.f);
 
   /// Whether column c has ever received a gradient.
   bool IsLive(int c) const;

@@ -30,13 +30,15 @@ MetaCritic::Episode MetaCritic::BeginEpisode(bool train) const {
 }
 
 float MetaCritic::StepValue(Episode* ep, int input_token) {
-  LstmStack::StepCache* cache = nullptr;
+  LstmStack::Lane lane;
+  lane.token = input_token;
+  lane.state = &ep->state;
   if (ep->train) {
     ep->state_caches.emplace_back();
-    cache = &ep->state_caches.back();
+    lane.cache = &ep->state_caches.back();
+    lane.dropout = &rng_;
   }
-  const std::vector<float>& top =
-      state_lstm_.Step(input_token, &ep->state, cache, ep->train, &rng_);
+  const float* top = state_lstm_.Step(&lane, 1, &ws_);
 
   std::vector<float> fuse_in(options_.hidden_dim + options_.encoder_dim);
   for (int i = 0; i < options_.hidden_dim; ++i) fuse_in[i] = top[i];
@@ -57,18 +59,21 @@ float MetaCritic::StepValue(Episode* ep, int input_token) {
 }
 
 void MetaCritic::ObserveTriple(Episode* ep, int action, double reward) {
-  std::vector<float> x(options_.action_embed_dim + 1);
-  for (int i = 0; i < options_.action_embed_dim; ++i) {
-    x[i] = action_embed_.value.at(i, action);
-  }
-  x[options_.action_embed_dim] = static_cast<float>(reward);
   LstmCell::Cache cache;
-  encoder_.Forward(x.data(), ep->enc_h.data(), ep->enc_c.data(), &cache);
+  cache.x.resize(options_.action_embed_dim + 1);
+  for (int i = 0; i < options_.action_embed_dim; ++i) {
+    cache.x[i] = action_embed_.value.at(i, action);
+  }
+  cache.x[options_.action_embed_dim] = static_cast<float>(reward);
+  cache.h_prev = ep->enc_h;
+  cache.c_prev = ep->enc_c;
+  encoder_.Forward(/*onehot=*/nullptr, cache.x.data(),
+                   static_cast<int>(cache.x.size()), cache.h_prev.data(),
+                   cache.c_prev.data(), /*lanes=*/1, &cache);
   ep->enc_h = cache.h;
   ep->enc_c = cache.c;
   if (ep->train) {
     ep->enc_caches.push_back(std::move(cache));
-    ep->enc_inputs.push_back(std::move(x));
     ep->enc_actions.push_back(action);
   }
 }
@@ -130,7 +135,10 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
 RolloutHooks MetaCritic::FollowEpisode(const std::vector<float>& /*extra*/) {
   followed_ = BeginEpisode(/*train=*/true);
   RolloutHooks hooks;
-  hooks.after_actor_step = [this](int input) { StepValue(&followed_, input); };
+  hooks.after_actor_step = [this](int input) {
+    StepValue(&followed_, input);
+    return Status::Ok();
+  };
   hooks.after_env_step = [this](int action, double reward) {
     ObserveTriple(&followed_, action, reward);
   };

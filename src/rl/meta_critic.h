@@ -47,8 +47,7 @@ class MetaCritic : public Critic {
     std::vector<LstmStack::StepCache> state_caches;
     // Constraint-encoder path.
     std::vector<float> enc_h, enc_c;
-    std::vector<LstmCell::Cache> enc_caches;
-    std::vector<std::vector<float>> enc_inputs;  ///< [a_emb ; r] per triple
+    std::vector<LstmCell::Cache> enc_caches;  ///< x = [a_emb ; r]
     std::vector<int> enc_actions;
     // Fusion caches.
     std::vector<std::vector<float>> fuse_in;   ///< [h_top ; z]
@@ -90,6 +89,7 @@ class MetaCritic : public Critic {
   ParamTensor action_embed_;  ///< (E x |A|+1)
   Linear fuse1_;
   Linear fuse2_;
+  LstmStack::Workspace ws_;  ///< StepValue's scratch
   Episode followed_;
 };
 

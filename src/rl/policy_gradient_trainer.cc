@@ -40,7 +40,9 @@ StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
   for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const PolicyNetwork::CompactDistribution* dist = nullptr;
     LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions(), &dist));
-    if (hooks.after_actor_step) hooks.after_actor_step(input);
+    if (hooks.after_actor_step) {
+      LSG_RETURN_IF_ERROR(hooks.after_actor_step(input));
+    }
     const int a = actor->SampleAction(*dist, rng);
     actor->RecordAction(ep, a);
     auto sr = env->Step(a);

@@ -52,7 +52,8 @@ struct EpochStats {
 struct RolloutHooks {
   /// Runs after the actor's step and before sampling, with the token the
   /// actor just consumed (its BOS index first, then each sampled action).
-  std::function<void(int input)> after_actor_step;
+  /// A failed status ends the rollout with it.
+  std::function<Status(int input)> after_actor_step;
   /// Runs once the environment has applied `action`.
   std::function<void(int action, double reward)> after_env_step;
 };

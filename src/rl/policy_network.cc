@@ -1,17 +1,30 @@
 #include "rl/policy_network.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 
 namespace lsg {
+
+Status CheckExtraFeatures(const std::vector<float>& extra,
+                          const NetworkOptions& options) {
+  if (extra.size() == static_cast<size_t>(options.extra_input_dims)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "feature tail has " + std::to_string(extra.size()) +
+      " entries; the network takes extra_input_dims = " +
+      std::to_string(options.extra_input_dims));
+}
 
 PolicyNetwork::PolicyNetwork(int vocab_size, const NetworkOptions& options)
     : vocab_size_(vocab_size),
       options_(options),
       rng_(options.seed),
       lstm_(vocab_size + 1 + options.extra_input_dims, options.hidden_dim,
-            options.num_layers, options.dropout, &rng_),
+            options.num_layers, options.dropout, &rng_,
+            options.extra_input_dims),
       head_(options.hidden_dim, vocab_size, &rng_) {}
 
 PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
@@ -40,30 +53,45 @@ Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
   return TryCompactSoftmaxInPlace(d->probs.data(), d->probs.size());
 }
 
+void PolicyNetwork::StepLanes(Episode* const* eps,
+                              const std::vector<uint8_t>* const* masks, int n,
+                              Rng* dropout, CompactDistribution* dists,
+                              Status* statuses, Workspace* ws) const {
+  ws->lanes.clear();
+  ws->live.clear();
+  for (int b = 0; b < n; ++b) {
+    Episode* ep = eps[b];
+    statuses[b] = CheckExtraFeatures(ep->extra, options_);
+    if (!statuses[b].ok()) continue;
+    LstmStack::Lane lane;
+    lane.token = ep->actions.empty() ? bos_index() : ep->actions.back();
+    lane.tail = ep->extra.data();
+    lane.state = &ep->state;
+    if (ep->train) {
+      ep->caches.emplace_back();
+      lane.cache = &ep->caches.back();
+      lane.dropout = dropout;
+    }
+    ws->lanes.push_back(lane);
+    ws->live.push_back(b);
+  }
+  if (ws->lanes.empty()) return;
+  const int width = static_cast<int>(ws->lanes.size());
+  const float* top = lstm_.Step(ws->lanes.data(), width, &ws->lstm);
+  // Lane j's top hidden state is column j of the feature-major panel.
+  for (int j = 0; j < width; ++j) {
+    const int b = ws->live[j];
+    statuses[b] = MaskedHead(top + j, width, *masks[b], &dists[b]);
+  }
+}
+
 Status PolicyNetwork::Step(Episode* ep, const std::vector<uint8_t>& mask,
                            const CompactDistribution** dist) {
-  const int prev =
-      ep->actions.empty() ? bos_index() : ep->actions.back();
-  LstmStack::StepCache* cache = nullptr;
-  if (ep->train) {
-    ep->caches.emplace_back();
-    cache = &ep->caches.back();
-  }
-  const std::vector<float>* top;
-  if (options_.extra_input_dims > 0) {
-    // Dense input: one-hot + constraint feature tail.
-    std::vector<float> x(vocab_size_ + 1 + options_.extra_input_dims, 0.f);
-    x[prev] = 1.f;
-    for (int i = 0; i < options_.extra_input_dims &&
-                    i < static_cast<int>(ep->extra.size()); ++i) {
-      x[vocab_size_ + 1 + i] = ep->extra[i];
-    }
-    top = &lstm_.StepDense(x.data(), &ep->state, cache, ep->train, &rng_);
-  } else {
-    top = &lstm_.Step(prev, &ep->state, cache, ep->train, &rng_);
-  }
   ep->dists.emplace_back();
-  LSG_RETURN_IF_ERROR(MaskedHead(top->data(), 1, mask, &ep->dists.back()));
+  const std::vector<uint8_t>* masks = &mask;
+  Status status;
+  StepLanes(&ep, &masks, 1, &rng_, &ep->dists.back(), &status, &ws_);
+  LSG_RETURN_IF_ERROR(status);
   *dist = &ep->dists.back();
   return Status::Ok();
 }
@@ -71,23 +99,9 @@ Status PolicyNetwork::Step(Episode* ep, const std::vector<uint8_t>& mask,
 void PolicyNetwork::StepBatch(Episode* const* lanes,
                               const std::vector<uint8_t>* const* masks,
                               int batch, CompactDistribution* dists,
-                              Status* statuses) const {
-  LSG_CHECK(options_.extra_input_dims == 0)
-      << "batched decode supports the standard one-hot model only";
-  std::vector<int> tokens(batch);
-  std::vector<LstmStack::State*> states(batch);
-  for (int b = 0; b < batch; ++b) {
-    LSG_CHECK(!lanes[b]->train);
-    tokens[b] =
-        lanes[b]->actions.empty() ? bos_index() : lanes[b]->actions.back();
-    states[b] = &lanes[b]->state;
-  }
-  std::vector<float> top_panel;
-  lstm_.StepBatch(tokens.data(), states.data(), batch, &top_panel);
-  // Lane b's top hidden state is column b of the feature-major panel.
-  for (int b = 0; b < batch; ++b) {
-    statuses[b] = MaskedHead(top_panel.data() + b, batch, *masks[b], &dists[b]);
-  }
+                              Status* statuses, Workspace* ws) const {
+  for (int b = 0; b < batch; ++b) LSG_CHECK(!lanes[b]->train);
+  StepLanes(lanes, masks, batch, /*dropout=*/nullptr, dists, statuses, ws);
 }
 
 int PolicyNetwork::SampleAction(const CompactDistribution& d,

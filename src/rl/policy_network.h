@@ -22,6 +22,11 @@ struct NetworkOptions {
   int extra_input_dims = 0;
 };
 
+/// InvalidArgument unless `extra` has options.extra_input_dims entries: a
+/// network never pads or truncates the feature tail it was built for.
+Status CheckExtraFeatures(const std::vector<float>& extra,
+                          const NetworkOptions& options);
+
 /// The actor: one-hot token sequence -> LSTM stack -> Linear(|A|) ->
 /// FSM-masked softmax policy π_θ(a|s) (paper §4.3).
 class PolicyNetwork {
@@ -53,27 +58,36 @@ class PolicyNetwork {
     bool train = false;
   };
 
+  /// Scratch of one step over lanes. The const entry takes it from the
+  /// caller, so one network can serve many threads lock-free.
+  struct Workspace {
+    LstmStack::Workspace lstm;
+    std::vector<LstmStack::Lane> lanes;
+    std::vector<int> live;  ///< episode index of each stepped lane
+  };
+
   Episode BeginEpisode(bool train) const;
 
-  /// Advances the LSTM over the previous action (BOS on the first call),
-  /// appends the masked action distribution for the next step to ep->dists
-  /// and points `*dist` at it (valid until the next Step). Training
-  /// episodes also keep the BPTT cache and apply dropout. An empty mask or a
-  /// degenerate masked logit row comes back as kInternal (the episode is
-  /// then unusable). Handles dense extra inputs (AC-extend).
+  /// Advances the LSTM over the previous action (BOS on the first call)
+  /// and the episode's feature tail, appends the masked action
+  /// distribution for the next step to ep->dists and points `*dist` at it
+  /// (valid until the next Step). Training episodes also keep the BPTT
+  /// cache and draw dropout from the network's stream. InvalidArgument
+  /// for a feature tail of the wrong length; kInternal for an empty mask
+  /// or a degenerate masked logit row (the episode is then unusable).
   Status Step(Episode* ep, const std::vector<uint8_t>& mask,
               const CompactDistribution** dist);
 
-  /// Inference-only batched step: advances `batch` independent episodes one
-  /// token each through a single batched LSTM forward and projects each
-  /// lane's masked head rows into dists[b]. Per lane this is
-  /// bitwise-identical to Step on a non-training episode. Requires
-  /// extra_input_dims == 0 and !train on every lane (the serving model).
-  /// statuses[b] receives the lane's masked-softmax status (a kInternal
-  /// lane's dists entry is unspecified and the lane must be dropped).
+  /// Inference step over `batch` non-training episodes, one token each,
+  /// through one LSTM step over lanes; lane b's masked distribution goes
+  /// into dists[b]. Per lane this is bitwise Step on that episode alone.
+  /// statuses[b] receives the lane's status, as Step would return it (a
+  /// failed lane's dists entry is unspecified and the lane must be
+  /// dropped).
   void StepBatch(Episode* const* lanes,
                  const std::vector<uint8_t>* const* masks, int batch,
-                 CompactDistribution* dists, Status* statuses) const;
+                 CompactDistribution* dists, Status* statuses,
+                 Workspace* ws) const;
 
   /// Records the sampled action (must follow Step).
   void RecordAction(Episode* ep, int action) const { ep->actions.push_back(action); }
@@ -99,6 +113,12 @@ class PolicyNetwork {
   std::vector<const ParamTensor*> Params() const;
 
  private:
+  /// The one step: Step and StepBatch. Training episodes draw dropout
+  /// from `dropout`.
+  void StepLanes(Episode* const* eps, const std::vector<uint8_t>* const* masks,
+                 int n, Rng* dropout, CompactDistribution* dists,
+                 Status* statuses, Workspace* ws) const;
+
   /// Projects the masked head rows of the top hidden state (read at
   /// `top_stride`: 1 for a vector, the batch width for a panel column) and
   /// runs the compact softmax over them into `*d`.
@@ -111,6 +131,7 @@ class PolicyNetwork {
   Rng rng_;
   LstmStack lstm_;
   Linear head_;
+  Workspace ws_;  ///< Step's scratch
 };
 
 }  // namespace lsg

@@ -9,7 +9,8 @@ ValueNetwork::ValueNetwork(int vocab_size, const NetworkOptions& options)
       options_(options),
       rng_(options.seed + 0x5EED),
       lstm_(vocab_size + 1 + options.extra_input_dims, options.hidden_dim,
-            options.num_layers, options.dropout, &rng_),
+            options.num_layers, options.dropout, &rng_,
+            options.extra_input_dims),
       head_(options.hidden_dim, 1, &rng_) {}
 
 ValueNetwork::Episode ValueNetwork::BeginEpisode(bool train) const {
@@ -19,26 +20,20 @@ ValueNetwork::Episode ValueNetwork::BeginEpisode(bool train) const {
   return ep;
 }
 
-float ValueNetwork::StepValue(Episode* ep, int input_token) {
-  LstmStack::StepCache* cache = nullptr;
+StatusOr<float> ValueNetwork::StepValue(Episode* ep, int input_token) {
+  LSG_RETURN_IF_ERROR(CheckExtraFeatures(ep->extra, options_));
+  LstmStack::Lane lane;
+  lane.token = input_token;
+  lane.tail = ep->extra.data();
+  lane.state = &ep->state;
   if (ep->train) {
     ep->caches.emplace_back();
-    cache = &ep->caches.back();
+    lane.cache = &ep->caches.back();
+    lane.dropout = &rng_;
   }
-  const std::vector<float>* top;
-  if (options_.extra_input_dims > 0) {
-    std::vector<float> x(vocab_size_ + 1 + options_.extra_input_dims, 0.f);
-    x[input_token] = 1.f;
-    for (int i = 0; i < options_.extra_input_dims &&
-                    i < static_cast<int>(ep->extra.size()); ++i) {
-      x[vocab_size_ + 1 + i] = ep->extra[i];
-    }
-    top = &lstm_.StepDense(x.data(), &ep->state, cache, ep->train, &rng_);
-  } else {
-    top = &lstm_.Step(input_token, &ep->state, cache, ep->train, &rng_);
-  }
+  const float* top = lstm_.Step(&lane, 1, &ws_);
   float v = 0.f;
-  head_.Forward(top->data(), &v);
+  head_.Forward(top, &v);
   ep->values.push_back(v);
   ep->inputs.push_back(input_token);
   return v;
@@ -63,7 +58,9 @@ RolloutHooks ValueNetwork::FollowEpisode(const std::vector<float>& extra) {
   followed_ = BeginEpisode(/*train=*/true);
   followed_.extra = extra;
   RolloutHooks hooks;
-  hooks.after_actor_step = [this](int input) { StepValue(&followed_, input); };
+  hooks.after_actor_step = [this](int input) {
+    return StepValue(&followed_, input).status();
+  };
   return hooks;
 }
 

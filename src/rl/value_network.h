@@ -32,8 +32,10 @@ class ValueNetwork : public Critic {
   Episode BeginEpisode(bool train) const;
 
   /// Feeds the next input token (use bos_index() for the first call, then
-  /// the actions chosen by the actor) and returns V of the resulting state.
-  float StepValue(Episode* ep, int input_token);
+  /// the actions chosen by the actor) and the episode's feature tail, and
+  /// returns V of the resulting state. InvalidArgument for a feature tail
+  /// of the wrong length.
+  StatusOr<float> StepValue(Episode* ep, int input_token);
 
   /// Accumulates TD-error critic gradients: minimizes
   /// Σ_t 0.5·(r_t + V(s_{t+1}) − V(s_t))² with the target held fixed;
@@ -57,6 +59,7 @@ class ValueNetwork : public Critic {
   Rng rng_;
   LstmStack lstm_;
   Linear head_;
+  LstmStack::Workspace ws_;  ///< StepValue's scratch
   Episode followed_;
 };
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "nn/adam.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/matrix.h"
@@ -18,6 +17,7 @@
 #include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
 #include "tests/scalar_forward_reference.h"
+#include "tests/scalar_lstm_reference.h"
 
 namespace lsg {
 namespace {
@@ -238,7 +238,8 @@ void FillWithSpecials(Rng* rng, float* v, size_t n) {
 
 bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
@@ -337,45 +338,229 @@ TEST(LinearRowsTest, BackwardRowsMatchesDenseBackwardBitwise) {
   }
 }
 
-TEST(LstmStackBatchTest, StepBatchMatchesSequentialStepsBitwise) {
-  Rng rng(91);
-  const int vocab = 11, hid = 6, layers = 2;
-  LstmStack stack(vocab, hid, layers, /*dropout=*/0.3f, &rng);
-  Rng dummy(0);
-  const int batch = 5;
-  const int steps = 12;
-  Rng tok_rng(2026);
+// ------------------------------------------------------- lane step
 
-  // Sequential reference: each lane advanced alone through Step().
-  std::vector<LstmStack::State> seq(batch, stack.InitialState());
-  // Batched: same initial states through StepBatch().
-  std::vector<LstmStack::State> bat(batch, stack.InitialState());
-  std::vector<LstmStack::State*> bat_ptrs(batch);
-  for (int b = 0; b < batch; ++b) bat_ptrs[b] = &bat[b];
+bool SameBytes(const std::vector<float>& a, const float* b, size_t stride) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (std::memcmp(&a[k], &b[k * stride], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
 
-  std::vector<int> tokens(batch);
-  std::vector<float> top_panel;
-  for (int t = 0; t < steps; ++t) {
-    for (int b = 0; b < batch; ++b) {
-      tokens[b] = static_cast<int>(tok_rng.Next() % vocab);
+bool SameState(const LstmStack::State& a, const LstmStack::State& b) {
+  for (size_t l = 0; l < a.h.size(); ++l) {
+    if (!SameBytes(a.h[l], b.h[l]) || !SameBytes(a.c[l], b.c[l])) return false;
+  }
+  return true;
+}
+
+// Everything Backward reads except the input encoding, which the callers
+// compare in their own terms.
+bool SameActivations(const LstmStack::StepCache& a,
+                     const LstmStack::StepCache& b) {
+  if (a.layers.size() != b.layers.size() ||
+      a.dropout_mask.size() != b.dropout_mask.size()) {
+    return false;
+  }
+  for (size_t l = 0; l < a.dropout_mask.size(); ++l) {
+    if (!SameBytes(a.dropout_mask[l], b.dropout_mask[l])) return false;
+  }
+  for (size_t l = 0; l < a.layers.size(); ++l) {
+    const LstmCell::Cache& x = a.layers[l];
+    const LstmCell::Cache& y = b.layers[l];
+    if (!SameBytes(x.h_prev, y.h_prev) || !SameBytes(x.c_prev, y.c_prev) ||
+        !SameBytes(x.gates, y.gates) || !SameBytes(x.c, y.c) ||
+        !SameBytes(x.tanh_c, y.tanh_c) || !SameBytes(x.h, y.h)) {
+      return false;
     }
-    std::vector<std::vector<float>> seq_top(batch);
-    for (int b = 0; b < batch; ++b) {
-      seq_top[b] = stack.Step(tokens[b], &seq[b], nullptr, false, &dummy);
+    if (l > 0 && (x.onehot != -1 || y.onehot != -1 || !SameBytes(x.x, y.x))) {
+      return false;
     }
-    stack.StepBatch(tokens.data(), bat_ptrs.data(), batch, &top_panel);
-    for (int b = 0; b < batch; ++b) {
-      for (int l = 0; l < layers; ++l) {
-        for (int k = 0; k < hid; ++k) {
-          ASSERT_EQ(seq[b].h[l][k], bat[b].h[l][k])
-              << "t=" << t << " lane=" << b << " layer=" << l;
-          ASSERT_EQ(seq[b].c[l][k], bat[b].c[l][k])
-              << "t=" << t << " lane=" << b << " layer=" << l;
+  }
+  return true;
+}
+
+bool SameGradients(const std::vector<ParamTensor*>& a,
+                   const std::vector<ParamTensor*>& b) {
+  for (size_t t = 0; t < a.size(); ++t) {
+    const Matrix& x = a[t]->grad();
+    const Matrix& y = b[t]->grad();
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Inputs for the lane-step tests: tails and recurrent states with ±0 and
+// mixed signs, and Wx entries of -0 in a token column.
+std::vector<float> ZeroHeavyVector(Rng* rng, size_t n) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    switch (rng->Next() % 4) {
+      case 0: x = 0.f; break;
+      case 1: x = -0.f; break;
+      default: x = static_cast<float>(rng->Normal(0.0, 1.5)); break;
+    }
+  }
+  return v;
+}
+
+// The one lane step against the scalar reference of the one-lane step
+// (tests/scalar_lstm_reference.h). At widths 1, 3 and 17, with and without
+// a two-feature tail, with BPTT caches on and off and with and without
+// dropout, every lane's state, top hidden column, cache and BPTT gradients
+// match the reference byte for byte. Lanes draw dropout from their own
+// streams; without caches, only odd lanes apply it (masks drawn, not kept).
+TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
+  const int kTokens = 9, kHidden = 5, kLayers = 2, kSteps = 5;
+  const float kDropout = 0.3f;
+  for (int tail_dim : {0, 2}) {
+    for (int width : {1, 3, 17}) {
+      for (int mode = 0; mode < 4; ++mode) {
+        const bool cached = mode & 1;
+        const bool dropout = mode & 2;
+        SCOPED_TRACE("tail=" + std::to_string(tail_dim) + " width=" +
+                     std::to_string(width) + " cached=" +
+                     std::to_string(cached) + " dropout=" +
+                     std::to_string(dropout));
+        Rng init(700 + tail_dim);
+        LstmStack stack(kTokens + tail_dim, kHidden, kLayers, kDropout, &init,
+                        tail_dim);
+        Matrix& wx0 = stack.Params()[0]->value;
+        for (int k = 0; k < wx0.rows(); k += 2) wx0.at(k, 3) = -0.f;
+        LstmStack ref = stack;
+        Rng data(31 * width + tail_dim);
+
+        std::vector<LstmStack::State> st(width, stack.InitialState());
+        for (LstmStack::State& s : st) {
+          for (int l = 0; l < kLayers; ++l) {
+            s.h[l] = ZeroHeavyVector(&data, kHidden);
+            s.c[l] = ZeroHeavyVector(&data, kHidden);
+          }
+        }
+        std::vector<LstmStack::State> ref_st = st;
+        std::vector<Rng> drop, ref_drop;
+        for (int b = 0; b < width; ++b) {
+          drop.emplace_back(1000 + b);
+          ref_drop.emplace_back(1000 + b);
+        }
+        std::vector<std::vector<LstmStack::StepCache>> caches(width),
+            ref_caches(width);
+        LstmStack::Workspace ws;
+        std::vector<LstmStack::Lane> lanes(width);
+        for (int t = 0; t < kSteps; ++t) {
+          std::vector<int> tokens(width);
+          std::vector<std::vector<float>> tails(width);
+          for (int b = 0; b < width; ++b) {
+            tokens[b] = static_cast<int>(data.Next() % kTokens);
+            if (t == 0) tokens[b] = 3;  // the -0 column
+            tails[b] = ZeroHeavyVector(&data, tail_dim);
+            const bool drops = dropout && (cached || b % 2 == 1);
+            lanes[b].token = tokens[b];
+            lanes[b].tail = tails[b].data();
+            lanes[b].state = &st[b];
+            lanes[b].dropout = drops ? &drop[b] : nullptr;
+            lanes[b].cache = nullptr;
+            if (cached) {
+              caches[b].emplace_back();
+              ref_caches[b].emplace_back();
+              lanes[b].cache = &caches[b].back();
+            }
+          }
+          const float* top = stack.Step(lanes.data(), width, &ws);
+          for (int b = 0; b < width; ++b) {
+            const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
+                ref.Params(), kDropout, tokens[b], tails[b], &ref_st[b],
+                cached ? &ref_caches[b].back() : nullptr,
+                lanes[b].dropout != nullptr ? &ref_drop[b] : nullptr);
+            const std::string at =
+                "step " + std::to_string(t) + " lane " + std::to_string(b);
+            ASSERT_TRUE(SameState(st[b], ref_st[b])) << at;
+            ASSERT_TRUE(SameBytes(ref_top, top + b, width)) << at;
+            if (!cached) continue;
+            const LstmStack::StepCache& c = caches[b].back();
+            const LstmStack::StepCache& rc = ref_caches[b].back();
+            ASSERT_TRUE(SameActivations(c, rc)) << at;
+            // Layer 0: the token and its tail; the reference keeps the
+            // whole dense input when there is a tail.
+            ASSERT_EQ(c.layers[0].onehot, tokens[b]) << at;
+            ASSERT_TRUE(SameBytes(c.layers[0].x, tails[b])) << at;
+            if (tail_dim == 0) {
+              ASSERT_EQ(rc.layers[0].onehot, tokens[b]) << at;
+            } else {
+              std::vector<float> dense(kTokens + tail_dim, 0.f);
+              dense[tokens[b]] = 1.f;
+              std::copy(tails[b].begin(), tails[b].end(),
+                        dense.begin() + kTokens);
+              ASSERT_EQ(rc.layers[0].onehot, -1) << at;
+              ASSERT_TRUE(SameBytes(rc.layers[0].x, dense)) << at;
+            }
+          }
+        }
+        if (!cached) continue;
+        for (int b = 0; b < width; ++b) {
+          std::vector<std::vector<float>> dtop(kSteps);
+          for (auto& d : dtop) d = ZeroHeavyVector(&data, kHidden);
+          stack.Backward(caches[b], dtop);
+          ref.Backward(ref_caches[b], dtop);
+          ASSERT_TRUE(SameGradients(stack.Params(), ref.Params()))
+              << "lane " << b;
         }
       }
-      for (int k = 0; k < hid; ++k) {
-        ASSERT_EQ(seq_top[b][k], top_panel[static_cast<size_t>(k) * batch + b]);
-      }
+    }
+  }
+}
+
+// Lanes = 1 vs lanes = K: K lanes stepped together are bitwise each lane
+// stepped alone (state, top hidden state, cache and dropout masks), with a
+// feature tail, mixed cached and uncached lanes and per-lane dropout.
+TEST(LstmLaneStepTest, WidthKMatchesWidthOneBitwise) {
+  Rng rng(91);
+  const int tokens = 11, tail_dim = 2, hid = 6, layers = 2, width = 5;
+  LstmStack stack(tokens + tail_dim, hid, layers, /*dropout=*/0.3f, &rng,
+                  tail_dim);
+  Rng data(2026);
+  std::vector<LstmStack::State> one(width, stack.InitialState());
+  std::vector<LstmStack::State> all = one;
+  std::vector<Rng> drop_one, drop_all;
+  for (int b = 0; b < width; ++b) {
+    drop_one.emplace_back(50 + b);
+    drop_all.emplace_back(50 + b);
+  }
+  LstmStack::Workspace ws_one, ws_all;
+  for (int t = 0; t < 12; ++t) {
+    std::vector<LstmStack::Lane> lanes(width);
+    std::vector<std::vector<float>> tails(width);
+    std::vector<LstmStack::StepCache> c_one(width), c_all(width);
+    for (int b = 0; b < width; ++b) {
+      tails[b] = ZeroHeavyVector(&data, tail_dim);
+      lanes[b].token = static_cast<int>(data.Next() % tokens);
+      lanes[b].tail = tails[b].data();
+      lanes[b].state = &all[b];
+      lanes[b].cache = b % 2 == 0 ? &c_all[b] : nullptr;
+      lanes[b].dropout = b != 1 ? &drop_all[b] : nullptr;
+    }
+    std::vector<std::vector<float>> alone_top(width);
+    for (int b = 0; b < width; ++b) {
+      LstmStack::Lane lane = lanes[b];
+      lane.state = &one[b];
+      lane.cache = lanes[b].cache != nullptr ? &c_one[b] : nullptr;
+      lane.dropout = lanes[b].dropout != nullptr ? &drop_one[b] : nullptr;
+      const float* top = stack.Step(&lane, 1, &ws_one);
+      alone_top[b].assign(top, top + hid);
+    }
+    const float* top = stack.Step(lanes.data(), width, &ws_all);
+    for (int b = 0; b < width; ++b) {
+      const std::string at = "t=" + std::to_string(t) + " lane=" +
+                             std::to_string(b);
+      ASSERT_TRUE(SameState(one[b], all[b])) << at;
+      ASSERT_TRUE(SameBytes(alone_top[b], top + b, width)) << at;
+      if (lanes[b].cache == nullptr) continue;
+      ASSERT_TRUE(SameActivations(c_one[b], c_all[b])) << at;
+      ASSERT_EQ(c_one[b].layers[0].onehot, c_all[b].layers[0].onehot) << at;
+      ASSERT_TRUE(SameBytes(c_one[b].layers[0].x, c_all[b].layers[0].x)) << at;
     }
   }
 }
@@ -669,6 +854,31 @@ TEST(LinearGradientTest, MatchesNumerical) {
   }
 }
 
+// One cell step over the dense input x (no one-hot part).
+void DenseForward(const LstmCell& cell, const std::vector<float>& x,
+                  const std::vector<float>& h0, const std::vector<float>& c0,
+                  LstmCell::Cache* cache) {
+  cache->x = x;
+  cache->h_prev = h0;
+  cache->c_prev = c0;
+  cell.Forward(/*onehot=*/nullptr, x.data(), static_cast<int>(x.size()),
+               h0.data(), c0.data(), /*lanes=*/1, cache);
+}
+
+// One lane of LstmStack::Step without a feature tail; returns the top h.
+const float* StepToken(const LstmStack& stack, int token,
+                       LstmStack::State* st, LstmStack::StepCache* cache,
+                       Rng* dropout) {
+  LstmStack::Workspace ws;
+  LstmStack::Lane lane;
+  lane.token = token;
+  lane.state = st;
+  lane.cache = cache;
+  lane.dropout = dropout;
+  stack.Step(&lane, 1, &ws);
+  return st->h.back().data();
+}
+
 TEST(LstmCellGradientTest, MatchesNumerical) {
   Rng rng(13);
   const int in = 3, hid = 4;
@@ -681,7 +891,7 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
 
   auto loss = [&]() {
     LstmCell::Cache cache;
-    cell.Forward(x.data(), h0.data(), c0.data(), &cache);
+    DenseForward(cell, x, h0, c0, &cache);
     double l = 0;
     for (int k = 0; k < hid; ++k) {
       l += cache.h[k] * ch[k] + cache.c[k] * cc[k];
@@ -690,7 +900,7 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
   };
 
   LstmCell::Cache cache;
-  cell.Forward(x.data(), h0.data(), c0.data(), &cache);
+  DenseForward(cell, x, h0, c0, &cache);
   std::vector<float> dh_prev(hid), dc_prev(hid), dx(in, 0.f);
   cell.Backward(cache, ch.data(), cc.data(), dh_prev.data(), dc_prev.data(),
                 dx.data());
@@ -714,20 +924,45 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
   }
 }
 
+// A one-hot input with and without a dense tail against the same input as
+// a dense vector: the forward and the Wx, Wh and bias gradients agree
+// bitwise (the one-hot backward writes only the token and tail columns).
 TEST(LstmCellGradientTest, OneHotPathMatchesDense) {
-  Rng rng(17);
-  const int in = 5, hid = 3;
-  LstmCell cell(in, hid, &rng);
-  std::vector<float> h0(hid, 0.1f), c0(hid, -0.1f);
-  // Dense one-hot input.
-  std::vector<float> x(in, 0.f);
-  x[2] = 1.f;
-  LstmCell::Cache dense, onehot;
-  cell.Forward(x.data(), h0.data(), c0.data(), &dense);
-  cell.ForwardOneHot(2, h0.data(), c0.data(), &onehot);
-  for (int k = 0; k < hid; ++k) {
-    EXPECT_FLOAT_EQ(dense.h[k], onehot.h[k]);
-    EXPECT_FLOAT_EQ(dense.c[k], onehot.c[k]);
+  for (int tail : {0, 2}) {
+    Rng rng(17);
+    const int tokens = 5, hid = 3;
+    LstmCell dense_cell(tokens + tail, hid, &rng);
+    LstmCell onehot_cell = dense_cell;
+    std::vector<float> h0(hid, 0.1f), c0(hid, -0.1f);
+    std::vector<float> x(tokens + tail, 0.f);
+    x[2] = 1.f;
+    LstmCell::Cache onehot;
+    for (int j = 0; j < tail; ++j) {
+      x[tokens + j] = j == 0 ? -0.75f : 2.5f;
+      onehot.x.push_back(x[tokens + j]);
+    }
+    LstmCell::Cache dense;
+    DenseForward(dense_cell, x, h0, c0, &dense);
+    onehot.onehot = 2;
+    onehot.h_prev = h0;
+    onehot.c_prev = c0;
+    onehot_cell.Forward(&onehot.onehot, onehot.x.data(), tail, h0.data(),
+                        c0.data(), /*lanes=*/1, &onehot);
+    ASSERT_TRUE(SameBytes(dense.h, onehot.h)) << "tail " << tail;
+    ASSERT_TRUE(SameBytes(dense.c, onehot.c)) << "tail " << tail;
+
+    const std::vector<float> dh = {0.5f, -1.f, 0.25f}, dc = {1.f, 0.f, -2.f};
+    std::vector<float> dh_prev(hid), dc_prev(hid);
+    dense_cell.Backward(dense, dh.data(), dc.data(), dh_prev.data(),
+                        dc_prev.data(), nullptr);
+    onehot_cell.Backward(onehot, dh.data(), dc.data(), dh_prev.data(),
+                         dc_prev.data(), nullptr);
+    ASSERT_TRUE(SameGradients(dense_cell.Params(), onehot_cell.Params()))
+        << "tail " << tail;
+    const ParamTensor& wx = *onehot_cell.Params()[0];
+    for (int c = 0; c < tokens + tail; ++c) {
+      EXPECT_EQ(wx.IsLive(c), c == 2 || c >= tokens) << "column " << c;
+    }
   }
 }
 
@@ -747,8 +982,7 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
     LstmStack::State st = stack.InitialState();
     double l = 0;
     for (size_t t = 0; t < tokens.size(); ++t) {
-      const std::vector<float>& h =
-          stack.Step(tokens[t], &st, nullptr, false, &dummy);
+      const float* h = StepToken(stack, tokens[t], &st, nullptr, nullptr);
       for (int k = 0; k < hid; ++k) l += h[k] * coef[t][k];
     }
     return l;
@@ -758,7 +992,7 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
   LstmStack::State st = stack.InitialState();
   std::vector<LstmStack::StepCache> caches(tokens.size());
   for (size_t t = 0; t < tokens.size(); ++t) {
-    stack.Step(tokens[t], &st, &caches[t], true, &dummy);
+    StepToken(stack, tokens[t], &st, &caches[t], &dummy);
   }
   stack.Backward(caches, coef);
 
@@ -792,8 +1026,7 @@ TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
     LstmStack::State st = stack.InitialState();
     double l = 0;
     for (size_t t = 0; t < tokens.size(); ++t) {
-      const std::vector<float>& h =
-          stack.Step(tokens[t], &st, nullptr, /*train=*/true, &masks);
+      const float* h = StepToken(stack, tokens[t], &st, nullptr, &masks);
       for (int k = 0; k < hid; ++k) l += h[k] * coef[t][k];
     }
     return l;
@@ -804,7 +1037,7 @@ TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
   std::vector<LstmStack::StepCache> caches(tokens.size());
   int dropped = 0;
   for (size_t t = 0; t < tokens.size(); ++t) {
-    stack.Step(tokens[t], &st, &caches[t], /*train=*/true, &masks);
+    StepToken(stack, tokens[t], &st, &caches[t], &masks);
     ASSERT_EQ(caches[t].dropout_mask.size(), static_cast<size_t>(layers));
     for (int l = 1; l < layers; ++l) {
       for (float m : caches[t].dropout_mask[l]) dropped += m == 0.f ? 1 : 0;
@@ -822,44 +1055,6 @@ TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
     }
   }
   EXPECT_GE(checked, 60);
-}
-
-// ---------------------------------------------------------------- dropout
-
-TEST(DropoutTest, InferenceIsIdentity) {
-  Dropout d(0.5f);
-  Rng rng(23);
-  std::vector<float> x = {1.f, 2.f, 3.f};
-  std::vector<float> mask;
-  d.Forward(&x, &mask, /*train=*/false, &rng);
-  EXPECT_TRUE(mask.empty());
-  EXPECT_FLOAT_EQ(x[1], 2.f);
-}
-
-TEST(DropoutTest, TrainingZeroesAndRescales) {
-  Dropout d(0.3f);
-  Rng rng(29);
-  const int n = 20000;
-  std::vector<float> x(n, 1.f);
-  std::vector<float> mask;
-  d.Forward(&x, &mask, /*train=*/true, &rng);
-  int zeros = 0;
-  double sum = 0;
-  for (float v : x) {
-    if (v == 0.f) ++zeros;
-    sum += v;
-  }
-  EXPECT_NEAR(zeros / static_cast<double>(n), 0.3, 0.02);
-  // Inverted dropout keeps the expectation.
-  EXPECT_NEAR(sum / n, 1.0, 0.05);
-}
-
-TEST(DropoutTest, BackwardRoutesThroughMask) {
-  std::vector<float> mask = {0.f, 2.f};
-  std::vector<float> dx = {5.f, 5.f};
-  Dropout::Backward(mask, &dx);
-  EXPECT_FLOAT_EQ(dx[0], 0.f);
-  EXPECT_FLOAT_EQ(dx[1], 10.f);
 }
 
 // ---------------------------------------------------------------- adam

@@ -445,7 +445,7 @@ TEST(ValueNetworkTest, FitsConstantTarget) {
   float v = 0;
   for (int iter = 0; iter < 300; ++iter) {
     auto ep = net.BeginEpisode(true);
-    v = net.StepValue(&ep, net.bos_index());
+    v = *net.StepValue(&ep, net.bos_index());
     net.AccumulateGradients(ep, {v - 0.7});
     opt.Step();
   }
@@ -458,8 +458,8 @@ TEST(ValueNetworkTest, TracksInputs) {
   o.num_layers = 1;
   ValueNetwork net(4, o);
   auto ep = net.BeginEpisode(false);
-  net.StepValue(&ep, net.bos_index());
-  net.StepValue(&ep, 1);
+  ASSERT_TRUE(net.StepValue(&ep, net.bos_index()).ok());
+  ASSERT_TRUE(net.StepValue(&ep, 1).ok());
   EXPECT_EQ(ep.values.size(), 2u);
   EXPECT_EQ(ep.inputs.size(), 2u);
   EXPECT_EQ(ep.inputs[0], net.bos_index());
@@ -482,6 +482,45 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
+}
+
+// A feature tail of the wrong length is an error wherever a network reads
+// it, instead of being zero-padded or truncated.
+TEST(ExtraFeatureTest, MismatchedTailIsInvalidArgument) {
+  NetworkOptions o;
+  o.hidden_dim = 8;
+  o.num_layers = 1;
+  o.extra_input_dims = 2;
+  PolicyNetwork actor(4, o);
+  ValueNetwork critic(4, o);
+  const std::vector<uint8_t> mask = {1, 1, 1, 1};
+  for (const std::vector<float>& extra :
+       {std::vector<float>{}, std::vector<float>{1.f},
+        std::vector<float>{1.f, 2.f, 3.f}}) {
+    for (bool train : {false, true}) {
+      auto ep = actor.BeginEpisode(train);
+      ep.extra = extra;
+      const PolicyNetwork::CompactDistribution* d = nullptr;
+      EXPECT_EQ(actor.Step(&ep, mask, &d).code(),
+                StatusCode::kInvalidArgument);
+      auto cep = critic.BeginEpisode(train);
+      cep.extra = extra;
+      EXPECT_EQ(critic.StepValue(&cep, critic.bos_index()).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  // A trainer over such nets that was never given features fails its
+  // epoch rather than training on an all-zero tail.
+  for (bool with_critic : {true, false}) {
+    ToyEnv env({0, 1, 2});
+    TrainerOptions to = FastOptions(9);
+    to.net.extra_input_dims = 2;
+    PolicyGradientTrainer trainer(&env, to, with_critic);
+    EXPECT_EQ(trainer.TrainEpoch().status().code(),
+              StatusCode::kInvalidArgument);
+    trainer.set_extra_features({0.5f, -0.5f});
+    EXPECT_TRUE(trainer.TrainEpoch().ok());
+  }
 }
 
 // ------------------------------------------- live-column optimizer tail
@@ -533,7 +572,7 @@ class TrainerReplay {
       ValueNetwork::Episode cep = critic_->BeginEpisode(/*train=*/true);
       RolloutHooks hooks;
       hooks.after_actor_step = [&](int input) {
-        critic_->StepValue(&cep, input);
+        return critic_->StepValue(&cep, input).status();
       };
       auto traj = RolloutPolicy(env_, actor_.get(), &eps[b], &rng_, hooks);
       ASSERT_TRUE(traj.ok());
@@ -748,6 +787,40 @@ TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
   for (size_t k = 0; k < trace.size(); ++k) {
     EXPECT_EQ(trace[k], expected[k])
         << "epoch " << k << " actor hash 0x" << std::hex << trace[k];
+  }
+}
+
+// The AC-extend counterpart (the Figure 9 baseline): actor and critic
+// hashes after each of six epochs of nets whose input carries two
+// constraint features after the one-hot token. Recorded at the commit
+// before the LSTM forwards became one lane step, when this input ran
+// through a dense (|A| + 1 + 2)-wide step.
+TEST_F(LiveColumnTrainingTest, AcExtendFixedSeedTraceUnchanged) {
+  auto env = MakeEnv();
+  TrainerOptions o = Options();
+  o.net.hidden_dim = 30;
+  o.net.extra_input_dims = 2;
+  PolicyGradientTrainer trainer(env.get(), o);
+  trainer.set_extra_features({0.75f, -1.5f});
+  std::vector<uint64_t> trace;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    ASSERT_TRUE(trainer.TrainEpoch().ok());
+    trace.push_back(HashParams(trainer.actor().Params()));
+    trace.push_back(HashParams(trainer.critic()->Params()));
+  }
+  const std::vector<uint64_t> expected = {
+      0x2b6489f6a6521f77ull, 0xd45581b124193f4aull,  // epoch 0: actor, critic
+      0xf61fe7cf34c56ed8ull, 0x6c860b51ee2a70d0ull,
+      0xe168c6eeee1ec083ull, 0x58d979813a0c62baull,
+      0x863f9bf0c48fba80ull, 0x20b54f7f106950bcull,
+      0xb095f7316fcb53a7ull, 0x7b0be18851fec286ull,
+      0xd69517a87bb8b805ull, 0x20203dc1e65b7d56ull,
+  };
+  ASSERT_EQ(trace.size(), expected.size());
+  for (size_t k = 0; k < trace.size(); ++k) {
+    EXPECT_EQ(trace[k], expected[k])
+        << "epoch " << k / 2 << (k % 2 == 0 ? " actor" : " critic")
+        << " hash 0x" << std::hex << trace[k];
   }
 }
 
