@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the core components: FSM masking,
 // random-walk episodes, executor operators, estimator, cost model, the
-// single-lane dense forward kernels, LSTM forward/backward, actor-critic
-// training epochs, and vocabulary construction.
+// single-lane dense forward kernels, LSTM forward/backward, one decode
+// lane-step, actor-critic training epochs, and vocabulary construction.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -281,14 +281,14 @@ BENCHMARK(BM_LstmStepOneHotTail);
 
 // The single-lane gate product of the paper's 30-unit LSTM: 4H x H =
 // 120 x 30, the Wh * h_prev term every training and width-1 decode step
-// runs per layer.
+// runs per layer (through the packed tensor's forward panel).
 void BM_MatVecAccumGate(benchmark::State& state) {
   Rng rng(7);
-  Matrix w = Matrix::Xavier(120, 30, &rng);
+  ParamTensor w("wh", Matrix::Xavier(120, 30, &rng), /*packed=*/true);
   Matrix x = Matrix::Randn(30, 1, 1.f, &rng);
   std::vector<float> y(120, 0.f);
   for (auto _ : state) {
-    MatVecAccum(w, x.data(), y.data());
+    MatMatAccum(w, x.data(), 1, y.data());
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -315,6 +315,41 @@ void BM_HeadForwardRows(benchmark::State& state) {
 }
 BENCHMARK(BM_HeadForwardRows);
 
+// One decode lane-step as BatchDecoder runs it at width 1: the FSM mask,
+// a one-lane StepBatch of the paper's actor (LSTM step, masked head,
+// compact softmax), SampleAction and the environment step with its
+// estimator feedback, over the TPC-H vocabulary. Episodes restart on EOF.
+void BM_DecodeLaneStep(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  PolicyNetwork actor(f.vocab->size(), NetworkOptions());
+  SqlGenEnvironment env(
+      &f.db, &*f.vocab, f.est.get(), f.cost.get(),
+      Constraint::Range(ConstraintMetric::kCardinality, 100, 1000),
+      EnvironmentOptions());
+  Rng rng(11);
+  PolicyNetwork::Workspace ws;
+  PolicyNetwork::CompactDistribution dist;
+  PolicyNetwork::Episode ep = actor.BeginEpisode(false);
+  PolicyNetwork::Episode* lane = &ep;
+  env.Reset();
+  for (auto _ : state) {
+    const std::vector<int>* admitted = &env.ValidActions().ids;
+    Status status;
+    actor.StepBatch(&lane, &admitted, 1, &dist, &status, &ws);
+    LSG_CHECK_OK(status);
+    const int a = actor.SampleAction(dist, &rng);
+    actor.RecordAction(&ep, a);
+    auto sr = env.Step(a);
+    LSG_CHECK(sr.ok());
+    if (sr->done) {
+      benchmark::DoNotOptimize(env.TakeAst());
+      env.Reset();
+      ep = actor.BeginEpisode(false);
+    }
+  }
+}
+BENCHMARK(BM_DecodeLaneStep);
+
 void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   MicroFixture& f = Fixture();
   NetworkOptions no;
@@ -327,7 +362,7 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
     std::vector<double> adv;
     while (!fsm.done()) {
       const PolicyNetwork::CompactDistribution* dist = nullptr;
-      LSG_CHECK_OK(net.Step(&ep, fsm.ValidActions(), &dist));
+      LSG_CHECK_OK(net.Step(&ep, fsm.ValidActions().ids, &dist));
       int a = net.SampleAction(*dist, &rng);
       net.RecordAction(&ep, a);
       LSG_CHECK_OK(fsm.Step(a));

@@ -355,7 +355,7 @@ void Explorer::ExploreRegion(const std::vector<int>& entry_prefix,
     report_->max_prefix_tokens =
         std::max(report_->max_prefix_tokens, static_cast<int>(prefix.size()));
     GenerationFsm fsm = Replay(prefix);
-    const std::vector<uint8_t>& mask = fsm.ValidActions();
+    const std::vector<uint8_t>& mask = fsm.ValidActions().bytes;
 
     bool any = false;
     for (int id = 0; id < static_cast<int>(mask.size()); ++id) {

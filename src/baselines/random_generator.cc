@@ -15,7 +15,7 @@ StatusOr<Trajectory> RandomGenerator::Rollout() {
   env_->Reset();
   Trajectory traj;
   for (int step = 0; step < kMaxEpisodeSteps; ++step) {
-    const std::vector<uint8_t>& mask = env_->ValidActions();
+    const std::vector<uint8_t>& mask = env_->ValidActions().bytes;
     int chosen = -1;
     int seen = 0;
     for (size_t i = 0; i < mask.size(); ++i) {

@@ -62,7 +62,7 @@ Status TemplateGenerator::MinePool() {
     bool done = false;
     for (int step = 0; step < kMaxEpisodeSteps && !done; ++step) {
       const std::vector<uint8_t>& mask =
-          const_cast<SqlGenEnvironment*>(env_)->ValidActions();
+          const_cast<SqlGenEnvironment*>(env_)->ValidActions().bytes;
       int chosen = -1;
       int seen = 0;
       for (size_t i = 0; i < mask.size(); ++i) {

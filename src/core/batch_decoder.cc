@@ -82,7 +82,7 @@ BatchDecoder::Stats BatchDecoder::Run(
   admit();
 
   std::vector<PolicyNetwork::Episode*> eps;
-  std::vector<const std::vector<uint8_t>*> masks;
+  std::vector<const std::vector<int>*> admitted;
   // Per-slot compact distributions, reused across steps so the idx/probs
   // capacity survives lane churn (slots are overwritten every step).
   std::vector<PolicyNetwork::CompactDistribution> dists;
@@ -91,14 +91,14 @@ BatchDecoder::Stats BatchDecoder::Run(
   while (!lanes.empty()) {
     const int batch = static_cast<int>(lanes.size());
     eps.resize(batch);
-    masks.resize(batch);
+    admitted.resize(batch);
     if (dists.size() < static_cast<size_t>(batch)) dists.resize(batch);
     statuses.assign(batch, Status::Ok());
     for (int b = 0; b < batch; ++b) {
       eps[b] = &lanes[b]->ep;
-      masks[b] = &lanes[b]->env->ValidActions();
+      admitted[b] = &lanes[b]->env->ValidActions().ids;
     }
-    actor.StepBatch(eps.data(), masks.data(), batch, dists.data(),
+    actor.StepBatch(eps.data(), admitted.data(), batch, dists.data(),
                     statuses.data(), &ws);
     stats.steps += 1;
     stats.lane_steps += static_cast<uint64_t>(batch);

@@ -59,8 +59,8 @@ void SqlGenEnvironment::Reset() {
   ep_start_ns_ = Stopwatch::NowNanos();
 }
 
-const std::vector<uint8_t>& SqlGenEnvironment::ValidActions() {
-  const std::vector<uint8_t>& mask = fsm_.ValidActions();
+const ActionMask& SqlGenEnvironment::ValidActions() {
+  const ActionMask& mask = fsm_.ValidActions();
   if (obs::Enabled()) {
     ep_mask_width_sum_ += static_cast<uint64_t>(fsm_.last_mask_width());
     ep_mask_evals_ += 1;

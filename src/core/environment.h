@@ -64,7 +64,7 @@ class SqlGenEnvironment : public Environment {
                     EnvironmentOptions options);
 
   void Reset() override;
-  const std::vector<uint8_t>& ValidActions() override;
+  const ActionMask& ValidActions() override;
   StatusOr<EnvStepResult> Step(int action) override;
   QueryAst TakeAst() override { return fsm_.TakeAst(); }
   int vocab_size() const override { return vocab_->size(); }

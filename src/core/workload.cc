@@ -103,7 +103,7 @@ StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng) {
   fsm->Reset();
   const int kMaxSteps = 512;
   for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = fsm->ValidActions();
+    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
     // Reservoir-pick a uniform valid action.
     int chosen = -1;
     int seen = 0;
@@ -130,7 +130,7 @@ MetricDomain ProbeMetricDomain(SqlGenEnvironment* env, int samples, Rng* rng,
     env->Reset();
     double metric = 0.0;
     for (int step = 0; step < kMaxSteps; ++step) {
-      const std::vector<uint8_t>& mask = env->ValidActions();
+      const std::vector<uint8_t>& mask = env->ValidActions().bytes;
       int chosen = -1;
       int seen = 0;
       for (size_t i = 0; i < mask.size(); ++i) {

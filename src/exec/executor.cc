@@ -125,7 +125,7 @@ Status Executor::EvalPredicate(const Predicate& p, const TupleSet& ts,
       return Status::Ok();
     }
     case PredicateKind::kScalarSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/true);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/true);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       if (sub->cardinality != 1 || sub->first_column.empty()) {
@@ -138,7 +138,7 @@ Status Executor::EvalPredicate(const Predicate& p, const TupleSet& ts,
       return Status::Ok();
     }
     case PredicateKind::kInSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/true);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/true);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       std::unordered_set<Value, ValueHash> members(sub->first_column.begin(),
@@ -151,7 +151,7 @@ Status Executor::EvalPredicate(const Predicate& p, const TupleSet& ts,
       return Status::Ok();
     }
     case PredicateKind::kExistsSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/false);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/false);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       bool exists = sub->cardinality > 0;
@@ -201,6 +201,11 @@ StatusOr<SelectResult> Executor::ExecuteSelect(
       obs::Enabled()
           ? &obs::MetricsRegistry::Global().GetHistogram("exec.select_ns")
           : nullptr);
+  return RunSelect(q, materialize_first_column);
+}
+
+StatusOr<SelectResult> Executor::RunSelect(
+    const SelectQuery& q, bool materialize_first_column) const {
   SelectResult result;
   LSG_ASSIGN_OR_RETURN(TupleSet ts, BuildJoin(q, &result.stats));
   LSG_RETURN_IF_ERROR(ApplyWhere(q.where, &ts, &result.stats));

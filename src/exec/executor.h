@@ -60,6 +60,8 @@ class Executor {
   StatusOr<uint64_t> Cardinality(const QueryAst& ast) const;
 
   /// Executes a SELECT; optionally materializes the first projection column.
+  /// Each call adds one exec.select_ns sample; its subqueries run inside
+  /// that sample.
   StatusOr<SelectResult> ExecuteSelect(
       const SelectQuery& q, bool materialize_first_column) const;
 
@@ -79,6 +81,9 @@ class Executor {
     size_t count = 0;
   };
 
+  /// ExecuteSelect without the metric, for subqueries.
+  StatusOr<SelectResult> RunSelect(const SelectQuery& q,
+                                   bool materialize_first_column) const;
   StatusOr<TupleSet> BuildJoin(const SelectQuery& q, ExecStats* stats) const;
   Status ApplyWhere(const WhereClause& where, TupleSet* ts,
                     ExecStats* stats) const;

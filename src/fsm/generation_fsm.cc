@@ -54,7 +54,7 @@ GenerationFsm::GenerationFsm(const Database* db, const Vocabulary* vocab,
       vocab_(vocab),
       profile_(profile),
       builder_(&db->catalog()),
-      mask_(vocab->size(), 0) {
+      mask_{std::vector<uint8_t>(vocab->size(), 0), {}} {
   LSG_CHECK(db != nullptr && vocab != nullptr);
   LSG_CHECK(profile.allow_select || profile.allow_insert ||
             profile.allow_update || profile.allow_delete);
@@ -103,8 +103,10 @@ struct RhsOptions {
 
 }  // namespace
 
-const std::vector<uint8_t>& GenerationFsm::ValidActions() {
-  std::fill(mask_.begin(), mask_.end(), 0);
+const ActionMask& GenerationFsm::ValidActions() {
+  // Only the previous call's ids are set, so clearing them clears the mask.
+  for (int id : mask_.ids) mask_.bytes[id] = 0;
+  mask_.ids.clear();
   if (builder_.done()) return mask_;
   const BuildFrame& f = builder_.frame();
   switch (f.phase) {
@@ -134,10 +136,11 @@ const std::vector<uint8_t>& GenerationFsm::ValidActions() {
       MaskSelectFrame();
       break;
   }
+  // The mask rules allow ids in grammar order; the list is kept ascending.
+  std::sort(mask_.ids.begin(), mask_.ids.end());
   if (obs::Enabled()) {
     // Mask pressure: how many actions the FSM leaves open per decision.
-    uint64_t width = 0;
-    for (uint8_t m : mask_) width += m != 0 ? 1 : 0;
+    const uint64_t width = mask_.ids.size();
     last_mask_width_ = static_cast<int>(width);
     static obs::Counter& evals =
         obs::MetricsRegistry::Global().GetCounter("fsm.mask_evals");

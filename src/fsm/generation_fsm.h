@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fsm/action_mask.h"
 #include "sql/ast_builder.h"
 #include "sql/vocabulary.h"
 #include "storage/table.h"
@@ -79,9 +80,10 @@ class GenerationFsm {
   /// Starts a fresh query.
   void Reset();
 
-  /// Mask over the action space: mask[id] != 0 iff token id is valid now.
-  /// Recomputed on each call; valid until the next Step()/Reset().
-  const std::vector<uint8_t>& ValidActions();
+  /// The valid actions now: bytes[id] != 0 iff token id is valid, and ids
+  /// lists them ascending. Recomputed on each call; valid until the next
+  /// Step()/Reset().
+  const ActionMask& ValidActions();
 
   /// Applies an action (must be valid per ValidActions()).
   Status Step(int action_id);
@@ -111,8 +113,14 @@ class GenerationFsm {
   void MaskUpdate();
   void MaskDelete();
 
-  void Allow(int token_id) { mask_[token_id] = 1; }
-  void AllowKeyword(Keyword kw) { mask_[vocab_->keyword_id(kw)] = 1; }
+  /// The mask's only writers: each id enters the list once, on its byte's
+  /// first set.
+  void Allow(int token_id) {
+    if (mask_.bytes[token_id] != 0) return;
+    mask_.bytes[token_id] = 1;
+    mask_.ids.push_back(token_id);
+  }
+  void AllowKeyword(Keyword kw) { Allow(vocab_->keyword_id(kw)); }
 
   /// True if the column has at least one sampled value token.
   bool ColumnHasValues(const ColumnRef& col) const;
@@ -127,7 +135,7 @@ class GenerationFsm {
   const Vocabulary* vocab_;
   QueryProfile profile_;
   AstBuilder builder_;
-  std::vector<uint8_t> mask_;
+  ActionMask mask_;
   int last_mask_width_ = 0;
 };
 

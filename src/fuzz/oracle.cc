@@ -473,8 +473,9 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Reference: the training/eval entry (the lane step at width 1, MatVec
-  // products) driven by RolloutPolicy, sampling the item's private stream.
+  // Reference: the training/eval entry (the lane step at width 1, forward
+  // panel products) driven by RolloutPolicy, sampling the item's private
+  // stream.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;

@@ -36,8 +36,8 @@ struct OracleOptions {
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
   /// Batched decode vs one-lane decode: the cross-request BatchDecoder
-  /// must reproduce PolicyNetwork::Step (the lane step at width 1, MatVec
-  /// products) byte-for-byte.
+  /// must reproduce PolicyNetwork::Step (the lane step at width 1, forward
+  /// panel products) byte-for-byte.
   bool check_batch_decode = true;
 
   /// Work budget per reference evaluation; exceeding it skips the check
@@ -110,9 +110,9 @@ class DifferentialOracle {
   /// just trained ones) and decodes a group of episodes under `profile`
   /// twice — once through the ragged cross-request BatchDecoder (the lane
   /// step at width K, batched GEMM) and once through RolloutPolicy (the
-  /// lane step at width 1, MatVec) with the same per-item RNG streams —
-  /// asserting attempt
-  /// counts, rendered SQL, metrics and satisfied flags are byte-identical.
+  /// lane step at width 1, forward panels) with the same per-item RNG
+  /// streams — asserting attempt counts, rendered SQL, metrics and
+  /// satisfied flags are byte-identical.
   /// This is the serving path's standing guarantee: batching changes
   /// wall-clock only, never samples.
   std::optional<OracleViolation> CheckBatchDecode(

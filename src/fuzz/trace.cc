@@ -110,7 +110,7 @@ StatusOr<QueryAst> RecordedRandomWalk(GenerationFsm* fsm, Rng* rng,
   fsm->Reset();
   const int kMaxSteps = 512;
   for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = fsm->ValidActions();
+    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
     // Reservoir-pick a uniform valid action (same scheme as
     // RandomWalkQuery, so identical Rng streams yield identical queries).
     int chosen = -1;
@@ -142,7 +142,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
       repaired = true;  // trailing actions past EOF are dropped
       break;
     }
-    const std::vector<uint8_t>& mask = fsm->ValidActions();
+    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
     if (a < 0 || static_cast<size_t>(a) >= mask.size() || !mask[a]) {
       repaired = true;  // FSM-legality repair: skip the illegal action
       continue;
@@ -156,7 +156,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
   // FSM's token-budget masking guarantees this terminates.
   while (!fsm->done()) {
     repaired = true;
-    const std::vector<uint8_t>& mask = fsm->ValidActions();
+    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
     int chosen = -1;
     for (size_t i = 0; i < mask.size(); ++i) {
       if (mask[i]) {

@@ -51,8 +51,8 @@ Adam::Adam(std::vector<ParamTensor*> params, float lr, float beta1,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const ParamTensor* p : params_) {
-    m_.push_back(Matrix::Zeros(p->value.rows(), p->value.cols()));
-    v_.push_back(Matrix::Zeros(p->value.rows(), p->value.cols()));
+    m_.push_back(Matrix::Zeros(p->value().rows(), p->value().cols()));
+    v_.push_back(Matrix::Zeros(p->value().rows(), p->value().cols()));
   }
 }
 
@@ -65,14 +65,17 @@ void Adam::Step() {
                      1.f - std::pow(beta1_, static_cast<float>(t_)),
                      1.f - std::pow(beta2_, static_cast<float>(t_))};
   for (size_t i = 0; i < params_.size(); ++i) {
-    float* w = params_[i]->value.data();
+    ParamTensor* p = params_[i];
     float* m = m_[i].data();
     float* v = v_[i].data();
-    // Live entries only (see ParamTensor): elsewhere g = m = v = +0 and the
-    // update would leave every value bit unchanged.
-    params_[i]->ForEachLiveSpan([&](size_t k, size_t n, float* g) {
-      ForEachTile(n, [&]<int kWidth>(size_t j) {
-        AdamTile<kWidth>(c, w + k + j, g + j, m + k + j, v + k + j);
+    p->UpdateValue([&](Matrix* value) {
+      float* w = value->data();
+      // Live entries only (see ParamTensor): elsewhere g = m = v = +0 and
+      // the update would leave every value bit unchanged.
+      p->ForEachLiveSpan([&](size_t k, size_t n, float* g) {
+        ForEachTile(n, [&]<int kWidth>(size_t j) {
+          AdamTile<kWidth>(c, w + k + j, g + j, m + k + j, v + k + j);
+        });
       });
     });
   }

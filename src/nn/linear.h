@@ -12,8 +12,8 @@ class Linear {
  public:
   Linear(int input_dim, int output_dim, Rng* rng);
 
-  int input_dim() const { return w_.value.cols(); }
-  int output_dim() const { return w_.value.rows(); }
+  int input_dim() const { return w_.value().cols(); }
+  int output_dim() const { return w_.value().rows(); }
 
   /// y must have room for output_dim floats.
   void Forward(const float* x, float* y) const;

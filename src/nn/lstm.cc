@@ -11,15 +11,20 @@ namespace {
 inline float Sigmoid(float x) { return 1.f / (1.f + std::exp(-x)); }
 }  // namespace
 
-LstmCell::LstmCell(int input_dim, int hidden_dim, Rng* rng)
+LstmCell::LstmCell(int input_dim, int hidden_dim, bool onehot_input,
+                   Rng* rng)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
-      wx_("lstm.wx", Matrix::Xavier(4 * hidden_dim, input_dim, rng)),
-      wh_("lstm.wh", Matrix::Xavier(4 * hidden_dim, hidden_dim, rng)),
+      wx_("lstm.wx", Matrix::Xavier(4 * hidden_dim, input_dim, rng),
+          /*packed=*/!onehot_input),
+      wh_("lstm.wh", Matrix::Xavier(4 * hidden_dim, hidden_dim, rng),
+          /*packed=*/true),
       b_("lstm.b", Matrix::Zeros(4 * hidden_dim, 1)),
       dpre_(4 * hidden_dim) {
   // Forget-gate bias init to 1: standard trick for stable early training.
-  for (int i = hidden_dim; i < 2 * hidden_dim; ++i) b_.value.data()[i] = 1.f;
+  b_.UpdateValue([hidden_dim](Matrix* b) {
+    for (int i = hidden_dim; i < 2 * hidden_dim; ++i) b->data()[i] = 1.f;
+  });
 }
 
 void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
@@ -35,7 +40,7 @@ void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
   p->h.resize(h * n);
   float* pre = p->gates.data();
   if (onehot == nullptr) {
-    MatMat(wx_.value, x, lanes, pre);
+    MatMat(wx_, x, lanes, pre);
   } else {
     const int first = input_dim_ - dense_dim;
     for (size_t b = 0; b < n; ++b) {
@@ -43,7 +48,7 @@ void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
     }
     // Wx (e_token ++ x): the token's column, then the dense products in
     // ascending column order.
-    const float* w = wx_.value.data();
+    const float* w = wx_.value().data();
     for (size_t b = 0; b < n; ++b) {
       const float* col = w + onehot[b];
       for (int k = 0; k < 4 * h; ++k) {
@@ -58,10 +63,10 @@ void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
       }
     }
   }
-  MatMatAccum(wh_.value, h_prev, lanes, pre);
+  MatMatAccum(wh_, h_prev, lanes, pre);
   // pre += bias, each entry over its row's lanes (one lane: a plain,
   // vectorizable vector add).
-  const float* bias = b_.value.data();
+  const float* bias = b_.value().data();
   if (n == 1) {
     for (int k = 0; k < 4 * h; ++k) pre[k] += bias[k];
   } else {
@@ -121,14 +126,14 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
     }
   } else {
     OuterAccum(wx_.mutable_grad(), dpre, cache.x.data());
-    if (dx_or_null != nullptr) MatTVecAccum(wx_.value, dpre, dx_or_null);
+    if (dx_or_null != nullptr) MatTVecAccum(wx_.value(), dpre, dx_or_null);
   }
   OuterAccum(wh_.mutable_grad(), dpre, cache.h_prev.data());
   float* db = b_.mutable_grad()->data();
   for (int k = 0; k < 4 * h; ++k) db[k] += dpre[k];
   // Recurrent gradient.
   for (int k = 0; k < h; ++k) dh_prev[k] = 0.f;
-  MatTVecAccum(wh_.value, dpre, dh_prev);
+  MatTVecAccum(wh_.value(), dpre, dh_prev);
 }
 
 LstmStack::LstmStack(int input_dim, int hidden_dim, int num_layers,
@@ -137,9 +142,9 @@ LstmStack::LstmStack(int input_dim, int hidden_dim, int num_layers,
   LSG_CHECK(num_layers >= 1);
   LSG_CHECK(tail_dim >= 0 && tail_dim < input_dim);
   cells_.reserve(num_layers);
-  cells_.emplace_back(input_dim, hidden_dim, rng);
+  cells_.emplace_back(input_dim, hidden_dim, /*onehot_input=*/true, rng);
   for (int l = 1; l < num_layers; ++l) {
-    cells_.emplace_back(hidden_dim, hidden_dim, rng);
+    cells_.emplace_back(hidden_dim, hidden_dim, /*onehot_input=*/false, rng);
   }
 }
 

@@ -11,9 +11,13 @@ namespace lsg {
 /// input is an optional one-hot column (the token encoding of §4.1) followed
 /// by a dense block; the one-hot part touches only its own column of Wx in
 /// both passes, so only the columns actually fed go live for the optimizer.
+/// Wh is a packed tensor (see ParamTensor), and so is Wx of a cell whose
+/// input has no one-hot part, so a one-lane step multiplies through their
+/// forward panels; a one-hot Wx (vocabulary-wide) keeps none.
 class LstmCell {
  public:
-  LstmCell(int input_dim, int hidden_dim, Rng* rng);
+  /// `onehot_input`: every Forward feeds a one-hot part.
+  LstmCell(int input_dim, int hidden_dim, bool onehot_input, Rng* rng);
 
   /// The activations of one step over `lanes` lanes, every field a
   /// feature-major panel ([feature][lane], lane index contiguous). At one

@@ -23,9 +23,9 @@ Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
 
 namespace {
 
-// Rows per single-lane forward tile. Eight independent add chains cover
-// the float-add latency on both add ports; sixteen measured no faster on
-// the 120 x 30 gate product and slower on the ~9-row head.
+// Rows per single-lane row tile. Eight independent add chains cover the
+// float-add latency on both add ports; sixteen measured slower on the
+// ~9-row head.
 constexpr int kRowTile = 8;
 
 // acc[r] = row_at(r) . x for the kRows rows of one tile. The j loop runs
@@ -50,10 +50,9 @@ inline void RowDotTile(RowAt row_at, int cols, const float* x,
   }
 }
 
-// The row sum is computed first and then stored or added once, so
-// MatVecAccum keeps its compute-then-add order.
-template <bool kAccum>
-void MatVecImpl(const Matrix& w, const float* x, float* y) {
+}  // namespace
+
+void MatVec(const Matrix& w, const float* x, float* y) {
   const size_t rows = static_cast<size_t>(w.rows());
   const int cols = w.cols();
   const float* wd = w.data();
@@ -63,24 +62,8 @@ void MatVecImpl(const Matrix& w, const float* x, float* y) {
         [&](int r) { return wd + (i0 + r) * static_cast<size_t>(cols); },
         cols, x, 1, acc);
 #pragma GCC unroll 16
-    for (int r = 0; r < kRows; ++r) {
-      if (kAccum) {
-        y[i0 + r] += acc[r];
-      } else {
-        y[i0 + r] = acc[r];
-      }
-    }
+    for (int r = 0; r < kRows; ++r) y[i0 + r] = acc[r];
   });
-}
-
-}  // namespace
-
-void MatVec(const Matrix& w, const float* x, float* y) {
-  MatVecImpl<false>(w, x, y);
-}
-
-void MatVecAccum(const Matrix& w, const float* x, float* y) {
-  MatVecImpl<true>(w, x, y);
 }
 
 void MatVecRows(const Matrix& w, const float* x, int x_stride,
@@ -138,7 +121,7 @@ void MatMatTile(const float* wd, int rows, int cols, const float* x_panel,
 
 // Every lane lands in exactly one fixed-width tile (ForEachTile), so its
 // accumulation order is identical no matter how the batch splits
-// (16+8+4+… vs one 16-tile vs MatVec).
+// (16+8+4+… vs one 16-tile vs one lane).
 template <bool kAccum>
 void MatMatImpl(const Matrix& w, const float* x_panel, int batch,
                 float* y_panel) {
@@ -152,25 +135,6 @@ void MatMatImpl(const Matrix& w, const float* x_panel, int batch,
 }
 
 }  // namespace
-
-void MatMat(const Matrix& w, const float* x_panel, int batch, float* y_panel) {
-  LSG_CHECK(batch > 0);
-  if (batch == 1) {
-    MatVec(w, x_panel, y_panel);
-    return;
-  }
-  MatMatImpl<false>(w, x_panel, batch, y_panel);
-}
-
-void MatMatAccum(const Matrix& w, const float* x_panel, int batch,
-                 float* y_panel) {
-  LSG_CHECK(batch > 0);
-  if (batch == 1) {
-    MatVecAccum(w, x_panel, y_panel);
-    return;
-  }
-  MatMatImpl<true>(w, x_panel, batch, y_panel);
-}
 
 namespace {
 
@@ -208,6 +172,65 @@ void AxpyAccum(float a, const float* x, int n, float* y) {
   ForEachTile(static_cast<size_t>(n), [&]<int kWidth>(size_t j) {
     AxpyTile<kWidth>(a, x + j, y + j);
   });
+}
+
+namespace {
+
+// Rows per forward-panel chunk: the accumulator vector lives on the stack,
+// and 128 rows hold the 4H gate column of an LSTM of up to 32 units.
+constexpr size_t kPanelChunk = 128;
+
+// y (+)= W x from the forward panel (panel[j * rows + i] = W(i, j)). Each
+// chunk of output rows starts from +0, adds panel column j times x[j] for j
+// ascending (one multiply and one add per element, as in the scalar row
+// loop), then stores or adds the finished sums once.
+template <bool kAccum>
+void PanelMatVec(const float* panel, size_t rows, int cols, const float* x,
+                 float* y) {
+  for (size_t i0 = 0; i0 < rows; i0 += kPanelChunk) {
+    const size_t n = std::min(kPanelChunk, rows - i0);
+    float acc[kPanelChunk];
+    std::fill(acc, acc + n, 0.f);
+    for (int j = 0; j < cols; ++j) {
+      const float xj = x[j];
+      const float* col = panel + static_cast<size_t>(j) * rows + i0;
+      ForEachTile(n, [&]<int kWidth>(size_t i) {
+        AxpyTile<kWidth>(xj, col + i, acc + i);
+      });
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (kAccum) {
+        y[i0 + i] += acc[i];
+      } else {
+        y[i0 + i] = acc[i];
+      }
+    }
+  }
+}
+
+template <bool kAccum>
+void PackedMatMat(const ParamTensor& w, const float* x_panel, int batch,
+                  float* y_panel) {
+  LSG_CHECK(batch > 0);
+  if (batch > 1) {
+    MatMatImpl<kAccum>(w.value(), x_panel, batch, y_panel);
+    return;
+  }
+  LSG_CHECK(w.packed());
+  PanelMatVec<kAccum>(w.panel(), static_cast<size_t>(w.value().rows()),
+                      w.value().cols(), x_panel, y_panel);
+}
+
+}  // namespace
+
+void MatMat(const ParamTensor& w, const float* x_panel, int batch,
+            float* y_panel) {
+  PackedMatMat<false>(w, x_panel, batch, y_panel);
+}
+
+void MatMatAccum(const ParamTensor& w, const float* x_panel, int batch,
+                 float* y_panel) {
+  PackedMatMat<true>(w, x_panel, batch, y_panel);
 }
 
 void MatTVecAccum(const Matrix& w, const float* dy, float* dx) {
@@ -251,6 +274,17 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n) {
     v[i] = static_cast<float>(v[i] / sum);
   }
   return Status::Ok();
+}
+
+void ParamTensor::Repack() {
+  if (!packed_) return;
+  const size_t rows = static_cast<size_t>(value_.rows());
+  const size_t cols = static_cast<size_t>(value_.cols());
+  panel_.resize(rows * cols);
+  const float* v = value_.data();
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) panel_[j * rows + i] = v[i * cols + j];
+  }
 }
 
 Matrix* ParamTensor::mutable_grad() {
@@ -297,15 +331,15 @@ bool ParamTensor::IsLive(int c) const {
 void ParamSnapshot::Save(const std::vector<ParamTensor*>& params) {
   // Copy-assignment reuses each saved buffer once the first Save sized it.
   values_.resize(params.size());
-  for (size_t i = 0; i < params.size(); ++i) values_[i] = params[i]->value;
+  for (size_t i = 0; i < params.size(); ++i) values_[i] = params[i]->value();
 }
 
 bool ParamSnapshot::Restore(const std::vector<ParamTensor*>& params) const {
   if (values_.empty()) return false;
   LSG_CHECK(values_.size() == params.size());
   for (size_t i = 0; i < params.size(); ++i) {
-    LSG_CHECK(values_[i].size() == params[i]->value.size());
-    params[i]->value = values_[i];
+    LSG_CHECK(values_[i].size() == params[i]->value().size());
+    params[i]->UpdateValue([&](Matrix* v) { *v = values_[i]; });
   }
   return true;
 }
@@ -315,6 +349,9 @@ double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm) {
   for (ParamTensor* p : params) {
     p->ForEachLiveSpan([&sq](size_t, size_t n, const float* g) {
       for (size_t i = 0; i < n; ++i) {
+        // A ±0 entry would add +0 to a non-negative sum: skipping it keeps
+        // every bit, and NaN and ±inf still enter.
+        if (g[i] == 0.f) continue;
         sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
       }
     });

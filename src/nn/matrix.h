@@ -47,6 +47,14 @@ class Matrix {
 
 /// A learnable tensor: value plus accumulated gradient.
 ///
+/// A packed tensor also keeps a forward panel: value transposed into a
+/// column-major copy (panel[j * rows + i] = value(i, j)), which the
+/// one-lane MatMat below reads as contiguous column slices; only a packed
+/// tensor can be multiplied at one lane. The panel is refreshed by every
+/// write to value, and UpdateValue is the only write access, so a panel is
+/// never stale: construction, Adam::Step, ParamSnapshot::Restore and
+/// LoadParams all go through it.
+///
 /// Gradient columns go "live" on their first write and stay live. A tensor
 /// fed by one-hot inputs (an LSTM's token-input Wx) only ever receives
 /// gradients one column at a time, so after an epoch most of its columns
@@ -60,12 +68,27 @@ class Matrix {
 class ParamTensor {
  public:
   ParamTensor() = default;
-  ParamTensor(std::string n, Matrix v)
-      : name(std::move(n)), value(std::move(v)),
-        grad_(Matrix::Zeros(value.rows(), value.cols())) {}
+  ParamTensor(std::string n, Matrix v, bool packed = false)
+      : name(std::move(n)), value_(std::move(v)), packed_(packed),
+        grad_(Matrix::Zeros(value_.rows(), value_.cols())) {
+    Repack();
+  }
 
   std::string name;
-  Matrix value;
+
+  const Matrix& value() const { return value_; }
+
+  /// The one write access to value: calls fn(Matrix*) on it, then
+  /// refreshes the forward panel (O(value.size()), only when packed).
+  template <typename Fn>
+  void UpdateValue(Fn&& fn) {
+    fn(&value_);
+    Repack();
+  }
+
+  bool packed() const { return packed_; }
+  /// The forward panel (packed tensors only).
+  const float* panel() const { return panel_.data(); }
 
   const Matrix& grad() const { return grad_; }
 
@@ -117,19 +140,21 @@ class ParamTensor {
     int end;
   };
 
+  void Repack();
+
+  Matrix value_;
+  bool packed_ = false;
+  std::vector<float> panel_;  ///< value transposed; empty unless packed
   Matrix grad_;
   std::vector<ColumnRun> live_runs_;
 };
 
-/// y = W x  (y: rows, x: cols). The single-lane forward kernels (MatVec,
-/// MatVecAccum, MatVecRows) run fixed-width tiles of rows with one
-/// independent accumulator per row; each row still sums its products in
-/// ascending-j order from +0, so every output is bitwise the one-chain
-/// scalar dot product.
+/// y = W x  (y: rows, x: cols). The single-lane row-major forward kernels
+/// (MatVec, MatVecRows) run fixed-width tiles of rows with one independent
+/// accumulator per row; each row still sums its products in ascending-j
+/// order from +0, so every output is bitwise the one-chain scalar dot
+/// product.
 void MatVec(const Matrix& w, const float* x, float* y);
-
-/// y += W x. Each row's sum is computed first and added to y once.
-void MatVecAccum(const Matrix& w, const float* x, float* y);
 
 /// Gathered-row product: y[k] = (row rows[k] of W) . x for k < nrows, x
 /// read at the given stride (a feature-major panel column when
@@ -138,19 +163,24 @@ void MatVecAccum(const Matrix& w, const float* x, float* y);
 void MatVecRows(const Matrix& w, const float* x, int x_stride,
                 const int* rows, int nrows, float* y);
 
-/// Batched matrix-matrix product over a feature-major activation panel:
-/// Y = W X, where X packs `batch` activation vectors lane-interleaved
-/// (x_panel[j * batch + b] is feature j of lane b) and Y has the same
-/// layout over rows (y_panel[i * batch + b]). The lane-contiguous layout
-/// makes the inner loop a stride-1 autovectorizable accumulate, while each
-/// lane's per-row sum still runs in ascending-j order — so every lane is
-/// bitwise-identical to a MatVec over its own vector. batch == 1 delegates
-/// to MatVec.
-void MatMat(const Matrix& w, const float* x_panel, int batch, float* y_panel);
+/// Y = W X for a tensor's value W over a feature-major activation panel:
+/// X packs `batch` activation vectors lane-interleaved (x_panel[j * batch
+/// + b] is feature j of lane b) and Y has the same layout over rows
+/// (y_panel[i * batch + b]). Every output is bitwise the one-chain scalar
+/// dot product of its row and lane, ((0 + w_0 x_0) + w_1 x_1) + ... in
+/// ascending j:
+///  - One lane (batch == 1, W packed) runs the forward panel: the whole
+///    output column is one accumulator vector, and acc += panel column j
+///    * x[j] sweeps j ascending as fixed-width AxpyAccum tiles.
+///  - More lanes run lane tiles: for each row, kWidth per-lane
+///    accumulators in ascending j, the inner loop a stride-1
+///    autovectorizable accumulate over the panel.
+void MatMat(const ParamTensor& w, const float* x_panel, int batch,
+            float* y_panel);
 
-/// Y += W X, same panel layout as MatMat. The per-row tile sum is computed
-/// first and added once, matching MatVecAccum's compute-then-add order.
-void MatMatAccum(const Matrix& w, const float* x_panel, int batch,
+/// Y += W X, same layout as MatMat. Each output's sum is computed first
+/// and added once.
+void MatMatAccum(const ParamTensor& w, const float* x_panel, int batch,
                  float* y_panel);
 
 /// dx += W^T dy.
@@ -178,7 +208,9 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n);
 /// Rescales all gradients so their global L2 norm is at most max_norm.
 /// Returns the pre-clip norm. Visits live gradient entries only (see
 /// ParamTensor): the skipped entries are +0 and change neither the sum nor
-/// their own scaled value.
+/// their own scaled value. The sum also skips live ±0 entries (most of the
+/// policy head's, which BackwardRows marks all-live), whose +0 square
+/// would leave the non-negative sum unchanged.
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm);
 
 /// In-memory checkpoint of a parameter set (keep-best-policy snapshots).

@@ -37,14 +37,14 @@ Status SaveParams(const std::vector<const ParamTensor*>& params,
   }
   for (const ParamTensor* p : params) {
     uint32_t name_len = static_cast<uint32_t>(p->name.size());
-    uint32_t rows = static_cast<uint32_t>(p->value.rows());
-    uint32_t cols = static_cast<uint32_t>(p->value.cols());
+    uint32_t rows = static_cast<uint32_t>(p->value().rows());
+    uint32_t cols = static_cast<uint32_t>(p->value().cols());
     if (std::fwrite(&name_len, sizeof(name_len), 1, f.get()) != 1 ||
         std::fwrite(p->name.data(), 1, name_len, f.get()) != name_len ||
         std::fwrite(&rows, sizeof(rows), 1, f.get()) != 1 ||
         std::fwrite(&cols, sizeof(cols), 1, f.get()) != 1 ||
-        std::fwrite(p->value.data(), sizeof(float), p->value.size(),
-                    f.get()) != p->value.size()) {
+        std::fwrite(p->value().data(), sizeof(float), p->value().size(),
+                    f.get()) != p->value().size()) {
       return Status::Internal("write failed: " + path);
     }
   }
@@ -75,16 +75,20 @@ Status LoadParams(const std::vector<ParamTensor*>& params,
         std::fread(&cols, sizeof(cols), 1, f.get()) != 1) {
       return Status::InvalidArgument("truncated file " + path);
     }
-    if (name != p->name || rows != static_cast<uint32_t>(p->value.rows()) ||
-        cols != static_cast<uint32_t>(p->value.cols())) {
+    if (name != p->name || rows != static_cast<uint32_t>(p->value().rows()) ||
+        cols != static_cast<uint32_t>(p->value().cols())) {
       return Status::InvalidArgument(
           StrFormat("tensor mismatch: file has %s(%ux%u), model expects "
                     "%s(%dx%d)",
                     name.c_str(), rows, cols, p->name.c_str(),
-                    p->value.rows(), p->value.cols()));
+                    p->value().rows(), p->value().cols()));
     }
-    if (std::fread(p->value.data(), sizeof(float), p->value.size(), f.get()) !=
-        p->value.size()) {
+    bool complete = false;
+    p->UpdateValue([&](Matrix* value) {
+      complete = std::fread(value->data(), sizeof(float), value->size(),
+                            f.get()) == value->size();
+    });
+    if (!complete) {
       return Status::InvalidArgument("truncated tensor data in " + path);
     }
   }

@@ -12,7 +12,8 @@ MetaCritic::MetaCritic(int vocab_size, const Options& options)
       rng_(options.seed),
       state_lstm_(vocab_size + 1, options.hidden_dim, options.num_layers,
                   options.dropout, &rng_),
-      encoder_(options.action_embed_dim + 1, options.encoder_dim, &rng_),
+      encoder_(options.action_embed_dim + 1, options.encoder_dim,
+               /*onehot_input=*/false, &rng_),
       action_embed_("meta.embed",
                     Matrix::Xavier(options.action_embed_dim, vocab_size + 1,
                                    &rng_)),
@@ -62,7 +63,7 @@ void MetaCritic::ObserveTriple(Episode* ep, int action, double reward) {
   LstmCell::Cache cache;
   cache.x.resize(options_.action_embed_dim + 1);
   for (int i = 0; i < options_.action_embed_dim; ++i) {
-    cache.x[i] = action_embed_.value.at(i, action);
+    cache.x[i] = action_embed_.value().at(i, action);
   }
   cache.x[options_.action_embed_dim] = static_cast<float>(reward);
   cache.h_prev = ep->enc_h;

@@ -39,7 +39,7 @@ StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
   int input = actor->bos_index();
   for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const PolicyNetwork::CompactDistribution* dist = nullptr;
-    LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions(), &dist));
+    LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions().ids, &dist));
     if (hooks.after_actor_step) {
       LSG_RETURN_IF_ERROR(hooks.after_actor_step(input));
     }

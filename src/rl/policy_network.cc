@@ -35,18 +35,17 @@ PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
 }
 
 Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
-                                 const std::vector<uint8_t>& mask,
+                                 const std::vector<int>& admitted,
                                  CompactDistribution* d) const {
-  LSG_CHECK(static_cast<int>(mask.size()) == vocab_size_);
-  // The FSM admits only a handful of tokens per step (mean mask width ~9
-  // of ~2800 on the paper workloads), so the head projects just the masked
-  // rows — the same per-row dot products a full forward computes — and the
-  // softmax runs on the compacted support.
-  d->idx.clear();
-  for (int i = 0; i < vocab_size_; ++i) {
-    if (mask[i]) d->idx.push_back(i);
+  if (admitted.empty()) {
+    return Status::Internal("masked softmax with empty mask");
   }
-  if (d->idx.empty()) return Status::Internal("masked softmax with empty mask");
+  LSG_CHECK(admitted.front() >= 0 && admitted.back() < vocab_size_);
+  // The FSM admits only a handful of tokens per step (mean mask width ~9
+  // of ~2800 on the paper workloads), so the head projects just the
+  // admitted rows — the same per-row dot products a full forward computes
+  // — and the softmax runs on the compacted support.
+  d->idx.assign(admitted.begin(), admitted.end());
   d->probs.resize(d->idx.size());
   head_.ForwardRows(top, top_stride, d->idx.data(),
                     static_cast<int>(d->idx.size()), d->probs.data());
@@ -54,7 +53,7 @@ Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
 }
 
 void PolicyNetwork::StepLanes(Episode* const* eps,
-                              const std::vector<uint8_t>* const* masks, int n,
+                              const std::vector<int>* const* admitted, int n,
                               Rng* dropout, CompactDistribution* dists,
                               Status* statuses, Workspace* ws) const {
   ws->lanes.clear();
@@ -81,27 +80,27 @@ void PolicyNetwork::StepLanes(Episode* const* eps,
   // Lane j's top hidden state is column j of the feature-major panel.
   for (int j = 0; j < width; ++j) {
     const int b = ws->live[j];
-    statuses[b] = MaskedHead(top + j, width, *masks[b], &dists[b]);
+    statuses[b] = MaskedHead(top + j, width, *admitted[b], &dists[b]);
   }
 }
 
-Status PolicyNetwork::Step(Episode* ep, const std::vector<uint8_t>& mask,
+Status PolicyNetwork::Step(Episode* ep, const std::vector<int>& admitted,
                            const CompactDistribution** dist) {
   ep->dists.emplace_back();
-  const std::vector<uint8_t>* masks = &mask;
+  const std::vector<int>* lane_admitted = &admitted;
   Status status;
-  StepLanes(&ep, &masks, 1, &rng_, &ep->dists.back(), &status, &ws_);
+  StepLanes(&ep, &lane_admitted, 1, &rng_, &ep->dists.back(), &status, &ws_);
   LSG_RETURN_IF_ERROR(status);
   *dist = &ep->dists.back();
   return Status::Ok();
 }
 
 void PolicyNetwork::StepBatch(Episode* const* lanes,
-                              const std::vector<uint8_t>* const* masks,
+                              const std::vector<int>* const* admitted,
                               int batch, CompactDistribution* dists,
                               Status* statuses, Workspace* ws) const {
   for (int b = 0; b < batch; ++b) LSG_CHECK(!lanes[b]->train);
-  StepLanes(lanes, masks, batch, /*dropout=*/nullptr, dists, statuses, ws);
+  StepLanes(lanes, admitted, batch, /*dropout=*/nullptr, dists, statuses, ws);
 }
 
 int PolicyNetwork::SampleAction(const CompactDistribution& d,

@@ -71,11 +71,13 @@ class PolicyNetwork {
   /// Advances the LSTM over the previous action (BOS on the first call)
   /// and the episode's feature tail, appends the masked action
   /// distribution for the next step to ep->dists and points `*dist` at it
-  /// (valid until the next Step). Training episodes also keep the BPTT
-  /// cache and draw dropout from the network's stream. InvalidArgument
-  /// for a feature tail of the wrong length; kInternal for an empty mask
-  /// or a degenerate masked logit row (the episode is then unusable).
-  Status Step(Episode* ep, const std::vector<uint8_t>& mask,
+  /// (valid until the next Step). `admitted` lists the vocabulary indices
+  /// the mask admits, ascending and without repeats (ActionMask::ids).
+  /// Training episodes also keep the BPTT cache and draw dropout from the
+  /// network's stream. InvalidArgument for a feature tail of the wrong
+  /// length; kInternal for an empty mask or a degenerate masked logit row
+  /// (the episode is then unusable).
+  Status Step(Episode* ep, const std::vector<int>& admitted,
               const CompactDistribution** dist);
 
   /// Inference step over `batch` non-training episodes, one token each,
@@ -85,7 +87,7 @@ class PolicyNetwork {
   /// failed lane's dists entry is unspecified and the lane must be
   /// dropped).
   void StepBatch(Episode* const* lanes,
-                 const std::vector<uint8_t>* const* masks, int batch,
+                 const std::vector<int>* const* admitted, int batch,
                  CompactDistribution* dists, Status* statuses,
                  Workspace* ws) const;
 
@@ -115,15 +117,15 @@ class PolicyNetwork {
  private:
   /// The one step: Step and StepBatch. Training episodes draw dropout
   /// from `dropout`.
-  void StepLanes(Episode* const* eps, const std::vector<uint8_t>* const* masks,
+  void StepLanes(Episode* const* eps, const std::vector<int>* const* admitted,
                  int n, Rng* dropout, CompactDistribution* dists,
                  Status* statuses, Workspace* ws) const;
 
-  /// Projects the masked head rows of the top hidden state (read at
+  /// Projects the admitted head rows of the top hidden state (read at
   /// `top_stride`: 1 for a vector, the batch width for a panel column) and
   /// runs the compact softmax over them into `*d`.
   Status MaskedHead(const float* top, int top_stride,
-                    const std::vector<uint8_t>& mask,
+                    const std::vector<int>& admitted,
                     CompactDistribution* d) const;
 
   int vocab_size_;

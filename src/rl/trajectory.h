@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fsm/action_mask.h"
 #include "sql/ast.h"
 
 namespace lsg {
@@ -34,8 +35,8 @@ class Environment {
   /// Starts a new episode (empty query).
   virtual void Reset() = 0;
 
-  /// FSM action mask for the current state; size == vocab_size().
-  virtual const std::vector<uint8_t>& ValidActions() = 0;
+  /// FSM action mask for the current state; bytes.size() == vocab_size().
+  virtual const ActionMask& ValidActions() = 0;
 
   /// Applies an action (must be valid).
   virtual StatusOr<EnvStepResult> Step(int action) = 0;

@@ -496,7 +496,7 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       return Status::Ok();
     }
     case PredicateKind::kScalarSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/true);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/true);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       if (sub->cardinality != 1 || sub->first_column.empty()) {
@@ -509,7 +509,7 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       return Status::Ok();
     }
     case PredicateKind::kInSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/true);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/true);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       // Same Value-keyed membership set as the reference engine so the
@@ -524,7 +524,7 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       return Status::Ok();
     }
     case PredicateKind::kExistsSub: {
-      auto sub = ExecuteSelect(*p.subquery, /*materialize=*/false);
+      auto sub = RunSelect(*p.subquery, /*materialize=*/false);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
       bool exists = sub->cardinality > 0;
@@ -601,6 +601,11 @@ StatusOr<SelectResult> VectorizedEngine::ExecuteSelect(
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global().GetCounter("vexec.select_queries").Inc();
   }
+  return RunSelect(q, materialize_first_column);
+}
+
+StatusOr<SelectResult> VectorizedEngine::RunSelect(
+    const SelectQuery& q, bool materialize_first_column) const {
   SelectResult result;
   LSG_ASSIGN_OR_RETURN(TupleSetV ts, BuildJoin(q, &result.stats));
   LSG_RETURN_IF_ERROR(ApplyWhere(q.where, &ts, &result.stats));

@@ -69,7 +69,9 @@ class VectorizedEngine {
   /// past the intermediate-tuple cap returns OutOfRange.
   StatusOr<uint64_t> Cardinality(const QueryAst& ast) const;
   /// Executes a SELECT; optionally materializes the first projection
-  /// column (used by IN / scalar subqueries and the tests).
+  /// column (used by IN / scalar subqueries and the tests). Each call adds
+  /// one vexec.select_ns sample and one vexec.select_queries count; its
+  /// subqueries run inside that sample.
   StatusOr<SelectResult> ExecuteSelect(const SelectQuery& q,
                                        bool materialize_first_column) const;
   /// Evaluates a single-table WHERE against every row of `table_idx`,
@@ -78,6 +80,9 @@ class VectorizedEngine {
                                         const WhereClause& where) const;
 
  private:
+  /// ExecuteSelect without the metrics, for subqueries.
+  StatusOr<SelectResult> RunSelect(const SelectQuery& q,
+                                   bool materialize_first_column) const;
   StatusOr<TupleSetV> BuildJoin(const SelectQuery& q, ExecStats* stats) const;
   Status ApplyWhere(const WhereClause& where, TupleSetV* ts,
                     ExecStats* stats) const;

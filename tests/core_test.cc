@@ -189,7 +189,7 @@ TEST_F(EnvTest, ExecutionMemoKeysOnEveryAction) {
   for (int a : prefix) ASSERT_TRUE(env.Step(a).ok());
   std::vector<int> literals;
   for (int guard = 0; guard < 8 && literals.empty(); ++guard) {
-    const std::vector<uint8_t>& mask = env.ValidActions();
+    const std::vector<uint8_t>& mask = env.ValidActions().bytes;
     int next = -1;
     std::vector<int> values;
     for (int id = 0; id < vocab_->size(); ++id) {
@@ -518,9 +518,9 @@ TEST(GeneratorTest, TrueFeedbackTailHitsTheExecutionMemo) {
 // through BatchDecoder (one batched forward per step, ragged lanes that
 // join and retire at different times) yields byte-for-byte the queries
 // GenerateBatch / GenerateSatisfied produce when run one request at a time
-// with the same per-request seeds (a width-1 decode, whose forward is the
-// MatVec path). A second decode at max_lanes = 1 over the whole group
-// pins ragged admission at width 1 to the same output.
+// with the same per-request seeds (a width-1 decode, whose forward runs the
+// packed weights' forward panels). A second decode at max_lanes = 1 over the
+// whole group pins ragged admission at width 1 to the same output.
 TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 8;

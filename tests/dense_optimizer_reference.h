@@ -26,8 +26,8 @@ class DenseAdam {
       : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
         eps_(eps) {
     for (const ParamTensor* p : params_) {
-      m_.push_back(Matrix::Zeros(p->value.rows(), p->value.cols()));
-      v_.push_back(Matrix::Zeros(p->value.rows(), p->value.cols()));
+      m_.push_back(Matrix::Zeros(p->value().rows(), p->value().cols()));
+      v_.push_back(Matrix::Zeros(p->value().rows(), p->value().cols()));
     }
   }
 
@@ -37,19 +37,20 @@ class DenseAdam {
     const float bc2 = 1.f - std::pow(beta2_, static_cast<float>(t_));
     for (size_t i = 0; i < params_.size(); ++i) {
       ParamTensor* p = params_[i];
-      float* w = p->value.data();
       float* g = p->mutable_grad()->data();
       float* m = m_[i].data();
       float* v = v_[i].data();
-      const size_t n = p->value.size();
-      for (size_t k = 0; k < n; ++k) {
-        m[k] = beta1_ * m[k] + (1.f - beta1_) * g[k];
-        v[k] = beta2_ * v[k] + (1.f - beta2_) * g[k] * g[k];
-        const float mhat = m[k] / bc1;
-        const float vhat = v[k] / bc2;
-        w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-        g[k] = 0.f;
-      }
+      p->UpdateValue([&](Matrix* value) {
+        float* w = value->data();
+        for (size_t k = 0; k < value->size(); ++k) {
+          m[k] = beta1_ * m[k] + (1.f - beta1_) * g[k];
+          v[k] = beta2_ * v[k] + (1.f - beta2_) * g[k] * g[k];
+          const float mhat = m[k] / bc1;
+          const float vhat = v[k] / bc2;
+          w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+          g[k] = 0.f;
+        }
+      });
     }
   }
 

@@ -178,11 +178,11 @@ TEST_F(ExtensionFsmTest, LikeOfferedOnlyForStringColumnsWithPatterns) {
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(student(), 0)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kWhere)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(student(), 1)).ok());  // Name
-  const auto& mask = fsm.ValidActions();
+  const auto& mask = fsm.ValidActions().bytes;
   EXPECT_TRUE(mask[vocab_->keyword_id(Keyword::kLike)]);
   // After LIKE only this column's patterns are offered.
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kLike)).ok());
-  const auto& m2 = fsm.ValidActions();
+  const auto& m2 = fsm.ValidActions().bytes;
   int allowed = 0;
   for (size_t i = 0; i < m2.size(); ++i) {
     if (!m2[i]) continue;
@@ -203,7 +203,7 @@ TEST_F(ExtensionFsmTest, LikeMaskedForNumericColumns) {
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(score(), 0)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kWhere)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(score(), 3)).ok());  // Grade
-  EXPECT_FALSE(fsm.ValidActions()[vocab_->keyword_id(Keyword::kLike)]);
+  EXPECT_FALSE(fsm.ValidActions().bytes[vocab_->keyword_id(Keyword::kLike)]);
 }
 
 TEST_F(ExtensionFsmTest, OrderByFlow) {
@@ -212,10 +212,10 @@ TEST_F(ExtensionFsmTest, OrderByFlow) {
   ASSERT_TRUE(fsm.Step(vocab_->table_token_id(score())).ok());
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kSelect)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(score(), 1)).ok());
-  EXPECT_TRUE(fsm.ValidActions()[vocab_->keyword_id(Keyword::kOrderBy)]);
+  EXPECT_TRUE(fsm.ValidActions().bytes[vocab_->keyword_id(Keyword::kOrderBy)]);
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kOrderBy)).ok());
   // Only the selected plain column is orderable.
-  const auto& mask = fsm.ValidActions();
+  const auto& mask = fsm.ValidActions().bytes;
   for (size_t i = 0; i < mask.size(); ++i) {
     if (mask[i]) {
       EXPECT_EQ(vocab_->token(static_cast<int>(i)).column.column_idx, 1);
@@ -238,7 +238,7 @@ TEST_F(ExtensionFsmTest, OrderByMaskedWhenDisabled) {
   ASSERT_TRUE(fsm.Step(vocab_->table_token_id(score())).ok());
   ASSERT_TRUE(fsm.Step(vocab_->keyword_id(Keyword::kSelect)).ok());
   ASSERT_TRUE(fsm.Step(vocab_->column_token_id(score(), 1)).ok());
-  EXPECT_FALSE(fsm.ValidActions()[vocab_->keyword_id(Keyword::kOrderBy)]);
+  EXPECT_FALSE(fsm.ValidActions().bytes[vocab_->keyword_id(Keyword::kOrderBy)]);
 }
 
 TEST_F(ExtensionFsmTest, WalksWithExtensionsExecute) {
@@ -306,8 +306,8 @@ TEST(ModelPersistenceTest, SaveLoadReproducesPolicy) {
     std::vector<uint32_t> bits;
     for (const ParamTensor* t : g.snapshot()->actor->Params()) {
       EXPECT_EQ(t->grad().size(), 0u) << t->name;
-      for (size_t i = 0; i < t->value.size(); ++i) {
-        bits.push_back(std::bit_cast<uint32_t>(t->value.data()[i]));
+      for (size_t i = 0; i < t->value().size(); ++i) {
+        bits.push_back(std::bit_cast<uint32_t>(t->value().data()[i]));
       }
     }
     return bits;

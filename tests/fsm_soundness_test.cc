@@ -8,12 +8,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/workload.h"
 #include "datasets/tpch_like.h"
 #include "exec/executor.h"
 #include "fsm/generation_fsm.h"
+#include "fuzz/test_databases.h"
 #include "optimizer/cardinality_estimator.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
@@ -57,7 +60,7 @@ TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
     GenerationFsm fsm(&db, &*vocab, profile);
     std::vector<int> prefix;
     while (!fsm.done()) {
-      const auto& mask = fsm.ValidActions();
+      const auto& mask = fsm.ValidActions().bytes;
       std::vector<int> allowed;
       for (size_t i = 0; i < mask.size(); ++i) {
         if (mask[i]) allowed.push_back(static_cast<int>(i));
@@ -87,6 +90,48 @@ TEST_P(MaskSoundness, EveryOfferedActionIsLegal) {
 
 INSTANTIATE_TEST_SUITE_P(Profiles, MaskSoundness, ::testing::Range(0, 5));
 
+// The admitted list is the byte mask's support in ascending order at every
+// step of every walk, and both are empty once the query is done: the policy
+// reads the list and the scans read the bytes, so they must never differ.
+TEST(AdmittedListTest, EqualsAscendingScanOfTheByteMask) {
+  QueryProfile dml;
+  dml.allow_insert = true;
+  dml.allow_update = true;
+  dml.allow_delete = true;
+  for (const std::string& name : FuzzDatasetNames()) {
+    auto db = BuildNamedDatabase(name);
+    ASSERT_TRUE(db.ok());
+    auto vocab = Vocabulary::Build(*db, VocabularyOptions());
+    ASSERT_TRUE(vocab.ok());
+    for (const QueryProfile& profile : {QueryProfile(), dml}) {
+      GenerationFsm fsm(&*db, &*vocab, profile);
+      Rng rng(6100 + static_cast<uint64_t>(profile.allow_delete));
+      size_t steps = 0;
+      for (int walk = 0; walk < 500; ++walk) {
+        fsm.Reset();
+        std::vector<int> scan;
+        while (true) {
+          const ActionMask& mask = fsm.ValidActions();
+          scan.clear();
+          for (size_t i = 0; i < mask.bytes.size(); ++i) {
+            if (mask.bytes[i] != 0) scan.push_back(static_cast<int>(i));
+          }
+          ASSERT_EQ(mask.ids, scan)
+              << name << " walk " << walk << " after "
+              << fsm.tokens().size() << " tokens";
+          if (fsm.done()) break;
+          ASSERT_FALSE(scan.empty());
+          ASSERT_TRUE(fsm.Step(scan[rng.Uniform(scan.size())]).ok());
+          ++steps;
+        }
+        ASSERT_TRUE(scan.empty()) << name << " walk " << walk;
+        (void)fsm.TakeAst();
+      }
+      EXPECT_GT(steps, 500u * 10) << name;
+    }
+  }
+}
+
 TEST(MaskSoundness, ExecutablePrefixesReallyExecute) {
   // Whenever the FSM reports an executable prefix, the partial AST must
   // execute without error (it feeds the reward path).
@@ -102,7 +147,7 @@ TEST(MaskSoundness, ExecutablePrefixesReallyExecute) {
   for (int walk = 0; walk < 120; ++walk) {
     fsm.Reset();
     while (!fsm.done()) {
-      const auto& mask = fsm.ValidActions();
+      const auto& mask = fsm.ValidActions().bytes;
       int chosen = -1, seen = 0;
       for (size_t i = 0; i < mask.size(); ++i) {
         if (!mask[i]) continue;

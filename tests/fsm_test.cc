@@ -70,7 +70,7 @@ class FsmTest : public ::testing::Test {
   }
 
   std::set<int> AllowedIds(GenerationFsm* fsm) {
-    const auto& mask = fsm->ValidActions();
+    const auto& mask = fsm->ValidActions().bytes;
     std::set<int> ids;
     for (size_t i = 0; i < mask.size(); ++i) {
       if (mask[i]) ids.insert(static_cast<int>(i));
@@ -278,7 +278,7 @@ TEST_F(FsmTest, TokenBudgetForcesShortQueries) {
     fsm.Reset();
     int steps = 0;
     while (!fsm.done()) {
-      const auto& mask = fsm.ValidActions();
+      const auto& mask = fsm.ValidActions().bytes;
       int chosen = -1, seen = 0;
       for (size_t i = 0; i < mask.size(); ++i) {
         if (!mask[i]) continue;

@@ -24,12 +24,11 @@ class ToyTaskEnv : public Environment {
     match_ = 0;
   }
 
-  const std::vector<uint8_t>& ValidActions() override {
-    mask_.assign(4, 0);
+  const ActionMask& ValidActions() override {
     if (emitted_.size() < target_.size()) {
-      mask_[0] = mask_[1] = mask_[2] = 1;
+      mask_ = {{1, 1, 1, 0}, {0, 1, 2}};
     } else {
-      mask_[3] = 1;
+      mask_ = {{0, 0, 0, 1}, {3}};
     }
     return mask_;
   }
@@ -59,7 +58,7 @@ class ToyTaskEnv : public Environment {
  private:
   std::vector<int> target_;
   std::vector<int> emitted_;
-  std::vector<uint8_t> mask_;
+  ActionMask mask_;
   int match_ = 0;
 };
 
@@ -156,7 +155,7 @@ TEST(MetaCriticTest, ActionEmbeddingGoesLiveOnlyForObservedActions) {
   // Columns of the observed actions went live (the last triple's with a
   // zero gradient: no value step consumed it); the optimizer never visits
   // the others.
-  for (int c = 0; c < embed->value.cols(); ++c) {
+  for (int c = 0; c < embed->value().cols(); ++c) {
     EXPECT_EQ(embed->IsLive(c), c == 0 || c == 2) << "column " << c;
   }
 }

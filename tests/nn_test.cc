@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/adam.h"
@@ -54,7 +55,7 @@ TEST(MatrixTest, MatVec) {
   MatVec(w, x, y);
   EXPECT_FLOAT_EQ(y[0], 6.f);
   EXPECT_FLOAT_EQ(y[1], 15.f);
-  MatVecAccum(w, x, y);
+  MatMatAccum(ParamTensor("w", w, /*packed=*/true), x, 1, y);
   EXPECT_FLOAT_EQ(y[0], 12.f);
 }
 
@@ -154,10 +155,11 @@ TEST(CompactSoftmaxTest, MatchesDenseMaskedReferenceBitwise) {
 
 // ------------------------------------------------------- batched GEMM
 
-// Differential oracle for the blocked MatMat path: random ragged shapes,
-// every lane compared bitwise against the scalar one-chain-per-row loop
-// over the same vector. Any reassociation or contraction in the batched kernel fails
-// this with exact-equality diffs.
+// Differential oracle for MatMat: random ragged shapes, every lane compared
+// bitwise against the scalar one-chain-per-row loop over the same vector
+// (one lane runs the forward panel, more run the lane tiles). Any
+// reassociation or contraction in either kernel fails this with
+// exact-equality diffs.
 TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
   Rng rng(4242);
   const int batches[] = {1, 2, 3, 16, 17};
@@ -171,7 +173,8 @@ TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
         std::vector<float> x_panel(static_cast<size_t>(cols) * batch);
         for (float& v : x_panel) v = static_cast<float>(rng.Normal(0.0, 2.0));
         std::vector<float> y_panel(static_cast<size_t>(rows) * batch, -7.f);
-        MatMat(w, x_panel.data(), batch, y_panel.data());
+        MatMat(ParamTensor("w", w, /*packed=*/true), x_panel.data(), batch,
+               y_panel.data());
 
         std::vector<float> x(cols);
         std::vector<float> y(rows);
@@ -200,7 +203,8 @@ TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
     std::vector<float> y_panel(static_cast<size_t>(rows) * batch);
     for (float& v : y_panel) v = static_cast<float>(rng.Normal(0.0, 1.0));
     std::vector<float> y_ref_panel = y_panel;
-    MatMatAccum(w, x_panel.data(), batch, y_panel.data());
+    MatMatAccum(ParamTensor("w", w, /*packed=*/true), x_panel.data(), batch,
+                y_panel.data());
 
     std::vector<float> x(cols);
     std::vector<float> y(rows);
@@ -218,8 +222,9 @@ TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
   }
 }
 
-// The single-lane forward kernels run tiles of rows (8, then 4, 2, 1) with
-// one accumulator per row. Every row-count split of the tile ladder, odd
+// The single-lane row-major forward kernels run tiles of rows (8, then 4,
+// 2, 1) with one accumulator per row, and the forward panel tiles of
+// output rows (16, 8, 4, 2, 1). Every row-count split of both ladders, odd
 // column counts, strided and gathered inputs, and signed zeros and
 // subnormals in both operands are compared byte for byte against the
 // one-chain scalar loop: a reassociated row sum or a dropped tail tile
@@ -254,10 +259,12 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
       SCOPED_TRACE("rows=" + std::to_string(rows) +
                    " cols=" + std::to_string(cols));
       Linear lin(cols, rows, &rng);
-      Matrix& w = lin.Params()[0]->value;
-      Matrix& b = lin.Params()[1]->value;
-      FillWithSpecials(&rng, w.data(), w.size());
-      FillWithSpecials(&rng, b.data(), b.size());
+      for (ParamTensor* p : lin.Params()) {
+        p->UpdateValue(
+            [&](Matrix* v) { FillWithSpecials(&rng, v->data(), v->size()); });
+      }
+      const Matrix& w = lin.Params()[0]->value();
+      const Matrix& b = lin.Params()[1]->value();
       // x_stride 3 reads every third entry, like a panel column.
       std::vector<float> x(static_cast<size_t>(cols) * 3);
       FillWithSpecials(&rng, x.data(), x.size());
@@ -267,11 +274,13 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
       testing_ref::ScalarMatVec(w, x.data(), y_ref.data());
       ASSERT_TRUE(SameBytes(y, y_ref)) << "MatVec";
 
+      // The forward panel over the same tile-edge splits.
       FillWithSpecials(&rng, y.data(), y.size());
       y_ref = y;
-      MatVecAccum(w, x.data(), y.data());
+      MatMatAccum(ParamTensor("w", w, /*packed=*/true), x.data(), 1,
+                  y.data());
       testing_ref::ScalarMatVecAccum(w, x.data(), y_ref.data());
-      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatVecAccum";
+      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMatAccum";
 
       // Unsorted gathered rows with repeats, up to 17 more than the layer
       // has, so the gathered list splits at every tile edge too.
@@ -286,6 +295,41 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
         ASSERT_TRUE(SameBytes(yr, yr_ref))
             << "ForwardRows stride=" << stride << " nrows=" << nrows;
       }
+    }
+  }
+}
+
+// The one-lane product of a packed tensor runs its forward panel: at the
+// LSTM gate shape 4H x H, with signed zeros, subnormals and infinities in
+// W, x and y, MatMat and MatMatAccum at one lane are byte for byte the
+// one-chain scalar loops. H = 33 spans two panel chunks (132 rows).
+TEST(PanelTest, PackedOneLaneProductMatchesScalarReference) {
+  Rng rng(2025);
+  const float inf = std::numeric_limits<float>::infinity();
+  auto fill = [&rng, inf](float* v, size_t n) {
+    FillWithSpecials(&rng, v, n);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Next() % 40 == 0) v[i] = rng.Next() % 2 == 0 ? inf : -inf;
+    }
+  };
+  for (int h : {1, 7, 30, 33}) {
+    SCOPED_TRACE("H=" + std::to_string(h));
+    Matrix m(4 * h, h);
+    fill(m.data(), m.size());
+    const ParamTensor w("wh", m, /*packed=*/true);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<float> x(h);
+      fill(x.data(), x.size());
+      std::vector<float> y(4 * h, -7.f), y_ref(4 * h, -7.f);
+      MatMat(w, x.data(), 1, y.data());
+      testing_ref::ScalarMatVec(m, x.data(), y_ref.data());
+      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMat trial " << trial;
+
+      fill(y.data(), y.size());
+      y_ref = y;
+      MatMatAccum(w, x.data(), 1, y.data());
+      testing_ref::ScalarMatVecAccum(m, x.data(), y_ref.data());
+      ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMatAccum trial " << trial;
     }
   }
 }
@@ -428,8 +472,9 @@ TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
         Rng init(700 + tail_dim);
         LstmStack stack(kTokens + tail_dim, kHidden, kLayers, kDropout, &init,
                         tail_dim);
-        Matrix& wx0 = stack.Params()[0]->value;
-        for (int k = 0; k < wx0.rows(); k += 2) wx0.at(k, 3) = -0.f;
+        stack.Params()[0]->UpdateValue([](Matrix* wx0) {
+          for (int k = 0; k < wx0->rows(); k += 2) wx0->at(k, 3) = -0.f;
+        });
         LstmStack ref = stack;
         Rng data(31 * width + tail_dim);
 
@@ -472,8 +517,8 @@ TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
           const float* top = stack.Step(lanes.data(), width, &ws);
           for (int b = 0; b < width; ++b) {
             const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
-                ref.Params(), kDropout, tokens[b], tails[b], &ref_st[b],
-                cached ? &ref_caches[b].back() : nullptr,
+                std::as_const(ref).Params(), kDropout, tokens[b], tails[b],
+                &ref_st[b], cached ? &ref_caches[b].back() : nullptr,
                 lanes[b].dropout != nullptr ? &ref_drop[b] : nullptr);
             const std::string at =
                 "step " + std::to_string(t) + " lane " + std::to_string(b);
@@ -667,10 +712,10 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
   // One column's gradient: written through the live tensor's column writer
   // and densely into the reference.
   auto write_column = [&](size_t t, int c) {
-    std::vector<float> d(live[t].value.rows());
+    std::vector<float> d(live[t].value().rows());
     for (float& x : d) x = grad_value();
     live[t].AccumulateColumn(c, d.data());
-    for (int r = 0; r < ref[t].value.rows(); ++r) {
+    for (int r = 0; r < ref[t].value().rows(); ++r) {
       ref[t].mutable_grad()->at(r, c) += d[r];
     }
   };
@@ -715,7 +760,7 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
     ref_opt.Step();
     for (size_t t = 0; t < live.size(); ++t) {
       const std::string at = live[t].name + " step " + std::to_string(step);
-      ExpectSameBits(live[t].value, ref[t].value, at + " value");
+      ExpectSameBits(live[t].value(), ref[t].value(), at + " value");
       ExpectSameBits(opt.first_moments()[t], ref_opt.first_moments()[t],
                      at + " m");
       ExpectSameBits(opt.second_moments()[t], ref_opt.second_moments()[t],
@@ -800,7 +845,9 @@ TEST(TiledKernelsTest, MatchScalarReferencesAcrossWidths) {
         gb_ref[i] += dy[k];
         if (dy[k] == 0.f) continue;
         for (int j = 0; j < width; ++j) gw_ref.at(i, j) += dy[k] * x[j];
-        for (int j = 0; j < width; ++j) ldx_ref[j] += lw.value.at(i, j) * dy[k];
+        for (int j = 0; j < width; ++j) {
+          ldx_ref[j] += lw.value().at(i, j) * dy[k];
+        }
       }
     }
     ExpectSameBits(lw.grad(), gw_ref, "BackwardRows dW width " + std::to_string(width));
@@ -810,9 +857,72 @@ TEST(TiledKernelsTest, MatchScalarReferencesAcrossWidths) {
   }
 }
 
+// Every writer of a packed tensor's value refreshes its forward panel: after
+// construction, an Adam step, ParamSnapshot::Restore and LoadParams, a
+// one-lane step of a 2-layer, 30-unit stack (packed Wh in both layers and
+// Wx in layer 1) is byte for byte the scalar reference over the values.
+TEST(PanelTest, StepMatchesScalarReferenceAfterEveryWriter) {
+  constexpr int kTokens = 11, kHidden = 30, kLayers = 2;
+  auto expect_reference_step = [](const LstmStack& stack,
+                                  const std::string& at) {
+    LstmStack::State st = stack.InitialState();
+    LstmStack::State ref_st = st;
+    LstmStack::Workspace ws;
+    for (int t = 0; t < 4; ++t) {
+      LstmStack::Lane lane;
+      lane.token = (3 * t + 1) % kTokens;
+      lane.state = &st;
+      const float* top = stack.Step(&lane, 1, &ws);
+      const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
+          stack.Params(), 0.f, lane.token, {}, &ref_st, nullptr, nullptr);
+      ASSERT_TRUE(SameBytes(ref_top, top, 1)) << at << " step " << t;
+      ASSERT_TRUE(SameState(st, ref_st)) << at << " step " << t;
+    }
+  };
+  Rng init(41);
+  LstmStack stack(kTokens, kHidden, kLayers, /*dropout=*/0.f, &init);
+  expect_reference_step(stack, "construction");
+
+  std::vector<ParamTensor*> params = stack.Params();
+  ParamSnapshot saved;
+  saved.Save(params);
+  Adam opt(params, 0.05f);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    LstmStack::State st = stack.InitialState();
+    LstmStack::Workspace ws;
+    std::vector<LstmStack::StepCache> caches(5);
+    std::vector<std::vector<float>> dtop(caches.size(),
+                                         std::vector<float>(kHidden, 0.5f));
+    for (size_t t = 0; t < caches.size(); ++t) {
+      LstmStack::Lane lane;
+      lane.token = static_cast<int>(t * 2 + epoch) % kTokens;
+      lane.state = &st;
+      lane.cache = &caches[t];
+      stack.Step(&lane, 1, &ws);
+    }
+    stack.Backward(caches, dtop);
+    opt.Step();
+    expect_reference_step(stack, "Adam step " + std::to_string(epoch));
+  }
+
+  // Restore must bring the panels back with the values: a stale panel
+  // would still hold the trained weights.
+  ASSERT_TRUE(saved.Restore(params));
+  expect_reference_step(stack, "Restore");
+
+  const std::string path =
+      std::filesystem::temp_directory_path() / "lsg_panel_test.bin";
+  ASSERT_TRUE(SaveParams(params, path).ok());
+  Rng other_init(42);
+  LstmStack loaded(kTokens, kHidden, kLayers, /*dropout=*/0.f, &other_init);
+  ASSERT_TRUE(LoadParams(loaded.Params(), path).ok());
+  std::remove(path.c_str());
+  expect_reference_step(loaded, "LoadParams");
+}
+
 // ------------------------------------------------- numerical gradients
 
-/// Central-difference gradient of `loss` w.r.t. one parameter entry.
+/// Central-difference gradient of `loss` w.r.t. one input entry.
 template <typename LossFn>
 double NumericalGrad(float* entry, double eps, const LossFn& loss) {
   float orig = *entry;
@@ -821,6 +931,22 @@ double NumericalGrad(float* entry, double eps, const LossFn& loss) {
   *entry = static_cast<float>(orig - eps);
   double down = loss();
   *entry = orig;
+  return (up - down) / (2.0 * eps);
+}
+
+/// The same w.r.t. entry i of a parameter, written through UpdateValue.
+template <typename LossFn>
+double NumericalGrad(ParamTensor* p, size_t i, double eps,
+                     const LossFn& loss) {
+  const float orig = p->value().data()[i];
+  auto set = [p, i](float v) {
+    p->UpdateValue([i, v](Matrix* m) { m->data()[i] = v; });
+  };
+  set(static_cast<float>(orig + eps));
+  double up = loss();
+  set(static_cast<float>(orig - eps));
+  double down = loss();
+  set(orig);
   return (up - down) / (2.0 * eps);
 }
 
@@ -841,8 +967,8 @@ TEST(LinearGradientTest, MatchesNumerical) {
 
   auto params = lin.Params();
   for (ParamTensor* p : params) {
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
+    for (size_t i = 0; i < p->value().size(); ++i) {
+      double num = NumericalGrad(p, i, 1e-3, loss);
       EXPECT_NEAR(p->grad().data()[i], num, 5e-3)
           << p->name << "[" << i << "]";
     }
@@ -882,7 +1008,7 @@ const float* StepToken(const LstmStack& stack, int token,
 TEST(LstmCellGradientTest, MatchesNumerical) {
   Rng rng(13);
   const int in = 3, hid = 4;
-  LstmCell cell(in, hid, &rng);
+  LstmCell cell(in, hid, /*onehot_input=*/false, &rng);
   std::vector<float> x = {0.3f, -0.7f, 1.1f};
   std::vector<float> h0 = {0.1f, -0.2f, 0.05f, 0.4f};
   std::vector<float> c0 = {0.2f, 0.1f, -0.3f, 0.0f};
@@ -907,8 +1033,8 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
 
   for (ParamTensor* p : cell.Params()) {
     // Sample entries to keep the test fast while covering all tensors.
-    for (size_t i = 0; i < p->value.size(); i += 3) {
-      double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
+    for (size_t i = 0; i < p->value().size(); i += 3) {
+      double num = NumericalGrad(p, i, 1e-3, loss);
       EXPECT_NEAR(p->grad().data()[i], num, 2e-2) << p->name << "[" << i << "]";
     }
   }
@@ -931,7 +1057,7 @@ TEST(LstmCellGradientTest, OneHotPathMatchesDense) {
   for (int tail : {0, 2}) {
     Rng rng(17);
     const int tokens = 5, hid = 3;
-    LstmCell dense_cell(tokens + tail, hid, &rng);
+    LstmCell dense_cell(tokens + tail, hid, /*onehot_input=*/false, &rng);
     LstmCell onehot_cell = dense_cell;
     std::vector<float> h0(hid, 0.1f), c0(hid, -0.1f);
     std::vector<float> x(tokens + tail, 0.f);
@@ -998,8 +1124,8 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
 
   int checked = 0;
   for (ParamTensor* p : stack.Params()) {
-    for (size_t i = 0; i < p->value.size(); i += 7) {
-      double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
+    for (size_t i = 0; i < p->value().size(); i += 7) {
+      double num = NumericalGrad(p, i, 1e-3, loss);
       EXPECT_NEAR(p->grad().data()[i], num, 3e-2) << p->name << "[" << i << "]";
       ++checked;
     }
@@ -1048,8 +1174,8 @@ TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
 
   int checked = 0;
   for (ParamTensor* p : stack.Params()) {
-    for (size_t i = 0; i < p->value.size(); i += 5) {
-      double num = NumericalGrad(&p->value.data()[i], 1e-3, loss);
+    for (size_t i = 0; i < p->value().size(); i += 5) {
+      double num = NumericalGrad(p, i, 1e-3, loss);
       EXPECT_NEAR(p->grad().data()[i], num, 3e-2) << p->name << "[" << i << "]";
       ++checked;
     }
@@ -1061,14 +1187,14 @@ TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
 
 TEST(AdamTest, MinimizesQuadratic) {
   ParamTensor w("w", Matrix::Zeros(1, 1));
-  w.value.data()[0] = 10.f;
+  w.UpdateValue([](Matrix* v) { v->data()[0] = 10.f; });
   Adam opt({&w}, 0.1f);
   for (int i = 0; i < 500; ++i) {
     // d/dw 0.5 (w - 3)^2 = w - 3
-    w.mutable_grad()->data()[0] = w.value.data()[0] - 3.f;
+    w.mutable_grad()->data()[0] = w.value().data()[0] - 3.f;
     opt.Step();
   }
-  EXPECT_NEAR(w.value.data()[0], 3.f, 0.05);
+  EXPECT_NEAR(w.value().data()[0], 3.f, 0.05);
   EXPECT_EQ(opt.steps(), 500);
 }
 
@@ -1084,10 +1210,10 @@ TEST(AdamTest, ZeroGradDiscards) {
   ParamTensor w("w", Matrix::Zeros(1, 1));
   Adam opt({&w}, 0.01f);
   w.mutable_grad()->data()[0] = 1.f;
-  float before = w.value.data()[0];
+  float before = w.value().data()[0];
   opt.ZeroGrad();
   EXPECT_FLOAT_EQ(w.grad().data()[0], 0.f);
-  EXPECT_FLOAT_EQ(w.value.data()[0], before);
+  EXPECT_FLOAT_EQ(w.value().data()[0], before);
 }
 
 // ------------------------------------------------------------- serialize
@@ -1103,8 +1229,8 @@ TEST(SerializeTest, RoundTrip) {
   auto pa = a.Params();
   auto pb = b.Params();
   for (size_t i = 0; i < pa.size(); ++i) {
-    for (size_t k = 0; k < pa[i]->value.size(); ++k) {
-      EXPECT_FLOAT_EQ(pa[i]->value.data()[k], pb[i]->value.data()[k]);
+    for (size_t k = 0; k < pa[i]->value().size(); ++k) {
+      EXPECT_FLOAT_EQ(pa[i]->value().data()[k], pb[i]->value().data()[k]);
     }
   }
   std::remove(path.c_str());

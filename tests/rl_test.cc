@@ -122,12 +122,11 @@ class ToyEnv : public Environment {
     match_ = 0;
   }
 
-  const std::vector<uint8_t>& ValidActions() override {
-    mask_.assign(4, 0);
+  const ActionMask& ValidActions() override {
     if (emitted_.size() < target_.size()) {
-      mask_[0] = mask_[1] = mask_[2] = 1;
+      mask_ = {{1, 1, 1, 0}, {0, 1, 2}};
     } else {
-      mask_[3] = 1;  // EOF
+      mask_ = {{0, 0, 0, 1}, {3}};  // EOF
     }
     return mask_;
   }
@@ -157,7 +156,7 @@ class ToyEnv : public Environment {
  private:
   std::vector<int> target_;
   std::vector<int> emitted_;
-  std::vector<uint8_t> mask_;
+  ActionMask mask_;
   int match_ = 0;
 };
 
@@ -253,9 +252,9 @@ TEST(TrainerComparisonTest, ActorCriticConvergesAtLeastAsWell) {
 
 // One Step, with its compact distribution expanded to the full vocabulary.
 std::vector<float> StepDense(PolicyNetwork* net, PolicyNetwork::Episode* ep,
-                             const std::vector<uint8_t>& mask) {
+                             const std::vector<int>& admitted) {
   const PolicyNetwork::CompactDistribution* d = nullptr;
-  Status st = net->Step(ep, mask, &d);
+  Status st = net->Step(ep, admitted, &d);
   EXPECT_TRUE(st.ok()) << st.ToString();
   std::vector<float> out(net->vocab_size(), 0.f);
   if (!st.ok()) return out;
@@ -269,9 +268,9 @@ TEST(PolicyNetworkTest, DistributionRespectsMask) {
   o.num_layers = 1;
   PolicyNetwork net(5, o);
   auto ep = net.BeginEpisode(false);
-  std::vector<uint8_t> mask = {1, 0, 1, 0, 0};
+  const std::vector<int> admitted = {0, 2};
   const PolicyNetwork::CompactDistribution* d = nullptr;
-  ASSERT_TRUE(net.Step(&ep, mask, &d).ok());
+  ASSERT_TRUE(net.Step(&ep, admitted, &d).ok());
   EXPECT_EQ(d->idx, (std::vector<int>{0, 2}));
   ASSERT_EQ(d->probs.size(), 2u);
   EXPECT_NEAR(d->probs[0] + d->probs[1], 1.f, 1e-5);
@@ -285,9 +284,9 @@ TEST(PolicyNetworkTest, SamplingHonorsMask) {
   PolicyNetwork net(6, o);
   Rng rng(3);
   auto ep = net.BeginEpisode(false);
-  std::vector<uint8_t> mask = {0, 0, 1, 0, 1, 0};
+  const std::vector<int> admitted = {2, 4};
   const PolicyNetwork::CompactDistribution* d = nullptr;
-  ASSERT_TRUE(net.Step(&ep, mask, &d).ok());
+  ASSERT_TRUE(net.Step(&ep, admitted, &d).ok());
   for (int i = 0; i < 200; ++i) {
     int a = net.SampleAction(*d, &rng);
     EXPECT_TRUE(a == 2 || a == 4);
@@ -301,7 +300,7 @@ TEST(PolicyNetworkTest, EmptyMaskIsStructuredError) {
   PolicyNetwork net(3, o);
   auto ep = net.BeginEpisode(true);
   const PolicyNetwork::CompactDistribution* d = nullptr;
-  Status st = net.Step(&ep, {0, 0, 0}, &d);
+  Status st = net.Step(&ep, {}, &d);
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
@@ -311,8 +310,8 @@ TEST(PolicyNetworkTest, EntropyDiagnostic) {
   o.num_layers = 1;
   PolicyNetwork net(4, o);
   auto ep = net.BeginEpisode(false);
-  std::vector<uint8_t> mask = {1, 1, 1, 1};
-  StepDense(&net, &ep, mask);
+  const std::vector<int> admitted = {0, 1, 2, 3};
+  StepDense(&net, &ep, admitted);
   double h = PolicyNetwork::MeanEntropy(ep);
   EXPECT_GT(h, 0.0);
   EXPECT_LE(h, std::log(4.0) + 1e-6);
@@ -327,21 +326,21 @@ TEST(PolicyNetworkTest, GradientPushesTowardRewardedAction) {
   o.dropout = 0.0f;
   PolicyNetwork net(4, o);
   Adam opt(net.Params(), 0.05f);
-  std::vector<uint8_t> mask = {1, 1, 1, 1};
+  const std::vector<int> admitted = {0, 1, 2, 3};
   float before;
   {
     auto ep = net.BeginEpisode(false);
-    before = StepDense(&net, &ep, mask)[2];
+    before = StepDense(&net, &ep, admitted)[2];
   }
   for (int iter = 0; iter < 5; ++iter) {
     auto ep = net.BeginEpisode(true);
-    StepDense(&net, &ep, mask);
+    StepDense(&net, &ep, admitted);
     net.RecordAction(&ep, 2);
     net.AccumulateGradients(ep, {1.0}, 0.0);
     opt.Step();
   }
   auto ep = net.BeginEpisode(false);
-  float after = StepDense(&net, &ep, mask)[2];
+  float after = StepDense(&net, &ep, admitted)[2];
   EXPECT_GT(after, before);
 }
 
@@ -370,9 +369,10 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
     auto ep = net.BeginEpisode(/*train=*/true);
     std::vector<std::vector<uint8_t>> masks;
     while (!fsm.done()) {
-      masks.push_back(fsm.ValidActions());
+      const ActionMask& mask = fsm.ValidActions();
+      masks.push_back(mask.bytes);
       const PolicyNetwork::CompactDistribution* d = nullptr;
-      ASSERT_TRUE(net.Step(&ep, masks.back(), &d).ok());
+      ASSERT_TRUE(net.Step(&ep, mask.ids, &d).ok());
       const int a = net.SampleAction(*d, &rng);
       net.RecordAction(&ep, a);
       ASSERT_TRUE(fsm.Step(a).ok());
@@ -385,14 +385,14 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
     std::vector<ParamTensor*> params = net.Params();
     const ParamTensor& w = *params[params.size() - 2];
     const ParamTensor& b = *params[params.size() - 1];
-    ASSERT_EQ(w.value.rows(), V);
+    ASSERT_EQ(w.value().rows(), V);
     Matrix ref_dw = w.grad();
     std::vector<float> ref_db(b.grad().data(), b.grad().data() + V);
     for (size_t t = 0; t < T; ++t) {
       const std::vector<float>& h = ep.caches[t].layers.back().h;
       std::vector<float> p(V);
-      MatVec(w.value, h.data(), p.data());
-      for (int i = 0; i < V; ++i) p[i] += b.value.data()[i];
+      MatVec(w.value(), h.data(), p.data());
+      for (int i = 0; i < V; ++i) p[i] += b.value().data()[i];
       ASSERT_TRUE(testing_ref::DenseMaskedSoftmax(&p, masks[t]).ok());
       const PolicyNetwork::CompactDistribution& d = ep.dists[t];
       size_t k = 0;
@@ -472,13 +472,13 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   o.extra_input_dims = 2;
   o.dropout = 0.0f;
   PolicyNetwork net(4, o);
-  std::vector<uint8_t> mask = {1, 1, 1, 1};
+  const std::vector<int> admitted = {0, 1, 2, 3};
   auto ep1 = net.BeginEpisode(false);
   ep1.extra = {0.0f, 0.0f};
-  auto p1 = StepDense(&net, &ep1, mask);
+  auto p1 = StepDense(&net, &ep1, admitted);
   auto ep2 = net.BeginEpisode(false);
   ep2.extra = {5.0f, -5.0f};
-  auto p2 = StepDense(&net, &ep2, mask);
+  auto p2 = StepDense(&net, &ep2, admitted);
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
@@ -493,7 +493,7 @@ TEST(ExtraFeatureTest, MismatchedTailIsInvalidArgument) {
   o.extra_input_dims = 2;
   PolicyNetwork actor(4, o);
   ValueNetwork critic(4, o);
-  const std::vector<uint8_t> mask = {1, 1, 1, 1};
+  const std::vector<int> admitted = {0, 1, 2, 3};
   for (const std::vector<float>& extra :
        {std::vector<float>{}, std::vector<float>{1.f},
         std::vector<float>{1.f, 2.f, 3.f}}) {
@@ -501,7 +501,7 @@ TEST(ExtraFeatureTest, MismatchedTailIsInvalidArgument) {
       auto ep = actor.BeginEpisode(train);
       ep.extra = extra;
       const PolicyNetwork::CompactDistribution* d = nullptr;
-      EXPECT_EQ(actor.Step(&ep, mask, &d).code(),
+      EXPECT_EQ(actor.Step(&ep, admitted, &d).code(),
                 StatusCode::kInvalidArgument);
       auto cep = critic.BeginEpisode(train);
       cep.extra = extra;
@@ -635,9 +635,9 @@ void ExpectSameParams(const std::vector<ParamTensor*>& a,
                       const std::string& what) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i]->value.size(), b[i]->value.size());
-    ASSERT_EQ(std::memcmp(a[i]->value.data(), b[i]->value.data(),
-                          a[i]->value.size() * sizeof(float)),
+    ASSERT_EQ(a[i]->value().size(), b[i]->value().size());
+    ASSERT_EQ(std::memcmp(a[i]->value().data(), b[i]->value().data(),
+                          a[i]->value().size() * sizeof(float)),
               0)
         << what << ": " << a[i]->name << " (#" << i << ") differs";
   }
@@ -711,9 +711,9 @@ TEST_P(LiveColumnReplayTest, MatchesDenseOptimizerBitwise) {
   // The one-hot Wx kept never-touched columns, so the skip was exercised.
   const ParamTensor& wx = *live.actor().Params()[0];
   int live_cols = 0;
-  for (int c = 0; c < wx.value.cols(); ++c) live_cols += wx.IsLive(c) ? 1 : 0;
+  for (int c = 0; c < wx.value().cols(); ++c) live_cols += wx.IsLive(c) ? 1 : 0;
   EXPECT_GT(live_cols, 0);
-  EXPECT_LT(live_cols, wx.value.cols());
+  EXPECT_LT(live_cols, wx.value().cols());
 }
 
 INSTANTIATE_TEST_SUITE_P(Baseline, LiveColumnReplayTest, ::testing::Bool(),
@@ -725,8 +725,9 @@ INSTANTIATE_TEST_SUITE_P(Baseline, LiveColumnReplayTest, ::testing::Bool(),
 uint64_t HashParams(const std::vector<ParamTensor*>& params) {
   uint64_t h = 1469598103934665603ull;
   for (const ParamTensor* p : params) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(p->value.data());
-    for (size_t i = 0; i < p->value.size() * sizeof(float); ++i) {
+    const auto* bytes =
+        reinterpret_cast<const unsigned char*>(p->value().data());
+    for (size_t i = 0; i < p->value().size() * sizeof(float); ++i) {
       h = (h ^ bytes[i]) * 1099511628211ull;
     }
   }

@@ -3,9 +3,10 @@
 
 // One add chain per output row: the plain scalar loops of the single-lane
 // dense forward products, kept only as a test reference. The production
-// kernels (MatVec, MatVecAccum, Linear::ForwardRows) run tiles of rows with
-// independent accumulators, and these tests pin that every output is
-// bitwise what the one-chain loop below computes.
+// kernels (MatVec, Linear::ForwardRows, and MatMat / MatMatAccum over a
+// packed tensor's forward panel) run tiles with independent accumulators,
+// and these tests pin that every output is bitwise what the one-chain loop
+// below computes.
 
 #include <cstddef>
 

@@ -67,7 +67,7 @@ inline void ScalarCellForward(const Matrix& wx, const Matrix& wh,
 /// inverted-dropout masks between layers from `dropout_rng` when non-null.
 /// Returns the top layer's new h.
 inline std::vector<float> ScalarLstmStep(
-    const std::vector<ParamTensor*>& params, float dropout, int token,
+    const std::vector<const ParamTensor*>& params, float dropout, int token,
     const std::vector<float>& tail, LstmStack::State* state,
     LstmStack::StepCache* cache, Rng* dropout_rng) {
   const size_t layers = params.size() / 3;
@@ -77,9 +77,9 @@ inline std::vector<float> ScalarLstmStep(
   sc.layers.resize(layers);
   sc.dropout_mask.resize(drop ? layers : 0);
   for (size_t l = 0; l < layers; ++l) {
-    const Matrix& wx = params[3 * l]->value;
-    const Matrix& wh = params[3 * l + 1]->value;
-    const Matrix& b = params[3 * l + 2]->value;
+    const Matrix& wx = params[3 * l]->value();
+    const Matrix& wh = params[3 * l + 1]->value();
+    const Matrix& b = params[3 * l + 2]->value();
     std::vector<float> x;
     int onehot = -1;
     if (l == 0 && tail.empty()) {

@@ -28,6 +28,8 @@
 #include "service/constraint_key.h"
 #include "service/generation_service.h"
 #include "service/model_registry.h"
+#include "tests/scalar_forward_reference.h"
+#include "tests/scalar_lstm_reference.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -208,6 +210,45 @@ TEST_F(RegistryTest, ConcurrentRequestsForOneBucketTrainOnce) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
+// Four eval steps of a served actor over the whole vocabulary, byte for byte
+// against the scalar LSTM reference and the head's scalar row products over
+// the actor's parameter values: a snapshot whose forward panels were stale
+// (not refreshed by the last write to their values) would differ.
+void ExpectActorMatchesScalarReference(const PolicyNetwork& actor) {
+  const std::vector<const ParamTensor*> params = actor.Params();
+  const std::vector<const ParamTensor*> lstm(params.begin(), params.end() - 2);
+  const ParamTensor& head_w = *params[params.size() - 2];
+  const ParamTensor& head_b = *params[params.size() - 1];
+  std::vector<int> admitted(actor.vocab_size());
+  for (int i = 0; i < actor.vocab_size(); ++i) admitted[i] = i;
+  PolicyNetwork::Episode ep = actor.BeginEpisode(/*train=*/false);
+  LstmStack::State ref_state = ep.state;
+  PolicyNetwork::Workspace ws;
+  for (int t = 0; t < 4; ++t) {
+    const int token =
+        ep.actions.empty() ? actor.bos_index() : ep.actions.back();
+    PolicyNetwork::Episode* lane = &ep;
+    const std::vector<int>* lane_admitted = &admitted;
+    PolicyNetwork::CompactDistribution dist;
+    Status status;
+    actor.StepBatch(&lane, &lane_admitted, 1, &dist, &status, &ws);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const std::vector<float> top = testing_ref::ScalarLstmStep(
+        lstm, 0.f, token, {}, &ref_state, nullptr, nullptr);
+    std::vector<float> probs(admitted.size());
+    testing_ref::ScalarForwardRows(head_w.value(), head_b.value().data(),
+                                   top.data(), 1, admitted.data(),
+                                   actor.vocab_size(), probs.data());
+    ASSERT_TRUE(TryCompactSoftmaxInPlace(probs.data(), probs.size()).ok());
+    ASSERT_EQ(dist.probs.size(), probs.size());
+    ASSERT_EQ(std::memcmp(dist.probs.data(), probs.data(),
+                          probs.size() * sizeof(float)),
+              0)
+        << "step " << t;
+    actor.RecordAction(&ep, (7 * t + 3) % actor.vocab_size());
+  }
+}
+
 TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   ModelRegistry::Options ro;
   ro.capacity = 1;
@@ -217,8 +258,10 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   const Constraint a = CardRange(5, 50);
   const Constraint b = CardPoint(10);
 
-  ASSERT_TRUE(registry.Acquire(a, 1).ok());
+  auto trained = registry.Acquire(a, 1);
+  ASSERT_TRUE(trained.ok());
   EXPECT_EQ(metrics_.trainings.Value(), 1u);
+  ExpectActorMatchesScalarReference(*trained->snapshot->actor);
 
   // B overflows the single-model cache: A is spilled to disk and evicted.
   ASSERT_TRUE(registry.Acquire(b, 2).ok());
@@ -235,6 +278,7 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   EXPECT_EQ(metrics_.trainings.Value(), 2u);  // no third training
   EXPECT_EQ(metrics_.disk_warm_starts.Value(), 1u);
   ASSERT_NE(again->snapshot, nullptr);
+  ExpectActorMatchesScalarReference(*again->snapshot->actor);
   EXPECT_EQ(DecodeBatch(*again->snapshot, 3, /*seed=*/3).attempts, 3);
   std::filesystem::remove_all(ro.spill_dir);
 }
@@ -279,7 +323,7 @@ TEST_F(RegistryTest, HeapPerCachedModelIsBoundedByItsActor) {
     EXPECT_FALSE(acquired->cache_hit);
     actor_bytes = 0.0;
     for (const ParamTensor* t : acquired->snapshot->actor->Params()) {
-      actor_bytes += sizeof(float) * static_cast<double>(t->value.size());
+      actor_bytes += sizeof(float) * static_cast<double>(t->value().size());
     }
   }
   const double per_model = (heap_bytes() - before) / kModels;
@@ -399,8 +443,8 @@ TEST_F(RegistryTest, CorruptSpillFilesDegradeToRetraining) {
     if (!acquired.ok()) return out;
     out.warm_start = acquired->warm_start;
     for (const ParamTensor* t : acquired->snapshot->actor->Params()) {
-      out.actor.insert(out.actor.end(), t->value.data(),
-                       t->value.data() + t->value.size());
+      out.actor.insert(out.actor.end(), t->value().data(),
+                       t->value().data() + t->value().size());
     }
     const GenerationReport report =
         DecodeBatch(*acquired->snapshot, 6, /*seed=*/99);

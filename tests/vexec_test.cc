@@ -23,6 +23,8 @@
 #include "fuzz/oracle.h"
 #include "fuzz/reference_eval.h"
 #include "fuzz/test_databases.h"
+#include "obs/metrics_registry.h"
+#include "obs/obs.h"
 #include "sql/render.h"
 #include "vexec/batch.h"
 #include "vexec/hash_table.h"
@@ -294,6 +296,41 @@ TEST(VexecBoundaryTest, MatchRowsAgreesOnEmptyAndNonEmptyWhere) {
   b = vec.MatchRows(fact, w);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+// A subquery runs inside its parent's sample: one ExecuteSelect with an
+// IN subquery adds exactly one select_ns sample in each engine (and one
+// vexec.select_queries count), not one per nested execution.
+TEST(SelectMetricsTest, InSubqueryAddsOneSample) {
+  Database db = BuildScoreStudentDb();
+  const int score = db.catalog().FindTable("Score");
+  const int student = db.catalog().FindTable("Student");
+  SelectQuery q = SelectAll(score);
+  Predicate in;
+  in.kind = PredicateKind::kInSub;
+  in.column = {score, 1};
+  in.subquery = std::make_unique<SelectQuery>(SelectAll(student));
+  in.subquery->where.predicates.push_back(
+      ValuePred(student, 2, CompareOp::kEq, Value("F")));
+  q.where.predicates.push_back(std::move(in));
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Histogram& ref_ns = reg.GetHistogram("exec.select_ns");
+  obs::Histogram& vec_ns = reg.GetHistogram("vexec.select_ns");
+  obs::Counter& vec_queries = reg.GetCounter("vexec.select_queries");
+  const uint64_t ref_before = ref_ns.count();
+  const uint64_t vec_before = vec_ns.count();
+  const uint64_t queries_before = vec_queries.Value();
+  auto a = Executor(&db).ExecuteSelect(q, false);
+  auto b = VectorizedEngine(&db).ExecuteSelect(q, false);
+  obs::SetEnabled(was_enabled);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->cardinality, b->cardinality);
+  EXPECT_EQ(ref_ns.count() - ref_before, 1u);
+  EXPECT_EQ(vec_ns.count() - vec_before, 1u);
+  EXPECT_EQ(vec_queries.Value() - queries_before, 1u);
 }
 
 // ------------------------------------------------------ GROUP BY keys
