@@ -250,7 +250,7 @@ void BM_FeedbackRepeatedFull(benchmark::State& state) {
 }
 BENCHMARK(BM_FeedbackRepeatedFull);
 
-// One cache-less width-1 lane step of the paper's 2-layer, 30-unit LSTM
+// One cache-less lane step of the paper's 2-layer, 30-unit LSTM
 // over the TPC-H vocabulary, with `tail_dim` constraint features after the
 // one-hot token (AC-extend's input with 2).
 void LstmStepOneHot(benchmark::State& state, int tail_dim) {
@@ -266,7 +266,7 @@ void LstmStepOneHot(benchmark::State& state, int tail_dim) {
   int token = 0;
   for (auto _ : state) {
     lane.token = token % f.vocab->size();
-    benchmark::DoNotOptimize(lstm.Step(&lane, 1, &ws));
+    benchmark::DoNotOptimize(lstm.Step(lane, &ws));
     ++token;
   }
 }
@@ -279,16 +279,16 @@ void BM_LstmStepOneHotTail(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmStepOneHotTail);
 
-// The single-lane gate product of the paper's 30-unit LSTM: 4H x H =
-// 120 x 30, the Wh * h_prev term every training and width-1 decode step
-// runs per layer (through the packed tensor's forward panel).
+// The gate product of the paper's 30-unit LSTM: 4H x H = 120 x 30, the
+// Wh * h_prev term every training and decode step runs per layer (through
+// the packed tensor's forward panel).
 void BM_MatVecAccumGate(benchmark::State& state) {
   Rng rng(7);
   ParamTensor w("wh", Matrix::Xavier(120, 30, &rng), /*packed=*/true);
   Matrix x = Matrix::Randn(30, 1, 1.f, &rng);
   std::vector<float> y(120, 0.f);
   for (auto _ : state) {
-    MatMatAccum(w, x.data(), 1, y.data());
+    MatMatAccum(w, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -307,7 +307,7 @@ void BM_HeadForwardRows(benchmark::State& state) {
   for (int k = 0; k < 9; ++k) rows.push_back(k * (vocab - 1) / 8);
   std::vector<float> y(rows.size());
   for (auto _ : state) {
-    head.ForwardRows(x.data(), 1, rows.data(), static_cast<int>(rows.size()),
+    head.ForwardRows(x.data(), rows.data(), static_cast<int>(rows.size()),
                      y.data());
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
@@ -315,10 +315,10 @@ void BM_HeadForwardRows(benchmark::State& state) {
 }
 BENCHMARK(BM_HeadForwardRows);
 
-// One decode lane-step as BatchDecoder runs it at width 1: the FSM mask,
-// a one-lane StepBatch of the paper's actor (LSTM step, masked head,
-// compact softmax), SampleAction and the environment step with its
-// estimator feedback, over the TPC-H vocabulary. Episodes restart on EOF.
+// One decode step as DecodeItem runs it: the FSM mask, the const Step of
+// the paper's actor (LSTM step, masked head, compact softmax),
+// SampleAction and the environment step with its estimator feedback, over
+// the TPC-H vocabulary. Episodes restart on EOF.
 void BM_DecodeLaneStep(benchmark::State& state) {
   MicroFixture& f = Fixture();
   PolicyNetwork actor(f.vocab->size(), NetworkOptions());
@@ -330,13 +330,10 @@ void BM_DecodeLaneStep(benchmark::State& state) {
   PolicyNetwork::Workspace ws;
   PolicyNetwork::CompactDistribution dist;
   PolicyNetwork::Episode ep = actor.BeginEpisode(false);
-  PolicyNetwork::Episode* lane = &ep;
   env.Reset();
   for (auto _ : state) {
-    const std::vector<int>* admitted = &env.ValidActions().ids;
-    Status status;
-    actor.StepBatch(&lane, &admitted, 1, &dist, &status, &ws);
-    LSG_CHECK_OK(status);
+    LSG_CHECK_OK(actor.Step(&ep, env.ValidActions().ids, /*dropout=*/nullptr,
+                            &dist, &ws));
     const int a = actor.SampleAction(dist, &rng);
     actor.RecordAction(&ep, a);
     auto sr = env.Step(a);

@@ -157,7 +157,7 @@ StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
   item.n = n;
   item.batch_mode = batch_mode;
   item.rng = *rng;
-  BatchDecoder(snapshot_.get(), /*max_lanes=*/1).Run({&item});
+  DecodeItem(*snapshot_, &item);
   *rng = item.rng;
   if (!item.status.ok()) return item.status;
   return std::move(item.report);

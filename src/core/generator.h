@@ -67,15 +67,15 @@ struct LearnedSqlGenOptions {
 /// database (the Database itself must outlive it, as it must outlive the
 /// context) — so it outlives the pipeline that trained it, and nothing
 /// keeps the trainer, critic, optimizers or training environment alive.
-/// Immutable once published: one snapshot may drive any number of
-/// concurrent decode lanes (see BatchDecoder) without a lock.
+/// Immutable once published: any number of threads may decode over one
+/// snapshot (see DecodeItem) without a lock.
 struct ServingSnapshot {
   /// Database, vocabulary, estimator and cost model.
   std::shared_ptr<const DatabaseContext> context;
   std::shared_ptr<const PolicyNetwork> actor;
   /// Environment configuration the model was trained under (feedback
   /// source as configured — before any true_feedback_tail switch); fresh
-  /// per-lane environments are built from this.
+  /// per-request environments are built from this.
   EnvironmentOptions env_opts;
   /// The constraint the model was trained for. A served request is judged
   /// against its own constraint (BatchDecodeItem::constraint);
@@ -161,17 +161,17 @@ class LearnedSqlGen {
   /// Caller-RNG variants: sampling draws from `rng` instead of the
   /// pipeline's internal stream. The serving path derives one stream per
   /// request from (seed, request), making outputs independent of worker
-  /// placement and batch composition.
+  /// placement and queue order.
   ///
-  /// Every Generate* is a one-item BatchDecoder run over snapshot() — the
-  /// same decode loop the service runs. Queries are therefore scored under
+  /// Every Generate* is a DecodeItem over snapshot() — the same decode
+  /// loop the service runs. Queries are therefore scored under
   /// the feedback source the snapshot records (`feedback`), not under the
   /// execution feedback a `true_feedback_tail` switched training to.
   StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng);
   StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng);
 
-  /// The trained model, for lock-free batched serving (see BatchDecoder);
-  /// null before Train/LoadModel succeeds.
+  /// The trained model, for lock-free serving (see DecodeItem); null
+  /// before Train/LoadModel succeeds.
   const std::shared_ptr<const ServingSnapshot>& snapshot() const {
     return snapshot_;
   }
@@ -202,7 +202,7 @@ class LearnedSqlGen {
   LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
                 const LearnedSqlGenOptions& options);
 
-  /// Decodes one request (BatchDecodeItem semantics) over snapshot_,
+  /// Decodes one request (DecodeItem) over snapshot_,
   /// drawing from `rng` (rng_ when null).
   StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 

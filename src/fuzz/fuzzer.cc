@@ -151,11 +151,11 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
               vocab, profiles[pi].profile, actions);
         }
         if (!violation.has_value() && ep % 8 == 0) {
-          // Seventh oracle (sampled — it decodes whole episode groups, not
-          // this episode's actions): the batched cross-request decoder must
-          // reproduce the scalar decode path byte-for-byte under a random
-          // policy seeded from this episode.
-          violation = oracle.CheckBatchDecode(
+          // Seventh oracle (sampled — it decodes its own requests, not
+          // this episode's actions): the serving decode must reproduce the
+          // rollout byte-for-byte under a random policy seeded from this
+          // episode.
+          violation = oracle.CheckServeDecode(
               fixture->context, profiles[pi].profile, ep_seed);
         }
         if (!violation.has_value()) continue;
@@ -239,9 +239,9 @@ StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
     violation = oracle.CheckPrefixEstimates(vocab, profile, trace.actions);
   }
   if (!violation.has_value()) {
-    // Batch-decode failures replay from the trace's seed (the oracle
-    // decodes its own episode group, not the recorded actions).
-    violation = oracle.CheckBatchDecode(fixture->context, profile, trace.seed);
+    // Serve-decode failures replay from the trace's seed (the oracle
+    // decodes its own requests, not the recorded actions).
+    violation = oracle.CheckServeDecode(fixture->context, profile, trace.seed);
   }
   if (violation.has_value()) {
     result.oracle = violation->oracle;

@@ -409,8 +409,8 @@ bool SameEstimate(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
-// Private sampling stream of the batch-decode oracle's lane b.
-uint64_t LaneSeed(uint64_t seed, size_t b) {
+// Private sampling stream of the serve-decode oracle's request b.
+uint64_t RequestStream(uint64_t seed, size_t b) {
   return SplitMix64(seed + 0x1000 + b);
 }
 
@@ -454,14 +454,14 @@ std::optional<OracleViolation> DifferentialOracle::CheckPrefixEstimates(
   return std::nullopt;
 }
 
-std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
+std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
     std::shared_ptr<const DatabaseContext> context,
     const QueryProfile& profile, uint64_t seed) {
-  if (!options_.check_batch_decode) return std::nullopt;
+  if (!options_.check_serve_decode) return std::nullopt;
   LSG_CHECK(context->db() == db_) << "context over another database";
 
-  // Small random-weight policy: the batched forward must reproduce the
-  // scalar path for *any* parameters, so no training is needed.
+  // Small random-weight policy: the serving decode must reproduce the
+  // rollout for *any* parameters, so no training is needed.
   NetworkOptions net;
   net.hidden_dim = 12;
   net.seed = SplitMix64(seed ^ 0xba7c4dec0deULL);
@@ -473,15 +473,14 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Reference: the training/eval entry (the lane step at width 1, forward
-  // panel products) driven by RolloutPolicy, sampling the item's private
-  // stream.
+  // Reference: the training/eval entry driven by RolloutPolicy, sampling
+  // the request's private stream.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;
     bool satisfied = false;
   };
-  auto run_scalar = [&](uint64_t rng_seed,
+  auto run_rollout = [&](uint64_t rng_seed,
                         int n) -> StatusOr<std::vector<RefQuery>> {
     Rng rng(rng_seed);
     SqlGenEnvironment env(*context, constraint, env_opts);
@@ -505,41 +504,33 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   snap.env_opts = env_opts;
   snap.constraint = constraint;
 
-  // Ragged shapes: distinct budgets so lanes retire at different steps and
-  // the batch width shrinks mid-run.
+  // Distinct budgets, decoded one request after another.
   const std::vector<int> budgets = {2, 1, 3};
-  std::vector<BatchDecodeItem> items(budgets.size());
-  for (size_t b = 0; b < items.size(); ++b) {
-    items[b].constraint = constraint;
-    items[b].n = budgets[b];
-    items[b].batch_mode = true;  // fixed attempts: every episode compared
-    items[b].rng = Rng(LaneSeed(seed, b));
-  }
-  std::vector<BatchDecodeItem*> ptrs;
-  for (BatchDecodeItem& item : items) ptrs.push_back(&item);
-  BatchDecoder decoder(&snap, static_cast<int>(items.size()));
-  decoder.Run(ptrs);
-
-  for (size_t b = 0; b < items.size(); ++b) {
-    const BatchDecodeItem& item = items[b];
+  for (size_t b = 0; b < budgets.size(); ++b) {
+    BatchDecodeItem item;
+    item.constraint = constraint;
+    item.n = budgets[b];
+    item.batch_mode = true;  // fixed attempts: every episode compared
+    item.rng = Rng(RequestStream(seed, b));
+    DecodeItem(snap, &item);
     if (!item.status.ok()) {
       return OracleViolation{
-          "batch-decode",
-          StrFormat("lane %zu failed: ", b) + item.status.ToString()};
+          "serve-decode",
+          StrFormat("request %zu failed: ", b) + item.status.ToString()};
     }
-    auto ref = run_scalar(LaneSeed(seed, b), item.n);
+    auto ref = run_rollout(RequestStream(seed, b), item.n);
     if (!ref.ok()) {
       return OracleViolation{
-          "batch-decode",
-          StrFormat("scalar reference for lane %zu failed: ", b) +
+          "serve-decode",
+          StrFormat("rollout reference for request %zu failed: ", b) +
               ref.status().ToString()};
     }
     if (item.report.attempts != item.n ||
         item.report.queries.size() != ref->size()) {
       return OracleViolation{
-          "batch-decode",
-          StrFormat("lane %zu shape diverged: attempts=%d queries=%zu "
-                    "scalar=%zu",
+          "serve-decode",
+          StrFormat("request %zu shape diverged: attempts=%d queries=%zu "
+                    "rollout=%zu",
                     b, item.report.attempts, item.report.queries.size(),
                     ref->size())};
     }
@@ -548,17 +539,17 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
       const RefQuery& want = (*ref)[q];
       if (got.sql != want.sql) {
         return OracleViolation{
-            "batch-decode",
-            StrFormat("lane %zu query %zu sql diverged: batched=\"%s\" "
-                      "scalar=\"%s\"",
+            "serve-decode",
+            StrFormat("request %zu query %zu sql diverged: served=\"%s\" "
+                      "rollout=\"%s\"",
                       b, q, got.sql.c_str(), want.sql.c_str())};
       }
       if (!SameEstimate(got.metric, want.metric) ||
           got.satisfied != want.satisfied) {
         return OracleViolation{
-            "batch-decode",
-            StrFormat("lane %zu query %zu metric diverged: batched=%.17g/%d "
-                      "scalar=%.17g/%d",
+            "serve-decode",
+            StrFormat("request %zu query %zu metric diverged: "
+                      "served=%.17g/%d rollout=%.17g/%d",
                       b, q, got.metric, got.satisfied ? 1 : 0, want.metric,
                       want.satisfied ? 1 : 0)};
       }

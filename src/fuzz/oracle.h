@@ -35,10 +35,9 @@ struct OracleOptions {
   /// Lockstep vectorized engine: vexec cardinality must equal the reference
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
-  /// Batched decode vs one-lane decode: the cross-request BatchDecoder
-  /// must reproduce PolicyNetwork::Step (the lane step at width 1, forward
-  /// panel products) byte-for-byte.
-  bool check_batch_decode = true;
+  /// Serving decode vs the training/eval rollout: DecodeItem must
+  /// reproduce RolloutPolicy's samples byte-for-byte.
+  bool check_serve_decode = true;
 
   /// Work budget per reference evaluation; exceeding it skips the check
   /// (counted in skipped()) instead of stalling the fuzzer.
@@ -104,18 +103,16 @@ class DifferentialOracle {
       const Vocabulary* vocab, const QueryProfile& profile,
       const std::vector<int>& actions);
 
-  /// Seventh oracle (batch-decode): builds a small randomly-initialized
+  /// Seventh oracle (serve-decode): builds a small randomly-initialized
   /// policy over `context`, which must be over the oracle's database
-  /// (seeded from `seed`, so batching must hold for arbitrary weights, not
-  /// just trained ones) and decodes a group of episodes under `profile`
-  /// twice — once through the ragged cross-request BatchDecoder (the lane
-  /// step at width K, batched GEMM) and once through RolloutPolicy (the
-  /// lane step at width 1, forward panels) with the same per-item RNG
-  /// streams — asserting attempt counts, rendered SQL, metrics and
-  /// satisfied flags are byte-identical.
-  /// This is the serving path's standing guarantee: batching changes
-  /// wall-clock only, never samples.
-  std::optional<OracleViolation> CheckBatchDecode(
+  /// (seeded from `seed`, so the equivalence must hold for arbitrary
+  /// weights, not just trained ones) and decodes requests of several
+  /// budgets under `profile` twice — once through the serving loop
+  /// (DecodeItem over a ServingSnapshot, the const step with a private
+  /// workspace) and once through RolloutPolicy (the network's own step)
+  /// with the same per-request RNG streams — asserting attempt counts,
+  /// rendered SQL, metrics and satisfied flags are byte-identical.
+  std::optional<OracleViolation> CheckServeDecode(
       std::shared_ptr<const DatabaseContext> context,
       const QueryProfile& profile, uint64_t seed);
 

@@ -12,9 +12,9 @@ void Linear::Forward(const float* x, float* y) const {
   for (int i = 0; i < w_.value().rows(); ++i) y[i] += b[i];
 }
 
-void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
-                         int nrows, float* y) const {
-  MatVecRows(w_.value(), x, x_stride, rows, nrows, y);
+void Linear::ForwardRows(const float* x, const int* rows, int nrows,
+                         float* y) const {
+  MatVecRows(w_.value(), x, rows, nrows, y);
   const float* bias = b_.value().data();
   for (int k = 0; k < nrows; ++k) y[k] += bias[rows[k]];
 }

@@ -19,13 +19,11 @@ class Linear {
   void Forward(const float* x, float* y) const;
 
   /// Sparse-row forward: y[k] = Forward(x)[rows[k]] for each of the nrows
-  /// requested output rows, reading x at the given stride (a feature-major
-  /// panel column when x_stride > 1, a plain vector at stride 1). Each row
-  /// is the same ascending-j dot product plus bias as Forward, so the
-  /// requested entries are bitwise-identical to a full forward — the
-  /// serving decode path asks for the handful of FSM-valid vocabulary rows
-  /// instead of the whole output layer.
-  void ForwardRows(const float* x, int x_stride, const int* rows, int nrows,
+  /// requested output rows. Each row is the same ascending-j dot product
+  /// plus bias as Forward, so the requested entries are bitwise-identical
+  /// to a full forward — the policy head asks for the handful of FSM-valid
+  /// vocabulary rows instead of the whole output layer.
+  void ForwardRows(const float* x, const int* rows, int nrows,
                    float* y) const;
 
   /// Accumulates parameter gradients and (optionally) input gradients.

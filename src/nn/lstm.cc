@@ -27,63 +27,47 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, bool onehot_input,
   });
 }
 
-void LstmCell::Forward(const int* onehot, const float* x, int dense_dim,
-                       const float* h_prev, const float* c_prev, int lanes,
+void LstmCell::Forward(int onehot, const float* x, int dense_dim,
+                       const float* h_prev, const float* c_prev,
                        Cache* p) const {
   const int h = hidden_dim_;
-  const size_t n = static_cast<size_t>(lanes);
-  LSG_DCHECK(onehot != nullptr ? dense_dim < input_dim_
-                               : dense_dim == input_dim_);
-  p->gates.resize(4 * h * n);
-  p->c.resize(h * n);
-  p->tanh_c.resize(h * n);
-  p->h.resize(h * n);
+  LSG_DCHECK(onehot >= 0 ? dense_dim < input_dim_ : dense_dim == input_dim_);
+  p->gates.resize(4 * h);
+  p->c.resize(h);
+  p->tanh_c.resize(h);
+  p->h.resize(h);
   float* pre = p->gates.data();
-  if (onehot == nullptr) {
-    MatMat(wx_, x, lanes, pre);
+  if (onehot < 0) {
+    MatMat(wx_, x, pre);
   } else {
     const int first = input_dim_ - dense_dim;
-    for (size_t b = 0; b < n; ++b) {
-      LSG_DCHECK(onehot[b] >= 0 && onehot[b] < first);
-    }
+    LSG_DCHECK(onehot < first);
     // Wx (e_token ++ x): the token's column, then the dense products in
     // ascending column order.
     const float* w = wx_.value().data();
-    for (size_t b = 0; b < n; ++b) {
-      const float* col = w + onehot[b];
-      for (int k = 0; k < 4 * h; ++k) {
-        pre[k * n + b] = col[static_cast<size_t>(k) * input_dim_];
-      }
+    for (int k = 0; k < 4 * h; ++k) {
+      pre[k] = w[static_cast<size_t>(k) * input_dim_ + onehot];
     }
     for (int j = 0; j < dense_dim; ++j) {
       const float* col = w + first + j;
+      const float xj = x[j];
       for (int k = 0; k < 4 * h; ++k) {
-        const float wkj = col[static_cast<size_t>(k) * input_dim_];
-        for (size_t b = 0; b < n; ++b) pre[k * n + b] += wkj * x[j * n + b];
+        pre[k] += col[static_cast<size_t>(k) * input_dim_] * xj;
       }
     }
   }
-  MatMatAccum(wh_, h_prev, lanes, pre);
-  // pre += bias, each entry over its row's lanes (one lane: a plain,
-  // vectorizable vector add).
+  MatMatAccum(wh_, h_prev, pre);
   const float* bias = b_.value().data();
-  if (n == 1) {
-    for (int k = 0; k < 4 * h; ++k) pre[k] += bias[k];
-  } else {
-    for (int k = 0; k < 4 * h; ++k) {
-      for (size_t b = 0; b < n; ++b) pre[k * n + b] += bias[k];
-    }
-  }
-  // The gates: i | f | g | o, each an h x n panel.
-  const size_t hn = h * n;
+  for (int k = 0; k < 4 * h; ++k) pre[k] += bias[k];
+  // The gates: i | f | g | o, h entries each.
   float* i = pre;
-  float* f = pre + hn;
-  float* g = pre + 2 * hn;
-  float* o = pre + 3 * hn;
+  float* f = pre + h;
+  float* g = pre + 2 * h;
+  float* o = pre + 3 * h;
   float* c = p->c.data();
   float* tanh_c = p->tanh_c.data();
   float* h_out = p->h.data();
-  for (size_t j = 0; j < hn; ++j) {
+  for (int j = 0; j < h; ++j) {
     i[j] = Sigmoid(i[j]);
     f[j] = Sigmoid(f[j]);
     g[j] = std::tanh(g[j]);
@@ -155,125 +139,56 @@ LstmStack::State LstmStack::InitialState() const {
   return s;
 }
 
-namespace {
-
-// dst[r * dst_stride] = src[r * src_stride] for r < rows: one lane's
-// column of a feature-major panel (stride = its width) to or from a
-// vector. At width 1 both strides are 1 and this is a plain copy.
-void CopyStrided(const float* src, size_t src_stride, float* dst,
-                 size_t dst_stride, size_t rows) {
-  if (src_stride == 1 && dst_stride == 1) {
-    std::copy(src, src + rows, dst);
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) dst[r * dst_stride] = src[r * src_stride];
-}
-
-// out = column b of a w-lane panel with `rows` rows.
-void CopyLane(const float* panel, size_t rows, size_t w, size_t b,
-              std::vector<float>* out) {
-  if (w == 1) {
-    out->assign(panel, panel + rows);
-    return;
-  }
-  out->resize(rows);
-  CopyStrided(panel + b, w, out->data(), 1, rows);
-}
-
-// Gathers one vector per lane into a w-lane panel (rows x w); at width 1
-// the vector itself is the panel.
-template <typename LaneVector>
-const float* Gather(const LstmStack::Lane* lanes, size_t w, size_t rows,
-                    LaneVector lane_vector, std::vector<float>* panel) {
-  if (w == 1) return lane_vector(lanes[0]);
-  panel->resize(rows * w);
-  for (size_t b = 0; b < w; ++b) {
-    CopyStrided(lane_vector(lanes[b]), 1, panel->data() + b, w, rows);
-  }
-  return panel->data();
-}
-
-}  // namespace
-
-const float* LstmStack::Step(const Lane* lanes, int n, Workspace* ws) const {
-  LSG_CHECK(n > 0);
+const float* LstmStack::Step(const Lane& lane, Workspace* ws) const {
   const size_t H = static_cast<size_t>(hidden_dim_);
   const size_t L = cells_.size();
-  const size_t w = static_cast<size_t>(n);
-  // A single lane with a cache steps inside that cache; otherwise the
-  // layers share the workspace panel, and cached lanes copy their columns.
-  const bool direct = n == 1 && lanes[0].cache != nullptr;
-  ws->tokens.resize(w);
-  for (size_t b = 0; b < w; ++b) {
-    ws->tokens[b] = lanes[b].token;
-    if (lanes[b].cache == nullptr) continue;
-    const bool drop = lanes[b].dropout != nullptr && dropout_ > 0.f;
-    lanes[b].cache->layers.resize(L);
-    lanes[b].cache->dropout_mask.resize(drop ? L : 0);
+  const bool drop = lane.dropout != nullptr && dropout_ > 0.f;
+  if (lane.cache != nullptr) {
+    lane.cache->layers.resize(L);
+    lane.cache->dropout_mask.resize(drop ? L : 0);
   }
-
-  const float* below = nullptr;  // the layer below's h panel
+  const float* below = nullptr;  // the layer below's new h
   for (size_t l = 0; l < L; ++l) {
-    // Layer 0 reads the tails, the others the layer below's h through each
+    // Layer 0 reads the tail, the others the layer below's h through the
     // lane's dropout mask.
-    const float* x = below;
-    size_t dense_dim = H;
-    if (l == 0) {
-      dense_dim = static_cast<size_t>(tail_dim_);
-      x = Gather(lanes, w, dense_dim,
-                 [](const Lane& lane) { return lane.tail; }, &ws->x);
-    } else {
-      bool dropped = false;
-      for (size_t b = 0; b < w; ++b) {
-        if (lanes[b].dropout == nullptr || dropout_ <= 0.f) continue;
-        if (!dropped) ws->x.assign(below, below + H * w);
-        dropped = true;
+    const float* x = lane.tail;
+    size_t dense_dim = static_cast<size_t>(tail_dim_);
+    if (l > 0) {
+      x = below;
+      dense_dim = H;
+      if (drop) {
+        ws->x.assign(below, below + H);
         float* mask = nullptr;
-        if (lanes[b].cache != nullptr) {
-          lanes[b].cache->dropout_mask[l].resize(H);
-          mask = lanes[b].cache->dropout_mask[l].data();
+        if (lane.cache != nullptr) {
+          lane.cache->dropout_mask[l].resize(H);
+          mask = lane.cache->dropout_mask[l].data();
         }
         const float keep = 1.f - dropout_;
         for (size_t k = 0; k < H; ++k) {
-          const float m = lanes[b].dropout->Bernoulli(keep) ? 1.f / keep : 0.f;
+          const float m = lane.dropout->Bernoulli(keep) ? 1.f / keep : 0.f;
           if (mask != nullptr) mask[k] = m;
-          ws->x[k * w + b] *= m;
+          ws->x[k] *= m;
         }
+        x = ws->x.data();
       }
-      if (dropped) x = ws->x.data();
     }
-    const float* h_prev = Gather(
-        lanes, w, H,
-        [l](const Lane& lane) { return lane.state->h[l].data(); },
-        &ws->h_prev);
-    const float* c_prev = Gather(
-        lanes, w, H,
-        [l](const Lane& lane) { return lane.state->c[l].data(); },
-        &ws->c_prev);
-    // Cached lanes keep their inputs before the forward: without a cache
-    // or dropout, x is the shared panel's h, which the forward overwrites.
-    for (size_t b = 0; b < w; ++b) {
-      if (lanes[b].cache == nullptr) continue;
-      LstmCell::Cache* cc = &lanes[b].cache->layers[l];
-      cc->onehot = l == 0 ? lanes[b].token : -1;
-      CopyLane(x, dense_dim, w, b, &cc->x);
-      CopyLane(h_prev, H, w, b, &cc->h_prev);
-      CopyLane(c_prev, H, w, b, &cc->c_prev);
+    std::vector<float>& h = lane.state->h[l];
+    std::vector<float>& c = lane.state->c[l];
+    // A cached lane steps inside its cache and keeps its inputs before the
+    // forward: without a cache or dropout, x is the workspace's h, which
+    // the forward overwrites.
+    LstmCell::Cache& out =
+        lane.cache != nullptr ? lane.cache->layers[l] : ws->out;
+    if (lane.cache != nullptr) {
+      out.onehot = l == 0 ? lane.token : -1;
+      out.x.assign(x, x + dense_dim);
+      out.h_prev = h;
+      out.c_prev = c;
     }
-    LstmCell::Cache& out = direct ? lanes[0].cache->layers[l] : ws->panel;
-    cells_[l].Forward(l == 0 ? ws->tokens.data() : nullptr, x,
-                      static_cast<int>(dense_dim), h_prev, c_prev, n, &out);
-    for (size_t b = 0; b < w; ++b) {
-      if (lanes[b].cache != nullptr && !direct) {
-        LstmCell::Cache* cc = &lanes[b].cache->layers[l];
-        CopyLane(out.gates.data(), 4 * H, w, b, &cc->gates);
-        CopyLane(out.c.data(), H, w, b, &cc->c);
-        CopyLane(out.tanh_c.data(), H, w, b, &cc->tanh_c);
-        CopyLane(out.h.data(), H, w, b, &cc->h);
-      }
-      CopyStrided(out.h.data() + b, w, lanes[b].state->h[l].data(), 1, H);
-      CopyStrided(out.c.data() + b, w, lanes[b].state->c[l].data(), 1, H);
-    }
+    cells_[l].Forward(l == 0 ? lane.token : -1, x,
+                      static_cast<int>(dense_dim), h.data(), c.data(), &out);
+    std::copy(out.h.begin(), out.h.end(), h.begin());
+    std::copy(out.c.begin(), out.c.end(), c.begin());
     below = out.h.data();
   }
   return below;

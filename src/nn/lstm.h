@@ -12,17 +12,16 @@ namespace lsg {
 /// by a dense block; the one-hot part touches only its own column of Wx in
 /// both passes, so only the columns actually fed go live for the optimizer.
 /// Wh is a packed tensor (see ParamTensor), and so is Wx of a cell whose
-/// input has no one-hot part, so a one-lane step multiplies through their
-/// forward panels; a one-hot Wx (vocabulary-wide) keeps none.
+/// input has no one-hot part, so a step multiplies through their forward
+/// panels; a one-hot Wx (vocabulary-wide) keeps none.
 class LstmCell {
  public:
   /// `onehot_input`: every Forward feeds a one-hot part.
   LstmCell(int input_dim, int hidden_dim, bool onehot_input, Rng* rng);
 
-  /// The activations of one step over `lanes` lanes, every field a
-  /// feature-major panel ([feature][lane], lane index contiguous). At one
-  /// lane, with its inputs filled in, it is the per-step BPTT cache. A
-  /// reused cache keeps its buffers, so a step into it allocates nothing.
+  /// The activations of one step; with its inputs filled in, it is the
+  /// per-step BPTT cache. A reused cache keeps its buffers, so a step into
+  /// it allocates nothing.
   struct Cache {
     int onehot = -1;               ///< one-hot index, or -1 (BPTT cache)
     std::vector<float> x;          ///< dense input block (BPTT cache)
@@ -34,19 +33,17 @@ class LstmCell {
     std::vector<float> tanh_c;     ///< tanh(c), the factor of h = o * tanh(c)
   };
 
-  /// The one forward, over `lanes` lanes: writes p->gates, p->c, p->tanh_c
-  /// and p->h. Lane b's input is e_{onehot[b]} (no one-hot part when onehot
-  /// is null) followed by column b of x, a (dense_dim x lanes) panel over
-  /// the last dense_dim input columns (all of them without a one-hot part);
-  /// h_prev and c_prev are (H x lanes) panels. x may alias p->h: it is read
-  /// before the gates are written. Each Wx row sum starts at the token's
-  /// column and adds the dense products in ascending column order: the
-  /// chain a dense MatVec over the whole input runs, less its ±0 terms.
-  void Forward(const int* onehot, const float* x, int dense_dim,
-               const float* h_prev, const float* c_prev, int lanes,
-               Cache* p) const;
+  /// The one forward: writes p->gates, p->c, p->tanh_c and p->h. The input
+  /// is e_onehot (no one-hot part when onehot < 0) followed by x, the last
+  /// dense_dim input columns (all of them without a one-hot part). x may
+  /// alias p->h: it is read before the gates are written. Each Wx row sum
+  /// starts at the token's column and adds the dense products in ascending
+  /// column order: the chain a dense MatVec over the whole input runs, less
+  /// its ±0 terms.
+  void Forward(int onehot, const float* x, int dense_dim, const float* h_prev,
+               const float* c_prev, Cache* p) const;
 
-  /// Backward through one step of a one-lane cache. `dh`/`dc` are
+  /// Backward through one step's cache. `dh`/`dc` are
   /// gradients flowing into this step's outputs; `dh_prev`/`dc_prev`
   /// receive (overwrite) gradients for the previous step; `dx_or_null`
   /// accumulates input gradients (skipped for a one-hot input — tokens and
@@ -97,24 +94,20 @@ class LstmStack {
     Rng* dropout = nullptr;        ///< dropout stream, or null for none
   };
 
-  /// The output panel the layers share when no lane cache holds it, and
-  /// the gathered input panels. A reused workspace allocates nothing once
-  /// it has seen the widest step.
+  /// The activations the layers share when the lane keeps no cache, and the
+  /// dropped-out input of a layer. A reused workspace allocates nothing.
   struct Workspace {
-    LstmCell::Cache panel;
-    std::vector<float> x, h_prev, c_prev;
-    std::vector<int> tokens;
+    LstmCell::Cache out;
+    std::vector<float> x;
   };
 
   State InitialState() const;
 
-  /// The one step: advances `n` lanes one input each, through one
-  /// matrix-matrix product per layer. A lane draws its dropout masks from
-  /// its own stream, layer by layer, so lane b at any width is bitwise
-  /// lane b stepped alone. Returns the top layer's hidden panel (H x n,
-  /// feature-major), valid until the next step into the same workspace or
-  /// cache.
-  const float* Step(const Lane* lanes, int n, Workspace* ws) const;
+  /// The one step: advances the lane by one input. Dropout masks are drawn
+  /// from the lane's own stream, layer by layer. Returns the top layer's
+  /// new hidden state (H floats), valid until the next step into the same
+  /// workspace or cache.
+  const float* Step(const Lane& lane, Workspace* ws) const;
 
   /// Backpropagation through time over a full episode. `dtop[t]` is the
   /// loss gradient w.r.t. the top-layer hidden state after step t.

@@ -23,7 +23,7 @@ Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
 
 namespace {
 
-// Rows per single-lane row tile. Eight independent add chains cover the
+// Rows per row tile. Eight independent add chains cover the
 // float-add latency on both add ports; sixteen measured slower on the
 // ~9-row head.
 constexpr int kRowTile = 8;
@@ -35,8 +35,7 @@ constexpr int kRowTile = 8;
 // in ascending j, so acc[r] is bitwise the scalar one-chain dot product.
 // kRows is a template constant so the accumulators live in registers.
 template <int kRows, typename RowAt>
-inline void RowDotTile(RowAt row_at, int cols, const float* x,
-                       size_t x_stride, float* acc) {
+inline void RowDotTile(RowAt row_at, int cols, const float* x, float* acc) {
   const float* row[kRows];
 #pragma GCC unroll 16
   for (int r = 0; r < kRows; ++r) {
@@ -44,7 +43,7 @@ inline void RowDotTile(RowAt row_at, int cols, const float* x,
     acc[r] = 0.f;
   }
   for (int j = 0; j < cols; ++j) {
-    const float xj = x[static_cast<size_t>(j) * x_stride];
+    const float xj = x[j];
 #pragma GCC unroll 16
     for (int r = 0; r < kRows; ++r) acc[r] += row[r][j] * xj;
   }
@@ -60,81 +59,25 @@ void MatVec(const Matrix& w, const float* x, float* y) {
     float acc[kRows];
     RowDotTile<kRows>(
         [&](int r) { return wd + (i0 + r) * static_cast<size_t>(cols); },
-        cols, x, 1, acc);
+        cols, x, acc);
 #pragma GCC unroll 16
     for (int r = 0; r < kRows; ++r) y[i0 + r] = acc[r];
   });
 }
 
-void MatVecRows(const Matrix& w, const float* x, int x_stride,
-                const int* rows, int nrows, float* y) {
+void MatVecRows(const Matrix& w, const float* x, const int* rows, int nrows,
+                float* y) {
   const int cols = w.cols();
   const float* wd = w.data();
   ForEachTile<kRowTile>(static_cast<size_t>(nrows), [&]<int kRows>(size_t k0) {
     float acc[kRows];
     RowDotTile<kRows>(
         [&](int r) { return wd + static_cast<size_t>(rows[k0 + r]) * cols; },
-        cols, x, static_cast<size_t>(x_stride), acc);
+        cols, x, acc);
 #pragma GCC unroll 16
     for (int r = 0; r < kRows; ++r) y[k0 + r] = acc[r];
   });
 }
-
-namespace {
-
-// One row-major sweep over a lane tile [b0, b0+kWidth). For each output
-// row the tile keeps kWidth independent accumulators and walks features in
-// ascending-j order, so lane b's sum reassociates nothing relative to
-// MatVec; the bb loop is stride-1 over the panel. kWidth is a template
-// parameter on purpose: GCC's SLP vectorizer (on at -O2) only fires on
-// constant-trip-count lane loops — a runtime `width` leaves the whole
-// kernel scalar. GCC only emits FMA contractions when the target ISA has
-// them, and the baseline x86-64 build (SSE2) does not, so vector mul+add
-// keeps scalar rounding and the bitwise-oracle contract holds.
-template <bool kAccum, int kWidth>
-void MatMatTile(const float* wd, int rows, int cols, const float* x_panel,
-                int batch, int b0, float* y_panel) {
-  float acc[kWidth];
-  for (int i = 0; i < rows; ++i) {
-    const float* row = wd + static_cast<size_t>(i) * cols;
-#pragma GCC unroll 16
-    for (int bb = 0; bb < kWidth; ++bb) acc[bb] = 0.f;
-    for (int j = 0; j < cols; ++j) {
-      const float wj = row[j];
-      const float* xs = x_panel + static_cast<size_t>(j) * batch + b0;
-      // Fully unrolled so the kWidth accumulators live in vector registers
-      // across the j sweep; a rolled bb loop makes GCC spill them to the
-      // stack every iteration.
-#pragma GCC unroll 16
-      for (int bb = 0; bb < kWidth; ++bb) acc[bb] += wj * xs[bb];
-    }
-    float* ys = y_panel + static_cast<size_t>(i) * batch + b0;
-    if (kAccum) {
-#pragma GCC unroll 16
-      for (int bb = 0; bb < kWidth; ++bb) ys[bb] += acc[bb];
-    } else {
-#pragma GCC unroll 16
-      for (int bb = 0; bb < kWidth; ++bb) ys[bb] = acc[bb];
-    }
-  }
-}
-
-// Every lane lands in exactly one fixed-width tile (ForEachTile), so its
-// accumulation order is identical no matter how the batch splits
-// (16+8+4+… vs one 16-tile vs one lane).
-template <bool kAccum>
-void MatMatImpl(const Matrix& w, const float* x_panel, int batch,
-                float* y_panel) {
-  const float* wd = w.data();
-  const int rows = w.rows();
-  const int cols = w.cols();
-  ForEachTile(static_cast<size_t>(batch), [&]<int kWidth>(size_t b0) {
-    MatMatTile<kAccum, kWidth>(wd, rows, cols, x_panel, batch,
-                               static_cast<int>(b0), y_panel);
-  });
-}
-
-}  // namespace
 
 namespace {
 
@@ -150,9 +93,9 @@ inline void AxpyTile(float a, const float* x, float* y) {
   for (int j = 0; j < kWidth; ++j) y[j] = t[j];
 }
 
-// Columns [j0, j0+kWidth) of dW += dy x^T, swept down the rows like a
-// MatMatTile: the x tile is copied once into registers (a local that the
-// row stores cannot clobber) and each row adds g * x to its slice.
+// Columns [j0, j0+kWidth) of dW += dy x^T, swept down the rows: the x tile
+// is copied once into registers (a local that the row stores cannot
+// clobber) and each row adds g * x to its slice.
 template <int kWidth>
 void OuterTile(float* wd, int rows, int cols, const float* dy, const float* x,
                size_t j0) {
@@ -180,13 +123,16 @@ namespace {
 // and 128 rows hold the 4H gate column of an LSTM of up to 32 units.
 constexpr size_t kPanelChunk = 128;
 
-// y (+)= W x from the forward panel (panel[j * rows + i] = W(i, j)). Each
-// chunk of output rows starts from +0, adds panel column j times x[j] for j
-// ascending (one multiply and one add per element, as in the scalar row
-// loop), then stores or adds the finished sums once.
+// y (+)= W x from a packed tensor's forward panel (panel[j * rows + i] =
+// W(i, j)). Each chunk of output rows starts from +0, adds panel column j
+// times x[j] for j ascending (one multiply and one add per element, as in
+// the scalar row loop), then stores or adds the finished sums once.
 template <bool kAccum>
-void PanelMatVec(const float* panel, size_t rows, int cols, const float* x,
-                 float* y) {
+void PanelMatVec(const ParamTensor& w, const float* x, float* y) {
+  LSG_CHECK(w.packed());
+  const float* panel = w.panel();
+  const size_t rows = static_cast<size_t>(w.value().rows());
+  const int cols = w.value().cols();
   for (size_t i0 = 0; i0 < rows; i0 += kPanelChunk) {
     const size_t n = std::min(kPanelChunk, rows - i0);
     float acc[kPanelChunk];
@@ -208,29 +154,14 @@ void PanelMatVec(const float* panel, size_t rows, int cols, const float* x,
   }
 }
 
-template <bool kAccum>
-void PackedMatMat(const ParamTensor& w, const float* x_panel, int batch,
-                  float* y_panel) {
-  LSG_CHECK(batch > 0);
-  if (batch > 1) {
-    MatMatImpl<kAccum>(w.value(), x_panel, batch, y_panel);
-    return;
-  }
-  LSG_CHECK(w.packed());
-  PanelMatVec<kAccum>(w.panel(), static_cast<size_t>(w.value().rows()),
-                      w.value().cols(), x_panel, y_panel);
-}
-
 }  // namespace
 
-void MatMat(const ParamTensor& w, const float* x_panel, int batch,
-            float* y_panel) {
-  PackedMatMat<false>(w, x_panel, batch, y_panel);
+void MatMat(const ParamTensor& w, const float* x, float* y) {
+  PanelMatVec<false>(w, x, y);
 }
 
-void MatMatAccum(const ParamTensor& w, const float* x_panel, int batch,
-                 float* y_panel) {
-  PackedMatMat<true>(w, x_panel, batch, y_panel);
+void MatMatAccum(const ParamTensor& w, const float* x, float* y) {
+  PanelMatVec<true>(w, x, y);
 }
 
 void MatTVecAccum(const Matrix& w, const float* dy, float* dx) {

@@ -48,12 +48,12 @@ class Matrix {
 /// A learnable tensor: value plus accumulated gradient.
 ///
 /// A packed tensor also keeps a forward panel: value transposed into a
-/// column-major copy (panel[j * rows + i] = value(i, j)), which the
-/// one-lane MatMat below reads as contiguous column slices; only a packed
-/// tensor can be multiplied at one lane. The panel is refreshed by every
-/// write to value, and UpdateValue is the only write access, so a panel is
-/// never stale: construction, Adam::Step, ParamSnapshot::Restore and
-/// LoadParams all go through it.
+/// column-major copy (panel[j * rows + i] = value(i, j)), which MatMat
+/// below reads as contiguous column slices; only a packed tensor can be
+/// multiplied there. The panel is refreshed by every write to value, and
+/// UpdateValue is the only write access, so a panel is never stale:
+/// construction, Adam::Step, ParamSnapshot::Restore and LoadParams all go
+/// through it.
 ///
 /// Gradient columns go "live" on their first write and stay live. A tensor
 /// fed by one-hot inputs (an LSTM's token-input Wx) only ever receives
@@ -149,39 +149,29 @@ class ParamTensor {
   std::vector<ColumnRun> live_runs_;
 };
 
-/// y = W x  (y: rows, x: cols). The single-lane row-major forward kernels
-/// (MatVec, MatVecRows) run fixed-width tiles of rows with one independent
+/// y = W x  (y: rows, x: cols). The row-major forward kernels (MatVec,
+/// MatVecRows) run fixed-width tiles of rows with one independent
 /// accumulator per row; each row still sums its products in ascending-j
 /// order from +0, so every output is bitwise the one-chain scalar dot
 /// product.
 void MatVec(const Matrix& w, const float* x, float* y);
 
-/// Gathered-row product: y[k] = (row rows[k] of W) . x for k < nrows, x
-/// read at the given stride (a feature-major panel column when
-/// x_stride > 1). Rows may repeat and come in any order; each y[k] is
-/// bitwise MatVec's entry for that row.
-void MatVecRows(const Matrix& w, const float* x, int x_stride,
-                const int* rows, int nrows, float* y);
+/// Gathered-row product: y[k] = (row rows[k] of W) . x for k < nrows. Rows
+/// may repeat and come in any order; each y[k] is bitwise MatVec's entry
+/// for that row.
+void MatVecRows(const Matrix& w, const float* x, const int* rows, int nrows,
+                float* y);
 
-/// Y = W X for a tensor's value W over a feature-major activation panel:
-/// X packs `batch` activation vectors lane-interleaved (x_panel[j * batch
-/// + b] is feature j of lane b) and Y has the same layout over rows
-/// (y_panel[i * batch + b]). Every output is bitwise the one-chain scalar
-/// dot product of its row and lane, ((0 + w_0 x_0) + w_1 x_1) + ... in
-/// ascending j:
-///  - One lane (batch == 1, W packed) runs the forward panel: the whole
-///    output column is one accumulator vector, and acc += panel column j
-///    * x[j] sweeps j ascending as fixed-width AxpyAccum tiles.
-///  - More lanes run lane tiles: for each row, kWidth per-lane
-///    accumulators in ascending j, the inner loop a stride-1
-///    autovectorizable accumulate over the panel.
-void MatMat(const ParamTensor& w, const float* x_panel, int batch,
-            float* y_panel);
+/// y = W x for a packed tensor's value W, through its forward panel: the
+/// whole output column is one accumulator vector, and acc += panel column
+/// j * x[j] sweeps j ascending as fixed-width AxpyAccum tiles. Every output
+/// is bitwise the one-chain scalar dot product of its row,
+/// ((0 + w_0 x_0) + w_1 x_1) + ... in ascending j.
+void MatMat(const ParamTensor& w, const float* x, float* y);
 
-/// Y += W X, same layout as MatMat. Each output's sum is computed first
-/// and added once.
-void MatMatAccum(const ParamTensor& w, const float* x_panel, int batch,
-                 float* y_panel);
+/// y += W x, the same product. Each output's sum is computed first and
+/// added once.
+void MatMatAccum(const ParamTensor& w, const float* x, float* y);
 
 /// dx += W^T dy.
 void MatTVecAccum(const Matrix& w, const float* dy, float* dx);

@@ -39,7 +39,7 @@ float MetaCritic::StepValue(Episode* ep, int input_token) {
     lane.cache = &ep->state_caches.back();
     lane.dropout = &rng_;
   }
-  const float* top = state_lstm_.Step(&lane, 1, &ws_);
+  const float* top = state_lstm_.Step(lane, &ws_);
 
   std::vector<float> fuse_in(options_.hidden_dim + options_.encoder_dim);
   for (int i = 0; i < options_.hidden_dim; ++i) fuse_in[i] = top[i];
@@ -68,9 +68,9 @@ void MetaCritic::ObserveTriple(Episode* ep, int action, double reward) {
   cache.x[options_.action_embed_dim] = static_cast<float>(reward);
   cache.h_prev = ep->enc_h;
   cache.c_prev = ep->enc_c;
-  encoder_.Forward(/*onehot=*/nullptr, cache.x.data(),
+  encoder_.Forward(/*onehot=*/-1, cache.x.data(),
                    static_cast<int>(cache.x.size()), cache.h_prev.data(),
-                   cache.c_prev.data(), /*lanes=*/1, &cache);
+                   cache.c_prev.data(), &cache);
   ep->enc_h = cache.h;
   ep->enc_c = cache.c;
   if (ep->train) {

@@ -34,7 +34,7 @@ PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
   return ep;
 }
 
-Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
+Status PolicyNetwork::MaskedHead(const float* top,
                                  const std::vector<int>& admitted,
                                  CompactDistribution* d) const {
   if (admitted.empty()) {
@@ -47,60 +47,33 @@ Status PolicyNetwork::MaskedHead(const float* top, int top_stride,
   // — and the softmax runs on the compacted support.
   d->idx.assign(admitted.begin(), admitted.end());
   d->probs.resize(d->idx.size());
-  head_.ForwardRows(top, top_stride, d->idx.data(),
-                    static_cast<int>(d->idx.size()), d->probs.data());
+  head_.ForwardRows(top, d->idx.data(), static_cast<int>(d->idx.size()),
+                    d->probs.data());
   return TryCompactSoftmaxInPlace(d->probs.data(), d->probs.size());
 }
 
-void PolicyNetwork::StepLanes(Episode* const* eps,
-                              const std::vector<int>* const* admitted, int n,
-                              Rng* dropout, CompactDistribution* dists,
-                              Status* statuses, Workspace* ws) const {
-  ws->lanes.clear();
-  ws->live.clear();
-  for (int b = 0; b < n; ++b) {
-    Episode* ep = eps[b];
-    statuses[b] = CheckExtraFeatures(ep->extra, options_);
-    if (!statuses[b].ok()) continue;
-    LstmStack::Lane lane;
-    lane.token = ep->actions.empty() ? bos_index() : ep->actions.back();
-    lane.tail = ep->extra.data();
-    lane.state = &ep->state;
-    if (ep->train) {
-      ep->caches.emplace_back();
-      lane.cache = &ep->caches.back();
-      lane.dropout = dropout;
-    }
-    ws->lanes.push_back(lane);
-    ws->live.push_back(b);
+Status PolicyNetwork::Step(Episode* ep, const std::vector<int>& admitted,
+                           Rng* dropout, CompactDistribution* dist,
+                           Workspace* ws) const {
+  LSG_RETURN_IF_ERROR(CheckExtraFeatures(ep->extra, options_));
+  LstmStack::Lane lane;
+  lane.token = ep->actions.empty() ? bos_index() : ep->actions.back();
+  lane.tail = ep->extra.data();
+  lane.state = &ep->state;
+  if (ep->train) {
+    ep->caches.emplace_back();
+    lane.cache = &ep->caches.back();
+    lane.dropout = dropout;
   }
-  if (ws->lanes.empty()) return;
-  const int width = static_cast<int>(ws->lanes.size());
-  const float* top = lstm_.Step(ws->lanes.data(), width, &ws->lstm);
-  // Lane j's top hidden state is column j of the feature-major panel.
-  for (int j = 0; j < width; ++j) {
-    const int b = ws->live[j];
-    statuses[b] = MaskedHead(top + j, width, *admitted[b], &dists[b]);
-  }
+  return MaskedHead(lstm_.Step(lane, ws), admitted, dist);
 }
 
 Status PolicyNetwork::Step(Episode* ep, const std::vector<int>& admitted,
                            const CompactDistribution** dist) {
   ep->dists.emplace_back();
-  const std::vector<int>* lane_admitted = &admitted;
-  Status status;
-  StepLanes(&ep, &lane_admitted, 1, &rng_, &ep->dists.back(), &status, &ws_);
-  LSG_RETURN_IF_ERROR(status);
+  LSG_RETURN_IF_ERROR(Step(ep, admitted, &rng_, &ep->dists.back(), &ws_));
   *dist = &ep->dists.back();
   return Status::Ok();
-}
-
-void PolicyNetwork::StepBatch(Episode* const* lanes,
-                              const std::vector<int>* const* admitted,
-                              int batch, CompactDistribution* dists,
-                              Status* statuses, Workspace* ws) const {
-  for (int b = 0; b < batch; ++b) LSG_CHECK(!lanes[b]->train);
-  StepLanes(lanes, admitted, batch, /*dropout=*/nullptr, dists, statuses, ws);
 }
 
 int PolicyNetwork::SampleAction(const CompactDistribution& d,

@@ -58,38 +58,28 @@ class PolicyNetwork {
     bool train = false;
   };
 
-  /// Scratch of one step over lanes. The const entry takes it from the
-  /// caller, so one network can serve many threads lock-free.
-  struct Workspace {
-    LstmStack::Workspace lstm;
-    std::vector<LstmStack::Lane> lanes;
-    std::vector<int> live;  ///< episode index of each stepped lane
-  };
+  /// Scratch of one step. The const Step takes it from the caller, so one
+  /// network can serve many threads lock-free.
+  using Workspace = LstmStack::Workspace;
 
   Episode BeginEpisode(bool train) const;
 
-  /// Advances the LSTM over the previous action (BOS on the first call)
-  /// and the episode's feature tail, appends the masked action
-  /// distribution for the next step to ep->dists and points `*dist` at it
-  /// (valid until the next Step). `admitted` lists the vocabulary indices
-  /// the mask admits, ascending and without repeats (ActionMask::ids).
-  /// Training episodes also keep the BPTT cache and draw dropout from the
-  /// network's stream. InvalidArgument for a feature tail of the wrong
-  /// length; kInternal for an empty mask or a degenerate masked logit row
-  /// (the episode is then unusable).
+  /// The one step: advances the LSTM over the previous action (BOS on the
+  /// first call) and the episode's feature tail and writes the masked
+  /// action distribution for the next step into `*dist`. `admitted` lists
+  /// the vocabulary indices the mask admits, ascending and without repeats
+  /// (ActionMask::ids). A training episode also keeps the BPTT cache and
+  /// draws dropout from `dropout`. InvalidArgument for a feature tail of
+  /// the wrong length; kInternal for an empty mask or a degenerate masked
+  /// logit row (the episode is then unusable).
+  Status Step(Episode* ep, const std::vector<int>& admitted, Rng* dropout,
+              CompactDistribution* dist, Workspace* ws) const;
+
+  /// The step above with the network's own dropout stream and scratch: the
+  /// distribution is appended to ep->dists and `*dist` points at it (valid
+  /// until the next Step).
   Status Step(Episode* ep, const std::vector<int>& admitted,
               const CompactDistribution** dist);
-
-  /// Inference step over `batch` non-training episodes, one token each,
-  /// through one LSTM step over lanes; lane b's masked distribution goes
-  /// into dists[b]. Per lane this is bitwise Step on that episode alone.
-  /// statuses[b] receives the lane's status, as Step would return it (a
-  /// failed lane's dists entry is unspecified and the lane must be
-  /// dropped).
-  void StepBatch(Episode* const* lanes,
-                 const std::vector<int>* const* admitted, int batch,
-                 CompactDistribution* dists, Status* statuses,
-                 Workspace* ws) const;
 
   /// Records the sampled action (must follow Step).
   void RecordAction(Episode* ep, int action) const { ep->actions.push_back(action); }
@@ -115,17 +105,9 @@ class PolicyNetwork {
   std::vector<const ParamTensor*> Params() const;
 
  private:
-  /// The one step: Step and StepBatch. Training episodes draw dropout
-  /// from `dropout`.
-  void StepLanes(Episode* const* eps, const std::vector<int>* const* admitted,
-                 int n, Rng* dropout, CompactDistribution* dists,
-                 Status* statuses, Workspace* ws) const;
-
-  /// Projects the admitted head rows of the top hidden state (read at
-  /// `top_stride`: 1 for a vector, the batch width for a panel column) and
-  /// runs the compact softmax over them into `*d`.
-  Status MaskedHead(const float* top, int top_stride,
-                    const std::vector<int>& admitted,
+  /// Projects the admitted head rows of the top hidden state and runs the
+  /// compact softmax over them into `*d`.
+  Status MaskedHead(const float* top, const std::vector<int>& admitted,
                     CompactDistribution* d) const;
 
   int vocab_size_;

@@ -11,7 +11,7 @@
 namespace lsg {
 
 /// Hard cap on episode length shared by every decode loop (RolloutPolicy,
-/// BatchDecoder, the random baseline); the FSM terminates episodes well
+/// DecodeItem, the random baseline); the FSM terminates episodes well
 /// before it.
 inline constexpr int kMaxEpisodeSteps = 512;
 

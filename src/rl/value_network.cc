@@ -31,7 +31,7 @@ StatusOr<float> ValueNetwork::StepValue(Episode* ep, int input_token) {
     lane.cache = &ep->caches.back();
     lane.dropout = &rng_;
   }
-  const float* top = lstm_.Step(&lane, 1, &ws_);
+  const float* top = lstm_.Step(lane, &ws_);
   float v = 0.f;
   head_.Forward(top, &v);
   ep->values.push_back(v);

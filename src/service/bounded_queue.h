@@ -55,19 +55,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking consumer: returns the head if one is immediately
-  /// available, nullopt when the queue is empty (open or closed). The
-  /// batching worker uses this to top up a group without stalling the
-  /// requests it already holds.
-  std::optional<T> TryPop() {
-    MutexLock lock(&mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return item;
-  }
-
   /// Rejects all future producers and wakes every waiter. Idempotent.
   void Close() {
     {

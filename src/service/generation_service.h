@@ -43,21 +43,16 @@ struct GenerationResponse {
 struct GenerationServiceOptions {
   int num_workers = 4;
   size_t queue_capacity = 64;
-  /// Cross-request micro-batching width: a worker coalesces up to
-  /// `max_batch` queued requests that resolve to the same constraint
-  /// bucket and advances them one token per step through a single batched
-  /// forward (see BatchDecoder), so batch mates share every matrix load.
-  /// <= 1 decodes one request at a time: a width-1 BatchDecoder, the same
-  /// code path. Outputs are identical either way: each request samples
-  /// from its own (seed, request)-derived stream, so batch composition,
-  /// worker placement and queue order cannot perturb results.
-  int max_batch = 8;
+  /// Always 1: a worker decodes one request at a time. Kept, not
+  /// settable, only so the end-to-end benchmark's run metadata still
+  /// compiles; the benchmark change that drops that field
+  /// (`service.batch_width.mean` with it) deletes this too.
+  static constexpr int max_batch = 1;
   ModelRegistry::Options registry;
   /// Base pipeline configuration. `gen.seed` is the service's base seed:
   /// a request's sampling stream and a bucket's training seed are both
   /// pure functions of (gen.seed, request) resp. (gen.seed, bucket), so
-  /// runs with fixed seeds are reproducible at any worker count, with
-  /// batching on or off.
+  /// runs with fixed seeds are reproducible at any worker count.
   LearnedSqlGenOptions gen;
   /// Registry backing the service counters. Defaults to a private one
   /// (per-service isolation); pass &obs::MetricsRegistry::Global() to
@@ -67,14 +62,12 @@ struct GenerationServiceOptions {
 };
 
 /// Multi-tenant front end over LearnedSqlGen: a fixed worker pool drains a
-/// bounded MPMC request queue; each worker coalesces up to `max_batch`
-/// queued requests whose constraints share a registry bucket and decodes
-/// them together against that bucket's immutable model snapshot — one
-/// batched LSTM forward per step for the whole group (see BatchDecoder).
-/// Buckets are trained at most once via the shared ModelRegistry.
-/// Submit blocks when the queue is full (backpressure); TrySubmit fails
-/// fast instead. Shutdown() drains every accepted request — including ones
-/// a worker is still holding in its local group — before joining.
+/// bounded MPMC request queue; a worker pops one request, resolves its
+/// bucket's immutable model snapshot through the shared ModelRegistry
+/// (which trains a bucket at most once) and decodes the request against it
+/// (DecodeItem). Submit blocks when the queue is full (backpressure);
+/// TrySubmit fails fast instead. Shutdown() drains every accepted request
+/// before joining.
 class GenerationService {
  public:
   /// `db` must outlive the service. Builds the service's one
@@ -130,15 +123,12 @@ class GenerationService {
                     const GenerationServiceOptions& options);
 
   void WorkerLoop(int worker_index);
-  /// Runs one coalesced same-bucket group: records queue/batch metrics,
-  /// generates (RunGroup), completes every promise.
-  void HandleGroup(int worker_index, const ConstraintKey& key,
-                   std::vector<Job>* group);
-  /// Resolves the group's model and decodes all requests as one ragged
-  /// batch over the bucket's snapshot. Fills one response per job; never
-  /// throws a job away.
-  void RunGroup(const ConstraintKey& key, std::vector<Job>* group,
-                std::vector<GenerationResponse>* responses);
+  /// Runs one job: records queue metrics, generates (Run), completes the
+  /// promise.
+  void Handle(int worker_index, Job* job);
+  /// Resolves the request's model and decodes the request over its
+  /// snapshot, filling `response`.
+  void Run(const GenerationRequest& request, GenerationResponse* response);
   static std::future<GenerationResponse> RejectedFuture(uint64_t id,
                                                         Status status);
 

@@ -41,8 +41,7 @@ ServiceMetrics::ServiceMetrics(obs::MetricsRegistry* registry)
       queue_micros(registry_->GetCounter("service.queue_micros")),
       busy_micros(registry_->GetCounter("service.busy_micros")),
       queue_wait_ns(registry_->GetHistogram("service.queue_wait_ns")),
-      handle_ns(registry_->GetHistogram("service.handle_ns")),
-      batch_size(registry_->GetHistogram("service.batch_size")) {}
+      handle_ns(registry_->GetHistogram("service.handle_ns")) {}
 
 ServiceMetricsSnapshot ServiceMetrics::Snapshot() const {
   ServiceMetricsSnapshot s;

@@ -115,12 +115,6 @@ class ServiceMetrics {
   /// are per-request, far off the step hot path).
   obs::Histogram& queue_wait_ns;
   obs::Histogram& handle_ns;
-  /// Mean decode width (lanes per batched forward step, rounded) of each
-  /// ragged batch a worker ran — 1 when batching is off or no same-bucket
-  /// mates were queued. The micro-batching efficacy signal next to
-  /// queue_wait_ns's p99: a value well under max_batch means lanes are
-  /// draining faster than the queue refills them.
-  obs::Histogram& batch_size;
 
  private:
   static uint64_t Micros(double seconds) {

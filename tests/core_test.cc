@@ -7,7 +7,6 @@
 #include <set>
 
 #include "common/random.h"
-#include "core/batch_decoder.h"
 #include "core/constraint.h"
 #include "core/environment.h"
 #include "core/generator.h"
@@ -511,85 +510,6 @@ TEST(GeneratorTest, TrueFeedbackTailHitsTheExecutionMemo) {
     // no DML under the default profile, so every request is measured).
     EXPECT_EQ(reg.GetCounter("env.true_feedback_calls").Value() - calls,
               new_hits + new_misses);
-  }
-}
-
-// The serving tentpole's core contract: decoding a group of requests
-// through BatchDecoder (one batched forward per step, ragged lanes that
-// join and retire at different times) yields byte-for-byte the queries
-// GenerateBatch / GenerateSatisfied produce when run one request at a time
-// with the same per-request seeds (a width-1 decode, whose forward runs the
-// packed weights' forward panels). A second decode at max_lanes = 1 over the
-// whole group pins ragged admission at width 1 to the same output.
-TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
-  LearnedSqlGenOptions opts;
-  opts.train_epochs = 8;
-  opts.trainer.batch_size = 4;
-  opts.vocab.values_per_column = 8;
-  opts.attempts_factor = 40;
-  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
-  ASSERT_TRUE(gen.ok());
-  Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
-  ASSERT_TRUE((*gen)->Train(c).ok());
-  const std::shared_ptr<const ServingSnapshot> snap = (*gen)->snapshot();
-  ASSERT_NE(snap, nullptr);
-
-  // Mixed item shapes: distinct n, batch vs satisfied semantics, so lanes
-  // retire raggedly and the batch width varies mid-run.
-  struct Spec {
-    int n;
-    bool batch_mode;
-  };
-  const std::vector<Spec> specs = {
-      {4, true}, {2, true}, {3, false}, {1, true}, {2, false}};
-  auto make_items = [&specs, &c] {
-    std::vector<BatchDecodeItem> items(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      items[i].constraint = c;
-      items[i].n = specs[i].n;
-      items[i].batch_mode = specs[i].batch_mode;
-      items[i].rng = Rng(SplitMix64(0x5eedULL + i));
-    }
-    return items;
-  };
-  auto run = [&snap](std::vector<BatchDecodeItem>* items, int max_lanes) {
-    std::vector<BatchDecodeItem*> ptrs;
-    for (BatchDecodeItem& item : *items) ptrs.push_back(&item);
-    return BatchDecoder(snap.get(), max_lanes).Run(ptrs);
-  };
-
-  std::vector<BatchDecodeItem> batched = make_items();
-  auto stats = run(&batched, static_cast<int>(batched.size()));
-  EXPECT_GT(stats.peak_lanes, 1);
-  EXPECT_GT(stats.lane_steps, stats.steps);  // lanes actually shared steps
-
-  for (size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
-    Rng rng(SplitMix64(0x5eedULL + i));
-    auto ref = specs[i].batch_mode
-                   ? (*gen)->GenerateBatch(specs[i].n, &rng)
-                   : (*gen)->GenerateSatisfied(specs[i].n, &rng);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    EXPECT_EQ(batched[i].report.attempts, ref->attempts);
-    EXPECT_EQ(batched[i].report.satisfied, ref->satisfied);
-    ASSERT_EQ(batched[i].report.queries.size(), ref->queries.size());
-    for (size_t q = 0; q < ref->queries.size(); ++q) {
-      EXPECT_EQ(batched[i].report.queries[q].sql, ref->queries[q].sql);
-      EXPECT_EQ(batched[i].report.queries[q].metric, ref->queries[q].metric);
-      EXPECT_EQ(batched[i].report.queries[q].satisfied,
-                ref->queries[q].satisfied);
-    }
-  }
-
-  std::vector<BatchDecodeItem> solo = make_items();
-  run(&solo, 1);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_TRUE(solo[i].status.ok());
-    ASSERT_EQ(solo[i].report.queries.size(), batched[i].report.queries.size());
-    for (size_t q = 0; q < solo[i].report.queries.size(); ++q) {
-      EXPECT_EQ(solo[i].report.queries[q].sql,
-                batched[i].report.queries[q].sql);
-    }
   }
 }
 

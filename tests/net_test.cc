@@ -824,15 +824,13 @@ TEST(NetServiceE2eTest, GeneratesOverLoopbackWithRealService) {
 }
 
 // Drain-under-load audit: requests accepted by the service *before* the
-// server begins draining, but only coalesced into a worker's batch *after*
-// drain started, must still be completed and answered — never orphaned.
-// One worker stuck training the bucket's first model guarantees the rest
-// of the burst is still queued when BeginDrain lands; with max_batch > 1
-// the backlog is then handled as one post-drain group.
-TEST(NetServiceE2eTest, DrainUnderLoadCompletesBatchedBacklog) {
+// server begins draining, but only popped by a worker *after* drain
+// started, must still be completed and answered — never orphaned. One
+// worker stuck training the bucket's first model guarantees the rest of
+// the burst is still queued when BeginDrain lands.
+TEST(NetServiceE2eTest, DrainUnderLoadCompletesQueuedBacklog) {
   GenerationServiceOptions svc_opts;
   svc_opts.num_workers = 1;
-  svc_opts.max_batch = 8;
   svc_opts.queue_capacity = 16;
   svc_opts.gen.train_epochs = 8;
   svc_opts.gen.trainer.batch_size = 4;

@@ -55,7 +55,7 @@ TEST(MatrixTest, MatVec) {
   MatVec(w, x, y);
   EXPECT_FLOAT_EQ(y[0], 6.f);
   EXPECT_FLOAT_EQ(y[1], 15.f);
-  MatMatAccum(ParamTensor("w", w, /*packed=*/true), x, 1, y);
+  MatMatAccum(ParamTensor("w", w, /*packed=*/true), x, y);
   EXPECT_FLOAT_EQ(y[0], 12.f);
 }
 
@@ -153,40 +153,28 @@ TEST(CompactSoftmaxTest, MatchesDenseMaskedReferenceBitwise) {
   }
 }
 
-// ------------------------------------------------------- batched GEMM
+// ------------------------------------------------------- forward panel
 
-// Differential oracle for MatMat: random ragged shapes, every lane compared
-// bitwise against the scalar one-chain-per-row loop over the same vector
-// (one lane runs the forward panel, more run the lane tiles). Any
-// reassociation or contraction in either kernel fails this with
+// Differential oracle for MatMat: random shapes, every output compared
+// bitwise against the scalar one-chain-per-row loop over the same vector.
+// Any reassociation or contraction in the panel kernel fails this with
 // exact-equality diffs.
 TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
   Rng rng(4242);
-  const int batches[] = {1, 2, 3, 16, 17};
   const int rows_set[] = {1, 3, 7, 29, 120};
   const int cols_set[] = {1, 5, 13, 30, 61};
-  for (int batch : batches) {
-    for (int rows : rows_set) {
-      for (int cols : cols_set) {
-        Matrix w = Matrix::Randn(rows, cols, 1.f, &rng);
-        // Feature-major panel: x_panel[j * batch + b].
-        std::vector<float> x_panel(static_cast<size_t>(cols) * batch);
-        for (float& v : x_panel) v = static_cast<float>(rng.Normal(0.0, 2.0));
-        std::vector<float> y_panel(static_cast<size_t>(rows) * batch, -7.f);
-        MatMat(ParamTensor("w", w, /*packed=*/true), x_panel.data(), batch,
-               y_panel.data());
-
-        std::vector<float> x(cols);
-        std::vector<float> y(rows);
-        for (int b = 0; b < batch; ++b) {
-          for (int j = 0; j < cols; ++j) x[j] = x_panel[j * batch + b];
-          testing_ref::ScalarMatVec(w, x.data(), y.data());
-          for (int i = 0; i < rows; ++i) {
-            ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b])
-                << "B=" << batch << " r=" << rows << " c=" << cols
-                << " lane=" << b << " row=" << i;
-          }
-        }
+  for (int rows : rows_set) {
+    for (int cols : cols_set) {
+      Matrix w = Matrix::Randn(rows, cols, 1.f, &rng);
+      std::vector<float> x(cols);
+      for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 2.0));
+      std::vector<float> y(rows, -7.f);
+      MatMat(ParamTensor("w", w, /*packed=*/true), x.data(), y.data());
+      std::vector<float> y_ref(rows);
+      testing_ref::ScalarMatVec(w, x.data(), y_ref.data());
+      for (int i = 0; i < rows; ++i) {
+        ASSERT_EQ(y_ref[i], y[i])
+            << "r=" << rows << " c=" << cols << " row=" << i;
       }
     }
   }
@@ -194,41 +182,24 @@ TEST(MatMatTest, MatchesMatVecBitwiseAcrossRaggedShapes) {
 
 TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
   Rng rng(777);
-  const int batches[] = {1, 2, 3, 16, 17};
-  for (int batch : batches) {
-    const int rows = 31, cols = 17;
-    Matrix w = Matrix::Randn(rows, cols, 1.f, &rng);
-    std::vector<float> x_panel(static_cast<size_t>(cols) * batch);
-    for (float& v : x_panel) v = static_cast<float>(rng.Normal(0.0, 1.0));
-    std::vector<float> y_panel(static_cast<size_t>(rows) * batch);
-    for (float& v : y_panel) v = static_cast<float>(rng.Normal(0.0, 1.0));
-    std::vector<float> y_ref_panel = y_panel;
-    MatMatAccum(ParamTensor("w", w, /*packed=*/true), x_panel.data(), batch,
-                y_panel.data());
-
-    std::vector<float> x(cols);
-    std::vector<float> y(rows);
-    for (int b = 0; b < batch; ++b) {
-      for (int j = 0; j < cols; ++j) x[j] = x_panel[j * batch + b];
-      for (int i = 0; i < rows; ++i) {
-        y[i] = y_ref_panel[static_cast<size_t>(i) * batch + b];
-      }
-      testing_ref::ScalarMatVecAccum(w, x.data(), y.data());
-      for (int i = 0; i < rows; ++i) {
-        ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b])
-            << "B=" << batch << " lane=" << b << " row=" << i;
-      }
-    }
-  }
+  const int rows = 31, cols = 17;
+  Matrix w = Matrix::Randn(rows, cols, 1.f, &rng);
+  std::vector<float> x(cols);
+  for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
+  std::vector<float> y(rows);
+  for (float& v : y) v = static_cast<float>(rng.Normal(0.0, 1.0));
+  std::vector<float> y_ref = y;
+  MatMatAccum(ParamTensor("w", w, /*packed=*/true), x.data(), y.data());
+  testing_ref::ScalarMatVecAccum(w, x.data(), y_ref.data());
+  for (int i = 0; i < rows; ++i) ASSERT_EQ(y_ref[i], y[i]) << "row=" << i;
 }
 
-// The single-lane row-major forward kernels run tiles of rows (8, then 4,
-// 2, 1) with one accumulator per row, and the forward panel tiles of
-// output rows (16, 8, 4, 2, 1). Every row-count split of both ladders, odd
-// column counts, strided and gathered inputs, and signed zeros and
-// subnormals in both operands are compared byte for byte against the
-// one-chain scalar loop: a reassociated row sum or a dropped tail tile
-// fails here.
+// The row-major forward kernels run tiles of rows (8, then 4, 2, 1) with
+// one accumulator per row, and the forward panel tiles of output rows (16,
+// 8, 4, 2, 1). Every row-count split of both ladders, odd column counts,
+// gathered rows, and signed zeros and subnormals in both operands are
+// compared byte for byte against the one-chain scalar loop: a reassociated
+// row sum or a dropped tail tile fails here.
 
 // Normal values with about one entry in six replaced by a signed zero or
 // a subnormal.
@@ -265,8 +236,7 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
       }
       const Matrix& w = lin.Params()[0]->value();
       const Matrix& b = lin.Params()[1]->value();
-      // x_stride 3 reads every third entry, like a panel column.
-      std::vector<float> x(static_cast<size_t>(cols) * 3);
+      std::vector<float> x(cols);
       FillWithSpecials(&rng, x.data(), x.size());
 
       std::vector<float> y(rows, -7.f), y_ref(rows, -7.f);
@@ -277,8 +247,7 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
       // The forward panel over the same tile-edge splits.
       FillWithSpecials(&rng, y.data(), y.size());
       y_ref = y;
-      MatMatAccum(ParamTensor("w", w, /*packed=*/true), x.data(), 1,
-                  y.data());
+      MatMatAccum(ParamTensor("w", w, /*packed=*/true), x.data(), y.data());
       testing_ref::ScalarMatVecAccum(w, x.data(), y_ref.data());
       ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMatAccum";
 
@@ -287,22 +256,18 @@ TEST(RowTileTest, RowTiledForwardMatchesScalarReference) {
       const int nrows = 1 + static_cast<int>(rng.Next() % (rows + 17));
       std::vector<int> picked(nrows);
       for (int& i : picked) i = static_cast<int>(rng.Next() % rows);
-      for (int stride : {1, 3}) {
-        std::vector<float> yr(nrows, -7.f), yr_ref(nrows, -7.f);
-        lin.ForwardRows(x.data(), stride, picked.data(), nrows, yr.data());
-        testing_ref::ScalarForwardRows(w, b.data(), x.data(), stride,
-                                       picked.data(), nrows, yr_ref.data());
-        ASSERT_TRUE(SameBytes(yr, yr_ref))
-            << "ForwardRows stride=" << stride << " nrows=" << nrows;
-      }
+      std::vector<float> yr(nrows, -7.f), yr_ref(nrows, -7.f);
+      lin.ForwardRows(x.data(), picked.data(), nrows, yr.data());
+      testing_ref::ScalarForwardRows(w, b.data(), x.data(), picked.data(),
+                                     nrows, yr_ref.data());
+      ASSERT_TRUE(SameBytes(yr, yr_ref)) << "ForwardRows nrows=" << nrows;
     }
   }
 }
 
-// The one-lane product of a packed tensor runs its forward panel: at the
-// LSTM gate shape 4H x H, with signed zeros, subnormals and infinities in
-// W, x and y, MatMat and MatMatAccum at one lane are byte for byte the
-// one-chain scalar loops. H = 33 spans two panel chunks (132 rows).
+// The product of a packed tensor runs its forward panel: at the LSTM gate
+// shape 4H x H, with signed zeros, subnormals and infinities in W, x and
+// y, MatMat and MatMatAccum are byte for byte the one-chain scalar loops. H = 33 spans two panel chunks (132 rows).
 TEST(PanelTest, PackedOneLaneProductMatchesScalarReference) {
   Rng rng(2025);
   const float inf = std::numeric_limits<float>::infinity();
@@ -321,13 +286,13 @@ TEST(PanelTest, PackedOneLaneProductMatchesScalarReference) {
       std::vector<float> x(h);
       fill(x.data(), x.size());
       std::vector<float> y(4 * h, -7.f), y_ref(4 * h, -7.f);
-      MatMat(w, x.data(), 1, y.data());
+      MatMat(w, x.data(), y.data());
       testing_ref::ScalarMatVec(m, x.data(), y_ref.data());
       ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMat trial " << trial;
 
       fill(y.data(), y.size());
       y_ref = y;
-      MatMatAccum(w, x.data(), 1, y.data());
+      MatMatAccum(w, x.data(), y.data());
       testing_ref::ScalarMatVecAccum(m, x.data(), y_ref.data());
       ASSERT_TRUE(SameBytes(y, y_ref)) << "MatMatAccum trial " << trial;
     }
@@ -343,7 +308,7 @@ TEST(LinearRowsTest, ForwardRowsMatchesForwardBitwise) {
   lin.Forward(x.data(), y.data());
   const std::vector<int> rows = {0, 3, 4, 8};
   std::vector<float> y_rows(rows.size());
-  lin.ForwardRows(x.data(), 1, rows.data(), static_cast<int>(rows.size()),
+  lin.ForwardRows(x.data(), rows.data(), static_cast<int>(rows.size()),
                   y_rows.data());
   for (size_t k = 0; k < rows.size(); ++k) ASSERT_EQ(y_rows[k], y[rows[k]]);
 }
@@ -384,11 +349,8 @@ TEST(LinearRowsTest, BackwardRowsMatchesDenseBackwardBitwise) {
 
 // ------------------------------------------------------- lane step
 
-bool SameBytes(const std::vector<float>& a, const float* b, size_t stride) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (std::memcmp(&a[k], &b[k * stride], sizeof(float)) != 0) return false;
-  }
-  return true;
+bool SameBytes(const std::vector<float>& a, const float* b) {
+  return a.empty() || std::memcmp(a.data(), b, a.size() * sizeof(float)) == 0;
 }
 
 bool SameState(const LstmStack::State& a, const LstmStack::State& b) {
@@ -451,161 +413,86 @@ std::vector<float> ZeroHeavyVector(Rng* rng, size_t n) {
   return v;
 }
 
-// The one lane step against the scalar reference of the one-lane step
-// (tests/scalar_lstm_reference.h). At widths 1, 3 and 17, with and without
-// a two-feature tail, with BPTT caches on and off and with and without
-// dropout, every lane's state, top hidden column, cache and BPTT gradients
-// match the reference byte for byte. Lanes draw dropout from their own
-// streams; without caches, only odd lanes apply it (masks drawn, not kept).
+// The one lane step against its scalar reference
+// (tests/scalar_lstm_reference.h). With and without a two-feature tail,
+// with BPTT caches on and off and with and without dropout (drawn from the
+// lane's stream; without a cache the masks are applied, not kept), the
+// state, top hidden state, cache and BPTT gradients match the reference
+// byte for byte.
 TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
   const int kTokens = 9, kHidden = 5, kLayers = 2, kSteps = 5;
   const float kDropout = 0.3f;
   for (int tail_dim : {0, 2}) {
-    for (int width : {1, 3, 17}) {
-      for (int mode = 0; mode < 4; ++mode) {
-        const bool cached = mode & 1;
-        const bool dropout = mode & 2;
-        SCOPED_TRACE("tail=" + std::to_string(tail_dim) + " width=" +
-                     std::to_string(width) + " cached=" +
-                     std::to_string(cached) + " dropout=" +
-                     std::to_string(dropout));
-        Rng init(700 + tail_dim);
-        LstmStack stack(kTokens + tail_dim, kHidden, kLayers, kDropout, &init,
-                        tail_dim);
-        stack.Params()[0]->UpdateValue([](Matrix* wx0) {
-          for (int k = 0; k < wx0->rows(); k += 2) wx0->at(k, 3) = -0.f;
-        });
-        LstmStack ref = stack;
-        Rng data(31 * width + tail_dim);
+    for (int mode = 0; mode < 4; ++mode) {
+      const bool cached = mode & 1;
+      const bool dropout = mode & 2;
+      SCOPED_TRACE("tail=" + std::to_string(tail_dim) + " cached=" +
+                   std::to_string(cached) + " dropout=" +
+                   std::to_string(dropout));
+      Rng init(700 + tail_dim);
+      LstmStack stack(kTokens + tail_dim, kHidden, kLayers, kDropout, &init,
+                      tail_dim);
+      stack.Params()[0]->UpdateValue([](Matrix* wx0) {
+        for (int k = 0; k < wx0->rows(); k += 2) wx0->at(k, 3) = -0.f;
+      });
+      LstmStack ref = stack;
+      Rng data(31 + tail_dim);
 
-        std::vector<LstmStack::State> st(width, stack.InitialState());
-        for (LstmStack::State& s : st) {
-          for (int l = 0; l < kLayers; ++l) {
-            s.h[l] = ZeroHeavyVector(&data, kHidden);
-            s.c[l] = ZeroHeavyVector(&data, kHidden);
-          }
+      LstmStack::State st = stack.InitialState();
+      for (int l = 0; l < kLayers; ++l) {
+        st.h[l] = ZeroHeavyVector(&data, kHidden);
+        st.c[l] = ZeroHeavyVector(&data, kHidden);
+      }
+      LstmStack::State ref_st = st;
+      Rng drop(1000), ref_drop(1000);
+      std::vector<LstmStack::StepCache> caches, ref_caches;
+      LstmStack::Workspace ws;
+      for (int t = 0; t < kSteps; ++t) {
+        // Step 0 feeds the -0 column.
+        const int token = t == 0 ? 3 : static_cast<int>(data.Next() % kTokens);
+        const std::vector<float> tail = ZeroHeavyVector(&data, tail_dim);
+        LstmStack::Lane lane;
+        lane.token = token;
+        lane.tail = tail.data();
+        lane.state = &st;
+        lane.dropout = dropout ? &drop : nullptr;
+        if (cached) {
+          caches.emplace_back();
+          ref_caches.emplace_back();
+          lane.cache = &caches.back();
         }
-        std::vector<LstmStack::State> ref_st = st;
-        std::vector<Rng> drop, ref_drop;
-        for (int b = 0; b < width; ++b) {
-          drop.emplace_back(1000 + b);
-          ref_drop.emplace_back(1000 + b);
-        }
-        std::vector<std::vector<LstmStack::StepCache>> caches(width),
-            ref_caches(width);
-        LstmStack::Workspace ws;
-        std::vector<LstmStack::Lane> lanes(width);
-        for (int t = 0; t < kSteps; ++t) {
-          std::vector<int> tokens(width);
-          std::vector<std::vector<float>> tails(width);
-          for (int b = 0; b < width; ++b) {
-            tokens[b] = static_cast<int>(data.Next() % kTokens);
-            if (t == 0) tokens[b] = 3;  // the -0 column
-            tails[b] = ZeroHeavyVector(&data, tail_dim);
-            const bool drops = dropout && (cached || b % 2 == 1);
-            lanes[b].token = tokens[b];
-            lanes[b].tail = tails[b].data();
-            lanes[b].state = &st[b];
-            lanes[b].dropout = drops ? &drop[b] : nullptr;
-            lanes[b].cache = nullptr;
-            if (cached) {
-              caches[b].emplace_back();
-              ref_caches[b].emplace_back();
-              lanes[b].cache = &caches[b].back();
-            }
-          }
-          const float* top = stack.Step(lanes.data(), width, &ws);
-          for (int b = 0; b < width; ++b) {
-            const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
-                std::as_const(ref).Params(), kDropout, tokens[b], tails[b],
-                &ref_st[b], cached ? &ref_caches[b].back() : nullptr,
-                lanes[b].dropout != nullptr ? &ref_drop[b] : nullptr);
-            const std::string at =
-                "step " + std::to_string(t) + " lane " + std::to_string(b);
-            ASSERT_TRUE(SameState(st[b], ref_st[b])) << at;
-            ASSERT_TRUE(SameBytes(ref_top, top + b, width)) << at;
-            if (!cached) continue;
-            const LstmStack::StepCache& c = caches[b].back();
-            const LstmStack::StepCache& rc = ref_caches[b].back();
-            ASSERT_TRUE(SameActivations(c, rc)) << at;
-            // Layer 0: the token and its tail; the reference keeps the
-            // whole dense input when there is a tail.
-            ASSERT_EQ(c.layers[0].onehot, tokens[b]) << at;
-            ASSERT_TRUE(SameBytes(c.layers[0].x, tails[b])) << at;
-            if (tail_dim == 0) {
-              ASSERT_EQ(rc.layers[0].onehot, tokens[b]) << at;
-            } else {
-              std::vector<float> dense(kTokens + tail_dim, 0.f);
-              dense[tokens[b]] = 1.f;
-              std::copy(tails[b].begin(), tails[b].end(),
-                        dense.begin() + kTokens);
-              ASSERT_EQ(rc.layers[0].onehot, -1) << at;
-              ASSERT_TRUE(SameBytes(rc.layers[0].x, dense)) << at;
-            }
-          }
-        }
+        const float* top = stack.Step(lane, &ws);
+        const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
+            std::as_const(ref).Params(), kDropout, token, tail, &ref_st,
+            cached ? &ref_caches.back() : nullptr,
+            dropout ? &ref_drop : nullptr);
+        const std::string at = "step " + std::to_string(t);
+        ASSERT_TRUE(SameState(st, ref_st)) << at;
+        ASSERT_TRUE(SameBytes(ref_top, top)) << at;
         if (!cached) continue;
-        for (int b = 0; b < width; ++b) {
-          std::vector<std::vector<float>> dtop(kSteps);
-          for (auto& d : dtop) d = ZeroHeavyVector(&data, kHidden);
-          stack.Backward(caches[b], dtop);
-          ref.Backward(ref_caches[b], dtop);
-          ASSERT_TRUE(SameGradients(stack.Params(), ref.Params()))
-              << "lane " << b;
+        const LstmStack::StepCache& c = caches.back();
+        const LstmStack::StepCache& rc = ref_caches.back();
+        ASSERT_TRUE(SameActivations(c, rc)) << at;
+        // Layer 0: the token and its tail; the reference keeps the whole
+        // dense input when there is a tail.
+        ASSERT_EQ(c.layers[0].onehot, token) << at;
+        ASSERT_TRUE(SameBytes(c.layers[0].x, tail)) << at;
+        if (tail_dim == 0) {
+          ASSERT_EQ(rc.layers[0].onehot, token) << at;
+        } else {
+          std::vector<float> dense(kTokens + tail_dim, 0.f);
+          dense[token] = 1.f;
+          std::copy(tail.begin(), tail.end(), dense.begin() + kTokens);
+          ASSERT_EQ(rc.layers[0].onehot, -1) << at;
+          ASSERT_TRUE(SameBytes(rc.layers[0].x, dense)) << at;
         }
       }
-    }
-  }
-}
-
-// Lanes = 1 vs lanes = K: K lanes stepped together are bitwise each lane
-// stepped alone (state, top hidden state, cache and dropout masks), with a
-// feature tail, mixed cached and uncached lanes and per-lane dropout.
-TEST(LstmLaneStepTest, WidthKMatchesWidthOneBitwise) {
-  Rng rng(91);
-  const int tokens = 11, tail_dim = 2, hid = 6, layers = 2, width = 5;
-  LstmStack stack(tokens + tail_dim, hid, layers, /*dropout=*/0.3f, &rng,
-                  tail_dim);
-  Rng data(2026);
-  std::vector<LstmStack::State> one(width, stack.InitialState());
-  std::vector<LstmStack::State> all = one;
-  std::vector<Rng> drop_one, drop_all;
-  for (int b = 0; b < width; ++b) {
-    drop_one.emplace_back(50 + b);
-    drop_all.emplace_back(50 + b);
-  }
-  LstmStack::Workspace ws_one, ws_all;
-  for (int t = 0; t < 12; ++t) {
-    std::vector<LstmStack::Lane> lanes(width);
-    std::vector<std::vector<float>> tails(width);
-    std::vector<LstmStack::StepCache> c_one(width), c_all(width);
-    for (int b = 0; b < width; ++b) {
-      tails[b] = ZeroHeavyVector(&data, tail_dim);
-      lanes[b].token = static_cast<int>(data.Next() % tokens);
-      lanes[b].tail = tails[b].data();
-      lanes[b].state = &all[b];
-      lanes[b].cache = b % 2 == 0 ? &c_all[b] : nullptr;
-      lanes[b].dropout = b != 1 ? &drop_all[b] : nullptr;
-    }
-    std::vector<std::vector<float>> alone_top(width);
-    for (int b = 0; b < width; ++b) {
-      LstmStack::Lane lane = lanes[b];
-      lane.state = &one[b];
-      lane.cache = lanes[b].cache != nullptr ? &c_one[b] : nullptr;
-      lane.dropout = lanes[b].dropout != nullptr ? &drop_one[b] : nullptr;
-      const float* top = stack.Step(&lane, 1, &ws_one);
-      alone_top[b].assign(top, top + hid);
-    }
-    const float* top = stack.Step(lanes.data(), width, &ws_all);
-    for (int b = 0; b < width; ++b) {
-      const std::string at = "t=" + std::to_string(t) + " lane=" +
-                             std::to_string(b);
-      ASSERT_TRUE(SameState(one[b], all[b])) << at;
-      ASSERT_TRUE(SameBytes(alone_top[b], top + b, width)) << at;
-      if (lanes[b].cache == nullptr) continue;
-      ASSERT_TRUE(SameActivations(c_one[b], c_all[b])) << at;
-      ASSERT_EQ(c_one[b].layers[0].onehot, c_all[b].layers[0].onehot) << at;
-      ASSERT_TRUE(SameBytes(c_one[b].layers[0].x, c_all[b].layers[0].x)) << at;
+      if (!cached) continue;
+      std::vector<std::vector<float>> dtop(kSteps);
+      for (auto& d : dtop) d = ZeroHeavyVector(&data, kHidden);
+      stack.Backward(caches, dtop);
+      ref.Backward(ref_caches, dtop);
+      ASSERT_TRUE(SameGradients(stack.Params(), ref.Params()));
     }
   }
 }
@@ -872,10 +759,10 @@ TEST(PanelTest, StepMatchesScalarReferenceAfterEveryWriter) {
       LstmStack::Lane lane;
       lane.token = (3 * t + 1) % kTokens;
       lane.state = &st;
-      const float* top = stack.Step(&lane, 1, &ws);
+      const float* top = stack.Step(lane, &ws);
       const std::vector<float> ref_top = testing_ref::ScalarLstmStep(
           stack.Params(), 0.f, lane.token, {}, &ref_st, nullptr, nullptr);
-      ASSERT_TRUE(SameBytes(ref_top, top, 1)) << at << " step " << t;
+      ASSERT_TRUE(SameBytes(ref_top, top)) << at << " step " << t;
       ASSERT_TRUE(SameState(st, ref_st)) << at << " step " << t;
     }
   };
@@ -898,7 +785,7 @@ TEST(PanelTest, StepMatchesScalarReferenceAfterEveryWriter) {
       lane.token = static_cast<int>(t * 2 + epoch) % kTokens;
       lane.state = &st;
       lane.cache = &caches[t];
-      stack.Step(&lane, 1, &ws);
+      stack.Step(lane, &ws);
     }
     stack.Backward(caches, dtop);
     opt.Step();
@@ -987,8 +874,8 @@ void DenseForward(const LstmCell& cell, const std::vector<float>& x,
   cache->x = x;
   cache->h_prev = h0;
   cache->c_prev = c0;
-  cell.Forward(/*onehot=*/nullptr, x.data(), static_cast<int>(x.size()),
-               h0.data(), c0.data(), /*lanes=*/1, cache);
+  cell.Forward(/*onehot=*/-1, x.data(), static_cast<int>(x.size()),
+               h0.data(), c0.data(), cache);
 }
 
 // One lane of LstmStack::Step without a feature tail; returns the top h.
@@ -1001,7 +888,7 @@ const float* StepToken(const LstmStack& stack, int token,
   lane.state = st;
   lane.cache = cache;
   lane.dropout = dropout;
-  stack.Step(&lane, 1, &ws);
+  stack.Step(lane, &ws);
   return st->h.back().data();
 }
 
@@ -1072,8 +959,8 @@ TEST(LstmCellGradientTest, OneHotPathMatchesDense) {
     onehot.onehot = 2;
     onehot.h_prev = h0;
     onehot.c_prev = c0;
-    onehot_cell.Forward(&onehot.onehot, onehot.x.data(), tail, h0.data(),
-                        c0.data(), /*lanes=*/1, &onehot);
+    onehot_cell.Forward(onehot.onehot, onehot.x.data(), tail, h0.data(),
+                        c0.data(), &onehot);
     ASSERT_TRUE(SameBytes(dense.h, onehot.h)) << "tail " << tail;
     ASSERT_TRUE(SameBytes(dense.c, onehot.c)) << "tail " << tail;
 

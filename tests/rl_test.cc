@@ -721,15 +721,22 @@ INSTANTIATE_TEST_SUITE_P(Baseline, LiveColumnReplayTest, ::testing::Bool(),
                            return info.param ? "Critic" : "NoCritic";
                          });
 
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// FNV-1a over `n` floats, continuing from h.
+uint64_t HashFloats(uint64_t h, const float* v, size_t n) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v);
+  for (size_t i = 0; i < n * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
 // FNV-1a over the value bytes of every tensor, in Params() order.
 uint64_t HashParams(const std::vector<ParamTensor*>& params) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   for (const ParamTensor* p : params) {
-    const auto* bytes =
-        reinterpret_cast<const unsigned char*>(p->value().data());
-    for (size_t i = 0; i < p->value().size() * sizeof(float); ++i) {
-      h = (h ^ bytes[i]) * 1099511628211ull;
-    }
+    h = HashFloats(h, p->value().data(), p->value().size());
   }
   return h;
 }
@@ -767,7 +774,37 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
   }
 }
 
-// The REINFORCE counterpart of the pin above: actor hashes after each of
+// Keep-best: LearnedSqlGen::Train rolls the actor back to its best epoch
+// through ParamSnapshot::Restore before publishing it. After eight epochs
+// of the trainer above (the best is epoch 5), the restored actor's
+// per-step distributions over four eval rollouts are pinned: a Restore
+// that wrote the values without refreshing the forward panels would step
+// with the last epoch's weights.
+TEST_F(LiveColumnTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
+  auto env = MakeEnv();
+  TrainerOptions o = Options();
+  o.net.hidden_dim = 30;
+  PolicyGradientTrainer trainer(env.get(), o);
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    ASSERT_TRUE(trainer.TrainEpoch().ok());
+  }
+  const uint64_t last = HashParams(trainer.actor().Params());
+  ASSERT_TRUE(trainer.RestoreBestActor());
+  // The best epoch is not the last one, so the rollback moves the weights.
+  ASSERT_NE(HashParams(trainer.actor().Params()), last);
+  uint64_t h = kFnvOffset;
+  Rng rng(5);
+  for (int k = 0; k < 4; ++k) {
+    PolicyNetwork::Episode ep = trainer.actor().BeginEpisode(/*train=*/false);
+    ASSERT_TRUE(RolloutPolicy(env.get(), &trainer.actor(), &ep, &rng).ok());
+    for (const PolicyNetwork::CompactDistribution& d : ep.dists) {
+      h = HashFloats(h, d.probs.data(), d.probs.size());
+    }
+  }
+  EXPECT_EQ(h, 0x08babc89def5faa3ull) << "steps hash 0x" << std::hex << h;
+}
+
+// The REINFORCE counterpart of the actor-critic pin: actor hashes after each of
 // six epochs without the critic. Recorded at the commit before the
 // actor-critic, REINFORCE and meta-critic epochs became one loop.
 TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {

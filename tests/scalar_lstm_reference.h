@@ -1,7 +1,7 @@
 #ifndef LEARNEDSQLGEN_TESTS_SCALAR_LSTM_REFERENCE_H_
 #define LEARNEDSQLGEN_TESTS_SCALAR_LSTM_REFERENCE_H_
 
-// A one-lane LstmStack step written out with the one-chain scalar loops of
+// An LstmStack step written out with the one-chain scalar loops of
 // scalar_forward_reference.h, kept only as a test reference for the lane
 // step (LstmStack::Step). Layer 0 feeds the token as Wx's column when the
 // input has no feature tail, and otherwise a dense e_token ++ tail vector

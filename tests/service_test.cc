@@ -23,7 +23,6 @@
 
 #include "common/random.h"
 #include "core/batch_decoder.h"
-#include "obs/metrics_registry.h"
 #include "service/bounded_queue.h"
 #include "service/constraint_key.h"
 #include "service/generation_service.h"
@@ -69,7 +68,7 @@ GenerationReport DecodeBatch(const ServingSnapshot& snap, int n,
   item.n = n;
   item.batch_mode = true;
   item.rng = Rng(seed);
-  BatchDecoder(&snap, /*max_lanes=*/1).Run({&item});
+  DecodeItem(snap, &item);
   EXPECT_TRUE(item.status.ok()) << item.status.ToString();
   return std::move(item.report);
 }
@@ -227,17 +226,15 @@ void ExpectActorMatchesScalarReference(const PolicyNetwork& actor) {
   for (int t = 0; t < 4; ++t) {
     const int token =
         ep.actions.empty() ? actor.bos_index() : ep.actions.back();
-    PolicyNetwork::Episode* lane = &ep;
-    const std::vector<int>* lane_admitted = &admitted;
     PolicyNetwork::CompactDistribution dist;
-    Status status;
-    actor.StepBatch(&lane, &lane_admitted, 1, &dist, &status, &ws);
+    const Status status =
+        actor.Step(&ep, admitted, /*dropout=*/nullptr, &dist, &ws);
     ASSERT_TRUE(status.ok()) << status.ToString();
     const std::vector<float> top = testing_ref::ScalarLstmStep(
         lstm, 0.f, token, {}, &ref_state, nullptr, nullptr);
     std::vector<float> probs(admitted.size());
     testing_ref::ScalarForwardRows(head_w.value(), head_b.value().data(),
-                                   top.data(), 1, admitted.data(),
+                                   top.data(), admitted.data(),
                                    actor.vocab_size(), probs.data());
     ASSERT_TRUE(TryCompactSoftmaxInPlace(probs.data(), probs.size()).ok());
     ASSERT_EQ(dist.probs.size(), probs.size());
@@ -562,7 +559,7 @@ TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
     item.n = 6;
     item.batch_mode = true;
     item.rng = Rng(42 + b);
-    BatchDecoder(snap.get(), 1).Run({&item});
+    DecodeItem(*snap, &item);
     ASSERT_TRUE(item.status.ok()) << item.status.ToString();
 
     LearnedSqlGenOptions solo_opts = opts;
@@ -780,17 +777,14 @@ TEST_F(ServiceTest, ConcurrencyOneRunsAreReproducible) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// The batching bugfix's contract: a request's output is a function of
-// (seed, request) alone. The same request set must yield byte-identical
-// SQL per request id across every (num_workers, max_batch) combination —
-// worker placement, queue interleaving and batch composition all change
-// between configs, none may leak into the samples.
-TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
-  // Two buckets so groups form and split; same-bucket mates coalesce.
-  auto run_config = [&](int workers, int max_batch) {
-    auto opts = ServiceOptions(workers);
-    opts.max_batch = max_batch;
-    auto service = Start(opts);
+// A request's output is a function of (seed, request) alone. The same
+// request set must yield byte-identical SQL per request id at every worker
+// count — worker placement and queue interleaving change between configs,
+// and neither may leak into the samples.
+TEST_F(ServiceTest, OutputsIndependentOfWorkerCount) {
+  // Two buckets, interleaved, so workers race on both.
+  auto run_config = [&](int workers) {
+    auto service = Start(ServiceOptions(workers));
     EXPECT_TRUE(service.ok());
     std::vector<std::future<GenerationResponse>> futures;
     for (uint64_t id = 1; id <= 6; ++id) {
@@ -811,10 +805,9 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
     }
     return by_id;
   };
-  const auto baseline = run_config(1, 1);  // unbatched, single worker
-  EXPECT_EQ(baseline, run_config(1, 8));   // batching on
-  EXPECT_EQ(baseline, run_config(4, 1));   // worker placement varies
-  EXPECT_EQ(baseline, run_config(4, 8));   // both at once
+  const auto baseline = run_config(1);
+  EXPECT_EQ(baseline, run_config(2));
+  EXPECT_EQ(baseline, run_config(4));
 }
 
 // Requests that share a bucket share its model, but each is judged against
@@ -883,8 +876,6 @@ TEST_F(ServiceTest, SameBucketRequestDuringTrainingCountsAsDedupWait) {
   EXPECT_EQ(m.trainings, 1u);
 }
 
-// Workers record the mean decode width of every ragged batch they run in
-// the service.batch_size histogram (next to queue_wait_ns for the p99).
 TEST_F(ServiceTest, MisconfiguredOptionsFailCreateNotEveryRequest) {
   // A model the pipeline cannot serve is refused when the service builds
   // its context, so a daemon with bad options never starts.
@@ -900,26 +891,6 @@ TEST_F(ServiceTest, MisconfiguredOptionsFailCreateNotEveryRequest) {
   auto mismatched = GenerationService::Create(ScoreContext(FastOptions()),
                                               other);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(ServiceTest, BatchSizeHistogramRecordsGroups) {
-  obs::MetricsRegistry registry;
-  auto opts = ServiceOptions(1);
-  opts.max_batch = 8;
-  opts.metrics_registry = &registry;
-  auto service = Start(opts);
-  ASSERT_TRUE(service.ok());
-  GenerationRequest req;
-  req.constraint = CardRange(5, 50);
-  req.n = 1;
-  req.batch = true;
-  ASSERT_TRUE((*service)->SubmitAndWait(req).status.ok());
-  (*service)->Shutdown();
-  const obs::HistogramStats stats =
-      registry.GetHistogram("service.batch_size").Snapshot();
-  ASSERT_GE(stats.count, 1u);
-  EXPECT_GE(stats.sum, static_cast<double>(stats.count));  // sizes >= 1
-  EXPECT_GE(registry.GetHistogram("service.queue_wait_ns").count(), 1u);
 }
 
 }  // namespace

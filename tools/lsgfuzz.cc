@@ -46,9 +46,9 @@ void Usage() {
       "  --no-shrink      keep failing traces unminimized\n"
       "  --max-failures N stop a dataset after N failures (default 16)\n"
       "  --verbose        log every failure as it is found\n"
-      "  --oracle NAME    all|vexec|batch-decode (default all). vexec runs\n"
+      "  --oracle NAME    all|vexec|serve-decode (default all). vexec runs\n"
       "                   only the vectorized-vs-reference lockstep check;\n"
-      "                   batch-decode only the batched-vs-scalar decode\n"
+      "                   serve-decode only the serving-vs-rollout decode\n"
       "                   equivalence check\n"
       "  --inject-bug K   card-off-by-one|render-space|hash-collision|\n"
       "                   sel-vector-off-by-one (mutation-tests the\n"
@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
     oracle.check_vexec = true;
-    oracle.check_batch_decode = false;
-  } else if (oracle_mode == "batch-decode") {
-    // Focused serving-equivalence mode: only the batched-vs-scalar decode
+    oracle.check_serve_decode = false;
+  } else if (oracle_mode == "serve-decode") {
+    // Focused serving-equivalence mode: only the serving-vs-rollout decode
     // check runs (sampled once per 8 episodes, like the full stack).
     oracle.check_lint = false;
     oracle.check_reference = false;
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
     oracle.check_vexec = false;
-    oracle.check_batch_decode = true;
+    oracle.check_serve_decode = true;
   } else if (oracle_mode != "all") {
     return FailUsage("unknown --oracle name");
   }
