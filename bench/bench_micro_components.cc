@@ -187,7 +187,7 @@ const std::vector<std::vector<int>>& RecordedEpisodes() {
       Rng rng(1000 + i);
       std::vector<int> actions;
       fsm.Reset();
-      LSG_CHECK(RecordedRandomWalk(&fsm, &rng, &actions).ok());
+      LSG_CHECK(RandomWalkQuery(&fsm, &rng, &actions).ok());
       eps->push_back(std::move(actions));
     }
     return eps;
@@ -315,13 +315,14 @@ void BM_HeadForwardRows(benchmark::State& state) {
 }
 BENCHMARK(BM_HeadForwardRows);
 
-// One decode step as DecodeItem runs it: the FSM mask, the const Step of
+// One decode step as Decode runs it: the FSM mask, the const Step of
 // the paper's actor (LSTM step, masked head, compact softmax),
 // SampleAction and the environment step with its estimator feedback, over
 // the TPC-H vocabulary. Episodes restart on EOF.
 void BM_DecodeLaneStep(benchmark::State& state) {
   MicroFixture& f = Fixture();
-  PolicyNetwork actor(f.vocab->size(), NetworkOptions());
+  Rng init(NetworkOptions().seed);
+  PolicyNetwork actor(f.vocab->size(), NetworkOptions(), &init);
   SqlGenEnvironment env(
       &f.db, &*f.vocab, f.est.get(), f.cost.get(),
       Constraint::Range(ConstraintMetric::kCardinality, 100, 1000),
@@ -350,7 +351,9 @@ BENCHMARK(BM_DecodeLaneStep);
 void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   MicroFixture& f = Fixture();
   NetworkOptions no;
-  PolicyNetwork net(f.vocab->size(), no);
+  Rng dropout(no.seed);  // draws the weights, then the dropout masks
+  PolicyNetwork net(f.vocab->size(), no, &dropout);
+  PolicyNetwork::Workspace ws;
   Rng rng(5);
   GenerationFsm fsm(&f.db, &*f.vocab, QueryProfile());
   for (auto _ : state) {
@@ -358,9 +361,10 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
     auto ep = net.BeginEpisode(true);
     std::vector<double> adv;
     while (!fsm.done()) {
-      const PolicyNetwork::CompactDistribution* dist = nullptr;
-      LSG_CHECK_OK(net.Step(&ep, fsm.ValidActions().ids, &dist));
-      int a = net.SampleAction(*dist, &rng);
+      PolicyNetwork::CompactDistribution& dist = ep.dists.emplace_back();
+      LSG_CHECK_OK(
+          net.Step(&ep, fsm.ValidActions().ids, &dropout, &dist, &ws));
+      int a = net.SampleAction(dist, &rng);
       net.RecordAction(&ep, a);
       LSG_CHECK_OK(fsm.Step(a));
       adv.push_back(0.1);

@@ -10,6 +10,7 @@
 #include "analysis/state_key.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace lsg {
 
@@ -18,36 +19,19 @@ namespace {
 /// Cap on stored violation examples; the counter keeps the true total.
 constexpr int kMaxStoredViolations = 100;
 
-void JsonEscapeInto(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 void AppendDefectsJson(const char* name, const std::vector<FsmDefect>& list,
                        std::string* out) {
   *out += StrFormat("\"%s\":[", name);
   for (size_t i = 0; i < list.size(); ++i) {
     if (i > 0) out->push_back(',');
     *out += "{\"kind\":\"";
-    JsonEscapeInto(list[i].kind, out);
+    obs::JsonEscapeTo(list[i].kind, out);
     *out += "\",\"phase\":\"";
-    JsonEscapeInto(list[i].phase, out);
+    obs::JsonEscapeTo(list[i].phase, out);
     *out += "\",\"detail\":\"";
-    JsonEscapeInto(list[i].detail, out);
+    obs::JsonEscapeTo(list[i].detail, out);
     *out += "\",\"prefix\":\"";
-    JsonEscapeInto(list[i].prefix, out);
+    obs::JsonEscapeTo(list[i].prefix, out);
     *out += "\"}";
   }
   out->push_back(']');
@@ -861,7 +845,7 @@ std::string FsmAnalysisReport::Summary(const Vocabulary* vocab) const {
 
 std::string FsmAnalysisReport::ToJson() const {
   std::string out = "{\"profile\":\"";
-  JsonEscapeInto(profile_name, &out);
+  obs::JsonEscapeTo(profile_name, &out);
   out += StrFormat(
       "\",\"exhausted\":%s,\"states\":%d,\"edges\":%d,"
       "\"accepting_edges\":%d,\"summaries\":%d,\"dead\":%d,\"stuck\":%d,"

@@ -12,31 +12,9 @@ RandomGenerator::RandomGenerator(SqlGenEnvironment* env, uint64_t seed)
 }
 
 StatusOr<Trajectory> RandomGenerator::Rollout() {
-  env_->Reset();
-  Trajectory traj;
-  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
-    const std::vector<uint8_t>& mask = env_->ValidActions().bytes;
-    int chosen = -1;
-    int seen = 0;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      ++seen;
-      if (rng_.Uniform(seen) == 0) chosen = static_cast<int>(i);
-    }
-    if (chosen < 0) return Status::Internal("empty FSM mask");
-    auto sr = env_->Step(chosen);
-    if (!sr.ok()) return sr.status();
-    traj.actions.push_back(chosen);
-    traj.rewards.push_back(sr->reward);
-    if (sr->done) {
-      traj.completed = true;
-      traj.satisfied = sr->satisfied;
-      traj.final_metric = sr->metric;
-      traj.ast = env_->TakeAst();
-      return traj;
-    }
-  }
-  return Status::Internal("random rollout exceeded step cap");
+  return RunEpisode(env_, [this](const ActionMask& mask) {
+    return UniformAction(mask, &rng_);
+  });
 }
 
 StatusOr<GenerationReport> RandomGenerator::GenerateSatisfied(

@@ -57,27 +57,14 @@ Status TemplateGenerator::MinePool() {
        walk < kMaxMiningWalks &&
        static_cast<int>(templates_.size()) < options_.num_templates;
        ++walk) {
-    env_->Reset();
-    Trajectory traj;
-    bool done = false;
-    for (int step = 0; step < kMaxEpisodeSteps && !done; ++step) {
-      const std::vector<uint8_t>& mask =
-          const_cast<SqlGenEnvironment*>(env_)->ValidActions().bytes;
-      int chosen = -1;
-      int seen = 0;
-      for (size_t i = 0; i < mask.size(); ++i) {
-        if (!mask[i]) continue;
-        ++seen;
-        if (rng_.Uniform(seen) == 0) chosen = static_cast<int>(i);
-      }
-      if (chosen < 0) break;
-      auto sr = env_->Step(chosen);
-      if (!sr.ok()) return sr.status();
-      if (sr->done) done = true;
-    }
-    if (!done) continue;
+    // A walk that fails (an empty mask, a failed step, the step cap) is
+    // skipped, like one that mines no knob.
+    auto walk_traj = RunEpisode(env_, [this](const ActionMask& mask) {
+      return UniformAction(mask, &rng_);
+    });
+    if (!walk_traj.ok()) continue;
     Template tpl;
-    tpl.ast = env_->TakeAst();
+    tpl.ast = std::move(walk_traj->ast);
     if (!ExtractKnobs(&tpl)) continue;
     templates_.push_back(std::move(tpl));
   }

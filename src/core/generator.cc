@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "core/batch_decoder.h"
+#include "core/decode.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
 #include "rl/policy_gradient_trainer.h"
@@ -138,29 +138,22 @@ Status LearnedSqlGen::LoadModel(const Constraint& constraint,
                                 const std::string& path) {
   snapshot_.reset();
   trace_.clear();
+  Rng init(options_.trainer.net.seed);
   auto actor = std::make_unique<PolicyNetwork>(context_->vocab().size(),
-                                               options_.trainer.net);
+                                               options_.trainer.net, &init);
   LSG_RETURN_IF_ERROR(LoadParams(actor->Params(), path));
   rng_ = Rng(options_.trainer.seed);
   Publish(std::move(actor), constraint, /*train_seconds=*/0.0);
   return Status::Ok();
 }
 
-StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
-                                                 Rng* rng) {
+StatusOr<GenerationReport> LearnedSqlGen::Generate(int n, bool batch,
+                                                   Rng* rng) {
   if (snapshot_ == nullptr) {
     return Status::FailedPrecondition("call Train or LoadModel first");
   }
-  if (rng == nullptr) rng = &rng_;
-  BatchDecodeItem item;
-  item.constraint = snapshot_->constraint;
-  item.n = n;
-  item.batch_mode = batch_mode;
-  item.rng = *rng;
-  DecodeItem(*snapshot_, &item);
-  *rng = item.rng;
-  if (!item.status.ok()) return item.status;
-  return std::move(item.report);
+  return Decode(*snapshot_, snapshot_->constraint, n, batch,
+                rng != nullptr ? rng : &rng_);
 }
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n) {
@@ -169,7 +162,7 @@ StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n) {
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n, Rng* rng) {
   LSG_OBS_SPAN("gen.generate_satisfied");
-  return Decode(n, /*batch_mode=*/false, rng);
+  return Generate(n, /*batch=*/false, rng);
 }
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
@@ -178,7 +171,7 @@ StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
 
 StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n, Rng* rng) {
   LSG_OBS_SPAN("gen.generate_batch");
-  return Decode(n, /*batch_mode=*/true, rng);
+  return Generate(n, /*batch=*/true, rng);
 }
 
 }  // namespace lsg

@@ -68,7 +68,7 @@ struct LearnedSqlGenOptions {
 /// context) — so it outlives the pipeline that trained it, and nothing
 /// keeps the trainer, critic, optimizers or training environment alive.
 /// Immutable once published: any number of threads may decode over one
-/// snapshot (see DecodeItem) without a lock.
+/// snapshot (see Decode in core/decode.h) without a lock.
 struct ServingSnapshot {
   /// Database, vocabulary, estimator and cost model.
   std::shared_ptr<const DatabaseContext> context;
@@ -78,8 +78,8 @@ struct ServingSnapshot {
   /// per-request environments are built from this.
   EnvironmentOptions env_opts;
   /// The constraint the model was trained for. A served request is judged
-  /// against its own constraint (BatchDecodeItem::constraint);
-  /// LearnedSqlGen's Generate* judge against this one.
+  /// against its own constraint; LearnedSqlGen's Generate* judge against
+  /// this one.
   Constraint constraint;
   int attempts_factor = 50;
   double train_seconds = 0.0;
@@ -163,14 +163,14 @@ class LearnedSqlGen {
   /// request from (seed, request), making outputs independent of worker
   /// placement and queue order.
   ///
-  /// Every Generate* is a DecodeItem over snapshot() — the same decode
-  /// loop the service runs. Queries are therefore scored under
+  /// Every Generate* is a Decode over snapshot() — the same decode the
+  /// service runs. Queries are therefore scored under
   /// the feedback source the snapshot records (`feedback`), not under the
   /// execution feedback a `true_feedback_tail` switched training to.
   StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng);
   StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng);
 
-  /// The trained model, for lock-free serving (see DecodeItem); null
+  /// The trained model, for lock-free serving (see Decode); null
   /// before Train/LoadModel succeeds.
   const std::shared_ptr<const ServingSnapshot>& snapshot() const {
     return snapshot_;
@@ -202,9 +202,9 @@ class LearnedSqlGen {
   LearnedSqlGen(std::shared_ptr<const DatabaseContext> context,
                 const LearnedSqlGenOptions& options);
 
-  /// Decodes one request (DecodeItem) over snapshot_,
-  /// drawing from `rng` (rng_ when null).
-  StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
+  /// Decodes over snapshot_ against its constraint, drawing from `rng`
+  /// (rng_ when null).
+  StatusOr<GenerationReport> Generate(int n, bool batch, Rng* rng);
 
   /// Environment configuration derived from options_.
   EnvironmentOptions BuildEnvOptions() const;

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace lsg {
 namespace {
@@ -26,37 +27,6 @@ std::string CsvQuote(const std::string& s) {
 }
 
 }  // namespace
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 Status WriteReportCsv(const GenerationReport& report,
                       const std::string& path) {
@@ -92,7 +62,8 @@ Status WriteReportJson(const GenerationReport& report,
         "    {\"sql\": \"%s\", \"metric\": %.4f, \"satisfied\": %s, "
         "\"type\": \"%s\", \"tables\": %d, \"nested\": %s, "
         "\"aggregate\": %s, \"predicates\": %d, \"tokens\": %d}%s\n",
-        JsonEscape(q.sql).c_str(), q.metric, q.satisfied ? "true" : "false",
+        obs::JsonEscape(q.sql).c_str(), q.metric,
+        q.satisfied ? "true" : "false",
         QueryTypeName(q.features.type), q.features.num_tables,
         q.features.nested ? "true" : "false",
         q.features.has_aggregate ? "true" : "false",

@@ -18,9 +18,6 @@ Status WriteReportCsv(const GenerationReport& report, const std::string& path);
 Status WriteReportJson(const GenerationReport& report,
                        const std::string& path);
 
-/// JSON string escaping helper (exposed for tests).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace lsg
 
 #endif  // LEARNEDSQLGEN_CORE_REPORT_IO_H_

@@ -99,23 +99,14 @@ std::string WorkloadDistribution::ToString() const {
   return out;
 }
 
-StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng) {
+StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng,
+                                   std::vector<int>* actions) {
+  if (actions != nullptr) actions->clear();
   fsm->Reset();
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
-    // Reservoir-pick a uniform valid action.
-    int chosen = -1;
-    int seen = 0;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      ++seen;
-      if (rng->Uniform(seen) == 0) chosen = static_cast<int>(i);
-    }
-    if (chosen < 0) {
-      return Status::Internal("FSM produced an empty action mask");
-    }
-    LSG_RETURN_IF_ERROR(fsm->Step(chosen));
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
+    LSG_ASSIGN_OR_RETURN(const int a, UniformAction(fsm->ValidActions(), rng));
+    LSG_RETURN_IF_ERROR(fsm->Step(a));
+    if (actions != nullptr) actions->push_back(a);
     if (fsm->done()) return fsm->TakeAst();
   }
   return Status::Internal("random walk exceeded the step cap");
@@ -125,29 +116,14 @@ MetricDomain ProbeMetricDomain(SqlGenEnvironment* env, int samples, Rng* rng,
                                double lo_quantile, double hi_quantile) {
   std::vector<double> metrics;
   metrics.reserve(samples);
-  const int kMaxSteps = 512;
   for (int s = 0; s < samples; ++s) {
-    env->Reset();
-    double metric = 0.0;
-    for (int step = 0; step < kMaxSteps; ++step) {
-      const std::vector<uint8_t>& mask = env->ValidActions().bytes;
-      int chosen = -1;
-      int seen = 0;
-      for (size_t i = 0; i < mask.size(); ++i) {
-        if (!mask[i]) continue;
-        ++seen;
-        if (rng->Uniform(seen) == 0) chosen = static_cast<int>(i);
-      }
-      if (chosen < 0) break;
-      auto sr = env->Step(chosen);
-      if (!sr.ok()) break;
-      if (sr->done) {
-        metric = sr->metric;
-        (void)env->TakeAst();
-        break;
-      }
+    // A failed walk (an empty mask, a failed step, the step cap) is skipped.
+    auto traj = RunEpisode(env, [rng](const ActionMask& mask) {
+      return UniformAction(mask, rng);
+    });
+    if (traj.ok() && traj->final_metric > 0.0) {
+      metrics.push_back(traj->final_metric);
     }
-    if (metric > 0.0) metrics.push_back(metric);
   }
   MetricDomain d;
   if (metrics.empty()) return d;

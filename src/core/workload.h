@@ -51,13 +51,16 @@ class WorkloadDistribution {
   std::map<std::string, int> types_;
 };
 
-/// Uniform random walk over the FSM (every valid action equiprobable) —
-/// the zero-knowledge generation primitive used for domain probing and as
-/// the core of the SQLSmith-style baseline.
-StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng);
+/// The one bare-FSM random walk (UniformAction at every step, no
+/// environment feedback), used by the fuzzers, the linter's injection check
+/// and the tests. When `actions` is set it is cleared and receives every
+/// applied action id, so `lsgfuzz` can replay the walk (ReplayActions).
+StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng,
+                                   std::vector<int>* actions = nullptr);
 
-/// Probes the reachable metric range of a database by random generation,
-/// returning low/high quantiles (default 10%/90%) of the sampled metric.
+/// Probes the reachable metric range of a database by `samples` uniform
+/// episodes of `env` (RunEpisode with UniformAction), returning low/high
+/// quantiles (default 10%/90%) of the sampled metric.
 /// Benches use this to place the paper's constraint grids on scaled data.
 MetricDomain ProbeMetricDomain(SqlGenEnvironment* env, int samples, Rng* rng,
                                double lo_quantile = 0.1,

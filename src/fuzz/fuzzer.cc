@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/database_context.h"
+#include "core/workload.h"
 #include "fuzz/shrinker.h"
 #include "fuzz/test_databases.h"
 #include "sql/render.h"
@@ -123,7 +124,7 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
       const uint64_t ep_seed = EpisodeSeed(options.seed, di, ep);
       Rng rng(ep_seed);
       std::vector<int> actions;
-      auto ast = RecordedRandomWalk(&fsm, &rng, &actions);
+      auto ast = RandomWalkQuery(&fsm, &rng, &actions);
       ++stats.episodes;
 
       EpisodeTrace trace;

@@ -5,7 +5,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "core/batch_decoder.h"
+#include "core/decode.h"
 #include "core/environment.h"
 #include "rl/policy_network.h"
 #include "rl/policy_gradient_trainer.h"
@@ -465,7 +465,9 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
   NetworkOptions net;
   net.hidden_dim = 12;
   net.seed = SplitMix64(seed ^ 0xba7c4dec0deULL);
-  auto actor = std::make_shared<PolicyNetwork>(context->vocab().size(), net);
+  Rng init(net.seed);
+  auto actor =
+      std::make_shared<PolicyNetwork>(context->vocab().size(), net, &init);
 
   EnvironmentOptions env_opts;
   env_opts.profile = profile;
@@ -473,8 +475,9 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Reference: the training/eval entry driven by RolloutPolicy, sampling
-  // the request's private stream.
+  // Reference: one RolloutPolicy per attempt, each with a fresh workspace
+  // (the decode reuses one across a request), sampling the request's
+  // private stream.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;
@@ -487,8 +490,10 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
       PolicyNetwork::Episode ep = actor->BeginEpisode(/*train=*/false);
-      LSG_ASSIGN_OR_RETURN(Trajectory traj,
-                           RolloutPolicy(&env, actor.get(), &ep, &rng));
+      PolicyNetwork::Workspace ws;
+      LSG_ASSIGN_OR_RETURN(
+          Trajectory traj,
+          RolloutPolicy(&env, *actor, &ep, /*dropout=*/nullptr, &ws, &rng));
       RefQuery q;
       q.sql = RenderSql(traj.ast, db_->catalog());
       q.metric = traj.final_metric;
@@ -507,35 +512,32 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
   // Distinct budgets, decoded one request after another.
   const std::vector<int> budgets = {2, 1, 3};
   for (size_t b = 0; b < budgets.size(); ++b) {
-    BatchDecodeItem item;
-    item.constraint = constraint;
-    item.n = budgets[b];
-    item.batch_mode = true;  // fixed attempts: every episode compared
-    item.rng = Rng(RequestStream(seed, b));
-    DecodeItem(snap, &item);
-    if (!item.status.ok()) {
+    const int n = budgets[b];
+    Rng rng(RequestStream(seed, b));
+    // Fixed attempts (batch mode): every episode is compared.
+    auto report = Decode(snap, constraint, n, /*batch=*/true, &rng);
+    if (!report.ok()) {
       return OracleViolation{
           "serve-decode",
-          StrFormat("request %zu failed: ", b) + item.status.ToString()};
+          StrFormat("request %zu failed: ", b) + report.status().ToString()};
     }
-    auto ref = run_rollout(RequestStream(seed, b), item.n);
+    auto ref = run_rollout(RequestStream(seed, b), n);
     if (!ref.ok()) {
       return OracleViolation{
           "serve-decode",
           StrFormat("rollout reference for request %zu failed: ", b) +
               ref.status().ToString()};
     }
-    if (item.report.attempts != item.n ||
-        item.report.queries.size() != ref->size()) {
+    if (report->attempts != n || report->queries.size() != ref->size()) {
       return OracleViolation{
           "serve-decode",
           StrFormat("request %zu shape diverged: attempts=%d queries=%zu "
                     "rollout=%zu",
-                    b, item.report.attempts, item.report.queries.size(),
+                    b, report->attempts, report->queries.size(),
                     ref->size())};
     }
     for (size_t q = 0; q < ref->size(); ++q) {
-      const GeneratedQuery& got = item.report.queries[q];
+      const GeneratedQuery& got = report->queries[q];
       const RefQuery& want = (*ref)[q];
       if (got.sql != want.sql) {
         return OracleViolation{

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "rl/trajectory.h"
+
 namespace lsg {
 
 namespace {
@@ -104,38 +106,11 @@ StatusOr<EpisodeTrace> LoadTrace(const std::string& path) {
   return ParseTrace(ss.str());
 }
 
-StatusOr<QueryAst> RecordedRandomWalk(GenerationFsm* fsm, Rng* rng,
-                                      std::vector<int>* actions) {
-  actions->clear();
-  fsm->Reset();
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = fsm->ValidActions().bytes;
-    // Reservoir-pick a uniform valid action (same scheme as
-    // RandomWalkQuery, so identical Rng streams yield identical queries).
-    int chosen = -1;
-    int seen = 0;
-    for (size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      ++seen;
-      if (rng->Uniform(seen) == 0) chosen = static_cast<int>(i);
-    }
-    if (chosen < 0) {
-      return Status::Internal("FSM produced an empty action mask");
-    }
-    LSG_RETURN_IF_ERROR(fsm->Step(chosen));
-    actions->push_back(chosen);
-    if (fsm->done()) return fsm->TakeAst();
-  }
-  return Status::Internal("random walk exceeded the step cap");
-}
-
 StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
                                  const std::vector<int>& actions,
                                  bool* exact) {
   fsm->Reset();
   bool repaired = false;
-  const int kMaxSteps = 512;
   int steps = 0;
   for (int a : actions) {
     if (fsm->done()) {
@@ -148,7 +123,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
       continue;
     }
     LSG_RETURN_IF_ERROR(fsm->Step(a));
-    if (++steps > kMaxSteps) {
+    if (++steps > kMaxEpisodeSteps) {
       return Status::Internal("replay exceeded the step cap");
     }
   }
@@ -168,7 +143,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
       return Status::Internal("FSM produced an empty action mask");
     }
     LSG_RETURN_IF_ERROR(fsm->Step(chosen));
-    if (++steps > kMaxSteps) {
+    if (++steps > kMaxEpisodeSteps) {
       return Status::Internal("replay completion exceeded the step cap");
     }
   }

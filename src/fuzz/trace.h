@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "fsm/generation_fsm.h"
 
@@ -39,12 +38,6 @@ StatusOr<EpisodeTrace> ParseTrace(const std::string& text);
 
 Status SaveTrace(const EpisodeTrace& trace, const std::string& path);
 StatusOr<EpisodeTrace> LoadTrace(const std::string& path);
-
-/// Uniform random walk over the FSM that records every chosen action token
-/// id into `actions` (cleared first). Behaviorally identical to
-/// RandomWalkQuery for the same Rng stream.
-StatusOr<QueryAst> RecordedRandomWalk(GenerationFsm* fsm, Rng* rng,
-                                      std::vector<int>* actions);
 
 /// Drives the FSM with a recorded action sequence, repairing FSM-illegal
 /// steps so that *any* action subsequence yields a legal query: illegal

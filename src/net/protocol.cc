@@ -145,24 +145,6 @@ StatusOr<NetRequest> ParseRequestFrame(std::string_view frame,
   return out;
 }
 
-void JsonEscapeTo(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 std::string EncodeResponse(const GenerationResponse& response,
                            std::string_view tenant, bool include_sql) {
   std::string out = StrFormat(

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "obs/json.h"
 #include "service/generation_service.h"
 
 namespace lsg {
@@ -62,9 +63,8 @@ std::string EncodeResponse(const GenerationResponse& response,
 std::string EncodeError(uint64_t id, NetError error, std::string_view message);
 std::string EncodePong(uint64_t id);
 
-/// JSON string escaping shared by the encoders (quotes, backslashes,
-/// control bytes as \u00XX).
-void JsonEscapeTo(std::string_view s, std::string* out);
+/// The encoders' JSON string escaping: obs::JsonEscapeTo.
+using obs::JsonEscapeTo;
 
 }  // namespace net
 }  // namespace lsg

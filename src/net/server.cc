@@ -26,6 +26,10 @@ namespace net {
 
 namespace {
 
+constexpr int kListenBacklog = 128;                  // listen(2) backlog
+constexpr size_t kMaxOutbufBytes = 4 * 1024 * 1024;  // slow-reader cutoff
+constexpr int kCompletionWaiters = 4;  // threads bridging futures -> loop
+
 Status Errno(const char* what) {
   return Status::Internal(StrFormat("%s: %s", what, ErrnoString(errno).c_str()));
 }
@@ -184,9 +188,6 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
   if (dispatcher == nullptr) {
     return Status::InvalidArgument("NetServer needs a dispatcher");
   }
-  if (options.completion_waiters <= 0) {
-    return Status::InvalidArgument("completion_waiters must be positive");
-  }
   std::unique_ptr<NetServer> server(new NetServer(dispatcher, options));
   LSG_RETURN_IF_ERROR(server->poller_.Init());
   LSG_RETURN_IF_ERROR(server->Listen());
@@ -201,8 +202,8 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
   LSG_RETURN_IF_ERROR(server->poller_.Add(server->listen_fd_, true, false));
   LSG_RETURN_IF_ERROR(server->poller_.Add(server->wake_read_fd_, true, false));
 
-  server->waiters_.reserve(options.completion_waiters);
-  for (int i = 0; i < options.completion_waiters; ++i) {
+  server->waiters_.reserve(kCompletionWaiters);
+  for (int i = 0; i < kCompletionWaiters; ++i) {
     server->waiters_.emplace_back([s = server.get()] { s->WaiterMain(); });
   }
   return server;
@@ -229,7 +230,7 @@ Status NetServer::Listen() {
       0) {
     return Errno("bind");
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) return Errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) return Errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -512,7 +513,7 @@ void NetServer::OnFrame(Conn* conn, FrameEvent event,
 void NetServer::SendToConn(Conn* conn, std::string data) {
   if (conn->fd < 0) return;
   conn->outbuf += data;
-  if (conn->outbuf.size() - conn->out_off > options_.max_outbuf_bytes) {
+  if (conn->outbuf.size() - conn->out_off > kMaxOutbufBytes) {
     CloseConn(conn, &m_->conn_overflow_closed);
     return;
   }

@@ -56,15 +56,12 @@ class ServiceDispatcher : public RequestDispatcher {
 struct NetServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral; read the bound port back via port()
-  int backlog = 128;
   int max_connections = 256;       ///< accepted sockets; excess are refused
   size_t max_frame_bytes = 64 * 1024;
-  size_t max_outbuf_bytes = 4 * 1024 * 1024;  ///< slow-reader cutoff
   int idle_timeout_ms = 30000;     ///< close idle connections (<=0: never)
   int request_timeout_ms = 0;      ///< per-request deadline (<=0: none)
   int drain_timeout_ms = 10000;    ///< max graceful-drain wait
   bool include_sql = true;         ///< put generated SQL in responses
-  int completion_waiters = 4;      ///< threads bridging futures -> loop
   AdmissionOptions admission;
   /// Registry for the net.* metrics; defaults to a private one. Point it
   /// at the service's registry to snapshot net.* and service.* together.

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace lsg {
 namespace obs {
@@ -21,15 +22,6 @@ std::string CsvEscape(const std::string& s) {
     out += c;
   }
   out += '"';
-  return out;
-}
-
-std::string JsonEscapeLocal(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
   return out;
 }
 }  // namespace
@@ -93,7 +85,7 @@ std::string EpisodeTelemetry::FormatRowLocked(const EpisodeRow& row) const {
       "\"final_metric\": %.9g, \"satisfied\": %d, \"tokens\": %d, "
       "\"estimator_calls\": %d, \"mean_mask_width\": %.4f, "
       "\"wall_seconds\": %.6f}\n",
-      JsonEscapeLocal(row.constraint).c_str(), JsonEscapeLocal(tag).c_str(),
+      JsonEscape(row.constraint).c_str(), JsonEscape(tag).c_str(),
       row.reward, row.final_metric, row.satisfied ? 1 : 0, row.tokens,
       row.estimator_calls, row.mean_mask_width, row.wall_seconds);
 }

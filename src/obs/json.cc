@@ -263,6 +263,30 @@ class Parser {
 
 }  // namespace
 
+void JsonEscapeTo(std::string_view s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  JsonEscapeTo(s, &out);
+  return out;
+}
+
 StatusOr<JsonValue> JsonParse(std::string_view text) {
   return Parser(text).Parse();
 }

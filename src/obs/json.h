@@ -49,6 +49,14 @@ inline constexpr int kJsonMaxDepth = 128;
 /// is an error).
 StatusOr<JsonValue> JsonParse(std::string_view text);
 
+/// The one JSON string escaper: appends `s` to `out` as the body of a JSON
+/// string — quotes and backslashes escaped, \n \r \t by name and the
+/// other control bytes as \u00XX — so any byte sequence stays one
+/// parseable string (and one JSONL line).
+void JsonEscapeTo(std::string_view s, std::string* out);
+/// JsonEscapeTo into a fresh string.
+std::string JsonEscape(std::string_view s);
+
 /// Flattens a parsed object's top-level numeric members (bools count as
 /// 0/1). Non-numeric members are skipped. Error when `v` is not an object.
 StatusOr<std::map<std::string, double>> JsonFlatNumbers(const JsonValue& v);

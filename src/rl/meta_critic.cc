@@ -172,19 +172,15 @@ MetaCriticTrainer::MetaCriticTrainer(std::vector<Environment*> task_envs,
   meta_ = std::make_unique<MetaCritic>(vocab, mo);
   meta_opt_ = std::make_unique<Adam>(meta_->Params(), options.critic_lr);
   for (size_t i = 0; i < task_envs_.size(); ++i) {
-    NetworkOptions net = options.net;
-    net.seed = options.seed + 100 + i;
-    actors_.push_back(std::make_unique<PolicyNetwork>(vocab, net));
-    actor_opts_.push_back(
-        std::make_unique<Adam>(actors_.back()->Params(), options.actor_lr));
+    actors_.emplace_back(vocab, options.net, options.seed + 100 + i,
+                         options.actor_lr);
   }
 }
 
 StatusOr<EpochStats> MetaCriticTrainer::PretrainEpoch() {
   EpochStats agg;
   for (size_t i = 0; i < task_envs_.size(); ++i) {
-    auto st = TrainPolicyBatch(task_envs_[i], actors_[i].get(),
-                               actor_opts_[i].get(), meta_.get(),
+    auto st = TrainPolicyBatch(task_envs_[i], &actors_[i], meta_.get(),
                                meta_opt_.get(), &rng_, options_);
     if (!st.ok()) return st.status();
     agg.episodes += st->episodes;
@@ -203,17 +199,13 @@ StatusOr<EpochStats> MetaCriticTrainer::PretrainEpoch() {
 
 StatusOr<std::vector<EpochStats>> MetaCriticTrainer::Adapt(
     Environment* new_env, int epochs) {
-  NetworkOptions net = options_.net;
-  net.seed = options_.seed + 999;
-  adapted_actor_ =
-      std::make_unique<PolicyNetwork>(new_env->vocab_size(), net);
-  adapted_opt_ =
-      std::make_unique<Adam>(adapted_actor_->Params(), options_.actor_lr);
+  adapted_ = std::make_unique<TrainingActor>(
+      new_env->vocab_size(), options_.net, options_.seed + 999,
+      options_.actor_lr);
   std::vector<EpochStats> trace;
   trace.reserve(epochs);
   for (int e = 0; e < epochs; ++e) {
-    auto st = TrainPolicyBatch(new_env, adapted_actor_.get(),
-                               adapted_opt_.get(), meta_.get(),
+    auto st = TrainPolicyBatch(new_env, adapted_.get(), meta_.get(),
                                meta_opt_.get(), &rng_, options_);
     if (!st.ok()) return st.status();
     trace.push_back(*st);
@@ -222,9 +214,10 @@ StatusOr<std::vector<EpochStats>> MetaCriticTrainer::Adapt(
 }
 
 StatusOr<Trajectory> MetaCriticTrainer::GenerateWithAdapted(Environment* env) {
-  LSG_CHECK(adapted_actor_ != nullptr);
-  PolicyNetwork::Episode ep = adapted_actor_->BeginEpisode(/*train=*/false);
-  return RolloutPolicy(env, adapted_actor_.get(), &ep, &rng_);
+  LSG_CHECK(adapted_ != nullptr);
+  PolicyNetwork::Episode ep = adapted_->net->BeginEpisode(/*train=*/false);
+  return RolloutPolicy(env, *adapted_->net, &ep, /*dropout=*/nullptr,
+                       &adapted_->ws, &rng_);
 }
 
 }  // namespace lsg

@@ -120,10 +120,8 @@ class MetaCriticTrainer {
   Rng rng_;
   std::unique_ptr<MetaCritic> meta_;
   std::unique_ptr<Adam> meta_opt_;
-  std::vector<std::unique_ptr<PolicyNetwork>> actors_;
-  std::vector<std::unique_ptr<Adam>> actor_opts_;
-  std::unique_ptr<PolicyNetwork> adapted_actor_;
-  std::unique_ptr<Adam> adapted_opt_;
+  std::vector<TrainingActor> actors_;
+  std::unique_ptr<TrainingActor> adapted_;
 };
 
 }  // namespace lsg

@@ -31,41 +31,38 @@ void NormalizeAdvantages(std::vector<std::vector<double>>* adv) {
   }
 }
 
-StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
-                                   PolicyNetwork::Episode* ep, Rng* rng,
+StatusOr<Trajectory> RolloutPolicy(Environment* env,
+                                   const PolicyNetwork& actor,
+                                   PolicyNetwork::Episode* ep, Rng* dropout,
+                                   PolicyNetwork::Workspace* ws, Rng* rng,
                                    const RolloutHooks& hooks) {
-  env->Reset();
-  Trajectory traj;
-  int input = actor->bos_index();
-  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
-    const PolicyNetwork::CompactDistribution* dist = nullptr;
-    LSG_RETURN_IF_ERROR(actor->Step(ep, env->ValidActions().ids, &dist));
-    if (hooks.after_actor_step) {
-      LSG_RETURN_IF_ERROR(hooks.after_actor_step(input));
-    }
-    const int a = actor->SampleAction(*dist, rng);
-    actor->RecordAction(ep, a);
-    auto sr = env->Step(a);
-    if (!sr.ok()) return sr.status();
-    if (hooks.after_env_step) hooks.after_env_step(a, sr->reward);
-    traj.actions.push_back(a);
-    traj.rewards.push_back(sr->reward);
-    input = a;
-    if (sr->done) {
-      traj.completed = true;
-      traj.satisfied = sr->satisfied;
-      traj.final_metric = sr->metric;
-      traj.ast = env->TakeAst();
-      return traj;
-    }
-  }
-  return Status::Internal("episode exceeded the hard step cap");
+  return RunEpisode(
+      env,
+      [&](const ActionMask& mask) -> StatusOr<int> {
+        const size_t t = ep->actions.size();
+        const int input = t == 0 ? actor.bos_index() : ep->actions.back();
+        if (ep->dists.size() == t) ep->dists.emplace_back();
+        PolicyNetwork::CompactDistribution& dist = ep->dists[t];
+        LSG_RETURN_IF_ERROR(actor.Step(ep, mask.ids, dropout, &dist, ws));
+        if (hooks.after_actor_step) {
+          LSG_RETURN_IF_ERROR(hooks.after_actor_step(input));
+        }
+        const int a = actor.SampleAction(dist, rng);
+        actor.RecordAction(ep, a);
+        return a;
+      },
+      hooks.after_env_step);
 }
 
-StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
-                                      Adam* actor_opt, Critic* critic,
-                                      Adam* critic_opt, Rng* rng,
-                                      const TrainerOptions& options,
+TrainingActor::TrainingActor(int vocab_size, const NetworkOptions& options,
+                             uint64_t seed, float lr)
+    : dropout(seed),
+      net(std::make_unique<PolicyNetwork>(vocab_size, options, &dropout)),
+      opt(net->Params(), lr) {}
+
+StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
+                                      Critic* critic, Adam* critic_opt,
+                                      Rng* rng, const TrainerOptions& options,
                                       const std::vector<float>& extra) {
   LSG_CHECK((critic == nullptr) == (critic_opt == nullptr));
   if (options.batch_size < 1) {
@@ -76,12 +73,14 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
   std::vector<PolicyNetwork::Episode> episodes(options.batch_size);
   std::vector<std::vector<double>> advantages(options.batch_size);
   for (int b = 0; b < options.batch_size; ++b) {
-    episodes[b] = actor->BeginEpisode(/*train=*/true);
+    episodes[b] = actor->net->BeginEpisode(/*train=*/true);
     episodes[b].extra = extra;
     const RolloutHooks hooks =
         critic != nullptr ? critic->FollowEpisode(extra) : RolloutHooks();
-    LSG_ASSIGN_OR_RETURN(Trajectory traj,
-                         RolloutPolicy(env, actor, &episodes[b], rng, hooks));
+    LSG_ASSIGN_OR_RETURN(
+        Trajectory traj,
+        RolloutPolicy(env, *actor->net, &episodes[b], &actor->dropout,
+                      &actor->ws, rng, hooks));
     if (critic == nullptr) {
       advantages[b] = traj.RewardToGo();
     } else {
@@ -110,12 +109,12 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
   {
     LSG_OBS_SPAN(critic != nullptr ? "rl.ac_update" : "rl.reinforce_update");
     for (int b = 0; b < options.batch_size; ++b) {
-      actor->AccumulateGradients(episodes[b], advantages[b],
-                                 options.entropy_coef);
+      actor->net->AccumulateGradients(episodes[b], advantages[b],
+                                      options.entropy_coef);
     }
-    ClipGradNorm(actor->Params(), options.grad_clip);
+    ClipGradNorm(actor->net->Params(), options.grad_clip);
     if (critic != nullptr) ClipGradNorm(critic->Params(), options.grad_clip);
-    actor_opt->Step();
+    actor->opt.Step();
     if (critic_opt != nullptr) critic_opt->Step();
   }
   const double n = static_cast<double>(stats.episodes);
@@ -139,13 +138,12 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
 PolicyGradientTrainer::PolicyGradientTrainer(Environment* env,
                                              const TrainerOptions& options,
                                              bool with_critic)
-    : env_(env), options_(options), rng_(options.seed) {
-  LSG_CHECK(env != nullptr);
-  NetworkOptions net = options.net;
-  net.seed = options.seed;
-  actor_ = std::make_unique<PolicyNetwork>(env->vocab_size(), net);
-  actor_opt_ = std::make_unique<Adam>(actor_->Params(), options.actor_lr);
+    : env_(env),
+      options_(options),
+      rng_(options.seed),
+      actor_(env->vocab_size(), options.net, options.seed, options.actor_lr) {
   if (with_critic) {
+    NetworkOptions net = options.net;
     net.seed = options.seed + 1;
     critic_ = std::make_unique<ValueNetwork>(env->vocab_size(), net);
     critic_opt_ = std::make_unique<Adam>(critic_->Params(), options.critic_lr);
@@ -155,26 +153,27 @@ PolicyGradientTrainer::PolicyGradientTrainer(Environment* env,
 StatusOr<EpochStats> PolicyGradientTrainer::TrainEpoch() {
   LSG_ASSIGN_OR_RETURN(
       EpochStats stats,
-      TrainPolicyBatch(env_, actor_.get(), actor_opt_.get(), critic_.get(),
-                       critic_opt_.get(), &rng_, options_, extra_));
+      TrainPolicyBatch(env_, &actor_, critic_.get(), critic_opt_.get(), &rng_,
+                       options_, extra_));
   if (options_.keep_best_actor) {
     double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
     if (score > best_score_) {
       best_score_ = score;
-      best_actor_.Save(actor_->Params());
+      best_actor_.Save(actor_.net->Params());
     }
   }
   return stats;
 }
 
 bool PolicyGradientTrainer::RestoreBestActor() {
-  return best_actor_.Restore(actor_->Params());
+  return best_actor_.Restore(actor_.net->Params());
 }
 
 StatusOr<Trajectory> PolicyGradientTrainer::Generate() {
-  PolicyNetwork::Episode ep = actor_->BeginEpisode(/*train=*/false);
+  PolicyNetwork::Episode ep = actor_.net->BeginEpisode(/*train=*/false);
   ep.extra = extra_;
-  return RolloutPolicy(env_, actor_.get(), &ep, &rng_);
+  return RolloutPolicy(env_, *actor_.net, &ep, /*dropout=*/nullptr,
+                       &actor_.ws, &rng_);
 }
 
 }  // namespace lsg

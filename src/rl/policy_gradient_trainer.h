@@ -58,12 +58,32 @@ struct RolloutHooks {
   std::function<void(int action, double reward)> after_env_step;
 };
 
-/// Samples one episode with the policy against the environment into `ep`,
-/// a fresh actor->BeginEpisode (a training episode keeps what
-/// AccumulateGradients needs). `rng` drives action sampling only.
-StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
-                                   PolicyNetwork::Episode* ep, Rng* rng,
+/// The policy's episode: RunEpisode with each action sampled (from `rng`)
+/// from the const `actor`'s masked distribution. `ep` is a fresh
+/// actor.BeginEpisode. Step t's distribution goes to ep->dists[t], which
+/// grows only when it is shorter, so a caller that hands the same storage
+/// to episode after episode stops allocating for it. A training episode
+/// also keeps its BPTT caches and draws its dropout from `dropout` (an
+/// inference episode draws none). `ws` is the step's scratch. Training,
+/// evaluation and serving decode all roll out here.
+StatusOr<Trajectory> RolloutPolicy(Environment* env,
+                                   const PolicyNetwork& actor,
+                                   PolicyNetwork::Episode* ep, Rng* dropout,
+                                   PolicyNetwork::Workspace* ws, Rng* rng,
                                    const RolloutHooks& hooks = {});
+
+/// An actor in training and what its rollouts own around it: the stream
+/// its weights were drawn from (Rng(seed), which then drives its dropout),
+/// the step's scratch and the optimizer.
+struct TrainingActor {
+  TrainingActor(int vocab_size, const NetworkOptions& options, uint64_t seed,
+                float lr);
+
+  Rng dropout;
+  std::unique_ptr<PolicyNetwork> net;
+  PolicyNetwork::Workspace ws;
+  Adam opt;
+};
 
 /// A learned state-value baseline V(s_t): the per-task critic of §4.3
 /// (ValueNetwork) or the meta-critic shared across tasks (§6, MetaCritic).
@@ -102,10 +122,9 @@ class Critic {
 /// actor's optimizer, then the critic's. `extra` (constraint features for
 /// AC-extend, empty for the standard model) goes into every episode.
 /// InvalidArgument when options.batch_size < 1.
-StatusOr<EpochStats> TrainPolicyBatch(Environment* env, PolicyNetwork* actor,
-                                      Adam* actor_opt, Critic* critic,
-                                      Adam* critic_opt, Rng* rng,
-                                      const TrainerOptions& options,
+StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
+                                      Critic* critic, Adam* critic_opt,
+                                      Rng* rng, const TrainerOptions& options,
                                       const std::vector<float>& extra = {});
 
 /// The paper's trainer (§4.3, Algorithm 3): an actor and its own critic
@@ -132,10 +151,12 @@ class PolicyGradientTrainer {
   /// Returns false if no checkpoint exists yet.
   bool RestoreBestActor();
 
-  PolicyNetwork& actor() { return *actor_; }
+  PolicyNetwork& actor() { return *actor_.net; }
   /// Hands the actor over to the caller once training is done; the
   /// trainer must not be used afterwards.
-  std::unique_ptr<PolicyNetwork> ReleaseActor() { return std::move(actor_); }
+  std::unique_ptr<PolicyNetwork> ReleaseActor() {
+    return std::move(actor_.net);
+  }
   /// The critic; null for REINFORCE.
   Critic* critic() { return critic_.get(); }
 
@@ -154,9 +175,8 @@ class PolicyGradientTrainer {
   Environment* env_;
   TrainerOptions options_;
   Rng rng_;
-  std::unique_ptr<PolicyNetwork> actor_;
+  TrainingActor actor_;
   std::unique_ptr<Critic> critic_;
-  std::unique_ptr<Adam> actor_opt_;
   std::unique_ptr<Adam> critic_opt_;
   std::vector<float> extra_;
   ParamSnapshot best_actor_;

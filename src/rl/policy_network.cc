@@ -18,14 +18,14 @@ Status CheckExtraFeatures(const std::vector<float>& extra,
       std::to_string(options.extra_input_dims));
 }
 
-PolicyNetwork::PolicyNetwork(int vocab_size, const NetworkOptions& options)
+PolicyNetwork::PolicyNetwork(int vocab_size, const NetworkOptions& options,
+                             Rng* init)
     : vocab_size_(vocab_size),
       options_(options),
-      rng_(options.seed),
       lstm_(vocab_size + 1 + options.extra_input_dims, options.hidden_dim,
-            options.num_layers, options.dropout, &rng_,
+            options.num_layers, options.dropout, init,
             options.extra_input_dims),
-      head_(options.hidden_dim, vocab_size, &rng_) {}
+      head_(options.hidden_dim, vocab_size, init) {}
 
 PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
   Episode ep;
@@ -66,14 +66,6 @@ Status PolicyNetwork::Step(Episode* ep, const std::vector<int>& admitted,
     lane.dropout = dropout;
   }
   return MaskedHead(lstm_.Step(lane, ws), admitted, dist);
-}
-
-Status PolicyNetwork::Step(Episode* ep, const std::vector<int>& admitted,
-                           const CompactDistribution** dist) {
-  ep->dists.emplace_back();
-  LSG_RETURN_IF_ERROR(Step(ep, admitted, &rng_, &ep->dists.back(), &ws_));
-  *dist = &ep->dists.back();
-  return Status::Ok();
 }
 
 int PolicyNetwork::SampleAction(const CompactDistribution& d,

@@ -28,10 +28,15 @@ Status CheckExtraFeatures(const std::vector<float>& extra,
                           const NetworkOptions& options);
 
 /// The actor: one-hot token sequence -> LSTM stack -> Linear(|A|) ->
-/// FSM-masked softmax policy π_θ(a|s) (paper §4.3).
+/// FSM-masked softmax policy π_θ(a|s) (paper §4.3). Its only state is its
+/// weights: the step is const and takes its dropout stream, distribution
+/// and scratch from the caller, so a served actor is immutable by type.
 class PolicyNetwork {
  public:
-  PolicyNetwork(int vocab_size, const NetworkOptions& options);
+  /// Draws the initial weights from `init` (options.seed is not read); a
+  /// trainer keeps that stream as the actor's dropout stream
+  /// (TrainingActor).
+  PolicyNetwork(int vocab_size, const NetworkOptions& options, Rng* init);
 
   int vocab_size() const { return vocab_size_; }
   /// Input index used for the beginning-of-sequence step.
@@ -52,14 +57,16 @@ class PolicyNetwork {
   struct Episode {
     LstmStack::State state;
     std::vector<LstmStack::StepCache> caches;
-    std::vector<CompactDistribution> dists;  ///< masked π per step
+    /// Masked π of step t at dists[t]. Storage handed over from an earlier
+    /// episode may hold more entries than steps (RolloutPolicy).
+    std::vector<CompactDistribution> dists;
     std::vector<int> actions;
     std::vector<float> extra;                ///< dense constraint dims
     bool train = false;
   };
 
-  /// Scratch of one step. The const Step takes it from the caller, so one
-  /// network can serve many threads lock-free.
+  /// Scratch of one step, owned by the caller, so one network can serve
+  /// many threads lock-free.
   using Workspace = LstmStack::Workspace;
 
   Episode BeginEpisode(bool train) const;
@@ -74,12 +81,6 @@ class PolicyNetwork {
   /// logit row (the episode is then unusable).
   Status Step(Episode* ep, const std::vector<int>& admitted, Rng* dropout,
               CompactDistribution* dist, Workspace* ws) const;
-
-  /// The step above with the network's own dropout stream and scratch: the
-  /// distribution is appended to ep->dists and `*dist` points at it (valid
-  /// until the next Step).
-  Status Step(Episode* ep, const std::vector<int>& admitted,
-              const CompactDistribution** dist);
 
   /// Records the sampled action (must follow Step).
   void RecordAction(Episode* ep, int action) const { ep->actions.push_back(action); }
@@ -112,10 +113,8 @@ class PolicyNetwork {
 
   int vocab_size_;
   NetworkOptions options_;
-  Rng rng_;
   LstmStack lstm_;
   Linear head_;
-  Workspace ws_;  ///< Step's scratch
 };
 
 }  // namespace lsg

@@ -2,6 +2,7 @@
 #define LEARNEDSQLGEN_RL_TRAJECTORY_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -10,9 +11,8 @@
 
 namespace lsg {
 
-/// Hard cap on episode length shared by every decode loop (RolloutPolicy,
-/// DecodeItem, the random baseline); the FSM terminates episodes well
-/// before it.
+/// Hard cap on episode length shared by the episode loop (RunEpisode) and
+/// the bare-FSM walks; the FSM terminates episodes well before it.
 inline constexpr int kMaxEpisodeSteps = 512;
 
 /// Result of applying one action in the environment.
@@ -73,6 +73,36 @@ struct Trajectory {
     return out;
   }
 };
+
+/// The one episode loop (Algorithms 2 and 3, and the random baselines):
+/// resets `env`, then until EOF lets `choose(mask)` (returning
+/// StatusOr<int>) pick an admitted action, applies it and calls
+/// `after_step` (when set) with the action and its reward. The first
+/// failed choice or step ends the episode with its status; an episode
+/// still open after kMaxEpisodeSteps is kInternal. A template, so the
+/// choice inlines into the decode hot loop.
+template <typename ChooseAction>
+StatusOr<Trajectory> RunEpisode(
+    Environment* env, ChooseAction&& choose,
+    const std::function<void(int action, double reward)>& after_step = {}) {
+  env->Reset();
+  Trajectory traj;
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
+    LSG_ASSIGN_OR_RETURN(const int a, choose(env->ValidActions()));
+    LSG_ASSIGN_OR_RETURN(const EnvStepResult sr, env->Step(a));
+    if (after_step) after_step(a, sr.reward);
+    traj.actions.push_back(a);
+    traj.rewards.push_back(sr.reward);
+    if (sr.done) {
+      traj.completed = true;
+      traj.satisfied = sr.satisfied;
+      traj.final_metric = sr.metric;
+      traj.ast = env->TakeAst();
+      return traj;
+    }
+  }
+  return Status::Internal("episode exceeded the hard step cap");
+}
 
 }  // namespace lsg
 

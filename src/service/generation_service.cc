@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "core/batch_decoder.h"
+#include "core/decode.h"
 #include "obs/span_tracer.h"
 
 namespace lsg {
@@ -202,15 +202,14 @@ void GenerationService::Run(const GenerationRequest& request,
   const std::shared_ptr<const ServingSnapshot> snapshot =
       std::move(acquired->snapshot);
   response->train_seconds = snapshot->train_seconds;
-  BatchDecodeItem item;
-  item.constraint = request.constraint;
-  item.n = request.n;
-  item.batch_mode = request.batch;
-  item.rng = Rng(RequestSeed(options_.gen.seed, request));
-  DecodeItem(*snapshot, &item);
-  response->status = std::move(item.status);
-  if (!response->status.ok()) return;
-  GenerationReport& report = item.report;
+  Rng rng(RequestSeed(options_.gen.seed, request));
+  auto decoded =
+      Decode(*snapshot, request.constraint, request.n, request.batch, &rng);
+  if (!decoded.ok()) {
+    response->status = decoded.status();
+    return;
+  }
+  GenerationReport& report = *decoded;
   response->generate_seconds = report.generate_seconds;
   metrics_.AddGenerateSeconds(report.generate_seconds);
   metrics_.attempts.Add(static_cast<uint64_t>(report.attempts));

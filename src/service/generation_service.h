@@ -65,7 +65,7 @@ struct GenerationServiceOptions {
 /// bounded MPMC request queue; a worker pops one request, resolves its
 /// bucket's immutable model snapshot through the shared ModelRegistry
 /// (which trains a bucket at most once) and decodes the request against it
-/// (DecodeItem). Submit blocks when the queue is full (backpressure);
+/// (Decode in core/decode.h). Submit blocks when the queue is full (backpressure);
 /// TrySubmit fails fast instead. Shutdown() drains every accepted request
 /// before joining.
 class GenerationService {

@@ -11,9 +11,9 @@
 #include "analysis/sql_linter.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/workload.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/test_databases.h"
-#include "fuzz/trace.h"
 #include "sql/vocabulary.h"
 
 namespace lsg {
@@ -141,8 +141,7 @@ TEST(SqlLinterTest, DetectsInjectedGapOnRandomWalks) {
   int hits = 0;
   for (int ep = 0; ep < 200; ++ep) {
     GenerationFsm fsm(&db, &vocab, profile);
-    std::vector<int> actions;
-    auto ast = RecordedRandomWalk(&fsm, &rng, &actions);
+    auto ast = RandomWalkQuery(&fsm, &rng);
     if (!ast.ok()) continue;
     if (!linter.Lint(ast.value()).empty()) ++hits;
   }

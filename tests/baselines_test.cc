@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/random_generator.h"
 #include "baselines/template_generator.h"
+#include "sql/render.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -94,6 +98,50 @@ TEST_F(BaselinesTest, RandomIsDeterministicPerSeed) {
   }
 }
 
+// Fixed-seed pins: the SQL and accuracy of each random-baseline mode,
+// recorded before the walk moved onto the shared episode loop and the
+// pick onto the admitted-id list. Every draw must stay where it was.
+TEST_F(BaselinesTest, RandomFixedSeedOutputsUnchanged) {
+  auto env = MakeEnv(Constraint::Range(ConstraintMetric::kCardinality, 1, 20));
+  const Catalog& catalog = db_.catalog();
+  RandomGenerator gen(env.get(), 2027);
+  auto batch = gen.GenerateBatch(40);
+  ASSERT_TRUE(batch.ok());
+  auto next = gen.Rollout();
+  ASSERT_TRUE(next.ok());
+  auto sat = gen.GenerateSatisfied(3, /*max_attempts=*/200);
+  ASSERT_TRUE(sat.ok());
+  EXPECT_EQ(batch->attempts, 40);
+  EXPECT_EQ(batch->satisfied, 27);
+  EXPECT_EQ(batch->accuracy, 0.675);
+  EXPECT_EQ(RenderSql(next->ast, catalog),
+            "SELECT COUNT(Score.Course), Score.Grade FROM Score JOIN Student "
+            "ON Score.ID = Student.ID WHERE Student.Gender LIKE '%M%' GROUP "
+            "BY Score.Grade ORDER BY Score.Grade");
+  EXPECT_EQ(sat->attempts, 6);
+  EXPECT_EQ(sat->accuracy, 0.5);
+  std::vector<std::string> sql;
+  for (const GeneratedQuery& q : sat->queries) sql.push_back(q.sql);
+  EXPECT_EQ(
+      sql,
+      (std::vector<std::string>{
+          "SELECT Student.Gender, MIN(Score.Grade), MAX(Student.ID) FROM "
+          "Score JOIN Student ON Score.ID = Student.ID GROUP BY "
+          "Student.Gender",
+          "SELECT MAX(Student.ID), Student.Gender FROM Student WHERE EXISTS "
+          "(SELECT Score.ID FROM Score JOIN Student ON Score.ID = "
+          "Student.ID) AND EXISTS (SELECT Student.Gender FROM Student WHERE "
+          "Student.ID >= 4 OR Student.Name > 'Bob' OR Student.Name > 'Ada' "
+          "AND Student.ID <> 0) GROUP BY Student.Gender",
+          "SELECT SUM(Student.ID) FROM Student JOIN Score ON Score.ID = "
+          "Student.ID WHERE Student.Gender > 'F' AND Score.Course IN "
+          "(SELECT Score.Course FROM Student JOIN Score ON Score.ID = "
+          "Student.ID WHERE Score.SID >= 26) AND EXISTS (SELECT Score.ID "
+          "FROM Student JOIN Score ON Score.ID = Student.ID WHERE "
+          "Student.Name = 'Ada' OR Student.Gender LIKE '%M%' AND Score.ID "
+          ">= 9 OR Score.SID <= 19) OR Student.Name < 'Gus'"}));
+}
+
 // -------------------------------------------------------------- template
 
 TEST_F(BaselinesTest, TemplatePoolMined) {
@@ -142,6 +190,47 @@ TEST_F(BaselinesTest, TemplateCannotReachImpossibleTarget) {
   auto rep = gen.GenerateSatisfied(1, /*max_attempts=*/3000);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->satisfied, 0);
+}
+
+// Fixed-seed pin of the mined pool: its size and what the climbs reach
+// from it (which template each attempt draws, and its knobs, follow from
+// the mining walks' draws).
+TEST_F(BaselinesTest, TemplateFixedSeedPoolUnchanged) {
+  auto env = MakeEnv(Constraint::Range(ConstraintMetric::kCardinality, 1, 20));
+  TemplateGeneratorOptions topts;
+  topts.num_templates = 10;
+  topts.seed = 2027;
+  TemplateGenerator gen(env.get(), topts);
+  auto sat = gen.GenerateSatisfied(6, /*max_attempts=*/5000);
+  ASSERT_TRUE(sat.ok());
+  auto batch = gen.GenerateBatch(20);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(gen.pool_size(), 10);
+  EXPECT_EQ(sat->attempts, 11);
+  EXPECT_EQ(sat->satisfied, 6);
+  std::vector<std::string> sql;
+  for (const GeneratedQuery& q : sat->queries) sql.push_back(q.sql);
+  EXPECT_EQ(
+      sql,
+      (std::vector<std::string>{
+          "SELECT AVG(Student.ID) FROM Student WHERE Student.Name > 'Bob' "
+          "AND EXISTS (SELECT Student.Name FROM Student) OR Student.ID IN "
+          "(SELECT Score.ID FROM Score JOIN Student ON Score.ID = "
+          "Student.ID) AND Student.Name < 'Bob'",
+          "SELECT AVG(Score.SID) FROM Student JOIN Score ON Score.ID = "
+          "Student.ID WHERE Student.ID > 4 AND Score.ID > 8",
+          "SELECT AVG(Student.ID) FROM Student WHERE Student.Name > 'Ada' "
+          "AND EXISTS (SELECT Student.Name FROM Student) OR Student.ID IN "
+          "(SELECT Score.ID FROM Score JOIN Student ON Score.ID = "
+          "Student.ID) AND Student.Name < 'Ivy'",
+          "SELECT SUM(Score.ID), COUNT(Score.SID), AVG(Score.Grade) FROM "
+          "Score WHERE Score.Course LIKE '%db%' OR Score.ID <= 2",
+          "SELECT SUM(Score.ID), COUNT(Score.SID), AVG(Score.Grade) FROM "
+          "Score WHERE Score.Course LIKE '%db%' OR Score.ID <= 7",
+          "SELECT Score.SID, MAX(Score.Grade), SUM(Score.SID) FROM Score "
+          "WHERE Score.SID < 15 GROUP BY Score.SID"}));
+  EXPECT_EQ(batch->attempts, 20);
+  EXPECT_EQ(batch->satisfied, 14);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/environment.h"
 #include "core/generator.h"
 #include "core/workload.h"
+#include "datasets/tpch_like.h"
 #include "obs/episode_telemetry.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
@@ -283,6 +284,34 @@ TEST_F(EnvTest, ProbeMetricDomainOrdered) {
   MetricDomain d = ProbeMetricDomain(env.get(), 200, &rng);
   EXPECT_GE(d.lo, 1.0);
   EXPECT_GT(d.hi, d.lo);
+}
+
+// Fixed-seed pin of the domain probe exactly as the end-to-end benchmark
+// runs it to place its constraint grid: TPC-H at row scale 1, the default
+// vocabulary and profile, Rng(7), 400 walks per metric, quantiles 0.2 and
+// 0.95, cardinality first.
+TEST(ProbeMetricDomainTest, TpchFixedSeedDomainsUnchanged) {
+  Database db = BuildTpchLike(DatasetScale());
+  LearnedSqlGenOptions opts;
+  auto context = LearnedSqlGen::CreateContext(&db, opts);
+  ASSERT_TRUE(context.ok());
+  EnvironmentOptions eo;
+  eo.profile = opts.profile;
+  Rng rng(7);
+  MetricDomain d[2];
+  for (int m = 0; m < 2; ++m) {
+    SqlGenEnvironment probe(
+        **context,
+        Constraint::Point(m == 0 ? ConstraintMetric::kCardinality
+                                 : ConstraintMetric::kCost,
+                          1),
+        eo);
+    d[m] = ProbeMetricDomain(&probe, 400, &rng, 0.2, 0.95);
+  }
+  EXPECT_EQ(d[0].lo, 1.2);
+  EXPECT_EQ(d[0].hi, 3000.0);
+  EXPECT_EQ(d[1].lo, 7.0984749999999996);
+  EXPECT_EQ(d[1].hi, 386.63420702698716);
 }
 
 // ------------------------------------------------------------- workload

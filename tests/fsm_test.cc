@@ -269,6 +269,44 @@ TEST_F(FsmTest, InsertValuesFollowColumnOrder) {
   EXPECT_TRUE(ids.count(vocab_->eof_id()));
 }
 
+// UniformAction walks the admitted-id list; the byte sweep it replaced
+// walked the whole mask. Over random masks (empty, single, sparse, dense
+// and full) both must return the same id and leave the Rng in the same
+// state.
+TEST(UniformActionTest, MatchesByteSweepAndRngState) {
+  Rng shape(99);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int width = 1 + static_cast<int>(shape.Uniform(300));
+    const double density = trial % 5 == 0 ? 0.0
+                           : trial % 5 == 1 ? 1.0
+                                            : shape.UniformDouble();
+    ActionMask mask;
+    mask.bytes.assign(width, 0);
+    for (int i = 0; i < width; ++i) {
+      if (shape.UniformDouble() < density) {
+        mask.bytes[i] = 1;
+        mask.ids.push_back(i);
+      }
+    }
+    const uint64_t seed = shape.Next();
+    Rng sweep_rng(seed), pick_rng(seed);
+    int chosen = -1, seen = 0;
+    for (int i = 0; i < width; ++i) {
+      if (!mask.bytes[i]) continue;
+      ++seen;
+      if (sweep_rng.Uniform(seen) == 0) chosen = i;
+    }
+    auto picked = UniformAction(mask, &pick_rng);
+    if (chosen < 0) {
+      EXPECT_EQ(picked.status().code(), StatusCode::kInternal);
+    } else {
+      ASSERT_TRUE(picked.ok());
+      EXPECT_EQ(*picked, chosen) << "trial " << trial;
+    }
+    EXPECT_EQ(pick_rng.Next(), sweep_rng.Next()) << "trial " << trial;
+  }
+}
+
 TEST_F(FsmTest, TokenBudgetForcesShortQueries) {
   QueryProfile profile;
   profile.max_tokens = 6;

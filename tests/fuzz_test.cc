@@ -79,20 +79,43 @@ TEST(TraceTest, ParseRejectsGarbageButSkipsUnknownKeys) {
 
 // ------------------------------------------------------ record & replay
 
+// Fixed-seed pin of one recorded walk's action list on the Score/Student
+// database under the full profile.
+TEST(TraceTest, RecordedWalkFixedSeedActionsUnchanged) {
+  Database db = BuildScoreStudentDb();
+  auto vocab = Vocabulary::Build(db, VocabularyOptions());
+  ASSERT_TRUE(vocab.ok());
+  GenerationFsm fsm(&db, &*vocab, QueryProfile::Full());
+  Rng rng(18);
+  std::vector<int> actions;
+  auto ast = RandomWalkQuery(&fsm, &rng, &actions);
+  ASSERT_TRUE(ast.ok());
+  EXPECT_EQ(actions,
+            (std::vector<int>{1,  31, 0,  34, 10, 32, 7,  32, 2,  12,
+                              22, 1,  35, 3,  31, 0,  32, 23, 14, 34,
+                              13, 22, 1,  31, 0,  34, 23, 15, 34, 24,
+                              68, 14, 33, 26, 54, 4,  34, 147}));
+  EXPECT_EQ(RenderSql(*ast, db.catalog()),
+            "SELECT Student.Gender, AVG(Student.ID), MAX(Student.ID) FROM "
+            "Student WHERE EXISTS (SELECT Student.ID FROM Score JOIN Student "
+            "ON Score.ID = Student.ID) AND Student.Gender IN (SELECT "
+            "Student.Gender FROM Student) OR Student.Gender LIKE '%M%' AND "
+            "Student.Name > 'Eve' GROUP BY Student.Gender");
+}
+
 TEST(TraceTest, RecordedWalkMatchesRandomWalkAndReplaysExactly) {
   Database db = BuildScoreStudentDb();
   auto vocab = Vocabulary::Build(db, VocabularyOptions());
   ASSERT_TRUE(vocab.ok());
   const QueryProfile profile = QueryProfile::Full();
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    // Same Rng stream => recorded walk generates the same query as the
-    // production RandomWalkQuery.
+    // Same Rng stream => recording the actions does not change the query.
     Rng rng_a(seed), rng_b(seed);
     GenerationFsm fsm_a(&db, &*vocab, profile);
     GenerationFsm fsm_b(&db, &*vocab, profile);
     auto plain = RandomWalkQuery(&fsm_a, &rng_a);
     std::vector<int> actions;
-    auto recorded = RecordedRandomWalk(&fsm_b, &rng_b, &actions);
+    auto recorded = RandomWalkQuery(&fsm_b, &rng_b, &actions);
     ASSERT_TRUE(plain.ok() && recorded.ok());
     EXPECT_EQ(RenderSql(*plain, db.catalog()),
               RenderSql(*recorded, db.catalog()));
@@ -203,7 +226,7 @@ TEST_P(ProfileEpisodes, CleanEpisodesSurviveEveryOracle) {
   for (int i = 0; i < 40; ++i) {
     fsm.Reset();
     std::vector<int> actions;
-    auto ast = RecordedRandomWalk(&fsm, &rng, &actions);
+    auto ast = RandomWalkQuery(&fsm, &rng, &actions);
     ASSERT_TRUE(ast.ok());
     auto v = oracle.Check(*ast);
     EXPECT_FALSE(v.has_value()) << "[" << v->oracle << "] " << v->detail;

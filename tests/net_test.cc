@@ -3,7 +3,7 @@
 // clock, admission-controller caps, protocol parse/encode round-trips,
 // and loopback end-to-end runs against both a scripted dispatcher
 // (queue-full, inflight caps, timeouts, graceful drain under load) and
-// the real generation service, on both poller backends.
+// the real generation service, over the epoll poller.
 #include <gtest/gtest.h>
 
 #include <chrono>

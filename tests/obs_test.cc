@@ -278,6 +278,29 @@ TEST(EpisodeTelemetryTest, JsonlRowsRoundTripThroughParser) {
   std::filesystem::remove(path);
 }
 
+// A tag or constraint may hold any byte, control characters included: the
+// row must still be one JSONL line that parses back to the same strings.
+TEST(EpisodeTelemetryTest, ControlCharactersStayOneParseableLine) {
+  std::string path = TempPath("ctl.jsonl");
+  EpisodeRow written = MakeRow(1);
+  written.tag = "train\nphase\t2";
+  written.constraint = "Card \"in\" [5,50]\r\x01\\";
+  {
+    EpisodeTelemetry sink(path);
+    ASSERT_TRUE(sink.ok());
+    sink.Record(written);
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  auto row = JsonParse(line);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row->StringOr("tag", ""), written.tag);
+  EXPECT_EQ(row->StringOr("constraint", ""), written.constraint);
+  EXPECT_FALSE(std::getline(in, line));
+  std::filesystem::remove(path);
+}
+
 TEST(EpisodeTelemetryTest, CsvWritesHeaderPerFile) {
   std::string path = TempPath("rows.csv");
   {

@@ -250,15 +250,23 @@ TEST(TrainerComparisonTest, ActorCriticConvergesAtLeastAsWell) {
 
 // -------------------------------------------------------------- networks
 
+// One step with the actor's own dropout stream and scratch, appending the
+// distribution to ep->dists as RolloutPolicy does.
+Status StepActor(TrainingActor* actor, PolicyNetwork::Episode* ep,
+                 const std::vector<int>& admitted) {
+  return actor->net->Step(ep, admitted, &actor->dropout,
+                          &ep->dists.emplace_back(), &actor->ws);
+}
+
 // One Step, with its compact distribution expanded to the full vocabulary.
-std::vector<float> StepDense(PolicyNetwork* net, PolicyNetwork::Episode* ep,
+std::vector<float> StepDense(TrainingActor* actor, PolicyNetwork::Episode* ep,
                              const std::vector<int>& admitted) {
-  const PolicyNetwork::CompactDistribution* d = nullptr;
-  Status st = net->Step(ep, admitted, &d);
+  Status st = StepActor(actor, ep, admitted);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  std::vector<float> out(net->vocab_size(), 0.f);
+  std::vector<float> out(actor->net->vocab_size(), 0.f);
   if (!st.ok()) return out;
-  for (size_t k = 0; k < d->idx.size(); ++k) out[d->idx[k]] = d->probs[k];
+  const PolicyNetwork::CompactDistribution& d = ep->dists.back();
+  for (size_t k = 0; k < d.idx.size(); ++k) out[d.idx[k]] = d.probs[k];
   return out;
 }
 
@@ -266,11 +274,11 @@ TEST(PolicyNetworkTest, DistributionRespectsMask) {
   NetworkOptions o;
   o.hidden_dim = 8;
   o.num_layers = 1;
-  PolicyNetwork net(5, o);
-  auto ep = net.BeginEpisode(false);
+  TrainingActor actor(5, o, o.seed, 1e-3f);
+  auto ep = actor.net->BeginEpisode(false);
   const std::vector<int> admitted = {0, 2};
-  const PolicyNetwork::CompactDistribution* d = nullptr;
-  ASSERT_TRUE(net.Step(&ep, admitted, &d).ok());
+  ASSERT_TRUE(StepActor(&actor, &ep, admitted).ok());
+  const PolicyNetwork::CompactDistribution* d = &ep.dists.back();
   EXPECT_EQ(d->idx, (std::vector<int>{0, 2}));
   ASSERT_EQ(d->probs.size(), 2u);
   EXPECT_NEAR(d->probs[0] + d->probs[1], 1.f, 1e-5);
@@ -281,14 +289,13 @@ TEST(PolicyNetworkTest, SamplingHonorsMask) {
   NetworkOptions o;
   o.hidden_dim = 8;
   o.num_layers = 1;
-  PolicyNetwork net(6, o);
+  TrainingActor actor(6, o, o.seed, 1e-3f);
   Rng rng(3);
-  auto ep = net.BeginEpisode(false);
+  auto ep = actor.net->BeginEpisode(false);
   const std::vector<int> admitted = {2, 4};
-  const PolicyNetwork::CompactDistribution* d = nullptr;
-  ASSERT_TRUE(net.Step(&ep, admitted, &d).ok());
+  ASSERT_TRUE(StepActor(&actor, &ep, admitted).ok());
   for (int i = 0; i < 200; ++i) {
-    int a = net.SampleAction(*d, &rng);
+    int a = actor.net->SampleAction(ep.dists.back(), &rng);
     EXPECT_TRUE(a == 2 || a == 4);
   }
 }
@@ -297,10 +304,9 @@ TEST(PolicyNetworkTest, EmptyMaskIsStructuredError) {
   NetworkOptions o;
   o.hidden_dim = 8;
   o.num_layers = 1;
-  PolicyNetwork net(3, o);
-  auto ep = net.BeginEpisode(true);
-  const PolicyNetwork::CompactDistribution* d = nullptr;
-  Status st = net.Step(&ep, {}, &d);
+  TrainingActor actor(3, o, o.seed, 1e-3f);
+  auto ep = actor.net->BeginEpisode(true);
+  Status st = StepActor(&actor, &ep, {});
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
@@ -308,10 +314,10 @@ TEST(PolicyNetworkTest, EntropyDiagnostic) {
   NetworkOptions o;
   o.hidden_dim = 8;
   o.num_layers = 1;
-  PolicyNetwork net(4, o);
-  auto ep = net.BeginEpisode(false);
+  TrainingActor actor(4, o, o.seed, 1e-3f);
+  auto ep = actor.net->BeginEpisode(false);
   const std::vector<int> admitted = {0, 1, 2, 3};
-  StepDense(&net, &ep, admitted);
+  StepDense(&actor, &ep, admitted);
   double h = PolicyNetwork::MeanEntropy(ep);
   EXPECT_GT(h, 0.0);
   EXPECT_LE(h, std::log(4.0) + 1e-6);
@@ -324,23 +330,23 @@ TEST(PolicyNetworkTest, GradientPushesTowardRewardedAction) {
   o.hidden_dim = 8;
   o.num_layers = 1;
   o.dropout = 0.0f;
-  PolicyNetwork net(4, o);
-  Adam opt(net.Params(), 0.05f);
+  TrainingActor actor(4, o, o.seed, 0.05f);
+  PolicyNetwork& net = *actor.net;
   const std::vector<int> admitted = {0, 1, 2, 3};
   float before;
   {
     auto ep = net.BeginEpisode(false);
-    before = StepDense(&net, &ep, admitted)[2];
+    before = StepDense(&actor, &ep, admitted)[2];
   }
   for (int iter = 0; iter < 5; ++iter) {
     auto ep = net.BeginEpisode(true);
-    StepDense(&net, &ep, admitted);
+    StepDense(&actor, &ep, admitted);
     net.RecordAction(&ep, 2);
     net.AccumulateGradients(ep, {1.0}, 0.0);
-    opt.Step();
+    actor.opt.Step();
   }
   auto ep = net.BeginEpisode(false);
-  float after = StepDense(&net, &ep, admitted)[2];
+  float after = StepDense(&actor, &ep, admitted)[2];
   EXPECT_GT(after, before);
 }
 
@@ -359,7 +365,8 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
   const int V = vocab->size();
   NetworkOptions o;
   o.hidden_dim = 12;
-  PolicyNetwork net(V, o);
+  TrainingActor actor(V, o, o.seed, 1e-3f);
+  PolicyNetwork& net = *actor.net;
   Rng rng(17);
   const double kEntropyCoef = 0.01;
 
@@ -371,9 +378,8 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
     while (!fsm.done()) {
       const ActionMask& mask = fsm.ValidActions();
       masks.push_back(mask.bytes);
-      const PolicyNetwork::CompactDistribution* d = nullptr;
-      ASSERT_TRUE(net.Step(&ep, mask.ids, &d).ok());
-      const int a = net.SampleAction(*d, &rng);
+      ASSERT_TRUE(StepActor(&actor, &ep, mask.ids).ok());
+      const int a = net.SampleAction(ep.dists.back(), &rng);
       net.RecordAction(&ep, a);
       ASSERT_TRUE(fsm.Step(a).ok());
     }
@@ -471,14 +477,14 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   o.num_layers = 1;
   o.extra_input_dims = 2;
   o.dropout = 0.0f;
-  PolicyNetwork net(4, o);
+  TrainingActor actor(4, o, o.seed, 1e-3f);
   const std::vector<int> admitted = {0, 1, 2, 3};
-  auto ep1 = net.BeginEpisode(false);
+  auto ep1 = actor.net->BeginEpisode(false);
   ep1.extra = {0.0f, 0.0f};
-  auto p1 = StepDense(&net, &ep1, admitted);
-  auto ep2 = net.BeginEpisode(false);
+  auto p1 = StepDense(&actor, &ep1, admitted);
+  auto ep2 = actor.net->BeginEpisode(false);
   ep2.extra = {5.0f, -5.0f};
-  auto p2 = StepDense(&net, &ep2, admitted);
+  auto p2 = StepDense(&actor, &ep2, admitted);
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
@@ -491,17 +497,16 @@ TEST(ExtraFeatureTest, MismatchedTailIsInvalidArgument) {
   o.hidden_dim = 8;
   o.num_layers = 1;
   o.extra_input_dims = 2;
-  PolicyNetwork actor(4, o);
+  TrainingActor actor(4, o, o.seed, 1e-3f);
   ValueNetwork critic(4, o);
   const std::vector<int> admitted = {0, 1, 2, 3};
   for (const std::vector<float>& extra :
        {std::vector<float>{}, std::vector<float>{1.f},
         std::vector<float>{1.f, 2.f, 3.f}}) {
     for (bool train : {false, true}) {
-      auto ep = actor.BeginEpisode(train);
+      auto ep = actor.net->BeginEpisode(train);
       ep.extra = extra;
-      const PolicyNetwork::CompactDistribution* d = nullptr;
-      EXPECT_EQ(actor.Step(&ep, admitted, &d).code(),
+      EXPECT_EQ(StepActor(&actor, &ep, admitted).code(),
                 StatusCode::kInvalidArgument);
       auto cep = critic.BeginEpisode(train);
       cep.extra = extra;
@@ -544,10 +549,11 @@ template <typename Opt>
 class TrainerReplay {
  public:
   TrainerReplay(Environment* env, const TrainerOptions& o, bool with_critic)
-      : env_(env), o_(o), rng_(o.seed) {
+      : env_(env), o_(o), rng_(o.seed), dropout_(o.seed) {
     NetworkOptions net = o.net;
     net.seed = o.seed;
-    actor_ = std::make_unique<PolicyNetwork>(env->vocab_size(), net);
+    actor_ =
+        std::make_unique<PolicyNetwork>(env->vocab_size(), net, &dropout_);
     actor_opt_ = std::make_unique<Opt>(actor_->Params(), o.actor_lr);
     if (with_critic) {
       net.seed = o.seed + 1;
@@ -564,7 +570,8 @@ class TrainerReplay {
     for (int b = 0; b < o_.batch_size; ++b) {
       eps[b] = actor_->BeginEpisode(/*train=*/true);
       if (critic_ == nullptr) {
-        auto traj = RolloutPolicy(env_, actor_.get(), &eps[b], &rng_);
+        auto traj = RolloutPolicy(env_, *actor_, &eps[b], &dropout_, &ws_,
+                                  &rng_);
         ASSERT_TRUE(traj.ok());
         adv[b] = traj->RewardToGo();
         continue;
@@ -574,7 +581,8 @@ class TrainerReplay {
       hooks.after_actor_step = [&](int input) {
         return critic_->StepValue(&cep, input).status();
       };
-      auto traj = RolloutPolicy(env_, actor_.get(), &eps[b], &rng_, hooks);
+      auto traj =
+          RolloutPolicy(env_, *actor_, &eps[b], &dropout_, &ws_, &rng_, hooks);
       ASSERT_TRUE(traj.ok());
       const size_t T = traj->rewards.size();
       std::vector<double> dvalue(T);
@@ -623,6 +631,8 @@ class TrainerReplay {
   Environment* env_;
   TrainerOptions o_;
   Rng rng_;
+  Rng dropout_;  // drew the actor's weights, then drives its dropout
+  PolicyNetwork::Workspace ws_;
   std::unique_ptr<PolicyNetwork> actor_;
   std::unique_ptr<ValueNetwork> critic_;
   std::unique_ptr<Opt> actor_opt_;
@@ -794,9 +804,12 @@ TEST_F(LiveColumnTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
   ASSERT_NE(HashParams(trainer.actor().Params()), last);
   uint64_t h = kFnvOffset;
   Rng rng(5);
+  PolicyNetwork::Workspace ws;
   for (int k = 0; k < 4; ++k) {
     PolicyNetwork::Episode ep = trainer.actor().BeginEpisode(/*train=*/false);
-    ASSERT_TRUE(RolloutPolicy(env.get(), &trainer.actor(), &ep, &rng).ok());
+    ASSERT_TRUE(RolloutPolicy(env.get(), trainer.actor(), &ep,
+                              /*dropout=*/nullptr, &ws, &rng)
+                    .ok());
     for (const PolicyNetwork::CompactDistribution& d : ep.dists) {
       h = HashFloats(h, d.probs.data(), d.probs.size());
     }

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/batch_decoder.h"
+#include "core/decode.h"
 #include "service/bounded_queue.h"
 #include "service/constraint_key.h"
 #include "service/generation_service.h"
@@ -63,14 +63,10 @@ std::string TempDir(const std::string& tag) {
 // Rng(seed).
 GenerationReport DecodeBatch(const ServingSnapshot& snap, int n,
                              uint64_t seed) {
-  BatchDecodeItem item;
-  item.constraint = snap.constraint;
-  item.n = n;
-  item.batch_mode = true;
-  item.rng = Rng(seed);
-  DecodeItem(snap, &item);
-  EXPECT_TRUE(item.status.ok()) << item.status.ToString();
-  return std::move(item.report);
+  Rng rng(seed);
+  auto report = Decode(snap, snap.constraint, n, /*batch=*/true, &rng);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? std::move(report).value() : GenerationReport();
 }
 
 // ------------------------------------------------------------ BoundedQueue
@@ -554,13 +550,9 @@ TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
     EXPECT_EQ(&snap->context->vocab(), &(*context)->vocab());
     EXPECT_EQ(&snap->context->estimator(), &(*context)->estimator());
 
-    BatchDecodeItem item;
-    item.constraint = buckets[b];
-    item.n = 6;
-    item.batch_mode = true;
-    item.rng = Rng(42 + b);
-    DecodeItem(*snap, &item);
-    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+    Rng served_rng(42 + b);
+    auto served = Decode(*snap, buckets[b], 6, /*batch=*/true, &served_rng);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
 
     LearnedSqlGenOptions solo_opts = opts;
     solo_opts.trainer.seed = 700 + b;
@@ -571,10 +563,10 @@ TEST_F(RegistryTest, ConcurrentBucketsShareOneContextAndMatchStandalone) {
     Rng rng(42 + b);
     auto want = (*solo)->GenerateBatch(6, &rng);
     ASSERT_TRUE(want.ok());
-    ASSERT_EQ(item.report.queries.size(), want->queries.size());
+    ASSERT_EQ(served->queries.size(), want->queries.size());
     for (size_t q = 0; q < want->queries.size(); ++q) {
-      EXPECT_EQ(item.report.queries[q].sql, want->queries[q].sql);
-      EXPECT_EQ(std::bit_cast<uint64_t>(item.report.queries[q].metric),
+      EXPECT_EQ(served->queries[q].sql, want->queries[q].sql);
+      EXPECT_EQ(std::bit_cast<uint64_t>(served->queries[q].metric),
                 std::bit_cast<uint64_t>(want->queries[q].metric));
     }
   }

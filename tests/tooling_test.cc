@@ -13,6 +13,7 @@
 #include "datasets/job_like.h"
 #include "datasets/tpch_like.h"
 #include "datasets/xuetang_like.h"
+#include "obs/json.h"
 #include "optimizer/explain.h"
 #include "sql/parser.h"
 #include "tests/test_db.h"
@@ -127,11 +128,13 @@ TEST(ReportIoTest, JsonWellFormedEnough) {
   std::remove(path.c_str());
 }
 
+// The report writer escapes through the one shared escaper.
 TEST(ReportIoTest, JsonEscapeCoversControls) {
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(obs::JsonEscape("a\r\tb"), "a\\r\\tb");
+  EXPECT_EQ(obs::JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(ReportIoTest, UnwritablePathFails) {

@@ -29,6 +29,7 @@
 #include "analysis/fsm_analyzer.h"
 #include "analysis/sql_linter.h"
 #include "common/random.h"
+#include "core/workload.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/test_databases.h"
 #include "fuzz/trace.h"
@@ -189,8 +190,7 @@ int main(int argc, char** argv) {
     Rng rng(20260806);
     for (int ep = 0; ep < 300; ++ep) {
       GenerationFsm fsm(&db, &vocab, fp.profile);
-      std::vector<int> actions;
-      auto ast = RecordedRandomWalk(&fsm, &rng, &actions);
+      auto ast = RandomWalkQuery(&fsm, &rng);
       if (!ast.ok()) continue;
       ++walks;
       if (!linter.Lint(ast.value()).empty()) ++lint_hits;
