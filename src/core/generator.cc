@@ -102,11 +102,13 @@ Status LearnedSqlGen::Train(const Constraint& constraint) {
         epochs, static_cast<int>(std::ceil(epochs * frac)));
     switch_epoch = epochs - tail;
   }
-  // use_reinforce trains without a critic (the §7.3 comparison). The
+  // Served models train without a critic: REINFORCE with the batch's
+  // standardized reward-to-go as its baseline is as accurate at serving
+  // budgets and takes about half the epoch time (DESIGN.md §4b item 6). The
   // trainer dies with this call, leaving only its actor (and its sampling
   // stream) behind.
   PolicyGradientTrainer trainer(&env, options_.trainer,
-                                /*with_critic=*/!options_.use_reinforce);
+                                /*with_critic=*/false);
   for (int e = 0; e < epochs; ++e) {
     if (e == switch_epoch &&
         env.feedback_source() != FeedbackSource::kTrueExecution) {

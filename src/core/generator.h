@@ -46,10 +46,6 @@ struct LearnedSqlGenOptions {
   /// Inference attempt budget per requested satisfied query.
   int attempts_factor = 50;
 
-  /// Train without a critic: plain REINFORCE instead of actor-critic (the
-  /// §7.3 comparison).
-  bool use_reinforce = false;
-
   /// Reward-shaping ablation: when false only complete queries earn
   /// rewards (§4.2 Remark).
   bool dense_partial_rewards = true;
@@ -58,6 +54,10 @@ struct LearnedSqlGenOptions {
   /// the end-to-end benchmark's run metadata still compiles.
   static constexpr bool use_compiled_fsm = false;
 
+  /// Base seed of the service layer (GenerationService derives each
+  /// bucket's trainer seed and each request's sampling stream from it).
+  /// A standalone pipeline does not read it: its training and default
+  /// sampling streams come from `trainer.seed`.
   uint64_t seed = 2024;
 };
 
@@ -66,7 +66,7 @@ struct LearnedSqlGenOptions {
 /// the database context shared with every other model over the same
 /// database (the Database itself must outlive it, as it must outlive the
 /// context) — so it outlives the pipeline that trained it, and nothing
-/// keeps the trainer, critic, optimizers or training environment alive.
+/// keeps the trainer, optimizer or training environment alive.
 /// Immutable once published: any number of threads may decode over one
 /// snapshot (see Decode in core/decode.h) without a lock.
 struct ServingSnapshot {
@@ -111,8 +111,8 @@ struct GenerationReport {
 /// the RL model for a constraint (Algorithm 1/3) and generates satisfying
 /// queries (Algorithm 2).
 ///
-/// Training runs entirely inside Train: the environment, trainer, critic and
-/// optimizers are its locals, and what it leaves behind is one immutable
+/// Training runs entirely inside Train: the environment, trainer and
+/// optimizer are its locals, and what it leaves behind is one immutable
 /// ServingSnapshot (the actor's weights) plus the per-epoch trace.
 ///
 /// Thread-safety contract: one instance is single-threaded (Train,
@@ -145,8 +145,11 @@ class LearnedSqlGen {
       const Database* db, const LearnedSqlGenOptions& options);
 
   /// Trains a fresh model for the given constraint and publishes it as
-  /// snapshot(). The trainer is freed before Train returns; the sampling
-  /// stream of the parameterless Generate* continues the trainer's.
+  /// snapshot(): train_epochs epochs of a critic-free
+  /// PolicyGradientTrainer (REINFORCE over the batch's standardized
+  /// reward-to-go), then its best actor when keep_best_actor is set. The
+  /// trainer is freed before Train returns; the sampling stream of the
+  /// parameterless Generate* continues the trainer's.
   Status Train(const Constraint& constraint);
 
   /// Keeps generating until `n` satisfying queries are found or the attempt

@@ -8,7 +8,7 @@
 #include "core/decode.h"
 #include "core/environment.h"
 #include "rl/policy_network.h"
-#include "rl/policy_gradient_trainer.h"
+#include "rl/trajectory.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 
@@ -461,7 +461,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
   LSG_CHECK(context->db() == db_) << "context over another database";
 
   // Small random-weight policy: the serving decode must reproduce the
-  // rollout for *any* parameters, so no training is needed.
+  // reference loop for *any* parameters, so no training is needed.
   NetworkOptions net;
   net.hidden_dim = 12;
   net.seed = SplitMix64(seed ^ 0xba7c4dec0deULL);
@@ -475,30 +475,44 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Reference: one RolloutPolicy per attempt, each with a fresh workspace
-  // (the decode reuses one across a request), sampling the request's
-  // private stream.
+  // Reference: a hand-written episode loop — Reset, the FSM mask, the
+  // policy's Step, SampleAction, the environment's Step — with a fresh
+  // episode and workspace per attempt (the decode reuses its storage
+  // across a request), sampling the request's private stream. It shares
+  // no loop with Decode (no RolloutPolicy, no RunEpisode), so a fault in
+  // that loop shows as a divergence.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;
     bool satisfied = false;
   };
-  auto run_rollout = [&](uint64_t rng_seed,
-                        int n) -> StatusOr<std::vector<RefQuery>> {
+  auto run_reference = [&](uint64_t rng_seed,
+                           int n) -> StatusOr<std::vector<RefQuery>> {
     Rng rng(rng_seed);
     SqlGenEnvironment env(*context, constraint, env_opts);
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
       PolicyNetwork::Episode ep = actor->BeginEpisode(/*train=*/false);
       PolicyNetwork::Workspace ws;
-      LSG_ASSIGN_OR_RETURN(
-          Trajectory traj,
-          RolloutPolicy(&env, *actor, &ep, /*dropout=*/nullptr, &ws, &rng));
-      RefQuery q;
-      q.sql = RenderSql(traj.ast, db_->catalog());
-      q.metric = traj.final_metric;
-      q.satisfied = traj.satisfied;
-      out.push_back(std::move(q));
+      PolicyNetwork::CompactDistribution dist;
+      env.Reset();
+      bool done = false;
+      for (int step = 0; step < kMaxEpisodeSteps && !done; ++step) {
+        LSG_RETURN_IF_ERROR(actor->Step(&ep, env.ValidActions().ids,
+                                        /*dropout=*/nullptr, &dist, &ws));
+        const int a = actor->SampleAction(dist, &rng);
+        actor->RecordAction(&ep, a);
+        LSG_ASSIGN_OR_RETURN(const EnvStepResult sr, env.Step(a));
+        if (sr.done) {
+          done = true;
+          RefQuery q;
+          q.sql = RenderSql(env.TakeAst(), db_->catalog());
+          q.metric = sr.metric;
+          q.satisfied = sr.satisfied;
+          out.push_back(std::move(q));
+        }
+      }
+      if (!done) return Status::Internal("reference episode hit the step cap");
     }
     return out;
   };
@@ -521,18 +535,18 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
           "serve-decode",
           StrFormat("request %zu failed: ", b) + report.status().ToString()};
     }
-    auto ref = run_rollout(RequestStream(seed, b), n);
+    auto ref = run_reference(RequestStream(seed, b), n);
     if (!ref.ok()) {
       return OracleViolation{
           "serve-decode",
-          StrFormat("rollout reference for request %zu failed: ", b) +
+          StrFormat("reference decode of request %zu failed: ", b) +
               ref.status().ToString()};
     }
     if (report->attempts != n || report->queries.size() != ref->size()) {
       return OracleViolation{
           "serve-decode",
           StrFormat("request %zu shape diverged: attempts=%d queries=%zu "
-                    "rollout=%zu",
+                    "reference=%zu",
                     b, report->attempts, report->queries.size(),
                     ref->size())};
     }
@@ -543,7 +557,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
         return OracleViolation{
             "serve-decode",
             StrFormat("request %zu query %zu sql diverged: served=\"%s\" "
-                      "rollout=\"%s\"",
+                      "reference=\"%s\"",
                       b, q, got.sql.c_str(), want.sql.c_str())};
       }
       if (!SameEstimate(got.metric, want.metric) ||
@@ -551,7 +565,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckServeDecode(
         return OracleViolation{
             "serve-decode",
             StrFormat("request %zu query %zu metric diverged: "
-                      "served=%.17g/%d rollout=%.17g/%d",
+                      "served=%.17g/%d reference=%.17g/%d",
                       b, q, got.metric, got.satisfied ? 1 : 0, want.metric,
                       want.satisfied ? 1 : 0)};
       }

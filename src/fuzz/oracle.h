@@ -35,8 +35,8 @@ struct OracleOptions {
   /// Lockstep vectorized engine: vexec cardinality must equal the reference
   /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
   bool check_vexec = true;
-  /// Serving decode vs the training/eval rollout: Decode must reproduce
-  /// per-attempt RolloutPolicy samples byte-for-byte.
+  /// Serving decode vs an independent episode loop: Decode must reproduce
+  /// a hand-written per-attempt rollout's samples byte-for-byte.
   bool check_serve_decode = true;
 
   /// Work budget per reference evaluation; exceeding it skips the check
@@ -109,10 +109,12 @@ class DifferentialOracle {
   /// weights, not just trained ones) and decodes requests of several
   /// budgets under `profile` twice — once through the serving decode
   /// (Decode over a ServingSnapshot: one environment and one workspace per
-  /// request, its attempt budget and judging) and once as one RolloutPolicy
-  /// per attempt with a fresh workspace — with the same per-request RNG
-  /// streams, asserting attempt counts, rendered SQL, metrics and satisfied
-  /// flags are byte-identical.
+  /// request, its attempt budget and judging) and once through a
+  /// hand-written episode loop (Reset, the mask, PolicyNetwork::Step,
+  /// SampleAction, the environment's Step; no RolloutPolicy, no
+  /// RunEpisode) with a fresh episode and workspace per attempt — with the
+  /// same per-request RNG streams, asserting attempt counts, rendered SQL,
+  /// metrics and satisfied flags are byte-identical.
   std::optional<OracleViolation> CheckServeDecode(
       std::shared_ptr<const DatabaseContext> context,
       const QueryProfile& profile, uint64_t seed);

@@ -68,7 +68,10 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
   if (options.batch_size < 1) {
     return Status::InvalidArgument("trainer.batch_size must be at least 1");
   }
-  LSG_OBS_SPAN(critic != nullptr ? "rl.ac_epoch" : "rl.reinforce_epoch");
+  // One span pair for every trainer, with or without a critic: read
+  // "rl.ac_*" as "policy-gradient epoch / update" (the end-to-end
+  // benchmark reads these names).
+  LSG_OBS_SPAN("rl.ac_epoch");
   EpochStats stats;
   std::vector<PolicyNetwork::Episode> episodes(options.batch_size);
   std::vector<std::vector<double>> advantages(options.batch_size);
@@ -107,7 +110,7 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
   }
   if (options.normalize_advantages) NormalizeAdvantages(&advantages);
   {
-    LSG_OBS_SPAN(critic != nullptr ? "rl.ac_update" : "rl.reinforce_update");
+    LSG_OBS_SPAN("rl.ac_update");
     for (int b = 0; b < options.batch_size; ++b) {
       actor->net->AccumulateGradients(episodes[b], advantages[b],
                                       options.entropy_coef);

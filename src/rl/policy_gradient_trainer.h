@@ -117,7 +117,9 @@ class Critic {
 /// (terminal V = 0), and the critic accumulates the gradient of
 /// 0.5·A_t² with the target held fixed. Without one (critic and
 /// critic_opt null) they are the reward-to-go: plain REINFORCE (Williams
-/// 1992), the §7.3 comparison. Then it accumulates the actor's gradient
+/// 1992), which the serving pipeline trains with and §7.3 compares against.
+/// Either way the epoch records one "rl.ac_epoch" span around one
+/// "rl.ac_update" span. Then it accumulates the actor's gradient
 /// (entropy-regularized), clips actor and critic gradients, and steps the
 /// actor's optimizer, then the critic's. `extra` (constraint features for
 /// AC-extend, empty for the standard model) goes into every episode.
@@ -129,8 +131,9 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
 
 /// The paper's trainer (§4.3, Algorithm 3): an actor and its own critic
 /// (a ValueNetwork), whose V value is the variance-reducing baseline — or,
-/// built without a critic, plain REINFORCE. Entropy regularization is the
-/// same either way, so the baseline is the only difference.
+/// built without a critic, plain REINFORCE (what LearnedSqlGen::Train
+/// serves). Entropy regularization is the same either way, so the baseline
+/// is the only difference.
 class PolicyGradientTrainer {
  public:
   PolicyGradientTrainer(Environment* env, const TrainerOptions& options,

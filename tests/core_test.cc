@@ -2,12 +2,15 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <utility>
 
 #include "common/random.h"
 #include "core/constraint.h"
+#include "core/decode.h"
 #include "core/environment.h"
 #include "core/generator.h"
 #include "core/workload.h"
@@ -16,6 +19,8 @@
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
+#include "obs/span_tracer.h"
+#include "rl/policy_gradient_trainer.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -542,20 +547,102 @@ TEST(GeneratorTest, TrueFeedbackTailHitsTheExecutionMemo) {
   }
 }
 
-TEST(GeneratorTest, ReinforceVariantTrains) {
+// The pipeline trains critic-free: Train is exactly a
+// PolicyGradientTrainer(with_critic = false) driven for train_epochs epochs,
+// then rolled back to its best actor, whose sampling stream the
+// parameterless Generate* continue.
+TEST(GeneratorTest, TrainMatchesCriticFreeTrainerFixedSeed) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 5;
   opts.trainer.batch_size = 4;
-  opts.use_reinforce = true;
+  opts.trainer.seed = 77;
+  opts.vocab.values_per_column = 8;
+  const Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 1, 50);
+  const std::shared_ptr<const DatabaseContext> context = ScoreContext(opts);
+  auto gen = LearnedSqlGen::Create(context, opts);
+  ASSERT_TRUE(gen.ok());
+  ASSERT_TRUE((*gen)->Train(c).ok());
+
+  EnvironmentOptions env_opts;
+  env_opts.profile = opts.profile;
+  env_opts.feedback = opts.feedback;
+  env_opts.dense_partial_rewards = opts.dense_partial_rewards;
+  SqlGenEnvironment env(*context, c, env_opts);
+  PolicyGradientTrainer trainer(&env, opts.trainer, /*with_critic=*/false);
+  std::vector<EpochStats> trace;
+  for (int e = 0; e < opts.train_epochs; ++e) {
+    auto st = trainer.TrainEpoch();
+    ASSERT_TRUE(st.ok());
+    trace.push_back(*st);
+  }
+  ASSERT_TRUE(trainer.RestoreBestActor());
+
+  const std::vector<EpochStats>& got = (*gen)->trace();
+  ASSERT_EQ(got.size(), trace.size());
+  for (size_t e = 0; e < trace.size(); ++e) {
+    EXPECT_EQ(got[e].episodes, trace[e].episodes) << "epoch " << e;
+    EXPECT_EQ(got[e].mean_total_reward, trace[e].mean_total_reward)
+        << "epoch " << e;
+    EXPECT_EQ(got[e].mean_final_reward, trace[e].mean_final_reward)
+        << "epoch " << e;
+    EXPECT_EQ(got[e].mean_entropy, trace[e].mean_entropy) << "epoch " << e;
+    EXPECT_EQ(got[e].satisfied_frac, trace[e].satisfied_frac) << "epoch " << e;
+  }
+
+  const std::vector<const ParamTensor*> served =
+      std::as_const(*(*gen)->snapshot()->actor).Params();
+  const std::vector<ParamTensor*> want = trainer.actor().Params();
+  ASSERT_EQ(served.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Matrix& a = served[i]->value();
+    const Matrix& b = want[i]->value();
+    ASSERT_EQ(a.size(), b.size()) << "tensor " << i;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "tensor " << i;
+  }
+
+  ServingSnapshot snap;
+  snap.context = context;
+  snap.actor = trainer.ReleaseActor();
+  snap.env_opts = env_opts;
+  snap.constraint = c;
+  auto want_rep = Decode(snap, c, 1, /*batch=*/true, trainer.sampling_rng());
+  ASSERT_TRUE(want_rep.ok());
+  auto got_rep = (*gen)->GenerateBatch(1);
+  ASSERT_TRUE(got_rep.ok());
+  ASSERT_EQ(got_rep->queries.size(), 1u);
+  ASSERT_EQ(want_rep->queries.size(), 1u);
+  EXPECT_EQ(got_rep->queries[0].sql, want_rep->queries[0].sql);
+}
+
+// Every epoch records one span pair, whatever the trainer: Train emits
+// exactly train_epochs "rl.ac_epoch" spans and no "rl.reinforce_*" span.
+TEST(GeneratorTest, TrainRecordsOneEpochSpanPerEpoch) {
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 6;
+  opts.trainer.batch_size = 2;
   opts.vocab.values_per_column = 8;
   auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
   ASSERT_TRUE(gen.ok());
-  ASSERT_TRUE(
-      (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 1, 50))
-          .ok());
-  auto rep = (*gen)->GenerateBatch(5);
-  ASSERT_TRUE(rep.ok());
-  EXPECT_EQ(rep->attempts, 5);
+  obs::SpanTracer& tracer = obs::SpanTracer::Global();
+  tracer.Clear();
+  obs::SetEnabled(true);
+  const Status trained =
+      (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 1, 50));
+  obs::SetEnabled(false);
+  ASSERT_TRUE(trained.ok()) << trained.ToString();
+  ASSERT_LE(tracer.total_recorded(), tracer.capacity());
+  int epochs = 0, updates = 0, reinforce = 0;
+  for (const obs::SpanTracer::Span& span : tracer.Snapshot()) {
+    const std::string name = span.name;
+    if (name == "rl.ac_epoch") ++epochs;
+    if (name == "rl.ac_update") ++updates;
+    if (name.rfind("rl.reinforce", 0) == 0) ++reinforce;
+  }
+  tracer.Clear();
+  EXPECT_EQ(epochs, opts.train_epochs);
+  EXPECT_EQ(updates, opts.train_epochs);
+  EXPECT_EQ(reinforce, 0);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "baselines/template_generator.h"
 #include "core/report_io.h"
@@ -203,6 +206,51 @@ TEST(SeedTemplates, TemplateGeneratorUsesSeeds) {
   auto rep = gen.GenerateSatisfied(3, 30000);
   ASSERT_TRUE(rep.ok());
   EXPECT_GE(rep->satisfied, 1);
+}
+
+// ------------------------------------------------------------ lsggen CLI
+
+// The SQL of every query in an lsggen --json report, in order.
+std::vector<std::string> JsonReportSql(const std::string& path) {
+  std::vector<std::string> sql;
+  auto report = obs::JsonParse(ReadFile(path));
+  if (!report.ok()) return sql;
+  const obs::JsonValue* queries = report->Find("queries");
+  if (queries == nullptr || !queries->is_array()) return sql;
+  for (const obs::JsonValue& q : queries->array) {
+    sql.push_back(q.StringOr("sql", ""));
+  }
+  return sql;
+}
+
+// Runs the lsggen binary on TPC-H card [10, 1000] at `seed` and returns
+// the SQL of its --json report.
+std::vector<std::string> LsggenQueries(uint64_t seed) {
+  const std::string json =
+      (std::filesystem::temp_directory_path() /
+       ("lsggen_seed_" + std::to_string(seed) + ".json"))
+          .string();
+  std::remove(json.c_str());
+  const std::string cmd =
+      std::string(LSG_LSGGEN_PATH) +
+      " --dataset tpch --metric card --range 10,1000 --n 5 --epochs 5"
+      " --batch 4 --seed " +
+      std::to_string(seed) + " --json " + json + " > /dev/null 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::vector<std::string> sql = JsonReportSql(json);
+  std::remove(json.c_str());
+  return sql;
+}
+
+// --seed reaches training and sampling: two seeds write different
+// workloads, and one seed writes the same workload twice.
+TEST(LsggenCliTest, SeedChangesTheWorkload) {
+  const std::vector<std::string> one = LsggenQueries(1);
+  const std::vector<std::string> two = LsggenQueries(2);
+  ASSERT_FALSE(one.empty());
+  ASSERT_FALSE(two.empty());
+  EXPECT_NE(one, two);
+  EXPECT_EQ(LsggenQueries(1), one);
 }
 
 }  // namespace

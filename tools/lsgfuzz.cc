@@ -48,7 +48,7 @@ void Usage() {
       "  --verbose        log every failure as it is found\n"
       "  --oracle NAME    all|vexec|serve-decode (default all). vexec runs\n"
       "                   only the vectorized-vs-reference lockstep check;\n"
-      "                   serve-decode only the serving-vs-rollout decode\n"
+      "                   serve-decode only the serving-vs-reference decode\n"
       "                   equivalence check\n"
       "  --inject-bug K   card-off-by-one|render-space|hash-collision|\n"
       "                   sel-vector-off-by-one (mutation-tests the\n"
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     oracle.check_vexec = true;
     oracle.check_serve_decode = false;
   } else if (oracle_mode == "serve-decode") {
-    // Focused serving-equivalence mode: only the serving-vs-rollout decode
+    // Focused serving-equivalence mode: only the serving-vs-reference decode
     // check runs (sampled once per 8 episodes, like the full stack).
     oracle.check_lint = false;
     oracle.check_reference = false;

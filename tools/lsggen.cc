@@ -36,9 +36,8 @@ void Usage() {
       "  --epochs E       training epochs (default 300)\n"
       "  --batch B        episodes per update (default 16)\n"
       "  --scale F        dataset scale factor (default 1.0)\n"
-      "  --seed S         RNG seed (default 2024)\n"
+      "  --seed S         training and sampling seed (default 2024)\n"
       "  --profile P      default|spj|full|insert|update|delete\n"
-      "  --reinforce      use REINFORCE instead of actor-critic\n"
       "  --true-exec      reward from true execution, not the estimator\n"
       "  --explain        print an EXPLAIN plan per generated query\n"
       "  --csv PATH       write the generated workload as CSV\n"
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
   double point = -1, range_lo = -1, range_hi = -1, scale = 1.0;
   int n = 10, epochs = 300, batch = 16;
   uint64_t seed = 2024;
-  bool use_reinforce = false, true_exec = false, explain = false;
+  bool true_exec = false, explain = false;
 
   auto need_value = [&](int i) {
     if (i + 1 >= argc) {
@@ -103,8 +102,6 @@ int main(int argc, char** argv) {
       save_path = need_value(i++);
     } else if (a == "--load") {
       load_path = need_value(i++);
-    } else if (a == "--reinforce") {
-      use_reinforce = true;
     } else if (a == "--true-exec") {
       true_exec = true;
     } else if (a == "--explain") {
@@ -151,8 +148,7 @@ int main(int argc, char** argv) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = epochs;
   opts.trainer.batch_size = batch;
-  opts.seed = seed;
-  opts.use_reinforce = use_reinforce;
+  opts.trainer.seed = seed;
   if (true_exec) opts.feedback = FeedbackSource::kTrueExecution;
   if (profile_name == "spj") {
     opts.profile = QueryProfile::SpjOnly();

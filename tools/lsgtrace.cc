@@ -56,7 +56,8 @@ void Usage() {
       "  --out DIR        artifact directory (default lsgtrace_out)\n"
       "  --csv            write episodes.csv instead of episodes.jsonl\n"
       "  --scale F        dataset scale factor (default 1.0)\n"
-      "  --seed S         RNG seed (default 2024)\n"
+      "  --seed S         training and sampling seed (--train), the\n"
+      "                   service's base seed (--serve) (default 2024)\n"
       "datasets: score, tpch, job, xuetang\n");
 }
 
@@ -137,7 +138,7 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
   }
 
   LearnedSqlGenOptions opts;
-  opts.seed = seed;
+  opts.trainer.seed = seed;
   const int batch = opts.trainer.batch_size;
   opts.train_epochs = std::max(1, episodes / batch);
 
