@@ -21,7 +21,7 @@ void Run() {
               "train time(s)", "gen time(s)");
   for (FeedbackSource fb :
        {FeedbackSource::kEstimator, FeedbackSource::kTrueExecution}) {
-    LearnedSqlGenOptions opts = DefaultOptions(cfg, 13001);
+    LearnedSqlGenOptions opts = DefaultOptions(cfg);
     opts.feedback = fb;
     auto gen = LearnedSqlGen::Create(*context, opts);
     LSG_CHECK(gen.ok());
@@ -54,7 +54,7 @@ void Run() {
   std::printf("\nAblation: dense partial rewards vs sparse end-only reward\n");
   std::printf("%-14s %12s %16s\n", "rewards", "accuracy%", "late reward");
   for (bool dense : {true, false}) {
-    LearnedSqlGenOptions opts = DefaultOptions(cfg, 13002);
+    LearnedSqlGenOptions opts = DefaultOptions(cfg);
     opts.dense_partial_rewards = dense;
     auto gen = LearnedSqlGen::Create(*context, opts);
     LSG_CHECK(gen.ok());

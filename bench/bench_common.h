@@ -71,12 +71,10 @@ struct DatasetContext {
   MetricDomain cost_domain;
 };
 
-inline LearnedSqlGenOptions DefaultOptions(const BenchConfig& cfg,
-                                           uint64_t seed = 20220612) {
+inline LearnedSqlGenOptions DefaultOptions(const BenchConfig& cfg) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = cfg.epochs;
   opts.trainer.batch_size = 16;
-  opts.seed = seed;
   return opts;
 }
 

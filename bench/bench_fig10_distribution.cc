@@ -32,7 +32,7 @@ void Run() {
 
   // Panels (a)(b)(c)(d)(f) study SELECT structure (joins, nesting,
   // aggregates, predicates, lengths): rich SELECT grammar, deeper nesting.
-  LearnedSqlGenOptions opts = DefaultOptions(cfg, 10001);
+  LearnedSqlGenOptions opts = DefaultOptions(cfg);
   opts.profile.max_nesting_depth = 2;
   opts.profile.max_joins = 4;
   DatasetContext ctx = MakeContext("TPC-H", cfg, opts);
@@ -59,7 +59,7 @@ void Run() {
 
   // Panel (e): query-type mix needs the full grammar including DML
   // (the paper's extendable FSM, §5).
-  LearnedSqlGenOptions full_opts = DefaultOptions(cfg, 10003);
+  LearnedSqlGenOptions full_opts = DefaultOptions(cfg);
   full_opts.profile = QueryProfile::Full();
   DatasetContext full_ctx = MakeContext("TPC-H", cfg, full_opts);
   std::printf("\n[e] %s, full grammar (all query types)\n",
@@ -72,7 +72,7 @@ void Run() {
   // among generated queries measures diversity (§4.3).
   std::printf("\n[ablation] entropy regularization & diversity\n");
   for (double lambda : {0.0, 0.01}) {
-    LearnedSqlGenOptions aopts = DefaultOptions(cfg, 10002);
+    LearnedSqlGenOptions aopts = DefaultOptions(cfg);
     aopts.trainer.entropy_coef = lambda;
     auto gen = LearnedSqlGen::Create(ctx.context, aopts);
     LSG_CHECK(gen.ok());

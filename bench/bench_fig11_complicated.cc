@@ -20,7 +20,7 @@ void Run() {
   BenchConfig cfg = BenchConfig::FromEnv();
   PrintHeader(StrFormat("Figure 11: complicated-query generation time "
                         "(TPC-H, epochs=%d)", cfg.epochs));
-  LearnedSqlGenOptions base = DefaultOptions(cfg, 11001);
+  LearnedSqlGenOptions base = DefaultOptions(cfg);
   DatasetContext ctx = MakeContext("TPC-H", cfg, base);
 
   QueryProfile nested_profile;

@@ -18,7 +18,7 @@ void Run() {
               "acc range%", "time point", "time range");
 
   for (double eta : ratios) {
-    LearnedSqlGenOptions opts = DefaultOptions(cfg, 12001);
+    LearnedSqlGenOptions opts = DefaultOptions(cfg);
     opts.vocab.sample_ratio = eta;
     auto gen = LearnedSqlGen::Create(&db, opts);
     LSG_CHECK(gen.ok());

@@ -40,7 +40,7 @@ AcModel TrainActorCritic(const std::shared_ptr<const DatabaseContext>& context,
     LSG_CHECK(st.ok()) << st.status().ToString();
     m.trace.push_back(*st);
   }
-  if (opts.trainer.keep_best_actor) trainer.RestoreBestActor();
+  trainer.RestoreBestActor();
   m.rng = *trainer.sampling_rng();
   m.snapshot.context = context;
   m.snapshot.actor = trainer.ReleaseActor();
@@ -108,7 +108,7 @@ void Run() {
   BenchConfig cfg = BenchConfig::FromEnv();
   PrintHeader(StrFormat("Figure 8: REINFORCE vs actor-critic (TPC-H, N=%d)",
                         cfg.n));
-  const LearnedSqlGenOptions opts = DefaultOptions(cfg, /*seed=*/8001);
+  const LearnedSqlGenOptions opts = DefaultOptions(cfg);
   // ctx.gen is the critic-free pipeline: the REINFORCE column.
   DatasetContext ctx = MakeContext("TPC-H", cfg, opts);
 

@@ -39,7 +39,7 @@ void Run() {
       "pretrain=%d, adapt=%d epochs, N=%d)",
       pretrain_epochs, adapt_epochs, n_eval));
 
-  LearnedSqlGenOptions opts = DefaultOptions(cfg, 9001);
+  LearnedSqlGenOptions opts = DefaultOptions(cfg);
   DatasetContext ctx = MakeContext("XueTang", cfg, opts);
   MetricDomain dom = ctx.card_domain;
 
@@ -64,7 +64,7 @@ void Run() {
   }
 
   TrainerOptions trainer_opts = opts.trainer;
-  trainer_opts.seed = opts.seed;
+  trainer_opts.seed = 9001;
 
   // --- MetaCritic: pre-train the shared critic across the 10 tasks.
   Stopwatch pretrain_watch;

@@ -123,7 +123,7 @@ Status LearnedSqlGen::Train(const Constraint& constraint) {
   }
   // Inference uses the best checkpoint seen during training (guards
   // against late-training policy collapse).
-  if (options_.trainer.keep_best_actor) trainer.RestoreBestActor();
+  trainer.RestoreBestActor();
   rng_ = *trainer.sampling_rng();
   Publish(trainer.ReleaseActor(), constraint, watch.ElapsedSeconds());
   return Status::Ok();

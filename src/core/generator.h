@@ -53,12 +53,6 @@ struct LearnedSqlGenOptions {
   /// Always false: the FSM is interpreted. Kept, not settable, only so
   /// the end-to-end benchmark's run metadata still compiles.
   static constexpr bool use_compiled_fsm = false;
-
-  /// Base seed of the service layer (GenerationService derives each
-  /// bucket's trainer seed and each request's sampling stream from it).
-  /// A standalone pipeline does not read it: its training and default
-  /// sampling streams come from `trainer.seed`.
-  uint64_t seed = 2024;
 };
 
 /// A trained model, ready to serve: the actor's weights plus what decoding
@@ -147,7 +141,7 @@ class LearnedSqlGen {
   /// Trains a fresh model for the given constraint and publishes it as
   /// snapshot(): train_epochs epochs of a critic-free
   /// PolicyGradientTrainer (REINFORCE over the batch's standardized
-  /// reward-to-go), then its best actor when keep_best_actor is set. The
+  /// reward-to-go), then restores its best actor. The
   /// trainer is freed before Train returns; the sampling stream of the
   /// parameterless Generate* continues the trainer's.
   Status Train(const Constraint& constraint);
@@ -163,8 +157,8 @@ class LearnedSqlGen {
 
   /// Caller-RNG variants: sampling draws from `rng` instead of the
   /// pipeline's internal stream. The serving path derives one stream per
-  /// request from (seed, request), making outputs independent of worker
-  /// placement and queue order.
+  /// request from (GenerationServiceOptions::seed, request), making
+  /// outputs independent of worker placement and queue order.
   ///
   /// Every Generate* is a Decode over snapshot() — the same decode the
   /// service runs. Queries are therefore scored under

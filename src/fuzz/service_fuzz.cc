@@ -47,7 +47,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
     opts.gen.train_epochs = options.train_epochs;
     opts.gen.trainer.batch_size = 4;
     opts.gen.attempts_factor = 4;
-    opts.gen.seed = SplitMix64(options.seed ^ (round + 1));
+    opts.seed = SplitMix64(options.seed ^ (round + 1));
     const bool midrun_shutdown = (round % 2) == 1;
 
     auto service = GenerationService::Create(context, opts);

@@ -133,23 +133,19 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
   }
 }
 
-RolloutHooks MetaCritic::FollowEpisode(const std::vector<float>& /*extra*/) {
-  followed_ = BeginEpisode(/*train=*/true);
-  RolloutHooks hooks;
-  hooks.after_actor_step = [this](int input) {
-    StepValue(&followed_, input);
-    return Status::Ok();
-  };
-  hooks.after_env_step = [this](int action, double reward) {
-    ObserveTriple(&followed_, action, reward);
-  };
-  return hooks;
+StatusOr<std::vector<float>> MetaCritic::Score(
+    const Trajectory& traj, const std::vector<float>& /*extra*/) {
+  scored_ = BeginEpisode(/*train=*/true);
+  for (size_t t = 0; t < traj.actions.size(); ++t) {
+    StepValue(&scored_, t == 0 ? bos_index() : traj.actions[t - 1]);
+    ObserveTriple(&scored_, traj.actions[t], traj.rewards[t]);
+  }
+  return scored_.values;
 }
 
-void MetaCritic::AccumulateEpisodeGradients(
-    const std::vector<double>& dvalue) {
-  AccumulateGradients(followed_, dvalue);
-  followed_ = Episode();
+void MetaCritic::Backward(const std::vector<double>& dvalue) {
+  AccumulateGradients(scored_, dvalue);
+  scored_ = Episode();
 }
 
 std::vector<ParamTensor*> MetaCritic::Params() {

@@ -69,14 +69,13 @@ class MetaCritic : public Critic {
   void AccumulateGradients(const Episode& ep,
                            const std::vector<double>& dvalue);
 
-  /// Critic: follows one training episode at a time through StepValue
-  /// and ObserveTriple, over a member episode. It takes no constraint
-  /// features: the encoder infers the task, so `extra` is ignored.
-  RolloutHooks FollowEpisode(const std::vector<float>& extra) override;
-  const std::vector<float>& episode_values() const override {
-    return followed_.values;
-  }
-  void AccumulateEpisodeGradients(const std::vector<double>& dvalue) override;
+  /// Critic: over the finished episode (a member episode), each step's
+  /// StepValue followed by that step's ObserveTriple; then
+  /// AccumulateGradients over it. It takes no constraint features: the
+  /// encoder infers the task, so `extra` is ignored.
+  StatusOr<std::vector<float>> Score(const Trajectory& traj,
+                                     const std::vector<float>& extra) override;
+  void Backward(const std::vector<double>& dvalue) override;
 
   std::vector<ParamTensor*> Params() override;
 
@@ -90,7 +89,7 @@ class MetaCritic : public Critic {
   Linear fuse1_;
   Linear fuse2_;
   LstmStack::Workspace ws_;  ///< StepValue's scratch
-  Episode followed_;
+  Episode scored_;
 };
 
 /// Multi-task pre-training (§6) and fast adaptation driver used by the

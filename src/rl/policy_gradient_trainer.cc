@@ -34,24 +34,16 @@ void NormalizeAdvantages(std::vector<std::vector<double>>* adv) {
 StatusOr<Trajectory> RolloutPolicy(Environment* env,
                                    const PolicyNetwork& actor,
                                    PolicyNetwork::Episode* ep, Rng* dropout,
-                                   PolicyNetwork::Workspace* ws, Rng* rng,
-                                   const RolloutHooks& hooks) {
-  return RunEpisode(
-      env,
-      [&](const ActionMask& mask) -> StatusOr<int> {
-        const size_t t = ep->actions.size();
-        const int input = t == 0 ? actor.bos_index() : ep->actions.back();
-        if (ep->dists.size() == t) ep->dists.emplace_back();
-        PolicyNetwork::CompactDistribution& dist = ep->dists[t];
-        LSG_RETURN_IF_ERROR(actor.Step(ep, mask.ids, dropout, &dist, ws));
-        if (hooks.after_actor_step) {
-          LSG_RETURN_IF_ERROR(hooks.after_actor_step(input));
-        }
-        const int a = actor.SampleAction(dist, rng);
-        actor.RecordAction(ep, a);
-        return a;
-      },
-      hooks.after_env_step);
+                                   PolicyNetwork::Workspace* ws, Rng* rng) {
+  return RunEpisode(env, [&](const ActionMask& mask) -> StatusOr<int> {
+    const size_t t = ep->actions.size();
+    if (ep->dists.size() == t) ep->dists.emplace_back();
+    PolicyNetwork::CompactDistribution& dist = ep->dists[t];
+    LSG_RETURN_IF_ERROR(actor.Step(ep, mask.ids, dropout, &dist, ws));
+    const int a = actor.SampleAction(dist, rng);
+    actor.RecordAction(ep, a);
+    return a;
+  });
 }
 
 TrainingActor::TrainingActor(int vocab_size, const NetworkOptions& options,
@@ -74,24 +66,36 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
   LSG_OBS_SPAN("rl.ac_epoch");
   EpochStats stats;
   std::vector<PolicyNetwork::Episode> episodes(options.batch_size);
-  std::vector<std::vector<double>> advantages(options.batch_size);
+  std::vector<Trajectory> trajs(options.batch_size);
   for (int b = 0; b < options.batch_size; ++b) {
     episodes[b] = actor->net->BeginEpisode(/*train=*/true);
     episodes[b].extra = extra;
-    const RolloutHooks hooks =
-        critic != nullptr ? critic->FollowEpisode(extra) : RolloutHooks();
-    LSG_ASSIGN_OR_RETURN(
-        Trajectory traj,
-        RolloutPolicy(env, *actor->net, &episodes[b], &actor->dropout,
-                      &actor->ws, rng, hooks));
-    if (critic == nullptr) {
-      advantages[b] = traj.RewardToGo();
-    } else {
-      const std::vector<float>& values = critic->episode_values();
+    LSG_ASSIGN_OR_RETURN(trajs[b], RolloutPolicy(env, *actor->net,
+                                                 &episodes[b], &actor->dropout,
+                                                 &actor->ws, rng));
+    const Trajectory& traj = trajs[b];
+    stats.episodes += 1;
+    stats.mean_total_reward += traj.TotalReward();
+    stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
+    stats.mean_entropy += PolicyNetwork::MeanEntropy(episodes[b]);
+    stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
+  }
+  {
+    LSG_OBS_SPAN("rl.ac_update");
+    std::vector<std::vector<double>> advantages(options.batch_size);
+    for (int b = 0; b < options.batch_size; ++b) {
+      const Trajectory& traj = trajs[b];
+      if (critic == nullptr) {
+        advantages[b] = traj.RewardToGo();
+        continue;
+      }
+      LSG_ASSIGN_OR_RETURN(const std::vector<float> values,
+                           critic->Score(traj, extra));
       const size_t T = traj.rewards.size();
       LSG_CHECK(values.size() == T);
       // TD(0): td_t = r_t + V(s_{t+1}) − V(s_t), terminal V = 0.
-      std::vector<double> advantage(T);
+      std::vector<double>& advantage = advantages[b];
+      advantage.resize(T);
       std::vector<double> dvalue(T);
       for (size_t t = 0; t < T; ++t) {
         double v_next = (t + 1 < T) ? values[t + 1] : 0.0;
@@ -99,18 +103,9 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
         advantage[t] = td;
         dvalue[t] = -td;  // ∂ 0.5·td² / ∂V(s_t), target fixed
       }
-      advantages[b] = std::move(advantage);
-      critic->AccumulateEpisodeGradients(dvalue);
+      critic->Backward(dvalue);
     }
-    stats.episodes += 1;
-    stats.mean_total_reward += traj.TotalReward();
-    stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(episodes[b]);
-    stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
-  }
-  if (options.normalize_advantages) NormalizeAdvantages(&advantages);
-  {
-    LSG_OBS_SPAN("rl.ac_update");
+    NormalizeAdvantages(&advantages);
     for (int b = 0; b < options.batch_size; ++b) {
       actor->net->AccumulateGradients(episodes[b], advantages[b],
                                       options.entropy_coef);
@@ -158,12 +153,10 @@ StatusOr<EpochStats> PolicyGradientTrainer::TrainEpoch() {
       EpochStats stats,
       TrainPolicyBatch(env_, &actor_, critic_.get(), critic_opt_.get(), &rng_,
                        options_, extra_));
-  if (options_.keep_best_actor) {
-    double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
-    if (score > best_score_) {
-      best_score_ = score;
-      best_actor_.Save(actor_.net->Params());
-    }
+  double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
+  if (score > best_score_) {
+    best_score_ = score;
+    best_actor_.Save(actor_.net->Params());
   }
   return stats;
 }

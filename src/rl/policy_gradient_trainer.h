@@ -1,7 +1,6 @@
 #ifndef LEARNEDSQLGEN_RL_POLICY_GRADIENT_TRAINER_H_
 #define LEARNEDSQLGEN_RL_POLICY_GRADIENT_TRAINER_H_
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -19,20 +18,14 @@ struct TrainerOptions {
   float actor_lr = 1e-3f;
   float critic_lr = 3e-3f;
   double grad_clip = 5.0;
-  /// Standardize advantages across each batch before the actor update
-  /// (mean 0, stddev 1). An implementation detail on top of the paper's
-  /// Algorithm 3 that markedly stabilizes training (see DESIGN.md).
-  bool normalize_advantages = true;
-  /// Snapshot the actor whenever an epoch achieves the best satisfied
-  /// fraction so far; RestoreBestActor() rolls back to it before
-  /// inference. Guards against late-training policy collapse.
-  bool keep_best_actor = true;
   uint64_t seed = 1234;
   NetworkOptions net;
 };
 
 /// Standardizes `adv` in place across all steps of a batch (no-op for
-/// fewer than two entries or zero variance).
+/// fewer than two entries or zero variance). Not in the paper's
+/// Algorithm 3; every epoch applies it because it markedly stabilizes
+/// training (see DESIGN.md).
 void NormalizeAdvantages(std::vector<std::vector<double>>* adv);
 
 /// Aggregates over one training epoch (= one batch update).
@@ -47,17 +40,6 @@ struct EpochStats {
   bool true_execution_feedback = false;
 };
 
-/// Per-step callbacks through which a critic follows the actor inside
-/// RolloutPolicy. Either may be empty.
-struct RolloutHooks {
-  /// Runs after the actor's step and before sampling, with the token the
-  /// actor just consumed (its BOS index first, then each sampled action).
-  /// A failed status ends the rollout with it.
-  std::function<Status(int input)> after_actor_step;
-  /// Runs once the environment has applied `action`.
-  std::function<void(int action, double reward)> after_env_step;
-};
-
 /// The policy's episode: RunEpisode with each action sampled (from `rng`)
 /// from the const `actor`'s masked distribution. `ep` is a fresh
 /// actor.BeginEpisode. Step t's distribution goes to ep->dists[t], which
@@ -69,8 +51,7 @@ struct RolloutHooks {
 StatusOr<Trajectory> RolloutPolicy(Environment* env,
                                    const PolicyNetwork& actor,
                                    PolicyNetwork::Episode* ep, Rng* dropout,
-                                   PolicyNetwork::Workspace* ws, Rng* rng,
-                                   const RolloutHooks& hooks = {});
+                                   PolicyNetwork::Workspace* ws, Rng* rng);
 
 /// An actor in training and what its rollouts own around it: the stream
 /// its weights were drawn from (Rng(seed), which then drives its dropout),
@@ -87,7 +68,8 @@ struct TrainingActor {
 
 /// A learned state-value baseline V(s_t): the per-task critic of §4.3
 /// (ValueNetwork) or the meta-critic shared across tasks (§6, MetaCritic).
-/// It follows one training episode at a time through RolloutHooks.
+/// The actor never reads it, so it scores a training episode once the
+/// episode is finished.
 class Critic {
  public:
   Critic() = default;
@@ -95,35 +77,36 @@ class Critic {
   Critic& operator=(const Critic&) = delete;
   virtual ~Critic() = default;
 
-  /// Starts following a fresh training episode whose actor episode carries
-  /// the constraint features `extra`; the hooks feed it from RolloutPolicy.
-  virtual RolloutHooks FollowEpisode(const std::vector<float>& extra) = 0;
+  /// V(s_t) for each step of the finished training episode `traj`, whose
+  /// actor episode carried the constraint features `extra`. The critic is
+  /// fed what the actor was fed: BOS, then every action but the last. It
+  /// keeps the episode for Backward.
+  virtual StatusOr<std::vector<float>> Score(
+      const Trajectory& traj, const std::vector<float>& extra) = 0;
 
-  /// V(s_t) for each step of the followed episode so far.
-  virtual const std::vector<float>& episode_values() const = 0;
-
-  /// Accumulates the followed episode's gradients, dvalue[t] = ∂L/∂V(s_t),
-  /// and ends it.
-  virtual void AccumulateEpisodeGradients(
-      const std::vector<double>& dvalue) = 0;
+  /// Accumulates the gradients of the episode Score last saw,
+  /// dvalue[t] = ∂L/∂V(s_t), and drops it.
+  virtual void Backward(const std::vector<double>& dvalue) = 0;
 
   virtual std::vector<ParamTensor*> Params() = 0;
 };
 
-/// One policy-gradient epoch (Algorithm 3, one batch update): rolls out
-/// options.batch_size training episodes of `actor` against `env`, sampling
-/// from `rng`, and turns each episode's rewards into advantages. With a
-/// critic they are the TD(0) errors A_t = r_t + V(s_{t+1}) − V(s_t)
-/// (terminal V = 0), and the critic accumulates the gradient of
-/// 0.5·A_t² with the target held fixed. Without one (critic and
-/// critic_opt null) they are the reward-to-go: plain REINFORCE (Williams
-/// 1992), which the serving pipeline trains with and §7.3 compares against.
-/// Either way the epoch records one "rl.ac_epoch" span around one
-/// "rl.ac_update" span. Then it accumulates the actor's gradient
-/// (entropy-regularized), clips actor and critic gradients, and steps the
-/// actor's optimizer, then the critic's. `extra` (constraint features for
-/// AC-extend, empty for the standard model) goes into every episode.
-/// InvalidArgument when options.batch_size < 1.
+/// One policy-gradient epoch (Algorithm 3, one batch update), in two
+/// phases. Rollout: options.batch_size training episodes of `actor`
+/// against `env`, sampling from `rng`. Learn, under the "rl.ac_update"
+/// span (inside the epoch's "rl.ac_epoch"): each episode's rewards become
+/// advantages. With a critic they are the TD(0) errors
+/// A_t = r_t + V(s_{t+1}) − V(s_t) (terminal V = 0) of the critic's score,
+/// and the critic accumulates the gradient of 0.5·A_t² with the target
+/// held fixed. Without one (critic and critic_opt null) they are the
+/// reward-to-go: plain REINFORCE (Williams 1992), which the serving
+/// pipeline trains with and §7.3 compares against. The advantages are
+/// standardized across the batch (mean 0, stddev 1), then the actor's
+/// gradient (entropy-regularized) is accumulated, actor and critic
+/// gradients are clipped, and the actor's optimizer steps, then the
+/// critic's. `extra` (constraint features for AC-extend, empty for the
+/// standard model) goes into every episode. InvalidArgument when
+/// options.batch_size < 1.
 StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
                                       Critic* critic, Adam* critic_opt,
                                       Rng* rng, const TrainerOptions& options,
@@ -150,8 +133,10 @@ class PolicyGradientTrainer {
   /// ends, so its default Generate* continue it.
   Rng* sampling_rng() { return &rng_; }
 
-  /// Rolls the actor back to its best checkpoint (keep_best_actor).
-  /// Returns false if no checkpoint exists yet.
+  /// Rolls the actor back to its best checkpoint: TrainEpoch snapshots
+  /// the actor whenever an epoch reaches the best score so far, which
+  /// guards against late-training policy collapse. Returns false if no
+  /// checkpoint exists yet.
   bool RestoreBestActor();
 
   PolicyNetwork& actor() { return *actor_.net; }

@@ -2,7 +2,6 @@
 #define LEARNEDSQLGEN_RL_TRAJECTORY_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -76,21 +75,17 @@ struct Trajectory {
 
 /// The one episode loop (Algorithms 2 and 3, and the random baselines):
 /// resets `env`, then until EOF lets `choose(mask)` (returning
-/// StatusOr<int>) pick an admitted action, applies it and calls
-/// `after_step` (when set) with the action and its reward. The first
-/// failed choice or step ends the episode with its status; an episode
-/// still open after kMaxEpisodeSteps is kInternal. A template, so the
-/// choice inlines into the decode hot loop.
+/// StatusOr<int>) pick an admitted action and applies it. The first failed
+/// choice or step ends the episode with its status; an episode still open
+/// after kMaxEpisodeSteps is kInternal. A template, so the choice inlines
+/// into the decode hot loop.
 template <typename ChooseAction>
-StatusOr<Trajectory> RunEpisode(
-    Environment* env, ChooseAction&& choose,
-    const std::function<void(int action, double reward)>& after_step = {}) {
+StatusOr<Trajectory> RunEpisode(Environment* env, ChooseAction&& choose) {
   env->Reset();
   Trajectory traj;
   for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     LSG_ASSIGN_OR_RETURN(const int a, choose(env->ValidActions()));
     LSG_ASSIGN_OR_RETURN(const EnvStepResult sr, env->Step(a));
-    if (after_step) after_step(a, sr.reward);
     traj.actions.push_back(a);
     traj.rewards.push_back(sr.reward);
     if (sr.done) {

@@ -54,20 +54,20 @@ void ValueNetwork::AccumulateGradients(const Episode& ep,
   lstm_.Backward(ep.caches, dtop);
 }
 
-RolloutHooks ValueNetwork::FollowEpisode(const std::vector<float>& extra) {
-  followed_ = BeginEpisode(/*train=*/true);
-  followed_.extra = extra;
-  RolloutHooks hooks;
-  hooks.after_actor_step = [this](int input) {
-    return StepValue(&followed_, input).status();
-  };
-  return hooks;
+StatusOr<std::vector<float>> ValueNetwork::Score(
+    const Trajectory& traj, const std::vector<float>& extra) {
+  scored_ = BeginEpisode(/*train=*/true);
+  scored_.extra = extra;
+  for (size_t t = 0; t < traj.actions.size(); ++t) {
+    const int input = t == 0 ? bos_index() : traj.actions[t - 1];
+    LSG_RETURN_IF_ERROR(StepValue(&scored_, input).status());
+  }
+  return scored_.values;
 }
 
-void ValueNetwork::AccumulateEpisodeGradients(
-    const std::vector<double>& dvalue) {
-  AccumulateGradients(followed_, dvalue);
-  followed_ = Episode();
+void ValueNetwork::Backward(const std::vector<double>& dvalue) {
+  AccumulateGradients(scored_, dvalue);
+  scored_ = Episode();
 }
 
 std::vector<ParamTensor*> ValueNetwork::Params() {

@@ -43,13 +43,11 @@ class ValueNetwork : public Critic {
   void AccumulateGradients(const Episode& ep,
                            const std::vector<double>& dvalue);
 
-  /// Critic: follows one training episode at a time (this network's
-  /// Episode API above, over a member episode).
-  RolloutHooks FollowEpisode(const std::vector<float>& extra) override;
-  const std::vector<float>& episode_values() const override {
-    return followed_.values;
-  }
-  void AccumulateEpisodeGradients(const std::vector<double>& dvalue) override;
+  /// Critic: StepValue over the finished episode (a member episode),
+  /// then AccumulateGradients over it.
+  StatusOr<std::vector<float>> Score(const Trajectory& traj,
+                                     const std::vector<float>& extra) override;
+  void Backward(const std::vector<double>& dvalue) override;
 
   std::vector<ParamTensor*> Params() override;
 
@@ -60,7 +58,7 @@ class ValueNetwork : public Critic {
   LstmStack lstm_;
   Linear head_;
   LstmStack::Workspace ws_;  ///< StepValue's scratch
-  Episode followed_;
+  Episode scored_;
 };
 
 }  // namespace lsg

@@ -190,7 +190,7 @@ void GenerationService::Run(const GenerationRequest& request,
   }
   auto acquired = registry_.Acquire(
       request.constraint,
-      BucketTrainSeed(options_.gen.seed, BucketOf(request.constraint)));
+      BucketTrainSeed(options_.seed, BucketOf(request.constraint)));
   if (!acquired.ok()) {
     response->status = acquired.status();
     return;
@@ -202,7 +202,7 @@ void GenerationService::Run(const GenerationRequest& request,
   const std::shared_ptr<const ServingSnapshot> snapshot =
       std::move(acquired->snapshot);
   response->train_seconds = snapshot->train_seconds;
-  Rng rng(RequestSeed(options_.gen.seed, request));
+  Rng rng(RequestSeed(options_.seed, request));
   auto decoded =
       Decode(*snapshot, request.constraint, request.n, request.batch, &rng);
   if (!decoded.ok()) {

@@ -49,11 +49,14 @@ struct GenerationServiceOptions {
   /// (`service.batch_width.mean` with it) deletes this too.
   static constexpr int max_batch = 1;
   ModelRegistry::Options registry;
-  /// Base pipeline configuration. `gen.seed` is the service's base seed:
-  /// a request's sampling stream and a bucket's training seed are both
-  /// pure functions of (gen.seed, request) resp. (gen.seed, bucket), so
-  /// runs with fixed seeds are reproducible at any worker count.
+  /// Base pipeline configuration; each bucket's `trainer.seed` is derived
+  /// from `seed`.
   LearnedSqlGenOptions gen;
+  /// The service's base seed: a request's sampling stream and a bucket's
+  /// training seed are both pure functions of (seed, request) resp.
+  /// (seed, bucket), so runs with fixed seeds are reproducible at any
+  /// worker count.
+  uint64_t seed = 2024;
   /// Registry backing the service counters. Defaults to a private one
   /// (per-service isolation); pass &obs::MetricsRegistry::Global() to
   /// publish the `service.` namespace alongside the training metrics

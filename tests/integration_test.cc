@@ -44,7 +44,6 @@ TEST_F(IntegrationTest, LearnedBeatsRandomOnMidRangeConstraint) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 120;
   opts.trainer.batch_size = 8;
-  opts.seed = 99;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 50, 100);
@@ -67,7 +66,6 @@ TEST_F(IntegrationTest, TrainingRewardTrendsUp) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 100;
   opts.trainer.batch_size = 8;
-  opts.seed = 5;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
@@ -88,7 +86,6 @@ TEST_F(IntegrationTest, GeneratedQueriesExecuteAndMatchEstimatesRoughly) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 40;
   opts.trainer.batch_size = 8;
-  opts.seed = 17;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
@@ -122,7 +119,6 @@ TEST_F(IntegrationTest, TrueExecutionFeedbackTrains) {
   opts.train_epochs = 15;
   opts.trainer.batch_size = 4;
   opts.feedback = FeedbackSource::kTrueExecution;
-  opts.seed = 29;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
@@ -137,7 +133,6 @@ TEST_F(IntegrationTest, CostConstraintPipeline) {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 30;
   opts.trainer.batch_size = 8;
-  opts.seed = 31;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(
@@ -154,7 +149,6 @@ TEST_F(IntegrationTest, DmlProfilePipeline) {
   opts.train_epochs = 15;
   opts.trainer.batch_size = 4;
   opts.profile = QueryProfile::DeleteOnly();
-  opts.seed = 37;
   auto gen = Pipeline(opts);
   ASSERT_TRUE(gen.ok());
   ASSERT_TRUE(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "nn/adam.h"
@@ -255,6 +256,66 @@ TEST(MetaCriticTrainerTest, FixedSeedTraceUnchanged) {
   for (size_t e = 0; e < trace.size(); ++e) {
     EXPECT_EQ(trace[e], expected[e]) << "epoch " << e;
   }
+}
+
+// FNV-1a over the value bytes of every tensor, in Params() order.
+uint64_t HashParams(const std::vector<ParamTensor*>& params) {
+  uint64_t h = 1469598103934665603ull;
+  for (const ParamTensor* p : params) {
+    const auto* bytes =
+        reinterpret_cast<const unsigned char*>(p->value().data());
+    for (size_t i = 0; i < p->value().size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Pins the parameters of the meta-critic and of the adapted actor after 8
+// pre-training epochs over two tasks and 8 adaptation epochs, wired as
+// MetaCriticTrainer wires them. Both networks run two layers with dropout,
+// so the pin also covers when the critic draws its dropout and the order
+// of its StepValue / ObserveTriple calls, which the rounded reward trace
+// above can miss. Recorded on x86-64/glibc (the gate transcendentals come
+// from libm).
+TEST(MetaCriticTrainerTest, FixedSeedParamsUnchanged) {
+  TrainerOptions o = SmallTrainer(25);
+  o.net.num_layers = 2;
+  o.net.dropout = 0.3f;
+  MetaCritic::Options mo = SmallMeta();
+  mo.num_layers = 2;
+  mo.dropout = 0.3f;
+  mo.seed = o.seed + 7;
+  MetaCritic meta(4, mo);
+  Adam meta_opt(meta.Params(), o.critic_lr);
+  Rng rng(o.seed);
+
+  ToyTaskEnv t1({0, 1, 0}), t2({2, 1, 2});
+  std::vector<Environment*> tasks = {&t1, &t2};
+  std::vector<TrainingActor> actors;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    actors.emplace_back(4, o.net, o.seed + 100 + i, o.actor_lr);
+  }
+  for (int e = 0; e < 8; ++e) {
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      ASSERT_TRUE(
+          TrainPolicyBatch(tasks[i], &actors[i], &meta, &meta_opt, &rng, o)
+              .ok());
+    }
+  }
+  const uint64_t pretrained = HashParams(meta.Params());
+
+  ToyTaskEnv fresh({1, 1, 2});
+  TrainingActor adapted(4, o.net, o.seed + 999, o.actor_lr);
+  for (int e = 0; e < 8; ++e) {
+    ASSERT_TRUE(
+        TrainPolicyBatch(&fresh, &adapted, &meta, &meta_opt, &rng, o).ok());
+  }
+  EXPECT_EQ(pretrained, 0x29f0d2a31757be4dull) << std::hex << pretrained;
+  const uint64_t meta_hash = HashParams(meta.Params());
+  EXPECT_EQ(meta_hash, 0x00507a5a7be8d3f8ull) << std::hex << meta_hash;
+  const uint64_t actor_hash = HashParams(adapted.net->Params());
+  EXPECT_EQ(actor_hash, 0x0bf1eb1cd1028d7eull) << std::hex << actor_hash;
 }
 
 }  // namespace

@@ -782,7 +782,7 @@ TEST(NetServiceE2eTest, GeneratesOverLoopbackWithRealService) {
   svc_opts.gen.train_epochs = 8;
   svc_opts.gen.trainer.batch_size = 4;
   svc_opts.gen.attempts_factor = 40;
-  svc_opts.gen.seed = 2024;
+  svc_opts.seed = 2024;
   auto service =
       GenerationService::Create(ScoreContext(svc_opts.gen), svc_opts);
   ASSERT_TRUE(service.ok()) << service.status().ToString();

@@ -9,9 +9,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "core/environment.h"
 #include "fsm/generation_fsm.h"
 #include "nn/matrix.h"
+#include "obs/obs.h"
+#include "obs/span_tracer.h"
 #include "rl/policy_gradient_trainer.h"
 #include "rl/policy_network.h"
 #include "rl/reward.h"
@@ -222,6 +225,79 @@ TEST(PolicyGradientTrainerTest, EmptyBatchIsInvalidArgument) {
     PolicyGradientTrainer trainer(&env, o, with_critic);
     EXPECT_EQ(trainer.TrainEpoch().status().code(),
               StatusCode::kInvalidArgument);
+  }
+}
+
+// A ValueNetwork that records when each of its critic calls starts and
+// ends, on the span tracer's clock.
+class TimedCritic : public Critic {
+ public:
+  TimedCritic(int vocab_size, const NetworkOptions& options)
+      : inner_(vocab_size, options) {}
+
+  StatusOr<std::vector<float>> Score(const Trajectory& traj,
+                                     const std::vector<float>& extra) override {
+    Timed timed(this);
+    return inner_.Score(traj, extra);
+  }
+  void Backward(const std::vector<double>& dvalue) override {
+    Timed timed(this);
+    inner_.Backward(dvalue);
+  }
+  std::vector<ParamTensor*> Params() override {
+    Timed timed(this);
+    return inner_.Params();
+  }
+
+  struct Call {
+    uint64_t start_ns, end_ns;
+  };
+  std::vector<Call> calls;
+
+ private:
+  struct Timed {
+    explicit Timed(TimedCritic* c) : critic(c), start(Stopwatch::NowNanos()) {}
+    ~Timed() { critic->calls.push_back({start, Stopwatch::NowNanos()}); }
+    TimedCritic* critic;
+    uint64_t start;
+  };
+  ValueNetwork inner_;
+};
+
+// The critic's forward and BPTT are learning, not rollout: in a traced
+// actor-critic epoch every critic call starts and ends inside the epoch's
+// one "rl.ac_update" span.
+TEST(PolicyGradientTrainerTest, CriticRunsInsideTheUpdateSpan) {
+  ToyEnv env({2, 0, 1});
+  const TrainerOptions o = FastOptions(12);
+  TrainingActor actor(env.vocab_size(), o.net, o.seed, o.actor_lr);
+  TimedCritic critic(env.vocab_size(), o.net);
+  Adam critic_opt(critic.Params(), o.critic_lr);
+  Rng rng(o.seed);
+  obs::SpanTracer& tracer = obs::SpanTracer::Global();
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    critic.calls.clear();
+    tracer.Clear();
+    obs::SetEnabled(true);
+    auto st = TrainPolicyBatch(&env, &actor, &critic, &critic_opt, &rng, o);
+    obs::SetEnabled(false);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    std::vector<obs::SpanTracer::Span> updates;
+    for (const obs::SpanTracer::Span& span : tracer.Snapshot()) {
+      if (std::string(span.name) == "rl.ac_update") updates.push_back(span);
+    }
+    tracer.Clear();
+    ASSERT_EQ(updates.size(), 1u);
+    const uint64_t begin = updates[0].start_ns;
+    const uint64_t end = begin + updates[0].duration_ns;
+    // A score and a backward per episode, then the clip's Params().
+    EXPECT_GE(critic.calls.size(), 2u * o.batch_size + 1);
+    for (size_t i = 0; i < critic.calls.size(); ++i) {
+      EXPECT_GE(critic.calls[i].start_ns, begin) << "epoch " << epoch
+                                                 << ", call " << i;
+      EXPECT_LE(critic.calls[i].end_ns, end) << "epoch " << epoch
+                                             << ", call " << i;
+    }
   }
 }
 
@@ -543,8 +619,11 @@ void ClipFor(const std::vector<ParamTensor*>& params, double max_norm) {
 // Replays PolicyGradientTrainer::TrainEpoch, with or without its critic,
 // from the public pieces with a pluggable optimizer tail: the production
 // live-column Adam + ClipGradNorm, or the every-entry reference. It does not
-// call TrainPolicyBatch: it is that loop's independent oracle. The trainer,
-// the live replay and the dense replay must then agree bit for bit.
+// call TrainPolicyBatch or RolloutPolicy: it is that loop's independent
+// oracle. Its own episode loop steps the critic right after the actor at
+// every step, while the trainer scores each finished episode, so agreeing
+// also shows that scoring after the fact equals following the actor. The
+// trainer, the live replay and the dense replay must agree bit for bit.
 template <typename Opt>
 class TrainerReplay {
  public:
@@ -569,33 +648,48 @@ class TrainerReplay {
     std::vector<std::vector<double>> adv(o_.batch_size);
     for (int b = 0; b < o_.batch_size; ++b) {
       eps[b] = actor_->BeginEpisode(/*train=*/true);
+      ValueNetwork::Episode cep;
+      if (critic_ != nullptr) cep = critic_->BeginEpisode(/*train=*/true);
+      std::vector<double> rewards;
+      env_->Reset();
+      for (bool done = false; !done;) {
+        ASSERT_LT(rewards.size(), static_cast<size_t>(kMaxEpisodeSteps));
+        const int input = eps[b].actions.empty() ? actor_->bos_index()
+                                                 : eps[b].actions.back();
+        eps[b].dists.emplace_back();
+        ASSERT_TRUE(actor_->Step(&eps[b], env_->ValidActions().ids, &dropout_,
+                                 &eps[b].dists.back(), &ws_)
+                        .ok());
+        if (critic_ != nullptr) {
+          ASSERT_TRUE(critic_->StepValue(&cep, input).ok());
+        }
+        const int a = actor_->SampleAction(eps[b].dists.back(), &rng_);
+        actor_->RecordAction(&eps[b], a);
+        auto sr = env_->Step(a);
+        ASSERT_TRUE(sr.ok());
+        rewards.push_back(sr->reward);
+        done = sr->done;
+      }
+      const size_t T = rewards.size();
+      adv[b].resize(T);
       if (critic_ == nullptr) {
-        auto traj = RolloutPolicy(env_, *actor_, &eps[b], &dropout_, &ws_,
-                                  &rng_);
-        ASSERT_TRUE(traj.ok());
-        adv[b] = traj->RewardToGo();
+        double to_go = 0.0;
+        for (size_t t = T; t-- > 0;) {
+          to_go += rewards[t];
+          adv[b][t] = to_go;
+        }
         continue;
       }
-      ValueNetwork::Episode cep = critic_->BeginEpisode(/*train=*/true);
-      RolloutHooks hooks;
-      hooks.after_actor_step = [&](int input) {
-        return critic_->StepValue(&cep, input).status();
-      };
-      auto traj =
-          RolloutPolicy(env_, *actor_, &eps[b], &dropout_, &ws_, &rng_, hooks);
-      ASSERT_TRUE(traj.ok());
-      const size_t T = traj->rewards.size();
       std::vector<double> dvalue(T);
-      adv[b].resize(T);
       for (size_t t = 0; t < T; ++t) {
         const double v_next = t + 1 < T ? cep.values[t + 1] : 0.0;
-        const double td = traj->rewards[t] + v_next - cep.values[t];
+        const double td = rewards[t] + v_next - cep.values[t];
         adv[b][t] = td;
         dvalue[t] = -td;
       }
       critic_->AccumulateGradients(cep, dvalue);
     }
-    if (o_.normalize_advantages) NormalizeAdvantages(&adv);
+    NormalizeAdvantages(&adv);
     for (int b = 0; b < o_.batch_size; ++b) {
       actor_->AccumulateGradients(eps[b], adv[b], o_.entropy_coef);
     }

@@ -36,12 +36,11 @@ namespace {
 
 // Small but real training config: enough epochs that models actually
 // learn to emit complete queries, small enough to keep the suite quick.
-LearnedSqlGenOptions FastOptions(uint64_t seed = 2024) {
+LearnedSqlGenOptions FastOptions() {
   LearnedSqlGenOptions opts;
   opts.train_epochs = 8;
   opts.trainer.batch_size = 4;
   opts.attempts_factor = 40;
-  opts.seed = seed;
   return opts;
 }
 

@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   svc_opts.registry.capacity = cache_capacity;
   svc_opts.registry.spill_dir = model_dir;
   svc_opts.gen.train_epochs = epochs;
-  svc_opts.gen.seed = seed;
+  svc_opts.seed = seed;
   svc_opts.metrics_registry = &registry;
   auto service = GenerationService::Create(&*db, svc_opts);
   if (!service.ok()) {

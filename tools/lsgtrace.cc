@@ -226,7 +226,7 @@ int RunServe(const std::string& dataset, const Constraint& constraint,
 
   GenerationServiceOptions opts;
   opts.num_workers = workers;
-  opts.gen.seed = seed;
+  opts.seed = seed;
   opts.gen.train_epochs = std::max(1, episodes / opts.gen.trainer.batch_size);
   // Publish the service counters into the same namespace as the training
   // instrumentation so one summary.json covers both.
