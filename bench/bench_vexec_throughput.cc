@@ -190,9 +190,12 @@ Timing TimeEngine(const Engine& eng, const char* name, const SelectQuery& q,
   for (int i = 0; i <= reps; ++i) {
     Stopwatch sw;
     // materialize=false is the execution-grounded feedback configuration:
-    // training consumes the true cardinality, not the value column. (The
-    // differential tests and the fuzz oracle cover the materializing
-    // path.)
+    // training consumes the true cardinality, not the value column. The
+    // vectorized engine answers scan_filter, scan_filter2, fk_join,
+    // join_group and join_group_double on its count path (per-key join
+    // counts, no tuples), and join_group2, whose keys span both tables,
+    // on its build path. (The differential tests and the fuzz oracle
+    // cover both paths and the materializing one.)
     auto r = eng.ExecuteSelect(q, /*materialize_first_column=*/false);
     LSG_CHECK(r.ok()) << name << ": " << r.status().ToString();
     t.cardinality = r->cardinality;

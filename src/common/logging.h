@@ -82,7 +82,18 @@ class NullStream {
     }                                                                     \
   } while (0)
 
+/// Debug invariants: LSG_CHECK in every build except Release, where the
+/// condition still compiles but is never evaluated. src/CMakeLists.txt
+/// defines LSG_DCHECK_OFF for Release only, so RelWithDebInfo (the
+/// default), Debug and the sanitizer builds keep every DCHECK live.
+#ifdef LSG_DCHECK_OFF
+#define LSG_DCHECK(cond) \
+  if (true) {            \
+  } else                 \
+    LSG_CHECK(cond)
+#else
 #define LSG_DCHECK(cond) LSG_CHECK(cond)
+#endif
 
 }  // namespace lsg
 

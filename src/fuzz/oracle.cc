@@ -172,62 +172,76 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
   // vector. OutOfRange means both engines hit their (shared) join cap.
   if (options_.check_vexec) {
     if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-      // SELECTs compare the fully materialized first column position by
-      // position, not just the cardinality — a corrupted join that matches
-      // the *wrong* rows with the right multiplicity is invisible to counts
-      // alone — and the ExecStats work meters.
-      auto rv = vexec_.ExecuteSelect(*ast.select, true);
-      auto rr = exec_.ExecuteSelect(*ast.select, true);
-      if (!rv.ok() || !rr.ok()) {
-        const Status& bad = !rv.ok() ? rv.status() : rr.status();
-        if (bad.code() == StatusCode::kOutOfRange) {
-          ++skipped_;
-        } else {
-          return OracleViolation{
-              "vexec", "vectorized engine error: " + bad.ToString() +
-                           " sql=" + sql};
-        }
-      } else if (rv->cardinality != rr->cardinality) {
-        return OracleViolation{
-            "vexec",
-            StrFormat("vectorized=%llu reference=%llu sql=",
-                      static_cast<unsigned long long>(rv->cardinality),
-                      static_cast<unsigned long long>(rr->cardinality)) +
-                sql};
-      } else if (rv->first_column.size() != rr->first_column.size()) {
-        return OracleViolation{
-            "vexec",
-            StrFormat("first column has %zu rows vectorized, %zu reference "
-                      "sql=",
-                      rv->first_column.size(), rr->first_column.size()) +
-                sql};
-      } else if (rv->stats.rows_scanned != rr->stats.rows_scanned ||
-                 rv->stats.rows_joined != rr->stats.rows_joined ||
-                 rv->stats.rows_probed != rr->stats.rows_probed ||
-                 rv->stats.rows_output != rr->stats.rows_output) {
-        // CostModel::TrueCost prices cost-constraint feedback from these.
-        return OracleViolation{
-            "vexec",
-            StrFormat("exec stats diverged (scanned/joined/probed/output): "
-                      "vectorized=%.17g/%.17g/%.17g/%.17g "
-                      "reference=%.17g/%.17g/%.17g/%.17g sql=",
-                      rv->stats.rows_scanned, rv->stats.rows_joined,
-                      rv->stats.rows_probed, rv->stats.rows_output,
-                      rr->stats.rows_scanned, rr->stats.rows_joined,
-                      rr->stats.rows_probed, rr->stats.rows_output) +
-                sql};
-      } else {
-        for (size_t i = 0; i < rr->first_column.size(); ++i) {
-          const Value& a = rv->first_column[i];
-          const Value& b = rr->first_column[i];
-          if (a.is_null() != b.is_null() ||
-              (!a.is_null() && a.Compare(b) != 0)) {
+      // SELECTs compare under both materialize settings, since a count-only
+      // SELECT takes the engine's count path. Materialized, the first
+      // column is compared position by position, not just the cardinality
+      // — a corrupted join that matches the *wrong* rows with the right
+      // multiplicity is invisible to counts alone. Both compare the
+      // ExecStats work meters.
+      for (const bool materialize : {true, false}) {
+        const std::string mode =
+            materialize ? "materialized " : "count-only ";
+        auto rv = vexec_.ExecuteSelect(*ast.select, materialize);
+        auto rr = exec_.ExecuteSelect(*ast.select, materialize);
+        if (!rv.ok() || !rr.ok()) {
+          if (rv.status().code() != rr.status().code()) {
             return OracleViolation{
-                "vexec",
-                StrFormat("first column diverged at row %zu: "
-                          "vectorized=%s reference=%s sql=",
-                          i, a.ToSqlLiteral().c_str(),
-                          b.ToSqlLiteral().c_str()) + sql};
+                "vexec", mode + "status diverged: vectorized=" +
+                             rv.status().ToString() + " reference=" +
+                             rr.status().ToString() + " sql=" + sql};
+          }
+          if (rv.status().code() == StatusCode::kOutOfRange) {
+            if (materialize) ++skipped_;
+          } else {
+            return OracleViolation{
+                "vexec", "vectorized engine error: " +
+                             rv.status().ToString() + " sql=" + sql};
+          }
+        } else if (rv->cardinality != rr->cardinality) {
+          return OracleViolation{
+              "vexec",
+              mode + StrFormat("vectorized=%llu reference=%llu sql=",
+                               static_cast<unsigned long long>(
+                                   rv->cardinality),
+                               static_cast<unsigned long long>(
+                                   rr->cardinality)) +
+                  sql};
+        } else if (rv->first_column.size() != rr->first_column.size()) {
+          return OracleViolation{
+              "vexec",
+              StrFormat("first column has %zu rows vectorized, %zu "
+                        "reference sql=",
+                        rv->first_column.size(), rr->first_column.size()) +
+                  sql};
+        } else if (rv->stats.rows_scanned != rr->stats.rows_scanned ||
+                   rv->stats.rows_joined != rr->stats.rows_joined ||
+                   rv->stats.rows_probed != rr->stats.rows_probed ||
+                   rv->stats.rows_output != rr->stats.rows_output) {
+          // CostModel::TrueCost prices cost-constraint feedback from these.
+          return OracleViolation{
+              "vexec",
+              mode +
+                  StrFormat("exec stats diverged (scanned/joined/probed/"
+                            "output): vectorized=%.17g/%.17g/%.17g/%.17g "
+                            "reference=%.17g/%.17g/%.17g/%.17g sql=",
+                            rv->stats.rows_scanned, rv->stats.rows_joined,
+                            rv->stats.rows_probed, rv->stats.rows_output,
+                            rr->stats.rows_scanned, rr->stats.rows_joined,
+                            rr->stats.rows_probed, rr->stats.rows_output) +
+                  sql};
+        } else {
+          for (size_t i = 0; i < rr->first_column.size(); ++i) {
+            const Value& a = rv->first_column[i];
+            const Value& b = rr->first_column[i];
+            if (a.is_null() != b.is_null() ||
+                (!a.is_null() && a.Compare(b) != 0)) {
+              return OracleViolation{
+                  "vexec",
+                  StrFormat("first column diverged at row %zu: "
+                            "vectorized=%s reference=%s sql=",
+                            i, a.ToSqlLiteral().c_str(),
+                            b.ToSqlLiteral().c_str()) + sql};
+            }
           }
         }
       }

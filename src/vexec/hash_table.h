@@ -62,9 +62,10 @@ class Int64JoinHashTable {
     return range < (uint64_t{4} * rows + 16);
   }
 
-  /// Inserts one build row. Rows must be inserted in ascending row order to
-  /// mirror the reference build loop.
-  void Insert(int64_t key, uint32_t row) {
+  /// Inserts one build row and returns its key's chain head, which names
+  /// the key's class: rows with equal keys share it. Rows must be inserted
+  /// in ascending row order to mirror the reference build loop.
+  int32_t Insert(int64_t key, uint32_t row) {
     const int32_t e = static_cast<int32_t>(chain_row_.size());
     chain_row_.push_back(row);
     chain_next_.push_back(-1);
@@ -76,7 +77,7 @@ class Int64JoinHashTable {
         chain_next_[dense_tails_[i]] = e;
       }
       dense_tails_[i] = e;
-      return;
+      return dense_heads_[i];
     }
     size_t s = Hash(key) & mask_;
     while (slots_[s].head >= 0 && slots_[s].key != key) s = (s + 1) & mask_;
@@ -88,6 +89,7 @@ class Int64JoinHashTable {
       chain_next_[slot.tail] = e;
     }
     slot.tail = e;
+    return slot.head;
   }
 
   /// Returns the chain head for `key`, or -1 if absent. When

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -40,6 +41,12 @@ inline bool OpHolds(CompareOp op, int c) {
 
 inline int Sign3(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
 inline int Sign3(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+/// Prefetch distance of the random-access loops (join build and probe,
+/// grouping): far enough ahead to hide a memory round-trip behind ~16
+/// iterations' work, near enough that the line is still resident when
+/// the access arrives.
+constexpr size_t kPrefetchDist = 16;
 
 /// Canonical 64-bit image of a DOUBLE group-key cell. The reference
 /// engine's string key (GroupKeyOf -> FormatDouble) is injective up to
@@ -98,21 +105,33 @@ struct KeyColumn {
     }
   }
 
-  /// 64-bit image of tuple t's cell, equal for cells of one GroupKeyOf
-  /// class (Same).
-  uint64_t CellHash(size_t t) const {
-    const uint32_t r = rows[t];
-    if (!Valid(r)) return 0x6a09e667f3bcc909ull;
+  /// Folds each of the first `count` tuples' cells into hash[t], through a
+  /// 64-bit image that is equal for cells of one GroupKeyOf class (Same).
+  /// One typed loop per column type.
+  void MixInto(uint64_t* hash, size_t count) const {
+    auto mix = [&](const auto& data, auto image) {
+      for (size_t t = 0; t < count; ++t) {
+        if (t + kPrefetchDist < count) {
+          __builtin_prefetch(data.data() + rows[t + kPrefetchDist]);
+        }
+        const uint32_t r = rows[t];
+        hash[t] = Mix64(hash[t] ^
+                        (Valid(r) ? static_cast<uint64_t>(image(data[r]))
+                                  : 0x6a09e667f3bcc909ull));
+      }
+    };
     switch (col->type()) {
       case DataType::kInt64:
-        return static_cast<uint64_t>(col->ints()[r]);
+        mix(col->ints(), [](int64_t v) { return v; });
+        return;
       case DataType::kDouble:
-        return CanonicalDoubleBits(col->doubles()[r]);
+        mix(col->doubles(), CanonicalDoubleBits);
+        return;
       case DataType::kString:
       case DataType::kCategorical:
-        return std::hash<std::string>{}(col->strings()[r]);
+        mix(col->strings(), std::hash<std::string>{});
+        return;
     }
-    return 0;
   }
 
   /// True when tuples t and u fall in the same GroupKeyOf class on this
@@ -136,16 +155,19 @@ struct KeyColumn {
   }
 };
 
-/// Typed GROUP BY over the Column backing arrays, in two passes. Pass one
-/// hashes every tuple's key column by column (tight loops over the row id
+/// Typed GROUP BY over the Column backing arrays, in two passes: writes
+/// each tuple's group to group_of (groups numbered in first-appearance,
+/// i.e. tuple, order) and returns the number of groups. Pass one hashes
+/// every tuple's key column by column (tight loops over the row id
 /// arrays). Pass two finds each tuple's group in an open-addressing table
 /// of (hash, group) slots, prefetching a few tuples ahead, and rechecks a
 /// hash match cell by cell against the group's first tuple with
 /// KeyColumn::Same — the GroupKeyOf classes, so both engines induce the
 /// same partition. A key column whose table is not in the chain is
 /// NULL for every tuple, so it never splits a group and is left out.
-Grouping GroupTuples(const Database& db, const TupleSetV& ts,
-                     const std::vector<ColumnRef>& group_by) {
+size_t AssignGroups(const Database& db, const TupleSetV& ts,
+                    const std::vector<ColumnRef>& group_by,
+                    std::vector<uint32_t>* group_of) {
   std::vector<KeyColumn> keys;
   for (const ColumnRef& c : group_by) {
     const size_t pos = ts.ChainPos(c.table_idx);
@@ -154,25 +176,23 @@ Grouping GroupTuples(const Database& db, const TupleSetV& ts,
                     ts.cols[pos].data()});
   }
 
-  // Prefetch distance for the random cell and slot reads, as in the join
-  // probe: far enough ahead to hide a miss, near enough to stay cached.
-  constexpr size_t kPrefetchDist = 16;
   std::vector<uint64_t> hash(ts.count, 0x9e3779b97f4a7c15ull);
-  for (const KeyColumn& k : keys) {
-    for (size_t t = 0; t < ts.count; ++t) {
-      if (t + kPrefetchDist < ts.count) k.Prefetch(t + kPrefetchDist);
-      hash[t] = Mix64(hash[t] ^ k.CellHash(t));
-    }
-  }
+  for (const KeyColumn& k : keys) k.MixInto(hash.data(), ts.count);
 
   struct Slot {
     uint64_t hash;
     int64_t group;  // -1 = empty
   };
-  std::vector<Slot> slots(1024, Slot{0, -1});
+  // Sized for one group per tuple (load below 1/2) up to 64K slots, so
+  // that a table of mostly distinct keys does not grow slot by slot.
+  size_t num_slots = 1024;
+  while (num_slots < 2 * ts.count && num_slots < (size_t{1} << 16)) {
+    num_slots <<= 1;
+  }
+  std::vector<Slot> slots(num_slots, Slot{0, -1});
   size_t mask = slots.size() - 1;
   std::vector<uint32_t> first;  // per group: its first tuple
-  std::vector<uint32_t> group_of(ts.count);
+  group_of->resize(ts.count);
   for (size_t t = 0; t < ts.count; ++t) {
     if (t + kPrefetchDist < ts.count) {
       __builtin_prefetch(slots.data() + (hash[t + kPrefetchDist] & mask));
@@ -204,11 +224,17 @@ Grouping GroupTuples(const Database& db, const TupleSetV& ts,
         }
       }
     }
-    group_of[t] = static_cast<uint32_t>(g);
+    (*group_of)[t] = static_cast<uint32_t>(g);
   }
+  return first.size();
+}
 
-  // Counting sort by group id: stable, so each group keeps tuple order.
-  const size_t num_groups = first.size();
+/// AssignGroups, then each group's tuples bucketed by a counting sort:
+/// stable, so each group keeps tuple order.
+Grouping GroupTuples(const Database& db, const TupleSetV& ts,
+                     const std::vector<ColumnRef>& group_by) {
+  std::vector<uint32_t> group_of;
+  const size_t num_groups = AssignGroups(db, ts, group_by, &group_of);
   Grouping out;
   out.start.assign(num_groups + 1, 0);
   for (size_t t = 0; t < ts.count; ++t) ++out.start[group_of[t] + 1];
@@ -223,7 +249,274 @@ Grouping GroupTuples(const Database& db, const TupleSetV& ts,
   return out;
 }
 
+/// The WHERE filter loop of both paths: walks tuples [0, count) batch by
+/// batch in order and calls keep(t) for each tuple whose predicate
+/// results (masks[i][t], 0 or 1; at least one mask) hold when combined by
+/// `connectors`. The
+/// combination is CombinePredicates' rule (AND-runs first, then OR them
+/// together) applied column-wise over the batch. The planted
+/// sel-vector-off-by-one defect drops the last tuple of every batch here,
+/// so it reaches the build path's compaction and the count path's
+/// per-table filters alike.
+template <typename Keep>
+void ForEachKept(const std::vector<const Mask*>& masks,
+                 const std::vector<BoolConn>& connectors, size_t count,
+                 bool drop_last, Keep&& keep) {
+  Mask or_acc(kBatchSize), and_acc(kBatchSize);
+  for (size_t begin = 0; begin < count; begin += kBatchSize) {
+    const size_t len = std::min(kBatchSize, count - begin);
+    std::fill_n(or_acc.begin(), len, 0);
+    std::copy_n(masks[0]->begin() + begin, len, and_acc.begin());
+    for (size_t i = 0; i < connectors.size(); ++i) {
+      const uint8_t* m = masks[i + 1]->data() + begin;
+      if (connectors[i] == BoolConn::kAnd) {
+        for (size_t t = 0; t < len; ++t) and_acc[t] &= m[t];
+      } else {
+        for (size_t t = 0; t < len; ++t) {
+          or_acc[t] |= and_acc[t];
+          and_acc[t] = m[t];
+        }
+      }
+    }
+    // Injected bug: the batch loop bound excludes the final tuple.
+    const size_t bug_end = drop_last ? len - 1 : len;
+    for (size_t t = 0; t < bug_end; ++t) {
+      if (or_acc[t] | and_acc[t]) keep(begin + t);
+    }
+  }
+}
+
+/// Every row of one table, as a one-table working set.
+TupleSetV AllRows(int table_idx, size_t rows) {
+  TupleSetV ts;
+  ts.tables = {table_idx};
+  ts.count = rows;
+  ts.cols.emplace_back(rows);
+  for (size_t r = 0; r < rows; ++r) ts.cols[0][r] = static_cast<uint32_t>(r);
+  return ts;
+}
+
+/// The FK edge that joins a new table to the chain: its `build_col`
+/// equals `probe_col` of the table at chain position `probe_pos`.
+struct JoinEdge {
+  size_t probe_pos;
+  int probe_col;
+  int build_col;
+};
+
+/// FK edge selection for joining `new_ti` to the chain tables[0, prefix)
+/// — must mirror the reference Executor exactly (chain tables in order,
+/// first JoinEdges entry wins) so both engines join on the same columns.
+/// Enforced by the differential tests.
+StatusOr<JoinEdge> FindJoinEdge(const Catalog& cat,
+                                const std::vector<int>& tables,
+                                size_t prefix, int new_ti) {
+  const std::string& new_name = cat.table(new_ti).name();
+  for (size_t j = 0; j < prefix; ++j) {
+    const std::vector<ForeignKey> edges =
+        cat.JoinEdges(cat.table(tables[j]).name(), new_name);
+    if (edges.empty()) continue;
+    const ForeignKey& fk = edges.front();
+    const bool new_is_from = fk.from_table == new_name;
+    return JoinEdge{
+        j,
+        cat.table(tables[j]).FindColumn(new_is_from ? fk.to_column
+                                                    : fk.from_column),
+        cat.table(new_ti).FindColumn(new_is_from ? fk.from_column
+                                                 : fk.to_column)};
+  }
+  return Status::InvalidArgument("no FK edge joins " + new_name +
+                                 " into the chain");
+}
+
+/// The join hash table over an INT64 build column, its rows inserted in
+/// ascending order (the reference engine's bucket order). A key-range scan
+/// comes first: sequential-PK build sides (every FK edge in the bundled
+/// datasets) get the dense direct-address mode — no hashing, no
+/// collisions, one bounded-index load per probe. The planted
+/// hash-collision defect lives in the sparse probe, so `pin_sparse` keeps
+/// it reachable. `keys`, when given, receives each row's key class: its
+/// chain head, or -1 for NULL.
+Int64JoinHashTable BuildInt64Table(const Column& col, bool pin_sparse,
+                                   std::vector<int32_t>* keys) {
+  const std::vector<int64_t>& build_keys = col.ints();
+  const std::vector<bool>& valid = col.validity();
+  const bool all_valid = col.all_valid();
+  const size_t rows = col.size();
+  int64_t min_key = 0, max_key = -1;
+  bool have_key = false;
+  for (size_t r = 0; r < rows; ++r) {
+    if (!all_valid && !valid[r]) continue;
+    const int64_t k = build_keys[r];
+    if (!have_key) {
+      min_key = max_key = k;
+      have_key = true;
+    } else {
+      min_key = std::min(min_key, k);
+      max_key = std::max(max_key, k);
+    }
+  }
+  const bool use_dense =
+      have_key && !pin_sparse &&
+      Int64JoinHashTable::DenseRangeUsable(min_key, max_key, rows);
+  Int64JoinHashTable ht = use_dense
+                              ? Int64JoinHashTable(min_key, max_key, rows)
+                              : Int64JoinHashTable(rows);
+  if (keys != nullptr) keys->assign(rows, -1);
+  for (size_t r = 0; r < rows; ++r) {
+    if (r + kPrefetchDist < rows && (all_valid || valid[r + kPrefetchDist])) {
+      ht.Prefetch(build_keys[r + kPrefetchDist]);
+    }
+    if (!all_valid && !valid[r]) continue;
+    const int32_t head = ht.Insert(build_keys[r], static_cast<uint32_t>(r));
+    if (keys != nullptr) (*keys)[r] = head;
+  }
+  return ht;
+}
+
+/// Each row's key class on the probe side of a join: the chain head its
+/// INT64 key finds in `ht` (-1: NULL or no match). `skip_recheck` is the
+/// planted hash-collision defect, as in the build path's probe.
+std::vector<int32_t> ProbeKeys(const Int64JoinHashTable& ht,
+                               const Column& col, bool skip_recheck) {
+  const std::vector<int64_t>& keys = col.ints();
+  const std::vector<bool>& valid = col.validity();
+  const bool all_valid = col.all_valid();
+  const size_t rows = col.size();
+  std::vector<int32_t> out(rows, -1);
+  for (size_t r = 0; r < rows; ++r) {
+    if (r + kPrefetchDist < rows && (all_valid || valid[r + kPrefetchDist])) {
+      ht.Prefetch(keys[r + kPrefetchDist]);
+    }
+    if (!all_valid && !valid[r]) continue;
+    out[r] = ht.Find(keys[r], skip_recheck);
+  }
+  return out;
+}
+
+/// Saturating arithmetic for the count path's tuple counts: a count past
+/// UINT64_MAX pins there, above every join cap short of UINT64_MAX, and a
+/// product of nonzero factors never falls to 0.
+inline uint64_t SatAdd(uint64_t a, uint64_t b) {
+  uint64_t s;
+  return __builtin_add_overflow(a, b, &s) ? UINT64_MAX : s;
+}
+inline uint64_t SatMul(uint64_t a, uint64_t b) {
+  uint64_t p;
+  return __builtin_mul_overflow(a, b, &p) ? UINT64_MAX : p;
+}
+uint64_t SatSum(const std::vector<uint64_t>& v) {
+  uint64_t s = 0;
+  for (uint64_t x : v) s = SatAdd(s, x);
+  return s;
+}
+
+/// A FROM chain as the tree the count path sums over. Chain position
+/// i >= 1 hangs off position parent[i], the probe table of its FK edge; a
+/// row of i and a row of parent[i] join iff their key classes are equal
+/// and non-negative. Per-position vectors are indexed by chain position
+/// (entry 0 of the per-edge ones is unused).
+struct CountTree {
+  std::vector<size_t> rows;                      ///< table rows
+  std::vector<size_t> parent;                    ///< the edge's probe side
+  std::vector<std::vector<int32_t>> key;         ///< class of each row of i
+  std::vector<std::vector<int32_t>> parent_key;  ///< ... of parent[i]
+  std::vector<size_t> num_keys;                  ///< classes of edge i
+
+  /// Per row r of position v: the number of tuples of the join of chain
+  /// positions [0, n) that contain r, each weighted by the product of its
+  /// rows' `base` weights (an empty base is all ones). The tree is rooted
+  /// at v and summed bottom-up, one message per edge (Yannakakis-style
+  /// counting); `from` is the neighbour the recursion came from.
+  std::vector<uint64_t> Weights(size_t v, size_t n,
+                                const std::vector<std::vector<uint64_t>>& base,
+                                size_t from = SIZE_MAX) const {
+    std::vector<uint64_t> w =
+        base[v].empty() ? std::vector<uint64_t>(rows[v], 1) : base[v];
+    std::vector<uint64_t> sums;
+    for (size_t u = 0; u < n; ++u) {
+      const bool u_is_child = u > 0 && parent[u] == v;
+      if (u == from || !(u_is_child || (v > 0 && parent[v] == u))) continue;
+      const std::vector<uint64_t> wu = Weights(u, n, base, v);
+      const size_t e = u_is_child ? u : v;  // the edge's child position
+      const std::vector<int32_t>& from_keys =
+          u_is_child ? key[e] : parent_key[e];
+      const std::vector<int32_t>& to_keys =
+          u_is_child ? parent_key[e] : key[e];
+      sums.assign(num_keys[e], 0);
+      for (size_t s = 0; s < wu.size(); ++s) {
+        const int32_t k = from_keys[s];
+        if (k >= 0) sums[k] = SatAdd(sums[k], wu[s]);
+      }
+      for (size_t r = 0; r < w.size(); ++r) {
+        w[r] = to_keys[r] >= 0 ? SatMul(w[r], sums[to_keys[r]]) : 0;
+      }
+    }
+    return w;
+  }
+};
+
+/// The count path's row filters: 0/1 weights per row of each chain
+/// position the WHERE touches (empty = all ones), from the predicates'
+/// masks — masks[i] is over the rows of position owner[i], or one
+/// element for a constant (owner[i] = rows.size()). Each touched table
+/// combines its own predicates and the constants, by the WHERE's
+/// connectors when it is the only one, else by AND; with only constants,
+/// the first table carries them.
+std::vector<std::vector<uint64_t>> RowFilters(
+    const WhereClause& where, const std::vector<size_t>& owner,
+    const std::vector<Mask>& masks, const std::vector<size_t>& rows,
+    bool drop_last) {
+  const size_t n = rows.size();
+  std::vector<size_t> filtered;
+  for (size_t pos : owner) {
+    if (pos < n &&
+        std::find(filtered.begin(), filtered.end(), pos) == filtered.end()) {
+      filtered.push_back(pos);
+    }
+  }
+  if (filtered.empty() && !owner.empty()) filtered.push_back(0);
+  std::vector<std::vector<uint64_t>> base(n);
+  for (size_t pos : filtered) {
+    std::vector<const Mask*> own;
+    std::vector<Mask> constants;
+    constants.reserve(owner.size());
+    for (size_t i = 0; i < owner.size(); ++i) {
+      if (owner[i] == pos) {
+        own.push_back(&masks[i]);
+      } else if (owner[i] == n) {
+        constants.emplace_back(rows[pos], masks[i][0]);
+        own.push_back(&constants.back());
+      }
+    }
+    const std::vector<BoolConn> connectors =
+        filtered.size() == 1
+            ? where.connectors
+            : std::vector<BoolConn>(own.size() - 1, BoolConn::kAnd);
+    base[pos].assign(rows[pos], 0);
+    ForEachKept(own, connectors, rows[pos], drop_last,
+                [&](size_t r) { base[pos][r] = 1; });
+  }
+  return base;
+}
+
 }  // namespace
+
+/// A count-path query (see RunSelect): its shape, the chain's FK edges
+/// (edges[i - 1] joins chain position i) and, per WHERE predicate, the
+/// chain position of its column — tables.size() for a constant: EXISTS,
+/// or a column outside the chain.
+struct VectorizedEngine::CountPlan {
+  enum class Shape {
+    kRows,    ///< no GROUP BY, no aggregate: the filtered join's size
+    kOneRow,  ///< an aggregate without GROUP BY: one row
+    kGroups,  ///< GROUP BY on one chain table, no HAVING
+  };
+  Shape shape = Shape::kRows;
+  std::vector<JoinEdge> edges;
+  std::vector<size_t> owner;
+  size_t group_pos = 0;  ///< kGroups: the key table's chain position
+};
 
 InjectBug ParseInjectBug(const std::string& name) {
   if (name == "hash-collision") return InjectBug::kHashCollision;
@@ -250,14 +543,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     return Status::InvalidArgument("SELECT without FROM tables");
   }
   const Catalog& cat = db_->catalog();
-  TupleSetV ts;
-  ts.tables.push_back(q.tables[0]);
-  const Table& base = db_->tables()[q.tables[0]];
-  ts.count = base.num_rows();
-  ts.cols.emplace_back(ts.count);
-  for (size_t r = 0; r < ts.count; ++r) {
-    ts.cols[0][r] = static_cast<uint32_t>(r);
-  }
+  TupleSetV ts = AllRows(q.tables[0], db_->tables()[q.tables[0]].num_rows());
   stats->rows_scanned += static_cast<double>(ts.count);
 
   for (size_t i = 1; i < q.tables.size(); ++i) {
@@ -265,40 +551,17 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     const Table& new_table = db_->tables()[new_ti];
     stats->rows_scanned += static_cast<double>(new_table.num_rows());
 
-    // FK edge selection — must mirror the reference Executor exactly
-    // (chain tables in order, first JoinEdges entry wins) so both engines
-    // join on the same columns. Enforced by the differential tests.
-    int probe_table = -1, probe_col = -1, build_col = -1;
-    for (size_t j = 0; j < ts.tables.size() && probe_table < 0; ++j) {
-      for (const ForeignKey& fk :
-           cat.JoinEdges(cat.table(ts.tables[j]).name(),
-                         cat.table(new_ti).name())) {
-        const bool new_is_from = fk.from_table == cat.table(new_ti).name();
-        const std::string& new_col_name =
-            new_is_from ? fk.from_column : fk.to_column;
-        const std::string& old_col_name =
-            new_is_from ? fk.to_column : fk.from_column;
-        probe_table = ts.tables[j];
-        probe_col = cat.table(ts.tables[j]).FindColumn(old_col_name);
-        build_col = cat.table(new_ti).FindColumn(new_col_name);
-        break;
-      }
-    }
-    if (probe_table < 0) {
-      return Status::InvalidArgument(
-          "no FK edge joins " + cat.table(new_ti).name() + " into the chain");
-    }
-
+    LSG_ASSIGN_OR_RETURN(const JoinEdge edge,
+                         FindJoinEdge(cat, ts.tables, i, new_ti));
     const size_t stride = ts.tables.size();
-    const size_t probe_pos = ts.ChainPos(probe_table);
-    const Column& build_column = new_table.column(build_col);
+    const Column& build_column = new_table.column(edge.build_col);
     const Column& probe_column =
-        db_->tables()[probe_table].column(probe_col);
-    const std::vector<uint32_t>& probe_rows = ts.cols[probe_pos];
+        db_->tables()[ts.tables[edge.probe_pos]].column(edge.probe_col);
+    const std::vector<uint32_t>& probe_rows = ts.cols[edge.probe_pos];
 
     stats->rows_probed += static_cast<double>(ts.count);
     const uint64_t cap = opts_.max_intermediate_tuples;
-    const bool skip_recheck = opts_.inject == InjectBug::kHashCollision;
+    const bool collide = opts_.inject == InjectBug::kHashCollision;
     // Matches append straight into the output columns (the new table's rows
     // in the last slot), in tuple order; the cap is checked on the running
     // total, so a rejected join stops at cap + 1 like the reference.
@@ -309,47 +572,8 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     if (build_column.type() == DataType::kInt64 &&
         probe_column.type() == DataType::kInt64) {
       // Typed path: open-addressing INT64 table, typed probe keys.
-      // Prefetch distance: far enough ahead to hide a memory round-trip
-      // behind ~16 probes' work, near enough that the line is still
-      // resident when the probe arrives.
-      constexpr size_t kPrefetchDist = 16;
-      const std::vector<int64_t>& build_keys = build_column.ints();
-      const std::vector<bool>& build_valid = build_column.validity();
-      const bool build_all_valid = build_column.all_valid();
-      const size_t build_rows = new_table.num_rows();
-      // Key-range scan: sequential-PK build sides (every FK edge in the
-      // bundled datasets) get the dense direct-address mode — no hashing,
-      // no collisions, one bounded-index load per probe. The injected
-      // hash-collision bug lives in the sparse probe path, so mutation
-      // runs pin that mode to keep the defect reachable.
-      int64_t min_key = 0, max_key = -1;
-      bool have_key = false;
-      for (size_t r = 0; r < build_rows; ++r) {
-        if (!build_all_valid && !build_valid[r]) continue;
-        const int64_t k = build_keys[r];
-        if (!have_key) {
-          min_key = max_key = k;
-          have_key = true;
-        } else {
-          min_key = std::min(min_key, k);
-          max_key = std::max(max_key, k);
-        }
-      }
-      const bool use_dense =
-          have_key &&
-          Int64JoinHashTable::DenseRangeUsable(min_key, max_key, build_rows) &&
-          opts_.inject != InjectBug::kHashCollision;
-      Int64JoinHashTable ht =
-          use_dense ? Int64JoinHashTable(min_key, max_key, build_rows)
-                    : Int64JoinHashTable(build_rows);
-      for (size_t r = 0; r < build_rows; ++r) {
-        if (r + kPrefetchDist < build_rows &&
-            (build_all_valid || build_valid[r + kPrefetchDist])) {
-          ht.Prefetch(build_keys[r + kPrefetchDist]);
-        }
-        if (!build_all_valid && !build_valid[r]) continue;
-        ht.Insert(build_keys[r], static_cast<uint32_t>(r));
-      }
+      const Int64JoinHashTable ht =
+          BuildInt64Table(build_column, /*pin_sparse=*/collide, nullptr);
       const std::vector<int64_t>& probe_keys = probe_column.ints();
       const std::vector<bool>& probe_valid = probe_column.validity();
       const bool probe_all_valid = probe_column.all_valid();
@@ -362,7 +586,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
         }
         const uint32_t prow = probe_rows[t];
         if (!probe_all_valid && !probe_valid[prow]) continue;
-        for (int32_t e = ht.Find(probe_keys[prow], skip_recheck); e >= 0;
+        for (int32_t e = ht.Find(probe_keys[prow], collide); e >= 0;
              e = ht.Next(e)) {
           if (++total > cap) {
             return Status::OutOfRange("join intermediate exceeds limit");
@@ -376,7 +600,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
       std::unordered_map<Value, std::vector<uint32_t>, ValueHash> hash;
       hash.reserve(new_table.num_rows());
       for (size_t r = 0; r < new_table.num_rows(); ++r) {
-        Value v = new_table.GetValue(r, build_col);
+        Value v = new_table.GetValue(r, edge.build_col);
         if (v.is_null()) continue;
         hash[v].push_back(static_cast<uint32_t>(r));
       }
@@ -562,31 +786,25 @@ Status VectorizedEngine::ApplyWhere(const WhereClause& where, TupleSetV* ts,
                                     ExecStats* stats) const {
   if (where.empty()) return Status::Ok();
   std::vector<Mask> results(where.predicates.size());
+  std::vector<const Mask*> masks;
   for (size_t i = 0; i < where.predicates.size(); ++i) {
     LSG_RETURN_IF_ERROR(
         EvalPredicate(where.predicates[i], *ts, &results[i], stats));
+    masks.push_back(&results[i]);
   }
 
-  // One pass, batch by batch in tuple order: combine the masks and compact
-  // the survivors in place (the write index never passes the read index),
-  // matching the reference filter loop's order.
-  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
+  // Compact the survivors in place (the write index never passes the read
+  // index), matching the reference filter loop's order.
   const size_t stride = ts->tables.size();
-  std::vector<bool> local(results.size());
   size_t w = 0;
-  for (size_t begin = 0; begin < ts->count; begin += kBatchSize) {
-    const size_t end = std::min(begin + kBatchSize, ts->count);
-    // Injected bug: the batch loop bound excludes the final tuple.
-    const size_t bug_end = drop_last ? end - 1 : end;
-    for (size_t t = begin; t < bug_end; ++t) {
-      for (size_t i = 0; i < results.size(); ++i) {
-        local[i] = results[i][t] != 0;
-      }
-      if (!CombinePredicates(local, where.connectors)) continue;
-      for (size_t j = 0; j < stride; ++j) ts->cols[j][w] = ts->cols[j][t];
-      ++w;
-    }
-  }
+  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
+  ForEachKept(masks, where.connectors, ts->count, drop_last,
+              [&](size_t t) {
+                for (size_t j = 0; j < stride; ++j) {
+                  ts->cols[j][w] = ts->cols[j][t];
+                }
+                ++w;
+              });
   for (std::vector<uint32_t>& c : ts->cols) c.resize(w);
   ts->count = w;
   return Status::Ok();
@@ -604,8 +822,176 @@ StatusOr<SelectResult> VectorizedEngine::ExecuteSelect(
   return RunSelect(q, materialize_first_column);
 }
 
+bool VectorizedEngine::PlanCount(const SelectQuery& q, CountPlan* plan) const {
+  const std::vector<int>& tables = q.tables;
+  const size_t n = tables.size();
+  if (n == 0) return false;
+  for (size_t i = 1; i < n; ++i) {  // a repeated table: build
+    if (std::find(tables.begin(), tables.begin() + i, tables[i]) !=
+        tables.begin() + i) {
+      return false;
+    }
+  }
+  auto chain_pos = [&](int table_idx) {
+    return static_cast<size_t>(
+        std::find(tables.begin(), tables.end(), table_idx) - tables.begin());
+  };
+
+  if (q.group_by.empty()) {
+    plan->shape = q.HasAggregate() ? CountPlan::Shape::kOneRow
+                                   : CountPlan::Shape::kRows;
+  } else {
+    if (q.having.has_value()) return false;
+    const int key_table = q.group_by[0].table_idx;
+    plan->group_pos = chain_pos(key_table);
+    if (plan->group_pos == n) return false;
+    for (const ColumnRef& c : q.group_by) {
+      if (c.table_idx != key_table) return false;
+    }
+    plan->shape = CountPlan::Shape::kGroups;
+  }
+  // The WHERE must be AND-only or touch at most one chain table, so that
+  // it factors into one row filter per table. An aggregate's WHERE is all
+  // constants: it runs only for its subqueries' stats and errors.
+  plan->owner.clear();
+  size_t touched = n;
+  bool several = false;
+  for (const Predicate& p : q.where.predicates) {
+    const size_t pos = p.kind == PredicateKind::kExistsSub ||
+                               plan->shape == CountPlan::Shape::kOneRow
+                           ? n
+                           : chain_pos(p.column.table_idx);
+    plan->owner.push_back(pos);
+    if (pos == n) continue;
+    if (touched != n && touched != pos) several = true;
+    touched = pos;
+  }
+  if (several && !std::all_of(q.where.connectors.begin(),
+                              q.where.connectors.end(), [](BoolConn c) {
+                                return c == BoolConn::kAnd;
+                              })) {
+    return false;
+  }
+
+  // Every edge must join INT64 columns: the count path counts through the
+  // Int64JoinHashTable. A missing edge builds too, and fails there.
+  const Catalog& cat = db_->catalog();
+  plan->edges.clear();
+  for (size_t i = 1; i < n; ++i) {
+    auto edge = FindJoinEdge(cat, tables, i, tables[i]);
+    if (!edge.ok() ||
+        db_->tables()[tables[i]].column(edge->build_col).type() !=
+            DataType::kInt64 ||
+        db_->tables()[tables[edge->probe_pos]].column(edge->probe_col).type() !=
+            DataType::kInt64) {
+      return false;
+    }
+    plan->edges.push_back(*edge);
+  }
+  return true;
+}
+
+StatusOr<SelectResult> VectorizedEngine::CountSelect(
+    const SelectQuery& q, const CountPlan& plan) const {
+  SelectResult result;
+  ExecStats& stats = result.stats;
+  const size_t n = q.tables.size();
+  const bool collide = opts_.inject == InjectBug::kHashCollision;
+
+  // The join stages: each one's unfiltered size gives the meters and the
+  // cap decision, as the build path's running total does.
+  CountTree tree;
+  tree.rows.push_back(db_->tables()[q.tables[0]].num_rows());
+  tree.parent.push_back(0);
+  tree.key.emplace_back();
+  tree.parent_key.emplace_back();
+  tree.num_keys.push_back(0);
+  stats.rows_scanned += static_cast<double>(tree.rows[0]);
+  const std::vector<std::vector<uint64_t>> unfiltered(n);
+  uint64_t size = tree.rows[0];
+  for (size_t i = 1; i < n; ++i) {
+    const JoinEdge& edge = plan.edges[i - 1];
+    const Table& new_table = db_->tables()[q.tables[i]];
+    tree.rows.push_back(new_table.num_rows());
+    stats.rows_scanned += static_cast<double>(tree.rows[i]);
+    tree.parent.push_back(edge.probe_pos);
+    tree.key.emplace_back();
+    const Int64JoinHashTable ht = BuildInt64Table(
+        new_table.column(edge.build_col), /*pin_sparse=*/collide,
+        &tree.key.back());
+    tree.parent_key.push_back(ProbeKeys(
+        ht, db_->tables()[q.tables[edge.probe_pos]].column(edge.probe_col),
+        collide));
+    tree.num_keys.push_back(ht.num_entries());
+
+    stats.rows_probed += static_cast<double>(size);
+    size = SatSum(tree.Weights(0, i + 1, unfiltered));
+    if (size > opts_.max_intermediate_tuples) {
+      return Status::OutOfRange("join intermediate exceeds limit");
+    }
+    stats.rows_joined += static_cast<double>(size);
+    if (obs::Enabled()) {
+      obs::MetricsRegistry::Global().GetCounter("vexec.join_rows").Add(size);
+    }
+  }
+
+  // The WHERE, in predicate order: each predicate runs once, over its own
+  // table's rows, or — a constant — over one tuple that sees no table.
+  const std::vector<Predicate>& preds = q.where.predicates;
+  std::vector<Mask> masks(preds.size());
+  std::vector<TupleSetV> scans(n);
+  TupleSetV no_table;
+  no_table.count = 1;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    const size_t pos = plan.owner[i];
+    if (pos < n && scans[pos].tables.empty()) {
+      scans[pos] = AllRows(q.tables[pos], tree.rows[pos]);
+    }
+    LSG_RETURN_IF_ERROR(EvalPredicate(
+        preds[i], pos < n ? scans[pos] : no_table, &masks[i], &stats));
+  }
+
+  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
+  switch (plan.shape) {
+    case CountPlan::Shape::kOneRow:
+      result.cardinality = 1;
+      break;
+    case CountPlan::Shape::kRows:
+      result.cardinality =
+          preds.empty()
+              ? size
+              : SatSum(tree.Weights(
+                    0, n, RowFilters(q.where, plan.owner, masks, tree.rows,
+                                     drop_last)));
+      break;
+    case CountPlan::Shape::kGroups: {
+      // The groups are the key classes of the key table's rows that take
+      // part in at least one surviving tuple.
+      const std::vector<uint64_t> w = tree.Weights(
+          plan.group_pos, n,
+          RowFilters(q.where, plan.owner, masks, tree.rows, drop_last));
+      TupleSetV live;
+      live.tables = {q.tables[plan.group_pos]};
+      live.cols.emplace_back();
+      for (size_t r = 0; r < w.size(); ++r) {
+        if (w[r] > 0) live.cols[0].push_back(static_cast<uint32_t>(r));
+      }
+      live.count = live.cols[0].size();
+      std::vector<uint32_t> group_of;
+      result.cardinality = AssignGroups(*db_, live, q.group_by, &group_of);
+      break;
+    }
+  }
+  stats.rows_output += static_cast<double>(result.cardinality);
+  return result;
+}
+
 StatusOr<SelectResult> VectorizedEngine::RunSelect(
     const SelectQuery& q, bool materialize_first_column) const {
+  if (!materialize_first_column) {
+    CountPlan plan;
+    if (PlanCount(q, &plan)) return CountSelect(q, plan);
+  }
   SelectResult result;
   LSG_ASSIGN_OR_RETURN(TupleSetV ts, BuildJoin(q, &result.stats));
   LSG_RETURN_IF_ERROR(ApplyWhere(q.where, &ts, &result.stats));
@@ -681,28 +1067,11 @@ StatusOr<std::vector<bool>> VectorizedEngine::MatchRows(
     return Status::InvalidArgument("MatchRows: table index out of range");
   }
   const size_t n = db_->tables()[table_idx].num_rows();
-  std::vector<bool> match(n, true);
-  if (where.empty()) return match;
-
-  TupleSetV ts;
-  ts.tables = {table_idx};
-  ts.count = n;
-  ts.cols.emplace_back(n);
-  for (size_t r = 0; r < n; ++r) ts.cols[0][r] = static_cast<uint32_t>(r);
-
+  TupleSetV ts = AllRows(table_idx, n);
   ExecStats stats;
-  std::vector<Mask> results(where.predicates.size());
-  for (size_t i = 0; i < where.predicates.size(); ++i) {
-    LSG_RETURN_IF_ERROR(
-        EvalPredicate(where.predicates[i], ts, &results[i], &stats));
-  }
-  std::vector<bool> per_pred(where.predicates.size());
-  for (size_t t = 0; t < n; ++t) {
-    for (size_t i = 0; i < results.size(); ++i) {
-      per_pred[i] = results[i][t] != 0;
-    }
-    match[t] = CombinePredicates(per_pred, where.connectors);
-  }
+  LSG_RETURN_IF_ERROR(ApplyWhere(where, &ts, &stats));
+  std::vector<bool> match(n, false);
+  for (uint32_t r : ts.cols[0]) match[r] = true;
   return match;
 }
 

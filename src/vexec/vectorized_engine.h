@@ -53,10 +53,22 @@ struct VexecOptions {
 /// Column arrays, with the same equivalence classes as the reference
 /// engine's printed GroupKeyOf keys and the same first-appearance group
 /// order; HAVING and aggregates reuse the shared AggregateValues over each
-/// group's tuples in tuple order. The Executor stays the permanent
-/// correctness oracle: tests/vexec_test.cc sweeps both engines
-/// differentially over every bundled dataset and `lsgfuzz --oracle vexec`
-/// cross-checks every fuzz episode.
+/// group's tuples in tuple order.
+///
+/// A count-only SELECT (materialize_first_column = false) builds no tuple
+/// when its answer needs none (the count path): no GROUP BY and no
+/// aggregate, an aggregate without GROUP BY, or GROUP BY without HAVING
+/// on one chain table's columns — over INT64 FK edges, no table repeated
+/// and, unless it is the aggregate, a WHERE that is AND-only or touches
+/// one table. Each join stage's size, and so the ExecStats and the cap,
+/// comes from per-key counts over the same hash tables; each WHERE
+/// predicate runs once over its own table's rows (DESIGN.md §6j). Every
+/// other query builds the join as above.
+///
+/// The Executor stays the permanent correctness oracle of both paths:
+/// tests/vexec_test.cc sweeps both engines differentially over every
+/// bundled dataset under both materialize settings and `lsgfuzz --oracle
+/// vexec` cross-checks every fuzz episode.
 ///
 /// The engine holds no mutable state: const query methods may run
 /// concurrently on one instance.
@@ -80,9 +92,17 @@ class VectorizedEngine {
                                         const WhereClause& where) const;
 
  private:
+  struct CountPlan;
+
   /// ExecuteSelect without the metrics, for subqueries.
   StatusOr<SelectResult> RunSelect(const SelectQuery& q,
                                    bool materialize_first_column) const;
+  /// True when the count path answers `q` (see the class comment); fills
+  /// `plan`. Pure: no query work, no errors.
+  bool PlanCount(const SelectQuery& q, CountPlan* plan) const;
+  /// The count path: cardinality and ExecStats from per-key join counts.
+  StatusOr<SelectResult> CountSelect(const SelectQuery& q,
+                                     const CountPlan& plan) const;
   StatusOr<TupleSetV> BuildJoin(const SelectQuery& q, ExecStats* stats) const;
   Status ApplyWhere(const WhereClause& where, TupleSetV* ts,
                     ExecStats* stats) const;

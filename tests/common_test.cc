@@ -305,6 +305,20 @@ TEST(LoggingTest, CheckPassesOnTrue) {
   LSG_CHECK(1 + 1 == 2) << "unreachable";
 }
 
+// Release builds (LSG_DCHECK_OFF) compile the condition but never
+// evaluate it; every other build type checks it like LSG_CHECK.
+TEST(LoggingTest, DcheckRunsOutsideReleaseOnly) {
+  int evaluated = 0;
+  auto bump = [&] { return ++evaluated > 0; };
+  LSG_DCHECK(bump()) << "unreachable";
+#ifdef LSG_DCHECK_OFF
+  EXPECT_EQ(evaluated, 0);
+#else
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_DEATH(LSG_DCHECK(evaluated == 0), "Check failed: evaluated == 0");
+#endif
+}
+
 TEST(LoggingTest, SplitMix64IsStableAndMixes) {
   EXPECT_EQ(SplitMix64(1), SplitMix64(1));
   EXPECT_NE(SplitMix64(1), SplitMix64(2));  // adjacent seeds decorrelate

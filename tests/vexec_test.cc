@@ -77,37 +77,42 @@ Database BuildJoinDb(const std::vector<int64_t>& fact_keys,
   return db;
 }
 
-/// Runs the SELECT through both engines, under the same join cap, and
-/// asserts bitwise-identical results: cardinality, first_column (exact
-/// Values), and ExecStats.
+/// Runs the SELECT through both engines, under the same join cap and both
+/// materialize settings (count-only SELECTs take the vectorized engine's
+/// count path), and asserts bitwise-identical results: status,
+/// cardinality, first_column (exact Values), and ExecStats.
 void ExpectSelectAgrees(const Database& db, const SelectQuery& q,
                         VexecOptions opts = {}) {
   Executor ref(&db, opts.max_intermediate_tuples);
   VectorizedEngine vec(&db, opts);
-  auto a = ref.ExecuteSelect(q, /*materialize_first_column=*/true);
-  auto b = vec.ExecuteSelect(q, /*materialize_first_column=*/true);
-  ASSERT_EQ(a.ok(), b.ok()) << a.status().ToString() << " vs "
-                            << b.status().ToString();
-  if (!a.ok()) {
-    EXPECT_EQ(a.status().code(), b.status().code());
-    return;
-  }
-  EXPECT_EQ(a->cardinality, b->cardinality);
-  ASSERT_EQ(a->first_column.size(), b->first_column.size());
-  for (size_t i = 0; i < a->first_column.size(); ++i) {
-    const Value& va = a->first_column[i];
-    const Value& vb = b->first_column[i];
-    EXPECT_EQ(va.is_null(), vb.is_null()) << "row " << i;
-    if (!va.is_null() && !vb.is_null()) {
-      EXPECT_EQ(va.Compare(vb), 0)
-          << "row " << i << ": " << va.ToSqlLiteral() << " vs "
-          << vb.ToSqlLiteral();
+  for (const bool materialize : {true, false}) {
+    SCOPED_TRACE(materialize ? "materialized" : "count-only");
+    auto a = ref.ExecuteSelect(q, materialize);
+    auto b = vec.ExecuteSelect(q, materialize);
+    ASSERT_EQ(a.ok(), b.ok()) << a.status().ToString() << " vs "
+                              << b.status().ToString();
+    if (!a.ok()) {
+      EXPECT_EQ(a.status().code(), b.status().code());
+      EXPECT_EQ(a.status().message(), b.status().message());
+      continue;
     }
+    EXPECT_EQ(a->cardinality, b->cardinality);
+    ASSERT_EQ(a->first_column.size(), b->first_column.size());
+    for (size_t i = 0; i < a->first_column.size(); ++i) {
+      const Value& va = a->first_column[i];
+      const Value& vb = b->first_column[i];
+      EXPECT_EQ(va.is_null(), vb.is_null()) << "row " << i;
+      if (!va.is_null() && !vb.is_null()) {
+        EXPECT_EQ(va.Compare(vb), 0)
+            << "row " << i << ": " << va.ToSqlLiteral() << " vs "
+            << vb.ToSqlLiteral();
+      }
+    }
+    EXPECT_EQ(a->stats.rows_scanned, b->stats.rows_scanned);
+    EXPECT_EQ(a->stats.rows_joined, b->stats.rows_joined);
+    EXPECT_EQ(a->stats.rows_probed, b->stats.rows_probed);
+    EXPECT_EQ(a->stats.rows_output, b->stats.rows_output);
   }
-  EXPECT_EQ(a->stats.rows_scanned, b->stats.rows_scanned);
-  EXPECT_EQ(a->stats.rows_joined, b->stats.rows_joined);
-  EXPECT_EQ(a->stats.rows_probed, b->stats.rows_probed);
-  EXPECT_EQ(a->stats.rows_output, b->stats.rows_output);
 }
 
 SelectQuery SelectAll(int table_idx, int item_col = 0) {
@@ -519,6 +524,210 @@ TEST(VexecGroupKeyTest, ManyGroupsAcrossBatches) {
   EXPECT_EQ(r->cardinality, 1500u);
 }
 
+// ------------------------------------------------------------ count path
+
+/// The count path's edge cases: Fact(id, key INT64 nullable, d DOUBLE
+/// nullable) -> Dim(id, tag) on key, plus Other(id, w), which no FK edge
+/// reaches. Fact rows 2 and 7 have NULL keys and rows 4, 8 and 11 key 9,
+/// which no Dim row holds, so those five rows join nothing; Dim row 4
+/// joins no Fact row. Fact.d holds +0.0 and -0.0 (one GROUP BY class),
+/// NULLs, and 9.5 only on an unjoined row.
+Database BuildCountDb() {
+  Database db = BuildJoinDb(/*fact_keys=*/{}, /*dim_ids=*/{0, 1, 2, 3, 4});
+  {
+    const std::vector<int64_t> keys = {0, 1, kNull, 2, 9, 1,
+                                       0, kNull, 9, 2, 3, 9};
+    const std::vector<Value> d = {
+        Value(0.0), Value(-0.0), Value::Null(), Value(1.5),
+        Value(0.0), Value(-0.0), Value(2.5),    Value(1.5),
+        Value(7.0), Value::Null(), Value(7.0),  Value(9.5)};
+    TableSchema s("Fact2");
+    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, false}));
+    LSG_CHECK_OK(s.AddColumn({"key", DataType::kInt64, false, true}));
+    LSG_CHECK_OK(s.AddColumn({"d", DataType::kDouble, false, true}));
+    Table t(std::move(s));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      LSG_CHECK_OK(t.AppendRow(
+          {Value(static_cast<int64_t>(i)),
+           keys[i] == kNull ? Value::Null() : Value(keys[i]), d[i]}));
+    }
+    LSG_CHECK_OK(db.AddTable(std::move(t)));
+  }
+  {
+    TableSchema s("Other");
+    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, false}));
+    LSG_CHECK_OK(s.AddColumn({"w", DataType::kString, false, false}));
+    Table t(std::move(s));
+    LSG_CHECK_OK(t.AppendRow({Value(int64_t{0}), Value("w0")}));
+    LSG_CHECK_OK(db.AddTable(std::move(t)));
+  }
+  LSG_CHECK_OK(db.AddForeignKey({"Fact2", "key", "Dim", "id"}));
+  return db;
+}
+
+/// Cardinality of `q` in both engines, asserted equal (with the rest of
+/// the result, under both materialize settings) by ExpectSelectAgrees.
+uint64_t AgreedCount(const Database& db, const SelectQuery& q,
+                     VexecOptions opts = {}) {
+  ExpectSelectAgrees(db, q, opts);
+  auto r = VectorizedEngine(&db, opts).ExecuteSelect(q, false);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r->cardinality : 0;
+}
+
+TEST(VexecCountPathTest, UnfilteredStageOverTheCapIsOutOfRange) {
+  // The WHERE keeps 2 tuples, but the cap applies to the unfiltered join
+  // of n tuples: at cap n - 1 both engines refuse under both materialize
+  // settings, at cap n both count 2 with rows_joined n. In the 1:N order
+  // one probe's chain crosses the cap, in the N:1 order the running total.
+  const size_t n = 3 * kBatchSize + 5;
+  std::vector<int64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<int64_t>(i % 3);
+  Database db = BuildJoinDb(keys, /*dim_ids=*/{0, 1, 2});
+  const int dim = db.catalog().FindTable("Dim");
+  const int fact = db.catalog().FindTable("Fact");
+  for (const std::vector<int>& chain :
+       {std::vector<int>{fact, dim}, std::vector<int>{dim, fact}}) {
+    SelectQuery q = SelectAll(chain[0]);
+    q.tables = chain;
+    q.where.predicates.push_back(
+        ValuePred(fact, 0, CompareOp::kLt, Value(int64_t{2})));
+    for (uint64_t cap : {uint64_t{n - 1}, uint64_t{n}}) {
+      SCOPED_TRACE(RenderSelect(q, db.catalog()) + " cap " +
+                   std::to_string(cap));
+      const VexecOptions opts{.max_intermediate_tuples = cap};
+      ExpectSelectAgrees(db, q, opts);
+      auto r = VectorizedEngine(&db, opts).ExecuteSelect(q, false);
+      if (cap < n) {
+        EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+      } else {
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r->cardinality, 2u);
+        EXPECT_EQ(r->stats.rows_joined, static_cast<double>(n));
+      }
+    }
+  }
+}
+
+TEST(VexecCountPathTest, AggregateOverAnEmptyWhereIsOneRow) {
+  Database db = BuildCountDb();
+  const int fact = db.catalog().FindTable("Fact2");
+  const int dim = db.catalog().FindTable("Dim");
+  for (AggFunc agg : {AggFunc::kCount, AggFunc::kSum, AggFunc::kMax}) {
+    SelectQuery q = SelectAll(fact, /*item_col=*/2);
+    q.tables.push_back(dim);
+    q.items[0].agg = agg;
+    q.where.predicates.push_back(
+        ValuePred(fact, 0, CompareOp::kGt, Value(int64_t{1000})));
+    q.where.predicates.push_back(
+        ValuePred(dim, 0, CompareOp::kLt, Value(int64_t{0})));
+    q.where.connectors.push_back(BoolConn::kOr);
+    SCOPED_TRACE(RenderSelect(q, db.catalog()));
+    EXPECT_EQ(AgreedCount(db, q), 1u);
+  }
+}
+
+TEST(VexecCountPathTest, PredicateOutsideTheChainIsFalse) {
+  Database db = BuildCountDb();
+  const int fact = db.catalog().FindTable("Fact2");
+  const int dim = db.catalog().FindTable("Dim");
+  const int other = db.catalog().FindTable("Other");
+  auto query = [&](BoolConn conn) {
+    SelectQuery q = SelectAll(fact);
+    q.tables.push_back(dim);
+    q.where.predicates.push_back(
+        ValuePred(fact, 1, CompareOp::kEq, Value(int64_t{1})));
+    q.where.predicates.push_back(
+        ValuePred(other, 1, CompareOp::kEq, Value("w0")));
+    q.where.connectors.push_back(conn);
+    return q;
+  };
+  // Other.w = 'w0' holds on Other's only row, but Other is not joined.
+  EXPECT_EQ(AgreedCount(db, query(BoolConn::kAnd)), 0u);
+  EXPECT_EQ(AgreedCount(db, query(BoolConn::kOr)), 2u);  // Fact rows 1, 5
+  SelectQuery grouped = query(BoolConn::kOr);
+  grouped.group_by.push_back({dim, 1});
+  EXPECT_EQ(AgreedCount(db, grouped), 1u);
+
+  // EXISTS is a constant: true keeps the other predicate's tuples.
+  for (const bool negated : {false, true}) {
+    SelectQuery q = query(BoolConn::kAnd);
+    q.where.predicates[1].kind = PredicateKind::kExistsSub;
+    q.where.predicates[1].negated = negated;
+    q.where.predicates[1].subquery =
+        std::make_unique<SelectQuery>(SelectAll(other));
+    EXPECT_EQ(AgreedCount(db, q), negated ? 0u : 2u);
+  }
+}
+
+TEST(VexecCountPathTest, OneTableGroupByCountsOnlyJoinedRows) {
+  Database db = BuildCountDb();
+  const int fact = db.catalog().FindTable("Fact2");
+  const int dim = db.catalog().FindTable("Dim");
+  for (const std::vector<int>& chain :
+       {std::vector<int>{fact, dim}, std::vector<int>{dim, fact}}) {
+    auto grouped = [&](ColumnRef key) {
+      SelectQuery q = SelectAll(chain[0]);
+      q.tables = chain;
+      q.group_by.push_back(key);
+      return q;
+    };
+    SCOPED_TRACE(RenderSelect(grouped({fact, 2}), db.catalog()));
+    // Joined rows 0 1 3 5 6 9 10: d classes {+0.0, -0.0}, 1.5, 2.5, NULL
+    // and 7.0; the unjoined row's 9.5 must not count.
+    EXPECT_EQ(AgreedCount(db, grouped({fact, 2})), 5u);
+    // NULL keys never join, so key 9 and NULL are no groups.
+    EXPECT_EQ(AgreedCount(db, grouped({fact, 1})), 4u);
+    // Dim row 4 joins nothing.
+    EXPECT_EQ(AgreedCount(db, grouped({dim, 1})), 4u);
+    // AND across both tables: rows 3 5 6 9 survive (row 10's Dim id is 3).
+    SelectQuery q = grouped({fact, 2});
+    q.items[0].agg = AggFunc::kCount;
+    q.where.predicates.push_back(
+        ValuePred(fact, 0, CompareOp::kGe, Value(int64_t{3})));
+    q.where.predicates.push_back(
+        ValuePred(dim, 0, CompareOp::kLe, Value(int64_t{2})));
+    q.where.connectors.push_back(BoolConn::kAnd);
+    EXPECT_EQ(AgreedCount(db, q), 4u);
+  }
+}
+
+TEST(VexecCountPathTest, SubqueryErrorAfterTheCountsIsTheReferences) {
+  Database db = BuildCountDb();
+  const int fact = db.catalog().FindTable("Fact2");
+  const int dim = db.catalog().FindTable("Dim");
+  const int other = db.catalog().FindTable("Other");
+  // The outer join of 7 tuples passes a cap of 7; an IN subquery that joins
+  // Dim to Other, which no edge reaches, fails with InvalidArgument, and
+  // one that joins all of Fact2 to Dim (7 tuples) under a cap of 6 fails
+  // with OutOfRange — in every count-path shape.
+  struct Case {
+    std::vector<int> sub_tables;
+    uint64_t cap;
+    StatusCode code;
+  };
+  for (const Case& c : {Case{{dim, other}, 7, StatusCode::kInvalidArgument},
+                        Case{{fact, dim}, 6, StatusCode::kOutOfRange}}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      SelectQuery q = SelectAll(c.code == StatusCode::kOutOfRange ? dim : fact);
+      if (c.code != StatusCode::kOutOfRange) q.tables.push_back(dim);
+      if (shape == 1) q.items[0].agg = AggFunc::kCount;
+      if (shape == 2) q.group_by.push_back(q.items[0].column);
+      Predicate in;
+      in.kind = PredicateKind::kInSub;
+      in.column = {dim, 0};
+      in.subquery = std::make_unique<SelectQuery>(SelectAll(dim));
+      in.subquery->tables = c.sub_tables;
+      q.where.predicates.push_back(std::move(in));
+      SCOPED_TRACE(RenderSelect(q, db.catalog()));
+      const VexecOptions opts{.max_intermediate_tuples = c.cap};
+      ExpectSelectAgrees(db, q, opts);
+      auto r = VectorizedEngine(&db, opts).ExecuteSelect(q, false);
+      EXPECT_EQ(r.status().code(), c.code);
+    }
+  }
+}
+
 // ------------------------------------------------------------ hash table
 
 TEST(Int64JoinHashTableTest, DuplicatesChainInInsertionOrder) {
@@ -732,22 +941,8 @@ TEST_P(VexecDifferentialTest, MatchesReferenceOnBundledDataset) {
     }
     EXPECT_EQ(*a, *sb) << sql;
     if (ast->type == QueryType::kSelect) {
-      auto ra = ref.ExecuteSelect(*ast->select, true);
-      auto rb = serial.ExecuteSelect(*ast->select, true);
-      ASSERT_TRUE(ra.ok() && rb.ok()) << sql;
-      ASSERT_EQ(ra->first_column.size(), rb->first_column.size()) << sql;
-      for (size_t v = 0; v < ra->first_column.size(); ++v) {
-        const Value& va = ra->first_column[v];
-        const Value& vb = rb->first_column[v];
-        ASSERT_EQ(va.is_null(), vb.is_null()) << sql;
-        if (!va.is_null()) {
-          ASSERT_EQ(va.Compare(vb), 0) << sql;
-        }
-      }
-      EXPECT_EQ(ra->stats.rows_scanned, rb->stats.rows_scanned) << sql;
-      EXPECT_EQ(ra->stats.rows_joined, rb->stats.rows_joined) << sql;
-      EXPECT_EQ(ra->stats.rows_probed, rb->stats.rows_probed) << sql;
-      EXPECT_EQ(ra->stats.rows_output, rb->stats.rows_output) << sql;
+      SCOPED_TRACE(sql);
+      ExpectSelectAgrees(*db, *ast->select);
     }
     if (ast->type == QueryType::kUpdate || ast->type == QueryType::kDelete) {
       const int t = ast->type == QueryType::kUpdate
