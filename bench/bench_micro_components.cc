@@ -11,13 +11,13 @@
 #include "core/environment.h"
 #include "core/workload.h"
 #include "datasets/tpch_like.h"
-#include "exec/executor.h"
 #include "fuzz/trace.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
 #include "rl/policy_gradient_trainer.h"
 #include "rl/policy_network.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -101,9 +101,9 @@ void BM_RandomWalkEpisode(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomWalkEpisode);
 
-void BM_ExecutorJoinFilter(benchmark::State& state) {
+void BM_VexecJoinFilter(benchmark::State& state) {
   MicroFixture& f = Fixture();
-  Executor exec(&f.db);
+  vexec::VectorizedEngine exec(&f.db);
   SelectQuery q;
   q.tables = {f.db.catalog().FindTable("lineitem"),
               f.db.catalog().FindTable("orders")};
@@ -120,11 +120,11 @@ void BM_ExecutorJoinFilter(benchmark::State& state) {
     benchmark::DoNotOptimize(r->cardinality);
   }
 }
-BENCHMARK(BM_ExecutorJoinFilter);
+BENCHMARK(BM_VexecJoinFilter);
 
-void BM_ExecutorGroupBy(benchmark::State& state) {
+void BM_VexecGroupBy(benchmark::State& state) {
   MicroFixture& f = Fixture();
-  Executor exec(&f.db);
+  vexec::VectorizedEngine exec(&f.db);
   SelectQuery q;
   int li = f.db.catalog().FindTable("lineitem");
   q.tables = {li};
@@ -138,7 +138,7 @@ void BM_ExecutorGroupBy(benchmark::State& state) {
     benchmark::DoNotOptimize(r->cardinality);
   }
 }
-BENCHMARK(BM_ExecutorGroupBy);
+BENCHMARK(BM_VexecGroupBy);
 
 void BM_CardinalityEstimate(benchmark::State& state) {
   MicroFixture& f = Fixture();

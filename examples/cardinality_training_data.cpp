@@ -15,7 +15,7 @@
 #include "core/generator.h"
 #include "core/workload.h"
 #include "datasets/xuetang_like.h"
-#include "exec/executor.h"
+#include "vexec/vectorized_engine.h"
 
 int main() {
   using namespace lsg;
@@ -46,7 +46,7 @@ int main() {
   std::fprintf(stderr, "cardinality domain [%.0f, %.0f]\n", dom.lo, dom.hi);
 
   const int kPerBucket = 12;
-  Executor executor(&db);
+  vexec::VectorizedEngine executor(&db);
   std::printf("bucket_lo,bucket_hi,estimated_card,true_card,sql\n");
   int emitted = 0;
   auto grid = GeometricGrid(std::max(1.0, dom.lo), dom.hi, 5);

@@ -10,7 +10,7 @@
 
 #include "core/generator.h"
 #include "datasets/tpch_like.h"
-#include "exec/dml_executor.h"
+#include "vexec/vectorized_engine.h"
 
 namespace {
 
@@ -36,9 +36,10 @@ void GenerateDml(const lsg::Database& db, lsg::QueryProfile profile,
     std::printf("generate failed: %s\n", report.status().ToString().c_str());
     return;
   }
-  DmlExecutor dml(&db);
+  // A DML statement's cardinality is its affected-row count (a dry run).
+  vexec::VectorizedEngine engine(&db);
   for (const GeneratedQuery& q : report->queries) {
-    auto affected = dml.AffectedRows(q.ast);
+    auto affected = engine.Cardinality(q.ast);
     std::printf("  [rows~%-5.0f true=%-5s] %.100s%s\n", q.metric,
                 affected.ok() ? std::to_string(*affected).c_str() : "?",
                 q.sql.c_str(), q.sql.size() > 100 ? "..." : "");
@@ -70,14 +71,9 @@ int main() {
   // Round-trip sanity: applying a VALUES insert to a scratch copy grows the
   // table by exactly the dry-run count (1).
   Database scratch = BuildTpchLike();
-  DmlExecutor dml(&scratch);
-  QueryAst ins;
-  ins.type = QueryType::kInsert;
-  ins.insert = std::make_unique<InsertQuery>();
-  ins.insert->table_idx = scratch.catalog().FindTable("region");
-  ins.insert->values = {Value(int64_t{99}), Value("ATLANTIS")};
-  size_t before = scratch.FindTable("region")->num_rows();
-  if (dml.ApplyInsert(&scratch, ins).ok()) {
+  Table* region = scratch.FindMutableTable("region");
+  size_t before = region->num_rows();
+  if (region->AppendRow({Value(int64_t{99}), Value("ATLANTIS")}).ok()) {
     std::printf("\nscratch-apply check: region grew %zu -> %zu rows\n", before,
                 scratch.FindTable("region")->num_rows());
   }

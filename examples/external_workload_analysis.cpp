@@ -10,11 +10,11 @@
 #include <cstdio>
 
 #include "datasets/tpch_like.h"
-#include "exec/executor.h"
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/cost_model.h"
 #include "sql/parser.h"
 #include "sql/render.h"
+#include "vexec/vectorized_engine.h"
 
 int main() {
   using namespace lsg;
@@ -23,7 +23,7 @@ int main() {
   DatabaseStats stats = DatabaseStats::Collect(db);
   CardinalityEstimator estimator(&db, &stats);
   CostModel cost_model(&estimator);
-  Executor executor(&db);
+  vexec::VectorizedEngine executor(&db);
 
   // A hand-written workload, exactly as a user would supply it.
   const char* workload[] = {

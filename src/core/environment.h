@@ -43,7 +43,7 @@ struct EnvironmentOptions {
 ///
 /// True-execution feedback (and MetricOf true-cost runs) is answered by the
 /// serial vectorized engine (src/vexec/), whose cardinalities and ExecStats
-/// are bitwise identical to the reference Executor's — it is
+/// are bitwise identical to the nested-loop ReferenceEvaluator's — it is
 /// differentially tested against it on every fuzz episode.
 ///
 /// True-execution feedback on the step path is memoized per environment,

@@ -13,8 +13,8 @@
 namespace lsg {
 
 /// The engine answering execution-grounded feedback. One value: the serial
-/// vectorized engine (src/vexec/); the reference Executor is its oracle,
-/// not a production choice.
+/// vectorized engine (src/vexec/); the nested-loop ReferenceEvaluator
+/// (src/fuzz/) is its test oracle, not a production choice.
 enum class ExecutionBackendKind { kVectorized };
 
 /// End-to-end configuration of the LearnedSQLGen pipeline.

@@ -32,12 +32,12 @@ bool LikeMatch(const std::string& text, const std::string& pattern);
 /// as a left fold in input order, so two engines that feed the same
 /// values in the same order produce bitwise-identical doubles — the
 /// invariant the vectorized engine's differential oracle relies on.
-/// Shared by Executor and vexec; the fuzzing ReferenceEvaluator keeps an
-/// independent copy so exec-vs-ref still cross-checks aggregation.
+/// Used by vexec; the fuzzing ReferenceEvaluator keeps an independent copy
+/// so the oracle still cross-checks aggregation.
 Value AggregateValues(AggFunc agg, const std::vector<Value>& values);
 
 /// Serialized GROUP BY key: rendered literals joined by 0x1f. The
-/// reference Executor buckets by exactly this string; the vectorized
+/// ReferenceEvaluator buckets by exactly this string; the vectorized
 /// engine's typed keys reproduce its partition (grouping by
 /// Value::Compare instead would merge values whose literals differ, e.g.
 /// across numeric type ranks). See DESIGN.md §6j for the classes.

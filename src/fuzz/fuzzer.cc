@@ -144,7 +144,7 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
       } else {
         const uint64_t skipped_before = oracle.skipped();
         auto violation = oracle.Check(*ast);
-        stats.skipped += oracle.skipped() - skipped_before;
+        if (oracle.skipped() != skipped_before) ++stats.skipped;
         if (!violation.has_value()) {
           // Sixth oracle: incremental prefix estimates must reproduce the
           // full walk at every executable prefix of the episode.

@@ -95,6 +95,35 @@ int DmlTableIndex(const QueryAst& ast) {
   return -1;
 }
 
+/// Applies an INSERT VALUES, UPDATE or DELETE to `live`, its target table,
+/// for real — UPDATE and DELETE on the rows `ref` matches — and returns the
+/// number of rows affected.
+StatusOr<uint64_t> ApplyDml(const ReferenceEvaluator& ref,
+                            const QueryAst& ast, Table* live) {
+  if (ast.type == QueryType::kInsert) {
+    LSG_RETURN_IF_ERROR(live->AppendRow(ast.insert->values));
+    return uint64_t{1};
+  }
+  const bool update = ast.type == QueryType::kUpdate;
+  LSG_ASSIGN_OR_RETURN(
+      const std::vector<bool> match,
+      update ? ref.MatchRows(ast.update->table_idx, ast.update->where)
+             : ref.MatchRows(ast.del->table_idx, ast.del->where));
+  uint64_t affected = 0;
+  std::vector<bool> keep(match.size());
+  for (size_t r = 0; r < match.size(); ++r) {
+    keep[r] = !match[r];
+    if (!match[r]) continue;
+    ++affected;
+    if (update) {
+      LSG_RETURN_IF_ERROR(live->SetValue(r, ast.update->set_column.column_idx,
+                                         ast.update->set_value));
+    }
+  }
+  if (!update) live->FilterRows(keep);
+  return affected;
+}
+
 }  // namespace
 
 DifferentialOracle::DifferentialOracle(Database* db, OracleOptions options)
@@ -103,8 +132,6 @@ DifferentialOracle::DifferentialOracle(Database* db, OracleOptions options)
       stats_(DatabaseStats::Collect(*db)),
       estimator_(db, &stats_),
       cost_model_(&estimator_),
-      exec_(db),
-      dml_(db),
       reference_(db, options.max_reference_work),
       vexec_(db, vexec::VexecOptions{.inject = options.inject_vexec_bug}),
       linter_(&db->catalog()) {}
@@ -126,10 +153,10 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
     }
   }
 
-  // 1. The optimized executor must accept every FSM-generated query. Join
+  // 1. The vectorized engine must accept every FSM-generated query. Join
   // blowups past the intermediate-tuple cap are resource exhaustion, not
   // bugs: skip the episode.
-  auto fast = exec_.Cardinality(ast);
+  auto fast = vexec_.Cardinality(ast);
   if (!fast.ok()) {
     if (fast.status().code() == StatusCode::kOutOfRange) {
       ++skipped_;
@@ -139,161 +166,11 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
         "executor-error",
         fast.status().ToString() + " sql=" + sql};
   }
-  uint64_t fast_card = *fast;
-  if (options_.inject_card_offset != 0 && AstHasWhere(ast)) {
-    int64_t shifted =
-        static_cast<int64_t>(fast_card) + options_.inject_card_offset;
-    fast_card = shifted < 0 ? 0 : static_cast<uint64_t>(shifted);
-  }
 
-  // 2. Differential cardinality: optimized executor vs. naive reference.
-  if (options_.check_reference) {
-    auto ref = reference_.EvalAst(ast);
-    if (!ref.ok()) {
-      if (ref.status().code() == StatusCode::kOutOfRange) {
-        ++skipped_;
-      } else {
-        return OracleViolation{
-            "reference-error", ref.status().ToString() + " sql=" + sql};
-      }
-    } else if (*ref != fast_card) {
-      return OracleViolation{
-          "exec-vs-ref",
-          StrFormat("executor=%llu reference=%llu sql=",
-                    static_cast<unsigned long long>(fast_card),
-                    static_cast<unsigned long long>(*ref)) + sql};
-    }
-  }
-
-  // 2b. Lockstep vectorized engine: vexec must reproduce the reference
-  // executor bitwise — same cardinality (compared against the *uninjected*
-  // executor result so this check stays independent of the exec-vs-ref
-  // mutation hooks) and, for UPDATE/DELETE, the exact per-row match
-  // vector. OutOfRange means both engines hit their (shared) join cap.
+  // 2. The vectorized engine against the nested-loop reference.
   if (options_.check_vexec) {
-    if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-      // SELECTs compare under both materialize settings, since a count-only
-      // SELECT takes the engine's count path. Materialized, the first
-      // column is compared position by position, not just the cardinality
-      // — a corrupted join that matches the *wrong* rows with the right
-      // multiplicity is invisible to counts alone. Both compare the
-      // ExecStats work meters.
-      for (const bool materialize : {true, false}) {
-        const std::string mode =
-            materialize ? "materialized " : "count-only ";
-        auto rv = vexec_.ExecuteSelect(*ast.select, materialize);
-        auto rr = exec_.ExecuteSelect(*ast.select, materialize);
-        if (!rv.ok() || !rr.ok()) {
-          if (rv.status().code() != rr.status().code()) {
-            return OracleViolation{
-                "vexec", mode + "status diverged: vectorized=" +
-                             rv.status().ToString() + " reference=" +
-                             rr.status().ToString() + " sql=" + sql};
-          }
-          if (rv.status().code() == StatusCode::kOutOfRange) {
-            if (materialize) ++skipped_;
-          } else {
-            return OracleViolation{
-                "vexec", "vectorized engine error: " +
-                             rv.status().ToString() + " sql=" + sql};
-          }
-        } else if (rv->cardinality != rr->cardinality) {
-          return OracleViolation{
-              "vexec",
-              mode + StrFormat("vectorized=%llu reference=%llu sql=",
-                               static_cast<unsigned long long>(
-                                   rv->cardinality),
-                               static_cast<unsigned long long>(
-                                   rr->cardinality)) +
-                  sql};
-        } else if (rv->first_column.size() != rr->first_column.size()) {
-          return OracleViolation{
-              "vexec",
-              StrFormat("first column has %zu rows vectorized, %zu "
-                        "reference sql=",
-                        rv->first_column.size(), rr->first_column.size()) +
-                  sql};
-        } else if (rv->stats.rows_scanned != rr->stats.rows_scanned ||
-                   rv->stats.rows_joined != rr->stats.rows_joined ||
-                   rv->stats.rows_probed != rr->stats.rows_probed ||
-                   rv->stats.rows_output != rr->stats.rows_output) {
-          // CostModel::TrueCost prices cost-constraint feedback from these.
-          return OracleViolation{
-              "vexec",
-              mode +
-                  StrFormat("exec stats diverged (scanned/joined/probed/"
-                            "output): vectorized=%.17g/%.17g/%.17g/%.17g "
-                            "reference=%.17g/%.17g/%.17g/%.17g sql=",
-                            rv->stats.rows_scanned, rv->stats.rows_joined,
-                            rv->stats.rows_probed, rv->stats.rows_output,
-                            rr->stats.rows_scanned, rr->stats.rows_joined,
-                            rr->stats.rows_probed, rr->stats.rows_output) +
-                  sql};
-        } else {
-          for (size_t i = 0; i < rr->first_column.size(); ++i) {
-            const Value& a = rv->first_column[i];
-            const Value& b = rr->first_column[i];
-            if (a.is_null() != b.is_null() ||
-                (!a.is_null() && a.Compare(b) != 0)) {
-              return OracleViolation{
-                  "vexec",
-                  StrFormat("first column diverged at row %zu: "
-                            "vectorized=%s reference=%s sql=",
-                            i, a.ToSqlLiteral().c_str(),
-                            b.ToSqlLiteral().c_str()) + sql};
-            }
-          }
-        }
-      }
-    } else {
-      auto vcard = vexec_.Cardinality(ast);
-      if (!vcard.ok()) {
-        if (vcard.status().code() == StatusCode::kOutOfRange) {
-          ++skipped_;
-        } else {
-          return OracleViolation{
-              "vexec", "vectorized engine error: " +
-                           vcard.status().ToString() + " sql=" + sql};
-        }
-      } else if (*vcard != *fast) {
-        return OracleViolation{
-            "vexec",
-            StrFormat("vectorized=%llu reference=%llu sql=",
-                      static_cast<unsigned long long>(*vcard),
-                      static_cast<unsigned long long>(*fast)) + sql};
-      }
-    }
-    if (ast.type == QueryType::kUpdate || ast.type == QueryType::kDelete) {
-      const int t = ast.type == QueryType::kUpdate ? ast.update->table_idx
-                                                   : ast.del->table_idx;
-      const WhereClause& w = ast.type == QueryType::kUpdate
-                                 ? ast.update->where
-                                 : ast.del->where;
-      auto mv = vexec_.MatchRows(t, w);
-      auto mr = exec_.MatchRows(t, w);
-      if (!mv.ok() || !mr.ok()) {
-        const Status& bad = !mv.ok() ? mv.status() : mr.status();
-        if (bad.code() == StatusCode::kOutOfRange) {
-          ++skipped_;
-        } else {
-          return OracleViolation{
-              "vexec", "MatchRows error: " + bad.ToString() + " sql=" + sql};
-        }
-      } else if (*mv != *mr) {
-        size_t diff = 0;
-        while (diff < mv->size() && diff < mr->size() &&
-               (*mv)[diff] == (*mr)[diff]) {
-          ++diff;
-        }
-        return OracleViolation{
-            "vexec",
-            StrFormat("match vector diverged at row %zu "
-                      "(vectorized=%d reference=%d) sql=",
-                      diff,
-                      diff < mv->size() ? ((*mv)[diff] ? 1 : 0) : -1,
-                      diff < mr->size() ? ((*mr)[diff] ? 1 : 0) : -1) + sql};
-      }
-    }
+    auto v = CheckExecution(ast, *fast, sql);
+    if (v.has_value()) return v;
   }
 
   // 3. Round trip: Render(Parse(Render(q))) must equal Render(q) byte for
@@ -316,7 +193,7 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
           StrFormat("first diff at byte %zu: ", FirstDiff(again, rendered)) +
               "rendered=" + rendered + " reparsed=" + again};
     }
-    auto re = exec_.Cardinality(*parsed);
+    auto re = vexec_.Cardinality(*parsed);
     if (!re.ok()) {
       if (re.status().code() != StatusCode::kOutOfRange) {
         return OracleViolation{
@@ -347,8 +224,143 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
 
   // 5. DML applied for real under snapshot/rollback.
   if (options_.check_dml_apply && ast.type != QueryType::kSelect) {
-    auto v = CheckDmlApply(ast, fast_card);
+    auto v = CheckDmlApply(ast, *fast);
     if (v.has_value()) return v;
+  }
+  return std::nullopt;
+}
+
+std::optional<OracleViolation> DifferentialOracle::CheckExecution(
+    const QueryAst& ast, uint64_t card, const std::string& sql) {
+  // The planted card-off-by-one bug shifts the engine's cardinality of
+  // every query with a WHERE.
+  auto shifted = [&](uint64_t c) {
+    if (options_.inject_card_offset == 0 || !AstHasWhere(ast)) return c;
+    const int64_t s = static_cast<int64_t>(c) + options_.inject_card_offset;
+    return s < 0 ? uint64_t{0} : static_cast<uint64_t>(s);
+  };
+  auto diverged = [&](const std::string& what) {
+    return OracleViolation{"vexec", what + " sql=" + sql};
+  };
+  auto over_budget = [](const Status& st) {
+    return st.code() == StatusCode::kResourceExhausted;
+  };
+
+  const SelectQuery* select =
+      ast.type == QueryType::kSelect    ? ast.select.get()
+      : ast.type == QueryType::kInsert ? ast.insert->source.get()
+                                        : nullptr;
+  if (select != nullptr) {
+    // Beyond the first column the reference's result does not depend on
+    // the materialize setting, so one materialized evaluation serves both
+    // of the engine's: materialized, the first column is compared position
+    // by position — a corrupted join that matches the *wrong* rows with
+    // the right multiplicity is invisible to counts alone; count-only, the
+    // SELECT takes the engine's count path. Both compare the ExecStats
+    // meters, which CostModel::TrueCost prices cost feedback from.
+    auto rr = reference_.ExecuteSelect(*select, /*materialize=*/true);
+    if (!rr.ok() && over_budget(rr.status())) {
+      ++skipped_;
+      return std::nullopt;
+    }
+    for (const bool materialize : {true, false}) {
+      const std::string mode = materialize ? "materialized " : "count-only ";
+      auto rv = vexec_.ExecuteSelect(*select, materialize);
+      if (!rv.ok() || !rr.ok()) {
+        if (rv.status().code() != rr.status().code() ||
+            rv.status().message() != rr.status().message()) {
+          return diverged(mode + "status diverged: vectorized=" +
+                          rv.status().ToString() +
+                          " reference=" + rr.status().ToString());
+        }
+        if (rv.status().code() != StatusCode::kOutOfRange) {
+          return diverged("vectorized engine error: " +
+                          rv.status().ToString());
+        }
+        continue;
+      }
+      const uint64_t got = shifted(rv->cardinality);
+      const std::vector<Value> none;
+      const std::vector<Value>& want_column =
+          materialize ? rr->first_column : none;
+      const ExecStats& a = rv->stats;
+      const ExecStats& b = rr->stats;
+      if (got != rr->cardinality) {
+        return diverged(mode + StrFormat("vectorized=%llu reference=%llu",
+                                         static_cast<unsigned long long>(got),
+                                         static_cast<unsigned long long>(
+                                             rr->cardinality)));
+      }
+      if (rv->first_column.size() != want_column.size()) {
+        return diverged(mode + StrFormat("first column has %zu rows "
+                                         "vectorized, %zu reference",
+                                         rv->first_column.size(),
+                                         want_column.size()));
+      }
+      if (a.rows_scanned != b.rows_scanned ||
+          a.rows_joined != b.rows_joined || a.rows_probed != b.rows_probed ||
+          a.rows_output != b.rows_output) {
+        return diverged(
+            mode + StrFormat("exec stats diverged (scanned/joined/probed/"
+                             "output): vectorized=%.17g/%.17g/%.17g/%.17g "
+                             "reference=%.17g/%.17g/%.17g/%.17g",
+                             a.rows_scanned, a.rows_joined, a.rows_probed,
+                             a.rows_output, b.rows_scanned, b.rows_joined,
+                             b.rows_probed, b.rows_output));
+      }
+      for (size_t i = 0; i < want_column.size(); ++i) {
+        const Value& x = rv->first_column[i];
+        const Value& y = want_column[i];
+        if (x.is_null() != y.is_null() ||
+            (!x.is_null() && x.Compare(y) != 0)) {
+          return diverged(StrFormat("first column diverged at row %zu: "
+                                    "vectorized=%s reference=%s",
+                                    i, x.ToSqlLiteral().c_str(),
+                                    y.ToSqlLiteral().c_str()));
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+  auto ref_card = reference_.Cardinality(ast);
+  if (!ref_card.ok()) {
+    if (over_budget(ref_card.status())) {
+      ++skipped_;
+      return std::nullopt;
+    }
+    return diverged("status diverged: vectorized=OK reference=" +
+                    ref_card.status().ToString());
+  }
+  if (shifted(card) != *ref_card) {
+    return diverged(StrFormat("vectorized=%llu reference=%llu",
+                              static_cast<unsigned long long>(shifted(card)),
+                              static_cast<unsigned long long>(*ref_card)));
+  }
+  if (ast.type == QueryType::kInsert) return std::nullopt;
+  const bool update = ast.type == QueryType::kUpdate;
+  const int t = update ? ast.update->table_idx : ast.del->table_idx;
+  const WhereClause& w = update ? ast.update->where : ast.del->where;
+  auto mv = vexec_.MatchRows(t, w);
+  auto mr = reference_.MatchRows(t, w);
+  if (!mr.ok() && over_budget(mr.status())) {
+    ++skipped_;
+    return std::nullopt;
+  }
+  if (!mv.ok() || !mr.ok()) {
+    return diverged("MatchRows status: vectorized=" + mv.status().ToString() +
+                    " reference=" + mr.status().ToString());
+  }
+  if (*mv != *mr) {
+    size_t diff = 0;
+    while (diff < mv->size() && diff < mr->size() &&
+           (*mv)[diff] == (*mr)[diff]) {
+      ++diff;
+    }
+    return diverged(StrFormat(
+        "match vector diverged at row %zu (vectorized=%d reference=%d)",
+        diff, diff < mv->size() ? ((*mv)[diff] ? 1 : 0) : -1,
+        diff < mr->size() ? ((*mr)[diff] ? 1 : 0) : -1));
   }
   return std::nullopt;
 }
@@ -369,9 +381,13 @@ std::optional<OracleViolation> DifferentialOracle::CheckDmlApply(
   }
   const Table snapshot = *live;  // deep copy: schema + columns
 
-  auto applied = dml_.Apply(db_, ast);
+  auto applied = ApplyDml(reference_, ast, live);
   if (!applied.ok()) {
     *live = snapshot;
+    if (applied.status().code() == StatusCode::kResourceExhausted) {
+      ++skipped_;
+      return std::nullopt;
+    }
     return OracleViolation{
         "dml-apply", applied.status().ToString() + " sql=" + sql};
   }
@@ -401,7 +417,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckDmlApply(
                            "snapshot restore left " + table_name +
                                " in a different state, sql=" + sql};
   }
-  auto recount = exec_.Cardinality(ast);
+  auto recount = vexec_.Cardinality(ast);
   if (!recount.ok() || *recount != *applied) {
     return OracleViolation{
         "dml-rollback",

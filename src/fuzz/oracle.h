@@ -10,8 +10,6 @@
 
 #include "analysis/sql_linter.h"
 #include "core/database_context.h"
-#include "exec/dml_executor.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "fuzz/reference_eval.h"
 #include "optimizer/cardinality_estimator.h"
@@ -27,13 +25,14 @@ namespace lsg {
 /// Tuning and fault-injection knobs for the oracle stack.
 struct OracleOptions {
   bool check_lint = true;       ///< AST-level semantic lint (SqlLinter)
-  bool check_reference = true;  ///< optimized executor vs. naive evaluator
   bool check_roundtrip = true;  ///< render → parse → render fixpoint + re-exec
   bool check_estimator = true;  ///< estimator finite / non-negative / bounded
   bool check_dml_apply = true;  ///< DML apply-for-real under snapshot/rollback
   bool check_prefix_estimates = true;  ///< incremental == full, token-by-token
-  /// Lockstep vectorized engine: vexec cardinality must equal the reference
-  /// executor's bitwise, and UPDATE/DELETE row-match vectors elementwise.
+  /// The vectorized engine against the nested-loop ReferenceEvaluator:
+  /// SELECT status, cardinality, ExecStats meters and first column under
+  /// both materialize settings; DML counts and UPDATE/DELETE row-match
+  /// vectors.
   bool check_vexec = true;
   /// Serving decode vs an independent episode loop: Decode must reproduce
   /// a hand-written per-attempt rollout's samples byte-for-byte.
@@ -48,8 +47,9 @@ struct OracleOptions {
 
   // --- fault injection, used to mutation-test the harness itself ---
 
-  /// Adds this offset to every executor cardinality that has a non-empty
-  /// WHERE (a synthetic executor bug the reference oracle must catch).
+  /// Adds this offset to every vectorized-engine cardinality of a query
+  /// with a non-empty WHERE, as check_vexec sees it (a synthetic engine
+  /// bug that check must catch).
   int64_t inject_card_offset = 0;
 
   /// Doubles the first space of the rendered SQL (a synthetic renderer bug
@@ -57,7 +57,7 @@ struct OracleOptions {
   bool inject_render_space = false;
 
   /// Plants a defect in the oracle's vectorized engine (hash-collision /
-  /// sel-vector-off-by-one) that the vexec lockstep check must catch.
+  /// sel-vector-off-by-one) that check_vexec must catch.
   vexec::InjectBug inject_vexec_bug = vexec::InjectBug::kNone;
 };
 
@@ -70,20 +70,23 @@ struct OracleViolation {
 /// The full correctness gate for one generated query, run in order:
 ///   0. lint             — the AST satisfies every SqlLinter semantic rule
 ///                         (independent re-derivation of the FSM's masks)
-///   1. executor-error   — optimized executor must accept every FSM query
-///   2. exec-vs-ref      — cardinality equals the naive reference evaluator
-///   2b. vexec           — the vectorized engine reproduces the reference
-///                         executor's cardinality bitwise (and, for
-///                         UPDATE/DELETE, its per-row match vector)
+///   1. executor-error   — the vectorized engine accepts every FSM query
+///   2. vexec            — the vectorized engine reproduces the nested-loop
+///                         ReferenceEvaluator: for a SELECT, status,
+///                         cardinality, ExecStats meters and first column
+///                         under both materialize settings; for DML the
+///                         count and, for UPDATE/DELETE, the per-row match
+///                         vector
 ///   3. reparse-error / render-fixpoint / reparse-exec
 ///                       — Render(Parse(Render(q))) == Render(q) byte-for-
 ///                         byte and the reparsed AST executes identically
 ///   4. estimator-bounds — estimate is finite, non-negative, and at most
 ///                         slack × the join cross product
 ///   5. dml-apply / dml-rollback
-///                       — DML applied for real affects exactly the
-///                         predicted rows; the snapshot restore leaves the
-///                         database byte-identical
+///                       — DML applied for real (the reference's matching
+///                         rows) affects exactly the predicted rows; the
+///                         snapshot restore leaves the database
+///                         byte-identical
 ///
 /// `db` is mutated only inside check 5 and always restored before Check()
 /// returns, so episodes are independent.
@@ -120,10 +123,16 @@ class DifferentialOracle {
       const QueryProfile& profile, uint64_t seed);
 
   uint64_t checked() const { return checked_; }
-  /// Episodes where some check was skipped (join blowup / work budget).
+  /// Checks skipped: a join past the engine's cap, or a query past the
+  /// reference's work budget (at most one of each per episode).
   uint64_t skipped() const { return skipped_; }
 
  private:
+  /// Check 2: the vectorized engine against the reference. `card` is the
+  /// engine's Cardinality(ast); `sql` is the rendered query.
+  std::optional<OracleViolation> CheckExecution(const QueryAst& ast,
+                                                uint64_t card,
+                                                const std::string& sql);
   std::optional<OracleViolation> CheckDmlApply(const QueryAst& ast,
                                                uint64_t predicted);
 
@@ -132,8 +141,6 @@ class DifferentialOracle {
   DatabaseStats stats_;
   CardinalityEstimator estimator_;
   CostModel cost_model_;
-  Executor exec_;
-  DmlExecutor dml_;
   ReferenceEvaluator reference_;
   vexec::VectorizedEngine vexec_;
   SqlLinter linter_;

@@ -1,5 +1,6 @@
 #include "fuzz/reference_eval.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -15,238 +16,275 @@ Status ReferenceEvaluator::Charge(uint64_t units) const {
   if (__builtin_add_overflow(work_, units, &next)) next = UINT64_MAX;
   work_ = next;
   if (work_ > max_work_) {
-    return Status::OutOfRange("reference evaluation exceeded its work budget");
+    return Status::ResourceExhausted(
+        "reference evaluation exceeded its work budget");
   }
   return Status::Ok();
 }
 
-StatusOr<ReferenceEvaluator::Result> ReferenceEvaluator::EvalSelect(
-    const SelectQuery& q) const {
+StatusOr<SelectResult> ReferenceEvaluator::ExecuteSelect(
+    const SelectQuery& q, bool materialize_first_column) const {
   work_ = 0;
-  return EvalSelectRec(q);
+  return Select(q, materialize_first_column);
 }
 
-StatusOr<ReferenceEvaluator::Result> ReferenceEvaluator::EvalSelectRec(
-    const SelectQuery& q) const {
-  // 1. Materialize the joined rows by nested loops. The base scan is
-  // charged before materializing so a 10⁶-row scaled table trips the
-  // meter instead of allocating first.
-  std::vector<std::vector<uint32_t>> tuples;  // row per table in chain
-  LSG_RETURN_IF_ERROR(Charge(db_->tables()[q.tables[0]].num_rows()));
-  for (size_t r = 0; r < db_->tables()[q.tables[0]].num_rows(); ++r) {
-    tuples.push_back({static_cast<uint32_t>(r)});
+StatusOr<ReferenceEvaluator::Tuples> ReferenceEvaluator::Join(
+    const std::vector<int>& tables, ExecStats* stats) const {
+  if (tables.empty()) {
+    return Status::InvalidArgument("SELECT without FROM tables");
   }
-  for (size_t i = 1; i < q.tables.size(); ++i) {
-    LSG_ASSIGN_OR_RETURN(Edge edge, FindEdge(q.tables, i));
-    std::vector<std::vector<uint32_t>> next;
-    const Table& nt = db_->tables()[q.tables[i]];
-    // The nested-loop product is the probe-equivalent work of this stage
-    // (what the Executor meters as rows_probed · build size). Saturate the
-    // multiply: two ~2³² row counts would wrap uint64 and skip the budget.
+  // The base scan is charged before materializing so a 10⁶-row scaled
+  // table trips the meter instead of allocating first.
+  const size_t base_rows = db_->tables()[tables[0]].num_rows();
+  LSG_RETURN_IF_ERROR(Charge(base_rows));
+  Tuples ts;
+  ts.width = 1;
+  for (size_t r = 0; r < base_rows; ++r) {
+    ts.rows.push_back(static_cast<uint32_t>(r));
+  }
+  stats->rows_scanned += static_cast<double>(base_rows);
+
+  const Catalog& cat = db_->catalog();
+  for (size_t i = 1; i < tables.size(); ++i) {
+    const Table& nt = db_->tables()[tables[i]];
+    const std::string& new_name = cat.table(tables[i]).name();
+    stats->rows_scanned += static_cast<double>(nt.num_rows());
+
+    // The FK edge: the first chain table with one, its first edge.
+    size_t probe_pos = i;
+    int probe_col = -1, build_col = -1;
+    for (size_t j = 0; j < i && probe_pos == i; ++j) {
+      const std::vector<ForeignKey> edges =
+          cat.JoinEdges(cat.table(tables[j]).name(), new_name);
+      if (edges.empty()) continue;
+      const ForeignKey& fk = edges[0];
+      const bool new_is_from = fk.from_table == new_name;
+      probe_pos = j;
+      probe_col = cat.table(tables[j]).FindColumn(
+          new_is_from ? fk.to_column : fk.from_column);
+      build_col = cat.table(tables[i]).FindColumn(
+          new_is_from ? fk.from_column : fk.to_column);
+    }
+    if (probe_pos == i) {
+      return Status::InvalidArgument("no FK edge joins " + new_name +
+                                     " into the chain");
+    }
+
+    // The nested-loop product is the probe-equivalent work of this stage.
+    // Saturate the multiply: two ~2³² row counts would wrap uint64 and
+    // skip the budget.
     uint64_t probe_work = 0;
-    if (__builtin_mul_overflow(static_cast<uint64_t>(tuples.size()),
+    if (__builtin_mul_overflow(static_cast<uint64_t>(ts.size()),
                                static_cast<uint64_t>(nt.num_rows()),
                                &probe_work)) {
       probe_work = UINT64_MAX;
     }
     LSG_RETURN_IF_ERROR(Charge(probe_work));
-    for (const auto& tup : tuples) {
+    stats->rows_probed += static_cast<double>(ts.size());
+
+    const Table& probe_table = db_->tables()[tables[probe_pos]];
+    Tuples next;
+    next.width = i + 1;
+    uint64_t joined = 0;
+    for (size_t t = 0; t < ts.size(); ++t) {
+      const Value a = probe_table.GetValue(ts.at(t)[probe_pos], probe_col);
       for (size_t r = 0; r < nt.num_rows(); ++r) {
-        Value a = db_->tables()[q.tables[edge.probe_chain_pos]].GetValue(
-            tup[edge.probe_chain_pos], edge.probe_col);
-        Value b = nt.GetValue(r, edge.build_col);
-        if (!a.is_null() && !b.is_null() && a.Compare(b) == 0) {
-          auto extended = tup;
-          extended.push_back(static_cast<uint32_t>(r));
-          next.push_back(std::move(extended));
+        const Value b = nt.GetValue(r, build_col);
+        if (a.is_null() || b.is_null() || a.Compare(b) != 0) continue;
+        if (++joined > max_intermediate_tuples_) {
+          return Status::OutOfRange("join intermediate exceeds limit");
         }
+        next.rows.insert(next.rows.end(), ts.at(t), ts.at(t) + ts.width);
+        next.rows.push_back(static_cast<uint32_t>(r));
       }
     }
-    tuples = std::move(next);
+    stats->rows_joined += static_cast<double>(joined);
+    ts = std::move(next);
+  }
+  return ts;
+}
+
+StatusOr<ReferenceEvaluator::Tuples> ReferenceEvaluator::Filter(
+    const std::vector<int>& tables, const WhereClause& where,
+    const Tuples& in, ExecStats* stats) const {
+  // Uncorrelated subqueries run once per predicate, in predicate order,
+  // before any tuple is tested.
+  const std::vector<Predicate>& preds = where.predicates;
+  std::vector<SelectResult> subs(preds.size());
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (preds[i].subquery == nullptr) continue;
+    LSG_ASSIGN_OR_RETURN(
+        subs[i], Select(*preds[i].subquery,
+                        preds[i].kind != PredicateKind::kExistsSub));
+    stats->Add(subs[i].stats);
   }
 
-  // 2. WHERE.
-  std::vector<std::vector<uint32_t>> kept;
-  for (const auto& tup : tuples) {
-    LSG_ASSIGN_OR_RETURN(bool pass, EvalWhere(q, q.where, tup));
-    if (pass) kept.push_back(tup);
-  }
-
-  // 3. Aggregation (each kept tuple is touched once more to aggregate or
-  // group it).
-  LSG_RETURN_IF_ERROR(Charge(kept.size()));
-  Result out;
-  if (q.group_by.empty()) {
-    if (q.HasAggregate()) {
-      out.cardinality = 1;
-      out.first_column.push_back(Aggregate(q, q.items[0], kept));
-    } else {
-      out.cardinality = kept.size();
-      for (const auto& tup : kept) {
-        out.first_column.push_back(TupleValue(q, tup, q.items[0].column));
+  Tuples out;
+  out.width = in.width;
+  std::vector<bool> truth(preds.size());
+  for (size_t t = 0; t < in.size(); ++t) {
+    // Even an empty WHERE costs one unit per tuple: MatchRows over a
+    // scaled 10⁶-row table must consume budget whether or not predicates
+    // exist.
+    LSG_RETURN_IF_ERROR(Charge(1 + preds.size()));
+    for (size_t i = 0; i < preds.size(); ++i) {
+      const Predicate& p = preds[i];
+      const SelectResult& sub = subs[i];
+      const Value v = TupleValue(tables, in.at(t), p.column);
+      switch (p.kind) {
+        case PredicateKind::kValue:
+          truth[i] = CompareValues(v, p.op, p.value);
+          break;
+        case PredicateKind::kLike:
+          truth[i] = v.is_string() && p.value.is_string() &&
+                     LikeMatch(v.as_string(), p.value.as_string());
+          break;
+        case PredicateKind::kScalarSub:
+          truth[i] = sub.cardinality == 1 && !sub.first_column.empty() &&
+                     CompareValues(v, p.op, sub.first_column[0]);
+          break;
+        case PredicateKind::kInSub:
+          truth[i] = !v.is_null() &&
+                     std::any_of(sub.first_column.begin(),
+                                 sub.first_column.end(), [&](const Value& m) {
+                                   return !m.is_null() && m.Compare(v) == 0;
+                                 });
+          break;
+        case PredicateKind::kExistsSub:
+          truth[i] = (sub.cardinality > 0) != p.negated;
+          break;
       }
     }
-    return out;
-  }
-  std::map<std::string, std::vector<std::vector<uint32_t>>> groups;
-  for (const auto& tup : kept) {
-    std::string key;
-    for (const ColumnRef& c : q.group_by) {
-      key += TupleValue(q, tup, c).ToSqlLiteral();
-      key += '\x1f';
-    }
-    groups[key].push_back(tup);
-  }
-  for (const auto& [key, rows] : groups) {
-    (void)key;
-    if (q.having.has_value()) {
-      std::vector<Value> col;
-      for (const auto& tup : rows) {
-        col.push_back(TupleValue(q, tup, q.having->column));
-      }
-      Value agg = AggValues(q.having->agg, col);
-      if (!CompareValues(agg, q.having->op, q.having->value)) continue;
-    }
-    ++out.cardinality;
-    const SelectItem& item = q.items[0];
-    if (item.agg == AggFunc::kNone) {
-      out.first_column.push_back(TupleValue(q, rows[0], item.column));
-    } else {
-      std::vector<Value> col;
-      for (const auto& tup : rows) {
-        col.push_back(TupleValue(q, tup, item.column));
-      }
-      out.first_column.push_back(AggValues(item.agg, col));
+    if (CombinePredicates(truth, where.connectors)) {
+      out.rows.insert(out.rows.end(), in.at(t), in.at(t) + in.width);
     }
   }
   return out;
 }
 
-StatusOr<uint64_t> ReferenceEvaluator::EvalAst(const QueryAst& ast) const {
-  work_ = 0;
-  switch (ast.type) {
-    case QueryType::kSelect: {
-      LSG_ASSIGN_OR_RETURN(Result r, EvalSelectRec(*ast.select));
-      return r.cardinality;
+StatusOr<SelectResult> ReferenceEvaluator::Select(const SelectQuery& q,
+                                                  bool materialize) const {
+  SelectResult result;
+  LSG_ASSIGN_OR_RETURN(const Tuples joined, Join(q.tables, &result.stats));
+  LSG_ASSIGN_OR_RETURN(const Tuples kept,
+                       Filter(q.tables, q.where, joined, &result.stats));
+  // Each kept tuple is touched once more to aggregate or group it.
+  LSG_RETURN_IF_ERROR(Charge(kept.size()));
+
+  // `col` of every tuple in `members`, in order.
+  auto values = [&](const std::vector<size_t>& members, const ColumnRef& col) {
+    std::vector<Value> out;
+    for (size_t t : members) {
+      out.push_back(TupleValue(q.tables, kept.at(t), col));
     }
-    case QueryType::kInsert:
-      if (ast.insert->source != nullptr) {
-        LSG_ASSIGN_OR_RETURN(Result r, EvalSelectRec(*ast.insert->source));
-        return r.cardinality;
+    return out;
+  };
+  std::vector<size_t> all(kept.size());
+  for (size_t t = 0; t < all.size(); ++t) all[t] = t;
+  const bool fill = materialize && !q.items.empty();
+
+  if (q.group_by.empty()) {
+    if (q.HasAggregate()) {
+      result.cardinality = 1;
+      if (fill) {
+        result.first_column.push_back(
+            AggValues(q.items[0].agg, values(all, q.items[0].column)));
       }
-      return static_cast<uint64_t>(1);
+    } else {
+      result.cardinality = kept.size();
+      if (fill) result.first_column = values(all, q.items[0].column);
+    }
+    result.stats.rows_output += static_cast<double>(result.cardinality);
+    return result;
+  }
+
+  // Groups in first-appearance order, keyed by the printed key.
+  std::map<std::string, size_t> group_of;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t t = 0; t < kept.size(); ++t) {
+    std::vector<Value> key;
+    for (const ColumnRef& c : q.group_by) {
+      key.push_back(TupleValue(q.tables, kept.at(t), c));
+    }
+    auto [it, inserted] = group_of.emplace(GroupKeyOf(key), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(t);
+  }
+  for (const std::vector<size_t>& members : groups) {
+    if (q.having.has_value() &&
+        !CompareValues(AggValues(q.having->agg,
+                                 values(members, q.having->column)),
+                       q.having->op, q.having->value)) {
+      continue;
+    }
+    ++result.cardinality;
+    if (!fill) continue;
+    const SelectItem& item = q.items[0];
+    result.first_column.push_back(
+        item.agg == AggFunc::kNone
+            ? TupleValue(q.tables, kept.at(members[0]), item.column)
+            : AggValues(item.agg, values(members, item.column)));
+  }
+  result.stats.rows_output += static_cast<double>(result.cardinality);
+  return result;
+}
+
+StatusOr<std::vector<bool>> ReferenceEvaluator::MatchRows(
+    int table_idx, const WhereClause& where) const {
+  work_ = 0;
+  if (table_idx < 0 || static_cast<size_t>(table_idx) >= db_->num_tables()) {
+    return Status::InvalidArgument("MatchRows: table index out of range");
+  }
+  ExecStats stats;
+  LSG_ASSIGN_OR_RETURN(const Tuples rows, Join({table_idx}, &stats));
+  LSG_ASSIGN_OR_RETURN(const Tuples kept,
+                       Filter({table_idx}, where, rows, &stats));
+  std::vector<bool> match(rows.size(), false);
+  for (uint32_t r : kept.rows) match[r] = true;
+  return match;
+}
+
+StatusOr<uint64_t> ReferenceEvaluator::Cardinality(const QueryAst& ast) const {
+  work_ = 0;
+  const SelectQuery* select = nullptr;
+  int table_idx = -1;
+  const WhereClause* where = nullptr;
+  switch (ast.type) {
+    case QueryType::kSelect:
+      select = ast.select.get();
+      break;
+    case QueryType::kInsert:
+      if (ast.insert->source == nullptr) return static_cast<uint64_t>(1);
+      select = ast.insert->source.get();
+      break;
     case QueryType::kUpdate:
-      return CountMatching(ast.update->table_idx, ast.update->where);
+      table_idx = ast.update->table_idx;
+      where = &ast.update->where;
+      break;
     case QueryType::kDelete:
-      return CountMatching(ast.del->table_idx, ast.del->where);
+      table_idx = ast.del->table_idx;
+      where = &ast.del->where;
+      break;
   }
-  return Status::InvalidArgument("unknown query type");
+  if (select != nullptr) {
+    LSG_ASSIGN_OR_RETURN(const SelectResult r, Select(*select, false));
+    return r.cardinality;
+  }
+  if (where == nullptr) return Status::InvalidArgument("unknown query type");
+  LSG_ASSIGN_OR_RETURN(const std::vector<bool> match,
+                       MatchRows(table_idx, *where));
+  return static_cast<uint64_t>(std::count(match.begin(), match.end(), true));
 }
 
-StatusOr<ReferenceEvaluator::Edge> ReferenceEvaluator::FindEdge(
-    const std::vector<int>& tables, size_t i) const {
-  const Catalog& cat = db_->catalog();
-  for (size_t j = 0; j < i; ++j) {
-    auto edges = cat.JoinEdges(cat.table(tables[j]).name(),
-                               cat.table(tables[i]).name());
-    if (edges.empty()) continue;
-    const ForeignKey& fk = edges[0];
-    Edge e;
-    e.probe_chain_pos = j;
-    const bool new_is_from = fk.from_table == cat.table(tables[i]).name();
-    e.probe_col = cat.table(tables[j]).FindColumn(
-        new_is_from ? fk.to_column : fk.from_column);
-    e.build_col = cat.table(tables[i]).FindColumn(
-        new_is_from ? fk.from_column : fk.to_column);
-    return e;
-  }
-  return Status::Internal("no FK edge for join");
-}
-
-Value ReferenceEvaluator::TupleValue(const SelectQuery& q,
-                                     const std::vector<uint32_t>& tup,
+Value ReferenceEvaluator::TupleValue(const std::vector<int>& tables,
+                                     const uint32_t* tup,
                                      const ColumnRef& col) const {
-  for (size_t i = 0; i < q.tables.size(); ++i) {
-    if (q.tables[i] == col.table_idx) {
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (tables[i] == col.table_idx) {
       return db_->tables()[col.table_idx].GetValue(tup[i], col.column_idx);
     }
   }
   return Value::Null();
-}
-
-StatusOr<bool> ReferenceEvaluator::EvalWhere(
-    const SelectQuery& q, const WhereClause& where,
-    const std::vector<uint32_t>& tup) const {
-  // Even an empty WHERE costs one unit per tuple: CountMatching over a
-  // scaled 10⁶-row table must consume budget whether or not predicates
-  // exist, matching the Executor's per-row scan accounting.
-  LSG_RETURN_IF_ERROR(Charge(1 + where.predicates.size()));
-  if (where.empty()) return true;
-  std::vector<bool> preds;
-  for (const Predicate& p : where.predicates) {
-    LSG_ASSIGN_OR_RETURN(bool v, EvalPredicate(q, p, tup));
-    preds.push_back(v);
-  }
-  return CombinePredicates(preds, where.connectors);
-}
-
-StatusOr<bool> ReferenceEvaluator::EvalPredicate(
-    const SelectQuery& q, const Predicate& p,
-    const std::vector<uint32_t>& tup) const {
-  switch (p.kind) {
-    case PredicateKind::kValue:
-      return CompareValues(TupleValue(q, tup, p.column), p.op, p.value);
-    case PredicateKind::kLike: {
-      Value v = TupleValue(q, tup, p.column);
-      return v.is_string() && p.value.is_string() &&
-             LikeMatch(v.as_string(), p.value.as_string());
-    }
-    case PredicateKind::kScalarSub: {
-      LSG_ASSIGN_OR_RETURN(Result sub, EvalSelectRec(*p.subquery));
-      if (sub.cardinality != 1 || sub.first_column.empty()) return false;
-      return CompareValues(TupleValue(q, tup, p.column), p.op,
-                           sub.first_column[0]);
-    }
-    case PredicateKind::kInSub: {
-      Value v = TupleValue(q, tup, p.column);
-      if (v.is_null()) return false;
-      LSG_ASSIGN_OR_RETURN(Result sub, EvalSelectRec(*p.subquery));
-      for (const Value& m : sub.first_column) {
-        if (!m.is_null() && m.Compare(v) == 0) return true;
-      }
-      return false;
-    }
-    case PredicateKind::kExistsSub: {
-      LSG_ASSIGN_OR_RETURN(Result sub, EvalSelectRec(*p.subquery));
-      bool exists = sub.cardinality > 0;
-      return p.negated ? !exists : exists;
-    }
-  }
-  return false;
-}
-
-StatusOr<uint64_t> ReferenceEvaluator::CountMatching(
-    int table_idx, const WhereClause& where) const {
-  SelectQuery probe;
-  probe.tables = {table_idx};
-  uint64_t n = 0;
-  const Table& t = db_->tables()[table_idx];
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    LSG_ASSIGN_OR_RETURN(bool pass,
-                         EvalWhere(probe, where, {static_cast<uint32_t>(r)}));
-    if (pass) ++n;
-  }
-  return n;
-}
-
-Value ReferenceEvaluator::Aggregate(
-    const SelectQuery& q, const SelectItem& item,
-    const std::vector<std::vector<uint32_t>>& rows) const {
-  std::vector<Value> col;
-  for (const auto& tup : rows) {
-    col.push_back(TupleValue(q, tup, item.column));
-  }
-  return AggValues(item.agg, col);
 }
 
 Value ReferenceEvaluator::AggValues(AggFunc agg,

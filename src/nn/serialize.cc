@@ -69,6 +69,14 @@ Status LoadParams(const std::vector<ParamTensor*>& params,
     if (std::fread(&name_len, sizeof(name_len), 1, f.get()) != 1) {
       return Status::InvalidArgument("truncated file " + path);
     }
+    // Checked before the name is allocated: the header is untrusted, and
+    // a corrupt length would allocate up to 4 GiB.
+    if (name_len != p->name.size()) {
+      return Status::InvalidArgument(
+          StrFormat("tensor mismatch: file has a %u-byte name, model expects "
+                    "%s",
+                    name_len, p->name.c_str()));
+    }
     std::string name(name_len, '\0');
     if (std::fread(name.data(), 1, name_len, f.get()) != name_len ||
         std::fread(&rows, sizeof(rows), 1, f.get()) != 1 ||

@@ -1,7 +1,7 @@
 #ifndef LEARNEDSQLGEN_OPTIMIZER_COST_MODEL_H_
 #define LEARNEDSQLGEN_OPTIMIZER_COST_MODEL_H_
 
-#include "exec/executor.h"
+#include "exec/select_result.h"
 #include "optimizer/cardinality_estimator.h"
 
 namespace lsg {

@@ -19,11 +19,10 @@ inline constexpr size_t kBatchSize = 2048;
 using Mask = std::vector<uint8_t>;
 
 /// Joined working set, columnar by chain position: cols[pos][t] is the row
-/// id of tuple t in the table at chain position pos. Same information as
-/// the reference Executor's row-major `flat` store, laid out so that join
+/// id of tuple t in the table at chain position pos, laid out so that join
 /// probes and predicate gathers touch one contiguous array per table.
-/// Tuple order (t) is identical to the reference engine's — this is what
-/// makes every downstream result bitwise comparable.
+/// Tuple order (t) is identical to the reference evaluator's — this is
+/// what makes every downstream result bitwise comparable.
 struct TupleSetV {
   std::vector<int> tables;                     ///< catalog table indices
   std::vector<std::vector<uint32_t>> cols;     ///< size = tables.size()

@@ -10,9 +10,11 @@ namespace lsg {
 namespace vexec {
 
 /// Open-addressing hash table for INT64 equi-join build sides. Duplicate
-/// keys chain their build rows in insertion order, so a probe emits rows in
-/// exactly the order the reference Executor's `unordered_map<Value,
-/// vector<uint32_t>>` stores them (both insert rows ascending).
+/// keys chain their build rows in insertion order (rows are inserted
+/// ascending), so a join emits each probe tuple's matches in build-row
+/// order — the reference evaluator's nested-loop order. No engine
+/// iterates an unordered container, so no hash or bucket order is part of
+/// any result.
 ///
 /// Layout: power-of-two array of 16-byte {key, head, tail} slots, linear
 /// probing; duplicates thread through a per-row `next` chain with a tail

@@ -48,9 +48,9 @@ inline int Sign3(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 /// the access arrives.
 constexpr size_t kPrefetchDist = 16;
 
-/// Canonical 64-bit image of a DOUBLE group-key cell. The reference
-/// engine's string key (GroupKeyOf -> FormatDouble) is injective up to
-/// `==`, except that a NaN prints only its sign ("nan" / "-nan"): so -0.0
+/// Canonical 64-bit image of a DOUBLE group-key cell. The printed key the
+/// reference evaluator groups by (GroupKeyOf -> FormatDouble) is injective
+/// up to `==`, except that a NaN prints only its sign ("nan" / "-nan"): so -0.0
 /// joins +0.0, and all NaNs of one sign are one group.
 uint64_t CanonicalDoubleBits(double d) {
   if (d == 0.0) {
@@ -305,8 +305,8 @@ struct JoinEdge {
 };
 
 /// FK edge selection for joining `new_ti` to the chain tables[0, prefix)
-/// — must mirror the reference Executor exactly (chain tables in order,
-/// first JoinEdges entry wins) so both engines join on the same columns.
+/// — must mirror the reference evaluator exactly (chain tables in order,
+/// first JoinEdges entry wins) so both join on the same columns.
 /// Enforced by the differential tests.
 StatusOr<JoinEdge> FindJoinEdge(const Catalog& cat,
                                 const std::vector<int>& tables,
@@ -330,7 +330,7 @@ StatusOr<JoinEdge> FindJoinEdge(const Catalog& cat,
 }
 
 /// The join hash table over an INT64 build column, its rows inserted in
-/// ascending order (the reference engine's bucket order). A key-range scan
+/// ascending order (the reference's nested-loop order). A key-range scan
 /// comes first: sequential-PK build sides (every FK edge in the bundled
 /// datasets) get the dense direct-address mode — no hashing, no
 /// collisions, one bounded-index load per probe. The planted
@@ -596,7 +596,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
         }
       }
     } else {
-      // Generic path: exactly the reference engine's Value-keyed build.
+      // Generic path: a Value-keyed build, rows chained ascending.
       std::unordered_map<Value, std::vector<uint32_t>, ValueHash> hash;
       hash.reserve(new_table.num_rows());
       for (size_t r = 0; r < new_table.num_rows(); ++r) {
@@ -736,8 +736,7 @@ Status VectorizedEngine::EvalPredicate(const Predicate& p,
       auto sub = RunSelect(*p.subquery, /*materialize=*/true);
       if (!sub.ok()) return sub.status();
       stats->Add(sub->stats);
-      // Same Value-keyed membership set as the reference engine so the
-      // (int, double) equality/hash quirks are shared, not reinvented.
+      // A Value-keyed membership set (Value equality and ValueHash).
       std::unordered_set<Value, ValueHash> members(sub->first_column.begin(),
                                                    sub->first_column.end());
       for (size_t t = 0; t < ts.count; ++t) {
@@ -996,9 +995,9 @@ StatusOr<SelectResult> VectorizedEngine::RunSelect(
   LSG_ASSIGN_OR_RETURN(TupleSetV ts, BuildJoin(q, &result.stats));
   LSG_RETURN_IF_ERROR(ApplyWhere(q.where, &ts, &result.stats));
 
-  // Sequential finalizer, tuple order = reference order, shared aggregate
-  // helpers: every double accumulation below is bitwise-identical to the
-  // reference engine's.
+  // Sequential finalizer, tuple order = reference order, aggregates as a
+  // left fold in tuple order: every double accumulation below is
+  // bitwise-identical to the reference evaluator's.
   const bool has_agg = q.HasAggregate();
 
   if (q.group_by.empty()) {

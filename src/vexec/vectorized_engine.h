@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/executor.h"
+#include "exec/select_result.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 #include "vexec/batch.h"
@@ -28,31 +28,33 @@ enum class InjectBug {
 };
 
 struct VexecOptions {
-  /// Join blowup bound; must match the reference Executor's for bitwise
+  /// Join blowup bound; must match the reference evaluator's for bitwise
   /// OutOfRange agreement.
   uint64_t max_intermediate_tuples = 1ull << 24;
   InjectBug inject = InjectBug::kNone;
 };
 
-/// Columnar batch execution engine. Same query surface and — by
-/// construction — bitwise-identical results (cardinality, first_column,
-/// ExecStats) as the reference Executor, at vectorized speed on one core:
+/// Columnar batch execution engine: the one production engine. Same query
+/// surface and — by construction — bitwise-identical results (cardinality,
+/// first_column, ExecStats, join-cap status) as the nested-loop
+/// ReferenceEvaluator (src/fuzz/reference_eval.h), at vectorized speed on
+/// one core:
 ///
 ///   * scans and predicate evaluation run as typed kernels over the
 ///     Column backing arrays (no per-row Value materialization on the hot
 ///     paths);
 ///   * FK hash joins use an open-addressing INT64 table (SplitMix64) when
 ///     both key columns are INT64 — every FK edge in the bundled datasets
-///     — and fall back to the reference engine's exact
-///     unordered_map<Value, ...> build otherwise;
+///     — and fall back to an unordered_map<Value, ...> build otherwise;
+///     either way a probe tuple's matches come out in build-row order;
 ///   * every stage runs serially in tuple order, so tuple order (and
 ///     therefore every order-sensitive double accumulation downstream)
-///     matches the reference engine exactly.
+///     matches the reference's nested loop exactly.
 ///
 /// The sequential tail groups on typed keys read straight from the
-/// Column arrays, with the same equivalence classes as the reference
-/// engine's printed GroupKeyOf keys and the same first-appearance group
-/// order; HAVING and aggregates reuse the shared AggregateValues over each
+/// Column arrays, with the same equivalence classes as the printed
+/// GroupKeyOf keys the reference groups by and the same first-appearance
+/// group order; HAVING and aggregates use AggregateValues over each
 /// group's tuples in tuple order.
 ///
 /// A count-only SELECT (materialize_first_column = false) builds no tuple
@@ -65,10 +67,10 @@ struct VexecOptions {
 /// predicate runs once over its own table's rows (DESIGN.md §6j). Every
 /// other query builds the join as above.
 ///
-/// The Executor stays the permanent correctness oracle of both paths:
-/// tests/vexec_test.cc sweeps both engines differentially over every
-/// bundled dataset under both materialize settings and `lsgfuzz --oracle
-/// vexec` cross-checks every fuzz episode.
+/// The reference evaluator is the permanent correctness oracle of both
+/// paths: tests/vexec_test.cc sweeps the engine against it over every
+/// bundled dataset under both materialize settings, and `lsgfuzz` (every
+/// mode but serve-decode) cross-checks every fuzz episode.
 ///
 /// The engine holds no mutable state: const query methods may run
 /// concurrently on one instance.

@@ -158,7 +158,7 @@ TEST_F(EnvTest, FeedbackCallCounting) {
   EXPECT_GT(env->feedback_calls(), before);
 }
 
-TEST_F(EnvTest, TrueExecutionFeedbackMatchesExecutor) {
+TEST_F(EnvTest, TrueExecutionFeedbackIsExact) {
   EnvironmentOptions eo;
   eo.feedback = FeedbackSource::kTrueExecution;
   SqlGenEnvironment env(&db_, &*vocab_, est_.get(), cost_.get(),

@@ -1,22 +1,23 @@
-// Differential testing of the executor: the naive reference evaluator
-// (row-at-a-time nested loops, no hashing — see fuzz/reference_eval.h, where
-// it lives so the fuzzer and tests share one copy) must produce the same
-// cardinality as the optimized executor for every FSM-generated query.
+// Differential testing of the execution engine: the naive reference
+// evaluator (row-at-a-time nested loops, no hashing — see
+// fuzz/reference_eval.h, where it lives so the fuzzer and tests share one
+// copy) must produce the same cardinality as the vectorized engine for
+// every FSM-generated query on the hand-built Score/Student database.
 #include <gtest/gtest.h>
 
 #include "core/workload.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "fuzz/reference_eval.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(DifferentialTest, ExecutorMatchesReference) {
+TEST_P(DifferentialTest, VectorizedEngineMatchesReference) {
   Database db = BuildScoreStudentDb();
   VocabularyOptions vo;
   vo.values_per_column = 8;
@@ -38,7 +39,7 @@ TEST_P(DifferentialTest, ExecutorMatchesReference) {
       break;
   }
   GenerationFsm fsm(&db, &*vocab, profile);
-  Executor exec(&db);
+  vexec::VectorizedEngine exec(&db);
   ReferenceEvaluator ref(&db);
   Rng rng(9000 + GetParam());
   for (int i = 0; i < 200; ++i) {
@@ -46,7 +47,7 @@ TEST_P(DifferentialTest, ExecutorMatchesReference) {
     ASSERT_TRUE(ast.ok());
     auto fast = exec.Cardinality(*ast);
     ASSERT_TRUE(fast.ok()) << RenderSql(*ast, db.catalog());
-    auto slow = ref.EvalAst(*ast);
+    auto slow = ref.Cardinality(*ast);
     ASSERT_TRUE(slow.ok()) << slow.status().ToString() << " "
                            << RenderSql(*ast, db.catalog());
     EXPECT_EQ(*fast, *slow) << RenderSql(*ast, db.catalog());

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "exec/dml_executor.h"
-#include "exec/executor.h"
 #include "exec/expression.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -65,7 +64,7 @@ TEST(CombineSelectivitiesTest, Clamped) {
   EXPECT_GE(CombineSelectivities({0.0, 0.0}, {BoolConn::kAnd}), 0.0);
 }
 
-// ----------------------------------------------------------- executor
+// ------------------------------------------------ the production engine
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -104,7 +103,7 @@ class ExecutorTest : public ::testing::Test {
   }
 
   Database db_;
-  Executor exec_;
+  vexec::VectorizedEngine exec_;
 };
 
 TEST_F(ExecutorTest, FullScan) { EXPECT_EQ(Card(ScanScore()), 30u); }
@@ -297,7 +296,8 @@ TEST_F(ExecutorTest, StatsTrackWork) {
 }
 
 TEST_F(ExecutorTest, IntermediateLimitGuard) {
-  Executor tiny(&db_, /*max_intermediate_tuples=*/10);
+  vexec::VectorizedEngine tiny(
+      &db_, vexec::VexecOptions{.max_intermediate_tuples = 10});
   SelectQuery q = ScanScore();
   q.tables.push_back(student());
   auto r = tiny.ExecuteSelect(q, false);
@@ -332,11 +332,9 @@ TEST_F(ExecutorTest, QueryAstCardinalityDispatch) {
 
 // ----------------------------------------------------------- DML
 
-class DmlTest : public ExecutorTest {
- protected:
-  DmlTest() : dml_(&db_) {}
-  DmlExecutor dml_;
-};
+// A DML statement's cardinality is the number of rows it would affect
+// (a dry run: the database is not mutated).
+class DmlTest : public ExecutorTest {};
 
 TEST_F(DmlTest, InsertValuesAffectsOneRow) {
   QueryAst ast;
@@ -344,7 +342,7 @@ TEST_F(DmlTest, InsertValuesAffectsOneRow) {
   ast.insert = std::make_unique<InsertQuery>();
   ast.insert->table_idx = student();
   ast.insert->values = {Value(int64_t{99}), Value("Zoe"), Value("F")};
-  auto n = dml_.AffectedRows(ast);
+  auto n = exec_.Cardinality(ast);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
 }
@@ -364,7 +362,7 @@ TEST_F(DmlTest, InsertSelectCountsSourceRows) {
   p.op = CompareOp::kEq;
   p.value = Value("F");
   ast.insert->source->where.predicates.push_back(std::move(p));
-  auto n = dml_.AffectedRows(ast);
+  auto n = exec_.Cardinality(ast);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 5u);
 }
@@ -377,7 +375,7 @@ TEST_F(DmlTest, UpdateCountsMatchingRows) {
   ast.update->set_column = {score(), 3};
   ast.update->set_value = Value(100.0);
   ast.update->where.predicates.push_back(CoursePred("db"));
-  auto n = dml_.AffectedRows(ast);
+  auto n = exec_.Cardinality(ast);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 10u);
 }
@@ -389,7 +387,7 @@ TEST_F(DmlTest, UpdateWithoutWhereAffectsAllRows) {
   ast.update->table_idx = score();
   ast.update->set_column = {score(), 3};
   ast.update->set_value = Value(0.0);
-  auto n = dml_.AffectedRows(ast);
+  auto n = exec_.Cardinality(ast);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 30u);
 }
@@ -400,7 +398,7 @@ TEST_F(DmlTest, DeleteCountsMatchingRows) {
   ast.del = std::make_unique<DeleteQuery>();
   ast.del->table_idx = score();
   ast.del->where.predicates.push_back(GradePred(CompareOp::kLe, 65.0));
-  auto n = dml_.AffectedRows(ast);
+  auto n = exec_.Cardinality(ast);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 5u);  // grades 60..64 (65 is absent from the data)
 }
@@ -410,26 +408,8 @@ TEST_F(DmlTest, DryRunDoesNotMutate) {
   ast.type = QueryType::kDelete;
   ast.del = std::make_unique<DeleteQuery>();
   ast.del->table_idx = score();
-  ASSERT_TRUE(dml_.AffectedRows(ast).ok());
+  ASSERT_TRUE(exec_.Cardinality(ast).ok());
   EXPECT_EQ(db_.FindTable("Score")->num_rows(), 30u);
-}
-
-TEST_F(DmlTest, ApplyInsertMutatesScratchDb) {
-  Database scratch = BuildScoreStudentDb();
-  QueryAst ast;
-  ast.type = QueryType::kInsert;
-  ast.insert = std::make_unique<InsertQuery>();
-  ast.insert->table_idx = student();
-  ast.insert->values = {Value(int64_t{77}), Value("New"), Value("M")};
-  ASSERT_TRUE(dml_.ApplyInsert(&scratch, ast).ok());
-  EXPECT_EQ(scratch.FindTable("Student")->num_rows(), 11u);
-}
-
-TEST_F(DmlTest, AffectedRowsRejectsSelect) {
-  QueryAst ast;
-  ast.type = QueryType::kSelect;
-  ast.select = std::make_unique<SelectQuery>(ScanScore());
-  EXPECT_FALSE(dml_.AffectedRows(ast).ok());
 }
 
 }  // namespace

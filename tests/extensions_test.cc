@@ -10,12 +10,12 @@
 
 #include "core/generator.h"
 #include "core/workload.h"
-#include "exec/executor.h"
 #include "exec/expression.h"
 #include "fsm/generation_fsm.h"
 #include "optimizer/cardinality_estimator.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -96,7 +96,7 @@ class LikeExecTest : public ::testing::Test {
   LikeExecTest() : db_(BuildScoreStudentDb()), exec_(&db_) {}
   int student() { return db_.catalog().FindTable("Student"); }
   Database db_;
-  Executor exec_;
+  vexec::VectorizedEngine exec_;
 };
 
 TEST_F(LikeExecTest, CountsMatchingRows) {
@@ -245,7 +245,7 @@ TEST_F(ExtensionFsmTest, WalksWithExtensionsExecute) {
   QueryProfile profile;
   profile.max_nesting_depth = 2;
   GenerationFsm fsm(&db_, &*vocab_, profile);
-  Executor exec(&db_);
+  vexec::VectorizedEngine exec(&db_);
   Rng rng(777);
   int like_seen = 0, order_seen = 0;
   for (int i = 0; i < 300; ++i) {

@@ -14,12 +14,12 @@
 
 #include "core/workload.h"
 #include "datasets/tpch_like.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "fuzz/test_databases.h"
 #include "optimizer/cardinality_estimator.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -140,7 +140,7 @@ TEST(MaskSoundness, ExecutablePrefixesReallyExecute) {
   vo.values_per_column = 6;
   auto vocab = Vocabulary::Build(db, vo);
   ASSERT_TRUE(vocab.ok());
-  Executor exec(&db);
+  vexec::VectorizedEngine exec(&db);
   GenerationFsm fsm(&db, &*vocab, QueryProfile::Full());
   Rng rng(4242);
   int executable_states = 0;
@@ -172,7 +172,7 @@ TEST(EstimatorScaleTest, GeneratedQueriesHaveSaneEstimates) {
   Database db = BuildTpchLike(DatasetScale{0.5, 1});
   DatabaseStats stats = DatabaseStats::Collect(db);
   CardinalityEstimator est(&db, &stats);
-  Executor exec(&db);
+  vexec::VectorizedEngine exec(&db);
   VocabularyOptions vo;
   vo.values_per_column = 20;
   auto vocab = Vocabulary::Build(db, vo);

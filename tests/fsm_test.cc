@@ -3,12 +3,12 @@
 #include <set>
 
 #include "core/workload.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "fsm/semantic_rules.h"
 #include "obs/obs.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -396,7 +396,7 @@ QueryProfile CaseProfile(int idx) {
 TEST_P(FsmWalkProperty, WalksTerminateAndExecute) {
   QueryProfile profile = CaseProfile(GetParam());
   GenerationFsm fsm(&db_, &*vocab_, profile);
-  Executor exec(&db_);
+  vexec::VectorizedEngine exec(&db_);
   Rng rng(1000 + GetParam());
   for (int i = 0; i < 150; ++i) {
     auto ast = RandomWalkQuery(&fsm, &rng);

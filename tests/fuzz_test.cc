@@ -2,12 +2,11 @@
 // walks and replay, delta-debug shrinking, the oracle stack (including the
 // render→parse→render fixpoint and DML apply/rollback properties), and a
 // smoke of the service fuzzer. The harness is also mutation-tested here: a
-// fuzz run with an injected executor bug must catch it, shrink it, and
+// fuzz run with an injected engine bug must catch it, shrink it, and
 // reproduce it from the trace alone.
 #include <gtest/gtest.h>
 
 #include "core/workload.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/oracle.h"
@@ -18,6 +17,7 @@
 #include "fuzz/trace.h"
 #include "sql/parser.h"
 #include "sql/render.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -148,7 +148,7 @@ TEST(TraceTest, ReplayRepairsArbitraryActionSubsequences) {
     GenerationFsm fsm(&db, &*vocab, QueryProfile::Full());
     auto ast = ReplayActions(&fsm, garbage, nullptr);
     ASSERT_TRUE(ast.ok()) << ast.status().ToString();
-    Executor exec(&db);
+    vexec::VectorizedEngine exec(&db);
     EXPECT_TRUE(exec.Cardinality(*ast).ok())
         << RenderSql(*ast, db.catalog());
   }
@@ -319,7 +319,7 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
   ASSERT_FALSE(stats->failures.empty())
       << "harness failed to catch an injected off-by-one executor bug";
   for (const EpisodeTrace& f : stats->failures) {
-    EXPECT_EQ(f.oracle, "exec-vs-ref");
+    EXPECT_EQ(f.oracle, "vexec");
     // Shrinking happened and terminated at a 1-minimal trace.
     EXPECT_GT(stats->shrink_probes, 0);
 
@@ -329,7 +329,7 @@ TEST(FuzzerTest, InjectedExecutorBugIsCaughtShrunkAndReplayable) {
     ASSERT_TRUE(reparsed.ok());
     auto rerun = ReplayTraceEpisode(*reparsed, opts.oracle);
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-    EXPECT_EQ(rerun->oracle, "exec-vs-ref");
+    EXPECT_EQ(rerun->oracle, "vexec");
     EXPECT_EQ(rerun->sql, f.sql);
 
     // Without the injected bug the same trace is clean — the failure is

@@ -3,9 +3,9 @@
 #include "baselines/random_generator.h"
 #include "core/generator.h"
 #include "datasets/tpch_like.h"
-#include "exec/executor.h"
 #include "sql/render.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -96,7 +96,7 @@ TEST_F(IntegrationTest, GeneratedQueriesExecuteAndMatchEstimatesRoughly) {
 
   // Re-parse is not needed: re-walk the reported SQL by executing through
   // a random env is complex; instead regenerate trajectories directly.
-  Executor exec(db_);
+  vexec::VectorizedEngine exec(db_);
   EnvironmentOptions eo;
   SqlGenEnvironment env(db_, &(*gen)->vocab(), &(*gen)->estimator(),
                         &(*gen)->cost_model(),

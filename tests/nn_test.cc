@@ -1134,6 +1134,26 @@ TEST(SerializeTest, ShapeMismatchRejected) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, CorruptNameLengthRejectedBeforeAllocating) {
+  Rng rng(43);
+  Linear a(3, 2, &rng);
+  std::string path = std::filesystem::temp_directory_path() /
+                     "lsg_serialize_name_len.bin";
+  ASSERT_TRUE(SaveParams(a.Params(), path).ok());
+  {
+    // The first tensor's name length follows the magic and the count.
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint32_t name_len = UINT32_MAX;
+    ASSERT_EQ(std::fseek(f, 2 * sizeof(uint32_t), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&name_len, sizeof(name_len), 1, f), 1u);
+    std::fclose(f);
+  }
+  EXPECT_EQ(LoadParams(a.Params(), path).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(SerializeTest, MissingFileRejected) {
   Rng rng(41);
   Linear a(2, 2, &rng);

@@ -2,11 +2,11 @@
 
 #include <cmath>
 
-#include "exec/executor.h"
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/column_stats.h"
 #include "optimizer/cost_model.h"
 #include "tests/test_db.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 namespace {
@@ -163,7 +163,7 @@ class EstimatorTest : public StatsTest {
  protected:
   EstimatorTest() : est_(&db_, &stats_), exec_(&db_) {}
   CardinalityEstimator est_;
-  Executor exec_;
+  vexec::VectorizedEngine exec_;
 };
 
 TEST_F(EstimatorTest, FullScanExact) {

@@ -1,16 +1,16 @@
 // lsgfuzz — deterministic fuzzing & differential-testing front end.
 //
 // Default mode drives randomized FSM episodes through the full oracle
-// stack (FSM walk → Render → Parser re-parse → AST equivalence →
-// optimized Executor vs. naive reference evaluator → estimator bounds →
-// DML apply under snapshot/rollback) across the bundled datasets. Every
+// stack (FSM walk → lint → vectorized engine vs. nested-loop reference
+// evaluator → Render → Parser re-parse → AST equivalence → estimator
+// bounds → DML apply under snapshot/rollback) across the bundled datasets. Every
 // failure is shrunk by delta-debugging and written to the corpus as a
 // replayable trace file.
 //
 // Examples:
 //   lsgfuzz --episodes 2000 --seed 7                 # all four datasets
 //   lsgfuzz --dataset tpch --episodes 500 --corpus /tmp/lsg-corpus
-//   lsgfuzz --replay /tmp/lsg-corpus/tpch-ep42-exec-vs-ref.trace
+//   lsgfuzz --replay /tmp/lsg-corpus/tpch-ep42-vexec.trace
 //   lsgfuzz --service --rounds 6                     # fuzz the service
 //   lsgfuzz --episodes 50 --inject-bug card-off-by-one   # harness check
 //
@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
   OracleOptions oracle;
   if (oracle_mode == "vexec") {
     // Focused lockstep mode: only the vectorized-vs-reference check runs
-    // (plus the executor acceptance gate it depends on).
+    // (plus the engine acceptance gate it depends on).
     oracle.check_lint = false;
-    oracle.check_reference = false;
     oracle.check_roundtrip = false;
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
     // Focused serving-equivalence mode: only the serving-vs-reference decode
     // check runs (sampled once per 8 episodes, like the full stack).
     oracle.check_lint = false;
-    oracle.check_reference = false;
     oracle.check_roundtrip = false;
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
