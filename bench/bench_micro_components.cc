@@ -348,6 +348,20 @@ void BM_DecodeLaneStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeLaneStep);
 
+// A fresh actor's construction over the TPC-H vocabulary (about 2,798
+// input columns, ~430K weights), as every training starts: the weight draw,
+// the zeroed gradients and the forward panels.
+void BM_ActorInit(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  NetworkOptions no;
+  for (auto _ : state) {
+    Rng init(no.seed);
+    PolicyNetwork actor(f.vocab->size(), no, &init);
+    benchmark::DoNotOptimize(actor.Params().front()->value().data());
+  }
+}
+BENCHMARK(BM_ActorInit);
+
 void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   MicroFixture& f = Fixture();
   NetworkOptions no;

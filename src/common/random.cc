@@ -7,8 +7,6 @@
 namespace lsg {
 
 namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // SplitMix64 step, used to expand the seed into the xoshiro state.
 uint64_t SplitMix64Next(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -25,18 +23,6 @@ Rng::Rng(uint64_t seed) {
   for (int i = 0; i < 4; ++i) s_[i] = SplitMix64Next(&sm);
   // Avoid the all-zero state, which xoshiro cannot escape.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::Uniform(uint64_t n) {

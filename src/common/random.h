@@ -22,8 +22,19 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Inline: weight init (Matrix::Xavier) takes one
+  /// per weight, ~430K per actor.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t Uniform(uint64_t n);
@@ -75,6 +86,7 @@ class Rng {
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;

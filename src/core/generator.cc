@@ -140,9 +140,10 @@ Status LearnedSqlGen::LoadModel(const Constraint& constraint,
                                 const std::string& path) {
   snapshot_.reset();
   trace_.clear();
-  Rng init(options_.trainer.net.seed);
-  auto actor = std::make_unique<PolicyNetwork>(context_->vocab().size(),
-                                               options_.trainer.net, &init);
+  // Only the shape is built: LoadParams overwrites every tensor (or
+  // rejects a file whose names or shapes differ), so nothing is drawn.
+  auto actor = std::make_unique<PolicyNetwork>(
+      context_->vocab().size(), options_.trainer.net, /*init=*/nullptr);
   LSG_RETURN_IF_ERROR(LoadParams(actor->Params(), path));
   rng_ = Rng(options_.trainer.seed);
   Publish(std::move(actor), constraint, /*train_seconds=*/0.0);

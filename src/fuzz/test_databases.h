@@ -15,12 +15,14 @@ namespace lsg {
 Database BuildScoreStudentDb();
 
 /// Canonical names of every bundled database: "score", "tpch", "job",
-/// "xuetang". The fuzzer iterates this list when asked for all datasets.
+/// "xuetang", "edge". The fuzzer iterates this list when asked for all
+/// datasets. "edge" holds the execution edge cases the others never reach:
+/// NULLs in nullable FK columns, and -0.0 next to +0.0 in DOUBLE columns.
 const std::vector<std::string>& FuzzDatasetNames();
 
 /// Builds a bundled database by name (benchmark aliases "TPC-H", "JOB" and
 /// "XueTang" are accepted too). `scale` multiplies the synthetic benchmark
-/// row counts; the fixed score/student example ignores it. Returns
+/// row counts; the fixed score/student and edge databases ignore it. Returns
 /// InvalidArgument for unknown names.
 StatusOr<Database> BuildNamedDatabase(const std::string& name,
                                       double scale = 1.0);

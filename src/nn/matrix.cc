@@ -17,8 +17,17 @@ Matrix Matrix::Randn(int rows, int cols, float stddev, Rng* rng) {
 }
 
 Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
-  float stddev = std::sqrt(2.0f / static_cast<float>(rows + cols));
-  return Randn(rows, cols, stddev, rng);
+  Matrix m(rows, cols);
+  if (rng == nullptr) return m;
+  const float a = std::sqrt(6.0f / static_cast<float>(rows + cols));
+  for (size_t i = 0; i < m.size(); ++i) {
+    // u = k * 2^-24 from the top 24 bits, and 2u - 1 in [-1, 1), are both
+    // exact in float, so the product with a is the only rounding; it
+    // stays below a because (1 - 2^-23) * a <= a - ulp(a).
+    const float u = static_cast<float>(rng->Next() >> 40) * 0x1.0p-24f;
+    m.data()[i] = (2.f * u - 1.f) * a;
+  }
+  return m;
 }
 
 namespace {

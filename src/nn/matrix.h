@@ -33,10 +33,14 @@ class Matrix {
 
   static Matrix Zeros(int rows, int cols) { return Matrix(rows, cols); }
 
-  /// Gaussian init with the given stddev.
+  /// Gaussian values with the given stddev (test and bench data; network
+  /// weights start from Xavier).
   static Matrix Randn(int rows, int cols, float stddev, Rng* rng);
 
-  /// Xavier/Glorot-scaled init: stddev = sqrt(2 / (fan_in + fan_out)).
+  /// Glorot-uniform init: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)),
+  /// which has Xavier's variance a^2 / 3 = 2 / (fan_in + fan_out). One
+  /// rng->Next() per weight, in row-major order. A null rng leaves the
+  /// zeros: a shape for LoadParams to fill.
   static Matrix Xavier(int rows, int cols, Rng* rng);
 
  private:

@@ -46,10 +46,21 @@ StatusOr<Trajectory> RolloutPolicy(Environment* env,
   });
 }
 
+namespace {
+// The actor's weight draw, under its own span so that a training's
+// breakdown accounts for it.
+std::unique_ptr<PolicyNetwork> DrawActor(int vocab_size,
+                                         const NetworkOptions& options,
+                                         Rng* init) {
+  LSG_OBS_SPAN("rl.init");
+  return std::make_unique<PolicyNetwork>(vocab_size, options, init);
+}
+}  // namespace
+
 TrainingActor::TrainingActor(int vocab_size, const NetworkOptions& options,
                              uint64_t seed, float lr)
     : dropout(seed),
-      net(std::make_unique<PolicyNetwork>(vocab_size, options, &dropout)),
+      net(DrawActor(vocab_size, options, &dropout)),
       opt(net->Params(), lr) {}
 
 StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,

@@ -33,9 +33,10 @@ Status CheckExtraFeatures(const std::vector<float>& extra,
 /// and scratch from the caller, so a served actor is immutable by type.
 class PolicyNetwork {
  public:
-  /// Draws the initial weights from `init` (options.seed is not read); a
-  /// trainer keeps that stream as the actor's dropout stream
-  /// (TrainingActor).
+  /// Draws the initial weights from `init` (Glorot-uniform, Matrix::Xavier;
+  /// options.seed is not read); a trainer keeps that stream as the actor's
+  /// dropout stream (TrainingActor). A null `init` draws nothing and leaves
+  /// the weights zero, a shape for LoadParams to fill.
   PolicyNetwork(int vocab_size, const NetworkOptions& options, Rng* init);
 
   int vocab_size() const { return vocab_size_; }

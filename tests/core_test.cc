@@ -645,5 +645,42 @@ TEST(GeneratorTest, TrainRecordsOneEpochSpanPerEpoch) {
   EXPECT_EQ(reinforce, 0);
 }
 
+// The actor's weight draw is its own span: one Train records exactly one
+// "rl.init", inside "gen.train" and before the first epoch, so a
+// training's breakdown accounts for it.
+TEST(GeneratorTest, TrainRecordsOneInitSpan) {
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 2;
+  opts.trainer.batch_size = 2;
+  opts.vocab.values_per_column = 8;
+  auto gen = LearnedSqlGen::Create(ScoreContext(opts), opts);
+  ASSERT_TRUE(gen.ok());
+  obs::SpanTracer& tracer = obs::SpanTracer::Global();
+  tracer.Clear();
+  obs::SetEnabled(true);
+  const Status trained =
+      (*gen)->Train(Constraint::Range(ConstraintMetric::kCardinality, 1, 50));
+  obs::SetEnabled(false);
+  ASSERT_TRUE(trained.ok()) << trained.ToString();
+  ASSERT_LE(tracer.total_recorded(), tracer.capacity());
+  std::vector<obs::SpanTracer::Span> inits, trains, epochs;
+  for (const obs::SpanTracer::Span& span : tracer.Snapshot()) {
+    const std::string name = span.name;
+    if (name == "rl.init") inits.push_back(span);
+    if (name == "gen.train") trains.push_back(span);
+    if (name == "rl.ac_epoch") epochs.push_back(span);
+  }
+  tracer.Clear();
+  ASSERT_EQ(inits.size(), 1u);
+  ASSERT_EQ(trains.size(), 1u);
+  ASSERT_FALSE(epochs.empty());
+  const uint64_t init_end = inits[0].start_ns + inits[0].duration_ns;
+  EXPECT_GE(inits[0].start_ns, trains[0].start_ns);
+  EXPECT_LE(init_end, trains[0].start_ns + trains[0].duration_ns);
+  for (const obs::SpanTracer::Span& e : epochs) {
+    EXPECT_LE(init_end, e.start_ns);
+  }
+}
+
 }  // namespace
 }  // namespace lsg

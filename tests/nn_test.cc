@@ -46,6 +46,60 @@ TEST(MatrixTest, RandnStatistics) {
   EXPECT_NEAR(std::sqrt(sq / n), 0.5, 0.03);
 }
 
+// Glorot-uniform: every weight lies in [-a, a) with a = sqrt(6 / (fan_in +
+// fan_out)), and the sample mean and variance are 0 and Xavier's
+// 2 / (fan_in + fan_out), for the TPC-H actor's layer-0 Wx (120 x 2,798)
+// and its head (2,797 x 30). The tolerances are about six standard errors.
+TEST(MatrixTest, XavierIsGlorotUniform) {
+  for (auto [rows, cols] : {std::pair{120, 2798}, std::pair{2797, 30}}) {
+    Rng rng(17);
+    Matrix m = Matrix::Xavier(rows, cols, &rng);
+    const double a = std::sqrt(6.0f / static_cast<float>(rows + cols));
+    const double var = 2.0 / (rows + cols);
+    const double n = static_cast<double>(m.size());
+    double sum = 0, sq = 0;
+    for (size_t i = 0; i < m.size(); ++i) {
+      const double w = m.data()[i];
+      ASSERT_GE(w, -a) << i;
+      ASSERT_LT(w, a) << i;
+      sum += w;
+      sq += w * w;
+    }
+    EXPECT_NEAR(sum / n, 0.0, 6 * std::sqrt(var / n)) << rows << "x" << cols;
+    EXPECT_NEAR(sq / n / var, 1.0, 6 * 0.9 / std::sqrt(n))
+        << rows << "x" << cols;
+  }
+}
+
+// Each weight is (2u - 1) * a for u = (Next() >> 40) * 2^-24, rounded once
+// to float: the 24-bit by 24-bit product is exact in double, so a double
+// product rounded to float is the reference. The first 8 weights' bits are
+// pinned as well, so a change to the mapping or to the stream fails here.
+TEST(MatrixTest, XavierMapsOneDrawPerWeight) {
+  Rng rng(1), ref(1);
+  Matrix m = Matrix::Xavier(30, 2797, &rng);
+  const float a = std::sqrt(6.0f / static_cast<float>(30 + 2797));
+  for (size_t i = 0; i < m.size(); ++i) {
+    const double u = static_cast<double>(ref.Next() >> 40) * 0x1.0p-24;
+    const float want = static_cast<float>((2.0 * u - 1.0) * a);
+    ASSERT_EQ(m.data()[i], want) << i;
+  }
+  EXPECT_EQ(rng.Next(), ref.Next());  // no draw beyond one per weight
+  const uint32_t pinned[8] = {0x3c992a68u, 0x3af6cf1au, 0x3bdfbd82u,
+                              0xbc240cf9u, 0x3c94d49bu, 0xbd068423u,
+                              0xbd21e34au, 0xbc335d46u};
+  for (int i = 0; i < 8; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, &m.data()[i], sizeof(bits));
+    EXPECT_EQ(bits, pinned[i]) << i << ": 0x" << std::hex << bits;
+  }
+}
+
+TEST(MatrixTest, XavierWithoutRngLeavesZeros) {
+  Matrix m = Matrix::Xavier(4, 3, /*rng=*/nullptr);
+  for (size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.f) << i;
+}
+
 TEST(MatrixTest, MatVec) {
   Matrix w(2, 3);
   // [[1,2,3],[4,5,6]] * [1,1,1] = [6,15]

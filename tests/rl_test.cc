@@ -861,14 +861,14 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
     trace.push_back(HashParams(trainer.actor().Params()));
     trace.push_back(HashParams(trainer.critic()->Params()));
   }
-  // Recorded at the commit before the row-tiled forward kernels.
+  // Re-recorded when the weight init became Glorot-uniform.
   const std::vector<uint64_t> expected = {
-      0x3546c7e7e1972b20ull, 0xbee91ad70c00925full,  // epoch 0: actor, critic
-      0xbc1318ca8d7e67d2ull, 0xbb5e5bacffccafa7ull,
-      0xeb2f15458d47c3f7ull, 0x06d94787bc1bb539ull,
-      0x4804f90ac602dbc9ull, 0xf8544bb23c863e0dull,
-      0xec5e0a28a461c2f2ull, 0xde741071bcacfe0bull,
-      0x5fa539251e06a69dull, 0x4b4a00caadd13545ull,
+      0xf10ea465ab93ad88ull, 0xcedc23dc4f52c85bull,  // epoch 0: actor, critic
+      0xb90cd52550691910ull, 0x4794b98f78016dd2ull,
+      0x5550f29babdd861dull, 0x136b3395d3da49b1ull,
+      0xd93d2205463ea297ull, 0x67060b7787d8f6c9ull,
+      0x8afa5574ff92b2bfull, 0x76e027d847527515ull,
+      0xdd943201337777e6ull, 0xdc8eadaaccf8c142ull,
   };
   ASSERT_EQ(trace.size(), expected.size());
   for (size_t k = 0; k < trace.size(); ++k) {
@@ -880,7 +880,7 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
 
 // Keep-best: LearnedSqlGen::Train rolls the actor back to its best epoch
 // through ParamSnapshot::Restore before publishing it. After eight epochs
-// of the trainer above (the best is epoch 5), the restored actor's
+// of the trainer above (the best is epoch 4), the restored actor's
 // per-step distributions over four eval rollouts are pinned: a Restore
 // that wrote the values without refreshing the forward panels would step
 // with the last epoch's weights.
@@ -908,12 +908,12 @@ TEST_F(LiveColumnTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
       h = HashFloats(h, d.probs.data(), d.probs.size());
     }
   }
-  EXPECT_EQ(h, 0x08babc89def5faa3ull) << "steps hash 0x" << std::hex << h;
+  EXPECT_EQ(h, 0xc83f39a6ab29b207ull) << "steps hash 0x" << std::hex << h;
 }
 
 // The REINFORCE counterpart of the actor-critic pin: actor hashes after each of
-// six epochs without the critic. Recorded at the commit before the
-// actor-critic, REINFORCE and meta-critic epochs became one loop.
+// six epochs without the critic. Re-recorded when the weight init became
+// Glorot-uniform.
 TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
@@ -925,8 +925,8 @@ TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
     trace.push_back(HashParams(trainer.actor().Params()));
   }
   const std::vector<uint64_t> expected = {
-      0x68e3a2a8e03f4573ull, 0xebc2d3b89e5badfaull, 0x427b5ac5bed32b24ull,
-      0xd5ba82c3af50f05bull, 0x0f16d2fd49bf465full, 0x4ea415089bcadafdull,
+      0x1fc12115033d0a11ull, 0xb0ea1a8ed9b1c1dbull, 0x3a5b614df2282e7aull,
+      0x644330cc7b1dbfb9ull, 0x7b68e6cbac5612efull, 0xfbc0cb306f72a482ull,
   };
   ASSERT_EQ(trace.size(), expected.size());
   for (size_t k = 0; k < trace.size(); ++k) {
@@ -937,9 +937,8 @@ TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
 
 // The AC-extend counterpart (the Figure 9 baseline): actor and critic
 // hashes after each of six epochs of nets whose input carries two
-// constraint features after the one-hot token. Recorded at the commit
-// before the LSTM forwards became one lane step, when this input ran
-// through a dense (|A| + 1 + 2)-wide step.
+// constraint features after the one-hot token. Re-recorded when the
+// weight init became Glorot-uniform.
 TEST_F(LiveColumnTrainingTest, AcExtendFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
@@ -954,12 +953,12 @@ TEST_F(LiveColumnTrainingTest, AcExtendFixedSeedTraceUnchanged) {
     trace.push_back(HashParams(trainer.critic()->Params()));
   }
   const std::vector<uint64_t> expected = {
-      0x2b6489f6a6521f77ull, 0xd45581b124193f4aull,  // epoch 0: actor, critic
-      0xf61fe7cf34c56ed8ull, 0x6c860b51ee2a70d0ull,
-      0xe168c6eeee1ec083ull, 0x58d979813a0c62baull,
-      0x863f9bf0c48fba80ull, 0x20b54f7f106950bcull,
-      0xb095f7316fcb53a7ull, 0x7b0be18851fec286ull,
-      0xd69517a87bb8b805ull, 0x20203dc1e65b7d56ull,
+      0x2ceac4168a7eb4c0ull, 0xc33727e5533310cfull,  // epoch 0: actor, critic
+      0xe9908a6be038afd5ull, 0x79bf66c1d17cd4ddull,
+      0xdc6bef2af606c5e0ull, 0x4f70a550eb34c0e4ull,
+      0xff474d2c2447b279ull, 0x2edf81aaaf6741d8ull,
+      0xb450ae6bb770e987ull, 0x7b5fe11f6370bd4eull,
+      0xf52a8a786d4782ceull, 0xadd5039657584b6dull,
   };
   ASSERT_EQ(trace.size(), expected.size());
   for (size_t k = 0; k < trace.size(); ++k) {

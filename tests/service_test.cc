@@ -271,6 +271,27 @@ TEST_F(RegistryTest, EvictedModelWarmStartsFromDisk) {
   EXPECT_EQ(metrics_.disk_warm_starts.Value(), 1u);
   ASSERT_NE(again->snapshot, nullptr);
   ExpectActorMatchesScalarReference(*again->snapshot->actor);
+  // The warm-started actor is the spilled one bit for bit: every tensor
+  // and every forward panel.
+  const auto spilled = trained->snapshot->actor->Params();
+  const auto loaded = again->snapshot->actor->Params();
+  ASSERT_EQ(loaded.size(), spilled.size());
+  for (size_t k = 0; k < spilled.size(); ++k) {
+    const Matrix& want = spilled[k]->value();
+    const Matrix& got = loaded[k]->value();
+    ASSERT_EQ(got.rows(), want.rows()) << spilled[k]->name;
+    ASSERT_EQ(got.cols(), want.cols()) << spilled[k]->name;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+              0)
+        << spilled[k]->name;
+    ASSERT_EQ(loaded[k]->packed(), spilled[k]->packed()) << spilled[k]->name;
+    if (spilled[k]->packed()) {
+      EXPECT_EQ(std::memcmp(loaded[k]->panel(), spilled[k]->panel(),
+                            want.size() * sizeof(float)),
+                0)
+          << spilled[k]->name << " panel";
+    }
+  }
   EXPECT_EQ(DecodeBatch(*again->snapshot, 3, /*seed=*/3).attempts, 3);
   std::filesystem::remove_all(ro.spill_dir);
 }

@@ -1092,7 +1092,7 @@ TEST_P(VexecDifferentialTest, MatchesReferenceOnBundledDataset) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, VexecDifferentialTest,
                          ::testing::Values("score", "tpch", "job",
-                                           "xuetang"));
+                                           "xuetang", "edge"));
 
 }  // namespace
 }  // namespace lsg

@@ -8,7 +8,7 @@
 // replayable trace file.
 //
 // Examples:
-//   lsgfuzz --episodes 2000 --seed 7                 # all four datasets
+//   lsgfuzz --episodes 2000 --seed 7                 # all five datasets
 //   lsgfuzz --dataset tpch --episodes 500 --corpus /tmp/lsg-corpus
 //   lsgfuzz --replay /tmp/lsg-corpus/tpch-ep42-vexec.trace
 //   lsgfuzz --service --rounds 6                     # fuzz the service
@@ -39,7 +39,7 @@ void Usage() {
       "fuzz options:\n"
       "  --episodes N     episodes per dataset (default 1000)\n"
       "  --seed S         base RNG seed (default 7)\n"
-      "  --dataset D      score|tpch|job|xuetang|all (default all)\n"
+      "  --dataset D      score|tpch|job|xuetang|edge|all (default all)\n"
       "  --scale F        synthetic dataset scale factor (default 0.05)\n"
       "  --values K       sampled values per column (default 8)\n"
       "  --corpus DIR     write failure artifacts here\n"

@@ -43,7 +43,7 @@ void Usage() {
       "lsglint — FSM state-graph verifier + SQL semantic linter\n\n"
       "modes:\n"
       "  --fsm D          analyze the FSM graph for a dataset\n"
-      "                   (score|tpch|job|xuetang|all)\n"
+      "                   (score|tpch|job|xuetang|edge|all)\n"
       "  --lint FILE      lint SQL statements (one per line, # comments)\n"
       "  --trace FILE     lint the query from an lsgfuzz-trace artifact\n"
       "  --check-all      CI gate: every dataset x every profile\n"

@@ -56,7 +56,7 @@ void Usage() {
   std::printf(
       "lsgserved — network front end for constraint-aware SQL generation\n\n"
       "dataset / service:\n"
-      "  --dataset NAME        score|tpch|job|xuetang (default score)\n"
+      "  --dataset NAME        score|tpch|job|xuetang|edge (default score)\n"
       "  --scale F             dataset scale factor (default 1.0)\n"
       "  --workers W           service worker threads (default 4)\n"
       "  --queue Q             service queue capacity (default 64)\n"
