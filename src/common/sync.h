@@ -9,9 +9,9 @@
 // raw-mutex). Everything else uses lsg::Mutex / lsg::MutexLock /
 // lsg::CondVar, which carry Clang thread-safety capability attributes so
 // that lock discipline — which fields a mutex guards, which functions
-// require it, the registry->entry acquisition order — is checked at
-// compile time on every Clang build (-Wthread-safety, see the
-// LSG_THREAD_SAFETY option in the top-level CMakeLists and DESIGN.md §6i).
+// require it, which must be called without it — is checked at compile
+// time on every Clang build (-Wthread-safety, see the LSG_THREAD_SAFETY
+// option in the top-level CMakeLists and DESIGN.md §6i).
 // On GCC and other compilers the attributes expand to nothing and the
 // wrappers compile down to the std types they hold.
 
@@ -41,9 +41,6 @@
 /// Function releases the listed mutexes (held on entry, not on return).
 #define LSG_RELEASE(...) \
   LSG_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-/// Function acquires the mutex iff it returns `b`.
-#define LSG_TRY_ACQUIRE(b, ...) \
-  LSG_THREAD_ANNOTATION_(try_acquire_capability(b, __VA_ARGS__))
 /// Function may not be called while holding the listed mutexes (deadlock
 /// and lock-ordering documentation; see the hierarchy in DESIGN.md §6i).
 #define LSG_EXCLUDES(...) LSG_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
@@ -59,8 +56,7 @@ namespace lsg {
 class CondVar;
 
 /// std::mutex with capability attributes. Prefer MutexLock over manual
-/// Lock/Unlock pairs; TryLock exists for the probe-and-skip pattern
-/// (ModelRegistry eviction) where blocking is the bug being avoided.
+/// Lock/Unlock pairs.
 class LSG_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -69,7 +65,6 @@ class LSG_CAPABILITY("mutex") Mutex {
 
   void Lock() LSG_ACQUIRE() { mu_.lock(); }
   void Unlock() LSG_RELEASE() { mu_.unlock(); }
-  bool TryLock() LSG_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

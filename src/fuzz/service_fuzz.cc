@@ -1,8 +1,13 @@
 #include "fuzz/service_fuzz.h"
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -27,6 +32,22 @@ Constraint RandomConstraint(Rng* rng) {
   return Constraint::Range(metric, a, a * (2 + rng->Uniform(6)));
 }
 
+/// Removes a directory tree (if `dir` is not empty) when it goes out of
+/// scope, however the scope ends.
+class RemovedOnExit {
+ public:
+  explicit RemovedOnExit(std::string dir) : dir_(std::move(dir)) {}
+  ~RemovedOnExit() {
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  RemovedOnExit(const RemovedOnExit&) = delete;
+  RemovedOnExit& operator=(const RemovedOnExit&) = delete;
+
+ private:
+  std::string dir_;
+};
+
 }  // namespace
 
 Status FuzzGenerationService(const ServiceFuzzOptions& options) {
@@ -49,6 +70,15 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
     opts.gen.attempts_factor = 4;
     opts.seed = SplitMix64(options.seed ^ (round + 1));
     const bool midrun_shutdown = (round % 2) == 1;
+    const bool spill = (round % 2) == (round / 2) % 2;
+    if (spill) {
+      opts.registry.spill_dir =
+          (std::filesystem::temp_directory_path() /
+           StrFormat("lsgfuzz-spill-%d-%llu-%d", static_cast<int>(::getpid()),
+                     static_cast<unsigned long long>(options.seed), round))
+              .string();
+    }
+    const RemovedOnExit spill_dir(opts.registry.spill_dir);
 
     auto service = GenerationService::Create(context, opts);
     if (!service.ok()) return service.status();
@@ -56,6 +86,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
       LSG_LOG(Info) << "service fuzz round " << round << ": workers="
                     << opts.num_workers << " queue=" << opts.queue_capacity
                     << " cache=" << opts.registry.capacity
+                    << " spill=" << spill
                     << " midrun_shutdown=" << midrun_shutdown;
     }
 
@@ -131,6 +162,38 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
                     round,
                     static_cast<unsigned long long>(m.queue_depth_high_water),
                     opts.queue_capacity));
+    }
+    auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+    if (options.verbose) {
+      LSG_LOG(Info) << "service fuzz round " << round << " registry: hits="
+                    << m.cache_hits << " misses=" << m.cache_misses
+                    << " trainings=" << m.trainings
+                    << " warm_starts=" << m.disk_warm_starts
+                    << " evictions=" << m.evictions
+                    << " dedup_waits=" << m.dedup_waits;
+    }
+    if (m.cache_hits + m.cache_misses !=
+        m.requests_completed + m.requests_failed) {
+      return Status::Internal(StrFormat(
+          "round %d: hits=%llu + misses=%llu != completed=%llu + "
+          "failed=%llu",
+          round, u(m.cache_hits), u(m.cache_misses), u(m.requests_completed),
+          u(m.requests_failed)));
+    }
+    if (m.trainings + m.disk_warm_starts != m.cache_misses) {
+      return Status::Internal(StrFormat(
+          "round %d: trainings=%llu + warm_starts=%llu != misses=%llu",
+          round, u(m.trainings), u(m.disk_warm_starts), u(m.cache_misses)));
+    }
+    if (m.evictions > m.cache_misses) {
+      return Status::Internal(
+          StrFormat("round %d: evictions=%llu exceed misses=%llu", round,
+                    u(m.evictions), u(m.cache_misses)));
+    }
+    if (!spill && m.disk_warm_starts != 0) {
+      return Status::Internal(
+          StrFormat("round %d: %llu warm starts without a spill directory",
+                    round, u(m.disk_warm_starts)));
     }
   }
   return Status::Ok();

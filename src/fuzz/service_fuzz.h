@@ -23,11 +23,17 @@ struct ServiceFuzzOptions {
 /// creates a service with a random worker count, queue capacity, and
 /// registry size, floods it with a random constraint mix (point/range,
 /// cardinality/cost, Submit and TrySubmit), and on odd rounds shuts the
-/// service down mid-run from a racing thread. Invariants checked:
+/// service down mid-run from a racing thread. Half the rounds (0, 3, 4,
+/// 7, ...: both shutdown modes every four rounds) give the model registry
+/// a fresh spill directory, so evicted buckets warm-start from disk.
+/// Invariants checked:
 ///   - every submitted future becomes ready (no hangs, no lost promises)
 ///   - per-request statuses are OK or an orderly rejection
 ///   - metrics stay consistent (completed + failed + rejected == submitted,
 ///     queue high-water within capacity)
+///   - the registry's counters agree: one hit or miss per finished request,
+///     one training or warm start per miss, no more evictions than misses,
+///     and no warm start without a spill directory
 ///   - Shutdown is idempotent
 /// Run it under `LSG_SANITIZE=thread` to turn data races into failures.
 /// Returns Internal with a description on any violation.

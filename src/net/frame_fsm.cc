@@ -89,11 +89,5 @@ void FrameFsm::Feed(std::string_view data, const Callback& cb) {
   }
 }
 
-void FrameFsm::Reset() {
-  state_ = kIdle;
-  buf_.clear();
-  pending_cr_ = 0;
-}
-
 }  // namespace net
 }  // namespace lsg

@@ -20,8 +20,8 @@ enum class FrameEvent {
 /// per LF-terminated line (a lone CR before the LF is stripped, so both
 /// "\n" and "\r\n" clients work). Split reads are first-class — Feed may
 /// be called with any byte granularity, including one byte at a time, and
-/// frames spanning many reads accumulate in a pooled buffer that is
-/// recycled between frames (capacity is kept, contents cleared).
+/// frames spanning many reads accumulate in one buffer that is reused
+/// between frames (capacity is kept, contents cleared).
 ///
 /// The machine is a small state x input-class transition table in the
 /// style of libxmpps' fsm.c rather than an ad-hoc scanner: every
@@ -69,10 +69,6 @@ class FrameFsm {
   /// Consumes `data`, invoking `cb` once per completed frame in order.
   /// The payload view is valid only for the duration of the callback.
   void Feed(std::string_view data, const Callback& cb);
-
-  /// Resets to kIdle, dropping any partial frame (connection reuse). The
-  /// buffer's capacity is retained: this is the pooling hook.
-  void Reset();
 
   State state() const { return state_; }
   size_t buffered_bytes() const { return buf_.size(); }

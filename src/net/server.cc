@@ -74,7 +74,6 @@ struct NetServer::Metrics {
         conn_idle_closed(r->GetCounter("net.conn.idle_closed")),
         conn_overflow_closed(r->GetCounter("net.conn.overflow_closed")),
         conn_error_closed(r->GetCounter("net.conn.error_closed")),
-        conn_pool_reuse(r->GetCounter("net.conn.pool_reuse")),
         req_received(r->GetCounter("net.req.received")),
         req_pings(r->GetCounter("net.req.pings")),
         req_ok(r->GetCounter("net.req.ok")),
@@ -104,7 +103,6 @@ struct NetServer::Metrics {
   obs::Counter& conn_idle_closed;
   obs::Counter& conn_overflow_closed;
   obs::Counter& conn_error_closed;
-  obs::Counter& conn_pool_reuse;
   obs::Counter& req_received;
   obs::Counter& req_pings;
   obs::Counter& req_ok;
@@ -144,17 +142,6 @@ struct NetServer::Metrics {
     }
   }
 };
-
-void NetServer::Conn::Recycle(int new_fd, uint64_t new_id, uint64_t now_ns) {
-  fd = new_fd;
-  id = new_id;
-  fsm.Reset();
-  outbuf.clear();
-  out_off = 0;
-  last_active_ns = now_ns;
-  inflight = 0;
-  want_write = false;
-}
 
 NetServer::NetServer(RequestDispatcher* dispatcher,
                      const NetServerOptions& options)
@@ -350,6 +337,7 @@ Status NetServer::LoopOnce() {
       done_ = true;
     }
   }
+  closed_conns_.clear();
   return Status::Ok();
 }
 
@@ -373,20 +361,13 @@ void NetServer::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    std::unique_ptr<Conn> conn;
-    if (!conn_pool_.empty()) {
-      conn = std::move(conn_pool_.back());
-      conn_pool_.pop_back();
-      m_->conn_pool_reuse.Inc();
-    } else {
-      conn = std::make_unique<Conn>(options_.max_frame_bytes);
-    }
-    conn->Recycle(fd, next_conn_id_++, Stopwatch::NowNanos());
     if (!poller_.Add(fd, true, false).ok()) {
       ::close(fd);
-      conn_pool_.push_back(std::move(conn));
       continue;
     }
+    auto conn = std::make_unique<Conn>(fd, next_conn_id_++,
+                                       options_.max_frame_bytes,
+                                       Stopwatch::NowNanos());
     conns_by_id_[conn->id] = conn.get();
     conns_[fd] = std::move(conn);
     m_->conn_accepted.Inc();
@@ -564,7 +545,7 @@ void NetServer::CloseConn(Conn* conn, obs::Counter* reason) {
   conns_by_id_.erase(conn->id);
   auto it = conns_.find(fd);
   if (it != conns_.end()) {
-    conn_pool_.push_back(std::move(it->second));
+    closed_conns_.push_back(std::move(it->second));
     conns_.erase(it);
   }
   closed_in_batch_.push_back(fd);
@@ -749,6 +730,7 @@ void NetServer::Teardown() {
     open.push_back(conn.get());
   }
   for (Conn* conn : open) CloseConn(conn, nullptr);
+  closed_conns_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -128,8 +128,8 @@ class NetServer {
     int inflight = 0;  ///< dispatched requests still owing a response
     bool want_write = false;
 
-    explicit Conn(size_t max_frame) : fsm(max_frame) {}
-    void Recycle(int new_fd, uint64_t new_id, uint64_t now_ns);
+    Conn(int socket, uint64_t conn_id, size_t max_frame, uint64_t now_ns)
+        : fd(socket), id(conn_id), fsm(max_frame), last_active_ns(now_ns) {}
   };
 
   struct PendingRequest {
@@ -189,7 +189,9 @@ class NetServer {
   // Loop-thread state.
   std::map<int, std::unique_ptr<Conn>> conns_;          // by fd
   std::map<uint64_t, Conn*> conns_by_id_;
-  std::vector<std::unique_ptr<Conn>> conn_pool_;
+  /// Conns closed during this LoopOnce, freed at its end (and in
+  /// Teardown): a handler that closed one may still read its fd.
+  std::vector<std::unique_ptr<Conn>> closed_conns_;
   std::map<uint64_t, PendingRequest> pending_;          // by token
   AdmissionController admission_;
   std::vector<PollEvent> events_;

@@ -228,6 +228,7 @@ void ParamTensor::Repack() {
 }
 
 Matrix* ParamTensor::mutable_grad() {
+  AllocateGrad();
   const int cols = grad_.cols();
   if (live_runs_.size() != 1 || live_runs_[0].end - live_runs_[0].begin != cols) {
     live_runs_.assign(1, ColumnRun{0, cols});
@@ -236,6 +237,7 @@ Matrix* ParamTensor::mutable_grad() {
 }
 
 void ParamTensor::AccumulateColumn(int c, const float* d, float scale) {
+  AllocateGrad();
   LSG_DCHECK(c >= 0 && c < grad_.cols());
   // The first run starting after c; the one before it is the only run that
   // can contain c or end right at it.

@@ -73,8 +73,7 @@ class ParamTensor {
  public:
   ParamTensor() = default;
   ParamTensor(std::string n, Matrix v, bool packed = false)
-      : name(std::move(n)), value_(std::move(v)), packed_(packed),
-        grad_(Matrix::Zeros(value_.rows(), value_.cols())) {
+      : name(std::move(n)), value_(std::move(v)), packed_(packed) {
     Repack();
   }
 
@@ -94,6 +93,9 @@ class ParamTensor {
   /// The forward panel (packed tensors only).
   const float* panel() const { return panel_.data(); }
 
+  /// The gradient: empty until its first write (so a tensor that is only
+  /// ever read, like a loaded model's, never allocates one), value-shaped
+  /// and +0 outside the live columns from then on.
   const Matrix& grad() const { return grad_; }
 
   /// Whole-gradient write access; marks every column live.
@@ -106,7 +108,7 @@ class ParamTensor {
   bool IsLive(int c) const;
 
   /// Frees the gradient and its live columns, for a tensor that is only
-  /// read from now on (a served model). No gradient may be written after.
+  /// read from now on (a served model).
   void ReleaseGradient() {
     grad_ = Matrix();
     live_runs_ = std::vector<ColumnRun>();
@@ -145,6 +147,12 @@ class ParamTensor {
   };
 
   void Repack();
+  /// Gives the gradient value's shape, all +0, before its first write.
+  void AllocateGrad() {
+    if (grad_.size() != value_.size()) {
+      grad_ = Matrix::Zeros(value_.rows(), value_.cols());
+    }
+  }
 
   Matrix value_;
   bool packed_ = false;

@@ -2,6 +2,7 @@
 #define LEARNEDSQLGEN_SERVICE_MODEL_REGISTRY_H_
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,15 +20,16 @@ namespace lsg {
 ///
 /// - A second request for the same bucket reuses the cached model (hit).
 /// - Concurrent first requests for one bucket are deduplicated: the first
-///   caller trains, the rest block on the entry until it is ready.
+///   caller trains, the rest wait on the bucket's future until it is ready.
 /// - When the map exceeds `capacity`, the least-recently-used built model is
 ///   spilled to `spill_dir` (the snapshot's actor parameters) and dropped;
 ///   a later request for that bucket warm-starts from the spill file
 ///   instead of retraining.
 ///
-/// Thread-safe; every lock is internal. Decoding holds none: it runs on the
-/// acquired snapshot, which owns what it reads, so an evicted model lives
-/// on until its last decode ends.
+/// Thread-safe; its one lock is internal and is never held while a model is
+/// built or waited for. Decoding holds none: it runs on the acquired
+/// snapshot, which owns what it reads, so an evicted model lives on until
+/// its last decode ends.
 class ModelRegistry {
  public:
   struct Options {
@@ -68,29 +70,28 @@ class ModelRegistry {
   std::string SpillPathFor(const Constraint& c) const;
 
  private:
-  /// One bucket's slot in the cache; defined in model_registry.cc.
-  struct ModelEntry;
+  using Model = StatusOr<std::shared_ptr<const ServingSnapshot>>;
 
+  /// One bucket: the model its first requester publishes once built. A
+  /// failed build erases its slot before publishing the error, so every
+  /// ready slot in the map holds a model.
   struct Slot {
-    std::shared_ptr<ModelEntry> entry;
+    std::shared_future<Model> model;
     uint64_t last_used = 0;
   };
 
   /// SpillPathFor over a bucket key.
   std::string SpillPath(const ConstraintKey& key) const;
 
-  /// Trains (or disk-loads) the model for `entry`. Called by the entry's
-  /// creator without registry_mu_ held.
-  void BuildEntry(const ConstraintKey& key, ModelEntry* entry,
-                  uint64_t train_seed, bool* warm_start)
-      LSG_EXCLUDES(registry_mu_);
+  /// Trains (or disk-loads) the model for `c`'s bucket. Called by the
+  /// slot's creator without registry_mu_ held.
+  Model Build(const ConstraintKey& key, const Constraint& c,
+              uint64_t train_seed, bool* warm_start) LSG_EXCLUDES(registry_mu_);
 
-  /// Evicts least-recently-used built entries until size() <= capacity.
-  /// Entries still training are skipped (the map then stays over capacity
-  /// until one is built). A victim is probed and spilled under one
-  /// try-lock of its mutex, so eviction never blocks on an entry while the
-  /// whole registry is held. Evicting a model that is decoding is safe:
-  /// its decoders hold the snapshot.
+  /// Evicts least-recently-used ready slots until size() <= capacity,
+  /// spilling each under registry_mu_. Slots still building are skipped
+  /// (the map then stays over capacity until one is built). Evicting a
+  /// model that is decoding is safe: its decoders hold the snapshot.
   void EvictIfNeeded() LSG_REQUIRES(registry_mu_);
 
   std::shared_ptr<const DatabaseContext> context_;

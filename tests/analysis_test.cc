@@ -53,7 +53,7 @@ TEST(FsmAnalyzerTest, ScoreDatasetCleanUnderEveryProfile) {
 }
 
 TEST(FsmAnalyzerTest, BundledDatasetsCleanUnderDefaultProfile) {
-  for (const std::string& name : {"tpch", "job", "xuetang"}) {
+  for (const char* name : {"tpch", "job", "xuetang"}) {
     auto db = BuildNamedDatabase(name, 0.05);
     ASSERT_TRUE(db.ok()) << name;
     Vocabulary vocab = TestVocab(*db);

@@ -287,7 +287,7 @@ TEST(StopwatchTest, MeasuresElapsed) {
   double t0 = w.ElapsedSeconds();
   EXPECT_GE(t0, 0.0);
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GE(w.ElapsedSeconds(), t0);
   w.Restart();
   EXPECT_LT(w.ElapsedSeconds(), 1.0);

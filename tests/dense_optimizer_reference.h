@@ -18,6 +18,13 @@
 namespace lsg {
 namespace testing_ref {
 
+/// `p`'s gradient, or a value-shaped +0 one while nothing has been written
+/// to it yet (a ParamTensor allocates its gradient on the first write).
+inline Matrix GradOrZeros(const ParamTensor& p) {
+  if (p.grad().size() == p.value().size()) return p.grad();
+  return Matrix::Zeros(p.value().rows(), p.value().cols());
+}
+
 /// Adam over every parameter entry, every step.
 class DenseAdam {
  public:
@@ -91,7 +98,7 @@ inline double DenseClipGradNorm(const std::vector<ParamTensor*>& params,
 /// Adam moment (m, v) is not exactly +0; empty when there is none.
 inline std::string NonLiveViolation(const ParamTensor& p, const Matrix& m,
                                     const Matrix& v) {
-  const Matrix& g = p.grad();
+  const Matrix g = GradOrZeros(p);
   for (int c = 0; c < g.cols(); ++c) {
     if (p.IsLive(c)) continue;
     for (int r = 0; r < g.rows(); ++r) {

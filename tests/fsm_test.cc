@@ -422,9 +422,15 @@ TEST_P(FsmWalkProperty, WalksTerminateAndExecute) {
     if (!profile.allow_select) {
       EXPECT_NE(ast->type, QueryType::kSelect);
     }
-    if (!profile.allow_insert) EXPECT_NE(ast->type, QueryType::kInsert);
-    if (!profile.allow_update) EXPECT_NE(ast->type, QueryType::kUpdate);
-    if (!profile.allow_delete) EXPECT_NE(ast->type, QueryType::kDelete);
+    if (!profile.allow_insert) {
+      EXPECT_NE(ast->type, QueryType::kInsert);
+    }
+    if (!profile.allow_update) {
+      EXPECT_NE(ast->type, QueryType::kUpdate);
+    }
+    if (!profile.allow_delete) {
+      EXPECT_NE(ast->type, QueryType::kDelete);
+    }
   }
 }
 

@@ -117,19 +117,6 @@ TEST(FrameFsmTest, TransitionTableIsTotalAndLfAlwaysResolvesToIdle) {
   EXPECT_EQ(table[FrameFsm::kDiscard][FrameFsm::kCr].next, FrameFsm::kDiscard);
 }
 
-TEST(FrameFsmTest, ResetDropsPartialFrame) {
-  FrameFsm fsm;
-  FeedAll(&fsm, "partial");
-  EXPECT_EQ(fsm.state(), FrameFsm::kAccum);
-  EXPECT_GT(fsm.buffered_bytes(), 0u);
-  fsm.Reset();
-  EXPECT_EQ(fsm.state(), FrameFsm::kIdle);
-  EXPECT_EQ(fsm.buffered_bytes(), 0u);
-  auto frames = FeedAll(&fsm, "fresh\n");
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].payload, "fresh");
-}
-
 // -------------------------------------------------------------- TokenBucket
 
 constexpr uint64_t kSecond = 1000000000ull;

@@ -616,6 +616,38 @@ TEST(ParamTensorTest, ColumnWritesGoLiveAndSpansCoverExactlyThem) {
   EXPECT_EQ(spans, 1);
 }
 
+// A tensor allocates its gradient on the first write, not at construction,
+// so one that is only ever read (a loaded model's) never holds one. The
+// first write must give the bits a constructor-allocated +0 gradient gave.
+TEST(ParamTensorTest, GradientIsAllocatedOnItsFirstWrite) {
+  Rng rng(72);
+  const float d[3] = {0.3f, -1.7f, 2.9f};
+  constexpr float kScale = 0.37f;
+  ParamTensor p("p", Matrix::Randn(3, 5, 1.f, &rng));
+  EXPECT_EQ(p.grad().size(), 0u);
+  EXPECT_FALSE(p.IsLive(2));
+  int spans = 0;
+  p.ForEachLiveSpan([&](size_t, size_t, float*) { ++spans; });
+  EXPECT_EQ(spans, 0);
+
+  p.AccumulateColumn(2, d, kScale);
+  ASSERT_EQ(p.grad().rows(), 3);
+  ASSERT_EQ(p.grad().cols(), 5);
+  Matrix want = Matrix::Zeros(3, 5);
+  for (int r = 0; r < 3; ++r) want.at(r, 2) += d[r] * kScale;
+  ExpectSameBits(p.grad(), want, "first column write");
+
+  // The whole-gradient writer hands out a value-shaped +0 gradient, and
+  // one freed by ReleaseGradient comes back the same way.
+  ParamTensor q("q", Matrix::Randn(2, 4, 1.f, &rng));
+  EXPECT_EQ(q.grad().size(), 0u);
+  ExpectSameBits(*q.mutable_grad(), Matrix::Zeros(2, 4), "first dense write");
+  q.mutable_grad()->at(1, 3) = 5.f;
+  q.ReleaseGradient();
+  EXPECT_EQ(q.grad().size(), 0u);
+  ExpectSameBits(*q.mutable_grad(), Matrix::Zeros(2, 4), "write after release");
+}
+
 // Random column-sparse gradient streams through ClipGradNorm + Adam::Step
 // must reproduce the every-entry reference bit for bit: values, moments and
 // the pre-clip norm, with clipping both active and inactive, columns going
@@ -694,7 +726,8 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
         << "step " << step << ": " << norm << " vs " << ref_norm;
     (norm > max_norm ? clipped : unclipped) += 1;
     for (size_t t = 0; t < live.size(); ++t) {
-      ExpectSameBits(live[t].grad(), ref[t].grad(), live[t].name + " clipped grad");
+      ExpectSameBits(testing_ref::GradOrZeros(live[t]), ref[t].grad(),
+                     live[t].name + " clipped grad");
     }
 
     opt.Step();
@@ -720,6 +753,8 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
   EXPECT_LT(onehot_live, 40);
   for (int c = 0; c < 9; ++c) EXPECT_TRUE(live[1].IsLive(c));
   for (int c = 0; c < 5; ++c) EXPECT_FALSE(live[3].IsLive(c));
+  // The optimizer tail never allocates a gradient nobody wrote.
+  EXPECT_EQ(live[3].grad().size(), 0u);
 }
 
 // Scalar forms of the tiled backward kernels.

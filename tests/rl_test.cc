@@ -468,8 +468,9 @@ TEST(PolicyNetworkTest, CompactTrainingMatchesDenseReferenceBitwise) {
     const ParamTensor& w = *params[params.size() - 2];
     const ParamTensor& b = *params[params.size() - 1];
     ASSERT_EQ(w.value().rows(), V);
-    Matrix ref_dw = w.grad();
-    std::vector<float> ref_db(b.grad().data(), b.grad().data() + V);
+    Matrix ref_dw = testing_ref::GradOrZeros(w);
+    const Matrix b_grad = testing_ref::GradOrZeros(b);
+    std::vector<float> ref_db(b_grad.data(), b_grad.data() + V);
     for (size_t t = 0; t < T; ++t) {
       const std::vector<float>& h = ep.caches[t].layers.back().h;
       std::vector<float> p(V);

@@ -398,6 +398,28 @@ TEST_F(RegistryTest, EvictionSkipsEntriesStillBuildingAndNeverBlocks) {
   std::filesystem::remove_all(ro.spill_dir);
 }
 
+// A build that fails is not cached: its slot is erased before the error
+// is published, so the registry stays empty and the next request for the
+// bucket misses and builds again instead of being pinned to the error.
+TEST_F(RegistryTest, FailedBuildIsDroppedAndRetried) {
+  LearnedSqlGenOptions bad = FastOptions();
+  bad.trainer.batch_size = 0;  // LearnedSqlGen::Create rejects it
+  ModelRegistry registry(context_, bad, ModelRegistry::Options(), &metrics_);
+
+  auto first = registry.Acquire(CardRange(5, 50), /*train_seed=*/1);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.size(), 0u);
+
+  auto second = registry.Acquire(CardRange(5, 50), /*train_seed=*/2);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_EQ(metrics_.cache_misses.Value(), 2u);
+  EXPECT_EQ(metrics_.cache_hits.Value(), 0u);
+  EXPECT_EQ(metrics_.trainings.Value(), 0u);
+}
+
 // Byte layout of a SaveParams file (nn/serialize.cc): u32 magic, u32
 // tensor count, then per tensor u32 name_len, name, u32 rows, u32 cols and
 // rows·cols floats. Offsets of the last tensor's rows field and data.
@@ -857,9 +879,9 @@ TEST_F(ServiceTest, RequestIsJudgedAgainstItsOwnConstraint) {
 }
 
 // A same-bucket request that arrives while the bucket trains must wait on
-// the entry's ready_cv (and count as a dedup wait), then be served from the
+// the bucket's future (and count as a dedup wait), then be served from the
 // freshly built model. This needs the builder to train without holding
-// the entry mutex; otherwise the requester blocks on the mutex and is
+// the registry lock; otherwise the requester blocks on the lock and is
 // never counted.
 TEST_F(ServiceTest, SameBucketRequestDuringTrainingCountsAsDedupWait) {
   auto opts = ServiceOptions(2);

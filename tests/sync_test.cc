@@ -1,5 +1,5 @@
 // Tests for the annotated synchronization layer (src/common/sync.h):
-// macro neutrality off-Clang, MutexLock RAII and TryLock semantics,
+// macro neutrality off-Clang, MutexLock RAII semantics,
 // CondVar wait/notify under the explicit-loop idiom, and a guarded
 // counter under real contention (run this binary in a
 // -DLSG_SANITIZE=thread build to turn that test into a race detector).
@@ -11,14 +11,16 @@
 // -Werror=thread-safety must reject it. A successful compile of the
 // mutation means the analysis is not running. Exercise it with:
 //
-//   cmake -B build-ts -S . -DCMAKE_CXX_COMPILER=clang++ \
-//         -DLSG_THREAD_SAFETY=ON -DCMAKE_CXX_FLAGS=-DLSG_TS_MUTATION
+//   CXX=clang++ cmake -B build-ts -S . -DLSG_THREAD_SAFETY=ON
+//   cmake -B build-ts -S . -DCMAKE_CXX_FLAGS=-DLSG_TS_MUTATION
 //   cmake --build build-ts --target sync_test   # must FAIL
 //
 // (Under GCC the annotations expand to nothing and the mutation compiles
 // silently — the check has teeth exactly where the analysis exists.)
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -48,7 +50,6 @@ TEST(SyncTest, AnnotationMacrosCompileAwayOffClang) {
    public:
     void Lock() LSG_ACQUIRE() {}
     void Unlock() LSG_RELEASE() {}
-    bool TryLock() LSG_TRY_ACQUIRE(true) { return true; }
   };
   class Annotated {
    public:
@@ -65,7 +66,6 @@ TEST(SyncTest, AnnotationMacrosCompileAwayOffClang) {
   FakeCap cap;
   cap.Lock();
   cap.Unlock();
-  if (cap.TryLock()) cap.Unlock();
   Annotated a;
   EXPECT_EQ(a.Get(), 42);
 #if defined(__clang__)
@@ -84,24 +84,31 @@ TEST(SyncTest, AnnotationMacrosCompileAwayOffClang) {
 }
 
 TEST(SyncTest, MutexLockIsHeldForExactlyTheScope) {
+  // A probe thread blocks in its own MutexLock while the owner holds the
+  // mutex. It must see the flag the owner set just before its scope
+  // ended: a lock that did not exclude would let the probe read the flag
+  // before the owner's delayed write, and one that was not released at
+  // scope exit would never let the probe in.
   Mutex mu;
+  bool released = false;  // written under mu, last thing in the scope
+  bool seen = false;
+  std::atomic<bool> probing{false};
+  std::thread probe;
   {
     MutexLock lock(&mu);
-    // Held: another thread's TryLock must fail.
-    bool acquired = true;
-    std::thread probe([&] {
-      acquired = mu.TryLock();
-      if (acquired) mu.Unlock();
+    probe = std::thread([&] {
+      // relaxed: only a start signal; mu orders the data.
+      probing.store(true, std::memory_order_relaxed);
+      MutexLock probe_lock(&mu);
+      seen = released;
     });
-    probe.join();
-    EXPECT_FALSE(acquired);
+    // relaxed: a spin on the start signal above, no payload.
+    while (!probing.load(std::memory_order_relaxed)) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    released = true;
   }
-  // Released at scope exit: TryLock succeeds again. (Branch on the
-  // result rather than wrapping it in an EXPECT — Clang's try-acquire
-  // analysis follows explicit branches, not gtest macro expansions.)
-  const bool reacquired = mu.TryLock();
-  EXPECT_TRUE(reacquired);
-  if (reacquired) mu.Unlock();
+  probe.join();
+  EXPECT_TRUE(seen);
 }
 
 TEST(SyncTest, CondVarWaitReleasesAndReacquiresTheMutex) {
@@ -174,25 +181,6 @@ TEST(SyncTest, GuardedCounterStaysExactUnderContention) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(counter, static_cast<int64_t>(kThreads) * kIncrements);
-}
-
-TEST(SyncTest, TryLockContendsCorrectly) {
-  // The probe thread matters twice over: it makes the contended TryLock
-  // well-defined (try_lock by the owning thread is UB on a non-recursive
-  // mutex) and it mirrors the registry's probe-and-skip eviction idiom.
-  Mutex mu;
-  mu.Lock();
-  bool stolen = true;
-  std::thread probe([&] {
-    stolen = mu.TryLock();
-    if (stolen) mu.Unlock();
-  });
-  probe.join();
-  EXPECT_FALSE(stolen);
-  mu.Unlock();
-  const bool uncontended = mu.TryLock();
-  EXPECT_TRUE(uncontended);
-  if (uncontended) mu.Unlock();
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/service_fuzz.h"
 #include "fuzz/test_databases.h"
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
     opts.seed = seed;
     opts.scale = scale;
     opts.verbose = verbose;
+    if (verbose) SetLogLevel(LogLevel::kInfo);  // the per-round lines
     Status st = FuzzGenerationService(opts);
     if (!st.ok()) {
       std::fprintf(stderr, "service fuzz FAILED: %s\n",

@@ -3,8 +3,8 @@
 // Examples:
 //   lsggen --dataset tpch --metric card --range 50,100 --n 10
 //   lsggen --dataset job --metric cost --point 500 --epochs 400 --explain
-//   lsggen --dataset xuetang --metric card --range 20,80 --profile delete \
-//          --csv out.csv --json out.json
+//   lsggen --dataset xuetang --metric card --range 20,80 --profile delete
+//   lsggen --dataset tpch --metric card --range 50,100 --csv out.csv --json out.json
 //   lsggen --dataset tpch --metric card --range 50,100 --save model.bin
 //   lsggen --dataset tpch --metric card --range 50,100 --load model.bin
 //
