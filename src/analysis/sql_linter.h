@@ -81,7 +81,8 @@ class SqlLinter {
   static bool ValueCompatible(const Value& value, DataType type);
 
   /// True if the catalog holds a PK-FK edge between the two tables, scanned
-  /// directly from the FK list (not via Catalog::AreJoinable).
+  /// by name from the declared FK list, not through the catalog's join
+  /// rule (AreJoinable / JoinIntoChain) that the FSM's join masks use.
   bool HasForeignKeyEdge(int table_a, int table_b) const;
 
  private:

@@ -1,7 +1,5 @@
 #include "catalog/catalog.h"
 
-#include <algorithm>
-
 namespace lsg {
 
 Status Catalog::AddTable(TableSchema schema) {
@@ -34,6 +32,7 @@ Status Catalog::AddForeignKey(ForeignKey fk) {
         fk.from_column + " -> " + fk.to_table + "." + fk.to_column);
   }
   foreign_keys_.push_back(std::move(fk));
+  fk_index_.push_back({from, from_col, to, to_col});
   return Status::Ok();
 }
 
@@ -44,39 +43,31 @@ int Catalog::FindTable(const std::string& name) const {
   return -1;
 }
 
-std::vector<ForeignKey> Catalog::JoinEdges(const std::string& a,
-                                           const std::string& b) const {
-  std::vector<ForeignKey> out;
-  for (const ForeignKey& fk : foreign_keys_) {
-    if ((fk.from_table == a && fk.to_table == b) ||
-        (fk.from_table == b && fk.to_table == a)) {
-      out.push_back(fk);
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> Catalog::JoinableTables(
-    const std::string& table) const {
-  std::vector<std::string> out;
-  auto add_unique = [&out](const std::string& t) {
-    if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
-  };
-  for (const ForeignKey& fk : foreign_keys_) {
-    if (fk.from_table == table) add_unique(fk.to_table);
-    if (fk.to_table == table) add_unique(fk.from_table);
-  }
-  return out;
-}
-
-bool Catalog::AreJoinable(const std::string& a, const std::string& b) const {
-  for (const ForeignKey& fk : foreign_keys_) {
-    if ((fk.from_table == a && fk.to_table == b) ||
-        (fk.from_table == b && fk.to_table == a)) {
+bool Catalog::AreJoinable(int a, int b) const {
+  for (const FkIndex& e : fk_index_) {
+    if ((e.from_table == a && e.to_table == b) ||
+        (e.from_table == b && e.to_table == a)) {
       return true;
     }
   }
   return false;
+}
+
+std::optional<ChainJoin> Catalog::JoinIntoChain(const std::vector<int>& tables,
+                                                size_t pos) const {
+  const int t = tables[pos];
+  for (size_t j = 0; j < pos; ++j) {
+    for (size_t k = 0; k < fk_index_.size(); ++k) {
+      const FkIndex& e = fk_index_[k];
+      if (e.from_table == t && e.to_table == tables[j]) {
+        return ChainJoin{j, e.to_col, e.from_col, &foreign_keys_[k]};
+      }
+      if (e.to_table == t && e.from_table == tables[j]) {
+        return ChainJoin{j, e.from_col, e.to_col, &foreign_keys_[k]};
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace lsg

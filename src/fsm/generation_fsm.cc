@@ -248,6 +248,26 @@ void GenerationFsm::MaskSelectFrame() {
     }
   };
 
+  // A table outside the scope with a PK-FK edge to some scope table.
+  auto joins_into_scope = [&](int t) {
+    if (std::find(f.scope_tables.begin(), f.scope_tables.end(), t) !=
+        f.scope_tables.end()) {
+      return false;
+    }
+    if (profile_.inject_join_edge_gap) return true;
+    for (int prev : f.scope_tables) {
+      if (cat.AreJoinable(prev, t)) return true;
+    }
+    return false;
+  };
+
+  auto scope_has_numeric = [&]() {
+    for (int ti : f.scope_tables) {
+      if (TableHasNumericColumn(cat.table(ti))) return true;
+    }
+    return false;
+  };
+
   auto scope_has_numeric_with_values = [&]() {
     bool found = false;
     for_each_scope_column([&](const ColumnRef& c) {
@@ -318,19 +338,7 @@ void GenerationFsm::MaskSelectFrame() {
       if (profile_.allow_join && joins_left && !tight &&
           f.purpose != FramePurpose::kInsertSource) {
         for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
-          int t = static_cast<int>(ti);
-          if (std::find(f.scope_tables.begin(), f.scope_tables.end(), t) !=
-              f.scope_tables.end()) {
-            continue;
-          }
-          bool joinable = profile_.inject_join_edge_gap;
-          for (int prev : f.scope_tables) {
-            if (joinable) break;
-            if (cat.AreJoinable(cat.table(prev).name(), cat.table(t).name())) {
-              joinable = true;
-            }
-          }
-          if (joinable) {
+          if (joins_into_scope(static_cast<int>(ti))) {
             AllowKeyword(Keyword::kJoin);
             break;
           }
@@ -341,21 +349,8 @@ void GenerationFsm::MaskSelectFrame() {
 
     case BuildPhase::kJoinTable: {
       for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
-        int t = static_cast<int>(ti);
-        if (std::find(f.scope_tables.begin(), f.scope_tables.end(), t) !=
-            f.scope_tables.end()) {
-          continue;
-        }
-        if (profile_.inject_join_edge_gap) {
-          Allow(vocab_->table_token_id(t));
-          continue;
-        }
-        for (int prev : f.scope_tables) {
-          if (cat.AreJoinable(cat.table(prev).name(), cat.table(t).name())) {
-            Allow(vocab_->table_token_id(t));
-            break;
-          }
-        }
+        const int t = static_cast<int>(ti);
+        if (joins_into_scope(t)) Allow(vocab_->table_token_id(t));
       }
       return;
     }
@@ -380,13 +375,7 @@ void GenerationFsm::MaskSelectFrame() {
         case FramePurpose::kScalarSub: {
           if (n_items == 0) {
             AllowKeyword(Keyword::kCount);
-            bool has_numeric = false;
-            for_each_scope_column([&](const ColumnRef& c) {
-              if (IsNumeric(cat.table(c.table_idx).column(c.column_idx).type)) {
-                has_numeric = true;
-              }
-            });
-            if (has_numeric) {
+            if (scope_has_numeric()) {
               AllowKeyword(Keyword::kMax);
               AllowKeyword(Keyword::kMin);
               AllowKeyword(Keyword::kSum);
@@ -435,14 +424,7 @@ void GenerationFsm::MaskSelectFrame() {
                 (mix == 0 || mix == 2 || profile_.allow_group_by) &&
                 !(tight && mix == 1)) {
               AllowKeyword(Keyword::kCount);
-              bool has_numeric = false;
-              for_each_scope_column([&](const ColumnRef& c) {
-                if (IsNumeric(
-                        cat.table(c.table_idx).column(c.column_idx).type)) {
-                  has_numeric = true;
-                }
-              });
-              if (has_numeric) {
+              if (scope_has_numeric()) {
                 AllowKeyword(Keyword::kMax);
                 AllowKeyword(Keyword::kMin);
                 AllowKeyword(Keyword::kSum);

@@ -29,32 +29,11 @@ bool AggregateAllowedForType(AggFunc agg, DataType type) {
   return false;
 }
 
-bool AggregateKeywordAllowedForType(Keyword kw, DataType type) {
-  switch (kw) {
-    case Keyword::kCount:
-      return true;
-    case Keyword::kMax:
-    case Keyword::kMin:
-    case Keyword::kSum:
-    case Keyword::kAvg:
-      return IsNumeric(type);
-    default:
-      return false;
-  }
-}
-
 bool TableHasNumericColumn(const TableSchema& schema) {
   for (const ColumnSchema& c : schema.columns()) {
     if (IsNumeric(c.type)) return true;
   }
   return false;
-}
-
-bool ColumnsComparable(const Catalog& catalog, const ColumnRef& a,
-                       const ColumnRef& b) {
-  DataType ta = catalog.table(a.table_idx).column(a.column_idx).type;
-  DataType tb = catalog.table(b.table_idx).column(b.column_idx).type;
-  return AreComparable(ta, tb);
 }
 
 }  // namespace lsg

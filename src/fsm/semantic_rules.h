@@ -1,14 +1,14 @@
 #ifndef LEARNEDSQLGEN_FSM_SEMANTIC_RULES_H_
 #define LEARNEDSQLGEN_FSM_SEMANTIC_RULES_H_
 
-#include "catalog/catalog.h"
+#include "catalog/schema.h"
 #include "sql/ast.h"
-#include "sql/token.h"
 
 namespace lsg {
 
 /// Semantic checking rules of the paper's FSM (§5): operator/type
-/// compatibility, numeric-only aggregation, and PK-FK-only joins.
+/// compatibility and numeric-only aggregation. The third, PK-FK-only
+/// joins, is the catalog's (Catalog::AreJoinable, JoinIntoChain).
 
 /// True if `op` may compare values of a column with this type. Numeric
 /// columns support the full set; string/categorical columns support
@@ -20,17 +20,9 @@ bool OperatorAllowedForType(CompareOp op, DataType type);
 /// attributes can be included in average/sum/max/min aggregation").
 bool AggregateAllowedForType(AggFunc agg, DataType type);
 
-/// Same check keyed by the aggregate keyword token.
-bool AggregateKeywordAllowedForType(Keyword kw, DataType type);
-
 /// True if a table has at least one column `agg`-compatible for any of
 /// MAX/MIN/SUM/AVG (i.e. a numeric column).
 bool TableHasNumericColumn(const TableSchema& schema);
-
-/// True if the two columns may appear on the two sides of a comparison
-/// (IN subqueries): identical-type or both-numeric.
-bool ColumnsComparable(const Catalog& catalog, const ColumnRef& a,
-                       const ColumnRef& b);
 
 }  // namespace lsg
 

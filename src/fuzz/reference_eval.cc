@@ -47,26 +47,12 @@ StatusOr<ReferenceEvaluator::Tuples> ReferenceEvaluator::Join(
   const Catalog& cat = db_->catalog();
   for (size_t i = 1; i < tables.size(); ++i) {
     const Table& nt = db_->tables()[tables[i]];
-    const std::string& new_name = cat.table(tables[i]).name();
     stats->rows_scanned += static_cast<double>(nt.num_rows());
 
-    // The FK edge: the first chain table with one, its first edge.
-    size_t probe_pos = i;
-    int probe_col = -1, build_col = -1;
-    for (size_t j = 0; j < i && probe_pos == i; ++j) {
-      const std::vector<ForeignKey> edges =
-          cat.JoinEdges(cat.table(tables[j]).name(), new_name);
-      if (edges.empty()) continue;
-      const ForeignKey& fk = edges[0];
-      const bool new_is_from = fk.from_table == new_name;
-      probe_pos = j;
-      probe_col = cat.table(tables[j]).FindColumn(
-          new_is_from ? fk.to_column : fk.from_column);
-      build_col = cat.table(tables[i]).FindColumn(
-          new_is_from ? fk.from_column : fk.to_column);
-    }
-    if (probe_pos == i) {
-      return Status::InvalidArgument("no FK edge joins " + new_name +
+    const auto join = cat.JoinIntoChain(tables, i);
+    if (!join) {
+      return Status::InvalidArgument("no FK edge joins " +
+                                     cat.table(tables[i]).name() +
                                      " into the chain");
     }
 
@@ -82,14 +68,15 @@ StatusOr<ReferenceEvaluator::Tuples> ReferenceEvaluator::Join(
     LSG_RETURN_IF_ERROR(Charge(probe_work));
     stats->rows_probed += static_cast<double>(ts.size());
 
-    const Table& probe_table = db_->tables()[tables[probe_pos]];
+    const Table& probe_table = db_->tables()[tables[join->probe_pos]];
     Tuples next;
     next.width = i + 1;
     uint64_t joined = 0;
     for (size_t t = 0; t < ts.size(); ++t) {
-      const Value a = probe_table.GetValue(ts.at(t)[probe_pos], probe_col);
+      const Value a =
+          probe_table.GetValue(ts.at(t)[join->probe_pos], join->probe_col);
       for (size_t r = 0; r < nt.num_rows(); ++r) {
-        const Value b = nt.GetValue(r, build_col);
+        const Value b = nt.GetValue(r, join->build_col);
         if (a.is_null() || b.is_null() || a.Compare(b) != 0) continue;
         if (++joined > max_intermediate_tuples_) {
           return Status::OutOfRange("join intermediate exceeds limit");

@@ -32,6 +32,17 @@ Constraint RandomConstraint(Rng* rng) {
   return Constraint::Range(metric, a, a * (2 + rng->Uniform(6)));
 }
 
+/// A round's constraints: one or two buckets more than the cache holds.
+/// The requests walk them in a cycle, two requests per bucket, so a
+/// bucket is asked for again at once (a hit, or a dedup wait on its
+/// training) and again after it was evicted (a spill, then a warm start
+/// in spill rounds).
+std::vector<Constraint> RoundConstraints(size_t cache_capacity, Rng* rng) {
+  std::vector<Constraint> pool(cache_capacity + 1 + rng->Uniform(2));
+  for (Constraint& c : pool) c = RandomConstraint(rng);
+  return pool;
+}
+
 /// Removes a directory tree (if `dir` is not empty) when it goes out of
 /// scope, however the scope ends.
 class RemovedOnExit {
@@ -79,6 +90,8 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
               .string();
     }
     const RemovedOnExit spill_dir(opts.registry.spill_dir);
+    const std::vector<Constraint> constraints =
+        RoundConstraints(opts.registry.capacity, &rng);
 
     auto service = GenerationService::Create(context, opts);
     if (!service.ok()) return service.status();
@@ -86,6 +99,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
       LSG_LOG(Info) << "service fuzz round " << round << ": workers="
                     << opts.num_workers << " queue=" << opts.queue_capacity
                     << " cache=" << opts.registry.capacity
+                    << " buckets=" << constraints.size()
                     << " spill=" << spill
                     << " midrun_shutdown=" << midrun_shutdown;
     }
@@ -98,7 +112,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
       Rng prng(SplitMix64(options.seed + 1000 + round));
       for (int i = 0; i < options.requests_per_round; ++i) {
         GenerationRequest req;
-        req.constraint = RandomConstraint(&prng);
+        req.constraint = constraints[(i / 2) % constraints.size()];
         req.n = 1 + static_cast<int>(prng.Uniform(2));
         req.batch = prng.Bernoulli(0.75);
         req.id = static_cast<uint64_t>(i + 1);

@@ -35,41 +35,24 @@ CardinalityEstimator::CardinalityEstimator(const Database* db,
 double CardinalityEstimator::JoinAppendRows(const std::vector<int>& tables,
                                             size_t chain_len, double rows,
                                             double* base_rows) const {
-  const Catalog& cat = db_->catalog();
   const int new_ti = tables[chain_len];
   double new_rows = static_cast<double>(stats_->table_rows[new_ti]);
   if (base_rows != nullptr) *base_rows += new_rows;
-  // Find the FK edge into the chain and estimate with the standard
+  // Estimate over the FK edge into the chain with the standard
   // |R| * |S| / max(ndv(a), ndv(b)) formula.
-  double ndv_a = 1.0, ndv_b = 1.0;
-  bool found = false;
-  for (size_t j = 0; j < chain_len; ++j) {
-    const int prev = tables[j];
-    for (const ForeignKey& fk :
-         cat.JoinEdges(cat.table(prev).name(), cat.table(new_ti).name())) {
-      const bool new_is_from = fk.from_table == cat.table(new_ti).name();
-      const std::string& new_col = new_is_from ? fk.from_column : fk.to_column;
-      const std::string& old_col = new_is_from ? fk.to_column : fk.from_column;
-      int nc = cat.table(new_ti).FindColumn(new_col);
-      int oc = cat.table(prev).FindColumn(old_col);
-      ndv_a = std::max<double>(1.0, static_cast<double>(
-                                        stats_->columns[new_ti][nc].ndv));
-      ndv_b = std::max<double>(
-          1.0, static_cast<double>(stats_->columns[prev][oc].ndv));
-      found = true;
-      break;
-    }
-    if (found) break;
-  }
-  if (!found) {
+  const auto join = db_->catalog().JoinIntoChain(tables, chain_len);
+  if (!join) {
     // Cross join (unreachable under the FSM); cap to avoid runaway —
     // long chains would otherwise overflow to inf and poison rewards and
     // memoized feedback entries.
-    rows = std::min(rows * new_rows, kMaxJoinRows);
-  } else {
-    rows = rows * new_rows / std::max(ndv_a, ndv_b);
+    return std::min(rows * new_rows, kMaxJoinRows);
   }
-  return rows;
+  const double ndv_a = std::max<double>(
+      1.0, static_cast<double>(stats_->columns[new_ti][join->build_col].ndv));
+  const double ndv_b = std::max<double>(
+      1.0, static_cast<double>(
+               stats_->columns[tables[join->probe_pos]][join->probe_col].ndv));
+  return rows * new_rows / std::max(ndv_a, ndv_b);
 }
 
 double CardinalityEstimator::JoinChainRows(const std::vector<int>& tables,

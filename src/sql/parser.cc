@@ -243,6 +243,24 @@ class Parser {
     return ColumnRef{t, c};
   }
 
+  /// OK if `a = b`, in either orientation, is the FK edge that joins the
+  /// last of `tables` into the chain (Catalog::JoinIntoChain).
+  Status ExpectChainJoin(const std::vector<int>& tables, const ColumnRef& a,
+                         const ColumnRef& b) const {
+    const size_t pos = tables.size() - 1;
+    const auto join = catalog_->JoinIntoChain(tables, pos);
+    const std::string& name = catalog_->table(tables[pos]).name();
+    if (!join) return Err("no FK edge joins " + name + " into the chain");
+    const ColumnRef probe{tables[join->probe_pos], join->probe_col};
+    const ColumnRef build{tables[pos], join->build_col};
+    if ((a == probe && b == build) || (a == build && b == probe)) {
+      return Status::Ok();
+    }
+    const ForeignKey& fk = *join->fk;
+    return Err("JOIN " + name + " must be ON " + fk.from_table + "." +
+               fk.from_column + " = " + fk.to_table + "." + fk.to_column);
+  }
+
   StatusOr<Value> ExpectLiteral() {
     if (Cur().kind == LexKind::kNumber) {
       Value v = Cur().is_int ? Value(static_cast<int64_t>(Cur().number))
@@ -315,11 +333,12 @@ class Parser {
       q.tables.push_back(t);
       LSG_RETURN_IF_ERROR(ExpectKw("ON"));
       if (AcceptKw("TRUE")) continue;  // cross-join fallback form
-      // "T.a = T.b" — validated for resolvability, then discarded: the
-      // engine derives join keys from the FK graph.
-      LSG_RETURN_IF_ERROR(ExpectQualifiedColumn().status());
+      // "T.a = T.b": the AST keeps no ON, and the engines join over the
+      // chain's FK edge, so the text must name that edge.
+      LSG_ASSIGN_OR_RETURN(ColumnRef lhs, ExpectQualifiedColumn());
       LSG_RETURN_IF_ERROR(ExpectPunct("="));
-      LSG_RETURN_IF_ERROR(ExpectQualifiedColumn().status());
+      LSG_ASSIGN_OR_RETURN(ColumnRef rhs, ExpectQualifiedColumn());
+      LSG_RETURN_IF_ERROR(ExpectChainJoin(q.tables, lhs, rhs));
     }
     if (AcceptKw("WHERE")) LSG_RETURN_IF_ERROR(ParseWhere(&q.where));
     if (AcceptKw("GROUP")) {

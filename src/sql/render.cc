@@ -26,20 +26,14 @@ std::string RenderFrom(const std::vector<int>& tables,
   if (tables.empty()) return "";
   std::string out = catalog.table(tables[0]).name();
   for (size_t i = 1; i < tables.size(); ++i) {
-    const std::string& name = catalog.table(tables[i]).name();
-    out += " JOIN " + name;
-    // Find a join condition to any earlier table in the chain.
-    bool found = false;
-    for (size_t j = 0; j < i && !found; ++j) {
-      for (const ForeignKey& fk :
-           catalog.JoinEdges(catalog.table(tables[j]).name(), name)) {
-        out += " ON " + fk.from_table + "." + fk.from_column + " = " +
-               fk.to_table + "." + fk.to_column;
-        found = true;
-        break;
-      }
+    out += " JOIN " + catalog.table(tables[i]).name();
+    if (const auto join = catalog.JoinIntoChain(tables, i)) {
+      const ForeignKey& fk = *join->fk;
+      out += " ON " + fk.from_table + "." + fk.from_column + " = " +
+             fk.to_table + "." + fk.to_column;
+    } else {
+      out += " ON TRUE";  // cross join fallback (FSM prevents it)
     }
-    if (!found) out += " ON TRUE";  // cross join fallback (FSM prevents it)
   }
   return out;
 }

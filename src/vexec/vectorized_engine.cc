@@ -296,39 +296,6 @@ TupleSetV AllRows(int table_idx, size_t rows) {
   return ts;
 }
 
-/// The FK edge that joins a new table to the chain: its `build_col`
-/// equals `probe_col` of the table at chain position `probe_pos`.
-struct JoinEdge {
-  size_t probe_pos;
-  int probe_col;
-  int build_col;
-};
-
-/// FK edge selection for joining `new_ti` to the chain tables[0, prefix)
-/// — must mirror the reference evaluator exactly (chain tables in order,
-/// first JoinEdges entry wins) so both join on the same columns.
-/// Enforced by the differential tests.
-StatusOr<JoinEdge> FindJoinEdge(const Catalog& cat,
-                                const std::vector<int>& tables,
-                                size_t prefix, int new_ti) {
-  const std::string& new_name = cat.table(new_ti).name();
-  for (size_t j = 0; j < prefix; ++j) {
-    const std::vector<ForeignKey> edges =
-        cat.JoinEdges(cat.table(tables[j]).name(), new_name);
-    if (edges.empty()) continue;
-    const ForeignKey& fk = edges.front();
-    const bool new_is_from = fk.from_table == new_name;
-    return JoinEdge{
-        j,
-        cat.table(tables[j]).FindColumn(new_is_from ? fk.to_column
-                                                    : fk.from_column),
-        cat.table(new_ti).FindColumn(new_is_from ? fk.from_column
-                                                 : fk.to_column)};
-  }
-  return Status::InvalidArgument("no FK edge joins " + new_name +
-                                 " into the chain");
-}
-
 /// The join hash table over an INT64 build column, its rows inserted in
 /// ascending order (the reference's nested-loop order). A key-range scan
 /// comes first: sequential-PK build sides (every FK edge in the bundled
@@ -513,7 +480,7 @@ struct VectorizedEngine::CountPlan {
     kGroups,  ///< GROUP BY on one chain table, no HAVING
   };
   Shape shape = Shape::kRows;
-  std::vector<JoinEdge> edges;
+  std::vector<ChainJoin> edges;
   std::vector<size_t> owner;
   size_t group_pos = 0;  ///< kGroups: the key table's chain position
 };
@@ -551,13 +518,18 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     const Table& new_table = db_->tables()[new_ti];
     stats->rows_scanned += static_cast<double>(new_table.num_rows());
 
-    LSG_ASSIGN_OR_RETURN(const JoinEdge edge,
-                         FindJoinEdge(cat, ts.tables, i, new_ti));
+    // q.tables, not ts.tables: ts has not joined tables[i] yet.
+    const auto edge = cat.JoinIntoChain(q.tables, i);
+    if (!edge) {
+      return Status::InvalidArgument("no FK edge joins " +
+                                     cat.table(new_ti).name() +
+                                     " into the chain");
+    }
     const size_t stride = ts.tables.size();
-    const Column& build_column = new_table.column(edge.build_col);
+    const Column& build_column = new_table.column(edge->build_col);
     const Column& probe_column =
-        db_->tables()[ts.tables[edge.probe_pos]].column(edge.probe_col);
-    const std::vector<uint32_t>& probe_rows = ts.cols[edge.probe_pos];
+        db_->tables()[ts.tables[edge->probe_pos]].column(edge->probe_col);
+    const std::vector<uint32_t>& probe_rows = ts.cols[edge->probe_pos];
 
     stats->rows_probed += static_cast<double>(ts.count);
     const uint64_t cap = opts_.max_intermediate_tuples;
@@ -600,7 +572,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
       std::unordered_map<Value, std::vector<uint32_t>, ValueHash> hash;
       hash.reserve(new_table.num_rows());
       for (size_t r = 0; r < new_table.num_rows(); ++r) {
-        Value v = new_table.GetValue(r, edge.build_col);
+        Value v = new_table.GetValue(r, edge->build_col);
         if (v.is_null()) continue;
         hash[v].push_back(static_cast<uint32_t>(r));
       }
@@ -877,8 +849,8 @@ bool VectorizedEngine::PlanCount(const SelectQuery& q, CountPlan* plan) const {
   const Catalog& cat = db_->catalog();
   plan->edges.clear();
   for (size_t i = 1; i < n; ++i) {
-    auto edge = FindJoinEdge(cat, tables, i, tables[i]);
-    if (!edge.ok() ||
+    const auto edge = cat.JoinIntoChain(tables, i);
+    if (!edge ||
         db_->tables()[tables[i]].column(edge->build_col).type() !=
             DataType::kInt64 ||
         db_->tables()[tables[edge->probe_pos]].column(edge->probe_col).type() !=
@@ -909,7 +881,7 @@ StatusOr<SelectResult> VectorizedEngine::CountSelect(
   const std::vector<std::vector<uint64_t>> unfiltered(n);
   uint64_t size = tree.rows[0];
   for (size_t i = 1; i < n; ++i) {
-    const JoinEdge& edge = plan.edges[i - 1];
+    const ChainJoin& edge = plan.edges[i - 1];
     const Table& new_table = db_->tables()[q.tables[i]];
     tree.rows.push_back(new_table.num_rows());
     stats.rows_scanned += static_cast<double>(tree.rows[i]);

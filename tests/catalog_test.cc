@@ -155,24 +155,97 @@ TEST(CatalogTest, DuplicateTableRejected) {
 
 TEST(CatalogTest, JoinableBothDirections) {
   Catalog cat = TwoTableCatalog();
-  EXPECT_TRUE(cat.AreJoinable("Score", "Student"));
-  EXPECT_TRUE(cat.AreJoinable("Student", "Score"));
-  EXPECT_FALSE(cat.AreJoinable("Score", "Score"));
+  EXPECT_TRUE(cat.AreJoinable(0, 1));
+  EXPECT_TRUE(cat.AreJoinable(1, 0));
+  EXPECT_FALSE(cat.AreJoinable(0, 0));
 }
 
-TEST(CatalogTest, JoinEdges) {
-  Catalog cat = TwoTableCatalog();
-  auto edges = cat.JoinEdges("Student", "Score");
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].from_table, "Score");
-  EXPECT_EQ(edges[0].to_column, "ID");
+// ------------------------------------------------ the chain join rule
+
+/// Hub(name, note, id) with three fact tables: Left and Right each reference
+/// Hub twice (first through h1, then h2), and Right also references Left.
+/// The Right -> Left edge is declared before Right's Hub edges. No two
+/// columns an edge joins share a column index, so a swapped probe and
+/// build column shows.
+Catalog ChainCatalog() {
+  Catalog cat;
+  TableSchema hub("Hub");
+  EXPECT_TRUE(hub.AddColumn({"name", DataType::kString, false, false}).ok());
+  EXPECT_TRUE(hub.AddColumn({"note", DataType::kString, false, false}).ok());
+  EXPECT_TRUE(hub.AddColumn({"id", DataType::kInt64, true, false}).ok());
+  TableSchema left("Left");
+  EXPECT_TRUE(left.AddColumn({"id", DataType::kInt64, true, false}).ok());
+  EXPECT_TRUE(left.AddColumn({"h1", DataType::kInt64, false, false}).ok());
+  EXPECT_TRUE(left.AddColumn({"h2", DataType::kInt64, false, false}).ok());
+  TableSchema right("Right");
+  EXPECT_TRUE(right.AddColumn({"h1", DataType::kInt64, false, false}).ok());
+  EXPECT_TRUE(right.AddColumn({"h2", DataType::kInt64, false, false}).ok());
+  EXPECT_TRUE(right.AddColumn({"left_id", DataType::kInt64, false, false}).ok());
+  TableSchema lone("Lone");
+  EXPECT_TRUE(lone.AddColumn({"id", DataType::kInt64, true, false}).ok());
+  for (TableSchema* t : {&hub, &left, &right, &lone}) {
+    EXPECT_TRUE(cat.AddTable(std::move(*t)).ok());
+  }
+  EXPECT_TRUE(cat.AddForeignKey({"Left", "h1", "Hub", "id"}).ok());
+  EXPECT_TRUE(cat.AddForeignKey({"Left", "h2", "Hub", "id"}).ok());
+  EXPECT_TRUE(cat.AddForeignKey({"Right", "left_id", "Left", "id"}).ok());
+  EXPECT_TRUE(cat.AddForeignKey({"Right", "h1", "Hub", "id"}).ok());
+  EXPECT_TRUE(cat.AddForeignKey({"Right", "h2", "Hub", "id"}).ok());
+  return cat;
 }
 
-TEST(CatalogTest, JoinableTables) {
-  Catalog cat = TwoTableCatalog();
-  auto j = cat.JoinableTables("Score");
-  ASSERT_EQ(j.size(), 1u);
-  EXPECT_EQ(j[0], "Student");
+constexpr int kHub = 0, kLeft = 1, kRight = 2, kLone = 3;
+
+TEST(ChainJoinTest, FirstChainTableInChainOrderWins) {
+  Catalog cat = ChainCatalog();
+  // Right has edges to both Hub and Left; the earlier chain position wins,
+  // whichever edge was declared first.
+  auto hub_first = cat.JoinIntoChain({kHub, kLeft, kRight}, 2);
+  ASSERT_TRUE(hub_first.has_value());
+  EXPECT_EQ(hub_first->probe_pos, 0u);
+  EXPECT_EQ(hub_first->fk, &cat.foreign_keys()[3]);
+  auto left_first = cat.JoinIntoChain({kLeft, kHub, kRight}, 2);
+  ASSERT_TRUE(left_first.has_value());
+  EXPECT_EQ(left_first->probe_pos, 0u);
+  EXPECT_EQ(left_first->fk, &cat.foreign_keys()[2]);
+}
+
+TEST(ChainJoinTest, FirstDeclaredEdgeOfAPairWins) {
+  Catalog cat = ChainCatalog();
+  auto j = cat.JoinIntoChain({kHub, kLeft}, 1);
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(j->fk, &cat.foreign_keys()[0]);
+  EXPECT_EQ(j->build_col, cat.table(kLeft).FindColumn("h1"));
+  auto r = cat.JoinIntoChain({kHub, kRight}, 1);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->fk, &cat.foreign_keys()[3]);
+  EXPECT_EQ(r->build_col, cat.table(kRight).FindColumn("h1"));
+}
+
+TEST(ChainJoinTest, ProbeAndBuildColumnsAreOriented) {
+  Catalog cat = ChainCatalog();
+  // The joined table is the FK side: it builds on the FK column and
+  // probes the chain's PK.
+  auto fk_side = cat.JoinIntoChain({kHub, kLeft}, 1);
+  ASSERT_TRUE(fk_side.has_value());
+  EXPECT_EQ(fk_side->probe_pos, 0u);
+  EXPECT_EQ(fk_side->probe_col, cat.table(kHub).FindColumn("id"));
+  EXPECT_EQ(fk_side->build_col, cat.table(kLeft).FindColumn("h1"));
+  // The joined table is the PK side: the other way round.
+  auto pk_side = cat.JoinIntoChain({kLeft, kHub}, 1);
+  ASSERT_TRUE(pk_side.has_value());
+  EXPECT_EQ(pk_side->probe_pos, 0u);
+  EXPECT_EQ(pk_side->probe_col, cat.table(kLeft).FindColumn("h1"));
+  EXPECT_EQ(pk_side->build_col, cat.table(kHub).FindColumn("id"));
+}
+
+TEST(ChainJoinTest, NoEdgeIsNullopt) {
+  Catalog cat = ChainCatalog();
+  EXPECT_FALSE(cat.JoinIntoChain({kHub, kLone}, 1).has_value());
+  EXPECT_FALSE(cat.JoinIntoChain({kLone, kLeft, kHub}, 1).has_value());
+  EXPECT_FALSE(cat.JoinIntoChain({kHub}, 0).has_value());
+  EXPECT_FALSE(cat.AreJoinable(kHub, kLone));
+  EXPECT_TRUE(cat.AreJoinable(kRight, kLeft));
 }
 
 TEST(CatalogTest, ForeignKeyUnknownTableRejected) {

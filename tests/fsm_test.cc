@@ -36,10 +36,6 @@ TEST(SemanticRulesTest, AggregatesByType) {
   EXPECT_TRUE(AggregateAllowedForType(AggFunc::kSum, DataType::kInt64));
   EXPECT_FALSE(AggregateAllowedForType(AggFunc::kSum, DataType::kString));
   EXPECT_FALSE(AggregateAllowedForType(AggFunc::kAvg, DataType::kCategorical));
-  EXPECT_TRUE(AggregateKeywordAllowedForType(Keyword::kCount,
-                                             DataType::kCategorical));
-  EXPECT_FALSE(AggregateKeywordAllowedForType(Keyword::kMax,
-                                              DataType::kString));
 }
 
 // ------------------------------------------------------ fixture

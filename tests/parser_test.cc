@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workload.h"
+#include "datasets/tpch_like.h"
 #include "fsm/generation_fsm.h"
 #include "sql/parser.h"
 #include "sql/render.h"
@@ -50,6 +51,52 @@ TEST_F(ParserTest, JoinOnClauseValidatedAndDiscarded) {
   QueryAst ast = Parse(
       "SELECT Student.Name FROM Score JOIN Student ON Score.ID = Student.ID");
   ASSERT_EQ(ast.select->tables.size(), 2u);
+  // Either orientation of the edge, and the cross-join form.
+  Parse("SELECT Student.Name FROM Score JOIN Student ON Student.ID = Score.ID");
+  Parse("SELECT Student.Name FROM Score JOIN Student ON TRUE");
+}
+
+TEST_F(ParserTest, JoinOnOffTheChainEdgeIsRejected) {
+  // Score.SID is not the FK column: the engines would join on Score.ID.
+  auto bad = ParseSql(
+      "SELECT Student.Name FROM Score JOIN Student ON Score.SID = Student.ID",
+      cat());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find(
+                "JOIN Student must be ON Score.ID = Student.ID"),
+            std::string::npos)
+      << bad.status().ToString();
+}
+
+TEST(ParserTpchTest, JoinOnMustNameTheEdgeTheChainJoinsOver) {
+  // lineitem joins the first earlier chain table it has an edge to: part
+  // here, so an ON that names its supplier edge describes another query.
+  Database db = BuildTpchLike();
+  const std::string prefix =
+      "SELECT part.p_partkey FROM part"
+      " JOIN partsupp ON partsupp.ps_partkey = part.p_partkey"
+      " JOIN supplier ON partsupp.ps_suppkey = supplier.s_suppkey";
+  auto bad = ParseSql(
+      prefix + " JOIN lineitem ON lineitem.l_suppkey = supplier.s_suppkey",
+      db.catalog());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find(
+                "JOIN lineitem must be ON lineitem.l_partkey = part.p_partkey"),
+            std::string::npos)
+      << bad.status().ToString();
+  const std::string good =
+      prefix + " JOIN lineitem ON lineitem.l_partkey = part.p_partkey";
+  auto ast = ParseSql(good, db.catalog());
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  EXPECT_EQ(RenderSql(*ast, db.catalog()), good);
+  // In the other order the supplier edge is the one.
+  EXPECT_TRUE(ParseSql(
+                  "SELECT supplier.s_suppkey FROM supplier"
+                  " JOIN partsupp ON partsupp.ps_suppkey = supplier.s_suppkey"
+                  " JOIN part ON partsupp.ps_partkey = part.p_partkey"
+                  " JOIN lineitem ON lineitem.l_suppkey = supplier.s_suppkey",
+                  db.catalog())
+                  .ok());
 }
 
 TEST_F(ParserTest, WhereConnectorsAndLiterals) {

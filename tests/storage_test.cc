@@ -149,7 +149,7 @@ TEST(DatabaseTest, ForeignKeyValidatedAgainstCatalog) {
   Database db = MiniDb();
   EXPECT_TRUE(db.AddForeignKey({"b", "a_id", "a", "id"}).ok());
   EXPECT_FALSE(db.AddForeignKey({"b", "nope", "a", "id"}).ok());
-  EXPECT_TRUE(db.catalog().AreJoinable("a", "b"));
+  EXPECT_TRUE(db.catalog().AreJoinable(0, 1));
 }
 
 TEST(DatabaseTest, DuplicateTableRejected) {

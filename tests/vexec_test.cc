@@ -968,6 +968,61 @@ TEST(ReferenceEvaluatorTest, HandPinnedMetersOverAThreeTableChain) {
   }
 }
 
+// ------------------------------------------------ the chain join rule
+
+/// SELECT <first table's first column> FROM the named tables, in order.
+SelectQuery ChainOf(const Catalog& cat, const std::vector<const char*>& names) {
+  SelectQuery q = SelectAll(cat.FindTable(names[0]));
+  q.tables.clear();
+  for (const char* name : names) q.tables.push_back(cat.FindTable(name));
+  return q;
+}
+
+TEST(ChainJoinRuleTest, TableOrderPicksTheJoinOnTpch) {
+  // lineitem has an edge to both part and supplier; it joins the one
+  // earlier in the chain, so one table set means two different joins.
+  auto db = BuildNamedDatabase("tpch");
+  ASSERT_TRUE(db.ok());
+  const Catalog& cat = db->catalog();
+  const SelectQuery by_part =
+      ChainOf(cat, {"part", "partsupp", "supplier", "lineitem"});
+  const SelectQuery by_supplier =
+      ChainOf(cat, {"supplier", "partsupp", "part", "lineitem"});
+  EXPECT_EQ(RenderSelect(by_part, cat),
+            "SELECT part.p_partkey FROM part"
+            " JOIN partsupp ON partsupp.ps_partkey = part.p_partkey"
+            " JOIN supplier ON partsupp.ps_suppkey = supplier.s_suppkey"
+            " JOIN lineitem ON lineitem.l_partkey = part.p_partkey");
+  EXPECT_EQ(RenderSelect(by_supplier, cat),
+            "SELECT supplier.s_suppkey FROM supplier"
+            " JOIN partsupp ON partsupp.ps_suppkey = supplier.s_suppkey"
+            " JOIN part ON partsupp.ps_partkey = part.p_partkey"
+            " JOIN lineitem ON lineitem.l_suppkey = supplier.s_suppkey");
+
+  auto expect_count = [](const auto& engine, const SelectQuery& q,
+                         uint64_t want) {
+    for (const bool materialize : {true, false}) {
+      SCOPED_TRACE(materialize ? "materialized" : "count-only");
+      auto r = engine.ExecuteSelect(q, materialize);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->cardinality, want);
+    }
+  };
+  for (const auto& [q, want] :
+       {std::pair{&by_part, uint64_t{5805}},
+        std::pair{&by_supplier, uint64_t{17942}}}) {
+    SCOPED_TRACE(RenderSelect(*q, cat));
+    {
+      SCOPED_TRACE("reference");
+      expect_count(ReferenceEvaluator(&*db), *q, want);
+    }
+    {
+      SCOPED_TRACE("vectorized");
+      expect_count(VectorizedEngine(&*db), *q, want);
+    }
+  }
+}
+
 // ------------------------------------------------ work-meter regressions
 
 TEST(ReferenceWorkMeterTest, BaseScanIsCharged) {
