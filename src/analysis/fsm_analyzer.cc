@@ -18,6 +18,8 @@ namespace {
 
 /// Cap on stored violation examples; the counter keeps the true total.
 constexpr int kMaxStoredViolations = 100;
+/// Cap on recorded example prefixes per dead / stuck defect class.
+constexpr int kMaxExamples = 5;
 
 void AppendDefectsJson(const char* name, const std::vector<FsmDefect>& list,
                        std::string* out) {
@@ -352,8 +354,7 @@ void Explorer::ExploreRegion(const std::vector<int>& entry_prefix,
       // No legal action mid-episode: the generator is wedged here.
       ++report_->num_stuck;
       is_stuck[s] = 1;
-      if (static_cast<int>(report_->stuck_examples.size()) <
-          options_.max_examples) {
+      if (static_cast<int>(report_->stuck_examples.size()) < kMaxExamples) {
         AddDefect(&report_->stuck_examples, "stuck-state",
                   fsm.builder().phase(), "empty action mask mid-episode",
                   prefix);
@@ -505,13 +506,10 @@ void Explorer::ExploreRegion(const std::vector<int>& entry_prefix,
           edges.emplace_back(s, id);
           if (post.done()) {
             ++report_->num_accepting_edges;
-            if (options_.lint_accepting) {
-              for (const LintIssue& issue :
-                   linter_->Lint(post.builder().ast())) {
-                ++report_->num_violations;
-                AddDefect(&report_->violations, LintRuleName(issue.rule),
-                          BuildPhase::kDone, issue.message, full);
-              }
+            for (const LintIssue& issue : linter_->Lint(post.builder().ast())) {
+              ++report_->num_violations;
+              AddDefect(&report_->violations, LintRuleName(issue.rule),
+                        BuildPhase::kDone, issue.message, full);
             }
           }
         }
@@ -525,15 +523,12 @@ void Explorer::ExploreRegion(const std::vector<int>& entry_prefix,
       edges.emplace_back(s, id);
       if (next.done()) {
         ++report_->num_accepting_edges;
-        if (options_.lint_accepting) {
-          for (const LintIssue& issue :
-               linter_->Lint(next.builder().ast())) {
-            ++report_->num_violations;
-            std::vector<int> witness = prefix;
-            witness.push_back(a);
-            AddDefect(&report_->violations, LintRuleName(issue.rule),
-                      BuildPhase::kDone, issue.message, witness);
-          }
+        for (const LintIssue& issue : linter_->Lint(next.builder().ast())) {
+          ++report_->num_violations;
+          std::vector<int> witness = prefix;
+          witness.push_back(a);
+          AddDefect(&report_->violations, LintRuleName(issue.rule),
+                    BuildPhase::kDone, issue.message, witness);
         }
       }
     }
@@ -561,8 +556,7 @@ void Explorer::ExploreRegion(const std::vector<int>& entry_prefix,
   for (int s = 0; s < static_cast<int>(states.size()); ++s) {
     if (s == accept_id || is_stuck[s] != 0 || live[s] != 0) continue;
     ++report_->num_dead;
-    if (static_cast<int>(report_->dead_examples.size()) <
-        options_.max_examples) {
+    if (static_cast<int>(report_->dead_examples.size()) < kMaxExamples) {
       const std::vector<int> prefix = prefix_of(s);
       GenerationFsm fsm = Replay(prefix);
       const char* why = "no path from here reaches an accepting EOF";
@@ -870,13 +864,11 @@ FsmAnalyzer::FsmAnalyzer(const Database* db, const Vocabulary* vocab,
       profile_(options.profile),
       linter_(&db->catalog()) {
   LSG_CHECK(db != nullptr && vocab != nullptr);
-  if (options_.clamp_bounds) {
-    profile_.max_joins = std::min(profile_.max_joins, 2);
-    profile_.max_select_items = std::min(profile_.max_select_items, 2);
-    profile_.max_predicates = std::min(profile_.max_predicates, 2);
-    profile_.max_tokens =
-        options_.budget_tokens > 0 ? options_.budget_tokens : 4096;
-  }
+  profile_.max_joins = std::min(profile_.max_joins, 2);
+  profile_.max_select_items = std::min(profile_.max_select_items, 2);
+  profile_.max_predicates = std::min(profile_.max_predicates, 2);
+  profile_.max_tokens =
+      options_.budget_tokens > 0 ? options_.budget_tokens : 4096;
 }
 
 StatusOr<FsmAnalysisReport> FsmAnalyzer::Analyze() {

@@ -13,34 +13,24 @@
 namespace lsg {
 
 /// Exploration bounds. The analyzer proves properties of the *exact* FSM
-/// state graph under a (possibly clamped) profile — a small-scope argument:
-/// every mask decision depends only on saturating counters (items, joins,
+/// state graph under a clamped profile — a small-scope argument: every
+/// mask decision depends only on saturating counters (items, joins,
 /// predicates, budget), so a rule gap reachable under large bounds is
 /// already reachable once each counter can hit its gate, which the clamped
-/// bounds guarantee (see DESIGN.md §6d).
+/// bounds (joins<=2, items<=2, preds<=2, nesting<=profile) guarantee (see
+/// DESIGN.md §6d). The unclamped Full() graph is astronomically large.
 struct AnalyzerOptions {
-  /// Structural profile to explore under.
+  /// Structural profile to explore under (clamped before exploring).
   QueryProfile profile;
 
-  /// Clamp the profile to small-scope bounds (joins<=2, items<=2, preds<=2,
-  /// nesting<=profile) before exploring. Disable only for experiments; the
-  /// unclamped Full() graph is astronomically large.
-  bool clamp_bounds = true;
-
-  /// Token-budget regime (only with clamp_bounds): 0 analyzes under an
-  /// effectively unbounded budget (structural properties; the count drops
-  /// out of the state key), >0 sets an exact small budget so the
-  /// tightness-pruning boundary itself is explored exhaustively.
+  /// Token-budget regime: 0 analyzes under an effectively unbounded budget
+  /// (structural properties; the count drops out of the state key), >0
+  /// sets an exact small budget so the tightness-pruning boundary itself
+  /// is explored exhaustively.
   int budget_tokens = 0;
 
   /// Abort with exhausted=false once this many abstract states exist.
   int max_states = 400000;
-
-  /// Lint the AST of every accepting state (differential check).
-  bool lint_accepting = true;
-
-  /// Cap on recorded example prefixes per defect class.
-  int max_examples = 5;
 };
 
 /// One reachable defect: a semantic-rule violation, dead state, or stuck
@@ -68,7 +58,7 @@ struct FsmAnalysisReport {
   /// Reachable semantic-rule violations (mask-level + accept-time lint);
   /// capped examples — num_violations holds the true total.
   std::vector<FsmDefect> violations;
-  /// Example dead / stuck states (subset, capped at max_examples).
+  /// Example dead / stuck states (subset, at most 5 of each).
   std::vector<FsmDefect> dead_examples;
   std::vector<FsmDefect> stuck_examples;
 
@@ -100,8 +90,9 @@ struct FsmAnalysisReport {
 /// At each state the analyzer re-checks the offered mask against the
 /// SqlLinter's independently derived rule predicates (FK edges, operator /
 /// aggregate / literal typing, scope), detects empty masks mid-episode, and
-/// lints the AST of every accepting transition; afterwards a reverse
-/// fixpoint over the edge list finds states that can never reach EOF.
+/// lints the AST of every accepting transition (a differential check);
+/// afterwards a reverse fixpoint over the edge list finds states that can
+/// never reach EOF.
 class FsmAnalyzer {
  public:
   /// All pointers must outlive the analyzer.

@@ -226,12 +226,6 @@ std::vector<LintIssue> SqlLinter::Lint(const QueryAst& ast) const {
   return out;
 }
 
-std::vector<LintIssue> SqlLinter::LintSelect(const SelectQuery& q) const {
-  std::vector<LintIssue> out;
-  LintSelectInto(q, 0, &out);
-  return out;
-}
-
 void SqlLinter::LintSelectInto(const SelectQuery& q, int depth,
                                std::vector<LintIssue>* out) const {
   if (depth > kMaxNestingDepth) {

@@ -60,9 +60,6 @@ class SqlLinter {
   /// Lints a complete query of any type; empty result = clean.
   std::vector<LintIssue> Lint(const QueryAst& ast) const;
 
-  /// Lints one SELECT (used recursively for subqueries).
-  std::vector<LintIssue> LintSelect(const SelectQuery& q) const;
-
   // --- rule predicates (independent re-implementations, not forwarding to
   // fsm/semantic_rules.h; see class comment) ---
 

@@ -9,6 +9,15 @@
 #include "sql/render.h"
 
 namespace lsg {
+namespace {
+
+/// Hill-climbing iterations per climb before giving up on a template.
+constexpr int kMaxClimbIters = 64;
+/// Neighbor step sizes tried per knob (indices into the sorted value list
+/// of the predicate's column).
+constexpr int kStepSizes[] = {1, 4, 16};
+
+}  // namespace
 
 TemplateGenerator::TemplateGenerator(SqlGenEnvironment* env,
                                      const TemplateGeneratorOptions& options)
@@ -134,7 +143,7 @@ StatusOr<bool> TemplateGenerator::Climb(Template* tpl, double* best_metric,
   double best_dist = Distance(metric);
   *best_metric = metric;
 
-  for (int iter = 0; iter < options_.max_climb_iters; ++iter) {
+  for (int iter = 0; iter < kMaxClimbIters; ++iter) {
     if (best_dist == 0.0) return true;
     if (*evals >= eval_budget) return false;
     bool improved = false;
@@ -144,7 +153,7 @@ StatusOr<bool> TemplateGenerator::Climb(Template* tpl, double* best_metric,
           vocab.value_token_ids(k.table_idx, k.column_idx).size());
       const int original = k.value_pos;
       int best_pos = original;
-      for (int step : options_.step_sizes) {
+      for (int step : kStepSizes) {
         for (int dir : {-1, 1}) {
           int pos = original + dir * step;
           if (pos < 0 || pos >= n_values || pos == original) continue;
@@ -209,7 +218,7 @@ StatusOr<GenerationReport> TemplateGenerator::GenerateBatch(int n) {
     Template& tpl = templates_[rng_.Uniform(templates_.size())];
     double metric = 0.0;
     // Per-climb budget keeps each generated query's work bounded.
-    int64_t budget = evals + options_.max_climb_iters * 8;
+    int64_t budget = evals + kMaxClimbIters * 8;
     auto ok = Climb(&tpl, &metric, &evals, budget);
     if (!ok.ok()) return ok.status();
     ++report.attempts;

@@ -18,11 +18,6 @@ struct TemplateGeneratorOptions {
   /// Size of the template pool; seeds count toward it and random FSM walks
   /// mine the remainder (the paper's "reassembling the predicates").
   int num_templates = 24;
-  /// Hill-climbing iterations per climb before giving up on a template.
-  int max_climb_iters = 64;
-  /// Neighbor step sizes tried per knob (indices into the sorted value
-  /// list of the predicate's column).
-  std::vector<int> step_sizes = {1, 4, 16};
   uint64_t seed = 77;
 };
 

@@ -22,9 +22,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds since construction/Restart.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   /// Elapsed integer nanoseconds since construction/Restart (span tracer
   /// resolution).
   uint64_t ElapsedNanos() const {

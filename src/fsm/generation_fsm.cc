@@ -159,23 +159,10 @@ void GenerationFsm::MaskStart(bool sub) {
   }
   const Catalog& cat = db_->catalog();
   if (profile_.allow_select) AllowKeyword(Keyword::kFrom);
-  if (profile_.allow_insert) {
-    // INSERT needs at least one table whose every column has sampled values
-    // (VALUES form) or the INSERT..SELECT branch enabled.
-    for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
-      bool values_ok = true;
-      for (size_t ci = 0; ci < cat.table(ti).num_columns(); ++ci) {
-        if (vocab_->value_token_ids(static_cast<int>(ti),
-                                    static_cast<int>(ci)).empty()) {
-          values_ok = false;
-          break;
-        }
-      }
-      if (values_ok || profile_.allow_insert_select) {
-        AllowKeyword(Keyword::kInsert);
-        break;
-      }
-    }
+  // Any table takes an INSERT: the INSERT..SELECT form needs no sampled
+  // values.
+  if (profile_.allow_insert && cat.num_tables() > 0) {
+    AllowKeyword(Keyword::kInsert);
   }
   if (profile_.allow_update) {
     for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
@@ -335,8 +322,7 @@ void GenerationFsm::MaskSelectFrame() {
       AllowKeyword(Keyword::kSelect);
       const bool joins_left =
           static_cast<int>(f.scope_tables.size()) - 1 < profile_.max_joins;
-      if (profile_.allow_join && joins_left && !tight &&
-          f.purpose != FramePurpose::kInsertSource) {
+      if (joins_left && !tight && f.purpose != FramePurpose::kInsertSource) {
         for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
           if (joins_into_scope(static_cast<int>(ti))) {
             AllowKeyword(Keyword::kJoin);
@@ -657,17 +643,7 @@ void GenerationFsm::MaskInsert() {
   switch (f.phase) {
     case BuildPhase::kInsertTable: {
       for (size_t ti = 0; ti < cat.num_tables(); ++ti) {
-        bool values_ok = true;
-        for (size_t ci = 0; ci < cat.table(ti).num_columns(); ++ci) {
-          if (vocab_->value_token_ids(static_cast<int>(ti),
-                                      static_cast<int>(ci)).empty()) {
-            values_ok = false;
-            break;
-          }
-        }
-        if (values_ok || profile_.allow_insert_select) {
-          Allow(vocab_->table_token_id(static_cast<int>(ti)));
-        }
+        Allow(vocab_->table_token_id(static_cast<int>(ti)));
       }
       return;
     }
@@ -681,7 +657,7 @@ void GenerationFsm::MaskInsert() {
         }
       }
       if (values_ok) AllowKeyword(Keyword::kValues);
-      if (profile_.allow_insert_select) AllowKeyword(Keyword::kOpenParen);
+      AllowKeyword(Keyword::kOpenParen);
       return;
     }
     case BuildPhase::kInsertValue: {

@@ -22,12 +22,10 @@ struct QueryProfile {
   bool allow_update = false;
   bool allow_delete = false;
 
-  bool allow_join = true;
   bool allow_aggregate = true;   ///< aggregate select items
   bool allow_group_by = true;    ///< GROUP BY / HAVING branch
   bool allow_nested = true;      ///< scalar / IN subqueries
   bool allow_exists = true;      ///< [NOT] EXISTS subqueries
-  bool allow_insert_select = true;
   bool allow_like = true;        ///< LIKE patterns (§5 future work)
   bool allow_order_by = true;    ///< ORDER BY over select-item columns
 

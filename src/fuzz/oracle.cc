@@ -16,6 +16,9 @@ namespace lsg {
 
 namespace {
 
+/// Slack multiplier on the estimator's cross-product upper bound.
+constexpr double kEstimatorSlack = 1.5;
+
 bool AstHasWhere(const QueryAst& ast) {
   switch (ast.type) {
     case QueryType::kSelect:
@@ -132,7 +135,7 @@ DifferentialOracle::DifferentialOracle(Database* db, OracleOptions options)
       stats_(DatabaseStats::Collect(*db)),
       estimator_(db, &stats_),
       cost_model_(&estimator_),
-      reference_(db, options.max_reference_work),
+      reference_(db),
       vexec_(db, vexec::VexecOptions{.inject = options.inject_vexec_bug}),
       linter_(&db->catalog()) {}
 
@@ -213,8 +216,7 @@ std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {
   // 4. Estimator sanity: finite, non-negative, below the cross product.
   if (options_.check_estimator) {
     double est = estimator_.EstimateCardinality(ast);
-    double bound =
-        options_.estimator_slack * CrossProductRows(ast, *db_) + 1.0;
+    double bound = kEstimatorSlack * CrossProductRows(ast, *db_) + 1.0;
     if (!std::isfinite(est) || est < 0.0 || est > bound) {
       return OracleViolation{
           "estimator-bounds",

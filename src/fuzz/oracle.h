@@ -38,13 +38,6 @@ struct OracleOptions {
   /// a hand-written per-attempt rollout's samples byte-for-byte.
   bool check_serve_decode = true;
 
-  /// Work budget per reference evaluation; exceeding it skips the check
-  /// (counted in skipped()) instead of stalling the fuzzer.
-  uint64_t max_reference_work = 1ull << 26;
-
-  /// Slack multiplier on the estimator's cross-product upper bound.
-  double estimator_slack = 1.5;
-
   // --- fault injection, used to mutation-test the harness itself ---
 
   /// Adds this offset to every vectorized-engine cardinality of a query

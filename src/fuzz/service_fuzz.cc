@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -20,6 +21,9 @@
 namespace lsg {
 
 namespace {
+
+/// Upper bound on a round's random worker count.
+constexpr int kMaxWorkers = 4;
 
 Constraint RandomConstraint(Rng* rng) {
   ConstraintMetric metric = rng->Bernoulli(0.5)
@@ -73,7 +77,7 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
   for (int round = 0; round < options.rounds; ++round) {
     Rng rng(SplitMix64(options.seed + static_cast<uint64_t>(round)));
     GenerationServiceOptions opts;
-    opts.num_workers = 1 + static_cast<int>(rng.Uniform(options.max_workers));
+    opts.num_workers = 1 + static_cast<int>(rng.Uniform(kMaxWorkers));
     opts.queue_capacity = 2 + rng.Uniform(14);
     opts.registry.capacity = 1 + rng.Uniform(4);
     opts.gen.train_epochs = options.train_epochs;
@@ -92,6 +96,12 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
     const RemovedOnExit spill_dir(opts.registry.spill_dir);
     const std::vector<Constraint> constraints =
         RoundConstraints(opts.registry.capacity, &rng);
+    // A mid-run shutdown waits for this many accepted requests, so the
+    // round always drives the registry before the shutdown races the rest.
+    const int64_t shutdown_after =
+        midrun_shutdown
+            ? rng.UniformInt(1, std::max(1, options.requests_per_round - 1))
+            : 0;
 
     auto service = GenerationService::Create(context, opts);
     if (!service.ok()) return service.status();
@@ -108,8 +118,17 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
     // blocking Submit with fail-fast TrySubmit, batch and satisfy modes.
     std::vector<std::future<GenerationResponse>> futures;
     Mutex futures_mu;
+    // Fulfilled once `shutdown_after` requests were accepted, or when the
+    // producer is done (backpressure may reject too many to get there).
+    std::promise<void> accepted_enough;
     std::thread producer([&] {
       Rng prng(SplitMix64(options.seed + 1000 + round));
+      int64_t accepted = 0;
+      auto accept = [&](std::future<GenerationResponse> f) {
+        MutexLock lock(&futures_mu);
+        futures.push_back(std::move(f));
+        if (++accepted == shutdown_after) accepted_enough.set_value();
+      };
       for (int i = 0; i < options.requests_per_round; ++i) {
         GenerationRequest req;
         req.constraint = constraints[(i / 2) % constraints.size()];
@@ -118,21 +137,17 @@ Status FuzzGenerationService(const ServiceFuzzOptions& options) {
         req.id = static_cast<uint64_t>(i + 1);
         if (prng.Bernoulli(0.25)) {
           auto f = (*service)->TrySubmit(req);
-          if (f.ok()) {
-            MutexLock lock(&futures_mu);
-            futures.push_back(std::move(*f));
-          }
           // Backpressure / post-shutdown rejections are orderly outcomes.
+          if (f.ok()) accept(std::move(*f));
         } else {
-          MutexLock lock(&futures_mu);
-          futures.push_back((*service)->Submit(req));
+          accept((*service)->Submit(req));
         }
       }
+      if (accepted < shutdown_after) accepted_enough.set_value();
     });
 
     if (midrun_shutdown) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(rng.Uniform(30)));
+      accepted_enough.get_future().wait();
       (*service)->Shutdown();
     }
     producer.join();

@@ -15,7 +15,6 @@ struct ServiceFuzzOptions {
   int requests_per_round = 16;
   uint64_t seed = 7;
   int train_epochs = 2;       ///< tiny on purpose; we hunt races, not quality
-  int max_workers = 4;
   bool verbose = false;
 };
 
@@ -23,7 +22,10 @@ struct ServiceFuzzOptions {
 /// creates a service with a random worker count, queue capacity, and
 /// registry size, floods it with a random constraint mix (point/range,
 /// cardinality/cost, Submit and TrySubmit), and on odd rounds shuts the
-/// service down mid-run from a racing thread. Half the rounds (0, 3, 4,
+/// service down mid-run from a racing thread, once the producer has had
+/// k requests accepted (k drawn per round from [1, requests_per_round)),
+/// so the accepted ones drain through the registry while the rest race
+/// the shutdown. Half the rounds (0, 3, 4,
 /// 7, ...: both shutdown modes every four rounds) give the model registry
 /// a fresh spill directory, so evicted buckets warm-start from disk.
 /// Invariants checked:

@@ -29,8 +29,6 @@ class Matrix {
   float* data() { return v_.data(); }
   const float* data() const { return v_.data(); }
 
-  void Zero() { std::fill(v_.begin(), v_.end(), 0.f); }
-
   static Matrix Zeros(int rows, int cols) { return Matrix(rows, cols); }
 
   /// Gaussian values with the given stddev (test and bench data; network

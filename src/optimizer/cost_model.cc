@@ -6,41 +6,50 @@
 #include "obs/metrics_registry.h"
 
 namespace lsg {
+namespace {
 
-CostModel::CostModel(const CardinalityEstimator* estimator,
-                     CostConstants constants)
-    : estimator_(estimator), constants_(constants) {
+// PostgreSQL-style cost constants (the defaults mirror postgresql.conf).
+constexpr double kSeqPageCost = 1.0;
+constexpr double kCpuTupleCost = 0.01;
+constexpr double kCpuOperatorCost = 0.0025;
+constexpr double kHashBuildCostPerRow = 0.015;
+constexpr double kHashProbeCostPerRow = 0.01;
+constexpr double kGroupCostPerRow = 0.02;
+constexpr double kDmlWriteCostPerRow = 1.0;
+constexpr double kRowsPerPage = 80.0;  // ~100B rows in 8KB pages
+
+}  // namespace
+
+CostModel::CostModel(const CardinalityEstimator* estimator)
+    : estimator_(estimator) {
   LSG_CHECK(estimator != nullptr);
 }
 
 double CostModel::CostFromDetail(const EstimateDetail& d, int num_predicates,
                                  int num_joins, bool has_group,
                                  bool has_order) const {
-  const CostConstants& c = constants_;
   double cost = 0.0;
   // Sequential scans: IO pages + per-tuple CPU.
-  cost += d.base_rows / c.rows_per_page * c.seq_page_cost;
-  cost += d.base_rows * c.cpu_tuple_cost;
+  cost += d.base_rows / kRowsPerPage * kSeqPageCost;
+  cost += d.base_rows * kCpuTupleCost;
   // Hash joins: builds and probes approximated from the chain totals.
   if (num_joins > 0) {
-    cost += d.base_rows * c.hash_build_cost_per_row;
-    cost += d.join_output * c.hash_probe_cost_per_row;
+    cost += d.base_rows * kHashBuildCostPerRow;
+    cost += d.join_output * kHashProbeCostPerRow;
   }
   // Predicate evaluation over the joined stream.
-  cost += d.join_output * c.cpu_operator_cost *
+  cost += d.join_output * kCpuOperatorCost *
           static_cast<double>(std::max(1, num_predicates));
   // Grouping.
-  if (has_group) cost += d.after_where * c.group_cost_per_row;
+  if (has_group) cost += d.after_where * kGroupCostPerRow;
   // Sorting (ORDER BY): n log n comparisons over the output.
   if (has_order && d.output_rows > 1.0) {
-    cost += d.output_rows * std::log2(d.output_rows + 1.0) *
-            c.cpu_operator_cost;
+    cost += d.output_rows * std::log2(d.output_rows + 1.0) * kCpuOperatorCost;
   }
   // Output materialization.
-  cost += d.output_rows * c.cpu_tuple_cost;
+  cost += d.output_rows * kCpuTupleCost;
   // Subquery work (already row-denominated).
-  cost += d.subquery_cost_rows *
-          (c.cpu_tuple_cost + c.seq_page_cost / c.rows_per_page);
+  cost += d.subquery_cost_rows * (kCpuTupleCost + kSeqPageCost / kRowsPerPage);
   return cost;
 }
 
@@ -56,7 +65,6 @@ double CostModel::EstimateCost(const QueryAst& ast) const {
       obs::Enabled()
           ? &obs::MetricsRegistry::Global().GetHistogram("opt.cost_ns")
           : nullptr);
-  const CostConstants& c = constants_;
   switch (ast.type) {
     case QueryType::kSelect:
       if (ast.select == nullptr) return 0.0;
@@ -66,40 +74,38 @@ double CostModel::EstimateCost(const QueryAst& ast) const {
       if (ast.insert->source != nullptr) {
         double src_cost = SelectCost(*ast.insert->source);
         double rows = estimator_->EstimateSelect(*ast.insert->source, nullptr);
-        return src_cost + rows * c.dml_write_cost_per_row;
+        return src_cost + rows * kDmlWriteCostPerRow;
       }
-      return c.cpu_tuple_cost + c.dml_write_cost_per_row;
+      return kCpuTupleCost + kDmlWriteCostPerRow;
     }
     case QueryType::kUpdate: {
       if (ast.update == nullptr) return 0.0;
       double table_rows = static_cast<double>(
           estimator_->stats().table_rows[ast.update->table_idx]);
       double affected = estimator_->EstimateCardinality(ast);
-      double scan = table_rows / c.rows_per_page * c.seq_page_cost +
-                    table_rows * c.cpu_tuple_cost;
-      return scan + affected * c.dml_write_cost_per_row;
+      double scan = table_rows / kRowsPerPage * kSeqPageCost +
+                    table_rows * kCpuTupleCost;
+      return scan + affected * kDmlWriteCostPerRow;
     }
     case QueryType::kDelete: {
       if (ast.del == nullptr) return 0.0;
       double table_rows = static_cast<double>(
           estimator_->stats().table_rows[ast.del->table_idx]);
       double affected = estimator_->EstimateCardinality(ast);
-      double scan = table_rows / c.rows_per_page * c.seq_page_cost +
-                    table_rows * c.cpu_tuple_cost;
-      return scan + affected * c.dml_write_cost_per_row;
+      double scan = table_rows / kRowsPerPage * kSeqPageCost +
+                    table_rows * kCpuTupleCost;
+      return scan + affected * kDmlWriteCostPerRow;
     }
   }
   return 0.0;
 }
 
 double CostModel::TrueCost(const ExecStats& stats, double output_rows) const {
-  const CostConstants& c = constants_;
   double cost = 0.0;
-  cost += stats.rows_scanned / c.rows_per_page * c.seq_page_cost;
-  cost += stats.rows_scanned * c.cpu_tuple_cost;
-  cost += stats.rows_joined *
-          (c.hash_build_cost_per_row + c.hash_probe_cost_per_row);
-  cost += output_rows * c.cpu_tuple_cost;
+  cost += stats.rows_scanned / kRowsPerPage * kSeqPageCost;
+  cost += stats.rows_scanned * kCpuTupleCost;
+  cost += stats.rows_joined * (kHashBuildCostPerRow + kHashProbeCostPerRow);
+  cost += output_rows * kCpuTupleCost;
   return cost;
 }
 

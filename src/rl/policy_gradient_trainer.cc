@@ -121,8 +121,8 @@ StatusOr<EpochStats> TrainPolicyBatch(Environment* env, TrainingActor* actor,
       actor->net->AccumulateGradients(episodes[b], advantages[b],
                                       options.entropy_coef);
     }
-    ClipGradNorm(actor->net->Params(), options.grad_clip);
-    if (critic != nullptr) ClipGradNorm(critic->Params(), options.grad_clip);
+    ClipGradNorm(actor->net->Params(), kGradClip);
+    if (critic != nullptr) ClipGradNorm(critic->Params(), kGradClip);
     actor->opt.Step();
     if (critic_opt != nullptr) critic_opt->Step();
   }

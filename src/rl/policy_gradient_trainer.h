@@ -17,10 +17,13 @@ struct TrainerOptions {
   double entropy_coef = 0.01;  ///< λ of Eq. 4
   float actor_lr = 1e-3f;
   float critic_lr = 3e-3f;
-  double grad_clip = 5.0;
   uint64_t seed = 1234;
   NetworkOptions net;
 };
+
+/// Global L2 norm every update clips the actor's (and a critic's)
+/// gradients to.
+constexpr double kGradClip = 5.0;
 
 /// Standardizes `adv` in place across all steps of a batch (no-op for
 /// fewer than two entries or zero variance). Not in the paper's

@@ -7,6 +7,12 @@
 #include "common/string_util.h"
 
 namespace lsg {
+namespace {
+
+/// Categorical columns enumerate all distinct values up to this cap.
+constexpr size_t kMaxCategoricalValues = 64;
+
+}  // namespace
 
 int Vocabulary::AddToken(Token t) {
   t.id = static_cast<int>(tokens_.size());
@@ -77,8 +83,7 @@ StatusOr<Vocabulary> Vocabulary::Build(const Database& db,
       if (distinct.empty()) continue;
       size_t want;
       if (cs.type == DataType::kCategorical) {
-        want = std::min<size_t>(distinct.size(),
-                                static_cast<size_t>(options.max_categorical_values));
+        want = std::min(distinct.size(), kMaxCategoricalValues);
       } else if (options.sample_ratio > 0.0) {
         want = static_cast<size_t>(
             std::ceil(options.sample_ratio * static_cast<double>(distinct.size())));

@@ -22,9 +22,6 @@ struct VocabularyOptions {
   /// k (the Figure 12 η sweep).
   double sample_ratio = 0.0;
 
-  /// Categorical columns enumerate all distinct values up to this cap.
-  int max_categorical_values = 64;
-
   /// LIKE patterns sampled per string/categorical column: substrings of
   /// sampled cell values wrapped in '%' (paper §5 future work; 0 disables).
   int patterns_per_string_column = 6;

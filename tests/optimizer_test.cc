@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/column_stats.h"
@@ -468,6 +470,69 @@ TEST_F(CostModelTest, InsertValuesIsCheap) {
   scan.tables = {score()};
   scan.items.push_back({AggFunc::kNone, {score(), 0}});
   EXPECT_LT(cost_.EstimateCost(ins), cost_.SelectCost(scan));
+}
+
+// The orderings above would survive a mistyped cost constant; these exact
+// bit patterns would not. Between them the cases read every constant:
+// scan pages and tuples, hash build and probe, predicate and sort
+// operators, grouping, subquery work and DML writes.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST_F(CostModelTest, ExactValuesArePinned) {
+  SelectQuery scan;
+  scan.tables = {score()};
+  scan.items.push_back({AggFunc::kNone, {score(), 0}});
+  EXPECT_EQ(Bits(cost_.SelectCost(scan)), 0x3ff0cccccccccccdull);
+
+  SelectQuery join;
+  join.tables = {score(), student()};
+  join.items.push_back({AggFunc::kNone, {score(), 0}});
+  Predicate lt;
+  lt.column = {score(), 3};
+  lt.op = CompareOp::kLt;
+  lt.value = Value(70.0);
+  join.where.predicates.push_back(std::move(lt));
+  EXPECT_EQ(Bits(cost_.SelectCost(join)), 0x3fff47ae147ae148ull);
+
+  SelectQuery grouped;
+  grouped.tables = {score()};
+  grouped.items.push_back({AggFunc::kNone, {score(), 2}});
+  grouped.group_by.push_back({score(), 2});
+  grouped.order_by.push_back({score(), 2});
+  EXPECT_EQ(Bits(cost_.SelectCost(grouped)), 0x3ff651eb851eb852ull);
+
+  SelectQuery nested;
+  nested.tables = {score()};
+  nested.items.push_back({AggFunc::kNone, {score(), 0}});
+  Predicate sub;
+  sub.kind = PredicateKind::kScalarSub;
+  sub.column = {score(), 3};
+  sub.op = CompareOp::kGt;
+  sub.subquery = std::make_unique<SelectQuery>();
+  sub.subquery->tables = {score()};
+  sub.subquery->items.push_back({AggFunc::kAvg, {score(), 3}});
+  nested.where.predicates.push_back(std::move(sub));
+  EXPECT_EQ(Bits(cost_.SelectCost(nested)), 0x40020a3d70a3d70aull);
+
+  QueryAst del;
+  del.type = QueryType::kDelete;
+  del.del = std::make_unique<DeleteQuery>();
+  del.del->table_idx = score();
+  Predicate p;
+  p.column = {score(), 3};
+  p.op = CompareOp::kLt;
+  p.value = Value(61.0);
+  del.del->where.predicates.push_back(std::move(p));
+  EXPECT_EQ(Bits(cost_.EstimateCost(del)), 0x3ffacccccccccccdull);
+
+  SelectQuery measured;
+  measured.tables = {score(), student()};
+  measured.items.push_back({AggFunc::kNone, {score(), 0}});
+  auto r = exec_.ExecuteSelect(measured, false);
+  ASSERT_TRUE(r.ok());
+  const double tc =
+      cost_.TrueCost(r->stats, static_cast<double>(r->cardinality));
+  EXPECT_EQ(Bits(tc), 0x3fff333333333333ull);
 }
 
 }  // namespace

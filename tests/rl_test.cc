@@ -695,8 +695,8 @@ class TrainerReplay {
       actor_->AccumulateGradients(eps[b], adv[b], o_.entropy_coef);
     }
     audit();
-    ClipFor<Opt>(actor_->Params(), o_.grad_clip);
-    if (critic_ != nullptr) ClipFor<Opt>(critic_->Params(), o_.grad_clip);
+    ClipFor<Opt>(actor_->Params(), kGradClip);
+    if (critic_ != nullptr) ClipFor<Opt>(critic_->Params(), kGradClip);
     actor_opt_->Step();
     if (critic_ != nullptr) critic_opt_->Step();
     audit();

@@ -17,9 +17,7 @@
 
 #include "core/generator.h"
 #include "core/report_io.h"
-#include "datasets/job_like.h"
-#include "datasets/tpch_like.h"
-#include "datasets/xuetang_like.h"
+#include "fuzz/test_databases.h"
 #include "optimizer/explain.h"
 
 namespace {
@@ -28,7 +26,8 @@ void Usage() {
   std::printf(
       "lsggen — constraint-aware SQL generation (LearnedSQLGen)\n\n"
       "required:\n"
-      "  --dataset tpch|job|xuetang   benchmark database to generate over\n"
+      "  --dataset score|tpch|job|xuetang|edge\n"
+      "                               database to generate over\n"
       "  --metric card|cost           constrained metric\n"
       "  --point C | --range LO,HI    the constraint\n"
       "options:\n"
@@ -118,19 +117,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  DatasetScale ds;
-  ds.factor = scale;
-  Database db;
-  if (dataset == "tpch") {
-    db = BuildTpchLike(ds);
-  } else if (dataset == "job") {
-    db = BuildJobLike(ds);
-  } else if (dataset == "xuetang") {
-    db = BuildXuetangLike(ds);
-  } else {
-    std::fprintf(stderr, "unknown dataset %s\n", dataset.c_str());
+  auto db_or = BuildNamedDatabase(dataset, scale);
+  if (!db_or.ok()) {
+    std::fprintf(stderr, "%s\n", db_or.status().ToString().c_str());
     return 2;
   }
+  Database db = std::move(db_or).value();
 
   ConstraintMetric metric;
   if (metric_name == "card") {

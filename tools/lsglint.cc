@@ -19,11 +19,12 @@
 // Exit status: 0 clean (or injected bug detected), 1 findings (or injected
 // bug missed), 2 usage error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/fsm_analyzer.h"
@@ -62,21 +63,6 @@ void Usage() {
 int FailUsage(const char* what) {
   std::fprintf(stderr, "%s (try --help)\n", what);
   return 2;
-}
-
-// Serializes every mask-relevant profile field. Two runs with equal
-// fingerprints explore byte-identical state graphs (e.g. "wide" clamps to
-// the same bounds as "default"), so the second is skipped.
-std::string ProfileFingerprint(const lsg::QueryProfile& p, int budget) {
-  char buf[96];
-  std::snprintf(
-      buf, sizeof(buf), "%d%d%d%d%d%d%d%d%d%d%d%d%d|%d,%d,%d,%d,%d|b%d",
-      p.allow_select, p.allow_insert, p.allow_update, p.allow_delete,
-      p.allow_join, p.allow_aggregate, p.allow_group_by, p.allow_nested,
-      p.allow_exists, p.allow_insert_select, p.allow_like, p.allow_order_by,
-      p.require_nested, p.max_joins, p.max_predicates, p.max_select_items,
-      p.max_nesting_depth, p.max_tokens, budget);
-  return buf;
 }
 
 }  // namespace
@@ -322,7 +308,10 @@ int main(int argc, char** argv) {
     // offered somewhere.
     std::vector<uint8_t> coverage(vocab.size(), 0);
     bool ran_all_profiles = true;
-    std::set<std::string> seen_profiles;
+    // Two runs with equal clamped profiles and budgets explore
+    // byte-identical state graphs (e.g. "wide" clamps to the same bounds
+    // as "default"), so the second is skipped.
+    std::vector<std::pair<QueryProfile, int>> seen_profiles;
     for (const Run& run : runs) {
       const FuzzProfile& fp = run.fp;
       if (!profile_name.empty() && fp.name != profile_name) {
@@ -333,14 +322,16 @@ int main(int argc, char** argv) {
         AnalyzerOptions probe;
         probe.profile = fp.profile;
         FsmAnalyzer clamped(&db, &vocab, probe);
-        const std::string fpx =
-            ProfileFingerprint(clamped.effective_profile(), run.budget);
-        if (!seen_profiles.insert(fpx).second) {
+        const std::pair<QueryProfile, int> seen(clamped.effective_profile(),
+                                                run.budget);
+        if (std::find(seen_profiles.begin(), seen_profiles.end(), seen) !=
+            seen_profiles.end()) {
           std::printf("%s/%s: clamps to an already-analyzed profile, "
                       "skipped\n",
                       name.c_str(), fp.name.c_str());
           continue;
         }
+        seen_profiles.push_back(seen);
       }
       auto report_or = analyze(db, vocab, fp, run.budget);
       if (!report_or.ok()) {

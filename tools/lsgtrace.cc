@@ -58,7 +58,7 @@ void Usage() {
       "  --scale F        dataset scale factor (default 1.0)\n"
       "  --seed S         training and sampling seed (--train), the\n"
       "                   service's base seed (--serve) (default 2024)\n"
-      "datasets: score, tpch, job, xuetang\n");
+      "datasets: score, tpch, job, xuetang, edge\n");
 }
 
 bool ParseConstraint(const std::string& text, Constraint* out) {
