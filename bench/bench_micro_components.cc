@@ -1,9 +1,11 @@
 // Google-benchmark micro-benchmarks for the core components: FSM masking,
 // random-walk episodes, executor operators, estimator, cost model, the
 // single-lane dense forward kernels, LSTM forward/backward, one decode
-// lane-step, actor-critic training epochs, and vocabulary construction.
+// lane-step, actor-critic training epochs, the actor's optimizer tail, and
+// vocabulary construction.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -361,6 +363,56 @@ void BM_ActorInit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ActorInit);
+
+// The optimizer tail of one served training update, ClipGradNorm then
+// Adam::Step, on a TPC-H actor whose live rows come from 20 real
+// critic-free epochs on a cardinality-range bucket, as a cold request
+// trains. The gradient is refilled over the live spans (untimed) before
+// every step. wx_only:1 times layer-0 Wx alone, under an Adam of its own.
+void BM_ActorUpdate(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  SqlGenEnvironment env(
+      &f.db, &*f.vocab, f.est.get(), f.cost.get(),
+      Constraint::Range(ConstraintMetric::kCardinality, 100, 1000),
+      EnvironmentOptions());
+  const TrainerOptions to;
+  TrainingActor actor(f.vocab->size(), to.net, to.seed, to.actor_lr);
+  Rng rng(to.seed);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    LSG_CHECK(TrainPolicyBatch(&env, &actor, /*critic=*/nullptr,
+                               /*critic_opt=*/nullptr, &rng, to)
+                  .ok());
+  }
+  std::vector<ParamTensor*> params = actor.net->Params();
+  Adam* opt = &actor.opt;
+  std::optional<Adam> wx_opt;
+  if (state.range(0) == 1) {
+    params.resize(1);
+    opt = &wx_opt.emplace(params, to.actor_lr);
+  }
+  std::vector<Matrix> grads;
+  Rng fill(3);
+  for (ParamTensor* p : params) {
+    Matrix& g = grads.emplace_back(p->value().rows(), p->value().cols());
+    p->ForEachLiveSpan([&](size_t k, size_t n, float*) {
+      for (size_t i = 0; i < n; ++i) {
+        g.data()[k + i] = static_cast<float>(fill.Normal(0.0, 0.05));
+      }
+    });
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < params.size(); ++i) {
+      params[i]->ForEachLiveSpan([&](size_t k, size_t n, float* g) {
+        std::copy_n(grads[i].data() + k, n, g);
+      });
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ClipGradNorm(params, kGradClip));
+    opt->Step();
+  }
+}
+BENCHMARK(BM_ActorUpdate)->ArgName("wx_only")->Arg(0)->Arg(1);
 
 void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   MicroFixture& f = Fixture();

@@ -8,9 +8,11 @@
 namespace lsg {
 
 /// Adam optimizer over a fixed set of parameter tensors. Step() consumes
-/// (and zeroes) the accumulated gradients. Both visit live gradient columns
-/// only (ParamTensor::ForEachLiveSpan); the moments of a column that never
-/// received a gradient stay exactly +0.
+/// (and zeroes) the accumulated gradients. Both visit live gradient rows
+/// only (ParamTensor::ForEachLiveSpan), one contiguous span per run of live
+/// rows; the moments of a row that never received a gradient stay exactly
+/// +0. The update is elementwise, so a token-major tensor's storage order
+/// changes no bit.
 class Adam {
  public:
   Adam(std::vector<ParamTensor*> params, float lr, float beta1 = 0.9f,

@@ -15,8 +15,13 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, bool onehot_input,
                    Rng* rng)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
-      wx_("lstm.wx", Matrix::Xavier(4 * hidden_dim, input_dim, rng),
-          /*packed=*/!onehot_input),
+      wx_(onehot_input
+              ? ParamTensor::TokenMajor(
+                    "lstm.wx",
+                    Matrix::XavierTransposed(4 * hidden_dim, input_dim, rng))
+              : ParamTensor("lstm.wx",
+                            Matrix::Xavier(4 * hidden_dim, input_dim, rng),
+                            /*packed=*/true)),
       wh_("lstm.wh", Matrix::Xavier(4 * hidden_dim, hidden_dim, rng),
           /*packed=*/true),
       b_("lstm.b", Matrix::Zeros(4 * hidden_dim, 1)),
@@ -32,6 +37,7 @@ void LstmCell::Forward(int onehot, const float* x, int dense_dim,
                        Cache* p) const {
   const int h = hidden_dim_;
   LSG_DCHECK(onehot >= 0 ? dense_dim < input_dim_ : dense_dim == input_dim_);
+  LSG_DCHECK((onehot >= 0) == wx_.token_major());
   p->gates.resize(4 * h);
   p->c.resize(h);
   p->tanh_c.resize(h);
@@ -42,18 +48,13 @@ void LstmCell::Forward(int onehot, const float* x, int dense_dim,
   } else {
     const int first = input_dim_ - dense_dim;
     LSG_DCHECK(onehot < first);
-    // Wx (e_token ++ x): the token's column, then the dense products in
-    // ascending column order.
+    // Wx (e_token ++ x), token-major: the token's row, then each dense
+    // input's row times that input, in ascending input order.
+    const size_t gates = static_cast<size_t>(4 * h);
     const float* w = wx_.value().data();
-    for (int k = 0; k < 4 * h; ++k) {
-      pre[k] = w[static_cast<size_t>(k) * input_dim_ + onehot];
-    }
+    std::copy_n(w + static_cast<size_t>(onehot) * gates, gates, pre);
     for (int j = 0; j < dense_dim; ++j) {
-      const float* col = w + first + j;
-      const float xj = x[j];
-      for (int k = 0; k < 4 * h; ++k) {
-        pre[k] += col[static_cast<size_t>(k) * input_dim_] * xj;
-      }
+      AxpyAccum(x[j], w + static_cast<size_t>(first + j) * gates, 4 * h, pre);
     }
   }
   MatMatAccum(wh_, h_prev, pre);
@@ -100,13 +101,14 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
     dpre[3 * h + k] = do_ * o[k] * (1.f - o[k]);
   }
   // Parameter gradients.
+  LSG_DCHECK((cache.onehot >= 0) == wx_.token_major());
   if (cache.onehot >= 0) {
-    // The token's column, then each dense column scaled by its input: the
-    // only columns whose dense OuterAccum terms are not ±0.
-    wx_.AccumulateColumn(cache.onehot, dpre);
+    // The token's row, then each dense input's row scaled by that input:
+    // the only rows whose dense OuterAccum terms are not ±0.
+    wx_.AccumulateRow(cache.onehot, dpre);
     const int first = input_dim_ - static_cast<int>(cache.x.size());
     for (size_t j = 0; j < cache.x.size(); ++j) {
-      wx_.AccumulateColumn(first + static_cast<int>(j), dpre, cache.x[j]);
+      wx_.AccumulateRow(first + static_cast<int>(j), dpre, cache.x[j]);
     }
   } else {
     OuterAccum(wx_.mutable_grad(), dpre, cache.x.data());

@@ -9,11 +9,12 @@ namespace lsg {
 
 /// One LSTM cell with standard gates (input, forget, cell, output). An
 /// input is an optional one-hot column (the token encoding of §4.1) followed
-/// by a dense block; the one-hot part touches only its own column of Wx in
-/// both passes, so only the columns actually fed go live for the optimizer.
-/// Wh is a packed tensor (see ParamTensor), and so is Wx of a cell whose
-/// input has no one-hot part, so a step multiplies through their forward
-/// panels; a one-hot Wx (vocabulary-wide) keeps none.
+/// by a dense block. Wx of a cell with a one-hot part (vocabulary-wide) is
+/// token-major (see ParamTensor): the one-hot part reads and writes only its
+/// token's contiguous row in both passes, so only the rows actually fed go
+/// live for the optimizer. Wh is a packed tensor, and so is Wx of a cell
+/// whose input has no one-hot part, so a step multiplies through their
+/// forward panels; a token-major Wx keeps none.
 class LstmCell {
  public:
   /// `onehot_input`: every Forward feeds a one-hot part.
@@ -36,10 +37,10 @@ class LstmCell {
   /// The one forward: writes p->gates, p->c, p->tanh_c and p->h. The input
   /// is e_onehot (no one-hot part when onehot < 0) followed by x, the last
   /// dense_dim input columns (all of them without a one-hot part). x may
-  /// alias p->h: it is read before the gates are written. Each Wx row sum
-  /// starts at the token's column and adds the dense products in ascending
-  /// column order: the chain a dense MatVec over the whole input runs, less
-  /// its ±0 terms.
+  /// alias p->h: it is read before the gates are written. Each gate's Wx
+  /// sum starts at the token's weight and adds the dense products in
+  /// ascending input order: the chain a dense MatVec over the whole logical
+  /// (4H x In) Wx runs, less its ±0 terms.
   void Forward(int onehot, const float* x, int dense_dim, const float* h_prev,
                const float* c_prev, Cache* p) const;
 
@@ -48,7 +49,7 @@ class LstmCell {
   /// receive (overwrite) gradients for the previous step; `dx_or_null`
   /// accumulates input gradients (skipped for a one-hot input — tokens and
   /// their feature tail are not learnable). A one-hot input writes Wx's
-  /// gradient in the token's and the dense columns only.
+  /// gradient in the token's and the dense inputs' rows only.
   void Backward(const Cache& cache, const float* dh, const float* dc,
                 float* dh_prev, float* dc_prev, float* dx_or_null);
 
@@ -58,7 +59,7 @@ class LstmCell {
  private:
   int input_dim_;
   int hidden_dim_;
-  ParamTensor wx_;  ///< (4H x In)
+  ParamTensor wx_;  ///< (4H x In); stored (In x 4H) with a one-hot input
   ParamTensor wh_;  ///< (4H x H)
   ParamTensor b_;   ///< (4H x 1)
   std::vector<float> dpre_;  ///< Backward's gate-gradient scratch (4H)

@@ -16,16 +16,44 @@ Matrix Matrix::Randn(int rows, int cols, float stddev, Rng* rng) {
   return m;
 }
 
+namespace {
+
+// The Glorot-uniform bound a = sqrt(6 / (fan_in + fan_out)).
+float XavierBound(int rows, int cols) {
+  return std::sqrt(6.0f / static_cast<float>(rows + cols));
+}
+
+// One Glorot-uniform weight in [-a, a) from one rng->Next().
+inline float XavierDraw(float a, Rng* rng) {
+  // u = k * 2^-24 from the top 24 bits, and 2u - 1 in [-1, 1), are both
+  // exact in float, so the product with a is the only rounding; it stays
+  // below a because (1 - 2^-23) * a <= a - ulp(a).
+  const float u = static_cast<float>(rng->Next() >> 40) * 0x1.0p-24f;
+  return (2.f * u - 1.f) * a;
+}
+
+}  // namespace
+
 Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
   Matrix m(rows, cols);
   if (rng == nullptr) return m;
-  const float a = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  for (size_t i = 0; i < m.size(); ++i) {
-    // u = k * 2^-24 from the top 24 bits, and 2u - 1 in [-1, 1), are both
-    // exact in float, so the product with a is the only rounding; it
-    // stays below a because (1 - 2^-23) * a <= a - ulp(a).
-    const float u = static_cast<float>(rng->Next() >> 40) * 0x1.0p-24f;
-    m.data()[i] = (2.f * u - 1.f) * a;
+  const float a = XavierBound(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] = XavierDraw(a, rng);
+  return m;
+}
+
+Matrix Matrix::XavierTransposed(int rows, int cols, Rng* rng) {
+  Matrix m(cols, rows);
+  if (rng == nullptr) return m;
+  const float a = XavierBound(rows, cols);
+  // Xavier's draws in Xavier's order, each stored at its transposed place.
+  // The stores stride by `rows` floats, but consecutive logical rows fill
+  // the same cache lines of the transpose, so those stay cached; staging
+  // rows in a tile and scattering it measured slower.
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      m.data()[static_cast<size_t>(j) * rows + i] = XavierDraw(a, rng);
+    }
   }
   return m;
 }
@@ -229,43 +257,44 @@ void ParamTensor::Repack() {
 
 Matrix* ParamTensor::mutable_grad() {
   AllocateGrad();
-  const int cols = grad_.cols();
-  if (live_runs_.size() != 1 || live_runs_[0].end - live_runs_[0].begin != cols) {
-    live_runs_.assign(1, ColumnRun{0, cols});
+  const int rows = grad_.rows();
+  if (live_runs_.size() != 1 || live_runs_[0].end - live_runs_[0].begin != rows) {
+    live_runs_.assign(1, RowRun{0, rows});
   }
   return &grad_;
 }
 
-void ParamTensor::AccumulateColumn(int c, const float* d, float scale) {
+void ParamTensor::AccumulateRow(int r, const float* d, float scale) {
   AllocateGrad();
-  LSG_DCHECK(c >= 0 && c < grad_.cols());
-  // The first run starting after c; the one before it is the only run that
-  // can contain c or end right at it.
+  LSG_DCHECK(r >= 0 && r < grad_.rows());
+  // The first run starting after r; the one before it is the only run that
+  // can contain r or end right at it.
   auto next = std::upper_bound(
-      live_runs_.begin(), live_runs_.end(), c,
-      [](int col, const ColumnRun& r) { return col < r.begin; });
+      live_runs_.begin(), live_runs_.end(), r,
+      [](int row, const RowRun& run) { return row < run.begin; });
   auto prev = next == live_runs_.begin() ? live_runs_.end() : next - 1;
-  if (prev == live_runs_.end() || c >= prev->end) {
-    const bool joins_prev = prev != live_runs_.end() && prev->end == c;
-    const bool joins_next = next != live_runs_.end() && next->begin == c + 1;
+  if (prev == live_runs_.end() || r >= prev->end) {
+    const bool joins_prev = prev != live_runs_.end() && prev->end == r;
+    const bool joins_next = next != live_runs_.end() && next->begin == r + 1;
     if (joins_prev && joins_next) {
       prev->end = next->end;
       live_runs_.erase(next);
     } else if (joins_prev) {
-      prev->end = c + 1;
+      prev->end = r + 1;
     } else if (joins_next) {
-      next->begin = c;
+      next->begin = r;
     } else {
-      live_runs_.insert(next, ColumnRun{c, c + 1});
+      live_runs_.insert(next, RowRun{r, r + 1});
     }
   }
-  for (int r = 0; r < grad_.rows(); ++r) grad_.at(r, c) += d[r] * scale;
+  const int cols = grad_.cols();
+  AxpyAccum(scale, d, cols, grad_.data() + static_cast<size_t>(r) * cols);
 }
 
-bool ParamTensor::IsLive(int c) const {
-  for (const ColumnRun& r : live_runs_) {
-    if (c < r.begin) return false;
-    if (c < r.end) return true;
+bool ParamTensor::IsLive(int r) const {
+  for (const RowRun& run : live_runs_) {
+    if (r < run.begin) return false;
+    if (r < run.end) return true;
   }
   return false;
 }
@@ -286,24 +315,52 @@ bool ParamSnapshot::Restore(const std::vector<ParamTensor*>& params) const {
   return true;
 }
 
+namespace {
+
+// sq += g^2 for the n entries g[0], g[stride], ... A ±0 entry would add +0
+// to a non-negative sum: skipping it keeps every bit, and NaN and ±inf
+// still enter.
+inline void AddSquares(const float* g, size_t n, size_t stride, double* sq) {
+  for (size_t i = 0; i < n; i += stride) {
+    if (g[i] == 0.f) continue;
+    *sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
+  }
+}
+
+// g[0..kWidth) *= scale, one rounding per element as in the scalar loop.
+template <int kWidth>
+inline void ScaleTile(float scale, float* g) {
+#pragma GCC unroll 16
+  for (int j = 0; j < kWidth; ++j) g[j] *= scale;
+}
+
+}  // namespace
+
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm) {
   double sq = 0.0;
   for (ParamTensor* p : params) {
-    p->ForEachLiveSpan([&sq](size_t, size_t n, const float* g) {
-      for (size_t i = 0; i < n; ++i) {
-        // A ±0 entry would add +0 to a non-negative sum: skipping it keeps
-        // every bit, and NaN and ±inf still enter.
-        if (g[i] == 0.f) continue;
-        sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
-      }
-    });
+    if (!p->token_major()) {
+      p->ForEachLiveSpan(
+          [&sq](size_t, size_t n, const float* g) { AddSquares(g, n, 1, &sq); });
+      continue;
+    }
+    // Logical row r is storage column r: one strided pass per gate row over
+    // the live token rows, in the order a (R x C) layout would be summed.
+    const size_t stride = static_cast<size_t>(p->grad().cols());
+    for (size_t r = 0; r < stride; ++r) {
+      p->ForEachLiveSpan([&](size_t, size_t n, const float* g) {
+        AddSquares(g + r, n - r, stride, &sq);
+      });
+    }
   }
   double norm = std::sqrt(sq);
   if (norm > max_norm && norm > 0.0) {
     float scale = static_cast<float>(max_norm / norm);
     for (ParamTensor* p : params) {
       p->ForEachLiveSpan([scale](size_t, size_t n, float* g) {
-        for (size_t i = 0; i < n; ++i) g[i] *= scale;
+        ForEachTile(n, [&]<int kWidth>(size_t j) {
+          ScaleTile<kWidth>(scale, g + j);
+        });
       });
     }
   }

@@ -41,6 +41,10 @@ class Matrix {
   /// zeros: a shape for LoadParams to fill.
   static Matrix Xavier(int rows, int cols, Rng* rng);
 
+  /// The (cols x rows) transpose of Xavier(rows, cols, rng), from the same
+  /// draws in the same order: the storage of a token-major ParamTensor.
+  static Matrix XavierTransposed(int rows, int cols, Rng* rng);
+
  private:
   int rows_ = 0;
   int cols_ = 0;
@@ -57,22 +61,38 @@ class Matrix {
 /// construction, Adam::Step, ParamSnapshot::Restore and LoadParams all go
 /// through it.
 ///
-/// Gradient columns go "live" on their first write and stay live. A tensor
-/// fed by one-hot inputs (an LSTM's token-input Wx) only ever receives
-/// gradients one column at a time, so after an epoch most of its columns
-/// have never been touched; the optimizer tail (ClipGradNorm, Adam, zeroing)
-/// visits only live entries, through ForEachLiveSpan. That is exact: a
-/// never-touched column has g = m = v = +0, so Adam's update there is a
-/// no-op and its terms add nothing to the clipping norm. A dense writer
-/// marks every column live, so a dense tensor is simply the all-live case.
-/// The two writers below are the only ways to modify the gradient, and both
-/// mark what they write.
+/// A token-major tensor (TokenMajor) is one read through one-hot inputs,
+/// like an LSTM's token-input Wx: logically (R x C) with one column per
+/// input, it is stored transposed, (C x R), so row t of value() and grad()
+/// holds input t's R weights contiguously. value() and grad() are that
+/// storage, and LogicalOffset maps a logical (r, c) into it. Three readers
+/// keep the logical order: Matrix::XavierTransposed's draw, ClipGradNorm's
+/// sum and SaveParams/LoadParams' file layout. Everything else (Adam,
+/// ParamSnapshot) is elementwise and does not care.
+///
+/// Gradient rows (of the storage) go "live" on their first write and stay
+/// live. A token-major tensor only ever receives gradients one row at a
+/// time, so after an epoch most of its rows have never been touched; the
+/// optimizer tail (ClipGradNorm, Adam, zeroing) visits only live rows,
+/// through ForEachLiveSpan. That is exact: a never-touched row has
+/// g = m = v = +0, so Adam's update there is a no-op and its terms add
+/// nothing to the clipping norm. A dense writer marks every row live, so a
+/// dense tensor is simply the all-live case. The two writers below are the
+/// only ways to modify the gradient, and both mark what they write.
 class ParamTensor {
  public:
   ParamTensor() = default;
   ParamTensor(std::string n, Matrix v, bool packed = false)
       : name(std::move(n)), value_(std::move(v)), packed_(packed) {
     Repack();
+  }
+
+  /// A token-major tensor whose storage is `transposed`, the (C x R)
+  /// transpose of its logical (R x C) value.
+  static ParamTensor TokenMajor(std::string n, Matrix transposed) {
+    ParamTensor p(std::move(n), std::move(transposed));
+    p.token_major_ = true;
+    return p;
   }
 
   std::string name;
@@ -91,55 +111,60 @@ class ParamTensor {
   /// The forward panel (packed tensors only).
   const float* panel() const { return panel_.data(); }
 
-  /// The gradient: empty until its first write (so a tensor that is only
-  /// ever read, like a loaded model's, never allocates one), value-shaped
-  /// and +0 outside the live columns from then on.
-  const Matrix& grad() const { return grad_; }
-
-  /// Whole-gradient write access; marks every column live.
-  Matrix* mutable_grad();
-
-  /// grad(:, c) += d * scale (d has rows() entries); marks column c live.
-  void AccumulateColumn(int c, const float* d, float scale = 1.f);
-
-  /// Whether column c has ever received a gradient.
-  bool IsLive(int c) const;
-
-  /// Frees the gradient and its live columns, for a tensor that is only
-  /// read from now on (a served model).
-  void ReleaseGradient() {
-    grad_ = Matrix();
-    live_runs_ = std::vector<ColumnRun>();
+  /// Whether value() and grad() hold the transpose of the logical tensor.
+  bool token_major() const { return token_major_; }
+  /// The logical shape: value()'s, or its transpose when token-major.
+  int logical_rows() const {
+    return token_major_ ? value_.cols() : value_.rows();
+  }
+  int logical_cols() const {
+    return token_major_ ? value_.rows() : value_.cols();
+  }
+  /// The flat index into value() (and grad()) of logical entry (r, c).
+  size_t LogicalOffset(int r, int c) const {
+    return token_major_
+               ? static_cast<size_t>(c) * value_.cols() + r
+               : static_cast<size_t>(r) * value_.cols() + c;
   }
 
-  /// Calls fn(k, n, g) for each maximal run of live gradient entries in
-  /// row-major order: flat indices [k, k+n) into value/grad, with g pointing
-  /// at grad[k]. An all-live tensor is one run; entries outside the runs are
-  /// exactly +0 and are not visited.
+  /// The gradient: empty until its first write (so a tensor that is only
+  /// ever read, like a loaded model's, never allocates one), value-shaped
+  /// and +0 outside the live rows from then on.
+  const Matrix& grad() const { return grad_; }
+
+  /// Whole-gradient write access; marks every row live.
+  Matrix* mutable_grad();
+
+  /// grad(r, :) += d * scale (d has grad().cols() entries); marks row r
+  /// live.
+  void AccumulateRow(int r, const float* d, float scale = 1.f);
+
+  /// Whether row r has ever received a gradient.
+  bool IsLive(int r) const;
+
+  /// Frees the gradient and its live rows, for a tensor that is only read
+  /// from now on (a served model).
+  void ReleaseGradient() {
+    grad_ = Matrix();
+    live_runs_ = std::vector<RowRun>();
+  }
+
+  /// Calls fn(k, n, g) once per maximal run of live rows [begin, end): flat
+  /// indices [k, k+n) = [begin * cols, end * cols) into value/grad, with g
+  /// pointing at grad[k]. An all-live tensor is one span; entries outside
+  /// the spans are exactly +0 and are not visited.
   template <typename Fn>
   void ForEachLiveSpan(Fn&& fn) {
     const size_t cols = static_cast<size_t>(grad_.cols());
-    size_t start = 0;
-    size_t len = 0;
-    for (size_t base = 0; base < grad_.size(); base += cols) {
-      for (const ColumnRun& r : live_runs_) {
-        const size_t k = base + r.begin;
-        const size_t n = static_cast<size_t>(r.end - r.begin);
-        if (k == start + len) {
-          len += n;  // continues the pending run (across rows when dense)
-          continue;
-        }
-        if (len > 0) fn(start, len, grad_.data() + start);
-        start = k;
-        len = n;
-      }
+    for (const RowRun& r : live_runs_) {
+      const size_t k = static_cast<size_t>(r.begin) * cols;
+      fn(k, static_cast<size_t>(r.end - r.begin) * cols, grad_.data() + k);
     }
-    if (len > 0) fn(start, len, grad_.data() + start);
   }
 
  private:
-  /// Live columns [begin, end): sorted, disjoint and non-adjacent.
-  struct ColumnRun {
+  /// Live rows [begin, end): sorted, disjoint and non-adjacent.
+  struct RowRun {
     int begin;
     int end;
   };
@@ -154,9 +179,10 @@ class ParamTensor {
 
   Matrix value_;
   bool packed_ = false;
+  bool token_major_ = false;
   std::vector<float> panel_;  ///< value transposed; empty unless packed
   Matrix grad_;
-  std::vector<ColumnRun> live_runs_;
+  std::vector<RowRun> live_runs_;
 };
 
 /// y = W x  (y: rows, x: cols). The row-major forward kernels (MatVec,
@@ -210,7 +236,10 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n);
 /// ParamTensor): the skipped entries are +0 and change neither the sum nor
 /// their own scaled value. The sum also skips live ±0 entries (most of the
 /// policy head's, which BackwardRows marks all-live), whose +0 square
-/// would leave the non-negative sum unchanged.
+/// would leave the non-negative sum unchanged. The serial double sum runs
+/// in each tensor's logical row-major order, so a token-major tensor is
+/// summed logical row outer and live token inner, as if it were stored
+/// (R x C); the scaling is elementwise and walks the storage.
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm);
 
 /// In-memory checkpoint of a parameter set (keep-best-policy snapshots).

@@ -1,8 +1,10 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -17,6 +19,72 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+// Logical rows per block of a token-major tensor's transfer. Logical rows
+// [r0, r0 + n) of logical column c are n contiguous floats of the storage
+// (LogicalOffset(r0, c) onwards), so a block of 16 rows reads or writes one
+// cache line per storage row and walks the storage once per block, not
+// once per logical row.
+constexpr int kBlockRows = 16;
+
+// Writes p's value in its logical row-major order: a row-major tensor's
+// storage as it is, a token-major one's a block of logical rows at a time,
+// transposed into `block`.
+bool WriteLogical(const ParamTensor& p, std::FILE* f) {
+  const float* v = p.value().data();
+  if (!p.token_major()) {
+    return std::fwrite(v, sizeof(float), p.value().size(), f) ==
+           p.value().size();
+  }
+  const int rows = p.logical_rows();
+  const int cols = p.logical_cols();
+  std::vector<float> block(static_cast<size_t>(kBlockRows) * cols);
+  for (int r0 = 0; r0 < rows; r0 += kBlockRows) {
+    const int n = std::min(kBlockRows, rows - r0);
+    for (int c = 0; c < cols; ++c) {
+      const float* src = v + p.LogicalOffset(r0, c);
+      for (int i = 0; i < n; ++i) {
+        block[static_cast<size_t>(i) * cols + c] = src[i];
+      }
+    }
+    const size_t len = static_cast<size_t>(n) * cols;
+    if (std::fwrite(block.data(), sizeof(float), len, f) != len) return false;
+  }
+  return true;
+}
+
+// Reads what WriteLogical wrote into p's storage; false when the file ends
+// first.
+bool ReadLogical(ParamTensor* p, std::FILE* f) {
+  bool complete = true;
+  p->UpdateValue([&](Matrix* value) {
+    float* v = value->data();
+    if (!p->token_major()) {
+      complete =
+          std::fread(v, sizeof(float), value->size(), f) == value->size();
+      return;
+    }
+    const int rows = p->logical_rows();
+    const int cols = p->logical_cols();
+    std::vector<float> block(static_cast<size_t>(kBlockRows) * cols);
+    for (int r0 = 0; r0 < rows; r0 += kBlockRows) {
+      const int n = std::min(kBlockRows, rows - r0);
+      const size_t len = static_cast<size_t>(n) * cols;
+      if (std::fread(block.data(), sizeof(float), len, f) != len) {
+        complete = false;
+        return;
+      }
+      for (int c = 0; c < cols; ++c) {
+        float* dst = v + p->LogicalOffset(r0, c);
+        for (int i = 0; i < n; ++i) {
+          dst[i] = block[static_cast<size_t>(i) * cols + c];
+        }
+      }
+    }
+  });
+  return complete;
+}
+
 }  // namespace
 
 Status SaveParams(const std::vector<ParamTensor*>& params,
@@ -37,14 +105,13 @@ Status SaveParams(const std::vector<const ParamTensor*>& params,
   }
   for (const ParamTensor* p : params) {
     uint32_t name_len = static_cast<uint32_t>(p->name.size());
-    uint32_t rows = static_cast<uint32_t>(p->value().rows());
-    uint32_t cols = static_cast<uint32_t>(p->value().cols());
+    uint32_t rows = static_cast<uint32_t>(p->logical_rows());
+    uint32_t cols = static_cast<uint32_t>(p->logical_cols());
     if (std::fwrite(&name_len, sizeof(name_len), 1, f.get()) != 1 ||
         std::fwrite(p->name.data(), 1, name_len, f.get()) != name_len ||
         std::fwrite(&rows, sizeof(rows), 1, f.get()) != 1 ||
         std::fwrite(&cols, sizeof(cols), 1, f.get()) != 1 ||
-        std::fwrite(p->value().data(), sizeof(float), p->value().size(),
-                    f.get()) != p->value().size()) {
+        !WriteLogical(*p, f.get())) {
       return Status::Internal("write failed: " + path);
     }
   }
@@ -83,20 +150,16 @@ Status LoadParams(const std::vector<ParamTensor*>& params,
         std::fread(&cols, sizeof(cols), 1, f.get()) != 1) {
       return Status::InvalidArgument("truncated file " + path);
     }
-    if (name != p->name || rows != static_cast<uint32_t>(p->value().rows()) ||
-        cols != static_cast<uint32_t>(p->value().cols())) {
+    if (name != p->name ||
+        rows != static_cast<uint32_t>(p->logical_rows()) ||
+        cols != static_cast<uint32_t>(p->logical_cols())) {
       return Status::InvalidArgument(
           StrFormat("tensor mismatch: file has %s(%ux%u), model expects "
                     "%s(%dx%d)",
                     name.c_str(), rows, cols, p->name.c_str(),
-                    p->value().rows(), p->value().cols()));
+                    p->logical_rows(), p->logical_cols()));
     }
-    bool complete = false;
-    p->UpdateValue([&](Matrix* value) {
-      complete = std::fread(value->data(), sizeof(float), value->size(),
-                            f.get()) == value->size();
-    });
-    if (!complete) {
+    if (!ReadLogical(p, f.get())) {
       return Status::InvalidArgument("truncated tensor data in " + path);
     }
   }

@@ -10,14 +10,18 @@
 namespace lsg {
 
 /// Writes parameter values to a binary file (magic + per-tensor
-/// name/shape/data). Gradients are not saved.
+/// name/shape/data). Each tensor is written in its logical shape and
+/// row-major order, so a token-major tensor's file is the one its (R x C)
+/// layout would write; it is transposed through a buffer of 16 logical
+/// rows, never a whole-tensor copy. Gradients are not saved.
 Status SaveParams(const std::vector<const ParamTensor*>& params,
                   const std::string& path);
 Status SaveParams(const std::vector<ParamTensor*>& params,
                   const std::string& path);
 
-/// Loads parameter values saved by SaveParams. Names and shapes must match
-/// the current parameter set exactly (model architecture is code, not data).
+/// Loads parameter values saved by SaveParams. Names and logical shapes
+/// must match the current parameter set exactly (model architecture is
+/// code, not data).
 Status LoadParams(const std::vector<ParamTensor*>& params,
                   const std::string& path);
 

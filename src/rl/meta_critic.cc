@@ -1,5 +1,6 @@
 #include "rl/meta_critic.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -14,9 +15,9 @@ MetaCritic::MetaCritic(int vocab_size, const Options& options)
                   options.dropout, &rng_),
       encoder_(options.action_embed_dim + 1, options.encoder_dim,
                /*onehot_input=*/false, &rng_),
-      action_embed_("meta.embed",
-                    Matrix::Xavier(options.action_embed_dim, vocab_size + 1,
-                                   &rng_)),
+      action_embed_(ParamTensor::TokenMajor(
+          "meta.embed", Matrix::XavierTransposed(options.action_embed_dim,
+                                                 vocab_size + 1, &rng_))),
       fuse1_(options.hidden_dim + options.encoder_dim, options.fusion_dim,
              &rng_),
       fuse2_(options.fusion_dim, 1, &rng_) {}
@@ -61,11 +62,10 @@ float MetaCritic::StepValue(Episode* ep, int input_token) {
 
 void MetaCritic::ObserveTriple(Episode* ep, int action, double reward) {
   LstmCell::Cache cache;
-  cache.x.resize(options_.action_embed_dim + 1);
-  for (int i = 0; i < options_.action_embed_dim; ++i) {
-    cache.x[i] = action_embed_.value().at(i, action);
-  }
-  cache.x[options_.action_embed_dim] = static_cast<float>(reward);
+  const int e = options_.action_embed_dim;
+  cache.x.resize(e + 1);
+  std::copy_n(&action_embed_.value().at(action, 0), e, cache.x.begin());
+  cache.x[e] = static_cast<float>(reward);
   cache.h_prev = ep->enc_h;
   cache.c_prev = ep->enc_c;
   encoder_.Forward(/*onehot=*/-1, cache.x.data(),
@@ -127,9 +127,9 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
                       dc_prev.data(), dx.data());
     dh = dh_prev;
     dc = dc_prev;
-    // Action-embedding gradient: dx[0:E] lands on the embedded column,
-    // which goes live for the optimizer (see ParamTensor).
-    action_embed_.AccumulateColumn(ep.enc_actions[k], dx.data());
+    // Action-embedding gradient: dx[0:E] lands on the embedded action's
+    // row, which goes live for the optimizer (see ParamTensor).
+    action_embed_.AccumulateRow(ep.enc_actions[k], dx.data());
   }
 }
 

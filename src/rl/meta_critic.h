@@ -85,7 +85,7 @@ class MetaCritic : public Critic {
   Rng rng_;
   LstmStack state_lstm_;
   LstmCell encoder_;
-  ParamTensor action_embed_;  ///< (E x |A|+1)
+  ParamTensor action_embed_;  ///< (E x |A|+1), token-major
   Linear fuse1_;
   Linear fuse2_;
   LstmStack::Workspace ws_;  ///< StepValue's scratch

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -21,6 +22,7 @@
 #include "obs/obs.h"
 #include "obs/span_tracer.h"
 #include "rl/policy_gradient_trainer.h"
+#include "tests/logical_params.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -680,6 +682,76 @@ TEST(GeneratorTest, TrainRecordsOneInitSpan) {
   for (const obs::SpanTracer::Span& e : epochs) {
     EXPECT_LE(init_end, e.start_ns);
   }
+}
+
+// A model file that `lsggen --dataset score --metric card --range 1,30
+// --epochs 5 --batch 4 --seed 2024 --save` wrote while layer-0 Wx was still
+// stored (4H x In) row-major. The file layout is the logical one, so it must
+// still load bitwise: every tensor's logical values and a fixed-seed decode
+// were recorded from that build, and saving the loaded model writes the
+// same bytes back.
+TEST(ModelFileTest, ModelSavedBeforeTokenMajorStorageLoadsBitwise) {
+  const std::string path =
+      std::string(LSG_TEST_DATA_DIR) + "/score_card_1_30.model";
+  auto db = BuildNamedDatabase("score", 1.0);
+  ASSERT_TRUE(db.ok());
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 5;
+  opts.trainer.batch_size = 4;
+  opts.trainer.seed = 2024;
+  auto gen = LearnedSqlGen::Create(&*db, opts);
+  ASSERT_TRUE(gen.ok());
+  const Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 1, 30);
+  const Status loaded = (*gen)->LoadModel(c, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const ServingSnapshot& snap = *(*gen)->snapshot();
+
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"lstm.wx", 0x9d0c56b9849b2db6ull},  {"lstm.wh", 0xbfc5e554589a9d66ull},
+      {"lstm.b", 0xd089ab78e33c7f1eull},   {"lstm.wx", 0x5191d99858040786ull},
+      {"lstm.wh", 0x1f61e20f9ae1f017ull},  {"lstm.b", 0x9f66f99979847e2cull},
+      {"linear.w", 0x1640a97f09f3e28aull}, {"linear.b", 0xdd14cc6c6cd5c479ull},
+  };
+  const std::vector<const ParamTensor*> params = snap.actor->Params();
+  ASSERT_EQ(params.size(), expected.size());
+  EXPECT_TRUE(params[0]->token_major());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(params[i]->name, expected[i].first) << "tensor " << i;
+    const uint64_t h =
+        testing_ref::LogicalValueHash(testing_ref::kFnvOffset, *params[i]);
+    EXPECT_EQ(h, expected[i].second)
+        << "tensor " << i << " (" << params[i]->name << ") hash 0x"
+        << std::hex << h;
+  }
+
+  Rng rng(7);
+  auto report = Decode(snap, c, 4, /*batch=*/true, &rng);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::vector<std::string> sql = {
+      "SELECT Score.Course FROM Student JOIN Score ON Score.ID = Student.ID "
+      "WHERE EXISTS (SELECT Score.SID FROM Score JOIN Student ON Score.ID = "
+      "Student.ID) ORDER BY Score.Course",
+      "SELECT Score.SID FROM Student JOIN Score ON Score.ID = Student.ID "
+      "ORDER BY Score.SID",
+      "SELECT MIN(Student.ID) FROM Student",
+      "SELECT Student.ID FROM Student",
+  };
+  ASSERT_EQ(report->queries.size(), sql.size());
+  for (size_t k = 0; k < sql.size(); ++k) {
+    EXPECT_EQ(report->queries[k].sql, sql[k]) << "query " << k;
+  }
+
+  const std::filesystem::path resaved =
+      std::filesystem::temp_directory_path() / "lsg_core_resaved.model";
+  ASSERT_TRUE((*gen)->SaveModel(resaved.string()).ok());
+  auto slurp = [](const std::filesystem::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string want = slurp(path);
+  EXPECT_FALSE(want.empty());
+  EXPECT_TRUE(slurp(resaved) == want) << "re-saved file differs";
+  std::filesystem::remove(resaved);
 }
 
 }  // namespace

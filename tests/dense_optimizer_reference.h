@@ -2,7 +2,7 @@
 #define LEARNEDSQLGEN_TESTS_DENSE_OPTIMIZER_REFERENCE_H_
 
 // Every-element optimizer tail, kept only as a test reference: Adam::Step
-// and ClipGradNorm visit live gradient columns only (see ParamTensor), and
+// and ClipGradNorm visit live gradient rows only (see ParamTensor), and
 // these tests pin that they are bitwise this dense sweep over every entry.
 // Taking mutable_grad() here marks the reference tensors all-live, which is
 // harmless: the loops below never consult liveness.
@@ -72,15 +72,20 @@ class DenseAdam {
   int64_t t_ = 0;
 };
 
-/// Global-norm clipping summed over every gradient entry in row-major
-/// order. Returns the pre-clip norm.
+/// Global-norm clipping summed over every gradient entry in each tensor's
+/// logical row-major order (LogicalOffset), whatever its storage. Returns
+/// the pre-clip norm.
 inline double DenseClipGradNorm(const std::vector<ParamTensor*>& params,
                                 double max_norm) {
   double sq = 0.0;
   for (ParamTensor* p : params) {
     const float* g = p->grad().data();
-    for (size_t i = 0; i < p->grad().size(); ++i) {
-      sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
+    if (p->grad().size() == 0) continue;  // never written: all +0
+    for (int r = 0; r < p->logical_rows(); ++r) {
+      for (int c = 0; c < p->logical_cols(); ++c) {
+        const double x = g[p->LogicalOffset(r, c)];
+        sq += x * x;
+      }
     }
   }
   double norm = std::sqrt(sq);
@@ -94,21 +99,21 @@ inline double DenseClipGradNorm(const std::vector<ParamTensor*>& params,
   return norm;
 }
 
-/// Describes the first entry outside `p`'s live columns whose gradient or
+/// Describes the first entry outside `p`'s live rows whose gradient or
 /// Adam moment (m, v) is not exactly +0; empty when there is none.
 inline std::string NonLiveViolation(const ParamTensor& p, const Matrix& m,
                                     const Matrix& v) {
   const Matrix g = GradOrZeros(p);
-  for (int c = 0; c < g.cols(); ++c) {
-    if (p.IsLive(c)) continue;
-    for (int r = 0; r < g.rows(); ++r) {
+  for (int r = 0; r < g.rows(); ++r) {
+    if (p.IsLive(r)) continue;
+    for (int c = 0; c < g.cols(); ++c) {
       for (const Matrix* x : {&g, &m, &v}) {
         const float e = x->at(r, c);
         if (e != 0.f || std::signbit(e)) {
           const char* what = x == &g ? "grad" : x == &m ? "m" : "v";
           return p.name + " " + what + "(" + std::to_string(r) + ", " +
                  std::to_string(c) + ") = " + std::to_string(e) +
-                 " in a non-live column";
+                 " in a non-live row";
         }
       }
     }

@@ -7,6 +7,7 @@
 #include "nn/adam.h"
 #include "rl/policy_gradient_trainer.h"
 #include "rl/meta_critic.h"
+#include "tests/logical_params.h"
 
 namespace lsg {
 namespace {
@@ -153,11 +154,12 @@ TEST(MetaCriticTest, ActionEmbeddingGoesLiveOnlyForObservedActions) {
     if (p->name == "meta.embed") embed = p;
   }
   ASSERT_NE(embed, nullptr);
-  // Columns of the observed actions went live (the last triple's with a
-  // zero gradient: no value step consumed it); the optimizer never visits
-  // the others.
-  for (int c = 0; c < embed->value().cols(); ++c) {
-    EXPECT_EQ(embed->IsLive(c), c == 0 || c == 2) << "column " << c;
+  // The token-major rows of the observed actions went live (the last
+  // triple's with a zero gradient: no value step consumed it); the
+  // optimizer never visits the others.
+  ASSERT_TRUE(embed->token_major());
+  for (int r = 0; r < embed->value().rows(); ++r) {
+    EXPECT_EQ(embed->IsLive(r), r == 0 || r == 2) << "row " << r;
   }
 }
 
@@ -229,8 +231,8 @@ TEST(MetaCriticTrainerTest, AdaptationFasterThanScratchOnAverage) {
 // Fixed-seed trace of the whole meta-critic loop: matched symbols per epoch
 // (mean_final_reward scaled back to a count), 30 pre-training epochs over
 // two tasks then 30 adaptation epochs. The action embedding's gradient
-// arrives one column per observed action, and skipping its untouched
-// columns (the live-column optimizer tail) must leave every update — so
+// arrives one row per observed action, and skipping its untouched rows
+// (the live-row optimizer tail) must leave every update — so
 // every sampled episode — unchanged. Re-recorded when the weight init
 // became Glorot-uniform.
 TEST(MetaCriticTrainerTest, FixedSeedTraceUnchanged) {
@@ -259,18 +261,7 @@ TEST(MetaCriticTrainerTest, FixedSeedTraceUnchanged) {
   }
 }
 
-// FNV-1a over the value bytes of every tensor, in Params() order.
-uint64_t HashParams(const std::vector<ParamTensor*>& params) {
-  uint64_t h = 1469598103934665603ull;
-  for (const ParamTensor* p : params) {
-    const auto* bytes =
-        reinterpret_cast<const unsigned char*>(p->value().data());
-    for (size_t i = 0; i < p->value().size() * sizeof(float); ++i) {
-      h = (h ^ bytes[i]) * 1099511628211ull;
-    }
-  }
-  return h;
-}
+using testing_ref::HashParams;
 
 // Pins the parameters of the meta-critic and of the adapted actor after 8
 // pre-training epochs over two tasks and 8 adaptation epochs, wired as

@@ -17,6 +17,7 @@
 #include "nn/serialize.h"
 #include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
+#include "tests/logical_params.h"
 #include "tests/scalar_forward_reference.h"
 #include "tests/scalar_lstm_reference.h"
 
@@ -98,6 +99,31 @@ TEST(MatrixTest, XavierMapsOneDrawPerWeight) {
 TEST(MatrixTest, XavierWithoutRngLeavesZeros) {
   Matrix m = Matrix::Xavier(4, 3, /*rng=*/nullptr);
   for (size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.f) << i;
+  Matrix t = Matrix::XavierTransposed(4, 3, /*rng=*/nullptr);
+  EXPECT_EQ(t.rows(), 3);
+  EXPECT_EQ(t.cols(), 4);
+  for (size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t.data()[i], 0.f) << i;
+}
+
+// The token-major draw is Xavier's, transposed: the same draws in the same
+// order, bit for bit, for the TPC-H actor's layer-0 Wx and for small and
+// single-row or single-column shapes.
+TEST(MatrixTest, XavierTransposedIsXaviersTranspose) {
+  for (auto [rows, cols] : {std::pair{120, 2798}, std::pair{37, 5},
+                            std::pair{1, 3}, std::pair{17, 1}}) {
+    Rng rng(23), ref(23);
+    const Matrix t = Matrix::XavierTransposed(rows, cols, &rng);
+    const Matrix m = Matrix::Xavier(rows, cols, &ref);
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < cols; ++j) {
+        ASSERT_EQ(std::memcmp(&t.at(j, i), &m.at(i, j), sizeof(float)), 0)
+            << rows << "x" << cols << " (" << i << ", " << j << ")";
+      }
+    }
+    EXPECT_EQ(rng.Next(), ref.Next()) << rows << "x" << cols;
+  }
 }
 
 TEST(MatrixTest, MatVec) {
@@ -440,11 +466,13 @@ bool SameActivations(const LstmStack::StepCache& a,
   return true;
 }
 
+// Bitwise equality of corresponding gradients in their logical shapes, so a
+// token-major Wx compares with its dense twin.
 bool SameGradients(const std::vector<ParamTensor*>& a,
                    const std::vector<ParamTensor*>& b) {
   for (size_t t = 0; t < a.size(); ++t) {
-    const Matrix& x = a[t]->grad();
-    const Matrix& y = b[t]->grad();
+    const Matrix x = testing_ref::LogicalCopy(*a[t], a[t]->grad());
+    const Matrix y = testing_ref::LogicalCopy(*b[t], b[t]->grad());
     if (x.size() != y.size() ||
         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
       return false;
@@ -454,7 +482,7 @@ bool SameGradients(const std::vector<ParamTensor*>& a,
 }
 
 // Inputs for the lane-step tests: tails and recurrent states with ±0 and
-// mixed signs, and Wx entries of -0 in a token column.
+// mixed signs, and Wx entries of -0 in a token's weights.
 std::vector<float> ZeroHeavyVector(Rng* rng, size_t n) {
   std::vector<float> v(n);
   for (float& x : v) {
@@ -486,8 +514,9 @@ TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
       Rng init(700 + tail_dim);
       LstmStack stack(kTokens + tail_dim, kHidden, kLayers, kDropout, &init,
                       tail_dim);
+      // Token 3's row of the token-major Wx.
       stack.Params()[0]->UpdateValue([](Matrix* wx0) {
-        for (int k = 0; k < wx0->rows(); k += 2) wx0->at(k, 3) = -0.f;
+        for (int k = 0; k < wx0->cols(); k += 2) wx0->at(3, k) = -0.f;
       });
       LstmStack ref = stack;
       Rng data(31 + tail_dim);
@@ -502,7 +531,7 @@ TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
       std::vector<LstmStack::StepCache> caches, ref_caches;
       LstmStack::Workspace ws;
       for (int t = 0; t < kSteps; ++t) {
-        // Step 0 feeds the -0 column.
+        // Step 0 feeds the -0 weights.
         const int token = t == 0 ? 3 : static_cast<int>(data.Next() % kTokens);
         const std::vector<float> tail = ZeroHeavyVector(&data, tail_dim);
         LstmStack::Lane lane;
@@ -527,18 +556,10 @@ TEST(LstmLaneStepTest, MatchesScalarReferenceBitwise) {
         const LstmStack::StepCache& c = caches.back();
         const LstmStack::StepCache& rc = ref_caches.back();
         ASSERT_TRUE(SameActivations(c, rc)) << at;
-        // Layer 0: the token and its tail; the reference keeps the whole
-        // dense input when there is a tail.
-        ASSERT_EQ(c.layers[0].onehot, token) << at;
-        ASSERT_TRUE(SameBytes(c.layers[0].x, tail)) << at;
-        if (tail_dim == 0) {
-          ASSERT_EQ(rc.layers[0].onehot, token) << at;
-        } else {
-          std::vector<float> dense(kTokens + tail_dim, 0.f);
-          dense[token] = 1.f;
-          std::copy(tail.begin(), tail.end(), dense.begin() + kTokens);
-          ASSERT_EQ(rc.layers[0].onehot, -1) << at;
-          ASSERT_TRUE(SameBytes(rc.layers[0].x, dense)) << at;
+        // Layer 0: the token and its tail, in both.
+        for (const LstmStack::StepCache* sc : {&c, &rc}) {
+          ASSERT_EQ(sc->layers[0].onehot, token) << at;
+          ASSERT_TRUE(SameBytes(sc->layers[0].x, tail)) << at;
         }
       }
       if (!cached) continue;
@@ -568,7 +589,61 @@ TEST(ClipGradNormTest, NoRescaleBelowThreshold) {
   EXPECT_FLOAT_EQ(p.grad().data()[0], 1.f);
 }
 
-// ------------------------------------------------- live-column optimizer
+// A token-major gradient is summed in its logical (R x C) order: gate row
+// outer, token inner. Here logical row 0 holds 64 entries of 10 (squares
+// 100) and row 1 starts with 2^30 (square 2^60, whose double ulp is 256):
+// summed in logical order the row-0 squares add up to 6,400 before 2^60
+// arrives and survive it, while in storage order (token outer) 2^60 comes
+// second and swamps every later 100. The bound is chosen so the two norms
+// also give different float clip scales.
+TEST(ClipGradNormTest, TokenMajorSumsInLogicalOrder) {
+  constexpr int kRows = 2, kTokens = 64;
+  auto make = [] {
+    ParamTensor p = ParamTensor::TokenMajor("wx", Matrix(kTokens, kRows));
+    for (int t = 0; t < kTokens; ++t) {
+      const float d[kRows] = {10.f, t == 0 ? 0x1.0p30f : 10.f};
+      p.AccumulateRow(t, d);
+    }
+    return p;
+  };
+  ParamTensor p = make();
+  double logical = 0.0, storage = 0.0;
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kTokens; ++c) {
+      const double g = p.grad().data()[p.LogicalOffset(r, c)];
+      logical += g * g;
+    }
+  }
+  for (size_t i = 0; i < p.grad().size(); ++i) {
+    const double g = p.grad().data()[i];
+    storage += g * g;
+  }
+  ASSERT_NE(logical, storage) << "the fixture must tell the orders apart";
+  const double norm_logical = std::sqrt(logical);
+  const double norm_storage = std::sqrt(storage);
+  ASSERT_GT(norm_logical, norm_storage);
+  // max_norm / norm lands on either side of the midpoint between 0.5f and
+  // the next float up: logical order rounds to 0.5f, storage order up.
+  const double mid = (0.5 + std::nextafter(0.5f, 1.f)) / 2;
+  const double max_norm = mid * std::sqrt(norm_logical * norm_storage);
+  const float scale_logical = static_cast<float>(max_norm / norm_logical);
+  const float scale_storage = static_cast<float>(max_norm / norm_storage);
+  ASSERT_NE(scale_logical, scale_storage);
+
+  const double norm = ClipGradNorm({&p}, max_norm);
+  EXPECT_EQ(std::memcmp(&norm, &norm_logical, sizeof(norm)), 0)
+      << norm << " vs logical " << norm_logical << ", storage "
+      << norm_storage;
+  ParamTensor want = make();
+  for (size_t i = 0; i < want.grad().size(); ++i) {
+    want.mutable_grad()->data()[i] *= scale_logical;
+  }
+  EXPECT_EQ(std::memcmp(p.grad().data(), want.grad().data(),
+                        p.grad().size() * sizeof(float)),
+            0);
+}
+
+// ---------------------------------------------------- live-row optimizer
 
 // Bitwise equality (signed zeros included) of two equally sized matrices.
 void ExpectSameBits(const Matrix& a, const Matrix& b, const std::string& what) {
@@ -577,35 +652,37 @@ void ExpectSameBits(const Matrix& a, const Matrix& b, const std::string& what) {
       << what;
 }
 
-TEST(ParamTensorTest, ColumnWritesGoLiveAndSpansCoverExactlyThem) {
+TEST(ParamTensorTest, RowWritesGoLiveAndSpansCoverExactlyThem) {
   Rng rng(71);
-  const int kRows = 3, kCols = 20;
-  ParamTensor p("p", Matrix::Zeros(kRows, kCols));
-  std::vector<int> writes(kCols, 0);
-  const float d[kRows] = {1.f, 2.f, 3.f};
+  const int kRows = 20, kCols = 3;
+  ParamTensor p = ParamTensor::TokenMajor("p", Matrix::Zeros(kRows, kCols));
+  std::vector<int> writes(kRows, 0);
+  const float d[kCols] = {1.f, 2.f, 3.f};
   for (int step = 0; step < 40; ++step) {
-    const int c = static_cast<int>(rng.Uniform(kCols));
-    p.AccumulateColumn(c, d);
-    ++writes[c];
+    const int r = static_cast<int>(rng.Uniform(kRows));
+    p.AccumulateRow(r, d);
+    ++writes[r];
     std::vector<size_t> visited;
     size_t prev_end = p.grad().size() + 1;
     p.ForEachLiveSpan([&](size_t k, size_t n, float* g) {
       EXPECT_EQ(g, p.grad().data() + k);
       EXPECT_NE(k, prev_end) << "adjacent spans were not merged";
+      EXPECT_EQ(k % kCols, 0u) << "a span starts mid-row";
+      EXPECT_EQ(n % kCols, 0u) << "a span ends mid-row";
       for (size_t i = 0; i < n; ++i) visited.push_back(k + i);
       prev_end = k + n;
     });
     std::vector<size_t> expected;
-    for (int r = 0; r < kRows; ++r) {
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_EQ(p.IsLive(i), writes[i] > 0) << "row " << i;
       for (int j = 0; j < kCols; ++j) {
-        ASSERT_EQ(p.IsLive(j), writes[j] > 0) << "column " << j;
-        if (writes[j] > 0) expected.push_back(static_cast<size_t>(r) * kCols + j);
-        ASSERT_EQ(p.grad().at(r, j), writes[j] * d[r]);
+        if (writes[i] > 0) expected.push_back(static_cast<size_t>(i) * kCols + j);
+        ASSERT_EQ(p.grad().at(i, j), writes[i] * d[j]);
       }
     }
     ASSERT_EQ(visited, expected) << "step " << step;
   }
-  // A dense writer makes every column live: one span over the tensor.
+  // A dense writer makes every row live: one span over the tensor.
   p.mutable_grad();
   int spans = 0;
   p.ForEachLiveSpan([&](size_t k, size_t n, float*) {
@@ -623,19 +700,19 @@ TEST(ParamTensorTest, GradientIsAllocatedOnItsFirstWrite) {
   Rng rng(72);
   const float d[3] = {0.3f, -1.7f, 2.9f};
   constexpr float kScale = 0.37f;
-  ParamTensor p("p", Matrix::Randn(3, 5, 1.f, &rng));
+  ParamTensor p = ParamTensor::TokenMajor("p", Matrix::Randn(5, 3, 1.f, &rng));
   EXPECT_EQ(p.grad().size(), 0u);
   EXPECT_FALSE(p.IsLive(2));
   int spans = 0;
   p.ForEachLiveSpan([&](size_t, size_t, float*) { ++spans; });
   EXPECT_EQ(spans, 0);
 
-  p.AccumulateColumn(2, d, kScale);
-  ASSERT_EQ(p.grad().rows(), 3);
-  ASSERT_EQ(p.grad().cols(), 5);
-  Matrix want = Matrix::Zeros(3, 5);
-  for (int r = 0; r < 3; ++r) want.at(r, 2) += d[r] * kScale;
-  ExpectSameBits(p.grad(), want, "first column write");
+  p.AccumulateRow(2, d, kScale);
+  ASSERT_EQ(p.grad().rows(), 5);
+  ASSERT_EQ(p.grad().cols(), 3);
+  Matrix want = Matrix::Zeros(5, 3);
+  for (int c = 0; c < 3; ++c) want.at(2, c) += d[c] * kScale;
+  ExpectSameBits(p.grad(), want, "first row write");
 
   // The whole-gradient writer hands out a value-shaped +0 gradient, and
   // one freed by ReleaseGradient comes back the same way.
@@ -648,24 +725,57 @@ TEST(ParamTensorTest, GradientIsAllocatedOnItsFirstWrite) {
   ExpectSameBits(*q.mutable_grad(), Matrix::Zeros(2, 4), "write after release");
 }
 
-// Random column-sparse gradient streams through ClipGradNorm + Adam::Step
-// must reproduce the every-entry reference bit for bit: values, moments and
-// the pre-clip norm, with clipping both active and inactive, columns going
-// live late, +-0 gradients, a tensor that turns dense midway and one that is
-// never written. Non-live columns must keep g = m = v = +0 throughout.
-TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
+// A token-major tensor's logical view: shape, offsets and the value a
+// LogicalOffset reads are the transpose of its storage.
+TEST(ParamTensorTest, TokenMajorLogicalViewIsTheTranspose) {
+  Rng rng(74);
+  const Matrix logical = Matrix::Randn(3, 7, 1.f, &rng);
+  Matrix storage(7, 3);
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 7; ++c) storage.at(c, r) = logical.at(r, c);
+  }
+  const ParamTensor t = ParamTensor::TokenMajor("t", storage);
+  const ParamTensor plain("p", logical);
+  EXPECT_TRUE(t.token_major());
+  EXPECT_FALSE(plain.token_major());
+  for (const ParamTensor* p : {&t, &plain}) {
+    EXPECT_EQ(p->logical_rows(), 3) << p->name;
+    EXPECT_EQ(p->logical_cols(), 7) << p->name;
+    ExpectSameBits(testing_ref::LogicalCopy(*p, p->value()), logical, p->name);
+  }
+  EXPECT_EQ(testing_ref::HashParams(std::vector<const ParamTensor*>{&t}),
+            testing_ref::HashParams(std::vector<const ParamTensor*>{&plain}));
+}
+
+// Random row-sparse gradient streams through ClipGradNorm + Adam::Step must
+// reproduce the every-entry reference bit for bit: values, moments and the
+// pre-clip norm, with clipping both active and inactive, rows going live
+// late, +-0 gradients, a tensor that turns dense midway and one that is
+// never written. Non-live rows must keep g = m = v = +0 throughout. The
+// row-fed tensors are token-major, as the one-hot ones are in the networks,
+// so the reference's logical-order clip sum is the one they must match.
+TEST(LiveRowOptimizerTest, MatchesDenseReferenceBitwise) {
   Rng init(72);
   struct Shape {
     const char* name;
-    int rows, cols;
+    int rows, cols;  // logical
+    bool token_major;
   };
-  const std::vector<Shape> shapes = {
-      {"onehot", 6, 40}, {"turns_dense", 4, 9}, {"bias", 5, 1}, {"never", 3, 5}};
+  const std::vector<Shape> shapes = {{"onehot", 6, 40, true},
+                                     {"turns_dense", 4, 9, true},
+                                     {"bias", 5, 1, false},
+                                     {"never", 3, 5, false}};
   std::vector<ParamTensor> live, ref;
   for (const Shape& s : shapes) {
-    Matrix v = Matrix::Randn(s.rows, s.cols, 0.5f, &init);
-    live.emplace_back(s.name, v);
-    ref.emplace_back(s.name, v);
+    if (s.token_major) {
+      Matrix v = Matrix::Randn(s.cols, s.rows, 0.5f, &init);
+      live.push_back(ParamTensor::TokenMajor(s.name, v));
+      ref.push_back(ParamTensor::TokenMajor(s.name, v));
+    } else {
+      Matrix v = Matrix::Randn(s.rows, s.cols, 0.5f, &init);
+      live.emplace_back(s.name, v);
+      ref.emplace_back(s.name, v);
+    }
   }
   std::vector<ParamTensor*> lp, rp;
   for (size_t i = 0; i < live.size(); ++i) {
@@ -682,14 +792,14 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
     if (kind == 1) return -0.f;
     return static_cast<float>(rng.Normal(0.0, 1.0));
   };
-  // One column's gradient: written through the live tensor's column writer
-  // and densely into the reference.
-  auto write_column = [&](size_t t, int c) {
-    std::vector<float> d(live[t].value().rows());
+  // One row's gradient: written through the live tensor's row writer and
+  // densely into the reference.
+  auto write_row = [&](size_t t, int r) {
+    std::vector<float> d(live[t].value().cols());
     for (float& x : d) x = grad_value();
-    live[t].AccumulateColumn(c, d.data());
-    for (int r = 0; r < ref[t].value().rows(); ++r) {
-      ref[t].mutable_grad()->at(r, c) += d[r];
+    live[t].AccumulateRow(r, d.data());
+    for (int c = 0; c < ref[t].value().cols(); ++c) {
+      ref[t].mutable_grad()->at(r, c) += d[c];
     }
   };
   auto write_dense = [&](size_t t) {
@@ -704,15 +814,15 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
 
   int clipped = 0, unclipped = 0;
   for (int step = 0; step < 30; ++step) {
-    // "onehot": a few columns per step from a pool that widens over time,
-    // so some columns first go live late; repeats accumulate.
+    // "onehot": a few rows per step from a pool that widens over time, so
+    // some rows first go live late; repeats accumulate.
     const int pool = std::min(40, 3 + step);
     for (int w = 0; w < 3; ++w) {
-      write_column(0, static_cast<int>(rng.Uniform(pool)));
+      write_row(0, static_cast<int>(rng.Uniform(pool)));
     }
-    // "turns_dense": column writes until step 12, dense writes after.
+    // "turns_dense": row writes until step 12, dense writes after.
     if (step < 12) {
-      write_column(1, static_cast<int>(rng.Uniform(5)));
+      write_row(1, static_cast<int>(rng.Uniform(5)));
     } else {
       write_dense(1);
     }
@@ -746,13 +856,13 @@ TEST(LiveColumnOptimizerTest, MatchesDenseReferenceBitwise) {
   }
   EXPECT_GT(clipped, 0);
   EXPECT_GT(unclipped, 0);
-  // Late columns did go live, and some never did.
+  // Late rows did go live, and some never did.
   int onehot_live = 0;
-  for (int c = 0; c < 40; ++c) onehot_live += live[0].IsLive(c) ? 1 : 0;
+  for (int r = 0; r < 40; ++r) onehot_live += live[0].IsLive(r) ? 1 : 0;
   EXPECT_GT(onehot_live, 10);
   EXPECT_LT(onehot_live, 40);
-  for (int c = 0; c < 9; ++c) EXPECT_TRUE(live[1].IsLive(c));
-  for (int c = 0; c < 5; ++c) EXPECT_FALSE(live[3].IsLive(c));
+  for (int r = 0; r < 9; ++r) EXPECT_TRUE(live[1].IsLive(r));
+  for (int r = 0; r < 3; ++r) EXPECT_FALSE(live[3].IsLive(r));
   // The optimizer tail never allocates a gradient nobody wrote.
   EXPECT_EQ(live[3].grad().size(), 0u);
 }
@@ -1028,13 +1138,17 @@ TEST(LstmCellGradientTest, MatchesNumerical) {
 
 // A one-hot input with and without a dense tail against the same input as
 // a dense vector: the forward and the Wx, Wh and bias gradients agree
-// bitwise (the one-hot backward writes only the token and tail columns).
+// bitwise, Wx in its logical shape (the one-hot cell's Wx is token-major,
+// drawn from the same stream, and its backward writes only the token's and
+// the tail's rows).
 TEST(LstmCellGradientTest, OneHotPathMatchesDense) {
   for (int tail : {0, 2}) {
-    Rng rng(17);
+    Rng rng(17), onehot_rng(17);
     const int tokens = 5, hid = 3;
     LstmCell dense_cell(tokens + tail, hid, /*onehot_input=*/false, &rng);
-    LstmCell onehot_cell = dense_cell;
+    LstmCell onehot_cell(tokens + tail, hid, /*onehot_input=*/true,
+                         &onehot_rng);
+    ASSERT_TRUE(onehot_cell.Params()[0]->token_major());
     std::vector<float> h0(hid, 0.1f), c0(hid, -0.1f);
     std::vector<float> x(tokens + tail, 0.f);
     x[2] = 1.f;
@@ -1062,8 +1176,8 @@ TEST(LstmCellGradientTest, OneHotPathMatchesDense) {
     ASSERT_TRUE(SameGradients(dense_cell.Params(), onehot_cell.Params()))
         << "tail " << tail;
     const ParamTensor& wx = *onehot_cell.Params()[0];
-    for (int c = 0; c < tokens + tail; ++c) {
-      EXPECT_EQ(wx.IsLive(c), c == 2 || c >= tokens) << "column " << c;
+    for (int r = 0; r < tokens + tail; ++r) {
+      EXPECT_EQ(wx.IsLive(r), r == 2 || r >= tokens) << "row " << r;
     }
   }
 }
@@ -1220,6 +1334,59 @@ TEST(SerializeTest, ShapeMismatchRejected) {
                      "lsg_serialize_mismatch.bin";
   ASSERT_TRUE(SaveParams(a.Params(), path).ok());
   EXPECT_FALSE(LoadParams(b.Params(), path).ok());
+  std::remove(path.c_str());
+}
+
+// A token-major tensor is written in its logical row-major order: the same
+// bytes as a row-major tensor holding the same logical values, and it loads
+// back into its own storage bit for bit. 37 logical rows are two full
+// transfer blocks and a partial one.
+TEST(SerializeTest, TokenMajorRoundTripWritesTheLogicalLayout) {
+  Rng rng(47);
+  const Matrix storage = Matrix::Xavier(11, 37, &rng);  // 11 tokens, 37 gates
+  const ParamTensor token_major = ParamTensor::TokenMajor("wx", storage);
+  const ParamTensor row_major("wx",
+                              testing_ref::LogicalCopy(token_major, storage));
+  const std::string tm_path =
+      std::filesystem::temp_directory_path() / "lsg_serialize_tm.bin";
+  const std::string rm_path =
+      std::filesystem::temp_directory_path() / "lsg_serialize_rm.bin";
+  ASSERT_TRUE(SaveParams({&token_major}, tm_path).ok());
+  ASSERT_TRUE(SaveParams({&row_major}, rm_path).ok());
+  auto slurp = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    std::string bytes;
+    for (int ch; f != nullptr && (ch = std::fgetc(f)) != EOF;) {
+      bytes.push_back(static_cast<char>(ch));
+    }
+    if (f != nullptr) std::fclose(f);
+    return bytes;
+  };
+  const std::string tm_bytes = slurp(tm_path);
+  EXPECT_FALSE(tm_bytes.empty());
+  EXPECT_TRUE(tm_bytes == slurp(rm_path));
+
+  ParamTensor loaded = ParamTensor::TokenMajor("wx", Matrix(11, 37));
+  ASSERT_TRUE(LoadParams({&loaded}, tm_path).ok());
+  ExpectSameBits(loaded.value(), storage, "loaded storage");
+  std::remove(tm_path.c_str());
+  std::remove(rm_path.c_str());
+}
+
+// The loader compares logical shapes: a (4 x 11) row-major file does not
+// load into a token-major tensor whose storage is (4 x 11), which is
+// logically (11 x 4), though the storage shapes and sizes agree.
+TEST(SerializeTest, TokenMajorShapeMismatchRejected) {
+  Rng rng(53);
+  const ParamTensor row_major("wx", Matrix::Xavier(4, 11, &rng));
+  const std::string path =
+      std::filesystem::temp_directory_path() / "lsg_serialize_tm_shape.bin";
+  ASSERT_TRUE(SaveParams({&row_major}, path).ok());
+  ParamTensor token_major = ParamTensor::TokenMajor("wx", Matrix(4, 11));
+  EXPECT_EQ(LoadParams({&token_major}, path).code(),
+            StatusCode::kInvalidArgument);
+  ParamTensor right = ParamTensor::TokenMajor("wx", Matrix(11, 4));
+  EXPECT_TRUE(LoadParams({&right}, path).ok());
   std::remove(path.c_str());
 }
 

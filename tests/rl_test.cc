@@ -22,6 +22,7 @@
 #include "rl/value_network.h"
 #include "tests/dense_optimizer_reference.h"
 #include "tests/dense_softmax_reference.h"
+#include "tests/logical_params.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -605,7 +606,7 @@ TEST(ExtraFeatureTest, MismatchedTailIsInvalidArgument) {
   }
 }
 
-// ------------------------------------------- live-column optimizer tail
+// ---------------------------------------------- live-row optimizer tail
 
 // The global-norm clip that goes with each optimizer.
 template <typename Opt>
@@ -619,7 +620,7 @@ void ClipFor(const std::vector<ParamTensor*>& params, double max_norm) {
 
 // Replays PolicyGradientTrainer::TrainEpoch, with or without its critic,
 // from the public pieces with a pluggable optimizer tail: the production
-// live-column Adam + ClipGradNorm, or the every-entry reference. It does not
+// live-row Adam + ClipGradNorm, or the every-entry reference. It does not
 // call TrainPolicyBatch or RolloutPolicy: it is that loop's independent
 // oracle. Its own episode loop steps the critic right after the actor at
 // every step, while the trainer scores each finished episode, so agreeing
@@ -702,8 +703,8 @@ class TrainerReplay {
     audit();
   }
 
-  // First parameter entry outside its tensor's live columns whose gradient
-  // or Adam moment is not exactly +0 (live-column Adam only).
+  // First parameter entry outside its tensor's live rows whose gradient or
+  // Adam moment is not exactly +0 (live-row Adam only).
   std::string NonLiveViolation() const {
     std::string bad;
     auto check = [&bad](const std::vector<ParamTensor*>& params,
@@ -750,8 +751,8 @@ void ExpectSameParams(const std::vector<ParamTensor*>& a,
 
 // Real SQL environments on the Score/Student database: a vocabulary of
 // ~100 tokens of which an episode feeds only a few to the LSTM, so the
-// token-input Wx of both networks keeps many never-live columns.
-class LiveColumnTrainingTest : public ::testing::Test {
+// token-major input Wx of both networks keeps many never-live rows.
+class LiveRowTrainingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = BuildScoreStudentDb();
@@ -787,10 +788,10 @@ class LiveColumnTrainingTest : public ::testing::Test {
 };
 
 // With and without the critic (actor-critic and REINFORCE).
-class LiveColumnReplayTest : public LiveColumnTrainingTest,
-                             public ::testing::WithParamInterface<bool> {};
+class LiveRowReplayTest : public LiveRowTrainingTest,
+                          public ::testing::WithParamInterface<bool> {};
 
-TEST_P(LiveColumnReplayTest, MatchesDenseOptimizerBitwise) {
+TEST_P(LiveRowReplayTest, MatchesDenseOptimizerBitwise) {
   const bool with_critic = GetParam();
   auto env_t = MakeEnv(), env_l = MakeEnv(), env_d = MakeEnv();
   PolicyGradientTrainer trainer(env_t.get(), Options(), with_critic);
@@ -813,45 +814,30 @@ TEST_P(LiveColumnReplayTest, MatchesDenseOptimizerBitwise) {
       ExpectSameParams(live.critic().Params(), dense.critic().Params(), at);
     }
   }
-  // The one-hot Wx kept never-touched columns, so the skip was exercised.
+  // The token-major Wx kept never-touched rows, so the skip was exercised.
   const ParamTensor& wx = *live.actor().Params()[0];
-  int live_cols = 0;
-  for (int c = 0; c < wx.value().cols(); ++c) live_cols += wx.IsLive(c) ? 1 : 0;
-  EXPECT_GT(live_cols, 0);
-  EXPECT_LT(live_cols, wx.value().cols());
+  ASSERT_TRUE(wx.token_major());
+  int live_rows = 0;
+  for (int r = 0; r < wx.value().rows(); ++r) live_rows += wx.IsLive(r) ? 1 : 0;
+  EXPECT_GT(live_rows, 0);
+  EXPECT_LT(live_rows, wx.value().rows());
 }
 
-INSTANTIATE_TEST_SUITE_P(Baseline, LiveColumnReplayTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(Baseline, LiveRowReplayTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Critic" : "NoCritic";
                          });
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-// FNV-1a over `n` floats, continuing from h.
-uint64_t HashFloats(uint64_t h, const float* v, size_t n) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(v);
-  for (size_t i = 0; i < n * sizeof(float); ++i) {
-    h = (h ^ bytes[i]) * 1099511628211ull;
-  }
-  return h;
-}
-
-// FNV-1a over the value bytes of every tensor, in Params() order.
-uint64_t HashParams(const std::vector<ParamTensor*>& params) {
-  uint64_t h = kFnvOffset;
-  for (const ParamTensor* p : params) {
-    h = HashFloats(h, p->value().data(), p->value().size());
-  }
-  return h;
-}
+using testing_ref::HashFloats;
+using testing_ref::HashParams;
+using testing_ref::kFnvOffset;
 
 // Pins the actor and critic parameters after each of six epochs of the
 // production trainer at the paper's 30 units. The replays above share
 // the production forward kernels with the trainer, so a reassociated dot
 // product would pass them; it changes these hashes. Recorded on
 // x86-64/glibc (the gate transcendentals come from libm).
-TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
+TEST_F(LiveRowTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
   o.net.hidden_dim = 30;
@@ -885,7 +871,7 @@ TEST_F(LiveColumnTrainingTest, ActorCriticFixedSeedTraceUnchanged) {
 // per-step distributions over four eval rollouts are pinned: a Restore
 // that wrote the values without refreshing the forward panels would step
 // with the last epoch's weights.
-TEST_F(LiveColumnTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
+TEST_F(LiveRowTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
   o.net.hidden_dim = 30;
@@ -915,7 +901,7 @@ TEST_F(LiveColumnTrainingTest, RestoredActorFixedSeedTraceUnchanged) {
 // The REINFORCE counterpart of the actor-critic pin: actor hashes after each of
 // six epochs without the critic. Re-recorded when the weight init became
 // Glorot-uniform.
-TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
+TEST_F(LiveRowTrainingTest, ReinforceFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
   o.net.hidden_dim = 30;
@@ -940,7 +926,7 @@ TEST_F(LiveColumnTrainingTest, ReinforceFixedSeedTraceUnchanged) {
 // hashes after each of six epochs of nets whose input carries two
 // constraint features after the one-hot token. Re-recorded when the
 // weight init became Glorot-uniform.
-TEST_F(LiveColumnTrainingTest, AcExtendFixedSeedTraceUnchanged) {
+TEST_F(LiveRowTrainingTest, AcExtendFixedSeedTraceUnchanged) {
   auto env = MakeEnv();
   TrainerOptions o = Options();
   o.net.hidden_dim = 30;

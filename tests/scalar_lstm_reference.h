@@ -3,17 +3,19 @@
 
 // An LstmStack step written out with the one-chain scalar loops of
 // scalar_forward_reference.h, kept only as a test reference for the lane
-// step (LstmStack::Step). Layer 0 feeds the token as Wx's column when the
-// input has no feature tail, and otherwise a dense e_token ++ tail vector
-// through the whole of Wx; it records its BPTT cache in that form (a dense
-// cache has onehot = -1 and the full input in x), so LstmStack::Backward
-// over it runs the dense OuterAccum.
+// step (LstmStack::Step). It reads every Wx in its logical (4H x In) shape
+// (LogicalCopy), whatever the storage. Layer 0 feeds the token as Wx's
+// column when the input has no feature tail, and otherwise a dense
+// e_token ++ tail vector through the whole of Wx. Its layer-0 BPTT cache
+// holds the token and the tail either way, the only input form a
+// token-major Wx takes a gradient from.
 
 #include <cmath>
 #include <vector>
 
 #include "common/random.h"
 #include "nn/lstm.h"
+#include "tests/logical_params.h"
 #include "tests/scalar_forward_reference.h"
 
 namespace lsg {
@@ -77,7 +79,7 @@ inline std::vector<float> ScalarLstmStep(
   sc.layers.resize(layers);
   sc.dropout_mask.resize(drop ? layers : 0);
   for (size_t l = 0; l < layers; ++l) {
-    const Matrix& wx = params[3 * l]->value();
+    const Matrix wx = LogicalCopy(*params[3 * l], params[3 * l]->value());
     const Matrix& wh = params[3 * l + 1]->value();
     const Matrix& b = params[3 * l + 2]->value();
     std::vector<float> x;
@@ -104,6 +106,10 @@ inline std::vector<float> ScalarLstmStep(
     }
     ScalarCellForward(wx, wh, b, onehot, x, state->h[l], state->c[l],
                       &sc.layers[l]);
+    if (l == 0) {
+      sc.layers[0].onehot = token;
+      sc.layers[0].x = tail;
+    }
     state->h[l] = sc.layers[l].h;
     state->c[l] = sc.layers[l].c;
   }
