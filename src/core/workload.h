@@ -52,9 +52,9 @@ class WorkloadDistribution {
 };
 
 /// The one bare-FSM random walk (UniformAction at every step, no
-/// environment feedback), used by the fuzzers, the linter's injection check
-/// and the tests. When `actions` is set it is cleared and receives every
-/// applied action id, so `lsgfuzz` can replay the walk (ReplayActions).
+/// environment feedback), used by the fuzzers and the tests. When
+/// `actions` is set it is cleared and receives every applied action id, so
+/// `lsgfuzz` can replay the walk (ReplayActions).
 StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng,
                                    std::vector<int>* actions = nullptr);
 

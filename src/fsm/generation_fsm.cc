@@ -241,7 +241,6 @@ void GenerationFsm::MaskSelectFrame() {
         f.scope_tables.end()) {
       return false;
     }
-    if (profile_.inject_join_edge_gap) return true;
     for (int prev : f.scope_tables) {
       if (cat.AreJoinable(prev, t)) return true;
     }
@@ -459,8 +458,7 @@ void GenerationFsm::MaskSelectFrame() {
       // Column for the pending aggregate.
       AggFunc agg = f.pending_agg;
       for_each_scope_column([&](const ColumnRef& c) {
-        if (profile_.inject_agg_type_gap ||
-            AggregateAllowedForType(
+        if (AggregateAllowedForType(
                 agg, cat.table(c.table_idx).column(c.column_idx).type)) {
           Allow(vocab_->column_token_id(c.table_idx, c.column_idx));
         }

@@ -44,12 +44,6 @@ struct QueryProfile {
   /// query, leaving only the shortest completion path.
   int max_tokens = 64;
 
-  /// Testing backdoors (lsglint --inject-bug): deliberately drop one
-  /// semantic rule from the masks so the analyzer/linter pair can be
-  /// mutation-tested. Never set outside tests/tools.
-  bool inject_agg_type_gap = false;   ///< offer SUM/AVG/... over any column
-  bool inject_join_edge_gap = false;  ///< offer JOIN to non-FK tables
-
   /// Plain select-project-join profile (Case 1 of Table 1).
   static QueryProfile SpjOnly();
   /// Everything the grammar supports, including DML.

@@ -136,7 +136,7 @@ DifferentialOracle::DifferentialOracle(Database* db, OracleOptions options)
       estimator_(db, &stats_),
       cost_model_(&estimator_),
       reference_(db),
-      vexec_(db, vexec::VexecOptions{.inject = options.inject_vexec_bug}),
+      vexec_(db),
       linter_(&db->catalog()) {}
 
 std::optional<OracleViolation> DifferentialOracle::Check(const QueryAst& ast) {

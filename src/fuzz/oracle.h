@@ -48,10 +48,6 @@ struct OracleOptions {
   /// Doubles the first space of the rendered SQL (a synthetic renderer bug
   /// the fixpoint oracle must catch).
   bool inject_render_space = false;
-
-  /// Plants a defect in the oracle's vectorized engine (hash-collision /
-  /// sel-vector-off-by-one) that check_vexec must catch.
-  vexec::InjectBug inject_vexec_bug = vexec::InjectBug::kNone;
 };
 
 /// One oracle violation: which oracle fired and why.

@@ -94,19 +94,15 @@ class Int64JoinHashTable {
     return slot.head;
   }
 
-  /// Returns the chain head for `key`, or -1 if absent. When
-  /// `skip_key_recheck` is set (the `hash-collision` injected bug), the
-  /// first occupied slot on the probe path matches regardless of its key —
-  /// exactly the defect a missing key recheck after open-addressing
-  /// collisions would produce.
-  int32_t Find(int64_t key, bool skip_key_recheck = false) const {
+  /// Returns the chain head for `key`, or -1 if absent.
+  int32_t Find(int64_t key) const {
     if (dense_) {
       if (key < min_key_ || key > max_key_) return -1;
       return dense_heads_[DenseIndex(key)];
     }
     size_t s = Hash(key) & mask_;
     while (slots_[s].head >= 0) {
-      if (skip_key_recheck || slots_[s].key == key) return slots_[s].head;
+      if (slots_[s].key == key) return slots_[s].head;
       s = (s + 1) & mask_;
     }
     return -1;

@@ -254,14 +254,12 @@ Grouping GroupTuples(const Database& db, const TupleSetV& ts,
 /// results (masks[i][t], 0 or 1; at least one mask) hold when combined by
 /// `connectors`. The
 /// combination is CombinePredicates' rule (AND-runs first, then OR them
-/// together) applied column-wise over the batch. The planted
-/// sel-vector-off-by-one defect drops the last tuple of every batch here,
-/// so it reaches the build path's compaction and the count path's
-/// per-table filters alike.
+/// together) applied column-wise over the batch. The build path's
+/// compaction and the count path's per-table filters both run here.
 template <typename Keep>
 void ForEachKept(const std::vector<const Mask*>& masks,
                  const std::vector<BoolConn>& connectors, size_t count,
-                 bool drop_last, Keep&& keep) {
+                 Keep&& keep) {
   Mask or_acc(kBatchSize), and_acc(kBatchSize);
   for (size_t begin = 0; begin < count; begin += kBatchSize) {
     const size_t len = std::min(kBatchSize, count - begin);
@@ -278,9 +276,7 @@ void ForEachKept(const std::vector<const Mask*>& masks,
         }
       }
     }
-    // Injected bug: the batch loop bound excludes the final tuple.
-    const size_t bug_end = drop_last ? len - 1 : len;
-    for (size_t t = 0; t < bug_end; ++t) {
+    for (size_t t = 0; t < len; ++t) {
       if (or_acc[t] | and_acc[t]) keep(begin + t);
     }
   }
@@ -300,11 +296,9 @@ TupleSetV AllRows(int table_idx, size_t rows) {
 /// ascending order (the reference's nested-loop order). A key-range scan
 /// comes first: sequential-PK build sides (every FK edge in the bundled
 /// datasets) get the dense direct-address mode — no hashing, no
-/// collisions, one bounded-index load per probe. The planted
-/// hash-collision defect lives in the sparse probe, so `pin_sparse` keeps
-/// it reachable. `keys`, when given, receives each row's key class: its
-/// chain head, or -1 for NULL.
-Int64JoinHashTable BuildInt64Table(const Column& col, bool pin_sparse,
+/// collisions, one bounded-index load per probe. `keys`, when given,
+/// receives each row's key class: its chain head, or -1 for NULL.
+Int64JoinHashTable BuildInt64Table(const Column& col,
                                    std::vector<int32_t>* keys) {
   const std::vector<int64_t>& build_keys = col.ints();
   const std::vector<bool>& valid = col.validity();
@@ -324,8 +318,7 @@ Int64JoinHashTable BuildInt64Table(const Column& col, bool pin_sparse,
     }
   }
   const bool use_dense =
-      have_key && !pin_sparse &&
-      Int64JoinHashTable::DenseRangeUsable(min_key, max_key, rows);
+      have_key && Int64JoinHashTable::DenseRangeUsable(min_key, max_key, rows);
   Int64JoinHashTable ht = use_dense
                               ? Int64JoinHashTable(min_key, max_key, rows)
                               : Int64JoinHashTable(rows);
@@ -342,10 +335,9 @@ Int64JoinHashTable BuildInt64Table(const Column& col, bool pin_sparse,
 }
 
 /// Each row's key class on the probe side of a join: the chain head its
-/// INT64 key finds in `ht` (-1: NULL or no match). `skip_recheck` is the
-/// planted hash-collision defect, as in the build path's probe.
+/// INT64 key finds in `ht` (-1: NULL or no match).
 std::vector<int32_t> ProbeKeys(const Int64JoinHashTable& ht,
-                               const Column& col, bool skip_recheck) {
+                               const Column& col) {
   const std::vector<int64_t>& keys = col.ints();
   const std::vector<bool>& valid = col.validity();
   const bool all_valid = col.all_valid();
@@ -356,7 +348,7 @@ std::vector<int32_t> ProbeKeys(const Int64JoinHashTable& ht,
       ht.Prefetch(keys[r + kPrefetchDist]);
     }
     if (!all_valid && !valid[r]) continue;
-    out[r] = ht.Find(keys[r], skip_recheck);
+    out[r] = ht.Find(keys[r]);
   }
   return out;
 }
@@ -432,8 +424,7 @@ struct CountTree {
 /// the first table carries them.
 std::vector<std::vector<uint64_t>> RowFilters(
     const WhereClause& where, const std::vector<size_t>& owner,
-    const std::vector<Mask>& masks, const std::vector<size_t>& rows,
-    bool drop_last) {
+    const std::vector<Mask>& masks, const std::vector<size_t>& rows) {
   const size_t n = rows.size();
   std::vector<size_t> filtered;
   for (size_t pos : owner) {
@@ -461,7 +452,7 @@ std::vector<std::vector<uint64_t>> RowFilters(
             ? where.connectors
             : std::vector<BoolConn>(own.size() - 1, BoolConn::kAnd);
     base[pos].assign(rows[pos], 0);
-    ForEachKept(own, connectors, rows[pos], drop_last,
+    ForEachKept(own, connectors, rows[pos],
                 [&](size_t r) { base[pos][r] = 1; });
   }
   return base;
@@ -484,12 +475,6 @@ struct VectorizedEngine::CountPlan {
   std::vector<size_t> owner;
   size_t group_pos = 0;  ///< kGroups: the key table's chain position
 };
-
-InjectBug ParseInjectBug(const std::string& name) {
-  if (name == "hash-collision") return InjectBug::kHashCollision;
-  if (name == "sel-vector-off-by-one") return InjectBug::kSelVectorOffByOne;
-  return InjectBug::kNone;
-}
 
 VectorizedEngine::VectorizedEngine(const Database* db, VexecOptions opts)
     : db_(db), opts_(opts) {
@@ -533,7 +518,6 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
 
     stats->rows_probed += static_cast<double>(ts.count);
     const uint64_t cap = opts_.max_intermediate_tuples;
-    const bool collide = opts_.inject == InjectBug::kHashCollision;
     // Matches append straight into the output columns (the new table's rows
     // in the last slot), in tuple order; the cap is checked on the running
     // total, so a rejected join stops at cap + 1 like the reference.
@@ -544,8 +528,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
     if (build_column.type() == DataType::kInt64 &&
         probe_column.type() == DataType::kInt64) {
       // Typed path: open-addressing INT64 table, typed probe keys.
-      const Int64JoinHashTable ht =
-          BuildInt64Table(build_column, /*pin_sparse=*/collide, nullptr);
+      const Int64JoinHashTable ht = BuildInt64Table(build_column, nullptr);
       const std::vector<int64_t>& probe_keys = probe_column.ints();
       const std::vector<bool>& probe_valid = probe_column.validity();
       const bool probe_all_valid = probe_column.all_valid();
@@ -558,8 +541,7 @@ StatusOr<TupleSetV> VectorizedEngine::BuildJoin(const SelectQuery& q,
         }
         const uint32_t prow = probe_rows[t];
         if (!probe_all_valid && !probe_valid[prow]) continue;
-        for (int32_t e = ht.Find(probe_keys[prow], collide); e >= 0;
-             e = ht.Next(e)) {
+        for (int32_t e = ht.Find(probe_keys[prow]); e >= 0; e = ht.Next(e)) {
           if (++total > cap) {
             return Status::OutOfRange("join intermediate exceeds limit");
           }
@@ -768,14 +750,10 @@ Status VectorizedEngine::ApplyWhere(const WhereClause& where, TupleSetV* ts,
   // index), matching the reference filter loop's order.
   const size_t stride = ts->tables.size();
   size_t w = 0;
-  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
-  ForEachKept(masks, where.connectors, ts->count, drop_last,
-              [&](size_t t) {
-                for (size_t j = 0; j < stride; ++j) {
-                  ts->cols[j][w] = ts->cols[j][t];
-                }
-                ++w;
-              });
+  ForEachKept(masks, where.connectors, ts->count, [&](size_t t) {
+    for (size_t j = 0; j < stride; ++j) ts->cols[j][w] = ts->cols[j][t];
+    ++w;
+  });
   for (std::vector<uint32_t>& c : ts->cols) c.resize(w);
   ts->count = w;
   return Status::Ok();
@@ -867,7 +845,6 @@ StatusOr<SelectResult> VectorizedEngine::CountSelect(
   SelectResult result;
   ExecStats& stats = result.stats;
   const size_t n = q.tables.size();
-  const bool collide = opts_.inject == InjectBug::kHashCollision;
 
   // The join stages: each one's unfiltered size gives the meters and the
   // cap decision, as the build path's running total does.
@@ -887,12 +864,10 @@ StatusOr<SelectResult> VectorizedEngine::CountSelect(
     stats.rows_scanned += static_cast<double>(tree.rows[i]);
     tree.parent.push_back(edge.probe_pos);
     tree.key.emplace_back();
-    const Int64JoinHashTable ht = BuildInt64Table(
-        new_table.column(edge.build_col), /*pin_sparse=*/collide,
-        &tree.key.back());
+    const Int64JoinHashTable ht =
+        BuildInt64Table(new_table.column(edge.build_col), &tree.key.back());
     tree.parent_key.push_back(ProbeKeys(
-        ht, db_->tables()[q.tables[edge.probe_pos]].column(edge.probe_col),
-        collide));
+        ht, db_->tables()[q.tables[edge.probe_pos]].column(edge.probe_col)));
     tree.num_keys.push_back(ht.num_entries());
 
     stats.rows_probed += static_cast<double>(size);
@@ -922,7 +897,6 @@ StatusOr<SelectResult> VectorizedEngine::CountSelect(
         preds[i], pos < n ? scans[pos] : no_table, &masks[i], &stats));
   }
 
-  const bool drop_last = opts_.inject == InjectBug::kSelVectorOffByOne;
   switch (plan.shape) {
     case CountPlan::Shape::kOneRow:
       result.cardinality = 1;
@@ -932,15 +906,14 @@ StatusOr<SelectResult> VectorizedEngine::CountSelect(
           preds.empty()
               ? size
               : SatSum(tree.Weights(
-                    0, n, RowFilters(q.where, plan.owner, masks, tree.rows,
-                                     drop_last)));
+                    0, n, RowFilters(q.where, plan.owner, masks, tree.rows)));
       break;
     case CountPlan::Shape::kGroups: {
       // The groups are the key classes of the key table's rows that take
       // part in at least one surviving tuple.
       const std::vector<uint64_t> w = tree.Weights(
           plan.group_pos, n,
-          RowFilters(q.where, plan.owner, masks, tree.rows, drop_last));
+          RowFilters(q.where, plan.owner, masks, tree.rows));
       TupleSetV live;
       live.tables = {q.tables[plan.group_pos]};
       live.cols.emplace_back();

@@ -2,7 +2,6 @@
 #define LEARNEDSQLGEN_VEXEC_VECTORIZED_ENGINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -14,24 +13,10 @@
 namespace lsg {
 namespace vexec {
 
-/// Deliberately-planted defects for oracle mutation testing (lsgfuzz
-/// --inject-bug ...): each models a realistic vectorized-engine bug class
-/// that the lockstep differential oracle must catch.
-enum class InjectBug {
-  kNone,
-  /// Join probe trusts the hash slot without rechecking the key: the first
-  /// occupied slot on the open-addressing probe path matches any key.
-  kHashCollision,
-  /// The filter drops the last tuple of every kBatchSize batch (full or
-  /// partial) — the classic off-by-one in a `<` vs `<=` bound.
-  kSelVectorOffByOne,
-};
-
 struct VexecOptions {
   /// Join blowup bound; must match the reference evaluator's for bitwise
   /// OutOfRange agreement.
   uint64_t max_intermediate_tuples = 1ull << 24;
-  InjectBug inject = InjectBug::kNone;
 };
 
 /// Columnar batch execution engine: the one production engine. Same query
@@ -121,10 +106,6 @@ class VectorizedEngine {
   const Database* db_;
   VexecOptions opts_;
 };
-
-/// Parses an --inject-bug name ("hash-collision", "sel-vector-off-by-one")
-/// into the enum; returns kNone for anything else.
-InjectBug ParseInjectBug(const std::string& name);
 
 }  // namespace vexec
 }  // namespace lsg

@@ -1,7 +1,8 @@
 // Static-analysis subsystem tests: the FsmAnalyzer must prove every bundled
 // dataset's generation FSM free of dead states, stuck states, and reachable
-// semantic-rule violations, and must catch deliberately seeded rule gaps;
-// the SqlLinter's rules are unit-tested against hand-built bad ASTs.
+// semantic-rule violations; the SqlLinter's rules are unit-tested against
+// hand-built bad ASTs. fsm_mutant_test.cc checks that both catch seeded
+// rule gaps.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,8 +11,6 @@
 #include "analysis/fsm_analyzer.h"
 #include "analysis/sql_linter.h"
 #include "common/logging.h"
-#include "common/random.h"
-#include "core/workload.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/test_databases.h"
 #include "sql/vocabulary.h"
@@ -107,46 +106,10 @@ TEST(FsmAnalyzerTest, ReportSerializesToJson) {
 }
 
 // ------------------------------------------------------- mutation testing
-
-TEST(FsmAnalyzerTest, DetectsInjectedAggregateTypeGap) {
-  Database db = BuildScoreStudentDb();
-  Vocabulary vocab = TestVocab(db);
-  QueryProfile profile = FuzzProfiles()[0].profile;
-  profile.inject_agg_type_gap = true;
-  FsmAnalysisReport report = AnalyzeProfile(db, vocab, profile);
-  EXPECT_GT(report.num_violations, 0)
-      << "analyzer blind to a dropped aggregate-typing rule";
-}
-
-TEST(FsmAnalyzerTest, DetectsInjectedJoinEdgeGap) {
-  auto db = BuildNamedDatabase("tpch", 0.05);
-  ASSERT_TRUE(db.ok());
-  Vocabulary vocab = TestVocab(*db);
-  QueryProfile profile = FuzzProfiles()[0].profile;
-  profile.inject_join_edge_gap = true;
-  FsmAnalysisReport report = AnalyzeProfile(*db, vocab, profile);
-  EXPECT_GT(report.num_violations, 0)
-      << "analyzer blind to a dropped join-edge rule";
-}
-
-TEST(SqlLinterTest, DetectsInjectedGapOnRandomWalks) {
-  // The linter is the independent half of the differential pair: finished
-  // ASTs from a gapped FSM must lint dirty often enough to be caught.
-  Database db = BuildScoreStudentDb();
-  Vocabulary vocab = TestVocab(db);
-  QueryProfile profile = FuzzProfiles()[0].profile;
-  profile.inject_agg_type_gap = true;
-  SqlLinter linter(&db.catalog());
-  Rng rng(20260806);
-  int hits = 0;
-  for (int ep = 0; ep < 200; ++ep) {
-    GenerationFsm fsm(&db, &vocab, profile);
-    auto ast = RandomWalkQuery(&fsm, &rng);
-    if (!ast.ok()) continue;
-    if (!linter.Lint(ast.value()).empty()) ++hits;
-  }
-  EXPECT_GT(hits, 0) << "linter blind to a dropped aggregate-typing rule";
-}
+//
+// That the analyzer and the linter catch a gap in the FSM's masks is
+// checked on mutant builds of the FSM: fsm_mutant_test.cc, built on the
+// patches in tests/mutants/.
 
 // ------------------------------------------------------ lint rule units
 //

@@ -1,7 +1,8 @@
 // Vectorized execution engine suite: batch/selection-vector boundary
 // cases, NULL and duplicate join keys, the join cap, aggregation edges,
-// GROUP BY key equivalence classes and group order, mutation testing of
-// the vexec lockstep oracle, the hand-pinned results and work-meter
+// GROUP BY key equivalence classes and group order, the clean half of the
+// vexec lockstep oracle's mutation tests (the mutant halves are in
+// vexec_mutant_test.cc), the hand-pinned results and work-meter
 // regressions of the nested-loop reference evaluator, and a randomized
 // differential sweep (vectorized engine vs. reference evaluator, bitwise)
 // over every bundled dataset.
@@ -26,6 +27,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
 #include "sql/render.h"
+#include "tests/vexec_test_db.h"
 #include "vexec/batch.h"
 #include "vexec/hash_table.h"
 #include "vexec/vectorized_engine.h"
@@ -33,49 +35,11 @@
 namespace lsg {
 namespace {
 
-using vexec::InjectBug;
 using vexec::kBatchSize;
 using vexec::VectorizedEngine;
 using vexec::VexecOptions;
 
 // ---------------------------------------------------------------- helpers
-
-/// Two tables joined by an FK edge, with full control over the key
-/// columns: Fact(id PK, key INT64 nullable, v DOUBLE) -> Dim(id PK
-/// via key, tag STRING). `fact_keys`/`dim_ids` use INT64_MIN as NULL.
-constexpr int64_t kNull = INT64_MIN;
-
-Database BuildJoinDb(const std::vector<int64_t>& fact_keys,
-                     const std::vector<int64_t>& dim_ids) {
-  Database db;
-  {
-    TableSchema s("Dim");
-    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, true}));
-    LSG_CHECK_OK(s.AddColumn({"tag", DataType::kString, false, false}));
-    Table t(std::move(s));
-    for (size_t i = 0; i < dim_ids.size(); ++i) {
-      Value id = dim_ids[i] == kNull ? Value::Null() : Value(dim_ids[i]);
-      LSG_CHECK_OK(t.AppendRow({id, Value("d" + std::to_string(i))}));
-    }
-    LSG_CHECK_OK(db.AddTable(std::move(t)));
-  }
-  {
-    TableSchema s("Fact");
-    LSG_CHECK_OK(s.AddColumn({"id", DataType::kInt64, true, false}));
-    LSG_CHECK_OK(s.AddColumn({"key", DataType::kInt64, false, true}));
-    LSG_CHECK_OK(s.AddColumn({"v", DataType::kDouble, false, false}));
-    Table t(std::move(s));
-    for (size_t i = 0; i < fact_keys.size(); ++i) {
-      Value key =
-          fact_keys[i] == kNull ? Value::Null() : Value(fact_keys[i]);
-      LSG_CHECK_OK(t.AppendRow({Value(static_cast<int64_t>(i)), key,
-                                Value(static_cast<double>(i) * 0.5)}));
-    }
-    LSG_CHECK_OK(db.AddTable(std::move(t)));
-  }
-  LSG_CHECK_OK(db.AddForeignKey({"Fact", "key", "Dim", "id"}));
-  return db;
-}
 
 /// The reference evaluator's default work budget.
 constexpr uint64_t kRefWork = 1ull << 26;
@@ -127,24 +91,6 @@ uint64_t AgreedCount(const Database& db, const SelectQuery& q,
   auto r = VectorizedEngine(&db, opts).ExecuteSelect(q, false);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? r->cardinality : 0;
-}
-
-SelectQuery SelectAll(int table_idx, int item_col = 0) {
-  SelectQuery q;
-  q.tables = {table_idx};
-  SelectItem item;
-  item.column = {table_idx, item_col};
-  q.items.push_back(std::move(item));
-  return q;
-}
-
-Predicate ValuePred(int table_idx, int column_idx, CompareOp op, Value v) {
-  Predicate p;
-  p.kind = PredicateKind::kValue;
-  p.column = {table_idx, column_idx};
-  p.op = op;
-  p.value = std::move(v);
-  return p;
 }
 
 // ------------------------------------------------------- boundary cases
@@ -792,69 +738,10 @@ TEST(Int64JoinHashTableTest, DenseModeMatchesSparseSemantics) {
 }
 
 // ------------------------------------------------------ mutation testing
-
-TEST(VexecMutationTest, HashCollisionBugDiverges) {
-  // Probe keys absent from the build side: correct joins produce zero
-  // matches, but with key rechecks disabled any probe whose home slot is
-  // occupied (7 of 16 slots here, across 64 distinct probe keys) accepts
-  // the foreign entry — so the buggy engine must overcount.
-  std::vector<int64_t> keys;
-  for (int i = 0; i < 64; ++i) keys.push_back(1000 + i);
-  std::vector<int64_t> dims;
-  for (int i = 0; i < 7; ++i) dims.push_back(i);
-  Database db = BuildJoinDb(keys, dims);
-  const int dim = db.catalog().FindTable("Dim");
-  const int fact = db.catalog().FindTable("Fact");
-  QueryAst ast;
-  ast.type = QueryType::kSelect;
-  ast.select = std::make_unique<SelectQuery>();
-  ast.select->tables = {fact, dim};
-  SelectItem item;
-  item.column = {fact, 0};
-  ast.select->items.push_back(std::move(item));
-
-  ReferenceEvaluator ref(&db);
-  VectorizedEngine buggy(&db, VexecOptions{.inject = InjectBug::kHashCollision});
-  auto a = ref.Cardinality(ast);
-  auto b = buggy.Cardinality(ast);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(*a, *b) << "planted hash-collision bug was not observable";
-
-  // The lockstep oracle must catch the same plant.
-  OracleOptions opts;
-  opts.check_vexec = true;
-  opts.inject_vexec_bug = InjectBug::kHashCollision;
-  DifferentialOracle oracle(&db, opts);
-  auto v = oracle.Check(ast);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->oracle, "vexec");
-}
-
-TEST(VexecMutationTest, SelVectorOffByOneBugDiverges) {
-  Database db = BuildJoinDb(/*fact_keys=*/{1, 1, 1, 1}, /*dim_ids=*/{1});
-  const int fact = db.catalog().FindTable("Fact");
-  QueryAst ast;
-  ast.type = QueryType::kSelect;
-  ast.select = std::make_unique<SelectQuery>(SelectAll(fact));
-  ast.select->where.predicates.push_back(
-      ValuePred(fact, 1, CompareOp::kEq, Value(int64_t{1})));
-
-  ReferenceEvaluator ref(&db);
-  VectorizedEngine buggy(
-      &db, VexecOptions{.inject = InjectBug::kSelVectorOffByOne});
-  auto a = ref.Cardinality(ast);
-  auto b = buggy.Cardinality(ast);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, 4u);
-  EXPECT_EQ(*b, 3u);  // the batch's final tuple is dropped
-
-  OracleOptions opts;
-  opts.inject_vexec_bug = InjectBug::kSelVectorOffByOne;
-  DifferentialOracle oracle(&db, opts);
-  auto v = oracle.Check(ast);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->oracle, "vexec");
-}
+//
+// The clean engine passes the lockstep oracle here; vexec_mutant_test.cc,
+// built on the engine mutants in tests/mutants/, checks that each mutant
+// fails it.
 
 TEST(VexecMutationTest, CleanEnginePassesOracle) {
   Database db = BuildScoreStudentDb();

@@ -12,13 +12,19 @@
 //   lsgfuzz --dataset tpch --episodes 500 --corpus /tmp/lsg-corpus
 //   lsgfuzz --replay /tmp/lsg-corpus/tpch-ep42-vexec.trace
 //   lsgfuzz --service --rounds 6                     # fuzz the service
-//   lsgfuzz --episodes 50 --inject-bug card-off-by-one   # harness check
 //
-// Exit status: 0 clean, 1 violations found, 2 usage error.
+// That the oracles catch real engine defects is checked by building this
+// program against mutant copies of the engine (tests/mutants/README.md):
+// those runs must report violations.
+//
+// Exit status: 0 clean, 1 violations found, 2 usage error (a count below 1
+// and a number that does not parse included).
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,7 +33,6 @@
 #include "fuzz/service_fuzz.h"
 #include "fuzz/test_databases.h"
 #include "fuzz/trace.h"
-#include "vexec/vectorized_engine.h"
 
 namespace {
 
@@ -51,9 +56,6 @@ void Usage() {
       "                   only the vectorized-vs-reference lockstep check;\n"
       "                   serve-decode only the serving-vs-reference decode\n"
       "                   equivalence check\n"
-      "  --inject-bug K   card-off-by-one|render-space|hash-collision|\n"
-      "                   sel-vector-off-by-one (mutation-tests the\n"
-      "                   harness: the run MUST report violations)\n"
       "service options:\n"
       "  --rounds N       service lifecycles (default 4)\n"
       "  --requests N     requests per round (default 16)\n");
@@ -69,7 +71,7 @@ int FailUsage(const char* what) {
 int main(int argc, char** argv) {
   using namespace lsg;
 
-  std::string dataset = "all", corpus_dir, replay_path, inject;
+  std::string dataset = "all", corpus_dir, replay_path;
   std::string oracle_mode = "all";
   int episodes = 1000, max_failures = 16, values = 8;
   int rounds = 4, requests = 16;
@@ -84,31 +86,49 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  // A whole decimal number in [min, max]: a sign, a space, a trailing
+  // character or an overflow is a usage error, so a typo never runs as 0.
+  auto need_number = [&](int i, uint64_t min, uint64_t max) {
+    const char* v = need_value(i);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (*v < '0' || *v > '9' || errno != 0 || *end != '\0' || n < min ||
+        n > max) {
+      std::exit(FailUsage(("invalid value for " + std::string(argv[i]) +
+                           ": '" + v + "' (a whole number in [" +
+                           std::to_string(min) + ", " +
+                           std::to_string(max) + "])")
+                              .c_str()));
+    }
+    return static_cast<uint64_t>(n);
+  };
+  auto need_count = [&](int i) {
+    return static_cast<int>(need_number(i, 1, INT_MAX));
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--help" || a == "-h") {
       Usage();
       return 0;
     } else if (a == "--episodes") {
-      episodes = std::atoi(need_value(i++));
+      episodes = need_count(i++);
     } else if (a == "--seed") {
-      seed = std::strtoull(need_value(i++), nullptr, 10);
+      seed = need_number(i++, 0, UINT64_MAX);
     } else if (a == "--dataset") {
       dataset = need_value(i++);
     } else if (a == "--scale") {
       scale = std::atof(need_value(i++));
     } else if (a == "--values") {
-      values = std::atoi(need_value(i++));
+      values = need_count(i++);
     } else if (a == "--corpus") {
       corpus_dir = need_value(i++);
     } else if (a == "--no-shrink") {
       shrink = false;
     } else if (a == "--max-failures") {
-      max_failures = std::atoi(need_value(i++));
+      max_failures = need_count(i++);
     } else if (a == "--verbose") {
       verbose = true;
-    } else if (a == "--inject-bug") {
-      inject = need_value(i++);
     } else if (a == "--oracle") {
       oracle_mode = need_value(i++);
     } else if (a == "--replay") {
@@ -116,9 +136,9 @@ int main(int argc, char** argv) {
     } else if (a == "--service") {
       service_mode = true;
     } else if (a == "--rounds") {
-      rounds = std::atoi(need_value(i++));
+      rounds = need_count(i++);
     } else if (a == "--requests") {
-      requests = std::atoi(need_value(i++));
+      requests = need_count(i++);
     } else {
       return FailUsage(("unknown flag " + a).c_str());
     }
@@ -147,15 +167,6 @@ int main(int argc, char** argv) {
     oracle.check_serve_decode = true;
   } else if (oracle_mode != "all") {
     return FailUsage("unknown --oracle name");
-  }
-  if (inject == "card-off-by-one") {
-    oracle.inject_card_offset = 1;
-  } else if (inject == "render-space") {
-    oracle.inject_render_space = true;
-  } else if (inject == "hash-collision" || inject == "sel-vector-off-by-one") {
-    oracle.inject_vexec_bug = vexec::ParseInjectBug(inject);
-  } else if (!inject.empty()) {
-    return FailUsage("unknown --inject-bug kind");
   }
 
   // ------------------------------------------------------------ service

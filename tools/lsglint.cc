@@ -14,10 +14,11 @@
 //   lsglint --lint queries.sql --dataset tpch
 //   lsglint --trace corpus/tpch-ep42-lint.trace
 //   lsglint --check-all                     # CI gate over every dataset
-//   lsglint --inject-bug agg-type           # mutation test: MUST detect
 //
-// Exit status: 0 clean (or injected bug detected), 1 findings (or injected
-// bug missed), 2 usage error.
+// That the analyzer and the linter catch a gap in the FSM's masks is
+// checked on mutant builds of the FSM (tests/mutants/README.md).
+//
+// Exit status: 0 clean, 1 findings, 2 usage error.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,8 +30,6 @@
 
 #include "analysis/fsm_analyzer.h"
 #include "analysis/sql_linter.h"
-#include "common/random.h"
-#include "core/workload.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/test_databases.h"
 #include "fuzz/trace.h"
@@ -48,11 +47,9 @@ void Usage() {
       "  --lint FILE      lint SQL statements (one per line, # comments)\n"
       "  --trace FILE     lint the query from an lsgfuzz-trace artifact\n"
       "  --check-all      CI gate: every dataset x every profile\n"
-      "  --inject-bug K   agg-type|join-edge: seed a masking gap; the run\n"
-      "                   succeeds iff BOTH analyzer and linter detect it\n"
       "options:\n"
       "  --profile NAME   restrict --fsm to one fuzz profile (default all)\n"
-      "  --dataset D      dataset for --lint/--inject-bug (default tpch)\n"
+      "  --dataset D      dataset for --lint (default tpch)\n"
       "  --json PATH      write JSON report array to PATH\n"
       "  --values K       sampled values per column (default 6)\n"
       "  --scale F        synthetic dataset scale factor (default 0.05)\n"
@@ -71,7 +68,7 @@ int main(int argc, char** argv) {
   using namespace lsg;
 
   std::string fsm_dataset, lint_path, trace_path, profile_name, json_path;
-  std::string dataset = "tpch", inject;
+  std::string dataset = "tpch";
   bool check_all = false, verbose = false;
   int values = 6, max_states = 400000;
   double scale = 0.05;
@@ -96,8 +93,6 @@ int main(int argc, char** argv) {
       trace_path = need_value(i++);
     } else if (a == "--check-all") {
       check_all = true;
-    } else if (a == "--inject-bug") {
-      inject = need_value(i++);
     } else if (a == "--profile") {
       profile_name = need_value(i++);
     } else if (a == "--dataset") {
@@ -139,63 +134,6 @@ int main(int argc, char** argv) {
     if (report.ok()) report.value().profile_name = fp.name;
     return report;
   };
-
-  // --- mutation test: a seeded masking gap must be caught twice ---------
-  if (!inject.empty()) {
-    if (inject != "agg-type" && inject != "join-edge") {
-      return FailUsage("unknown --inject-bug kind");
-    }
-    auto db_or = build_db(dataset);
-    if (!db_or.ok()) return FailUsage(db_or.status().ToString().c_str());
-    const Database db = std::move(db_or).value();
-    auto vocab_or = build_vocab(db);
-    if (!vocab_or.ok()) return FailUsage(vocab_or.status().ToString().c_str());
-    const Vocabulary vocab = std::move(vocab_or).value();
-
-    FuzzProfile fp = FuzzProfiles()[0];
-    fp.name += "+" + inject;
-    if (inject == "agg-type") {
-      fp.profile.inject_agg_type_gap = true;
-    } else {
-      fp.profile.inject_join_edge_gap = true;
-    }
-
-    auto report_or = analyze(db, vocab, fp);
-    if (!report_or.ok()) {
-      std::fprintf(stderr, "analysis failed: %s\n",
-                   report_or.status().ToString().c_str());
-      return 2;
-    }
-    const FsmAnalysisReport& report = report_or.value();
-    const bool analyzer_hit = report.num_violations > 0;
-
-    // Independent detection path: random FSM walks under the gapped
-    // profile, each finished AST linted directly.
-    SqlLinter linter(&db.catalog());
-    int lint_hits = 0, walks = 0;
-    Rng rng(20260806);
-    for (int ep = 0; ep < 300; ++ep) {
-      GenerationFsm fsm(&db, &vocab, fp.profile);
-      auto ast = RandomWalkQuery(&fsm, &rng);
-      if (!ast.ok()) continue;
-      ++walks;
-      if (!linter.Lint(ast.value()).empty()) ++lint_hits;
-    }
-    std::printf(
-        "inject-bug %s on %s: analyzer violations=%d, linter hits=%d/%d "
-        "walks\n",
-        inject.c_str(), dataset.c_str(), report.num_violations, lint_hits,
-        walks);
-    if (verbose) std::fputs(report.Summary(&vocab).c_str(), stdout);
-    if (analyzer_hit && lint_hits > 0) {
-      std::printf("seeded gap detected by both FsmAnalyzer and SqlLinter\n");
-      return 0;
-    }
-    std::fprintf(stderr, "MUTATION TEST FAILED: seeded %s gap missed (%s)\n",
-                 inject.c_str(),
-                 analyzer_hit ? "linter blind" : "analyzer blind");
-    return 1;
-  }
 
   // --- lint a SQL file ---------------------------------------------------
   if (!lint_path.empty()) {
